@@ -123,9 +123,8 @@ let total_migration_ns t = t.total_migration_ns
 (* Rebalance every group onto the live prefix [0, n): group g belongs
    to thread [g mod n].  Per-group migration keys each flow by its
    actual RSS group, so frames and flows can never disagree about a
-   group's home (the whole-thread [migrate_flows_to] path could: it
-   moved thread i's flows to [i mod n] while frames steered to
-   [g mod n]). *)
+   group's home (moving whole threads could: thread i's flows would go
+   to [i mod n] while frames steer to [g mod n]). *)
 let set_elastic_threads t n =
   let total = Ix_host.thread_count t.h in
   if n < 1 || n > total then invalid_arg "Control_plane.set_elastic_threads";

@@ -52,6 +52,41 @@ let default_costs =
 
 type state = Idle | Scheduled | Running
 
+(* Event conditions and batched syscalls are staged into reusable
+   arrays, not lists, and double-buffered: the phase that consumes a
+   batch first [take]s it, swapping the staging array with the empty
+   [batch] array, so anything staged while the batch runs lands in the
+   other array and waits for the next cycle.  [release] refills the
+   consumed slots with [fill] so the long-lived array does not keep the
+   batch's values alive into the next minor collection. *)
+type 'a staging = {
+  mutable items : 'a array; (* staging side: items.(0 .. len-1) *)
+  mutable len : int;
+  mutable batch : 'a array; (* the batch being consumed *)
+  fill : 'a;
+}
+
+let staging fill = { items = [||]; len = 0; batch = [||]; fill }
+
+let stage_push s x =
+  if s.len = Array.length s.items then begin
+    let items = Array.make (max 64 (2 * s.len)) s.fill in
+    Array.blit s.items 0 items 0 s.len;
+    s.items <- items
+  end;
+  s.items.(s.len) <- x;
+  s.len <- s.len + 1
+
+(* Swap sides; returns the batch's length (its items are [s.batch]). *)
+let take s =
+  let n = s.len and items = s.items in
+  s.items <- s.batch;
+  s.batch <- items;
+  s.len <- 0;
+  n
+
+let release s n = Array.fill s.batch 0 n s.fill
+
 let no_thunk () = ()
 
 type t = {
@@ -76,10 +111,11 @@ type t = {
   interrupt_latency_ns : int;
   local_ip : Ixnet.Ip_addr.t;
   mutable ep : Tcp_endpoint.t option; (* set right after creation *)
-  mutable app : Ix_api.event list -> unit;
-  mutable staged_events : Ix_api.event list; (* reversed *)
+  mutable app : Ix_api.event array -> int -> unit;
+  events : Ix_api.event staging;
   mutable unaccepted : (int, Ix_api.event list ref) Hashtbl.t;
-  mutable staged_syscalls : (Ix_api.syscall * (int -> unit)) list; (* reversed *)
+  syscalls : Ix_api.syscall staging;
+  sc_results : (int -> unit) staging; (* completion of each syscall *)
   (* Flow-group migration state.  While a group is inbound-parked the
      destination thread holds arriving TCP frames of that group aside
      (in arrival order) instead of delivering them to a flow table that
@@ -213,7 +249,7 @@ let output_raw t ~remote_ip mbuf =
 let stage_event t tcb ev =
   match Hashtbl.find_opt t.unaccepted (Tcb.handle tcb) with
   | Some pending -> pending := ev :: !pending
-  | None -> t.staged_events <- ev :: t.staged_events
+  | None -> stage_push t.events ev
 
 (* [Sys_accept] assigns the user's cookie after events may already have
    been parked against the connection; retarget them on flush. *)
@@ -268,7 +304,7 @@ let rss_suitable t ~remote_ip ~remote_port =
             = Nic.queue_index q)
           queues
 
-let exec_syscall t (sc, on_result) =
+let exec_syscall t sc on_result =
   Metrics.incr t.c_syscalls;
   charge_kernel t t.costs.syscall_ns;
   match sc with
@@ -297,7 +333,7 @@ let exec_syscall t (sc, on_result) =
               List.iter
                 (fun ev ->
                   patch_cookie ev cookie;
-                  t.staged_events <- ev :: t.staged_events)
+                  stage_push t.events ev)
                 (List.rev !pending)
           | None -> ());
           on_result 0)
@@ -463,17 +499,16 @@ let process_ipv4 t mbuf =
                    ~dst_port:udp.Ixnet.Udp_packet.dst_port ~len:mbuf.Mbuf.len
             then begin
               Mbuf.incref mbuf;
-              t.staged_events <-
-                Ix_api.Ev_udp_recv
-                  {
-                    dst_port = udp.Ixnet.Udp_packet.dst_port;
-                    src_ip = ip.Ixnet.Ipv4_packet.src;
-                    src_port = udp.Ixnet.Udp_packet.src_port;
-                    mbuf;
-                    off = udp.Ixnet.Udp_packet.payload_off;
-                    len = udp.Ixnet.Udp_packet.payload_len;
-                  }
-                :: t.staged_events
+              stage_push t.events
+                (Ix_api.Ev_udp_recv
+                   {
+                     dst_port = udp.Ixnet.Udp_packet.dst_port;
+                     src_ip = ip.Ixnet.Ipv4_packet.src;
+                     src_port = udp.Ixnet.Udp_packet.src_port;
+                     mbuf;
+                     off = udp.Ixnet.Udp_packet.payload_off;
+                     len = udp.Ixnet.Udp_packet.payload_len;
+                   })
             end)
     | Ixnet.Ipv4_packet.Other _ -> Metrics.incr t.c_rx_other
   end
@@ -505,7 +540,7 @@ let rx_pending t =
   List.fold_left (fun acc (_, q) -> acc + Nic.rx_pending q) 0 t.queues
 
 let has_work t =
-  rx_pending t > 0 || t.staged_events <> [] || t.staged_syscalls <> []
+  rx_pending t > 0 || t.events.len > 0 || t.syscalls.len > 0
   || t.replay <> []
 
 (* Pull a bounded batch off the RX rings, round-robin across queues,
@@ -579,17 +614,13 @@ let rec run_cycle t =
   done;
   mark t Tracer.Tcp_in;
   (* --- (3) user phase: deliver event conditions to the app --- *)
-  let staged = t.staged_events in
-  t.staged_events <- [];
-  if staged <> [] then begin
+  let n_events = take t.events in
+  if n_events > 0 then begin
     charge_kernel t (Protection.enter_user t.prot);
     mark t Tracer.Crossing;
     t.in_user_phase <- true;
-    (* [staged] is in reverse arrival order (it was built as a stack);
-       one [rev] restores arrival order — the staged values ARE the
-       [Ix_api.event]s, nothing is re-materialized per event. *)
-    let events = List.rev staged in
-    let n_events = List.length events in
+    (* The staged values ARE the [Ix_api.event]s, in arrival order;
+       nothing is re-materialized per event. *)
     Metrics.add t.c_events n_events;
     charge_user t (t.costs.event_ns * n_events);
     mark t Tracer.Event_delivery;
@@ -599,7 +630,7 @@ let rec run_cycle t =
        additionally contains handler faults per event, aborting only
        the offending connection; this outer guard is the dataplane's
        own guarantee for apps driving [set_app] directly.) *)
-    (try t.app events
+    (try t.app t.events.batch n_events
      with exn ->
        Metrics.incr t.c_app_faults;
        Log.debug (fun m ->
@@ -612,12 +643,17 @@ let rec run_cycle t =
     (* §4.5: a timeout interrupt detects elastic threads that spend
        excessive time in user mode; we mark them non-responsive for the
        control plane. *)
-    if t.user_ns_acc > t.user_timeout_ns then Metrics.incr t.c_nonresponsive
+    if t.user_ns_acc > t.user_timeout_ns then Metrics.incr t.c_nonresponsive;
+    release t.events n_events
   end;
   (* --- (4) batched system calls --- *)
-  let syscalls = List.rev t.staged_syscalls in
-  t.staged_syscalls <- [];
-  List.iter (exec_syscall t) syscalls;
+  let n_calls = take t.syscalls in
+  ignore (take t.sc_results);
+  for i = 0 to n_calls - 1 do
+    exec_syscall t t.syscalls.batch.(i) t.sc_results.batch.(i)
+  done;
+  release t.syscalls n_calls;
+  release t.sc_results n_calls;
   mark t Tracer.Syscall;
   (* --- (5) kernel timers --- *)
   charge_kernel t t.costs.timer_ns;
@@ -749,20 +785,20 @@ let listen t ~port =
       install_callbacks t tcb;
       Hashtbl.replace t.handles (Tcb.handle tcb) tcb;
       Hashtbl.replace t.unaccepted (Tcb.handle tcb) (ref []);
-      t.staged_events <-
-        Ix_api.Ev_knock
-          {
-            handle = Tcb.handle tcb;
-            src_ip = Tcb.remote_ip tcb;
-            src_port = Tcb.remote_port tcb;
-            dst_port = Tcb.local_port tcb;
-          }
-        :: t.staged_events;
+      stage_push t.events
+        (Ix_api.Ev_knock
+           {
+             handle = Tcb.handle tcb;
+             src_ip = Tcb.remote_ip tcb;
+             src_port = Tcb.remote_port tcb;
+             dst_port = Tcb.local_port tcb;
+           });
       incr t.conn_count)
 
 let syscall t sc ~on_result =
   Protection.require t.prot Protection.User;
-  t.staged_syscalls <- (sc, on_result) :: t.staged_syscalls
+  stage_push t.syscalls sc;
+  stage_push t.sc_results on_result
 
 let flows t = Tcp_endpoint.connection_count (endpoint t)
 
@@ -794,12 +830,6 @@ let hand_over_tcb t dst tcb =
   install_callbacks dst tcb;
   if had_handle then Hashtbl.replace dst.handles (Tcb.handle tcb) tcb;
   Tcp_endpoint.adopt (endpoint dst) tcb
-
-let migrate_flows_to t dst =
-  let moving = ref [] in
-  Tcp_endpoint.iter_connections (endpoint t) (fun tcb -> moving := tcb :: !moving);
-  List.iter (hand_over_tcb t dst) !moving;
-  Log.debug (fun m -> m "thread %d migrated %d flows to thread %d" t.id (List.length !moving) dst.id)
 
 (* ------------------------------------------------------------------ *)
 (* Flow-group migration (the control plane drives this; see
@@ -849,8 +879,8 @@ let rx_watermarks t =
 
 let drained_past t marks =
   List.for_all2 (fun (_, q) m -> Nic.rx_popped q >= m) t.queues marks
-  && t.staged_events = []
-  && t.staged_syscalls = []
+  && t.events.len = 0
+  && t.syscalls.len = 0
   && Hashtbl.length t.unaccepted = 0
 
 let add_cycle_watcher t w =
@@ -897,6 +927,9 @@ let nonresponsive_marks t = Metrics.value t.c_nonresponsive
 let metrics t = t.metrics
 let tracer t = t.tracer
 
+(* Inert fillers for consumed staging slots. *)
+let no_syscall = Ix_api.Sys_close { handle = -1 }
+
 let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
     ?(costs = default_costs) ?(batch_bound = 64) ?(batch_mode = Batch.Fixed)
     ?(config = Tcb.default_config)
@@ -906,6 +939,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
   let pool = Mempool.create ~capacity:65536 ~name:(Printf.sprintf "dp%d" thread_id) () in
   let wheel = Wheel.create ~now:(Sim.now sim) () in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let no_event = Ix_api.Ev_dead { cookie = -1; reason = Tcb.Normal } in
   let c name = Metrics.counter metrics (Printf.sprintf "dataplane.%d.%s" thread_id name) in
   let t =
     {
@@ -930,10 +964,11 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       interrupt_latency_ns = 3_000;
       local_ip;
       ep = None;
-      app = ignore;
-      staged_events = [];
+      app = (fun _ _ -> ());
+      events = staging no_event;
       unaccepted = Hashtbl.create 64;
-      staged_syscalls = [];
+      syscalls = staging no_syscall;
+      sc_results = staging ignore;
       parked_inbound = [];
       replay = [];
       watchers = [];

@@ -78,10 +78,12 @@ val protection : t -> Protection.t
 val policy : t -> Policy.t
 val now : t -> Engine.Sim_time.t
 
-val set_app : t -> (Ix_api.event list -> unit) -> unit
+val set_app : t -> (Ix_api.event array -> int -> unit) -> unit
 (** Install the application's event-condition handler (ring 3).  It
-    runs during step 3 of each cycle; it may call [syscall] and
-    [charge_user]. *)
+    runs during step 3 of each cycle with the cycle's event-condition
+    array and its length [n]: entries [0 .. n-1], in arrival order, are
+    valid only for the duration of the call (the array is reused).  It
+    may call [syscall] and [charge_user]. *)
 
 val listen : t -> port:int -> unit
 (** Open a kernel-level listener; established connections surface as
@@ -97,7 +99,8 @@ val syscall : t -> Ix_api.syscall -> on_result:(Ix_api.syscall_result -> unit) -
 (** Stage a batched system call (valid only while the application is
     running in user mode; raises [Protection.Protection_violation]
     otherwise).  [on_result] fires when the kernel processes the batch
-    (step 4) with the written-back return code. *)
+    (step 4) with the written-back return code.  A syscall staged from
+    an [on_result] callback runs in the next cycle's step 4. *)
 
 val bootstrap : t -> (unit -> unit) -> unit
 (** Run application setup code in user mode before any packet has
@@ -123,13 +126,6 @@ val abort_all_connections : t -> int
     RSTs; returns how many were aborted.  The chaos harness calls this
     on every host at drain time so the end-of-run audit sees empty flow
     tables regardless of what the fault plan destroyed. *)
-
-val migrate_flows_to : t -> t -> unit
-(** Control-plane flow migration when this thread is revoked: move every
-    connection (flow-table entries and retransmission timers) to the
-    destination elastic thread (§4.4 "when a core is revoked ... the
-    corresponding network flows must be assigned to another elastic
-    thread"). *)
 
 (** {2 Flow-group migration}
 

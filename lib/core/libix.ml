@@ -25,6 +25,9 @@ and conn = {
   mutable in_flight : int; (* bytes accepted by the stack, not yet acked *)
   mutable dirty : bool;
   mutable dead : bool;
+  mutable on_sendv : int -> unit;
+      (* [Sys_sendv] completion, built once per conn by [new_conn] so a
+         flush round allocates no closure *)
 }
 
 and t = {
@@ -64,6 +67,31 @@ let fresh_cookie t =
   t.cookie_alloc := c + 1;
   c
 
+let new_conn t ~cookie ~handle ~peer handlers =
+  let conn =
+    {
+      cookie;
+      owner = t;
+      handle;
+      peer;
+      handlers;
+      write_queue = Iov_deque.create ();
+      queued_bytes = 0;
+      in_flight = 0;
+      dirty = false;
+      dead = false;
+      on_sendv = ignore;
+    }
+  in
+  conn.on_sendv <-
+    (fun accepted ->
+      if accepted > 0 then begin
+        conn.queued_bytes <- conn.queued_bytes - accepted;
+        conn.in_flight <- conn.in_flight + accepted
+      end);
+  Hashtbl.replace t.conns cookie conn;
+  conn
+
 let mark_dirty conn =
   let o = conn.owner in
   if not conn.dirty then begin
@@ -87,11 +115,7 @@ let flush t =
       then
         Dataplane.syscall t.dp
           (Ix_api.Sys_sendv { handle = conn.handle; queue = conn.write_queue })
-          ~on_result:(fun accepted ->
-            if accepted > 0 then begin
-              conn.queued_bytes <- conn.queued_bytes - accepted;
-              conn.in_flight <- conn.in_flight + accepted
-            end))
+          ~on_result:conn.on_sendv)
     dirty
 
 let handle_event t ev =
@@ -104,20 +128,8 @@ let handle_event t ev =
       | on_accept ->
           let cookie = fresh_cookie t in
           let conn =
-            {
-              cookie;
-              owner = t;
-              handle;
-              peer = (src_ip, src_port);
-              handlers = default_handlers;
-              write_queue = Iov_deque.create ();
-              queued_bytes = 0;
-              in_flight = 0;
-              dirty = false;
-              dead = false;
-            }
+            new_conn t ~cookie ~handle ~peer:(src_ip, src_port) default_handlers
           in
-          Hashtbl.replace t.conns cookie conn;
           Dataplane.syscall t.dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
           conn.handlers <- on_accept conn)
   | Ix_api.Ev_connected { cookie; handle; ok } -> (
@@ -236,11 +248,11 @@ let create ?cookie_alloc dp =
       zc_udp_reader = None;
     }
   in
-  Dataplane.set_app dp (fun events ->
-      List.iter
-        (fun ev ->
-          try handle_event t ev with _ -> contain_fault t ev)
-        events;
+  Dataplane.set_app dp (fun events n ->
+      for i = 0 to n - 1 do
+        let ev = events.(i) in
+        try handle_event t ev with _ -> contain_fault t ev
+      done;
       flush t);
   t
 
@@ -250,24 +262,9 @@ let run t f =
       flush t)
 
 let connect t ~ip ~port handlers =
-  let cookie = fresh_cookie t in
-  let conn =
-    {
-      cookie;
-      owner = t;
-      handle = -1;
-      peer = (ip, port);
-      handlers;
-      write_queue = Iov_deque.create ();
-      queued_bytes = 0;
-      in_flight = 0;
-      dirty = false;
-      dead = false;
-    }
-  in
-  Hashtbl.replace t.conns cookie conn;
+  let conn = new_conn t ~cookie:(fresh_cookie t) ~handle:(-1) ~peer:(ip, port) handlers in
   Dataplane.syscall t.dp
-    (Ix_api.Sys_connect { cookie; dst_ip = ip; dst_port = port })
+    (Ix_api.Sys_connect { cookie = conn.cookie; dst_ip = ip; dst_port = port })
     ~on_result:(fun handle -> if handle >= 0 then conn.handle <- handle)
 
 let listen t ~port ~on_accept =

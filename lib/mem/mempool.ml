@@ -2,9 +2,12 @@
    the paper's large-page-only allocation policy.  A block of n mbufs is
    created at once and pushed onto the free stack.
 
-   The free stack is an array of mbufs (top-of-stack index), not a
-   list: release/alloc are two array writes, with no cons cell per
-   recycled buffer — the per-packet path allocates nothing. *)
+   The free stack is an array (top-of-stack index), not a list:
+   release/alloc are two array writes, with no cons cell per recycled
+   buffer.  It holds each mbuf's permanent [Some mbuf] box, built once
+   at provisioning and captured by the mbuf's [on_free] hook, so
+   [alloc] returns an option without boxing — the per-packet path
+   allocates nothing. *)
 
 let large_page = 2 * 1024 * 1024
 
@@ -14,7 +17,7 @@ type t = {
   max_objects : int;
   block_objects : int;
   mutable provisioned : int;
-  mutable free : Mbuf.t array; (* free.(0 .. free_top-1) are idle mbufs *)
+  mutable free : Mbuf.t option array; (* free.(0 .. free_top-1) are idle *)
   mutable free_top : int;
   mutable live : int;
   mutable allocs : int;
@@ -38,21 +41,21 @@ let create ?(mbuf_size = Mbuf.default_size) ?(capacity = 16384) ~name () =
     alloc_gate = None;
   }
 
-let push_free t mbuf =
+let push_free t boxed =
   if t.free_top = Array.length t.free then begin
     let capacity' = min t.max_objects (max t.block_objects (2 * t.free_top)) in
-    let free' = Array.make capacity' mbuf in
+    let free' = Array.make capacity' None in
     Array.blit t.free 0 free' 0 t.free_top;
     t.free <- free'
   end;
-  t.free.(t.free_top) <- mbuf;
+  t.free.(t.free_top) <- boxed;
   t.free_top <- t.free_top + 1
 
-let release t mbuf =
+let release t mbuf boxed =
   Mbuf.reset mbuf;
   (* reset sets refcount to 1; hold it in the free stack at 0 live refs by
      convention — the next alloc hands it out fresh. *)
-  push_free t mbuf;
+  push_free t boxed;
   t.live <- t.live - 1
 
 let provision_block t =
@@ -60,8 +63,9 @@ let provision_block t =
   let n = min t.block_objects remaining in
   for _ = 1 to n do
     let mbuf = Mbuf.create ~size:t.mbuf_size () in
-    mbuf.Mbuf.on_free <- release t;
-    push_free t mbuf
+    let boxed = Some mbuf in
+    mbuf.Mbuf.on_free <- (fun mbuf -> release t mbuf boxed);
+    push_free t boxed
   done;
   t.provisioned <- t.provisioned + n
 
@@ -75,11 +79,11 @@ let rec alloc t =
   | _ ->
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
-    let mbuf = t.free.(t.free_top) in
+    let boxed = t.free.(t.free_top) in
     t.live <- t.live + 1;
     t.allocs <- t.allocs + 1;
-    Mbuf.reset mbuf;
-    Some mbuf
+    (match boxed with Some mbuf -> Mbuf.reset mbuf | None -> ());
+    boxed
   end
   else if t.provisioned < t.max_objects then begin
     provision_block t;

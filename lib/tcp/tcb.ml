@@ -121,9 +121,9 @@ let default_config =
     challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *);
   }
 
-(* Sentinel for [rexmit_action] before [Tcp_conn] installs the real
-   callback; compared with [==]. *)
-let no_rexmit_action () = ()
+(* Sentinel for [rexmit_action]/[delack_action] before [Tcp_conn]
+   installs the real callback; compared with [==]. *)
+let no_timer_action () = ()
 
 type callbacks = {
   mutable on_connected : bool -> unit;
@@ -258,6 +258,9 @@ and t = {
       (** the RTO callback, built once per connection ([Tcp_conn]
           installs it on first arm) — re-arming a retransmit timer on
           every ACK must not allocate a fresh closure *)
+  mutable delack_action : unit -> unit;
+      (** the delayed-ACK callback, cached the same way: the timer is
+          re-armed about every other data segment *)
 }
 
 and env = {
@@ -789,7 +792,8 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
       persist_timer = Timerwheel.Timer_wheel.null;
       delack_timer = Timerwheel.Timer_wheel.null;
       time_wait_timer = Timerwheel.Timer_wheel.null;
-      rexmit_action = no_rexmit_action;
+      rexmit_action = no_timer_action;
+      delack_action = no_timer_action;
     }
   in
   s.views.(i) <- Some tcb;

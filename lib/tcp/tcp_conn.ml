@@ -219,7 +219,7 @@ let abort tcb =
    not a fresh closure. *)
 let rec set_rexmit tcb =
   cancel_timer tcb.env.wheel tcb.rexmit_timer;
-  (if tcb.rexmit_action == Tcb.no_rexmit_action then
+  (if tcb.rexmit_action == Tcb.no_timer_action then
      tcb.rexmit_action <- rexmit_timeout tcb);
   let deadline = tcb.env.now () + rto_ns tcb in
   tcb.rexmit_timer <- Wheel.schedule tcb.env.wheel ~deadline tcb.rexmit_action
@@ -550,17 +550,21 @@ let update_send_window tcb (seg : Seg.t) =
     tcb.persist_timer <- Wheel.null
   end
 
+let delack_timeout tcb () =
+  tcb.delack_timer <- Wheel.null;
+  if state tcb <> Tcp_state.Closed && delack_count tcb > 0 then ack_now tcb
+
+(* Like [rexmit_action], the delayed-ACK closure is built once per TCB. *)
+let arm_delack tcb =
+  if tcb.delack_action == Tcb.no_timer_action then
+    tcb.delack_action <- delack_timeout tcb;
+  let deadline = tcb.env.now () + tcb.cfg.delack_ns in
+  tcb.delack_timer <- Wheel.schedule tcb.env.wheel ~deadline tcb.delack_action
+
 let schedule_delack tcb =
   set_delack_count tcb (delack_count tcb + 1);
   if delack_count tcb >= tcb.cfg.delack_segs then ack_now tcb
-  else if tcb.delack_timer == Wheel.null then begin
-    let deadline = tcb.env.now () + tcb.cfg.delack_ns in
-    let fire () =
-      tcb.delack_timer <- Wheel.null;
-      if state tcb <> Tcp_state.Closed && delack_count tcb > 0 then ack_now tcb
-    in
-    tcb.delack_timer <- Wheel.schedule tcb.env.wheel ~deadline fire
-  end
+  else if tcb.delack_timer == Wheel.null then arm_delack tcb
 
 (* Deliver the in-order byte range [seg payload from rcv_nxt onward]. *)
 let deliver_payload tcb mbuf ~off ~len =
@@ -920,12 +924,5 @@ let rebind tcb new_env =
   cancel_all_timers tcb;
   tcb.env <- new_env;
   if had_rexmit || Tcb.flight tcb > 0 then set_rexmit tcb;
-  if had_delack then begin
-    let deadline = new_env.Tcb.now () + tcb.cfg.delack_ns in
-    let fire () =
-      tcb.delack_timer <- Wheel.null;
-      if state tcb <> Tcp_state.Closed && delack_count tcb > 0 then ack_now tcb
-    in
-    tcb.delack_timer <- Wheel.schedule new_env.Tcb.wheel ~deadline fire
-  end;
+  if had_delack then arm_delack tcb;
   if had_time_wait then enter_time_wait tcb

@@ -3,19 +3,45 @@ let slot_bits = 8
 let slots = 1 lsl slot_bits (* 256 *)
 let levels = 4
 
-type timer = {
-  deadline_tick : int;
-  action : unit -> unit;
-  mutable state : [ `Armed | `Cancelled | `Fired ];
-}
+(* Timers are pooled cells, like [Engine.Sim]'s event cells: the
+   per-cell fields live in flat arrays inside the wheel, each slot's
+   list is linked through [next] by cell index, and freed cells go on a
+   free stack.  Arming a timer in steady state is therefore a handful
+   of array writes — no record, no cons cell.  The handle is an
+   immediate int packing (cell index, generation); the generation makes
+   cancelling a handle whose cell has since been reused a no-op. *)
+type timer = int
+
+let gen_bits = 30
+let gen_mask = (1 lsl gen_bits) - 1
 
 (* Inert sentinel: lets timer holders use a plain [timer] field (no
-   option box per arm).  Never armed, so [cancel] is a no-op on it. *)
-let null = { deadline_tick = 0; action = (fun () -> ()); state = `Fired }
+   option box per arm).  Its index is out of range, so [cancel] on it
+   is a no-op. *)
+let null = -1
+
+let nil = -1 (* end of an index-linked slot list *)
+
+(* A cell's [meta] packs its generation and state: [gen lsl 2 lor
+   state].  A cell sits in exactly one slot list while [armed] or
+   [cancelled] (a tombstone awaiting its slot visit), and on the free
+   stack while [free]. *)
+let st_free = 0
+let st_armed = 1
+let st_cancelled = 2
+let st_mask = 3
+let no_action () = ()
 
 type t = {
   tick_ns : int;
-  wheel : timer list array array; (* level -> slot -> timers (unordered) *)
+  heads : int array; (* level * slots + slot -> first cell, [nil] = empty *)
+  mutable deadline : int array; (* cell -> deadline, in ticks *)
+  mutable action : (unit -> unit) array;
+  mutable meta : int array; (* cell -> generation and state *)
+  mutable next : int array; (* cell -> next cell in its slot list *)
+  mutable cell_count : int; (* cells 0 .. cell_count-1 have been handed out *)
+  mutable free : int array; (* stack of free cell indices *)
+  mutable free_top : int;
   mutable current : int; (* wheel time, in ticks *)
   mutable armed : int;
   (* [next_expiry] runs once per dataplane cycle when idle, so it must
@@ -48,7 +74,14 @@ let mask_words = slots / 32
 let create ?(tick_ns = default_tick_ns) ~now () =
   {
     tick_ns;
-    wheel = Array.init levels (fun _ -> Array.make slots []);
+    heads = Array.make (levels * slots) nil;
+    deadline = [||];
+    action = [||];
+    meta = [||];
+    next = [||];
+    cell_count = 0;
+    free = [||];
+    free_top = 0;
     current = now / tick_ns;
     armed = 0;
     l0_mask = Array.make mask_words 0;
@@ -66,39 +99,100 @@ let create ?(tick_ns = default_tick_ns) ~now () =
 let now t = t.current * t.tick_ns
 let pending t = t.armed
 
-(* Place a timer in the wheel according to its distance from [current].
-   Level l covers deltas in [256^l, 256^(l+1)). *)
-let place t timer =
-  let delta = timer.deadline_tick - t.current in
-  let delta = if delta < 1 then 1 else delta in
-  let rec level l span =
-    if delta < span * slots || l = levels - 1 then l else level (l + 1) (span * slots)
-  in
-  let l = level 0 1 in
-  let slot = (timer.deadline_tick lsr (slot_bits * l)) land (slots - 1) in
+(* ------------------------------------------------------------------ *)
+(* Cell pool                                                           *)
+
+let grow_array a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Double every per-cell array (and the free stack, which can hold
+   every cell).  Only reached while the pool is still warming up. *)
+let grow t =
+  let n = max 64 (2 * t.cell_count) in
+  t.deadline <- grow_array t.deadline n 0;
+  t.action <- grow_array t.action n no_action;
+  t.meta <- grow_array t.meta n st_free;
+  t.next <- grow_array t.next n nil;
+  t.free <- grow_array t.free n 0
+
+let alloc_cell t =
+  if t.free_top > 0 then begin
+    t.free_top <- t.free_top - 1;
+    t.free.(t.free_top)
+  end
+  else begin
+    if t.cell_count = Array.length t.meta then grow t;
+    let c = t.cell_count in
+    t.cell_count <- c + 1;
+    c
+  end
+
+(* Recycle a cell: bump the generation so stale handles go inert, drop
+   the closure so the GC can reclaim its environment. *)
+let release_cell t c =
+  t.action.(c) <- no_action;
+  t.meta.(c) <- (((t.meta.(c) lsr 2) + 1) land gen_mask) lsl 2;
+  t.free.(t.free_top) <- c;
+  t.free_top <- t.free_top + 1
+
+(* Reverse an index-linked list in place; returns the new head. *)
+let rec rev_chain next prev c =
+  if c = nil then prev
+  else begin
+    let n = next.(c) in
+    next.(c) <- prev;
+    rev_chain next c n
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Placement                                                           *)
+
+(* Level l covers deltas in [256^l, 256^(l+1)). *)
+let rec level_of delta l span =
+  if delta < span * slots || l = levels - 1 then l
+  else level_of delta (l + 1) (span * slots)
+
+(* Push a cell onto the slot list matching its distance from
+   [current] (LIFO; [fire_slot] restores arming order). *)
+let place t c =
+  let deadline = t.deadline.(c) in
+  let delta = deadline - t.current in
+  let l = level_of (if delta < 1 then 1 else delta) 0 1 in
+  let slot = (deadline lsr (slot_bits * l)) land (slots - 1) in
   t.resident.(l) <- t.resident.(l) + 1;
   if l = 0 then begin
     t.l0_mask.(slot lsr 5) <- t.l0_mask.(slot lsr 5) lor (1 lsl (slot land 31));
-    if timer.deadline_tick < t.l0_min.(slot) then
-      t.l0_min.(slot) <- timer.deadline_tick
+    if deadline < t.l0_min.(slot) then t.l0_min.(slot) <- deadline
   end;
-  t.wheel.(l).(slot) <- timer :: t.wheel.(l).(slot)
+  let head = (l lsl slot_bits) lor slot in
+  t.next.(c) <- t.heads.(head);
+  t.heads.(head) <- c
 
 let schedule t ~deadline action =
   let deadline_tick =
     let tick = (deadline + t.tick_ns - 1) / t.tick_ns in
     if tick <= t.current then t.current + 1 else tick
   in
-  let timer = { deadline_tick; action; state = `Armed } in
-  place t timer;
+  let c = alloc_cell t in
+  t.deadline.(c) <- deadline_tick;
+  t.action.(c) <- action;
+  let gen = t.meta.(c) lsr 2 in
+  t.meta.(c) <- (gen lsl 2) lor st_armed;
+  place t c;
   t.armed <- t.armed + 1;
   t.n_scheduled <- t.n_scheduled + 1;
   if t.armed > t.max_armed then t.max_armed <- t.armed;
-  timer
+  (c lsl gen_bits) lor gen
 
 let cancel t timer =
-  if timer.state = `Armed then begin
-    timer.state <- `Cancelled;
+  let c = timer asr gen_bits in
+  if c >= 0 && c < t.cell_count && t.meta.(c) = ((timer land gen_mask) lsl 2) lor st_armed
+  then begin
+    (* The cell stays in its slot list as a tombstone, closure and all,
+       until its slot is visited. *)
+    t.meta.(c) <- t.meta.(c) lxor (st_armed lxor st_cancelled);
     (* The armed count drops NOW, not when the tombstone's slot is
        eventually visited.  (Million-connection audit: with the
        decrement deferred, [advance] saw [armed > 0] for wheels holding
@@ -111,67 +205,73 @@ let cancel t timer =
        needs a rescan.  (If it lives at a higher level — or another
        slot's timer merely shares the deadline — this is a spurious
        but harmless rescan of one list.) *)
-    let slot = timer.deadline_tick land (slots - 1) in
-    if t.l0_min.(slot) = timer.deadline_tick then
-      Bytes.unsafe_set t.l0_dirty slot '\001'
+    let deadline = t.deadline.(c) in
+    let slot = deadline land (slots - 1) in
+    if t.l0_min.(slot) = deadline then Bytes.unsafe_set t.l0_dirty slot '\001'
   end
 
-(* Visit a level-0 slot: fire timers due at exactly [current]. *)
+(* ------------------------------------------------------------------ *)
+(* Advancing                                                           *)
+
+(* Visit a level-0 slot: fire timers due at exactly [current].  The
+   list is detached first and each successor is read before its cell
+   is touched, so callbacks may freely arm (reusing freed cells) and
+   cancel timers. *)
 let fire_slot t =
   let slot = t.current land (slots - 1) in
-  let entries = t.wheel.(0).(slot) in
-  t.wheel.(0).(slot) <- [];
+  let head = t.heads.(slot) in
+  t.heads.(slot) <- nil;
   t.l0_mask.(slot lsr 5) <-
     t.l0_mask.(slot lsr 5) land lnot (1 lsl (slot land 31));
   t.l0_min.(slot) <- max_int;
   Bytes.unsafe_set t.l0_dirty slot '\000';
-  (* Entries were pushed in LIFO order; restore arming order so equal
+  (* Cells were pushed in LIFO order; restore arming order so equal
      deadlines fire FIFO. *)
-  let entries = List.rev entries in
-  let fire timer =
+  let c = ref (rev_chain t.next nil head) in
+  while !c <> nil do
+    let cell = !c in
+    c := t.next.(cell);
     t.resident.(0) <- t.resident.(0) - 1;
-    match timer.state with
-    | `Cancelled | `Fired -> () (* tombstone: already counted out *)
-    | `Armed ->
-        if timer.deadline_tick <= t.current then begin
-          timer.state <- `Fired;
-          t.armed <- t.armed - 1;
-          t.n_fired <- t.n_fired + 1;
-          timer.action ()
-        end
-        else
-          (* A stale resident from a previous lap of the wheel: re-place. *)
-          place t timer
-  in
-  List.iter fire entries
+    if t.meta.(cell) land st_mask <> st_armed then
+      release_cell t cell (* tombstone: already counted out *)
+    else if t.deadline.(cell) <= t.current then begin
+      let action = t.action.(cell) in
+      release_cell t cell;
+      t.armed <- t.armed - 1;
+      t.n_fired <- t.n_fired + 1;
+      action ()
+    end
+    else
+      (* A stale resident from a previous lap of the wheel: re-place. *)
+      place t cell
+  done
 
-(* Cascade one slot of level [l] down into lower levels. *)
+(* Cascade one slot of level [l] down into lower levels, in list
+   order. *)
 let cascade t l =
-  let slot = (t.current lsr (slot_bits * l)) land (slots - 1) in
-  let entries = t.wheel.(l).(slot) in
-  t.wheel.(l).(slot) <- [];
+  let head = (l lsl slot_bits) lor ((t.current lsr (slot_bits * l)) land (slots - 1)) in
+  let c = ref t.heads.(head) in
+  t.heads.(head) <- nil;
   t.n_cascades <- t.n_cascades + 1;
-  let redistribute timer =
+  while !c <> nil do
+    let cell = !c in
+    c := t.next.(cell);
     t.resident.(l) <- t.resident.(l) - 1;
-    match timer.state with
-    | `Cancelled | `Fired -> ()
-    | `Armed ->
-        t.n_cascaded <- t.n_cascaded + 1;
-        place t timer
-  in
-  List.iter redistribute entries
+    if t.meta.(cell) land st_mask <> st_armed then release_cell t cell
+    else begin
+      t.n_cascaded <- t.n_cascaded + 1;
+      place t cell
+    end
+  done
 
 let tick t =
   t.current <- t.current + 1;
   (* At each level boundary, pull the next higher-level slot down. *)
-  let rec maybe_cascade l =
-    if l < levels && (t.current lsr (slot_bits * (l - 1))) land (slots - 1) = 0
-    then begin
-      cascade t l;
-      maybe_cascade (l + 1)
-    end
-  in
-  maybe_cascade 1;
+  let l = ref 1 in
+  while !l < levels && (t.current lsr (slot_bits * (!l - 1))) land (slots - 1) = 0 do
+    cascade t !l;
+    incr l
+  done;
   fire_slot t
 
 let advance t ~now =
@@ -183,13 +283,17 @@ let advance t ~now =
 
 let rescan_slot t slot =
   let min_deadline = ref max_int in
-  List.iter
-    (fun timer ->
-      if timer.state = `Armed && timer.deadline_tick < !min_deadline then
-        min_deadline := timer.deadline_tick)
-    t.wheel.(0).(slot);
+  let c = ref t.heads.(slot) in
+  while !c <> nil do
+    let cell = !c in
+    if t.meta.(cell) land st_mask = st_armed && t.deadline.(cell) < !min_deadline
+    then min_deadline := t.deadline.(cell);
+    c := t.next.(cell)
+  done;
   t.l0_min.(slot) <- !min_deadline;
   Bytes.unsafe_set t.l0_dirty slot '\000'
+
+let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1)
 
 let next_expiry t =
   if t.armed = 0 then None
@@ -203,7 +307,6 @@ let next_expiry t =
       while !m <> 0 do
         let bit = !m land - !m in
         m := !m lxor bit;
-        let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1) in
         let slot = (w lsl 5) + bit_index bit 0 in
         if Bytes.unsafe_get t.l0_dirty slot = '\001' then rescan_slot t slot;
         if t.l0_min.(slot) < !best then best := t.l0_min.(slot)

@@ -8,12 +8,20 @@
     skipped when its slot is visited.
 
     Four levels of 256 slots give spans of ~4 ms, ~1 s, ~4.5 min and
-    ~19 h at the default tick. *)
+    ~19 h at the default tick.
+
+    Timers are pooled cells held in flat arrays inside the wheel, so
+    arming one in steady state allocates nothing: the caller's closure
+    is the only heap value involved, and a cached one costs nothing. *)
 
 type t
 
-type timer
-(** Handle for cancellation. *)
+type timer [@@immediate]
+(** Handle for cancellation: an immediate value naming a pooled cell
+    and its generation.  A handle is valid only on the wheel that
+    issued it.  Once its timer has fired or been reclaimed the cell may
+    be reused, and the stale handle goes inert: [cancel] on it is a
+    no-op. *)
 
 val null : timer
 (** An inert, never-armed timer: lets holders keep a plain [timer]

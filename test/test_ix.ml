@@ -475,6 +475,79 @@ let test_udp_unbound_port_dropped () =
   Sim.run ~until:(Engine.Sim_time.ms 20) cluster.Harness.Cluster.sim;
   check_int "no reply from unbound port" 0 !got
 
+(* ---------------- staging double buffers ---------------- *)
+
+(* Step 4 executes a swapped-out syscall array: a syscall staged while
+   it runs (here from an [on_result] callback, re-entering user mode to
+   do so) lands in the fresh array and runs in the next cycle, never in
+   the batch being executed. *)
+let test_syscall_staged_in_on_result_runs_next_cycle () =
+  let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
+  let cluster = Harness.Cluster.build ~client_hosts:1 ~client_threads:1 ~server () in
+  let host = Option.get cluster.Harness.Cluster.server_ix in
+  let dp = Ix_host.dataplane host 0 in
+  let prot = Dataplane.protection dp in
+  let log = ref [] in
+  let record name r = log := (name, Dataplane.cycles_run dp, r) :: !log in
+  Dataplane.bootstrap dp (fun () ->
+      Dataplane.syscall dp (Ix_api.Sys_close { handle = -7 }) ~on_result:(fun r ->
+          record "first" r;
+          ignore (Protection.enter_user prot);
+          Dataplane.syscall dp (Ix_api.Sys_close { handle = -8 })
+            ~on_result:(record "second");
+          ignore (Protection.enter_kernel prot)));
+  Sim.run ~until:(Engine.Sim_time.ms 1) cluster.Harness.Cluster.sim;
+  match List.rev !log with
+  | [ ("first", c1, r1); ("second", c2, r2) ] ->
+      check_int "unknown handle rejected" (-1) r1;
+      check_int "follow-up rejected too" (-1) r2;
+      check_int "follow-up ran in the next cycle" (c1 + 1) c2
+  | _ -> Alcotest.fail "expected exactly two syscall completions"
+
+(* Event conditions staged during step 4 — the [Ev_dead]s of two
+   [Sys_abort]s — are delivered together in the next user phase, in the
+   order the aborts ran. *)
+let test_abort_events_delivered_next_user_phase () =
+  let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
+  let cluster = Harness.Cluster.build ~client_hosts:1 ~client_threads:1 ~server () in
+  let host = Option.get cluster.Harness.Cluster.server_ix in
+  let dp = Ix_host.dataplane host 0 in
+  let knocks = ref [] and deaths = ref [] and abort_cycle = ref (-1) in
+  Dataplane.set_app dp (fun events n ->
+      for i = 0 to n - 1 do
+        match events.(i) with
+        | Ix_api.Ev_knock { handle; _ } ->
+            let cookie = 100 + List.length !knocks in
+            Dataplane.syscall dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
+            knocks := handle :: !knocks
+        | Ix_api.Ev_dead { cookie; _ } ->
+            deaths := (cookie, Dataplane.cycles_run dp, i) :: !deaths
+        | _ -> ()
+      done;
+      if List.length !knocks = 2 && !abort_cycle < 0 then begin
+        abort_cycle := Dataplane.cycles_run dp;
+        List.iter
+          (fun handle ->
+            Dataplane.syscall dp (Ix_api.Sys_abort { handle }) ~on_result:ignore)
+          (List.rev !knocks)
+      end);
+  Dataplane.listen dp ~port:7100;
+  let client = List.hd cluster.Harness.Cluster.clients in
+  client.Netapi.Net_api.run_app ~thread:0 (fun () ->
+      for _ = 1 to 2 do
+        client.Netapi.Net_api.connect ~thread:0 ~ip:cluster.Harness.Cluster.server_ip
+          ~port:7100 Netapi.Net_api.null_handlers
+      done);
+  Sim.run ~until:(Engine.Sim_time.ms 5) cluster.Harness.Cluster.sim;
+  check_bool "both connections accepted, then aborted" true (!abort_cycle >= 0);
+  match List.rev !deaths with
+  | [ (c1, cy1, i1); (c2, cy2, i2) ] ->
+      Alcotest.(check (list int)) "abort order" [ 100; 101 ] [ c1; c2 ];
+      check_int "first death in the next user phase" (!abort_cycle + 1) cy1;
+      check_int "second in the same phase" cy1 cy2;
+      check_int "adjacent in the event array" (i1 + 1) i2
+  | l -> Alcotest.failf "expected two Ev_dead, got %d" (List.length l)
+
 (* ---------------- background threads (§4.1) ---------------- *)
 
 let test_background_threads_timeshare () =
@@ -560,6 +633,13 @@ let () =
         ] );
       ( "background",
         [ Alcotest.test_case "timesharing" `Quick test_background_threads_timeshare ] );
+      ( "staging",
+        [
+          Alcotest.test_case "syscall from on_result runs next cycle" `Quick
+            test_syscall_staged_in_on_result_runs_next_cycle;
+          Alcotest.test_case "abort Ev_dead delivered next user phase" `Quick
+            test_abort_events_delivered_next_user_phase;
+        ] );
       ( "libix",
         [
           Alcotest.test_case "refused connect" `Quick test_libix_send_limit;

@@ -118,6 +118,25 @@ let test_iovec_sub_bounds () =
   Alcotest.check_raises "sub out of range" (Invalid_argument "Iovec.sub")
     (fun () -> ignore (Iovec.sub iov 1 3))
 
+(* The per-packet pattern: take a buffer, drop its last reference. *)
+let test_mempool_cycle_allocates_nothing () =
+  let pool = Mempool.create ~capacity:64 ~name:"steady" () in
+  let cycle () =
+    match Mempool.alloc pool with
+    | Some mbuf -> Mbuf.decref mbuf
+    | None -> Alcotest.fail "pool exhausted"
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k alloc/release" 0. words;
+  check_int "every buffer returned" 0 (Mempool.live_count pool)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -135,6 +154,8 @@ let () =
           Alcotest.test_case "alloc/free cycle" `Quick test_mempool_alloc_free_cycle;
           Alcotest.test_case "exhaustion & recovery" `Quick test_mempool_exhaustion;
           Alcotest.test_case "statistics" `Quick test_mempool_stats;
+          Alcotest.test_case "alloc/release allocates nothing" `Quick
+            test_mempool_cycle_allocates_nothing;
           qt prop_mempool_no_leak;
         ] );
       ( "iovec",
