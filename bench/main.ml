@@ -1,142 +1,24 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's per-experiment index), plus
-   design-choice ablations and Bechamel microbenchmarks of the hot-path
-   primitives.
+   paper's evaluation (see DESIGN.md's per-experiment index) from the
+   registry in Harness.Experiments, plus the perf regression slices
+   behind BENCH_PERF.json.
 
      dune exec bench/main.exe            — run everything
      dune exec bench/main.exe fig3b      — one experiment
-     dune exec bench/main.exe micro      — microbenchmarks only
+     dune exec bench/main.exe perf       — rewrite BENCH_PERF.json
      IX_BENCH_SCALE=0.3 dune exec ...    — shorter (noisier) windows *)
 
 module H = Harness.Experiments
 
 let gc_report = ref false
 
-let print_gc_line name ~events (g0 : Gc.stat) (g1 : Gc.stat) =
-  let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
-  let minor_m = (g1.Gc.minor_words -. g0.Gc.minor_words) /. 1e6 in
-  let major_m = (g1.Gc.major_words -. g0.Gc.major_words) /. 1e6 in
-  Printf.printf
-    "[%s gc: %.2fM minor words (%.2fM/Mevent), %.2fM major words (%.2fM/Mevent), \
-     %d minor collections (%.0f/Mevent), %d events]\n%!"
-    name minor_m (per_m minor_m) major_m (per_m major_m)
-    (g1.Gc.minor_collections - g0.Gc.minor_collections)
-    (per_m (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)))
-    events
-
 let timed name f =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let e0 = Engine.Sim.global_events () in
+  let gc = H.gc_meter (name ^ " gc") in
   let result = f () in
   Printf.printf "[%s finished in %.1fs wall clock]\n%!" name (Unix.gettimeofday () -. t0);
-  if !gc_report then
-    print_gc_line name ~events:(Engine.Sim.global_events () - e0) g0 (Gc.quick_stat ());
+  if !gc_report then gc ();
   result
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the hot-path primitives                  *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let mbuf = Ixmem.Mbuf.create () in
-  Ixmem.Mbuf.append mbuf (String.make 1400 'x');
-  let seg_mbuf = Ixmem.Mbuf.create () in
-  let ip_a = Ixnet.Ip_addr.of_octets 10 0 0 1
-  and ip_b = Ixnet.Ip_addr.of_octets 10 0 0 2 in
-  let test_toeplitz =
-    Test.make ~name:"toeplitz_hash_tuple"
-      (Staged.stage (fun () ->
-           ignore
-             (Ixhw.Toeplitz.hash_tuple ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234
-                ~dst_port:80 ())))
-  in
-  let test_checksum =
-    Test.make ~name:"checksum_1400B"
-      (Staged.stage (fun () ->
-           ignore (Ixnet.Checksum.compute mbuf.Ixmem.Mbuf.buf ~off:0 ~len:1400)))
-  in
-  let wheel = Timerwheel.Timer_wheel.create ~now:0 () in
-  let test_wheel =
-    Test.make ~name:"timer_wheel_schedule_cancel"
-      (Staged.stage (fun () ->
-           let t = Timerwheel.Timer_wheel.schedule wheel ~deadline:1_000_000 ignore in
-           Timerwheel.Timer_wheel.cancel wheel t))
-  in
-  let pool = Ixmem.Mempool.create ~name:"bench" () in
-  let test_mempool =
-    Test.make ~name:"mempool_alloc_free"
-      (Staged.stage (fun () ->
-           match Ixmem.Mempool.alloc pool with
-           | Some m -> Ixmem.Mbuf.decref m
-           | None -> ()))
-  in
-  let hist = Engine.Histogram.create () in
-  let test_histogram =
-    Test.make ~name:"histogram_record"
-      (Staged.stage (fun () -> Engine.Histogram.record hist 123_456))
-  in
-  let q = Engine.Event_queue.create () in
-  let test_event_queue =
-    Test.make ~name:"event_queue_push_pop"
-      (Staged.stage (fun () ->
-           Engine.Event_queue.push q ~time:42 ();
-           ignore (Engine.Event_queue.pop q)))
-  in
-  let test_tcp_encode =
-    Test.make ~name:"tcp_segment_encode"
-      (Staged.stage (fun () ->
-           Ixmem.Mbuf.reset seg_mbuf;
-           Ixmem.Mbuf.append seg_mbuf "payload-payload-payload";
-           Ixnet.Tcp_segment.prepend seg_mbuf ~src:ip_a ~dst:ip_b
-             {
-               Ixnet.Tcp_segment.src_port = 1;
-               dst_port = 2;
-               seq = 100;
-               ack = 200;
-               syn = false;
-               ack_flag = true;
-               fin = false;
-               rst = false;
-               psh = true;
-               ece = false;
-               cwr = false;
-               window = 1000;
-               mss = None;
-               wscale = None;
-               sack = None;
-               payload_off = 0;
-               payload_len = 0;
-             }))
-  in
-  let tests =
-    Test.make_grouped ~name:"hot-path"
-      [
-        test_toeplitz;
-        test_checksum;
-        test_wheel;
-        test_mempool;
-        test_histogram;
-        test_event_queue;
-        test_tcp_encode;
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let results = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  Printf.printf "\n== Microbenchmarks (ns/op) ==\n";
-  List.iter
-    (fun (name, result) ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "%-40s %10.1f ns/op\n" name est
-      | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort compare results)
 
 (* ------------------------------------------------------------------ *)
 (* perf: fixed-seed regression slices -> BENCH_PERF.json                *)
@@ -448,6 +330,8 @@ let perf_json ~scale ~fast_path ?parallel ?conn_scale rows =
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -456,31 +340,10 @@ let read_file path =
   s
 
 let perf ~smoke ~jobs ~fast_path ~out () =
-  (* Pin the measurement windows so rows are comparable across runs
+  (* Pinned measurement windows keep rows comparable across runs
      regardless of the caller's IX_BENCH_SCALE. *)
-  Unix.putenv "IX_BENCH_SCALE" (if smoke then "0.05" else "0.2");
-  let slices =
-    if smoke then
-      [
-        (fun () -> H.perf_fig2_slice ~fast_path ~sizes:[ 1_024 ] ());
-        (fun () -> H.perf_fig4_slice ~fast_path ~conns:1_000 ());
-        (fun () -> H.perf_migration_slice ~fast_path ());
-        (fun () -> H.perf_conn_scale_slice ~fast_path ~conns:2_000 ~events:6_000 ());
-        (fun () ->
-          H.perf_batch_sweep_slice ~fast_path ~client_hosts:2 ~client_threads:4
-            ~sessions:96 ());
-      ]
-    else
-      [
-        (fun () -> H.perf_fig2_slice ~fast_path ());
-        (fun () -> H.perf_fig4_slice ~fast_path ());
-        (fun () -> H.perf_fig5_slice ~fast_path ());
-        (fun () -> H.perf_fig3a_slice ~fast_path ());
-        (fun () -> H.perf_migration_slice ~fast_path ());
-        (fun () -> H.perf_conn_scale_slice ~fast_path ());
-        (fun () -> H.perf_batch_sweep_slice ~fast_path ());
-      ]
-  in
+  let scale = if smoke then 0.05 else 0.2 in
+  let slices = H.perf_slices ~smoke ~scale ~fast_path in
   let rows = List.map run_slice slices in
   List.iter
     (fun r ->
@@ -494,11 +357,9 @@ let perf ~smoke ~jobs ~fast_path ~out () =
      metric snapshot bit-for-bit. *)
   let again = run_slice (List.hd slices) in
   let first = List.hd rows in
-  if again.snapshot <> first.snapshot then begin
-    Printf.eprintf "perf: NONDETERMINISTIC snapshot for %s:\n  run 1: %s\n  run 2: %s\n%!"
-      first.row_name first.snapshot again.snapshot;
-    exit 1
-  end;
+  if again.snapshot <> first.snapshot then
+    fail "perf: NONDETERMINISTIC snapshot for %s:\n  run 1: %s\n  run 2: %s" first.row_name
+      first.snapshot again.snapshot;
   Printf.printf "perf: same-seed snapshot stable across two runs (%s)\n%!"
     first.row_name;
   (* Parallel leg: the same slices fanned over a domain pool must
@@ -526,18 +387,12 @@ let perf ~smoke ~jobs ~fast_path ~out () =
       let wall_a, snaps = run_batch () in
       let wall_b, snaps_b = run_batch () in
       let wall = Float.min wall_a wall_b in
-      if snaps_b <> snaps then begin
-        Printf.eprintf "perf: PARALLEL batches disagree across runs\n%!";
-        exit 1
-      end;
+      if snaps_b <> snaps then fail "perf: PARALLEL batches disagree across runs";
       List.iter2
         (fun r snap ->
-          if snap <> r.snapshot then begin
-            Printf.eprintf
-              "perf: PARALLEL DIVERGENCE (jobs=%d) for %s:\n  seq: %s\n  par: %s\n%!"
-              jobs r.row_name r.snapshot snap;
-            exit 1
-          end)
+          if snap <> r.snapshot then
+            fail "perf: PARALLEL DIVERGENCE (jobs=%d) for %s:\n  seq: %s\n  par: %s" jobs
+              r.row_name r.snapshot snap)
         rows snaps;
       Printf.printf
         "perf parallel jobs=%d (effective %d) %7.2fs wall (sequential %.2fs, \
@@ -555,31 +410,23 @@ let perf ~smoke ~jobs ~fast_path ~out () =
   in
   let gates = conn_scale_gates ~smoke () in
   let json =
-    perf_json ~scale:(H.scale ()) ~fast_path ?parallel
+    perf_json ~scale ~fast_path ?parallel
       ~conn_scale:gates.cs_json rows
   in
   let oc = open_out out in
   output_string oc json;
   close_out oc;
   Printf.printf "wrote %s\n%!" out;
-  if gates.cs_violations <> [] then begin
-    Printf.eprintf "perf: %d conn-scale gate(s) failed (see above)\n%!"
-      (List.length gates.cs_violations);
-    exit 1
-  end;
+  if gates.cs_violations <> [] then
+    fail "perf: %d conn-scale gate(s) failed (see above)" (List.length gates.cs_violations);
   if smoke then begin
     List.iter
       (fun r ->
-        if r.events <= 0 || r.events_per_sec <= 0. then begin
-          Printf.eprintf "perf-smoke: %s ran zero events/sec\n%!" r.row_name;
-          exit 1
-        end)
+        if r.events <= 0 || r.events_per_sec <= 0. then
+          fail "perf-smoke: %s ran zero events/sec" r.row_name)
       rows;
     let content = read_file out in
-    if not (json_parses content) then begin
-      Printf.eprintf "perf-smoke: %s is not valid JSON\n%!" out;
-      exit 1
-    end;
+    if not (json_parses content) then fail "perf-smoke: %s is not valid JSON" out;
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
       let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -589,56 +436,37 @@ let perf ~smoke ~jobs ~fast_path ~out () =
       not
         (List.for_all (contains content)
            [ "events_per_sec"; "snapshot"; "fast_path_ratio" ])
-    then begin
-      Printf.eprintf "perf-smoke: %s missing expected keys\n%!" out;
-      exit 1
-    end;
+    then fail "perf-smoke: %s missing expected keys" out;
     (* Hit-counter sanity, and the pure-optimization proof: the same
        slice with header prediction disabled must reproduce the metric
        snapshot bit-for-bit (only the hit split may differ). *)
     if fast_path then begin
-      if (List.hd rows).fast_hits <= 0 then begin
-        Printf.eprintf "perf-smoke: fast path enabled but recorded no hits\n%!";
-        exit 1
-      end;
-      let off =
-        run_slice (fun () ->
-            H.perf_fig2_slice ~fast_path:false ~sizes:[ 1_024 ] ())
-      in
-      if off.fast_hits <> 0 then begin
-        Printf.eprintf
-          "perf-smoke: --fast-path=off still recorded %d fast-path hits\n%!"
-          off.fast_hits;
-        exit 1
-      end;
-      if off.snapshot <> (List.hd rows).snapshot then begin
-        Printf.eprintf
-          "perf-smoke: fast-path on/off snapshots differ:\n  on:  %s\n  off: %s\n%!"
+      if (List.hd rows).fast_hits <= 0 then
+        fail "perf-smoke: fast path enabled but recorded no hits";
+      let off = run_slice (List.hd (H.perf_slices ~smoke ~scale ~fast_path:false)) in
+      if off.fast_hits <> 0 then
+        fail "perf-smoke: --fast-path=off still recorded %d fast-path hits" off.fast_hits;
+      if off.snapshot <> (List.hd rows).snapshot then
+        fail "perf-smoke: fast-path on/off snapshots differ:\n  on:  %s\n  off: %s"
           (List.hd rows).snapshot off.snapshot;
-        exit 1
-      end;
       Printf.printf
         "perf-smoke: fast-path off reproduces the snapshot bit-for-bit\n%!"
     end
     else
       List.iter
         (fun r ->
-          if r.fast_hits <> 0 then begin
-            Printf.eprintf
-              "perf-smoke: --fast-path=off still recorded %d fast-path hits \
-               in %s\n%!"
-              r.fast_hits r.row_name;
-            exit 1
-          end)
+          if r.fast_hits <> 0 then
+            fail "perf-smoke: --fast-path=off still recorded %d fast-path hits in %s"
+              r.fast_hits r.row_name)
         rows;
     print_endline "perf-smoke: ok"
   end
 
 let usage () =
-  print_endline
+  Printf.printf
     "usage: main.exe [--metrics] [--trace=FILE] [--gc] [--smoke] [--jobs=N] \
-     [--fast-path=on|off] [--out=FILE] \
-     [fig2|fig3a|fig3a-sim|fig3b|fig3c|fig4|fig5|fig6|batch-sweep|table2|ablations|incast|energy|elastic|breakdown|chaos|conn-scale|micro|perf|all]";
+     [--fast-path=on|off] [--out=FILE] [%s|chaos|conn-scale|perf|all]\n"
+    (String.concat "|" (List.map H.figure_name H.figures));
   exit 1
 
 let () =
@@ -648,11 +476,18 @@ let () =
      The simulations' allocation rate is low after the scratch-record
      refactor, so a larger nursery directly cuts collection count. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  let scale, env_jobs =
+    match H.env () with
+    | Ok v -> v
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
   let metrics = ref false and trace = ref None in
   let smoke = ref false and out = ref None in
   let fast_path = ref true in
   (* IX_BENCH_JOBS sets the default; --jobs=N overrides it. *)
-  let jobs = ref (H.default_jobs ()) in
+  let jobs = ref env_jobs in
   let targets =
     List.filter
       (fun arg ->
@@ -676,17 +511,13 @@ let () =
           (match String.sub arg 12 (String.length arg - 12) with
           | "on" -> fast_path := true
           | "off" -> fast_path := false
-          | _ ->
-              Printf.eprintf "--fast-path expects on or off\n";
-              exit 1);
+          | _ -> fail "--fast-path expects on or off");
           false
         end
         else if String.length arg > 7 && String.sub arg 0 7 = "--jobs=" then begin
-          (match int_of_string_opt (String.sub arg 7 (String.length arg - 7)) with
-          | Some n when n >= 1 -> jobs := n
-          | Some _ | None ->
-              Printf.eprintf "--jobs expects a positive integer\n";
-              exit 1);
+          (match H.parse_jobs (String.sub arg 7 (String.length arg - 7)) with
+          | Ok n -> jobs := n
+          | Error _ -> fail "--jobs expects a positive integer");
           false
         end
         else if String.length arg > 8 && String.sub arg 0 8 = "--trace=" then begin
@@ -698,37 +529,16 @@ let () =
   in
   let output = { H.metrics = !metrics; trace = !trace } in
   let jobs = !jobs in
-  let target = match targets with t :: _ -> t | [] -> "all" in
-  match target with
+  match match targets with t :: _ -> t | [] -> "all" with
   | "perf" ->
       perf ~smoke:!smoke ~jobs ~fast_path:!fast_path
         ~out:(Option.value !out ~default:"BENCH_PERF.json")
         ()
-  | "fig2" -> ignore (timed "fig2" (fun () -> H.fig2 ~jobs ()))
-  | "fig3a" -> ignore (timed "fig3a" (fun () -> H.fig3a ~output ~jobs ()))
-  | "fig3a-sim" ->
-      ignore (timed "fig3a-sim" (fun () -> H.fig3a_sim ~output ~jobs ()))
-  | "fig3b" -> ignore (timed "fig3b" (fun () -> H.fig3b ~output ~jobs ()))
-  | "fig3c" -> ignore (timed "fig3c" (fun () -> H.fig3c ~output ~jobs ()))
-  | "fig4" -> ignore (timed "fig4" (fun () -> H.fig4 ~jobs ()))
-  | "fig5" -> ignore (timed "fig5" (fun () -> H.fig5 ~output ~jobs ()))
-  | "fig6" -> ignore (timed "fig6" (fun () -> H.fig6 ~output ~jobs ()))
-  | "batch-sweep" ->
-      ignore (timed "batch-sweep" (fun () -> H.batch_sweep ~output ~jobs ()))
-  | "table2" ->
-      let f5 = timed "fig5 (for table 2)" (fun () -> H.fig5 ~output ~jobs ()) in
-      timed "table2" (fun () -> H.table2 ~output ~jobs f5)
-  | "ablations" -> timed "ablations" (fun () -> H.ablations ~output ~jobs ())
-  | "incast" -> timed "incast" (fun () -> H.incast ~jobs ())
-  | "energy" -> timed "energy" (fun () -> H.energy ~output ~jobs ())
-  | "elastic" ->
-      ignore (timed "elastic" (fun () -> H.elastic_scaling ~output ()))
-  | "breakdown" -> ignore (timed "breakdown" (fun () -> H.echo_breakdown ~output ()))
   | "chaos" ->
       (* A longer soak than the runtest smoke: 20 simulated ms per leg
          under the default fault plan, every leg audited.  Raises (and
          exits nonzero) on any audit failure. *)
-      ignore (timed "chaos" (fun () -> H.chaos ~jobs ~soak_ms:20 ()))
+      ignore (timed "chaos" (fun () -> Harness.Chaos.run ~jobs ~soak_ms:20 ()))
   | "conn-scale" ->
       (* The million-connection gates on their own: 10k/1M churn legs
          plus the SYN-flood leg (--smoke scales both down).  Exits
@@ -737,8 +547,12 @@ let () =
         timed "conn-scale" (fun () -> conn_scale_gates ~smoke:!smoke ())
       in
       if gates.cs_violations <> [] then exit 1
-  | "micro" -> micro ()
-  | "all" ->
-      timed "all experiments" (fun () -> H.run_all ~output ~jobs ());
-      micro ()
-  | _ -> usage ()
+  | target -> (
+      match H.select target with
+      | Some figures ->
+          List.iter
+            (fun f ->
+              timed (H.figure_name f) (fun () ->
+                  print_string (H.render ~output ~scale ~jobs f)))
+            figures
+      | None -> usage ())

@@ -5,6 +5,7 @@
    regenerates. *)
 
 open Cmdliner
+module Scenario = Harness.Scenario
 
 let setup_logs level =
   Fmt_tty.setup_std_outputs ();
@@ -14,26 +15,17 @@ let setup_logs level =
 let log_term =
   Term.(const setup_logs $ Logs_cli.level ())
 
+(* The CLIs read the environment once, at start-up. *)
+let scale, env_jobs =
+  match Harness.Experiments.env () with
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
 (* --gc: report GC pressure per simulated event at exit, in the same
    shape as bench/main.exe. *)
-let setup_gc enabled =
-  if enabled then begin
-    let g0 = Gc.quick_stat () in
-    let e0 = Engine.Sim.global_events () in
-    at_exit (fun () ->
-        let g1 = Gc.quick_stat () in
-        let events = Engine.Sim.global_events () - e0 in
-        let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
-        let minor_m = (g1.Gc.minor_words -. g0.Gc.minor_words) /. 1e6 in
-        let major_m = (g1.Gc.major_words -. g0.Gc.major_words) /. 1e6 in
-        Printf.printf
-          "[gc: %.2fM minor words (%.2fM/Mevent), %.2fM major words \
-           (%.2fM/Mevent), %d minor collections (%.0f/Mevent), %d events]\n%!"
-          minor_m (per_m minor_m) major_m (per_m major_m)
-          (g1.Gc.minor_collections - g0.Gc.minor_collections)
-          (per_m (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)))
-          events)
-  end
+let setup_gc enabled = if enabled then at_exit (Harness.Experiments.gc_meter "gc")
 
 let gc_term =
   Term.(
@@ -88,7 +80,7 @@ let output_term =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Harness.Experiments.default_jobs ())
+    & opt int env_jobs
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Fan independent simulations over $(docv) worker domains \
@@ -169,29 +161,34 @@ let adaptive_batch_arg =
 
 let echo_cmd =
   let run () output () kind fast_path elastic cores ports size n batch adaptive =
-    let batch_mode =
-      Option.value adaptive ~default:Ix_core.Batch.Fixed
+    let batch_mode = Option.value adaptive ~default:Ix_core.Batch.Fixed in
+    let s =
+      {
+        Scenario.default with
+        kind;
+        ports;
+        cores;
+        batch_bound = batch;
+        batch_mode;
+        fast_path;
+        elastic;
+        scale;
+        workload = Echo { msg_size = size; msgs_per_conn = n; sessions = 768 };
+      }
     in
-    let batch_stats = ref (0., 0., 0) in
-    let p =
-      Harness.Experiments.run_echo ~output ~fast_path ~elastic ~kind ~ports
-        ~cores ~msg_size:size ~msgs_per_conn:n ~batch_bound:batch ~batch_mode
-        ~batch_stats ()
-    in
-    Printf.printf "%s: %.2f M msgs/s, %.2f Gbps goodput, p99 %.1f us\n"
-      p.Harness.Experiments.label
-      (p.Harness.Experiments.msgs_per_sec /. 1e6)
-      p.Harness.Experiments.goodput_gbps p.Harness.Experiments.p99_us;
-    if kind = Harness.Cluster.Ix then begin
-      let mean_batch, mean_tx, bound = !batch_stats in
+    let r = Scenario.run s in
+    let label = Printf.sprintf "%s-%dG" (Scenario.kind_name kind) (10 * ports) in
+    print_string (Harness.Experiments.telemetry ~output ~label s r);
+    Printf.printf "%s: %.2f M msgs/s, %.2f Gbps goodput, p99 %.1f us\n" label
+      (r.ops_per_sec /. 1e6) r.goodput_gbps r.p99_us;
+    if kind = Harness.Cluster.Ix then
       Printf.printf
         "batch: mean %.1f pkts/cycle, mean TX burst %.1f, B in effect %d%s\n"
-        mean_batch mean_tx bound
+        r.mean_batch r.mean_tx_burst r.batch_bound_end
         (match batch_mode with
         | Ix_core.Batch.Fixed -> ""
         | Ix_core.Batch.Adaptive { floor; ceiling } ->
             Printf.sprintf " (adaptive %d..%d)" floor ceiling)
-    end
   in
   Cmd.v (Cmd.info "echo" ~doc:"Run the echo benchmark once (§5.3).")
     Term.(
@@ -201,7 +198,10 @@ let echo_cmd =
 
 let breakdown_cmd =
   let run () output () cores size =
-    ignore (Harness.Experiments.echo_breakdown ~output ~cores ~msg_size:size ())
+    let _, _, text =
+      Harness.Experiments.echo_breakdown ~output ~cores ~msg_size:size ~scale
+    in
+    print_string text
   in
   Cmd.v
     (Cmd.info "breakdown"
@@ -219,20 +219,25 @@ let memcached_cmd =
   in
   let run () output () kind fast_path cores workload rps batch =
     let profile = Workloads.Size_dist.by_name workload in
-    let r, kshare =
-      Harness.Experiments.run_memcached ~output ~fast_path ~kind
-        ~server_threads:cores ~batch_bound:batch ~profile ~target_rps:rps ()
+    let s =
+      {
+        Scenario.default with
+        kind;
+        cores;
+        batch_bound = batch;
+        fast_path;
+        scale;
+        workload = Memcached { profile; target_rps = rps };
+      }
     in
+    let r = Scenario.run s in
+    print_string (Harness.Experiments.telemetry ~output ~label:"" s r);
     Printf.printf
       "%s/%s @%.0fK target: achieved %.0fK RPS, avg %.1f us, p99 %.1f us, kernel %.0f%%\n"
       workload
-      (match kind with
-      | Harness.Cluster.Ix -> "ix"
-      | Harness.Cluster.Linux -> "linux"
-      | Harness.Cluster.Mtcp -> "mtcp")
-      (rps /. 1e3)
-      (r.Workloads.Mutilate.achieved_rps /. 1e3)
-      r.Workloads.Mutilate.avg_us r.Workloads.Mutilate.p99_us (100. *. kshare)
+      (String.lowercase_ascii (Scenario.kind_name kind))
+      (rps /. 1e3) (r.ops_per_sec /. 1e3) r.avg_us r.p99_us
+      (100. *. r.kernel_share)
   in
   Cmd.v (Cmd.info "memcached" ~doc:"Run one memcached load point (§5.5).")
     Term.(
@@ -241,20 +246,18 @@ let memcached_cmd =
 
 let netpipe_cmd =
   let run () () kind fast_path size =
-    let p = Harness.Experiments.netpipe_once ~fast_path ~kind ~size () in
+    let r =
+      Scenario.run { Scenario.default with kind; fast_path; workload = Netpipe { size } }
+    in
     Printf.printf "%s %dB: one-way %.1f us, goodput %.2f Gbps\n"
-      p.Harness.Experiments.system p.Harness.Experiments.size
-      p.Harness.Experiments.one_way_us p.Harness.Experiments.gbps
+      (Scenario.kind_name kind) size r.avg_us r.goodput_gbps
   in
   Cmd.v (Cmd.info "netpipe" ~doc:"Run one NetPIPE ping-pong point (§5.2).")
     Term.(const run $ log_term $ gc_term $ kind_arg $ fast_path_arg $ size_arg)
 
 let fig_cmd =
   let module E = Harness.Experiments in
-  let fig_names =
-    "fig2, fig3a, fig3a-sim, fig3b, fig3c, fig4, fig5, fig6, batch-sweep, \
-     table2, ablations, incast, energy, elastic, all"
-  in
+  let fig_names = String.concat ", " (List.map E.figure_name E.figures @ [ "all" ]) in
   let fig_arg =
     Arg.(
       required
@@ -263,24 +266,11 @@ let fig_cmd =
           ~doc:(Printf.sprintf "Which sweep to regenerate: %s." fig_names))
   in
   let run () output () jobs name =
-    match name with
-    | "fig2" -> ignore (E.fig2 ~jobs ())
-    | "fig3a" -> ignore (E.fig3a ~output ~jobs ())
-    | "fig3a-sim" -> ignore (E.fig3a_sim ~output ~jobs ())
-    | "fig3b" -> ignore (E.fig3b ~output ~jobs ())
-    | "fig3c" -> ignore (E.fig3c ~output ~jobs ())
-    | "fig4" -> ignore (E.fig4 ~jobs ())
-    | "fig5" -> ignore (E.fig5 ~output ~jobs ())
-    | "fig6" -> ignore (E.fig6 ~output ~jobs ())
-    | "batch-sweep" -> ignore (E.batch_sweep ~output ~jobs ())
-    | "table2" -> E.table2 ~output ~jobs (E.fig5 ~output ~jobs ())
-    | "ablations" -> E.ablations ~output ~jobs ()
-    | "incast" -> E.incast ~jobs ()
-    | "energy" -> E.energy ~output ~jobs ()
-    | "elastic" -> ignore (E.elastic_scaling ~output ())
-    | "all" -> E.run_all ~output ~jobs ()
-    | other ->
-        Printf.eprintf "unknown figure %S (expected one of: %s)\n" other fig_names;
+    match E.select name with
+    | Some figures ->
+        List.iter (fun f -> print_string (E.render ~output ~scale ~jobs f)) figures
+    | None ->
+        Printf.eprintf "unknown figure %S (expected one of: %s)\n" name fig_names;
         exit 1
   in
   Cmd.v
@@ -336,9 +326,7 @@ let chaos_cmd =
           ~doc:"Echo legs on distinct seeds (plus one memcached leg).")
   in
   let run () () jobs spec seed soak_ms legs =
-    match
-      Harness.Experiments.chaos ~jobs ~seed ~spec ~soak_ms ~echo_legs:legs ()
-    with
+    match Harness.Chaos.run ~jobs ~seed ~spec ~soak_ms ~echo_legs:legs () with
     | _ -> ()
     | exception Failure msg ->
         Printf.eprintf "%s\n" msg;

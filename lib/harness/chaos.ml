@@ -470,7 +470,8 @@ let run ?(jobs = 1) ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
           ])
         legs
     in
-    Report.table
+    print_string
+    @@ Report.table
       ~title:(Printf.sprintf "Chaos soak (plan: %s)" (Fault_plan.to_string spec))
       ~headers:[ "leg"; "msgs"; "crashes"; "wire loss"; "drained"; "audit" ]
       rows

@@ -1,222 +1,83 @@
-(** The paper's evaluation (§5): one runner per table and figure, each
-    regenerating the corresponding rows/series on the simulated
-    testbed.  Absolute numbers come from the calibrated cost models;
-    the claims under reproduction are the *shapes* (who wins, by what
-    factor, where crossovers fall) — see EXPERIMENTS.md.
+(** The paper's evaluation (§5) as data: every table and figure is a
+    list of {!Scenario.t} points plus a formatter that turns their
+    results into the table text.  Absolute numbers come from the
+    calibrated cost models; the claims under reproduction are the
+    *shapes* (who wins, by what factor, where crossovers fall) — see
+    EXPERIMENTS.md.
 
-    Every runner prints a table via {!Report} and returns its data so
-    the test suite can assert the trends. *)
-
-type echo_point = {
-  label : string;
-  cores : int;
-  msgs_per_conn : int;
-  msg_size : int;
-  msgs_per_sec : float;
-  conns_per_sec : float;
-  goodput_gbps : float;
-  p99_us : float;
-  cpu_utilization : float;
-  polling : bool;
-}
-
-type netpipe_point = { system : string; size : int; one_way_us : float; gbps : float }
-
-type memcached_point = {
-  system : string;
-  workload : string;
-  target_krps : float;
-  achieved_krps : float;
-  avg_us : float;
-  p99 : float;
-  kernel_share : float;
-}
-
-val scale : unit -> float
-(** Duration multiplier from the [IX_BENCH_SCALE] environment variable
-    (default 1.0; smaller = faster, noisier). *)
+    Both CLIs dispatch through {!figures}.  Runners read no environment:
+    the CLIs parse [IX_BENCH_SCALE]/[IX_BENCH_JOBS] once with {!env} and
+    pass [scale] and [jobs] down as values. *)
 
 type output = { metrics : bool; trace : string option }
-(** Telemetry emission for a run (the CLIs' [--metrics]/[--trace]
-    flags), threaded explicitly into each runner.  With [metrics=true]
-    every runner prints a Table-2-style per-stage cycle breakdown (IX
-    servers) and the server's metric snapshot — read through the
-    portable {!Netapi.Net_api.stack} interface — next to its
-    throughput/latency table.  With [trace=Some path] runners
-    additionally dump the server's retained cycle spans as Chrome
-    [trace_event] JSON to [path] (load via chrome://tracing or
-    Perfetto). *)
+(** Telemetry for a run (the CLIs' [--metrics]/[--trace] flags).  With
+    [metrics], each run adds a Table-2-style per-stage cycle breakdown
+    (IX servers) and the server's metric snapshot to the figure's text;
+    with [trace = Some path], the server's retained cycle spans are
+    written there as Chrome [trace_event] JSON.  Requesting either runs
+    the points sequentially so their output stays in order. *)
 
 val default_output : output
 (** [{ metrics = false; trace = None }]. *)
 
-val default_jobs : unit -> int
-(** Worker-domain count from the [IX_BENCH_JOBS] environment variable
-    (default 1 = sequential); the CLIs' [--jobs] flag overrides it.
-    Sweep runners fan their independent simulations over this many
-    domains via {!Engine.Domain_pool}; results are collected in
-    submission order, and a parallel run is bit-identical to [jobs=1]
-    with the same seeds.  Requesting telemetry output forces a runner
-    back to the sequential path so tables don't interleave. *)
+val parse_scale : string -> (float, string) result
+(** A positive number, raised to the 0.05 floor. *)
+
+val parse_jobs : string -> (int, string) result
+(** A positive integer. *)
+
+val env : unit -> (float * int, string) result
+(** [(scale, jobs)] from [IX_BENCH_SCALE] (default 1.0) and
+    [IX_BENCH_JOBS] (default 1); the error names the variable. *)
+
+val gc_meter : string -> unit -> unit
+(** [gc_meter label] starts counting; calling the result prints
+    ["[label: …]"] with the minor/major words and minor collections
+    since, per million simulated events. *)
+
+val telemetry :
+  output:output -> label:string -> Scenario.t -> Scenario.Result.t -> string
+(** The requested telemetry text for one run ([""] when [output] asks
+    for none); [label] names the configuration. *)
+
+type sweep = {
+  name : string;
+  points : scale:float -> (string * Scenario.t) list;
+      (** labelled scenarios, in table order *)
+  table : (string * Scenario.t * Scenario.Result.t) list -> string;
+}
+
+type figure =
+  | Sweep of sweep
+  | Single of { name : string; run : output:output -> scale:float -> string }
+      (** a bespoke simulation (elastic scaling, cycle breakdown) *)
+
+val figures : figure list
+(** fig2, fig3a (with a speedup-vs-1-core column), fig3b, fig3c, fig4,
+    fig5, fig6, batch-sweep, table2 (prints fig5 first), ablations,
+    incast, energy, elastic, breakdown. *)
+
+val figure_name : figure -> string
+
+val select : string -> figure list option
+(** One figure by name, or ["all"]: every figure except fig5, whose
+    sweep table2 already prints. *)
+
+val render : output:output -> scale:float -> jobs:int -> figure -> string
+(** Run a figure and return its text.  A sweep fans its points over
+    [jobs] domains via {!Engine.Domain_pool}; the text is identical at
+    any width. *)
 
 val echo_breakdown :
-  ?output:output ->
-  ?cores:int ->
-  ?msg_size:int ->
-  unit ->
-  (Ixtelemetry.Tracer.stage * int * int) list * int
-(** Run a short 64 B echo on IX and print its Table-2-style cycle
-    breakdown.  Returns the per-stage [(stage, total_ns, spans)] rows
-    aggregated over all elastic threads plus the total busy time
-    (kernel + user ns) the cores accounted; the rows sum exactly to
-    the busy total. *)
-
-val run_echo :
-  ?output:output ->
-  ?label:string ->
-  ?client_hosts:int ->
-  ?client_threads:int ->
-  ?sessions:int ->
-  ?cache:Ixhw.Cache_model.t ->
-  ?pcie:Ixhw.Pcie_model.t ->
-  ?zero_copy:bool ->
-  ?polling:bool ->
-  ?batch_bound:int ->
-  ?batch_mode:Ix_core.Batch.mode ->
-  ?batch_stats:(float * float * int) ref ->
-  ?fast_path:bool ->
-  ?hits:int ref * int ref ->
-  ?elastic:bool ->
-  kind:Cluster.kind ->
-  ports:int ->
+  output:output ->
   cores:int ->
   msg_size:int ->
-  msgs_per_conn:int ->
-  unit ->
-  echo_point
-(** One echo measurement on a fresh cluster (the primitive behind the
-    Fig. 3 sweeps, also exposed for the CLI).
-
-    All runners take [?fast_path] (default [true]): [false] disables
-    the TCP header-prediction receive fast path on every stack in the
-    cluster — the [--fast-path=off] escape hatch, which must not change
-    any result.  [?hits] is a [(fast, slow)] pair of accumulators the
-    runner adds the cluster-wide [fast_path_hits]/[slow_path_hits]
-    counters into after its measurement window.
-
-    [?elastic] (default [false], IX only): [cores] becomes provisioned
-    capacity and the {!Ix_core.Elastic} policy loop scales the live
-    core count with load, starting from one; a summary line reports the
-    peak.  Elastic off leaves the run untouched. *)
-
-val netpipe_once :
-  ?fast_path:bool ->
-  ?hits:int ref * int ref ->
-  kind:Cluster.kind ->
-  size:int ->
-  unit ->
-  netpipe_point
-
-val run_memcached :
-  ?output:output ->
-  ?fast_path:bool ->
-  ?hits:int ref * int ref ->
-  kind:Cluster.kind ->
-  server_threads:int ->
-  ?batch_bound:int ->
-  profile:Workloads.Size_dist.profile ->
-  target_rps:float ->
-  unit ->
-  Workloads.Mutilate.result * float
-(** One memcached load point; also returns the server's kernel-time
-    share. *)
-
-val fig2 : ?jobs:int -> ?sizes:int list -> unit -> netpipe_point list
-(** NetPIPE goodput vs message size, Linux/mTCP/IX on both ends.
-    [sizes] narrows the sweep (the determinism tests run a reduced
-    slice). *)
-
-val fig3a : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** Multi-core scalability, 64 B echo, n=1 connection per message. *)
-
-val fig3a_sim : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** The sharded-sim reading of Fig. 3a, IX only: each point is one
-    simulated host running N per-core dataplanes behind the NIC's RSS
-    indirection table, with an explicit speedup-vs-1-core column
-    (near-linear scaling is the acceptance shape; test_elastic asserts
-    it on a reduced sweep). *)
-
-val fig3b : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** Round trips per connection (n sweep) at 8 cores. *)
-
-val fig3c : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** Message-size sweep (n=1) at 8 cores. *)
-
-val run_connection_scaling :
-  ?fast_path:bool ->
-  ?hits:int ref * int ref ->
-  kind:Cluster.kind ->
-  conns:int ->
-  workers:int ->
-  unit ->
-  float
-(** One Fig. 4 point: messages/sec with [conns] live connections and
-    [workers] concurrent closed-loop requesters. *)
-
-val fig4 : ?jobs:int -> ?conn_counts:int list -> unit -> (string * int * float) list
-(** Connection scalability: (system, connection count, messages/sec).
-    [conn_counts] narrows the sweep. *)
-
-val fig5 :
-  ?output:output ->
-  ?jobs:int ->
-  ?targets:float list ->
-  ?profiles:Workloads.Size_dist.profile list ->
-  unit ->
-  memcached_point list
-(** memcached ETC/USR throughput-vs-latency sweeps, Linux vs IX.
-    [targets]/[profiles] narrow the sweep. *)
-
-val fig6 : ?output:output -> ?jobs:int -> unit -> (int * float * float) list
-(** Batch bound B sweep on USR: (B, achieved kRPS at high load,
-    low-load p99 µs). *)
-
-val batch_sweep :
-  ?output:output ->
-  ?jobs:int ->
-  unit ->
-  (string * echo_point * (float * float * int)) list
-(** Fixed batch bounds (B=1/8/64) against the adaptive controller on
-    the 64 B echo workload.  Each point carries the host's aggregate
-    batch telemetry — (mean admitted batch, mean TX burst, largest
-    bound in effect) — read from the dataplanes' batchers after the
-    measurement window; the adaptive row starts at B=8 so the table
-    shows the controller climbing under load. *)
-
-val table2 : ?output:output -> ?jobs:int -> memcached_point list -> unit
-(** Derive Table 2 (unloaded p99 latency; max RPS under the 500 µs p99
-    SLA) from the fig5 sweep plus dedicated unloaded runs. *)
-
-val run_incast :
-  senders:int -> block:int -> config:Ixtcp.Tcb.config -> ecn:bool -> float
-(** One incast fan-in run; returns goodput in Gbps (0.0 if the transfer
-    never completed within the horizon). *)
-
-val run_incast_stats :
-  senders:int -> block:int -> config:Ixtcp.Tcb.config -> ecn:bool ->
-  float * int * int
-(** Like {!run_incast} but also returns (CE marks, tail drops) at the
-    receiver's switch port. *)
-
-val incast : ?jobs:int -> unit -> unit
-(** Extension experiment (paper §6): incast goodput under a coarse RTO,
-    the fine-grained RTO the 16 µs timing wheel enables [64], and
-    DCTCP over an ECN-marking switch queue. *)
-
-val energy : ?output:output -> ?jobs:int -> unit -> unit
-(** Extension experiment (§4.3): the polling-vs-C-state trade-off —
-    power and energy per message across load levels for polling and
-    interrupt-driven IX. *)
+  scale:float ->
+  (Ixtelemetry.Tracer.stage * int * int) list * int * string
+(** A short IX echo's Table-2-style cycle breakdown: per-stage
+    [(stage, total_ns, spans)] over all threads, the cores' total busy
+    time (kernel + user ns), which the rows sum to exactly, and the
+    table text. *)
 
 type elastic_result = {
   el_samples : Ix_core.Elastic.sample list;
@@ -235,21 +96,13 @@ type elastic_result = {
   el_msgs : int;
 }
 
-val elastic_scaling : ?output:output -> ?seed:int -> unit -> elastic_result
-(** The elastic-scaling experiment (tentpole, DESIGN.md §8): a bursty
-    load trace against one IX host with 4 provisioned dataplanes
-    starting on a single live core.  The {!Ix_core.Elastic} policy loop
-    (utilization + client-side windowed p99, with hysteresis) walks the
-    core count up into the burst and back down after it; every decision
-    is a set of no-drop flow-group migrations.  Prints the cores-used
-    curve and a summary (SLO hold, migrations, energy vs static
-    provisioning).  A single simulation: bit-identical at any [--jobs]
-    width by construction. *)
-
-val ablations : ?output:output -> ?jobs:int -> unit -> unit
-(** Design-choice ablations from DESIGN.md §5: batching off, interrupts
-    instead of polling, copying instead of zero-copy, uncoalesced PCIe
-    doorbells, and broken flow steering. *)
+val elastic_scaling : output:output -> scale:float -> elastic_result * string
+(** The elastic-scaling experiment (DESIGN.md §8): a bursty load trace
+    against one IX host with 4 provisioned dataplanes starting on one
+    live core.  The {!Ix_core.Elastic} loop (utilization + windowed
+    p99, with hysteresis) walks the core count up into the burst and
+    back; every decision is a set of no-drop flow-group migrations.
+    Returns the result and the cores-used curve and summary tables. *)
 
 type perf_slice = {
   perf_name : string;
@@ -258,71 +111,18 @@ type perf_slice = {
   perf_fast_hits : int;  (** header-prediction fast-path deliveries *)
   perf_slow_hits : int;  (** segments that took the full TCP input path *)
 }
-(** One fixed-seed perf-regression run (the [perf] subcommand of
-    [bench/main.exe]).  [perf_snapshot] is deterministic: the same seed
-    must reproduce it bit-for-bit across runs and engine versions, so
-    BENCH_PERF.json tracks pure engine speed.  The hit counters live
-    beside the snapshot, never inside it: a [~fast_path:false] run of
-    the same slice must produce a bit-identical snapshot (header
-    prediction is a pure optimization). *)
+(** One fixed-seed perf-regression row of BENCH_PERF.json.  The same
+    seed must reproduce [perf_snapshot] bit-for-bit; the hit counters
+    stay outside it, so a fast-path-off run of a slice must give a
+    bit-identical snapshot. *)
 
-val perf_fig2_slice : ?fast_path:bool -> ?sizes:int list -> unit -> perf_slice
-(** An IX NetPIPE ping-pong sweep over [sizes] (Fig. 2 slice). *)
+val perf_slices :
+  smoke:bool -> scale:float -> fast_path:bool -> (unit -> perf_slice) list
+(** The BENCH_PERF.json rows in order: fig2, fig4, fig5, fig3a-sim,
+    migration, conn-scale, batch-sweep ([smoke]: smaller and without
+    fig5 and fig3a-sim).  Each is a scenario list plus a snapshot
+    formatter, except migration (4 cores shrink to 2 and back under
+    live echo) and conn-scale ({!Workloads.Conn_scale}, counted in
+    crafted client segments). *)
 
-val perf_fig4_slice : ?fast_path:bool -> ?conns:int -> unit -> perf_slice
-(** Connection scalability at [conns] live connections (Fig. 4 slice);
-    the cancellation-heavy engine workload. *)
-
-val perf_fig5_slice : ?fast_path:bool -> ?target_krps:float -> unit -> perf_slice
-(** One memcached USR load point on IX (Fig. 5 slice). *)
-
-val perf_fig3a_slice : ?fast_path:bool -> unit -> perf_slice
-(** IX 64 B echo at 1/2/4 cores on the sharded sim (Fig. 3a slice):
-    pins the multi-core throughput curve per core count.  Runs 8
-    messages per connection (the figure sweeps use 1) so the slice's
-    fast-path ratio reflects steady-state delivery rather than
-    handshake segments. *)
-
-val perf_conn_scale_slice :
-  ?fast_path:bool -> ?conns:int -> ?events:int -> unit -> perf_slice
-(** Connection-churn slice of [Workloads.Conn_scale]: [conns]
-    SYN-cookie connections established then churned for [events]
-    Zipf-hot events with TIME_WAIT recycling.  [perf_events] counts
-    crafted client segments (the workload is self-clocked, not
-    Sim-driven); the snapshot is the workload's deterministic counter
-    string. *)
-
-val perf_batch_sweep_slice :
-  ?fast_path:bool ->
-  ?client_hosts:int ->
-  ?client_threads:int ->
-  ?sessions:int ->
-  unit ->
-  perf_slice
-(** One echo point per {!batch_sweep} config (fixed B=1/B=64 and the
-    adaptive controller), batch telemetry included in the snapshot:
-    the controller is driven purely by the deterministic next_batch
-    call stream, so mean batch, mean TX burst and the bound in effect
-    must reproduce bit-for-bit. *)
-
-val perf_migration_slice : ?fast_path:bool -> unit -> perf_slice
-(** Flow-group migration under live load: 4 cores shrink to 2 and grow
-    back mid-echo.  Pins migration count, parked-frame count,
-    cumulative retarget-to-handover latency and the message total
-    (traffic must keep flowing). *)
-
-val chaos :
-  ?jobs:int ->
-  ?seed:int ->
-  ?spec:Ix_faults.Fault_plan.spec ->
-  ?soak_ms:int ->
-  ?echo_legs:int ->
-  ?quiet:bool ->
-  unit ->
-  Chaos.leg list
-(** The chaos soak (see {!Chaos}): echo + memcached legs under a
-    deterministic fault plan, each ending in an invariant audit.
-    Raises [Failure] if any audit fails.  The [ixsim chaos] subcommand
-    and the bench harness's [chaos] target call this. *)
-
-val run_all : ?output:output -> ?jobs:int -> unit -> unit
+val migration_slice : fast_path:bool -> perf_slice

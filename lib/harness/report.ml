@@ -6,7 +6,7 @@ let gbps v = Printf.sprintf "%.2f" v
 let us v = Printf.sprintf "%.1f" v
 let pct v = Printf.sprintf "%.1f%%" (100. *. v)
 
-let table ?(out = Format.std_formatter) ~title ~headers rows =
+let table ~title ~headers rows =
   let all = headers :: rows in
   let columns = List.length headers in
   let width c =
@@ -18,6 +18,7 @@ let table ?(out = Format.std_formatter) ~title ~headers rows =
   let rule =
     String.concat "--" (List.map (fun w -> String.make w '-') widths)
   in
-  Format.fprintf out "@.== %s ==@.%s@.%s@." title (line headers) rule;
-  List.iter (fun row -> Format.fprintf out "%s@." (line row)) rows;
-  Format.pp_print_flush out ()
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "\n== %s ==\n%s\n%s\n" title (line headers) rule;
+  List.iter (fun row -> Printf.bprintf b "%s\n" (line row)) rows;
+  Buffer.contents b

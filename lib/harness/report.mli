@@ -1,9 +1,8 @@
 (** Plain-text tables for the benchmark harness, in the style of the
     paper's figures' underlying data. *)
 
-val table :
-  ?out:Format.formatter -> title:string -> headers:string list -> string list list -> unit
-(** Print a titled, column-aligned table. *)
+val table : title:string -> headers:string list -> string list list -> string
+(** A titled, column-aligned table, as text starting with a blank line. *)
 
 val f1 : float -> string
 (** One decimal place. *)

@@ -200,17 +200,17 @@ let test_mutilate_places_load () =
 
 (* ---------------- NetPIPE ---------------- *)
 
+let netpipe size =
+  Harness.Scenario.run { Harness.Scenario.default with workload = Netpipe { size } }
+
 let test_netpipe_measures () =
-  let p = Harness.Experiments.netpipe_once ~kind:Cluster.Ix ~size:1024 () in
-  check_bool "one-way latency positive and small" true
-    (p.Harness.Experiments.one_way_us > 1. && p.Harness.Experiments.one_way_us < 100.);
-  check_bool "goodput positive" true (p.Harness.Experiments.gbps > 0.1)
+  let r = netpipe 1024 in
+  check_bool "one-way latency positive and small" true (r.avg_us > 1. && r.avg_us < 100.);
+  check_bool "goodput positive" true (r.goodput_gbps > 0.1)
 
 let test_netpipe_larger_is_faster () =
-  let small = Harness.Experiments.netpipe_once ~kind:Cluster.Ix ~size:256 () in
-  let large = Harness.Experiments.netpipe_once ~kind:Cluster.Ix ~size:65_536 () in
-  check_bool "goodput grows with message size" true
-    (large.Harness.Experiments.gbps > small.Harness.Experiments.gbps)
+  let small = netpipe 256 and large = netpipe 65_536 in
+  check_bool "goodput grows with message size" true (large.goodput_gbps > small.goodput_gbps)
 
 (* ---------------- Echo trends ---------------- *)
 

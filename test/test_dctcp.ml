@@ -214,37 +214,34 @@ let test_ece_echoed_on_ce () =
 
 (* ---------------- Incast trend ---------------- *)
 
+let incast ~senders ~block ~config ~ecn =
+  Harness.Scenario.run
+    {
+      Harness.Scenario.default with
+      cores = 4;
+      tcp_config = Some config;
+      workload = Incast { senders; block; ecn };
+    }
+
 let test_incast_fine_timers_beat_coarse () =
   let coarse =
     { Ix_core.Ix_host.ix_tcp_config with Ixtcp.Tcb.min_rto_ns = 200_000_000 }
   in
   let fine = Ix_core.Ix_host.ix_tcp_config in
-  let g_coarse =
-    Harness.Experiments.run_incast ~senders:16 ~block:(64 * 1024) ~config:coarse
-      ~ecn:false
-  in
-  let g_fine =
-    Harness.Experiments.run_incast ~senders:16 ~block:(64 * 1024) ~config:fine
-      ~ecn:false
-  in
+  let g_coarse = (incast ~senders:16 ~block:(64 * 1024) ~config:coarse ~ecn:false).goodput_gbps in
+  let g_fine = (incast ~senders:16 ~block:(64 * 1024) ~config:fine ~ecn:false).goodput_gbps in
   check_bool "fine-grained RTO rescues incast goodput (>=10x)" true
     (g_fine > 10. *. g_coarse)
 
 let test_incast_dctcp_reduces_drops () =
   let fine = Ix_core.Ix_host.ix_tcp_config in
   let dctcp = { fine with Ixtcp.Tcb.dctcp = true } in
-  let _, _, drops_fine =
-    Harness.Experiments.run_incast_stats ~senders:8 ~block:(256 * 1024)
-      ~config:fine ~ecn:false
-  in
-  let g_dctcp, marks, drops_dctcp =
-    Harness.Experiments.run_incast_stats ~senders:8 ~block:(256 * 1024)
-      ~config:dctcp ~ecn:true
-  in
-  check_bool "ECN marks happened" true (marks > 0);
+  let plain = incast ~senders:8 ~block:(256 * 1024) ~config:fine ~ecn:false in
+  let marked = incast ~senders:8 ~block:(256 * 1024) ~config:dctcp ~ecn:true in
+  check_bool "ECN marks happened" true (marked.ce_marks > 0);
   check_bool "DCTCP sheds load before the queue overflows" true
-    (drops_dctcp < drops_fine);
-  check_bool "and still moves data" true (g_dctcp > 1.)
+    (marked.tail_drops < plain.tail_drops);
+  check_bool "and still moves data" true (marked.goodput_gbps > 1.)
 
 let () =
   Alcotest.run "dctcp"

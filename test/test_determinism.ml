@@ -9,9 +9,7 @@
    comparison. *)
 
 module E = Harness.Experiments
-
-(* Tiny windows: this test is about equality, not model fidelity. *)
-let () = Unix.putenv "IX_BENCH_SCALE" "0.05"
+module Scenario = Harness.Scenario
 
 let check_bool = Alcotest.(check bool)
 
@@ -19,33 +17,46 @@ let bit_identical what a b =
   check_bool (what ^ ": parallel run bit-identical to sequential") true
     (Stdlib.compare a b = 0)
 
+(* A reduced slice of one figure's own points, at tiny windows (this
+   test is about equality, not model fidelity), run both ways; the
+   whole result records are compared, telemetry included. *)
+let check_figure name keep =
+  let points =
+    match List.find (fun f -> E.figure_name f = name) E.figures with
+    | E.Sweep sweep -> List.filter (fun (_, s) -> keep s) (sweep.points ~scale:0.05)
+    | E.Single _ -> Alcotest.fail "expected a sweep"
+  in
+  let thunks = List.map (fun (_, s) () -> Scenario.run s) points in
+  check_bool "slice not empty" true (thunks <> []);
+  bit_identical name
+    (Engine.Domain_pool.map_jobs ~jobs:1 thunks)
+    (Engine.Domain_pool.map_jobs ~jobs:4 thunks)
+
 let test_fig2 () =
-  let sizes = [ 1_024; 16_384 ] in
-  let seq = E.fig2 ~jobs:1 ~sizes () in
-  let par = E.fig2 ~jobs:4 ~sizes () in
-  bit_identical "fig2" seq par
+  check_figure "fig2" (fun s ->
+      match s.workload with Netpipe { size } -> List.mem size [ 1_024; 16_384 ] | _ -> false)
 
 let test_fig4 () =
-  let conn_counts = [ 100; 1_000 ] in
-  let seq = E.fig4 ~jobs:1 ~conn_counts () in
-  let par = E.fig4 ~jobs:4 ~conn_counts () in
-  bit_identical "fig4" seq par
+  check_figure "fig4" (fun s ->
+      match s.workload with Conn_scaling { conns; _ } -> conns <= 1_000 | _ -> false)
 
 let test_fig5 () =
-  let targets = [ 100e3 ] and profiles = [ Workloads.Size_dist.usr ] in
-  let seq = E.fig5 ~jobs:1 ~targets ~profiles () in
-  let par = E.fig5 ~jobs:4 ~targets ~profiles () in
-  bit_identical "fig5" seq par
+  check_figure "fig5" (fun s ->
+      match s.workload with
+      | Memcached { profile; target_rps } ->
+          profile == Workloads.Size_dist.usr && target_rps = 100e3
+      | _ -> false)
 
 let test_perf_slices () =
   (* The bench perf harness's own invariant, in miniature: the metric
      snapshots of the perf slices must not depend on whether the slices
      run sequentially or concurrently on separate domains. *)
   let slices =
-    [
-      (fun () -> (E.perf_fig2_slice ~sizes:[ 1_024 ] ()).E.perf_snapshot);
-      (fun () -> (E.perf_fig4_slice ~conns:1_000 ()).E.perf_snapshot);
-    ]
+    List.filteri
+      (fun i _ -> i < 2)
+      (List.map
+         (fun slice () -> (slice ()).E.perf_snapshot)
+         (E.perf_slices ~smoke:true ~scale:0.05 ~fast_path:true))
   in
   let seq = List.map (fun f -> f ()) slices in
   let par = Engine.Domain_pool.map_jobs ~jobs:2 slices in

@@ -19,6 +19,7 @@
      provisioning. *)
 
 module E = Harness.Experiments
+module Scenario = Harness.Scenario
 module Chaos = Harness.Chaos
 module Cluster = Harness.Cluster
 module FP = Ix_faults.Fault_plan
@@ -27,9 +28,6 @@ module Ix_host = Ix_core.Ix_host
 module Control_plane = Ix_core.Control_plane
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
-
-(* Tiny windows: these tests are about invariants, not model fidelity. *)
-let () = Unix.putenv "IX_BENCH_SCALE" "0.05"
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -212,35 +210,31 @@ let test_jobs_bit_identical () =
     (seq = par)
 
 let test_migration_slice_deterministic () =
-  let a = E.perf_migration_slice () in
-  let b = E.perf_migration_slice () in
+  let a = E.migration_slice ~fast_path:true in
+  let b = E.migration_slice ~fast_path:true in
   check_string "same seed, byte-identical snapshot" a.E.perf_snapshot
     b.E.perf_snapshot;
   (* Header prediction is a pure optimization: turning it off must not
      change what the migration measured. *)
-  let off = E.perf_migration_slice ~fast_path:false () in
+  let off = E.migration_slice ~fast_path:false in
   check_string "fast-path off, bit-identical snapshot" a.E.perf_snapshot
     off.E.perf_snapshot
 
 (* ---------------- Scaling shapes ---------------- *)
 
 let test_fig3a_near_linear () =
-  (* Reduced Fig. 3a sweep: 4 per-core dataplanes behind the RSS
-     indirection table must land well past 2x one core. *)
+  (* Reduced Fig. 3a sweep at tiny windows: 4 per-core dataplanes
+     behind the RSS indirection table must land well past 2x one core. *)
   let point cores =
-    E.run_echo ~kind:Cluster.Ix ~ports:1 ~cores ~msg_size:64 ~msgs_per_conn:1
-      ()
+    (Scenario.run { Scenario.default with cores; scale = 0.05 }).ops_per_sec
   in
   let p1 = point 1 and p4 = point 4 in
-  check_bool "1-core throughput positive" true (p1.E.msgs_per_sec > 0.);
-  check_bool
-    (Printf.sprintf "4 cores scale past 2x (got %.2fx)"
-       (p4.E.msgs_per_sec /. p1.E.msgs_per_sec))
-    true
-    (p4.E.msgs_per_sec > 2. *. p1.E.msgs_per_sec)
+  check_bool "1-core throughput positive" true (p1 > 0.);
+  check_bool (Printf.sprintf "4 cores scale past 2x (got %.2fx)" (p4 /. p1)) true
+    (p4 > 2. *. p1)
 
 let test_elastic_scaling_smoke () =
-  let r = E.elastic_scaling () in
+  let r, _ = E.elastic_scaling ~output:E.default_output ~scale:0.05 in
   check_bool "controller sampled" true (r.E.el_samples <> []);
   check_bool "scaled past one core into the burst" true (r.E.el_peak_cores >= 2);
   check_bool "scaling was flow-group migration" true (r.E.el_migrations > 0);

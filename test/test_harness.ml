@@ -1,7 +1,9 @@
-(* Tests for the experiment harness: report formatting and testbed
-   construction invariants. *)
+(* Tests for the experiment harness: report formatting, testbed
+   construction invariants, the CLIs' environment parsing and pinned
+   figure output. *)
 
 module Cluster = Harness.Cluster
+module E = Harness.Experiments
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -9,12 +11,12 @@ let check_bool = Alcotest.(check bool)
 (* ---------------- Report ---------------- *)
 
 let test_report_alignment () =
-  let buffer = Buffer.create 256 in
-  let out = Format.formatter_of_buffer buffer in
-  Harness.Report.table ~out ~title:"t"
-    ~headers:[ "a"; "long-header"; "c" ]
-    [ [ "xxxxxxxx"; "1"; "2" ]; [ "y"; "22"; "333" ] ];
-  let lines = String.split_on_char '\n' (Buffer.contents buffer) in
+  let text =
+    Harness.Report.table ~title:"t"
+      ~headers:[ "a"; "long-header"; "c" ]
+      [ [ "xxxxxxxx"; "1"; "2" ]; [ "y"; "22"; "333" ] ]
+  in
+  let lines = String.split_on_char '\n' text in
   let rows = List.filter (fun l -> String.length l > 0 && l.[0] <> '=') lines in
   (* All printed rows share one width (trailing pad included). *)
   match rows with
@@ -90,6 +92,76 @@ let test_deterministic_runs () =
   let a = run () and b = run () in
   check_bool "bit-identical outcome" true (a = b)
 
+(* ---------------- Environment settings ---------------- *)
+
+let result = Alcotest.(result (float 0.) string)
+let is_error = function Ok _ -> false | Error _ -> true
+
+let test_parse_scale () =
+  Alcotest.check result "plain" (Ok 0.5) (E.parse_scale "0.5");
+  Alcotest.check result "padded" (Ok 2.) (E.parse_scale " 2 ");
+  Alcotest.check result "raised to the 0.05 floor" (Ok 0.05) (E.parse_scale "0.01");
+  List.iter
+    (fun bad -> check_bool (Printf.sprintf "%S rejected" bad) true (is_error (E.parse_scale bad)))
+    [ "abc"; ""; "1x"; "0"; "-1"; "nan"; "inf" ]
+
+let test_parse_jobs () =
+  Alcotest.(check (result int string)) "plain" (Ok 2) (E.parse_jobs "2");
+  List.iter
+    (fun bad -> check_bool (Printf.sprintf "%S rejected" bad) true (is_error (E.parse_jobs bad)))
+    [ "abc"; ""; "1.5"; "0"; "-3" ]
+
+let test_env_names_variable () =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec at i = i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1)) in
+    at 0
+  in
+  let env_error name value =
+    Unix.putenv name value;
+    let r = E.env () in
+    Unix.putenv name "1";
+    match r with
+    | Error msg -> check_bool (name ^ " named in the error") true (contains msg name)
+    | Ok _ -> Alcotest.failf "%s=%s accepted" name value
+  in
+  env_error "IX_BENCH_SCALE" "abc";
+  env_error "IX_BENCH_JOBS" "0";
+  Alcotest.(check (result (pair (float 0.) int) string)) "both set" (Ok (0.25, 3))
+    (Unix.putenv "IX_BENCH_SCALE" "0.25";
+     Unix.putenv "IX_BENCH_JOBS" "3";
+     E.env ())
+
+(* ---------------- Pinned figure output ---------------- *)
+
+(* MD5 digests of figure text at scale 0.05.  Any change to a scenario,
+   a runner or a formatter that moves a printed digit shows up here;
+   re-record a digest only for an intended change of that figure. *)
+let check_digest what expected text =
+  Alcotest.(check string) what expected (Digest.to_hex (Digest.string text))
+
+let figure name =
+  match E.select name with Some [ f ] -> f | _ -> Alcotest.failf "no figure %s" name
+
+let render name = E.render ~output:E.default_output ~scale:0.05 ~jobs:1 (figure name)
+
+let test_golden_fig2_prefix () =
+  match figure "fig2" with
+  | E.Sweep sweep ->
+      let points = List.filteri (fun i _ -> i < 3) (sweep.points ~scale:0.05) in
+      check_digest "fig2, first three points" "f06fde4b51075e7447b9a87903efcc6d"
+        (sweep.table (List.map (fun (l, s) -> (l, s, Harness.Scenario.run s)) points))
+  | E.Single _ -> Alcotest.fail "fig2 is a sweep"
+
+let test_golden_batch_sweep () =
+  check_digest "batch-sweep" "06a2c9ab8d375f4527346ee524f92ddd" (render "batch-sweep")
+
+let test_golden_elastic () =
+  check_digest "elastic" "c0d98f640c9d1829092d3ac772b503ae" (render "elastic")
+
+let test_golden_breakdown () =
+  check_digest "breakdown" "15315530e56753e11324cba87dcc85ec" (render "breakdown")
+
 let () =
   Alcotest.run "harness"
     [
@@ -104,5 +176,18 @@ let () =
           Alcotest.test_case "all kinds build" `Quick test_cluster_kinds;
           Alcotest.test_case "mtcp bonding rejected" `Quick test_mtcp_rejects_bonding;
           Alcotest.test_case "determinism" `Quick test_deterministic_runs;
+        ] );
+      ( "env",
+        [
+          Alcotest.test_case "IX_BENCH_SCALE values" `Quick test_parse_scale;
+          Alcotest.test_case "IX_BENCH_JOBS values" `Quick test_parse_jobs;
+          Alcotest.test_case "error names the variable" `Quick test_env_names_variable;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fig2 prefix" `Quick test_golden_fig2_prefix;
+          Alcotest.test_case "batch-sweep" `Quick test_golden_batch_sweep;
+          Alcotest.test_case "elastic" `Quick test_golden_elastic;
+          Alcotest.test_case "breakdown" `Quick test_golden_breakdown;
         ] );
     ]

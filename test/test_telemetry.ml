@@ -238,7 +238,10 @@ let test_trace_export () =
 (* ---------------- Table-2-style breakdown (acceptance) ---------------- *)
 
 let test_echo_breakdown_sums_to_busy () =
-  let rows, busy = Harness.Experiments.echo_breakdown ~cores:2 ~msg_size:64 () in
+  let rows, busy, _ =
+    Harness.Experiments.echo_breakdown ~output:Harness.Experiments.default_output ~cores:2
+      ~msg_size:64 ~scale:1.0
+  in
   let total = List.fold_left (fun acc (_, ns, _) -> acc + ns) 0 rows in
   check_bool "server did work" true (busy > 0);
   check_int "per-stage breakdown sums to total busy ns" busy total;

@@ -1,17 +1,24 @@
 (* Trend tests: small-scale versions of the paper's headline claims.
-   These run the real experiment harness with short windows (via
-   IX_BENCH_SCALE) and assert orderings and rough factors rather than
-   absolute numbers — the same fidelity targets DESIGN.md commits to. *)
+   These run the real experiment harness with short windows (scale
+   0.25) and assert orderings and rough factors rather than absolute
+   numbers — the same fidelity targets DESIGN.md commits to. *)
 
 module Cluster = Harness.Cluster
-module E = Harness.Experiments
-
-let () = Unix.putenv "IX_BENCH_SCALE" "0.25"
+module Scenario = Harness.Scenario
 
 let check_bool = Alcotest.(check bool)
+let run s = Scenario.run { s with Scenario.scale = 0.25 }
 
 let echo kind ports cores n =
-  (E.run_echo ~kind ~ports ~cores ~msg_size:64 ~msgs_per_conn:n ()).E.msgs_per_sec
+  (run
+     {
+       Scenario.default with
+       kind;
+       ports;
+       cores;
+       workload = Echo { msg_size = 64; msgs_per_conn = n; sessions = 768 };
+     })
+    .ops_per_sec
 
 (* §5.3: at high n, IX > mTCP > Linux in message rate. *)
 let test_throughput_ordering () =
@@ -43,19 +50,26 @@ let test_ix_40g_scaling () =
 
 (* §5.2: unloaded one-way latency ordering (IX < Linux < mTCP). *)
 let test_latency_ordering () =
-  let ix = (E.netpipe_once ~kind:Cluster.Ix ~size:64 ()).E.one_way_us in
-  let linux = (E.netpipe_once ~kind:Cluster.Linux ~size:64 ()).E.one_way_us in
-  let mtcp = (E.netpipe_once ~kind:Cluster.Mtcp ~size:64 ()).E.one_way_us in
+  let one_way kind =
+    (run { Scenario.default with kind; workload = Netpipe { size = 64 } }).avg_us
+  in
+  let ix = one_way Cluster.Ix and linux = one_way Cluster.Linux in
+  let mtcp = one_way Cluster.Mtcp in
   check_bool "ix < linux" true (ix < linux);
   check_bool "linux < mtcp" true (linux < mtcp);
   check_bool "ix at least 2.5x better than linux" true (linux > 2.5 *. ix);
   check_bool "mtcp an order of magnitude worse than ix" true (mtcp > 8. *. ix)
 
 (* §6 / Fig. 6: larger batch bounds raise saturated throughput. *)
-let echo_with_bound batch =
-  (E.run_echo ~batch_bound:batch ~kind:Cluster.Ix ~ports:1 ~cores:4 ~msg_size:64
-     ~msgs_per_conn:64 ())
-    .E.msgs_per_sec
+let echo_with_bound batch_bound =
+  (run
+     {
+       Scenario.default with
+       cores = 4;
+       batch_bound;
+       workload = Echo { msg_size = 64; msgs_per_conn = 64; sessions = 768 };
+     })
+    .ops_per_sec
 
 let test_batch_bound () =
   let b1 = echo_with_bound 1 in
@@ -65,24 +79,35 @@ let test_batch_bound () =
 (* §5.5: memcached on IX sustains more load at low latency than Linux. *)
 let test_memcached_gap () =
   let profile = Workloads.Size_dist.usr in
-  let ix, ix_kernel =
-    E.run_memcached ~kind:Cluster.Ix ~server_threads:6 ~profile ~target_rps:500e3 ()
+  let memcached kind cores =
+    run
+      {
+        Scenario.default with
+        kind;
+        cores;
+        workload = Memcached { profile; target_rps = 500e3 };
+      }
   in
-  let linux, linux_kernel =
-    E.run_memcached ~kind:Cluster.Linux ~server_threads:8 ~profile ~target_rps:500e3 ()
-  in
+  let ix = memcached Cluster.Ix 6 and linux = memcached Cluster.Linux 8 in
   check_bool "both achieve the moderate target" true
-    (ix.Workloads.Mutilate.achieved_rps > 400e3
-    && linux.Workloads.Mutilate.achieved_rps > 400e3);
-  check_bool "ix p99 well below linux p99" true
-    (ix.Workloads.Mutilate.p99_us *. 2. < linux.Workloads.Mutilate.p99_us);
-  check_bool "linux mostly kernel time" true (linux_kernel > 0.6);
-  check_bool "ix mostly application time" true (ix_kernel < 0.5)
+    (ix.ops_per_sec > 400e3 && linux.ops_per_sec > 400e3);
+  check_bool "ix p99 well below linux p99" true (ix.p99_us *. 2. < linux.p99_us);
+  check_bool "linux mostly kernel time" true (linux.kernel_share > 0.6);
+  check_bool "ix mostly application time" true (ix.kernel_share < 0.5)
 
 (* §5.4: throughput falls once connection state outgrows the L3. *)
 let test_connection_count_decline () =
-  let peak = E.run_connection_scaling ~kind:Cluster.Ix ~conns:1_000 ~workers:384 () in
-  let big = E.run_connection_scaling ~kind:Cluster.Ix ~conns:100_000 ~workers:384 () in
+  let rate conns =
+    (run
+       {
+         Scenario.default with
+         cores = 8;
+         ports = 4;
+         workload = Conn_scaling { conns; workers = 384 };
+       })
+      .ops_per_sec
+  in
+  let peak = rate 1_000 and big = rate 100_000 in
   check_bool "decline at high connection counts" true (big < 0.85 *. peak);
   check_bool "but still a large fraction of peak" true (big > 0.3 *. peak)
 
