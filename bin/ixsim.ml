@@ -1,8 +1,13 @@
 (* ixsim: command-line driver for the IX reproduction.
 
-   Subcommands run individual experiments with adjustable parameters —
-   handy for exploring the parameter space beyond what bench/main.exe
-   regenerates. *)
+   [fig] regenerates every table and figure of the paper's evaluation
+   (see DESIGN.md's per-experiment index) from the registry in
+   Harness.Experiments; the other subcommands run single experiments
+   with adjustable parameters.
+
+     dune exec bin/ixsim.exe -- fig all      — the whole evaluation
+     dune exec bin/ixsim.exe -- fig fig3b    — one experiment
+     IX_BENCH_SCALE=0.3 dune exec ...        — shorter (noisier) windows *)
 
 open Cmdliner
 module Scenario = Harness.Scenario
@@ -23,8 +28,7 @@ let scale, env_jobs =
       prerr_endline msg;
       exit 2
 
-(* --gc: report GC pressure per simulated event at exit, in the same
-   shape as bench/main.exe. *)
+(* --gc: report GC pressure per simulated event at exit. *)
 let setup_gc enabled = if enabled then at_exit (Harness.Experiments.gc_meter "gc")
 
 let gc_term =
@@ -446,4 +450,11 @@ let main =
     [ echo_cmd; breakdown_cmd; memcached_cmd; netpipe_cmd; fig_cmd; chaos_cmd;
       conn_scale_cmd; ping_cmd ]
 
-let () = exit (Cmd.eval main)
+let () =
+  (* 32 MB minor heap (the 256 K-word default forces a minor
+     collection — in OCaml 5 a stop-the-world rendezvous across every
+     running domain — every couple of milliseconds of simulation).
+     The simulations' allocation rate is low, so a larger nursery
+     directly cuts collection count. *)
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  exit (Cmd.eval main)

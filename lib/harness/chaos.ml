@@ -357,8 +357,8 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
      echo.goodput_bytes=%d\necho.p50_ns=%d\necho.p99_ns=%d\n"
     stats.Apps.Echo.messages stats.Apps.Echo.connects
     stats.Apps.Echo.connect_failures stats.Apps.Echo.goodput_bytes
-    (Engine.Histogram.percentile stats.Apps.Echo.latency 50.)
-    (Engine.Histogram.percentile stats.Apps.Echo.latency 99.);
+    (Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 50.)
+    (Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 99.);
   {
     leg_name = Printf.sprintf "echo seed=%d" seed;
     messages = stats.Apps.Echo.messages;

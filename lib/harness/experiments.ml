@@ -520,10 +520,10 @@ let elastic_scaling ~output ~scale =
      interval, turning it into a per-interval window. *)
   let latency = stats.Apps.Echo.latency in
   let p99_probe () =
-    if Engine.Histogram.is_empty latency then None
+    if Ixtelemetry.Log_hist.is_empty latency then None
     else begin
-      let p = Engine.Histogram.percentile latency 99. in
-      Engine.Histogram.clear latency;
+      let p = Ixtelemetry.Log_hist.percentile latency 99. in
+      Ixtelemetry.Log_hist.clear latency;
       Some (float_of_int p)
     end
   in
@@ -630,142 +630,3 @@ let render ~output ~scale ~jobs = function
       let text, runs = run_points ~output ~jobs (f.points ~scale) in
       text ^ f.table runs
   | Single f -> f.run ~output ~scale
-
-(* ------------------------------------------------------------------ *)
-(* Perf regression slices (bench/main.exe perf)                        *)
-
-type perf_slice = {
-  perf_name : string;
-  perf_events : int;
-  perf_snapshot : string;
-  perf_fast_hits : int;
-  perf_slow_hits : int;
-}
-
-(* A slice runs its keyed points in order; its snapshot captures every
-   number they produce at full precision, so BENCH_PERF.json tracks
-   pure engine speed without re-validating model behaviour. *)
-let metered name points snapshot () =
-  let runs = List.map (fun (key, s) -> (key, Scenario.run s)) points in
-  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 runs in
-  {
-    perf_name = name;
-    perf_events = sum (fun r -> r.R.events);
-    perf_snapshot = String.concat " " (List.map snapshot runs);
-    perf_fast_hits = sum (fun r -> r.R.fast_hits);
-    perf_slow_hits = sum (fun r -> r.R.slow_hits);
-  }
-
-(* Two full rebalances under live echo load: shrink the dataplane to 2
-   cores mid-run, then grow back to 4 — every flow group migrates
-   twice, with frames in flight.  The snapshot pins the migration
-   count, the parked-frame count and the cumulative retarget-to-handover
-   latency; the message count proves traffic kept flowing. *)
-let migration_slice ~fast_path =
-  let s = { Scenario.default with cores = 4; client_hosts = 2; client_threads = 4; fast_path } in
-  let cluster = Scenario.cluster s in
-  let host = Option.get cluster.server_ix in
-  let cp = Ix_core.Control_plane.create host in
-  Apps.Echo.server cluster.server ~port:7000 ~msg_size:64 ~app_ns:150;
-  let stats = Apps.Echo.new_stats () in
-  let stop_after = Sim_time.ms 6 in
-  Scenario.spawn_echo cluster s stats ~at:0 ~spacing:2_000 ~first:0 ~sessions:32 ~msg_size:64
-    ~msgs_per_conn:64 ~stop_after;
-  List.iter
-    (fun (ms, threads) ->
-      ignore
-        (Sim.at cluster.sim (Sim_time.ms ms) (fun () ->
-             Ix_core.Control_plane.set_elastic_threads cp threads)))
-    [ (2, 2); (4, 4) ];
-  Sim.run ~until:stop_after cluster.sim;
-  {
-    perf_name = "migration";
-    perf_events = Sim.events_executed cluster.sim;
-    perf_snapshot =
-      Printf.sprintf "migrations=%d parked_frames=%d total_migration_ns=%d rss_retargets=%d msgs=%d"
-        (Ix_core.Control_plane.migrations_completed cp)
-        (Metrics.counter_value (Ix_core.Ix_host.metrics host) "cp.parked_frames")
-        (Ix_core.Control_plane.total_migration_ns cp)
-        (Array.fold_left (fun acc nic -> acc + Ixhw.Nic.rss_retargets nic) 0 cluster.server_nics)
-        stats.Apps.Echo.messages;
-    perf_fast_hits = 0;
-    perf_slow_hits = 0;
-  }
-
-let perf_slices ~smoke ~scale ~fast_path =
-  let ix = { Scenario.default with scale; fast_path } in
-  let pick small full = if smoke then small else full in
-  let fig2 =
-    metered "fig2"
-      (List.map
-         (fun size -> (Printf.sprintf "s%d" size, { ix with workload = Netpipe { size } }))
-         (pick [ 1_024 ] [ 1_024; 16_384; 65_536 ]))
-      (fun (key, r) ->
-        Printf.sprintf "%s:one_way_us=%.17g,gbps=%.17g" key r.R.avg_us r.R.goodput_gbps)
-  in
-  let fig4 =
-    metered "fig4"
-      [ ("", { ix with cores = 8; ports = 4;
-               workload = Conn_scaling { conns = pick 1_000 10_000; workers = 384 } }) ]
-      (fun (_, r) -> Printf.sprintf "msgs_per_sec=%.17g" r.R.ops_per_sec)
-  in
-  let fig5 =
-    metered "fig5"
-      [ ("", { ix with cores = 6;
-               workload = Memcached { profile = Workloads.Size_dist.usr; target_rps = 500e3 } }) ]
-      (fun (_, r) ->
-        Printf.sprintf "achieved_rps=%.17g avg_us=%.17g p99_us=%.17g kernel_share=%.17g"
-          r.R.ops_per_sec r.R.avg_us r.R.p99_us r.R.kernel_share)
-  in
-  (* Eight messages per connection where the figure sweeps use one: at
-     n=1 every connection is mostly handshake and teardown segments,
-     which legitimately take the slow path, so the fast-path ratio would
-     measure connection arithmetic rather than steady-state delivery. *)
-  let echo_slice cores =
-    { ix with cores; client_hosts = pick 2 4; client_threads = pick 4 8;
-      workload = echo ~msgs_per_conn:8 ~sessions:(pick 96 256) () }
-  in
-  let fig3a =
-    metered "fig3a-sim"
-      (List.map (fun cores -> (Printf.sprintf "c%d" cores, echo_slice cores)) [ 1; 2; 4 ])
-      (fun (key, r) ->
-        Printf.sprintf "%s:msgs_per_sec=%.17g,p99_us=%.17g" key r.R.ops_per_sec r.R.p99_us)
-  in
-  (* One point per batch-sweep mode, batch telemetry included: the
-     controller is driven only by the deterministic next_batch call
-     stream, so mean batch, mean TX burst and the bound in effect must
-     reproduce bit-for-bit. *)
-  let batch =
-    metered "batch-sweep"
-      (List.map
-         (fun (key, batch_bound, batch_mode) ->
-           (key, { (echo_slice 2) with batch_bound; batch_mode }))
-         [
-           ("b1", 1, Ix_core.Batch.Fixed);
-           ("b64", 64, Ix_core.Batch.Fixed);
-           ("adaptive", 8, Ix_core.Batch.Adaptive { floor = 1; ceiling = 64 });
-         ])
-      (fun (key, r) ->
-        Printf.sprintf
-          "%s:msgs_per_sec=%.17g,p99_us=%.17g,mean_batch=%.17g,mean_tx_burst=%.17g,bound=%d" key
-          r.R.ops_per_sec r.R.p99_us r.R.mean_batch r.R.mean_tx_burst r.R.batch_bound_end)
-  in
-  (* The churn workload is self-clocked rather than Sim-driven, so it is
-     metered by crafted client segments, one trip each through the
-     endpoint's demux. *)
-  let conn_scale () =
-    let module CS = Workloads.Conn_scale in
-    let r =
-      CS.run ~fast_path ~syn_cookies:true ~conns:(pick 2_000 20_000) ~events:(pick 6_000 40_000) ()
-    in
-    {
-      perf_name = "conn-scale";
-      perf_events = r.CS.r_client_segs;
-      perf_snapshot = r.CS.r_snapshot;
-      perf_fast_hits = r.CS.r_fast_hits;
-      perf_slow_hits = r.CS.r_slow_hits;
-    }
-  in
-  let migration () = migration_slice ~fast_path in
-  if smoke then [ fig2; fig4; migration; conn_scale; batch ]
-  else [ fig2; fig4; fig5; fig3a; migration; conn_scale; batch ]

@@ -103,26 +103,3 @@ val elastic_scaling : output:output -> scale:float -> elastic_result * string
     p99, with hysteresis) walks the core count up into the burst and
     back; every decision is a set of no-drop flow-group migrations.
     Returns the result and the cores-used curve and summary tables. *)
-
-type perf_slice = {
-  perf_name : string;
-  perf_events : int;  (** sim events executed by the slice *)
-  perf_snapshot : string;  (** full-precision metric snapshot *)
-  perf_fast_hits : int;  (** header-prediction fast-path deliveries *)
-  perf_slow_hits : int;  (** segments that took the full TCP input path *)
-}
-(** One fixed-seed perf-regression row of BENCH_PERF.json.  The same
-    seed must reproduce [perf_snapshot] bit-for-bit; the hit counters
-    stay outside it, so a fast-path-off run of a slice must give a
-    bit-identical snapshot. *)
-
-val perf_slices :
-  smoke:bool -> scale:float -> fast_path:bool -> (unit -> perf_slice) list
-(** The BENCH_PERF.json rows in order: fig2, fig4, fig5, fig3a-sim,
-    migration, conn-scale, batch-sweep ([smoke]: smaller and without
-    fig5 and fig3a-sim).  Each is a scenario list plus a snapshot
-    formatter, except migration (4 cores shrink to 2 and back under
-    live echo) and conn-scale ({!Workloads.Conn_scale}, counted in
-    crafted client segments). *)
-
-val migration_slice : fast_path:bool -> perf_slice

@@ -203,7 +203,7 @@ let run_echo s (cluster : Cluster.t) ~msg_size ~msgs_per_conn ~sessions =
       float_of_int (stats.Apps.Echo.connects - warm_conns) /. seconds;
     goodput_gbps = msgs *. float_of_int msg_size *. 8. /. 1e9;
     p99_us =
-      float_of_int (Engine.Histogram.percentile stats.Apps.Echo.latency 99.)
+      float_of_int (Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 99.)
       /. 1e3;
     cpu_util = float_of_int busy_delta /. float_of_int (s.cores * measure);
   }

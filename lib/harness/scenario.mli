@@ -1,7 +1,7 @@
 (** One experiment configuration and its single runner.
 
     A scenario is a server configuration on the §5.1 testbed plus one
-    traffic shape.  Every figure point, perf slice and CLI run is a
+    traffic shape.  Every figure point and CLI run is a
     {!t} handed to {!run}; {!default} is the common starting point, so
     a scenario is written as the fields it changes. *)
 

@@ -373,7 +373,7 @@ let rx_segment ?(ce = false) t ~src_ip (seg : Seg.t) mbuf =
     | Some tcb ->
         (* Header prediction first; the full state machine is the
            fallback.  The hit counters feed the Table-2-style breakdowns
-           and the BENCH_PERF fast/slow ratio. *)
+           and the benchmark's tcp.fast_path_ratio row. *)
         if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
         else begin
           Metrics.incr t.c_slow_hits;

@@ -224,8 +224,8 @@ let test_echo_latency_histogram () =
     ~msgs_per_conn:200 ~stats ~stop_after:(Engine.Sim_time.ms 20);
   Engine.Sim.run ~until:(Engine.Sim_time.ms 40) cluster.Cluster.sim;
   check_int "all RTTs recorded" stats.Apps.Echo.messages
-    (Engine.Histogram.count stats.Apps.Echo.latency);
-  let p50 = Engine.Histogram.percentile stats.Apps.Echo.latency 50. in
+    (Ixtelemetry.Log_hist.count stats.Apps.Echo.latency);
+  let p50 = Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 50. in
   check_bool "RTT in the ~10us regime" true (p50 > 3_000 && p50 < 60_000)
 
 let () =

@@ -259,14 +259,53 @@ let test_conn_scale_deterministic () =
   in
   check_bool "different seed, different churn" true (other <> snap ())
 
+let flood_syns = 1_000_000
+
 let test_syn_flood_stateless () =
-  let f = Conn_scale.syn_flood ~syns:20_000 () in
-  check_int "every SYN answered with a cookie" 20_000
+  let f = Conn_scale.syn_flood ~syns:flood_syns () in
+  check_int "every SYN answered with a cookie" flood_syns
     f.Conn_scale.f_cookies_sent;
   check_int "no TCBs allocated" 0 f.Conn_scale.f_tcbs_allocated;
   check_int "no connections" 0 f.Conn_scale.f_connections;
   check_bool "per-SYN allocation stays small" true
     (f.Conn_scale.f_minor_words_per_syn < 256.)
+
+(* The memory gates: a [base_conns] and a [full_conns] churn leg plus a
+   SYN flood.  Per-event cost is gated on minor words per churn event,
+   the deterministic measure of allocation cost, not on wall clock,
+   which would make the flatness gate flaky. *)
+let check_gates ~base_conns ~full_conns ~events ~syns () =
+  let base = Conn_scale.run ~conns:base_conns ~events () in
+  let full = Conn_scale.run ~conns:full_conns ~events () in
+  let flood = Conn_scale.syn_flood ~syns () in
+  let base_words = base.Conn_scale.r_churn_minor_words_per_event in
+  let full_words = full.Conn_scale.r_churn_minor_words_per_event in
+  let flatness = if base_words > 0. then (full_words /. base_words) -. 1. else 0. in
+  check_int "sustained every connection" full_conns full.Conn_scale.r_connection_count;
+  check_bool
+    (Printf.sprintf "%.1f resident bytes/conn <= 400" full.Conn_scale.r_bytes_per_conn)
+    true
+    (full.Conn_scale.r_bytes_per_conn <= 400.);
+  check_bool
+    (Printf.sprintf "minor words/event %.2f -> %.2f (%d -> %d conns) flat within 15%%"
+       base_words full_words base_conns full_conns)
+    true
+    (Float.abs flatness <= 0.15);
+  check_int "SYN flood allocates no TCBs" 0 flood.Conn_scale.f_tcbs_allocated;
+  (* Steady-state comparison floor: at 16 words the two sides are both
+     "a queue cell and change", and a ratio gate on noise helps no one. *)
+  let steady = Float.max full_words 16. in
+  check_bool
+    (Printf.sprintf "SYN flood minor words/SYN %.2f <= 2x steady state (%.2f)"
+       flood.Conn_scale.f_minor_words_per_syn steady)
+    true
+    (flood.Conn_scale.f_minor_words_per_syn <= 2. *. steady)
+
+let test_gates_smoke () =
+  check_gates ~base_conns:2_000 ~full_conns:20_000 ~events:20_000 ~syns:20_000 ()
+
+let test_gates_full () =
+  check_gates ~base_conns:10_000 ~full_conns:million ~events:200_000 ~syns:flood_syns ()
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -299,5 +338,9 @@ let () =
             test_conn_scale_deterministic;
           Alcotest.test_case "SYN flood allocates no TCBs" `Quick
             test_syn_flood_stateless;
+          Alcotest.test_case "memory gates, 2k -> 20k conns" `Quick
+            test_gates_smoke;
+          Alcotest.test_case "memory gates, 10k -> 1M conns" `Quick
+            test_gates_full;
         ] );
     ]

@@ -265,83 +265,6 @@ let test_rng_exponential_mean () =
   let mean = !sum /. float_of_int n in
   check_bool "exponential mean within 5%" true (mean > 95. && mean < 105.)
 
-(* ---------------- Histogram ---------------- *)
-
-let test_histogram_exact_small () =
-  let h = Histogram.create () in
-  List.iter (Histogram.record h) [ 1; 2; 3; 4; 5 ];
-  check_int "count" 5 (Histogram.count h);
-  check_int "p50 of 1..5" 3 (Histogram.percentile h 50.);
-  check_int "max" 5 (Histogram.max_value h);
-  check_int "min" 1 (Histogram.min_value h);
-  Alcotest.(check (float 0.001)) "mean" 3.0 (Histogram.mean h)
-
-let test_histogram_quantiles () =
-  let h = Histogram.create () in
-  for v = 1 to 10_000 do
-    Histogram.record h v
-  done;
-  let p99 = Histogram.percentile h 99. in
-  check_bool "p99 relative error < 5%"
-    true
-    (float_of_int (abs (p99 - 9_900)) /. 9_900. < 0.05);
-  let p50 = Histogram.percentile h 50. in
-  check_bool "p50 relative error < 5%"
-    true
-    (float_of_int (abs (p50 - 5_000)) /. 5_000. < 0.05)
-
-let test_histogram_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  Histogram.record_n a 100 10;
-  Histogram.record_n b 1_000_000 10;
-  Histogram.merge_into ~src:b ~dst:a;
-  check_int "merged count" 20 (Histogram.count a);
-  check_bool "merged p95 reflects b" true (Histogram.percentile a 95. > 900_000)
-
-let test_histogram_clear () =
-  let h = Histogram.create () in
-  Histogram.record h 42;
-  Histogram.clear h;
-  check_bool "empty after clear" true (Histogram.is_empty h);
-  check_int "quantile of empty" 0 (Histogram.quantile h 0.99)
-
-let prop_histogram_bounded_error =
-  QCheck.Test.make ~name:"histogram p100 within 1/32 of true max" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 100) (int_bound 1_000_000_000))
-    (fun values ->
-      QCheck.assume (values <> []);
-      let h = Histogram.create () in
-      List.iter (Histogram.record h) values;
-      let true_max = List.fold_left max 0 values in
-      let est = Histogram.quantile h 1.0 in
-      est <= true_max && float_of_int (true_max - est) <= (float_of_int true_max /. 32.) +. 1.)
-
-let prop_histogram_quantile_monotone =
-  QCheck.Test.make ~name:"histogram quantiles monotone in q" ~count:100
-    QCheck.(list_of_size Gen.(int_range 2 60) (int_bound 10_000_000))
-    (fun values ->
-      QCheck.assume (values <> []);
-      let h = Histogram.create () in
-      List.iter (Histogram.record h) values;
-      let qs = [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
-      let vs = List.map (Histogram.quantile h) qs in
-      let rec nondecreasing = function
-        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
-        | _ -> true
-      in
-      nondecreasing vs)
-
-(* ---------------- Stats ---------------- *)
-
-let test_stats_moments () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check (float 1e-6)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-6)) "variance (sample)" (32. /. 7.) (Stats.variance s);
-  Alcotest.(check (float 1e-6)) "min" 2.0 (Stats.min_value s);
-  Alcotest.(check (float 1e-6)) "max" 9.0 (Stats.max_value s)
-
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -375,18 +298,5 @@ let () =
           Alcotest.test_case "split streams" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds respected" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "exact small values" `Quick test_histogram_exact_small;
-          Alcotest.test_case "quantile accuracy" `Quick test_histogram_quantiles;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "clear" `Quick test_histogram_clear;
-          qt prop_histogram_bounded_error;
-          qt prop_histogram_quantile_monotone;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "welford moments" `Quick test_stats_moments;
         ] );
     ]

@@ -270,18 +270,23 @@ let test_parallel_fast_path_matches_sequential () =
       check_bool (Printf.sprintf "slice %d results" i) true (Stdlib.compare s p = 0))
     (List.combine sequential parallel)
 
-(* Experiment-level escape hatch: the fig2 perf slice with the fast
-   path disabled must reproduce the enabled snapshot bit-for-bit. *)
+(* Experiment-level escape hatch: the fig2 1 KB NetPIPE point must
+   reproduce its full-precision snapshot with the same seed and with the
+   fast path disabled; only the hit counters may differ. *)
 let test_slice_snapshot_fast_off () =
   let fig2 fast_path =
-    List.hd (Harness.Experiments.perf_slices ~smoke:true ~scale:0.05 ~fast_path) ()
+    let r =
+      Harness.Scenario.run
+        { Harness.Scenario.default with scale = 0.05; fast_path; workload = Netpipe { size = 1_024 } }
+    in
+    (Printf.sprintf "one_way_us=%.17g,gbps=%.17g" r.avg_us r.goodput_gbps, r)
   in
-  let on = fig2 true and off = fig2 false in
-  Alcotest.(check string) "snapshots identical"
-    on.Harness.Experiments.perf_snapshot off.Harness.Experiments.perf_snapshot;
-  check_bool "fast-on slice predicted segments" true
-    (on.Harness.Experiments.perf_fast_hits > 0);
-  check_int "fast-off slice predicted none" 0 off.Harness.Experiments.perf_fast_hits
+  let on, r_on = fig2 true and again, _ = fig2 true and off, r_off = fig2 false in
+  Alcotest.(check string) "same seed, same snapshot" on again;
+  Alcotest.(check string) "fast path off, same snapshot" on off;
+  check_bool "ran events" true (r_on.events > 0);
+  check_bool "fast-on run predicted segments" true (r_on.fast_hits > 0);
+  check_int "fast-off run predicted none" 0 r_off.fast_hits
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

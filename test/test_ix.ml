@@ -228,7 +228,7 @@ let test_mtcp_echo_end_to_end () =
 let test_ix_latency_beats_linux () =
   let ix_stats, _ = run_echo_cluster ~server_kind:Harness.Cluster.Ix ~msgs:100 in
   let linux_stats, _ = run_echo_cluster ~server_kind:Harness.Cluster.Linux ~msgs:100 in
-  let p50 stats = Engine.Histogram.percentile stats.Apps.Echo.latency 50. in
+  let p50 stats = Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 50. in
   check_bool "ix echo RTT < linux echo RTT" true (p50 ix_stats < p50 linux_stats)
 
 let test_connection_churn () =

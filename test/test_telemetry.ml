@@ -110,6 +110,48 @@ let test_hist_merge () =
   check_int "merged max" 1_000_000 (Log_hist.max_value a);
   check_int "merged min" 100 (Log_hist.min_value a)
 
+let test_hist_exact_small () =
+  let h = Log_hist.create () in
+  List.iter (Log_hist.record h) [ 1; 2; 3; 4; 5 ];
+  check_int "count" 5 (Log_hist.count h);
+  check_int "p50 of 1..5" 3 (Log_hist.percentile h 50.);
+  check_int "max" 5 (Log_hist.max_value h);
+  check_int "min" 1 (Log_hist.min_value h);
+  Alcotest.(check (float 0.001)) "mean" 3.0 (Log_hist.mean h)
+
+let test_hist_clear () =
+  let h = Log_hist.create () in
+  Log_hist.record h 42;
+  Log_hist.clear h;
+  check_bool "empty after clear" true (Log_hist.is_empty h);
+  check_int "quantile of empty" 0 (Log_hist.quantile h 0.99)
+
+let prop_hist_bounded_error =
+  QCheck.Test.make ~name:"histogram p100 within 1/32 of true max" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 100) (int_bound 1_000_000_000))
+    (fun values ->
+      QCheck.assume (values <> []);
+      let h = Log_hist.create () in
+      List.iter (Log_hist.record h) values;
+      let true_max = List.fold_left max 0 values in
+      let est = Log_hist.quantile h 1.0 in
+      est <= true_max && float_of_int (true_max - est) <= (float_of_int true_max /. 32.) +. 1.)
+
+let prop_hist_quantile_monotone =
+  QCheck.Test.make ~name:"histogram quantiles monotone in q" ~count:100
+    QCheck.(list_of_size Gen.(int_range 2 60) (int_bound 10_000_000))
+    (fun values ->
+      QCheck.assume (values <> []);
+      let h = Log_hist.create () in
+      List.iter (Log_hist.record h) values;
+      let qs = [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
+      let vs = List.map (Log_hist.quantile h) qs in
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+        | _ -> true
+      in
+      nondecreasing vs)
+
 (* ---------------- Cycle tracer ---------------- *)
 
 let test_tracer_ordering () =
@@ -349,11 +391,10 @@ let test_close_reasons_portable () =
         (List.map Net_api.close_reason_name !reasons))
     [ Cluster.Ix; Cluster.Linux; Cluster.Mtcp ]
 
-(* ---------------- counter registry (post-shim) ---------------- *)
+(* ---------------- counter registry ---------------- *)
 
 let test_counter_registry () =
-  (* The idioms the old Stats.Counters shim delegated to, used
-     directly: one registered cell, updated in place. *)
+  (* The counter idiom: register one cell by name, update it in place. *)
   let t = Metrics.create () in
   let c = Metrics.counter t "a.b" in
   Metrics.incr c;
@@ -369,6 +410,7 @@ let test_counter_registry () =
        (Metrics.snapshot t))
 
 let () =
+  let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "telemetry"
     [
       ( "registry",
@@ -382,6 +424,10 @@ let () =
         [
           Alcotest.test_case "percentile accuracy" `Quick test_hist_percentiles;
           Alcotest.test_case "merge" `Quick test_hist_merge;
+          Alcotest.test_case "exact small values" `Quick test_hist_exact_small;
+          Alcotest.test_case "clear" `Quick test_hist_clear;
+          qt prop_hist_bounded_error;
+          qt prop_hist_quantile_monotone;
         ] );
       ( "tracer",
         [
