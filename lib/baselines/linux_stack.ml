@@ -91,7 +91,7 @@ type core_ctx = {
   mutable app_scheduled : bool;
   mutable irq_scheduled : bool;
   mutable last_irq : int;
-  mutable timer_wakeup : Sim.handle option;
+  mutable timer_wakeup : Sim.handle; (* [Sim.no_handle] when none *)
   (* Cached wakeup thunks ([app_run ctx] / [do_irq ctx] / the timer
      advance), installed on first use — scheduling a wakeup is
      per-batch work and should not build a closure each time. *)
@@ -236,15 +236,28 @@ and service_socket ctx socket =
       socket.handlers.Net_api.on_closed socket.conn reason
   | None -> ()
 
-and run_job job = job ()
+(* [jobs] and [ready] are kept newest first; these walk a list oldest
+   first by recursing on the tail before handling the head, so a drain
+   builds neither a reversed copy nor a partial application.  The
+   recursion depth is one batch. *)
+and run_jobs = function
+  | [] -> ()
+  | job :: older ->
+      run_jobs older;
+      job ()
+
+and service_sockets ctx = function
+  | [] -> ()
+  | socket :: older ->
+      service_sockets ctx older;
+      service_socket ctx socket
 
 and drain ctx =
-  let ready = List.rev ctx.ready in
+  let ready = ctx.ready and jobs = ctx.jobs in
   ctx.ready <- [];
-  let jobs = List.rev ctx.jobs in
   ctx.jobs <- [];
-  List.iter run_job jobs;
-  List.iter (service_socket ctx) ready;
+  run_jobs jobs;
+  service_sockets ctx ready;
   if ctx.ready <> [] || ctx.jobs <> [] then drain ctx
 
 and app_run ctx =
@@ -346,7 +359,7 @@ and process_frame ctx mbuf =
                    ~dst:ip.Ixnet.Ipv4_packet.dst ctx.seg_scratch
                then
                  Tcp_endpoint.rx_segment
-                   ~ce:(ip.Ixnet.Ipv4_packet.ecn = Ixnet.Ipv4_packet.ce)
+                   ?ce:(Tcp_endpoint.ce_of_ecn ip.Ixnet.Ipv4_packet.ecn)
                    (Option.get ctx.ep) ~src_ip:ip.Ixnet.Ipv4_packet.src
                    ctx.seg_scratch mbuf
            | Ixnet.Ipv4_packet.Udp | Ixnet.Ipv4_packet.Icmp
@@ -401,22 +414,19 @@ and process_arp ctx mbuf =
       end
 
 and arm_timer_wakeup ctx =
-  (match ctx.timer_wakeup with
-  | Some handle ->
-      Sim.cancel ctx.sim handle;
-      ctx.timer_wakeup <- None
-  | None -> ());
-  match Wheel.next_expiry ctx.wheel with
-  | None -> ()
-  | Some deadline ->
-      let at = max deadline (Sim.now ctx.sim) in
-      if ctx.timer_thunk == no_thunk then
-        ctx.timer_thunk <-
-          (fun () ->
-            Wheel.advance ctx.wheel ~now:(Sim.now ctx.sim);
-            arm_timer_wakeup ctx;
-            if ctx.ready <> [] then schedule_app ctx);
-      ctx.timer_wakeup <- Some (Sim.at ctx.sim at ctx.timer_thunk)
+  Sim.cancel ctx.sim ctx.timer_wakeup;
+  ctx.timer_wakeup <- Sim.no_handle;
+  let deadline = Wheel.next_expiry ctx.wheel in
+  if deadline <> Wheel.no_expiry then begin
+    let at = max deadline (Sim.now ctx.sim) in
+    if ctx.timer_thunk == no_thunk then
+      ctx.timer_thunk <-
+        (fun () ->
+          Wheel.advance ctx.wheel ~now:(Sim.now ctx.sim);
+          arm_timer_wakeup ctx;
+          if ctx.ready <> [] then schedule_app ctx);
+    ctx.timer_wakeup <- Sim.at ctx.sim at ctx.timer_thunk
+  end
 
 (* Interrupt moderation: fire now if the line has been quiet, else
    defer to the adaptive interval boundary. *)
@@ -548,7 +558,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(costs = default_costs)
           irq_thunk = no_thunk;
           timer_thunk = no_thunk;
           last_irq = min_int / 2;
-          timer_wakeup = None;
+          timer_wakeup = Sim.no_handle;
           sockets = Hashtbl.create 1024;
           jobs = [];
           conn_seq = 0;

@@ -80,7 +80,7 @@ type core_ctx = {
   mutable jobs : (unit -> unit) list;
   mutable round_scheduled : bool;
   mutable stack_scheduled : bool;
-  mutable timer_wakeup : Sim.handle option;
+  mutable timer_wakeup : Sim.handle; (* [Sim.no_handle] when none *)
   mutable conn_seq : int;
   c_rounds : Metrics.counter;
   c_pkts : Metrics.counter;
@@ -225,7 +225,7 @@ let rec process_frame ctx mbuf =
                    ~dst:ip.Ixnet.Ipv4_packet.dst ctx.seg_scratch
                then
                  Tcp_endpoint.rx_segment
-                   ~ce:(ip.Ixnet.Ipv4_packet.ecn = Ixnet.Ipv4_packet.ce)
+                   ?ce:(Tcp_endpoint.ce_of_ecn ip.Ixnet.Ipv4_packet.ecn)
                    (Option.get ctx.ep) ~src_ip:ip.Ixnet.Ipv4_packet.src
                    ctx.seg_scratch mbuf
            | Ixnet.Ipv4_packet.Udp | Ixnet.Ipv4_packet.Icmp
@@ -294,21 +294,17 @@ and stack_poll ctx =
   if ctx.ready <> [] then schedule_round ctx
 
 and arm_timer_wakeup ctx =
-  (match ctx.timer_wakeup with
-  | Some handle ->
-      Sim.cancel ctx.sim handle;
-      ctx.timer_wakeup <- None
-  | None -> ());
-  match Wheel.next_expiry ctx.wheel with
-  | None -> ()
-  | Some deadline ->
-      let at = max deadline (Sim.now ctx.sim) in
-      ctx.timer_wakeup <-
-        Some
-          (Sim.at ctx.sim at (fun () ->
-               Wheel.advance ctx.wheel ~now:(Sim.now ctx.sim);
-               arm_timer_wakeup ctx;
-               if ctx.ready <> [] then schedule_round ctx))
+  Sim.cancel ctx.sim ctx.timer_wakeup;
+  ctx.timer_wakeup <- Sim.no_handle;
+  let deadline = Wheel.next_expiry ctx.wheel in
+  if deadline <> Wheel.no_expiry then begin
+    let at = max deadline (Sim.now ctx.sim) in
+    ctx.timer_wakeup <-
+      Sim.at ctx.sim at (fun () ->
+          Wheel.advance ctx.wheel ~now:(Sim.now ctx.sim);
+          arm_timer_wakeup ctx;
+          if ctx.ready <> [] then schedule_round ctx)
+  end
 
 let on_nic_notify ctx =
   (* The dedicated stack thread polls; it notices new frames almost
@@ -419,7 +415,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(costs = default_costs)
           jobs = [];
           round_scheduled = false;
           stack_scheduled = false;
-          timer_wakeup = None;
+          timer_wakeup = Sim.no_handle;
           conn_seq = 0;
           c_rounds = c "rounds";
           c_pkts = c "pkts";

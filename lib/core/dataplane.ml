@@ -150,7 +150,7 @@ type t = {
   mutable span_cursor : int;
   mutable state : state;
   mutable in_user_phase : bool;
-  mutable idle_wakeup : Sim.handle option;
+  mutable idle_wakeup : Sim.handle; (* [Sim.no_handle] when none *)
   (* Cached reschedule thunks ([run_cycle t] / [kick t]): installed on
      first use so the cycle loop does not allocate a closure per
      wakeup. *)
@@ -478,7 +478,7 @@ let process_ipv4 t mbuf =
             ~dst_port:seg.Seg.dst_port ~len:mbuf.Mbuf.len
         then
           Tcp_endpoint.rx_segment
-            ~ce:(ip.Ixnet.Ipv4_packet.ecn = Ixnet.Ipv4_packet.ce)
+            ?ce:(Tcp_endpoint.ce_of_ecn ip.Ixnet.Ipv4_packet.ecn)
             (endpoint t) ~src_ip:ip.Ixnet.Ipv4_packet.src seg mbuf
         else Metrics.incr t.c_rx_other
     | Ixnet.Ipv4_packet.Icmp ->
@@ -567,11 +567,8 @@ let mark t stage =
 
 let rec run_cycle t =
   t.state <- Running;
-  (match t.idle_wakeup with
-  | Some handle ->
-      Sim.cancel t.sim handle;
-      t.idle_wakeup <- None
-  | None -> ());
+  Sim.cancel t.sim t.idle_wakeup;
+  t.idle_wakeup <- Sim.no_handle;
   Metrics.incr t.c_cycles;
   t.kernel_ns_acc <- 0;
   t.user_ns_acc <- 0;
@@ -715,11 +712,8 @@ and maybe_background t earliest =
   | Some _ ->
       if t.state = Idle then begin
         t.state <- Scheduled;
-        (match t.idle_wakeup with
-        | Some handle ->
-            Sim.cancel t.sim handle;
-            t.idle_wakeup <- None
-        | None -> ());
+        Sim.cancel t.sim t.idle_wakeup;
+        t.idle_wakeup <- Sim.no_handle;
         let at = max (now t) earliest in
         ignore
           (Sim.at t.sim at (fun () ->
@@ -753,22 +747,17 @@ and kick_thunk t =
   t.kick_thunk
 
 and arm_idle_wakeup t earliest =
-  match Wheel.next_expiry t.wheel with
-  | None -> ()
-  | Some deadline ->
-      let at = max deadline earliest in
-      t.idle_wakeup <- Some (Sim.at t.sim at (kick_thunk t))
+  let deadline = Wheel.next_expiry t.wheel in
+  if deadline <> Wheel.no_expiry then
+    t.idle_wakeup <- Sim.at t.sim (max deadline earliest) (kick_thunk t)
 
 and kick t =
   match t.state with
   | Running | Scheduled -> ()
   | Idle ->
       t.state <- Scheduled;
-      (match t.idle_wakeup with
-      | Some handle ->
-          Sim.cancel t.sim handle;
-          t.idle_wakeup <- None
-      | None -> ());
+      Sim.cancel t.sim t.idle_wakeup;
+      t.idle_wakeup <- Sim.no_handle;
       let wakeup_cost = if t.polling then 0 else t.interrupt_latency_ns in
       let at = max (now t) (Cpu_core.free_at t.cpu) + wakeup_cost in
       ignore (Sim.at t.sim at (cycle_thunk t))
@@ -985,7 +974,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       span_cursor = 0;
       state = Idle;
       in_user_phase = false;
-      idle_wakeup = None;
+      idle_wakeup = Sim.no_handle;
       cycle_thunk = no_thunk;
       kick_thunk = no_thunk;
       handles = Hashtbl.create 1024;

@@ -8,7 +8,7 @@ type rule = {
 
 type t = {
   default : action;
-  mutable rules : rule list; (* reversed insertion order *)
+  mutable rules : rule list; (* insertion order *)
   mutable rate : int option; (* bytes per second *)
   mutable tokens : float;
   mutable last_refill : int;
@@ -27,7 +27,9 @@ let create ?(default = Allow) () =
     metered_count = 0;
   }
 
-let add_rule t rule = t.rules <- rule :: t.rules
+(* Appending is O(rules), but rules change on the control path while
+   [admit] runs per packet, so the list is kept in evaluation order. *)
+let add_rule t rule = t.rules <- t.rules @ [ rule ]
 let clear_rules t = t.rules <- []
 
 let set_rate_limit t ~bytes_per_sec =
@@ -38,12 +40,18 @@ let rule_matches rule ~src_ip ~dst_port =
   (match rule.src_ip with Some ip -> ip = src_ip | None -> true)
   && match rule.dst_port with Some p -> p = dst_port | None -> true
 
+(* Top-level rather than a local closure over the packet fields, so a
+   lookup allocates nothing. *)
+let rec scan default ~src_ip ~dst_port = function
+  | [] -> default
+  | rule :: rest ->
+      if rule_matches rule ~src_ip ~dst_port then rule.action
+      else scan default ~src_ip ~dst_port rest
+
 let firewall_action t ~src_ip ~dst_port =
-  let rec scan = function
-    | [] -> t.default
-    | rule :: rest -> if rule_matches rule ~src_ip ~dst_port then rule.action else scan rest
-  in
-  scan (List.rev t.rules)
+  match t.rules with
+  | [] -> t.default
+  | rules -> scan t.default ~src_ip ~dst_port rules
 
 let metering_admits t ~now ~len =
   match t.rate with

@@ -27,6 +27,9 @@ let gen_bits = 30
 let gen_mask = (1 lsl gen_bits) - 1
 let no_action () = ()
 
+(* Its cell index lies beyond any pool, so [cancel] ignores it. *)
+let no_handle = -1
+
 type t = {
   mutable clock : Sim_time.t;
   queue : int Event_queue.t;
@@ -168,24 +171,36 @@ let step t =
   if ran then Atomic.incr global_executed;
   ran
 
-let run ?until t =
-  let continue () =
-    match until with
-    | None -> not (Event_queue.is_empty t.queue)
-    | Some horizon -> (
-        match Event_queue.peek_time t.queue with
-        | None -> false
-        | Some next -> next <= horizon)
-  in
-  let e0 = t.executed in
-  Fun.protect
-    ~finally:(fun () ->
-      let delta = t.executed - e0 in
-      if delta > 0 then ignore (Atomic.fetch_and_add global_executed delta))
-    (fun () ->
-      while continue () do
+let flush_executed t e0 =
+  let delta = t.executed - e0 in
+  if delta > 0 then ignore (Atomic.fetch_and_add global_executed delta)
+
+let drain t = function
+  | None ->
+      while not (Event_queue.is_empty t.queue) do
         ignore (step_unmetered t)
-      done);
+      done
+  | Some horizon ->
+      (* The root time against the horizon: no [peek_time] option per
+         step. *)
+      while
+        (not (Event_queue.is_empty t.queue))
+        && Event_queue.min_time_exn t.queue <= horizon
+      do
+        ignore (step_unmetered t)
+      done
+
+(* Allocation-free when the caller's [until] is preallocated and every
+   event reuses a cached thunk: the meter is flushed on both exits
+   without the closures [Fun.protect] would build per call. *)
+let run ?until t =
+  let e0 = t.executed in
+  (try drain t until
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     flush_executed t e0;
+     Printexc.raise_with_backtrace e bt);
+  flush_executed t e0;
   match until with
   | Some horizon when t.clock < horizon -> t.clock <- horizon
   | Some _ | None -> ()

@@ -12,6 +12,11 @@ type handle = private int
     packing (pooled cell index, generation), so scheduling allocates
     nothing for the handle itself. *)
 
+val no_handle : handle
+(** A handle that names no event: cancelling it is a no-op.  Lets a
+    component keep its pending wakeup in a plain mutable field instead
+    of boxing [Some handle] per arm. *)
+
 val create : ?seed:int -> unit -> t
 
 val now : t -> Sim_time.t

@@ -269,8 +269,7 @@ let chaos_echo_server stack fi ~port ~msg_size ~app_ns =
       })
 
 let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
-    ?(server_threads = 2) ?(sessions = 24) ?(elastic_steps = [])
-    ?(tx_snapshot = false) () =
+    ?(server_threads = 2) ?(sessions = 24) ?(elastic_steps = []) () =
   let msg_size = 64 and msgs_per_conn = 16 and client_threads = 2 in
   let server =
     Cluster.server_spec ~threads:server_threads ~nic_ports:1 Cluster.Ix
@@ -279,18 +278,6 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
     Cluster.build ~seed ~client_hosts:2 ~client_threads ~client_kind:Cluster.Ix
       ~server ()
   in
-  (* Copy-path pin for the zero-copy equivalence property: every NIC
-     snapshots frames at transmit instead of borrowing the sender's
-     mbuf.  A run must be byte-identical either way — refcounted
-     borrowing is a pure optimization, even under wire faults. *)
-  if tx_snapshot then begin
-    Array.iter
-      (fun nic -> Nic.set_tx_snapshot nic true)
-      cluster.Cluster.server_nics;
-    List.iter
-      (fun nic -> Nic.set_tx_snapshot nic true)
-      cluster.Cluster.client_nics
-  end;
   let sim = cluster.Cluster.sim in
   let fm = Metrics.create () in
   let fi = Fault_plan.instantiate spec ~sim ~seed ~metrics:fm in

@@ -46,7 +46,6 @@ val echo_leg :
   ?server_threads:int ->
   ?sessions:int ->
   ?elastic_steps:int list ->
-  ?tx_snapshot:bool ->
   unit ->
   leg
 (** A 64 B echo soak: warm up fault-free (so ARP resolves and the
@@ -60,14 +59,7 @@ val echo_leg :
     while the plan is mangling the wire, so the end-of-run audit also
     proves flow-group migration loses no frame, leaks no mbuf and
     strands no connection under drops, reorders and link flaps
-    ([migrated] counts the completed migrations).
-
-    [tx_snapshot] (default false) pins every NIC to the copy path:
-    frames are snapshotted at transmit instead of borrowing the
-    sender's mbuf ({!Ixhw.Nic.set_tx_snapshot}).  Borrowing is a pure
-    optimization, so a copy-path leg must produce a byte-identical
-    [snapshot] to the default leg for the same seed and plan — the
-    equivalence property the zero-copy qcheck suite exercises. *)
+    ([migrated] counts the completed migrations). *)
 
 val memcached_leg :
   ?seed:int ->

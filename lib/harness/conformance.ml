@@ -360,7 +360,8 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
     timers = (fun ~now -> Wheel.advance wheel ~now);
     next_deadline =
       (fun () ->
-        match Wheel.next_expiry wheel with Some t -> t | None -> -1);
+        let t = Wheel.next_expiry wheel in
+        if t = Wheel.no_expiry then -1 else t);
     do_connect;
     do_send =
       (fun ~now:_ n ->

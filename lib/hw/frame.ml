@@ -2,9 +2,9 @@ module Mbuf = Ixmem.Mbuf
 
 (* A frame is a view [buf.(off .. off+len-1)].  Two ownership modes:
 
-   - [owner = None]: the frame owns a private copy of the bytes
+   - [owner == no_owner]: the frame owns a private copy of the bytes
      (a snapshot).  Retain/release are no-ops; the GC reclaims it.
-   - [owner = Some mbuf]: a borrowed view straight over the sender's
+   - any other [owner]: a borrowed view straight over the sender's
      mbuf payload — the zero-copy TX path.  The frame holds one mbuf
      reference taken at [borrow_mbuf]; every hand-off on the wire
      (link delivery, switch forwarding) transfers that reference, and
@@ -13,17 +13,24 @@ module Mbuf = Ixmem.Mbuf
    Mutating helpers ([with_ce]/[corrupt]/[truncate]) are copy-on-write:
    they never write through a borrowed view (the sender's buffer must
    stay pristine for retransmission); when they change anything they
-   detach into an owned copy and consume the input reference. *)
+   detach into an owned copy and consume the input reference.
+
+   The owner is a sentinel mbuf rather than an option so that
+   [borrow_mbuf], which runs once per transmitted frame, builds only
+   the frame record itself.  The sentinel is never retained, released
+   or written: every owner test is a physical comparison with it. *)
 type t = {
   buf : Bytes.t;
   off : int;
   len : int;
-  owner : Mbuf.t option;
+  owner : Mbuf.t;
 }
+
+let no_owner = Mbuf.create ~size:0 ()
 
 (* Inert placeholder for pooled storage slots (e.g. a link's pending
    delivery ring); never appears on the wire. *)
-let empty = { buf = Bytes.empty; off = 0; len = 0; owner = None }
+let empty = { buf = Bytes.empty; off = 0; len = 0; owner = no_owner }
 
 let of_mbuf mbuf =
   (* Owned snapshot (the "DMA read" copy).  Cold/control paths and
@@ -32,16 +39,16 @@ let of_mbuf mbuf =
     buf = Bytes.sub mbuf.Mbuf.buf mbuf.Mbuf.off mbuf.Mbuf.len;
     off = 0;
     len = mbuf.Mbuf.len;
-    owner = None;
+    owner = no_owner;
   }
 
 let borrow_mbuf mbuf =
   Mbuf.incref mbuf;
-  { buf = mbuf.Mbuf.buf; off = mbuf.Mbuf.off; len = mbuf.Mbuf.len; owner = Some mbuf }
+  { buf = mbuf.Mbuf.buf; off = mbuf.Mbuf.off; len = mbuf.Mbuf.len; owner = mbuf }
 
-let retain t = match t.owner with Some m -> Mbuf.incref m | None -> ()
-let release t = match t.owner with Some m -> Mbuf.decref m | None -> ()
-let is_borrowed t = Option.is_some t.owner
+let retain t = if t.owner != no_owner then Mbuf.incref t.owner
+let release t = if t.owner != no_owner then Mbuf.decref t.owner
+let is_borrowed t = t.owner != no_owner
 
 let length t = t.len
 
@@ -50,15 +57,15 @@ let wire_bytes t =
 
 let byte t i = Char.code (Bytes.get t.buf (t.off + i))
 
+let read_u16 t off = (byte t off lsl 8) lor byte t (off + 1)
+
+(* Three fixed 16-bit reads: the switch and the NIC read the
+   destination MAC of every frame, so no per-call helper closure. *)
 let read_mac t off =
-  let b i = byte t (off + i) in
-  (b 0 lsl 40) lor (b 1 lsl 32) lor (b 2 lsl 24) lor (b 3 lsl 16) lor (b 4 lsl 8)
-  lor b 5
+  (read_u16 t off lsl 32) lor (read_u16 t (off + 2) lsl 16) lor read_u16 t (off + 4)
 
 let dst_mac t = read_mac t 0
 let src_mac t = read_mac t 6
-
-let read_u16 t off = (byte t off lsl 8) lor byte t (off + 1)
 
 let read_ip t off =
   (byte t off lsl 24)
@@ -82,25 +89,19 @@ let rss_dst_ip t = read_ip t 30
 let rss_src_port t = read_u16 t 34
 let rss_dst_port t = read_u16 t 36
 
-let rss_tuple t =
-  if has_rss_tuple t then
-    Some (rss_src_ip t, rss_dst_ip t, rss_src_port t, rss_dst_port t)
-  else None
+(* A simple mixing step for the 4-tuple; real switches use a vendor
+   hash, only uniformity matters here. *)
+let mix h v = (h lxor v) * 0x01000193 land max_int
 
 let l3l4_hash t =
   if not (has_rss_tuple t) then 0
   else begin
-    (* A simple mixing of the 4-tuple; real switches use a vendor
-       hash, only uniformity matters here. *)
-    let h = ref 0x9E3779B9 in
-    let mix v = h := (!h lxor v) * 0x01000193 land max_int in
-    mix (rss_src_ip t);
-    mix (rss_dst_ip t);
-    mix ((rss_src_port t lsl 16) lor 1);
-    mix ((rss_dst_port t lsl 16) lor 1);
+    let x = mix 0x9E3779B9 (rss_src_ip t) in
+    let x = mix x (rss_dst_ip t) in
+    let x = mix x ((rss_src_port t lsl 16) lor 1) in
+    let x = mix x ((rss_dst_port t lsl 16) lor 1) in
     (* Murmur-style avalanche so the low bits (used for [mod n]
        member selection) depend on every input bit. *)
-    let x = !h in
     let x = (x lxor (x lsr 16)) * 0x85EBCA6B land max_int in
     let x = (x lxor (x lsr 13)) * 0xC2B2AE35 land max_int in
     x lxor (x lsr 16)
@@ -114,7 +115,7 @@ let is_ce t =
 let detach t ~keep =
   let buf = Bytes.sub t.buf t.off keep in
   release t;
-  { buf; off = 0; len = keep; owner = None }
+  { buf; off = 0; len = keep; owner = no_owner }
 
 let with_ce t =
   if length t < 34 || read_u16 t 12 <> 0x0800 then t
@@ -164,4 +165,4 @@ let to_mbuf t ~into = Mbuf.append_bytes into t.buf t.off t.len
    Cold path only — one copy per *injected* frame, never per packet. *)
 let copy_bytes t = Bytes.sub t.buf t.off t.len
 
-let of_bytes buf = { buf; off = 0; len = Bytes.length buf; owner = None }
+let of_bytes buf = { buf; off = 0; len = Bytes.length buf; owner = no_owner }

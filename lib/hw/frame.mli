@@ -57,14 +57,10 @@ val wire_bytes : t -> int
 val dst_mac : t -> Ixnet.Mac_addr.t
 val src_mac : t -> Ixnet.Mac_addr.t
 
-val rss_tuple : t -> (Ixnet.Ip_addr.t * Ixnet.Ip_addr.t * int * int) option
-(** (src ip, dst ip, src port, dst port) for TCP/UDP-over-IPv4 frames;
-    [None] for anything else (steered to queue 0). *)
-
 val has_rss_tuple : t -> bool
-(** Whether {!rss_tuple} would return [Some].  Together with the field
-    reads below this is the allocation-free spelling used on the
-    per-frame classify path. *)
+(** Whether the frame is TCP or UDP over IPv4 and so carries an RSS
+    4-tuple; anything else is steered to queue 0.  The field reads
+    below are allocation-free, for the per-frame classify path. *)
 
 val rss_src_ip : t -> Ixnet.Ip_addr.t
 val rss_dst_ip : t -> Ixnet.Ip_addr.t

@@ -15,36 +15,15 @@ type t = {
   (* In-flight frames, delivery order.  Arrival times are monotonic per
      link (serialization is FIFO), so the scheduled event only needs a
      shared thunk popping the ring head — no per-frame closure. *)
-  mutable pending : Frame.t array;
-  mutable p_head : int;
-  mutable p_count : int;
+  pending : Frame_ring.t;
   mutable deliver_pending : unit -> unit;
 }
 
 let deliver_next t =
-  let cap = Array.length t.pending in
-  let i = t.p_head in
-  let frame = t.pending.(i) in
-  t.pending.(i) <- Frame.empty;
-  t.p_head <- (i + 1) land (cap - 1);
-  t.p_count <- t.p_count - 1;
+  let frame = Frame_ring.pop t.pending in
   match t.tap with
   | None -> t.deliver frame
   | Some tap -> tap frame t.deliver
-
-let enqueue_pending t frame =
-  let cap = Array.length t.pending in
-  if t.p_count = cap then begin
-    let cap' = max 16 (2 * cap) in
-    let pending' = Array.make cap' Frame.empty in
-    for k = 0 to t.p_count - 1 do
-      pending'.(k) <- t.pending.((t.p_head + k) land (cap - 1))
-    done;
-    t.pending <- pending';
-    t.p_head <- 0
-  end;
-  t.pending.((t.p_head + t.p_count) land (Array.length t.pending - 1)) <- frame;
-  t.p_count <- t.p_count + 1
 
 let create sim ~gbps ~propagation_ns ?ecn_threshold_bytes ?queue_limit_bytes
     ~deliver () =
@@ -62,9 +41,7 @@ let create sim ~gbps ~propagation_ns ?ecn_threshold_bytes ?queue_limit_bytes
     busy_ns = 0;
     marked_count = 0;
     dropped_count = 0;
-    pending = [||];
-    p_head = 0;
-    p_count = 0;
+    pending = Frame_ring.create ();
     deliver_pending = (fun () -> ());
   }
   |> fun t ->
@@ -109,7 +86,7 @@ let send_at t frame ~earliest =
     t.total_bytes <- t.total_bytes + Frame.wire_bytes frame;
     t.total_frames <- t.total_frames + 1;
     let arrival = start + duration + t.propagation_ns in
-    enqueue_pending t frame;
+    Frame_ring.push t.pending frame ~tag:0;
     ignore (Engine.Sim.at t.sim arrival t.deliver_pending)
   end
 

@@ -33,12 +33,10 @@ type t = {
   mac_addr : Ixnet.Mac_addr.t;
   queues : rx_queue array;
   mutable indirection : int array;
-  rss_lut : Toeplitz.lut;  (** per-key hash tables owned by this NIC *)
+  rss_lut : Toeplitz.lut option;
+      (** per-key hash tables owned by this NIC, boxed once here so the
+          per-frame [?lut] argument allocates nothing *)
   tx_link : Link.t;
-  mutable tx_snapshot : bool;
-      (** debug: deep-copy on transmit instead of borrowing (the
-          pre-zero-copy behavior); the equivalence suite flips this to
-          prove the borrow path is bit-identical *)
   c_drops : Metrics.counter;
   c_filtered : Metrics.counter;
   c_rx : Metrics.counter;
@@ -76,9 +74,8 @@ let create _sim ~mac ~queues ?(ring_size = 512) ?(rss_key = Toeplitz.default_key
     mac_addr = mac;
     queues = Array.init queues make_queue;
     indirection = Array.init indirection_entries (fun i -> i mod queues);
-    rss_lut = Toeplitz.lut_of_key rss_key;
+    rss_lut = Some (Toeplitz.lut_of_key rss_key);
     tx_link = tx;
-    tx_snapshot = false;
     c_drops = c "%s.rx_drops" name;
     c_filtered = c "%s.rx_filtered" name;
     c_rx = c "%s.rx_frames" name;
@@ -120,7 +117,7 @@ let set_indirection_entry t ~group ~queue =
 let indirection_entry t group = t.indirection.(group)
 
 let rss_group_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
-  Toeplitz.hash_tuple ~lut:t.rss_lut ~src_ip ~dst_ip ~src_port ~dst_port ()
+  Toeplitz.hash_tuple ?lut:t.rss_lut ~src_ip ~dst_ip ~src_port ~dst_port ()
   land (indirection_entries - 1)
 
 let rss_queue_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
@@ -187,11 +184,6 @@ let pop_exn q =
   q.count <- q.count - 1;
   mbuf
 
-let rx_burst q ~max =
-  let n = min max q.count in
-  let rec take acc k = if k = 0 then acc else take (pop_exn q :: acc) (k - 1) in
-  List.rev (take [] n)
-
 let rx_burst_into q ~into ~off ~max =
   let n = min (min max q.count) (Array.length into - off) in
   for i = off to off + n - 1 do
@@ -229,20 +221,15 @@ let replenish q n =
 let free_descriptors q = q.avail_descs
 
 let transmit_at t mbuf ~earliest =
-  let frame =
-    (* Zero-copy TX: the wire borrows the mbuf payload under one held
-       reference; the buffer returns to its pool when the receiving NIC
-       (or a drop) releases the last reference.  tx_snapshot restores
-       the old deep copy (Frame.of_mbuf) for equivalence testing. *)
-    if t.tx_snapshot then Frame.of_mbuf mbuf else Frame.borrow_mbuf mbuf
-  in
+  (* Zero-copy TX: the wire borrows the mbuf payload under one held
+     reference; the buffer returns to its pool when the receiving NIC
+     (or a drop) releases the last reference. *)
+  let frame = Frame.borrow_mbuf mbuf in
   Metrics.incr t.c_tx;
   Link.send_at t.tx_link frame ~earliest;
   (* The wire holds its own reference now; the caller's is consumed
      here rather than through a per-packet completion closure. *)
   Ixmem.Mbuf.decref mbuf
-
-let set_tx_snapshot t v = t.tx_snapshot <- v
 
 let transmit t mbuf = transmit_at t mbuf ~earliest:0
 

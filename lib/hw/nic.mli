@@ -5,7 +5,7 @@
     through a 128-entry indirection table onto RX queues.  A frame is
     DMA-ed into an mbuf from the queue's pool if the queue has posted
     descriptors, otherwise it is dropped — replenishment is the
-    driver's job ([rx_burst] + [replenish]).  Each delivery fires the
+    driver's job ([rx_burst_into] + [replenish]).  Each delivery fires the
     queue's notifier; polling stacks use it to kick an idle loop,
     interrupt-driven stacks apply moderation on top of it. *)
 
@@ -71,12 +71,6 @@ val receive : t -> Frame.t -> unit
     the frame's reference: after the copy-in (or a counted filter/drop)
     the sender's wire buffer is released back toward its pool. *)
 
-val set_tx_snapshot : t -> bool -> unit
-(** Debug/testing: when [true], {!transmit} deep-copies the mbuf into
-    an owned frame ([Frame.of_mbuf], the pre-zero-copy behavior)
-    instead of borrowing it.  The equivalence suite flips this to
-    prove the borrowed wire path is bit-identical.  Default [false]. *)
-
 val set_notify : rx_queue -> (unit -> unit) -> unit
 (** Called (synchronously) each time a frame lands in the queue. *)
 
@@ -84,15 +78,12 @@ val queue_index : rx_queue -> int
 
 val rx_pending : rx_queue -> int
 
-val rx_burst : rx_queue -> max:int -> Ixmem.Mbuf.t list
-(** Take up to [max] received mbufs (step 1 of the paper's Fig. 1b).
-    Ownership transfers to the caller. *)
-
 val rx_burst_into :
   rx_queue -> into:Ixmem.Mbuf.t array -> off:int -> max:int -> int
-(** Allocation-free variant of {!rx_burst}: fill [into.(off..off+n-1)]
-    with up to [max] received mbufs (bounded by the array) and return
-    [n].  The run-to-completion dataplane polls with this. *)
+(** Take up to [max] received mbufs (step 1 of the paper's Fig. 1b),
+    bounded by the array: fill [into.(off..off+n-1)] and return [n].
+    Ownership transfers to the caller.  Allocation-free; the
+    run-to-completion dataplane polls with this. *)
 
 val replenish : rx_queue -> int -> unit
 (** Post [n] fresh RX descriptors; each non-empty batch counts one

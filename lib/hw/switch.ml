@@ -13,19 +13,13 @@ type t = {
   mutable bond_member : int array array;
   mutable forwarded_count : int;
   mutable flooded_count : int;
+  (* Frames crossing the fabric, tagged with their ingress port.  The
+     crossing latency is constant, so frames leave in input order: each
+     input schedules one event running the shared [forward_next] thunk,
+     which pops the ring head — no per-frame closure. *)
+  crossing : Frame_ring.t;
+  mutable forward_next : unit -> unit;
 }
-
-let create sim ?(crossing_ns = 300) ~ports () =
-  {
-    sim;
-    crossing_ns;
-    ports = Array.init ports (fun _ -> { mac = Ixnet.Mac_addr.zero; out = None });
-    mac_table = Hashtbl.create 64;
-    bonds = [];
-    bond_member = Array.make ports [||];
-    forwarded_count = 0;
-    flooded_count = 0;
-  }
 
 let attach t ~port ~mac ~out =
   t.ports.(port).mac <- mac;
@@ -52,13 +46,12 @@ let forward t ~ingress_port frame =
        the first egress reuses it, each further one takes its own
        retain; zero egresses means the reference is released here. *)
     let sent_first = ref false in
-    Array.iteri
-      (fun i port ->
-        if i <> ingress_port && Option.is_some port.out then begin
-          if !sent_first then Frame.retain frame else sent_first := true;
-          egress t i frame
-        end)
-      t.ports;
+    for i = 0 to Array.length t.ports - 1 do
+      if i <> ingress_port && Option.is_some t.ports.(i).out then begin
+        if !sent_first then Frame.retain frame else sent_first := true;
+        egress t i frame
+      end
+    done;
     if not !sent_first then Frame.release frame
   end
   else begin
@@ -77,9 +70,30 @@ let forward t ~ingress_port frame =
         egress t port_idx frame
   end
 
+let forward_head t =
+  let ingress_port = Frame_ring.head_tag t.crossing in
+  forward t ~ingress_port (Frame_ring.pop t.crossing)
+
+let create sim ?(crossing_ns = 300) ~ports () =
+  {
+    sim;
+    crossing_ns;
+    ports = Array.init ports (fun _ -> { mac = Ixnet.Mac_addr.zero; out = None });
+    mac_table = Hashtbl.create 64;
+    bonds = [];
+    bond_member = Array.make ports [||];
+    forwarded_count = 0;
+    flooded_count = 0;
+    crossing = Frame_ring.create ();
+    forward_next = ignore;
+  }
+  |> fun t ->
+  t.forward_next <- (fun () -> forward_head t);
+  t
+
 let input t ~ingress_port frame =
-  ignore
-    (Engine.Sim.after t.sim t.crossing_ns (fun () -> forward t ~ingress_port frame))
+  Frame_ring.push t.crossing frame ~tag:ingress_port;
+  ignore (Engine.Sim.after t.sim t.crossing_ns t.forward_next)
 
 let forwarded t = t.forwarded_count
 let flooded t = t.flooded_count

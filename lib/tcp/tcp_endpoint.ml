@@ -350,7 +350,10 @@ let rx_time_wait t ~src_ip (seg : Seg.t) slot =
     true
   end
 
-let rx_segment ?(ce = false) t ~src_ip (seg : Seg.t) mbuf =
+let ce_marked = Some true
+let ce_of_ecn ecn = if ecn = Ixnet.Ipv4_packet.ce then ce_marked else None
+
+let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
   Metrics.incr t.c_rx_segs;
   (* TIME_WAIT remnants first (they are no longer in the flow table);
      one branch on the count keeps this off the fast path entirely
@@ -377,7 +380,7 @@ let rx_segment ?(ce = false) t ~src_ip (seg : Seg.t) mbuf =
         if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
         else begin
           Metrics.incr t.c_slow_hits;
-          Tcp_conn.input ~ce tcb seg mbuf
+          Tcp_conn.input ?ce tcb seg mbuf
         end
     | None ->
         if seg.Seg.syn && not seg.Seg.ack_flag then begin
@@ -428,7 +431,7 @@ let rx_segment ?(ce = false) t ~src_ip (seg : Seg.t) mbuf =
               Flow_table.add t.flows ~local_port:seg.Seg.dst_port
                 ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
               (* Deliver any payload/window info riding the ACK. *)
-              Tcp_conn.input ~ce tcb seg mbuf
+              Tcp_conn.input ?ce tcb seg mbuf
           | None ->
               Metrics.incr t.c_syn_cookies_rejected;
               send_rst t ~src_ip seg

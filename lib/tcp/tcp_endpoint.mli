@@ -59,7 +59,14 @@ val rx_segment :
   Ixmem.Mbuf.t ->
   unit
 (** Feed one received, checksum-verified segment; [ce] carries the IP
-    ECN Congestion Experienced bit for DCTCP connections. *)
+    ECN Congestion Experienced bit for DCTCP connections (default
+    [false]).  Per-frame callers pass {!ce_of_ecn}, so the argument is
+    not boxed on every segment. *)
+
+val ce_of_ecn : int -> bool option
+(** The [?ce] argument for a segment whose IPv4 ECN field is [ecn]:
+    a preallocated [Some true] for Congestion Experienced, else
+    [None]. *)
 
 val adopt : t -> Tcb.t -> unit
 (** Flow migration: register a connection created elsewhere. *)

@@ -295,8 +295,10 @@ let rescan_slot t slot =
 
 let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1)
 
+let no_expiry = max_int
+
 let next_expiry t =
-  if t.armed = 0 then None
+  if t.armed = 0 then no_expiry
   else begin
     (* Earliest live deadline in level 0: the tracked per-slot minima
        of the occupied slots, rescanning only slots whose minimum was
@@ -315,7 +317,7 @@ let next_expiry t =
     (* Next level boundary where a cascade could reveal earlier timers. *)
     let boundary = ((t.current lsr slot_bits) + 1) lsl slot_bits in
     let tick = min !best boundary in
-    Some (tick * t.tick_ns)
+    tick * t.tick_ns
   end
 
 (* Defined after every function that touches [t]'s fields: several

@@ -44,11 +44,15 @@ val advance : t -> now:Engine.Sim_time.t -> unit
 (** Move wheel time forward to [now], firing every due, uncancelled
     timer in deadline order (within tick resolution). *)
 
-val next_expiry : t -> Engine.Sim_time.t option
+val no_expiry : Engine.Sim_time.t
+(** What {!next_expiry} returns when no timer is pending ([max_int]). *)
+
+val next_expiry : t -> Engine.Sim_time.t
 (** A conservative lower bound on the next time a timer could fire:
     [advance]-ing to the returned time is guaranteed not to skip any
-    timer, and returns [None] iff no timers are pending.  Used by hosts
-    to sleep exactly until the next deadline when idle. *)
+    timer, and returns {!no_expiry} iff no timers are pending.  Used by
+    hosts to sleep exactly until the next deadline when idle; a plain
+    time rather than an option, since hosts ask on every idle cycle. *)
 
 val pending : t -> int
 (** Number of armed (uncancelled, unfired) timers. *)

@@ -1,8 +1,8 @@
 (* Repository lint: no module-level mutable state in lib/, no
    allocating header decodes on the RX hot path, no cross-thread
-   synchronization primitives on the per-core dataplane paths, and no
-   per-packet payload copies on the wire path (second, third and
-   fourth passes below).
+   synchronization primitives on the per-core dataplane paths, no
+   per-packet payload copies on the wire path, and no physical
+   comparison against [ignore] (second to fifth passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -160,10 +160,6 @@ let per_packet_copies = [ "Frame.of_mbuf"; "Bytes.sub_string" ]
 
 let per_packet_allowlist =
   [
-    (* The copy-path ablation lever: Frame.of_mbuf only runs when
-       set_tx_snapshot pinned the NIC to the pre-zero-copy behavior
-       (the copy-vs-borrow equivalence tests flip it). *)
-    ("hw/nic.ml", "tx_snapshot");
     (* libix compatibility readers: an app that registered no
        zero-copy reader gets one copy, close to its use (§6). *)
     ("core/libix.ml", "Compatibility path");
@@ -206,6 +202,44 @@ let contains_module_use line tok =
     else at (i + 1)
   in
   at 0
+
+(* Fifth pass: no physical comparison against [ignore].  [ignore] is a
+   primitive, so every use of it as a value is a fresh eta-expanded
+   closure, never physically equal to a field initialised with it.  A
+   cached-thunk check written [if t.thunk == ignore then install ...]
+   therefore never installs the real thunk.  Sentinels must be a named
+   function ([no_thunk], as in Dataplane and Linux_stack). *)
+
+let compares_with_ignore line =
+  let n = String.length line in
+  let rec at i =
+    i + 2 <= n
+    && ((let op = String.sub line i 2 in
+         (op = "==" || op = "!=")
+         &&
+         let j = ref (i + 2) in
+         while !j < n && line.[!j] = ' ' do
+           incr j
+         done;
+         !j + 6 <= n
+         && String.sub line !j 6 = "ignore"
+         && (!j + 6 = n || not (is_ident_char line.[!j + 6])))
+       || at (i + 1))
+  in
+  at 0
+
+let lint_ignore_sentinel path lines =
+  Array.iteri
+    (fun i line ->
+      if compares_with_ignore line then
+        failures :=
+          Printf.sprintf
+            "%s:%d: physical comparison with `ignore` is always false (each \
+             use is a fresh closure) — compare against a named sentinel such \
+             as `no_thunk`"
+            path (i + 1)
+          :: !failures)
+    lines
 
 let lint_per_core path lines =
   if List.exists (fun suffix -> Filename.check_suffix path suffix) per_core_files
@@ -281,6 +315,7 @@ let lint_file path =
   lint_hot_path path lines;
   lint_per_core path lines;
   lint_per_packet path lines;
+  lint_ignore_sentinel path lines;
   Array.iteri
     (fun i line ->
       match value_binding_name line with

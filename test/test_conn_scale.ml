@@ -203,7 +203,7 @@ let test_wheel_million_cancel () =
   (* The audit fix: cancellation is visible immediately, not deferred
      to the tombstone's slot visit... *)
   check_int "armed drops to zero at cancel" 0 (Wheel.pending w);
-  Alcotest.(check (option int)) "idle wheel reports no expiry" None
+  Alcotest.(check int) "idle wheel reports no expiry" Wheel.no_expiry
     (Wheel.next_expiry w);
   (* ...so advancing an all-tombstone wheel must not grind tick by tick
      through 65k slots (wall-clock guard: this jump is O(1) now). *)

@@ -221,6 +221,29 @@ let test_sim_until () =
   check_int "ten ticks in 100ns" 10 !count;
   check_int "clock parked at horizon" 100 (Sim.now sim)
 
+(* The engine loop itself allocates nothing: 10k events that each
+   reschedule a cached thunk, drained by [run ~until] with a
+   preallocated horizon, leave [Gc.minor_words] unchanged.  A per-step
+   option (peeking the next time) or a per-call [Fun.protect] would
+   show up here. *)
+let test_sim_run_until_allocates_nothing () =
+  let sim = Sim.create () in
+  let count = ref 0 in
+  let rec tick () =
+    incr count;
+    ignore (Sim.after sim 1 tick)
+  in
+  ignore (Sim.after sim 1 tick);
+  (* Warm-up: grow the cell pool and the heap to their steady size. *)
+  Sim.run ~until:100 sim;
+  let until = Some (Sim.now sim + 10_000) in
+  let fired_before = !count in
+  let before = Gc.minor_words () in
+  Sim.run ?until sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k events" 0. words;
+  check_int "every event ran" 10_000 (!count - fired_before)
+
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let result = ref 0 in
@@ -289,6 +312,8 @@ let () =
           Alcotest.test_case "cancel suppresses event" `Quick test_sim_cancel;
           Alcotest.test_case "run ~until stops at horizon" `Quick test_sim_until;
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
+          Alcotest.test_case "run ~until allocates nothing" `Quick
+            test_sim_run_until_allocates_nothing;
           qt prop_sim_cancel_model;
           qt prop_sim_cancel_after_fire_inert;
         ] );

@@ -155,73 +155,51 @@ let test_faults_actually_fire () =
   check_bool "wire losses occurred" true (leg.Chaos.wire_losses > 0);
   check_bool "messages still flowed" true (leg.Chaos.messages > 0)
 
-(* ---------------- Zero-copy wire-path equivalence ---------------- *)
+(* ---------------- Zero-copy wire path, pinned ---------------- *)
 
-(* The refcounted borrow path (NICs transmit a view over the sender's
-   mbuf) must be observationally invisible: pinning every NIC to the
-   copy path ([tx_snapshot]) has to reproduce the borrow-path run's
-   full-precision metric snapshot byte-for-byte — same seed, same
-   plan, faults armed, including corrupt/truncate taps that force the
-   borrow path through its COW branch. *)
+(* NICs transmit borrowed, refcounted views over the sender's mbuf,
+   which must be observationally invisible.  A copy path (every NIC
+   snapshotting frames at transmit) used to be kept alongside to prove
+   it: its snapshots matched the borrow path's byte for byte, faults
+   armed.  These are the MD5 digests of the full-precision borrow-path
+   snapshots for the fixed seeds under the default cocktail, checked
+   equal to the copy path's when they were pinned. *)
 
-let leg_pair ~seed ~spec =
-  let borrow = Chaos.echo_leg ~seed ~spec ~soak_ms:3 () in
-  let copy = Chaos.echo_leg ~seed ~spec ~soak_ms:3 ~tx_snapshot:true () in
-  (borrow, copy)
+let pinned_snapshots =
+  [
+    (3, "08cab826ee3ccdcf2eef469e69981c3f");
+    (7, "aa030b4a9993caea4d3e35d3eb727173");
+    (17, "81c0b4958b9ea66c310559b706618da3");
+    (23, "5ee2d1f8d12a7d4016418ff22e8e3825");
+  ]
 
-let prop_zero_copy_equivalence =
-  let gen =
-    QCheck.Gen.(
-      int_bound 9999 >>= fun seed ->
-      spec_gen >>= fun spec -> return (seed, spec))
-  in
-  let print (seed, spec) =
-    Printf.sprintf "seed=%d spec=%s" seed (FP.to_string spec)
-  in
-  QCheck.Test.make ~name:"copy path = borrow path, faults armed" ~count:10
-    (QCheck.make ~print gen)
-    (fun (seed, spec) ->
-      let borrow, copy = leg_pair ~seed ~spec in
-      if borrow.Chaos.snapshot <> copy.Chaos.snapshot then
-        QCheck.Test.fail_reportf
-          "copy-path snapshot diverged from borrow path (seed %d)" seed
-      else true)
+let snapshot_digest seed =
+  Digest.to_hex (Digest.string (Chaos.echo_leg ~seed ~soak_ms:3 ()).Chaos.snapshot)
+
+let test_zero_copy_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      check_string (Printf.sprintf "seed %d snapshot digest" seed) digest
+        (snapshot_digest seed))
+    pinned_snapshots
 
 let test_zero_copy_cow_fires () =
   (* Guard against vacuity: under the default cocktail the soak must
-     actually mangle frames in flight, so the equivalence above covers
+     actually mangle frames in flight, so the pinned snapshots cover
      the COW branch and not just clean forwarding. *)
-  let borrow, copy = leg_pair ~seed:7 ~spec:FP.default in
-  check_bool "faults fired" true (borrow.Chaos.wire_losses > 0);
-  check_string "snapshots identical under the default cocktail"
-    borrow.Chaos.snapshot copy.Chaos.snapshot
+  let leg = Chaos.echo_leg ~seed:7 ~soak_ms:3 () in
+  check_bool "faults fired" true (leg.Chaos.wire_losses > 0)
 
-let test_zero_copy_jobs4 () =
+let test_zero_copy_pinned_jobs4 () =
   (* The borrow path holds refcounts across link-propagation events;
-     fan copy and borrow legs over 4 domains to show the equivalence
-     (and each leg's determinism) survives domain-parallel execution. *)
-  let seeds = [ 3; 17; 23 ] in
+     fan the pinned legs over 4 domains to show each snapshot survives
+     domain-parallel execution. *)
   let thunks =
-    List.concat_map
-      (fun seed ->
-        [
-          (fun () -> (Chaos.echo_leg ~seed ~soak_ms:3 ()).Chaos.snapshot);
-          (fun () ->
-            (Chaos.echo_leg ~seed ~soak_ms:3 ~tx_snapshot:true ())
-              .Chaos.snapshot);
-        ])
-      seeds
+    List.map (fun (seed, _) () -> snapshot_digest seed) pinned_snapshots
   in
-  let seq = Engine.Domain_pool.map_jobs ~jobs:1 thunks in
   let par = Engine.Domain_pool.map_jobs ~jobs:4 thunks in
-  check_bool "jobs=4 bit-identical to jobs=1" true (seq = par);
-  let rec pairs = function
-    | borrow :: copy :: rest ->
-        check_string "copy = borrow under jobs=4" borrow copy;
-        pairs rest
-    | _ -> ()
-  in
-  pairs par
+  Alcotest.(check (list string))
+    "jobs=4 digests = pinned" (List.map snd pinned_snapshots) par
 
 (* ---------------- The audit, across seeds ---------------- *)
 
@@ -323,11 +301,12 @@ let () =
         ] );
       ( "zero-copy",
         [
-          qt prop_zero_copy_equivalence;
+          Alcotest.test_case "pinned borrow-path digests" `Quick
+            test_zero_copy_pinned;
           Alcotest.test_case "COW branch is exercised" `Quick
             test_zero_copy_cow_fires;
-          Alcotest.test_case "copy = borrow at jobs=4" `Quick
-            test_zero_copy_jobs4;
+          Alcotest.test_case "pinned digests at jobs=4" `Quick
+            test_zero_copy_pinned_jobs4;
         ] );
       ( "audit",
         [ Alcotest.test_case "50-leg seed sweep drains clean" `Quick test_audit_seed_sweep ] );

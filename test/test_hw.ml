@@ -113,13 +113,11 @@ let test_frame_parsing () =
   let frame = make_tcp_frame () in
   check_int "dst mac" (Ixnet.Mac_addr.of_host_id 2) (Frame.dst_mac frame);
   check_int "src mac" (Ixnet.Mac_addr.of_host_id 1) (Frame.src_mac frame);
-  match Frame.rss_tuple frame with
-  | None -> Alcotest.fail "expected an RSS tuple"
-  | Some (src_ip, dst_ip, src_port, dst_port) ->
-      check_int "src ip" (ip 1) src_ip;
-      check_int "dst ip" (ip 2) dst_ip;
-      check_int "src port" 4000 src_port;
-      check_int "dst port" 80 dst_port
+  check_bool "carries an RSS tuple" true (Frame.has_rss_tuple frame);
+  check_int "src ip" (ip 1) (Frame.rss_src_ip frame);
+  check_int "dst ip" (ip 2) (Frame.rss_dst_ip frame);
+  check_int "src port" 4000 (Frame.rss_src_port frame);
+  check_int "dst port" 80 (Frame.rss_dst_port frame)
 
 (* ---------------- Link ---------------- *)
 
@@ -216,6 +214,106 @@ let test_switch_bond_spreads_flows () =
   Array.iteri (fun i n -> if n <> before.(i) then incr diffs) counts;
   check_int "exactly one member took the repeat flow" 1 !diffs
 
+let host = Ixnet.Mac_addr.of_host_id
+
+(* Frames entering on different ports in the same instant cross the
+   fabric together: one event each, at the same time, forwarded in
+   input order (the crossing ring is FIFO, and the engine breaks equal
+   times by scheduling order).  Egress links are distinct and idle, so
+   the deliveries land at one time too, in that order. *)
+let test_switch_equal_time_input_order () =
+  let sim = Engine.Sim.create () in
+  let log = ref [] in
+  let sw = Switch.create sim ~ports:6 () in
+  for i = 0 to 5 do
+    let deliver f = log := (Engine.Sim.now sim, i, Frame.rss_src_port f) :: !log in
+    Switch.attach sw ~port:i ~mac:(host (i + 1))
+      ~out:(Link.create sim ~gbps:10. ~propagation_ns:0 ~deliver ())
+  done;
+  (* (ingress port, egress port): neither column is sorted. *)
+  let routes = [ (0, 1); (2, 3); (4, 5); (1, 0) ] in
+  List.iteri
+    (fun k (ingress_port, egress) ->
+      Switch.input sw ~ingress_port
+        (make_tcp_frame ~src_port:(k + 1) ~dst_mac:(host (egress + 1)) ()))
+    routes;
+  Engine.Sim.run sim;
+  let arrivals = List.rev !log in
+  let t0 = match arrivals with (t, _, _) :: _ -> t | [] -> -1 in
+  List.iter (fun (t, _, _) -> check_int "equal arrival times" t0 t) arrivals;
+  Alcotest.(check (list (pair int int)))
+    "delivered in input order"
+    (List.mapi (fun k (_, egress) -> (egress, k + 1)) routes)
+    (List.map (fun (_, port, src) -> (port, src)) arrivals);
+  check_int "one crossing + one link event per frame" 8
+    (Engine.Sim.events_executed sim);
+  (* A broadcast behind them still floods every port but its ingress. *)
+  log := [];
+  Switch.input sw ~ingress_port:2
+    (make_tcp_frame ~src_port:9 ~dst_mac:Ixnet.Mac_addr.broadcast ());
+  Engine.Sim.run sim;
+  Alcotest.(check (list int))
+    "flooded to every other port" [ 0; 1; 3; 4; 5 ]
+    (List.rev_map (fun (_, port, _) -> port) !log);
+  check_int "flood counted" 1 (Switch.flooded sw)
+
+(* The whole per-frame wire path — switch crossing, forwarding, link
+   serialization and delivery, NIC classify and DMA — allocates
+   nothing: 10k pre-built frames leave [Gc.minor_words] unchanged once
+   the rings, the event heap and the mbuf pool are warm. *)
+let test_switch_path_allocates_nothing () =
+  let sim = Engine.Sim.create () in
+  let tx = Link.create sim ~gbps:10. ~propagation_ns:0 ~deliver:ignore () in
+  let nic = Nic.create sim ~mac:(host 2) ~queues:1 ~tx () in
+  let q = Nic.queue nic 0 in
+  let burst = Array.make 1 (Mbuf.create ()) in
+  Nic.set_notify q (fun () ->
+      let n = Nic.rx_burst_into q ~into:burst ~off:0 ~max:1 in
+      for i = 0 to n - 1 do
+        Mbuf.decref burst.(i)
+      done;
+      Nic.replenish q n);
+  let sw = Switch.create sim ~ports:2 () in
+  Switch.attach sw ~port:0 ~mac:(host 1)
+    ~out:(Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver:Frame.release ());
+  Switch.attach sw ~port:1 ~mac:(host 2)
+    ~out:(Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver:(Nic.receive nic) ());
+  let frames =
+    Array.init 10_000 (fun i -> make_tcp_frame ~src_port:(1000 + i) ~dst_mac:(host 2) ())
+  in
+  let pass () =
+    for i = 0 to Array.length frames - 1 do
+      Switch.input sw ~ingress_port:0 frames.(i)
+    done;
+    Engine.Sim.run sim
+  in
+  pass ();
+  let received = Nic.rx_frames nic in
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k frames" 0. words;
+  check_int "every frame received" 10_000 (Nic.rx_frames nic - received);
+  check_int "none dropped" 0 (Nic.rx_drops nic)
+
+(* The per-packet firewall check with no rules installed (the default)
+   allocates nothing. *)
+let test_policy_admit_allocates_nothing () =
+  let pol = Ix_core.Policy.create () in
+  let admitted = ref 0 in
+  let admit now =
+    if Ix_core.Policy.admit pol ~now ~src_ip:(ip 1) ~dst_port:80 ~len:64 then
+      incr admitted
+  in
+  admit 0;
+  let before = Gc.minor_words () in
+  for now = 1 to 10_000 do
+    admit now
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k admits" 0. words;
+  check_int "all admitted" 10_001 !admitted
+
 (* ---------------- NIC ---------------- *)
 
 let make_nic ?(queues = 4) sim =
@@ -253,9 +351,11 @@ let test_nic_drops_when_ring_empty () =
   check_int "drop counted" 1 (Nic.rx_drops nic);
   (* Driver refills. *)
   let pending_before = Nic.rx_pending q in
-  let burst = Nic.rx_burst q ~max:64 in
-  Nic.replenish q (List.length burst);
-  List.iter Mbuf.decref burst;
+  let burst = Array.make 64 (Mbuf.create ()) in
+  let n = Nic.rx_burst_into q ~into:burst ~off:0 ~max:64 in
+  check_int "burst filled" 64 n;
+  Nic.replenish q n;
+  Array.iter Mbuf.decref burst;
   Nic.receive nic frame;
   check_int "accepts again after replenish" (pending_before - 64 + 1) (Nic.rx_pending q)
 
@@ -340,6 +440,10 @@ let () =
           Alcotest.test_case "forwards by mac" `Quick test_switch_forwards_by_mac;
           Alcotest.test_case "floods broadcast" `Quick test_switch_floods_broadcast;
           Alcotest.test_case "bond spreads flows" `Quick test_switch_bond_spreads_flows;
+          Alcotest.test_case "equal-time inputs keep input order" `Quick
+            test_switch_equal_time_input_order;
+          Alcotest.test_case "wire path allocates nothing" `Quick
+            test_switch_path_allocates_nothing;
         ] );
       ( "nic",
         [
@@ -348,6 +452,11 @@ let () =
           Alcotest.test_case "mac filter" `Quick test_nic_ignores_other_mac;
           Alcotest.test_case "notify" `Quick test_nic_notify_fires;
           Alcotest.test_case "indirection table" `Quick test_nic_indirection_rebalance;
+        ] );
+      ( "policy",
+        [
+          Alcotest.test_case "admit with no rules allocates nothing" `Quick
+            test_policy_admit_allocates_nothing;
         ] );
       ("cache", [ Alcotest.test_case "ddio miss curve" `Quick test_cache_model_curve ]);
       ("pcie", [ Alcotest.test_case "doorbell coalescing" `Quick test_pcie_coalescing ]);
