@@ -145,13 +145,67 @@ let figure name =
 
 let render name = E.render ~output:E.default_output ~scale:0.05 ~jobs:1 (figure name)
 
-let test_golden_fig2_prefix () =
-  match figure "fig2" with
+(* Every scalar of a run at full precision, then its server metrics:
+   this moves on changes too small to reach a printed table digit. *)
+let fingerprint (r : Harness.Scenario.Result.t) =
+  let metric (name, v) =
+    match v with
+    | Ixtelemetry.Metrics.Counter n -> Printf.sprintf "%s=%d\n" name n
+    | Gauge g -> Printf.sprintf "%s=%.17g\n" name g
+    | Histogram h ->
+        Printf.sprintf "%s=%d/%.17g/%d/%d/%d/%d\n" name h.count h.mean h.p50 h.p90 h.p99 h.max
+  in
+  Printf.sprintf "%.17g %.17g %.17g %.17g %.17g %d %d %d %d %.17g %.17g %d %.17g %.17g %d\n"
+    r.ops_per_sec r.conns_per_sec r.goodput_gbps r.p99_us r.avg_us r.ce_marks r.tail_drops
+    r.fast_hits r.slow_hits r.mean_batch r.mean_tx_burst r.batch_bound_end r.kernel_share
+    r.cpu_util r.events
+  ^ String.concat "" (List.map metric r.metrics)
+
+(* Pin the points of sweep [name] that [select] keeps: the digest of
+   the table the sweep prints for them, and of their fingerprints. *)
+let check_slice what name select ~table ~runs =
+  match figure name with
   | E.Sweep sweep ->
-      let points = List.filteri (fun i _ -> i < 3) (sweep.points ~scale:0.05) in
-      check_digest "fig2, first three points" "f06fde4b51075e7447b9a87903efcc6d"
-        (sweep.table (List.map (fun (l, s) -> (l, s, Harness.Scenario.run s)) points))
-  | E.Single _ -> Alcotest.fail "fig2 is a sweep"
+      let points = select (sweep.points ~scale:0.05) in
+      check_bool (what ^ ": slice not empty") true (points <> []);
+      let results = List.map (fun (l, s) -> (l, s, Harness.Scenario.run s)) points in
+      check_digest (what ^ ", table") table (sweep.table results);
+      check_digest (what ^ ", runs") runs
+        (String.concat "" (List.map (fun (_, _, r) -> fingerprint r) results))
+  | E.Single _ -> Alcotest.failf "%s is not a sweep" name
+
+let labelled label keep = List.filter (fun (l, s) -> l = label && keep s)
+let netpipe_size (s : Harness.Scenario.t) = match s.workload with Netpipe { size } -> size | _ -> 0
+
+let test_golden_fig2_prefix () =
+  check_slice "fig2, first three points" "fig2"
+    (List.filteri (fun i _ -> i < 3))
+    ~table:"f06fde4b51075e7447b9a87903efcc6d" ~runs:"7e10beab574187200020c52ea6c30168"
+
+(* The baselines' own slices: mTCP NetPIPE, 1-core echo on both
+   baselines, Linux under the cache model with a 100-connection socket
+   table, and one Linux memcached point. *)
+let test_golden_fig2_mtcp () =
+  check_slice "fig2, mTCP at 64 B, 1 KB and 4 KB" "fig2"
+    (labelled "mTCP" (fun s -> List.mem (netpipe_size s) [ 64; 1_024; 4_096 ]))
+    ~table:"acbf1779e3b4df606d9980588c30cf56" ~runs:"9699d5c8c57f6210aa458f3be17af037"
+
+let test_golden_fig3a_baselines () =
+  let one_core (s : Harness.Scenario.t) = s.cores = 1 in
+  check_slice "fig3a, 1-core Linux-10G and mTCP-10G" "fig3a"
+    (fun points -> labelled "Linux-10G" one_core points @ labelled "mTCP-10G" one_core points)
+    ~table:"7f0083f6cb7775e6b8aae1591a5a2331" ~runs:"6e1d5c920a9c4409e359ba145e31b78d"
+
+let test_golden_fig4_linux () =
+  check_slice "fig4, Linux-40G at 100 connections" "fig4"
+    (labelled "Linux-40G" (fun (s : Harness.Scenario.t) ->
+         match s.workload with Conn_scaling { conns; _ } -> conns = 100 | _ -> false))
+    ~table:"e0fff716f22da84ed6bfcebb593cb416" ~runs:"6486ade6d9a726b0fb9fff7311925dfb"
+
+let test_golden_fig5_linux () =
+  check_slice "fig5, first Linux point" "fig5"
+    (fun points -> [ List.find (fun (l, _) -> l = "Linux") points ])
+    ~table:"cb6a31a1722c9fbe5cfb9a573d05f3f0" ~runs:"56161fd35be07a09a406037222dbbda0"
 
 let test_golden_batch_sweep () =
   check_digest "batch-sweep" "06a2c9ab8d375f4527346ee524f92ddd" (render "batch-sweep")
@@ -186,6 +240,10 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "fig2 prefix" `Quick test_golden_fig2_prefix;
+          Alcotest.test_case "fig2 mTCP" `Quick test_golden_fig2_mtcp;
+          Alcotest.test_case "fig3a 1-core baselines" `Quick test_golden_fig3a_baselines;
+          Alcotest.test_case "fig4 Linux 100 conns" `Quick test_golden_fig4_linux;
+          Alcotest.test_case "fig5 first Linux point" `Quick test_golden_fig5_linux;
           Alcotest.test_case "batch-sweep" `Quick test_golden_batch_sweep;
           Alcotest.test_case "elastic" `Quick test_golden_elastic;
           Alcotest.test_case "breakdown" `Quick test_golden_breakdown;
