@@ -29,7 +29,6 @@ val create :
   ip:Ixnet.Ip_addr.t ->
   nics:Ixhw.Nic.t array ->
   threads:int ->
-  ?costs:costs ->
   ?config:Ixtcp.Tcb.config ->
   ?metrics:Ixtelemetry.Metrics.t ->
   seed:int ->

@@ -132,7 +132,7 @@ let make_stack sim ~spec ~host_id ~ip ~nics ~metrics ~seed ~linux_costs =
         None )
   | Mtcp ->
       ( Baselines.Mtcp_stack.create ~sim ~host_id ~ip ~nics ~threads:spec.threads
-          ~metrics ~seed (),
+          ?config:spec.tcp_config ~metrics ~seed (),
         None )
 
 let build ?(seed = 42) ?(client_hosts = 6) ?(client_threads = 8)

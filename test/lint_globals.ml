@@ -208,7 +208,7 @@ let contains_module_use line tok =
    closure, never physically equal to a field initialised with it.  A
    cached-thunk check written [if t.thunk == ignore then install ...]
    therefore never installs the real thunk.  Sentinels must be a named
-   function ([no_thunk], as in Dataplane and Linux_stack). *)
+   function ([no_thunk], as in Dataplane). *)
 
 let compares_with_ignore line =
   let n = String.length line in

@@ -250,43 +250,29 @@ let test_bulk_hits_and_equivalence () =
   check_int "disabled gate never fires" 0 hits_off;
   check_bool "identical observations" true (on = off)
 
-(* Determinism through the parallel harness: the same fast-path NetPIPE
-   runs fanned over a 4-wide domain pool must reproduce the sequential
-   results bit-for-bit (Domain_pool clamps to the machine width, so
-   this holds on any core count). *)
-let test_parallel_fast_path_matches_sequential () =
-  let netpipe size =
-    Harness.Scenario.run { Harness.Scenario.default with workload = Netpipe { size } }
-  in
-  let slices =
-    List.map
-      (fun sizes () -> List.map netpipe sizes)
-      [ [ 256 ]; [ 1024 ]; [ 4096 ]; [ 256; 1024 ] ]
-  in
-  let sequential = List.map (fun f -> f ()) slices in
-  let parallel = Engine.Domain_pool.map_jobs ~jobs:4 slices in
-  List.iteri
-    (fun i (s, p) ->
-      check_bool (Printf.sprintf "slice %d results" i) true (Stdlib.compare s p = 0))
-    (List.combine sequential parallel)
-
 (* Experiment-level escape hatch: the fig2 1 KB NetPIPE point must
    reproduce its full-precision snapshot with the same seed and with the
-   fast path disabled; only the hit counters may differ. *)
+   fast path disabled, on every stack; only the hit counters may
+   differ. *)
 let test_slice_snapshot_fast_off () =
-  let fig2 fast_path =
-    let r =
-      Harness.Scenario.run
-        { Harness.Scenario.default with scale = 0.05; fast_path; workload = Netpipe { size = 1_024 } }
-    in
-    (Printf.sprintf "one_way_us=%.17g,gbps=%.17g" r.avg_us r.goodput_gbps, r)
-  in
-  let on, r_on = fig2 true and again, _ = fig2 true and off, r_off = fig2 false in
-  Alcotest.(check string) "same seed, same snapshot" on again;
-  Alcotest.(check string) "fast path off, same snapshot" on off;
-  check_bool "ran events" true (r_on.events > 0);
-  check_bool "fast-on run predicted segments" true (r_on.fast_hits > 0);
-  check_int "fast-off run predicted none" 0 r_off.fast_hits
+  List.iter
+    (fun kind ->
+      let fig2 fast_path =
+        let r =
+          Harness.Scenario.run
+            { Harness.Scenario.default with kind; scale = 0.05; fast_path;
+              workload = Netpipe { size = 1_024 } }
+        in
+        (Printf.sprintf "one_way_us=%.17g,gbps=%.17g" r.avg_us r.goodput_gbps, r)
+      in
+      let name what = Harness.Scenario.kind_name kind ^ ": " ^ what in
+      let on, r_on = fig2 true and again, _ = fig2 true and off, r_off = fig2 false in
+      Alcotest.(check string) (name "same seed, same snapshot") on again;
+      Alcotest.(check string) (name "fast path off, same snapshot") on off;
+      check_bool (name "ran events") true (r_on.events > 0);
+      check_bool (name "fast-on run predicted segments") true (r_on.fast_hits > 0);
+      check_int (name "fast-off run predicted none") 0 r_off.fast_hits)
+    [ Harness.Cluster.Ix; Harness.Cluster.Linux; Harness.Cluster.Mtcp ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -300,8 +286,6 @@ let () =
         ] );
       ( "harness",
         [
-          Alcotest.test_case "jobs=4 matches sequential" `Quick
-            test_parallel_fast_path_matches_sequential;
           Alcotest.test_case "slice snapshot with fast path off" `Quick
             test_slice_snapshot_fast_off;
         ] );
