@@ -6,7 +6,7 @@
    disarmed), no mbufs (payloads are lengths), no store, no
    environment.  Every piece of protocol arithmetic — sequence-window
    acceptance, RFC 6298 RTT estimation, NewReno congestion control,
-   the RFC 5961/1337/2883 hardening branches — is written with the
+   the always-on RFC 5961/1337/2883 hardening — is written with the
    exact integer operations of the production code, so the conformance
    driver ([Harness.Conformance]) can replay one segment schedule
    through both and assert the observable traces are *equal*, not
@@ -318,9 +318,9 @@ let emit_data m ~seq ~len ~psh = emit_seg m Seg_ack ~dseq:seq ~dlen:len ~dpsh:ps
 let ack_now m = emit m Seg_ack
 
 let challenge_ack m =
-  (if m.now - m.s.challenge_window_start >= m.s.cfg.Tcb.challenge_ack_window_ns
-   then m.s <- { m.s with challenge_window_start = m.now; challenge_sent = 0 });
-  if m.s.challenge_sent < m.s.cfg.Tcb.challenge_ack_limit then begin
+  (if m.now - m.s.challenge_window_start >= Tcb.challenge_ack_window_ns then
+     m.s <- { m.s with challenge_window_start = m.now; challenge_sent = 0 });
+  if m.s.challenge_sent < Tcb.challenge_ack_limit then begin
     m.s <- { m.s with challenge_sent = m.s.challenge_sent + 1 };
     act m (Event Tcb.Challenge_ack_sent);
     ack_now m
@@ -575,8 +575,7 @@ let process_payload m (seg : segment) =
   else begin
     let seg_end = Seqno.add seq len in
     if Seqno.le seg_end m.s.rcv_nxt then begin
-      if m.s.cfg.Tcb.dsack then
-        m.s <- { m.s with dsack_pending = seq lor (len lsl 32) };
+      m.s <- { m.s with dsack_pending = seq lor (len lsl 32) };
       ack_now m;
       false
     end
@@ -660,8 +659,6 @@ let process_ack m (seg : segment) =
   else begin
     update_send_window m seg;
     let dsack_dup =
-      m.s.cfg.Tcb.dsack
-      &&
       match seg.sack with
       | Some (_, right) -> Seqno.le right m.s.snd_una
       | None -> false
@@ -714,20 +711,14 @@ let input m (seg : segment) =
   | Tcp_state.Closed | Tcp_state.Listen -> ()
   | Tcp_state.Syn_sent -> input_syn_sent m seg
   | Tcp_state.Syn_received when seg.rst ->
-      if (not m.s.cfg.Tcb.rfc5961) || seg.seq = m.s.rcv_nxt then begin
+      if seg.seq = m.s.rcv_nxt then begin
         act m (Event Tcb.Rst_accepted);
         teardown m Tcb.Reset
       end
       else if rst_in_window m.s seg then challenge_ack m
   | Tcp_state.Syn_received when seg.syn -> emit m Seg_syn_ack
   | Tcp_state.Time_wait ->
-      if seg.rst then begin
-        if m.s.cfg.Tcb.rfc1337 then act m (Event Tcb.Tw_rst_dropped)
-        else begin
-          act m (Event Tcb.Rst_accepted);
-          teardown m Tcb.Reset
-        end
-      end
+      if seg.rst then act m (Event Tcb.Tw_rst_dropped)
       else begin
         ack_now m;
         enter_time_wait m
@@ -738,15 +729,9 @@ let input m (seg : segment) =
           act m (Event Tcb.Rst_accepted);
           teardown m Tcb.Reset
         end
-        else if rst_in_window m.s seg then begin
-          if m.s.cfg.Tcb.rfc5961 then challenge_ack m
-          else begin
-            act m (Event Tcb.Rst_accepted);
-            teardown m Tcb.Reset
-          end
-        end
+        else if rst_in_window m.s seg then challenge_ack m
       end
-      else if seg.syn && m.s.cfg.Tcb.rfc5961 then challenge_ack m
+      else if seg.syn then challenge_ack m
       else begin
         if seg.ack_flag then process_ack m seg;
         if m.s.st <> Tcp_state.Closed then begin
@@ -791,7 +776,7 @@ let make cfg ~local_port ~remote_port ~iss =
     fin_queued = false;
     fin_sent = false;
     close_notified = false;
-    cwnd = cfg.Tcb.mss * cfg.Tcb.initial_cwnd_segs;
+    cwnd = cfg.Tcb.mss * Tcb.initial_cwnd_segs;
     ssthresh = max_window;
     avoid_acc = 0;
     in_recovery = false;

@@ -14,10 +14,10 @@
     acceptance, RFC 6298 RTO with exponential backoff and go-back-N
     recovery, NewReno congestion control with fast retransmit and
     cumulative-ACK recovery, delayed ACKs, zero-window persist probes,
-    the classic in-TCB TIME_WAIT timer, and the hostile-peer hardening:
-    RFC 5961 challenge ACKs (rate-limited and counted), RFC 1337
-    TIME-WAIT assassination protection, and RFC 2883 D-SACK reporting
-    with D-SACK-aware dup-ACK discounting.
+    the classic in-TCB TIME_WAIT timer, and the always-on hostile-peer
+    hardening: RFC 5961 challenge ACKs (rate-limited and counted), RFC
+    1337 TIME-WAIT assassination protection, and RFC 2883 D-SACK
+    reporting with D-SACK-aware dup-ACK discounting.
 
     Out of scope (constructors reject configs that enable them): DCTCP,
     SYN cookies, and TIME_WAIT recycling.  The receive fast path needs

@@ -54,7 +54,6 @@ type config = {
   max_rto_ns : int;
   delack_ns : int;  (** delayed-ACK timeout *)
   delack_segs : int;  (** ACK at least every n-th segment *)
-  initial_cwnd_segs : int;
   time_wait_ns : int;
   buffered_send : bool;
       (** [true]: POSIX socket semantics — [send] accepts anything that
@@ -79,20 +78,6 @@ type config = {
       (** release the full TCB at the TIME_WAIT transition; the
           remnant (4-tuple, final sequence numbers, deadline) moves to
           the endpoint's compact [Tw_table] *)
-  rfc5961 : bool;
-      (** blind-injection hardening: in-window (but not exact-match)
-          RSTs and SYNs in synchronized states elicit a rate-limited
-          challenge ACK instead of acting on the segment *)
-  rfc1337 : bool;
-      (** TIME-WAIT assassination protection: RSTs never terminate
-          TIME_WAIT (neither the in-TCB timer nor a [Tw_table] remnant) *)
-  dsack : bool;
-      (** report fully-duplicate segments back to the sender in a
-          D-SACK block (RFC 2883), and discount dup-ACKs that carry
-          one — SACK-recovery groundwork *)
-  challenge_ack_limit : int;
-      (** max challenge ACKs per [challenge_ack_window_ns] (per env) *)
-  challenge_ack_window_ns : int;
 }
 
 (* Defaults follow a modern datacenter profile; stacks override the
@@ -107,19 +92,24 @@ let default_config =
     max_rto_ns = 1_000_000_000;
     delack_ns = 200_000 (* 200 us *);
     delack_segs = 2;
-    initial_cwnd_segs = 10;
     time_wait_ns = 1_000_000 (* scaled-down MSL for simulation *);
     buffered_send = false;
     dctcp = false;
     fast_path = true;
     syn_cookies = false;
     tw_recycle = true;
-    rfc5961 = true;
-    rfc1337 = true;
-    dsack = true;
-    challenge_ack_limit = 8;
-    challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *);
   }
+
+(* Protocol constants every connection shares.  The hardening is always
+   on: RFC 5961 (an in-window but not exact-match RST, or a SYN in a
+   synchronized state, draws a rate-limited challenge ACK), RFC 1337
+   (an RST never ends TIME_WAIT, neither the in-TCB timer nor a
+   [Tw_table] remnant) and RFC 2883 (a fully-duplicate segment is
+   reported in a D-SACK block, and a dup-ACK carrying one is not
+   counted as loss). *)
+let initial_cwnd_segs = 10
+let challenge_ack_limit = 8 (* per [challenge_ack_window_ns], per env *)
+let challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *)
 
 (* Sentinel for [rexmit_action]/[delack_action] before [Tcp_conn]
    installs the real callback; compared with [==]. *)
@@ -592,10 +582,9 @@ let set_last_close tcb reason =
   s.c_flags.(i) <- s.c_flags.(i) land lnot (0x7 lsl 4) lor (code lsl 4)
 
 (* ------------------------------------------------------------------ *)
-(* RTT estimator (RFC 6298), column form.  The arithmetic is exactly
-   [Rtt]'s (which remains the directly unit-tested reference); srtt
-   and rttvar share a word — Karn-valid samples are genuine single-RTT
-   times, far below the 2^31 ns half ceiling. *)
+(* RTT estimator (RFC 6298), column form.  srtt and rttvar share a
+   word — Karn-valid samples are genuine single-RTT times, far below
+   the 2^31 ns half ceiling. *)
 
 let[@inline] srtt_ns tcb = pair_lo tcb.store.c_srtt.(tcb.slot)
 
@@ -635,9 +624,11 @@ let rtt_backoff tcb =
 let rtt_reset_backoff tcb = set_backoff_mult tcb 1
 
 (* ------------------------------------------------------------------ *)
-(* Congestion control (NewReno + DCTCP), column form — arithmetic
-   exactly [Congestion]'s, including float-operation order for the
-   DCTCP EWMA (bit-identical snapshots depend on it). *)
+(* Congestion control (NewReno + DCTCP, Alizadeh et al.), column form.
+   DCTCP — the ECN-based protocol the paper names as a companion to
+   IX's shallow-buffer deployments (§6) — shrinks the window in
+   proportion to the fraction of CE-marked bytes.  The float-operation
+   order of its EWMA is fixed: bit-identical snapshots depend on it. *)
 
 let max_window = 64 * 1024 * 1024
 let dup_ack_threshold = 3
@@ -772,7 +763,7 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
   s.c_wnds.(i) <- 0;
   s.c_bufs.(i) <- 0;
   s.c_cwnd.(i) <-
-    with_hi (with_lo 0 (cfg.mss * cfg.initial_cwnd_segs)) max_window;
+    with_hi (with_lo 0 (cfg.mss * initial_cwnd_segs)) max_window;
   s.c_ecn.(i) <- 0;
   s.c_segs.(i) <- 0;
   s.c_rtt_seq.(i) <- 0;

@@ -154,12 +154,11 @@ let ack_now tcb = emit tcb Seg_ack
 let challenge_ack tcb =
   let env = tcb.env in
   let now = env.now () in
-  if now - env.challenge_window_start >= tcb.cfg.challenge_ack_window_ns
-  then begin
+  if now - env.challenge_window_start >= challenge_ack_window_ns then begin
     env.challenge_window_start <- now;
     env.challenge_sent <- 0
   end;
-  if env.challenge_sent < tcb.cfg.challenge_ack_limit then begin
+  if env.challenge_sent < challenge_ack_limit then begin
     env.challenge_sent <- env.challenge_sent + 1;
     env.on_protocol_event Challenge_ack_sent;
     ack_now tcb
@@ -610,7 +609,7 @@ let process_payload tcb (seg : Seg.t) mbuf =
       (* Entirely old: dup segment, force an ACK to resynchronize,
          reporting the duplicate range in a D-SACK block (RFC 2883) so
          the sender can tell spurious retransmission from loss. *)
-      if tcb.cfg.dsack then tcb.dsack_pending <- seq lor (len lsl 32);
+      tcb.dsack_pending <- seq lor (len lsl 32);
       ack_now tcb;
       false
     end
@@ -714,8 +713,6 @@ let process_ack tcb (seg : Seg.t) =
          a duplicate *delivery* (our spurious retransmission or a wire
          dup), not a hole — it must not feed the fast-retransmit
          counter (RFC 2883 §4; the SACK-recovery groundwork). *)
-      tcb.cfg.dsack
-      &&
       match seg.Seg.sack with
       | Some (_, right) -> Seqno.le right (snd_una tcb)
       | None -> false
@@ -775,7 +772,7 @@ let input ?(ce = false) tcb (seg : Seg.t) mbuf =
       (* RFC 5961 §3.2 applied to the nascent connection: only an
          exact-sequence RST aborts the handshake; an in-window guess
          draws a challenge ACK, anything else is dropped. *)
-      if not tcb.cfg.rfc5961 || seg.Seg.seq = rcv_nxt tcb then begin
+      if seg.Seg.seq = rcv_nxt tcb then begin
         tcb.env.on_protocol_event Rst_accepted;
         teardown tcb Tcb.Reset
       end
@@ -783,16 +780,11 @@ let input ?(ce = false) tcb (seg : Seg.t) mbuf =
   | Tcp_state.Syn_received when seg.Seg.syn ->
       emit tcb Seg_syn_ack (* duplicate SYN: re-answer *)
   | Tcp_state.Time_wait ->
-      if seg.Seg.rst then begin
+      if seg.Seg.rst then
         (* RFC 1337: TIME-WAIT assassination protection — an RST must
            not cut the quiet period short, or old duplicates from this
            incarnation could corrupt its successor. *)
-        if tcb.cfg.rfc1337 then tcb.env.on_protocol_event Tw_rst_dropped
-        else begin
-          tcb.env.on_protocol_event Rst_accepted;
-          teardown tcb Tcb.Reset
-        end
-      end
+        tcb.env.on_protocol_event Tw_rst_dropped
       else begin
         (* Any arrival in TIME_WAIT (e.g. a retransmitted FIN whose
            final ACK was lost) is re-ACKed and restarts the timer. *)
@@ -804,24 +796,16 @@ let input ?(ce = false) tcb (seg : Seg.t) mbuf =
         (* RFC 5961 §3.2: only an RST at exactly rcv_nxt terminates;
            one elsewhere in the receive window — a blind attacker's
            best guess — draws a rate-limited challenge ACK, which a
-           genuine peer answers with an exact-sequence RST.  With the
-           hardening off, any in-window RST is accepted (RFC 793). *)
+           genuine peer answers with an exact-sequence RST. *)
         if seg.Seg.seq = rcv_nxt tcb then begin
           tcb.env.on_protocol_event Rst_accepted;
           teardown tcb Tcb.Reset
         end
-        else if rst_in_window tcb seg then begin
-          if tcb.cfg.rfc5961 then challenge_ack tcb
-          else begin
-            tcb.env.on_protocol_event Rst_accepted;
-            teardown tcb Tcb.Reset
-          end
-        end
+        else if rst_in_window tcb seg then challenge_ack tcb
       end
-      else if seg.Seg.syn && tcb.cfg.rfc5961 then
+      else if seg.Seg.syn then
         (* RFC 5961 §4: a SYN in a synchronized state is never valid;
-           challenge-ACK it (the legacy path falls through below and
-           treats it as an old duplicate). *)
+           challenge-ACK it. *)
         challenge_ack tcb
       else begin
         if seg.Seg.ack_flag then process_ack tcb seg;

@@ -324,10 +324,8 @@ let rx_time_wait t ~src_ip (seg : Seg.t) slot =
   if seg.Seg.rst then begin
     (* RFC 1337: a stray or forged RST must not assassinate the
        TIME_WAIT remnant — losing it would let old duplicates from the
-       closed incarnation reach a successor connection.  The legacy
-       (pre-hardening) behaviour drops the remnant. *)
-    if t.cfg.Tcb.rfc1337 then Metrics.incr t.c_tw_rst_dropped
-    else Tw_table.remove t.tw slot;
+       closed incarnation reach a successor connection. *)
+    Metrics.incr t.c_tw_rst_dropped;
     true
   end
   else if
@@ -457,14 +455,10 @@ let slow_path_hits t = Metrics.value t.c_slow_hits
 let syn_cookies_sent t = Metrics.value t.c_syn_cookies_sent
 let syn_cookies_validated t = Metrics.value t.c_syn_cookies_validated
 let syn_cookies_rejected t = Metrics.value t.c_syn_cookies_rejected
-let port_exhausted t = Metrics.value t.c_port_exhausted
 let time_wait_count t = Tw_table.count t.tw
 let challenge_acks_sent t = Metrics.value t.c_challenge_acks_sent
 let challenge_acks_limited t = Metrics.value t.c_challenge_acks_limited
 let rsts_accepted t = Metrics.value t.c_rsts_accepted
-let local_aborts t = Metrics.value t.c_local_aborts
 let tw_rst_dropped t = Metrics.value t.c_tw_rst_dropped
-let dsack_sent t = Metrics.value t.c_dsack_sent
-let dsack_dupacks_ignored t = Metrics.value t.c_dsack_dupacks_ignored
 let port_double_frees t = Port_alloc.double_frees t.ports
 let ports_in_use t = Port_alloc.in_use t.ports

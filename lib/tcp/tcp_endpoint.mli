@@ -98,10 +98,6 @@ val syn_cookies_rejected : t -> int
 (** Flow-miss ACKs on a listening port whose cookie failed to verify
     (answered with RST). *)
 
-val port_exhausted : t -> int
-(** Active opens that found no suitable ephemeral port; [connect]
-    returns [None] rather than raising. *)
-
 val time_wait_count : t -> int
 (** Live TIME_WAIT remnants ([config.tw_recycle]); these are compact
     table rows, not TCBs. *)
@@ -113,27 +109,17 @@ val challenge_acks_sent : t -> int
 
 val challenge_acks_limited : t -> int
 (** Challenge ACKs suppressed by the per-endpoint rate limiter
-    ([config.challenge_ack_limit] per [config.challenge_ack_window_ns]). *)
+    ([Tcb.challenge_ack_limit] per [Tcb.challenge_ack_window_ns]). *)
 
 val rsts_accepted : t -> int
 (** Peer RSTs that actually tore a connection down.  Every
-    [closed_reset] is either one of these or a {!local_aborts} — the
-    chaos audit balances the three, so a blind-injection teardown can
-    never go uncounted. *)
-
-val local_aborts : t -> int
-(** Connections this endpoint aborted ([Tcp_conn.abort]). *)
+    [closed_reset] is either one of these or a local abort
+    ([<prefix>.local_aborts]) — the chaos audit balances the three by
+    metric name, so a blind-injection teardown can never go uncounted. *)
 
 val tw_rst_dropped : t -> int
 (** RSTs ignored in TIME_WAIT (RFC 1337 assassination protection),
     both against full TCBs and [Tw_table] remnants. *)
-
-val dsack_sent : t -> int
-(** ACKs that carried a D-SACK duplicate report (RFC 2883). *)
-
-val dsack_dupacks_ignored : t -> int
-(** Dup-ACKs whose D-SACK block showed a duplicate delivery rather
-    than loss — excluded from the fast-retransmit count. *)
 
 val port_double_frees : t -> int
 (** {!Port_alloc.double_frees} of this endpoint's allocator; any

@@ -6,10 +6,9 @@
    final sequence numbers and the deadline — moves here.  The demux
    consults this table (only when non-empty) *before* the flow table:
    a hit re-ACKs retransmitted FINs, and lets a new SYN with a fresh
-   sequence number recycle the tuple early.  RSTs are ignored under
-   [rfc1337] (TIME-WAIT assassination protection — the remnant and its
-   quiet period survive, counted as [tw_rst_dropped]); only with the
-   hardening off does an RST still evict the remnant.
+   sequence number recycle the tuple early.  RSTs are ignored (RFC 1337
+   TIME-WAIT assassination protection — the remnant and its quiet
+   period survive, counted as [tw_rst_dropped]).
 
    Same open-addressing scheme as [Flow_table]: linear probing over
    power-of-two arrays, [krem] = remote_ip lsl 16 lor remote_port
@@ -165,4 +164,3 @@ let sweep t ~now =
   end
 
 let count t = t.count
-let capacity t = Array.length t.krem

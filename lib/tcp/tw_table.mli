@@ -47,4 +47,3 @@ val sweep : t -> now:int -> int
 (** Reap every expired remnant; returns the number removed. *)
 
 val count : t -> int
-val capacity : t -> int

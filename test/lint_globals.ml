@@ -1,8 +1,9 @@
 (* Repository lint: no module-level mutable state in lib/, no
    allocating header decodes on the RX hot path, no cross-thread
    synchronization primitives on the per-core dataplane paths, no
-   per-packet payload copies on the wire path, and no physical
-   comparison against [ignore] (second to fifth passes below).
+   per-packet payload copies on the wire path, no physical comparison
+   against [ignore], and no lib/ module that only tests use (second to
+   sixth passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -303,15 +304,105 @@ let lint_hot_path path lines =
           allocating_decodes)
       lines
 
+(* Sixth pass: no lib/ module that only tests use.  Each lib/**/X.ml
+   must be referenced by name ([X.], or an alias [module M = X]) from
+   another .ml under lib/, bin/ or ixbench/, comments and string
+   literals stripped.  A module only test/ reaches is code the system
+   never runs, and its unit tests prove nothing about the code that
+   does.  Deliberate exceptions go on the
+   allowlist with their reason. *)
+
+let test_only_allowlist =
+  [
+    (* The model-TCP oracle harness: test_conformance drives it against
+       the real endpoint; nothing in the running system needs an
+       oracle. *)
+    "harness/conformance.ml";
+  ]
+
+(* [src] with comments and string literals blanked; character literals
+   holding a quote are skipped so they open no string. *)
+let strip_comments src =
+  let n = String.length src in
+  let out = Buffer.create n in
+  let depth = ref 0 and i = ref 0 in
+  let at s = !i + String.length s <= n && String.sub src !i (String.length s) = s in
+  while !i < n do
+    if at "'\"'" then i := !i + 3
+    else if at "(*" then begin
+      incr depth;
+      i := !i + 2
+    end
+    else if !depth > 0 && at "*)" then begin
+      decr depth;
+      i := !i + 2
+    end
+    else if src.[!i] = '"' then begin
+      incr i;
+      while !i < n && src.[!i] <> '"' do
+        if src.[!i] = '\\' then incr i;
+        incr i
+      done;
+      incr i;
+      Buffer.add_char out ' '
+    end
+    else begin
+      Buffer.add_char out (if !depth = 0 then src.[!i] else ' ');
+      incr i
+    end
+  done;
+  Buffer.contents out
+
+(* Capitalized identifier -> paths of the files that mention it. *)
+let module_users : (string, string) Hashtbl.t = Hashtbl.create 256
+
+let record_module_names path src =
+  let src = strip_comments src in
+  let n = String.length src in
+  let i = ref 0 in
+  while !i < n do
+    if
+      src.[!i] >= 'A' && src.[!i] <= 'Z' && (!i = 0 || not (is_ident_char src.[!i - 1]))
+    then begin
+      let j = ref !i in
+      while !j < n && is_ident_char src.[!j] do
+        incr j
+      done;
+      Hashtbl.add module_users (String.sub src !i (!j - !i)) path;
+      i := !j
+    end
+    else incr i
+  done
+
+let lib_modules = ref []
+
+let lint_test_only () =
+  List.iter
+    (fun path ->
+      let name =
+        String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+      in
+      let used = List.exists (( <> ) path) (Hashtbl.find_all module_users name) in
+      if
+        (not used)
+        && not (List.exists (Filename.check_suffix path) test_only_allowlist)
+      then
+        failures :=
+          Printf.sprintf
+            "%s: module `%s` is referenced from no other file under lib/, \
+             bin/ or ixbench/ — delete it, or add a documented allowlist \
+             entry if only tests should use it"
+            path name
+          :: !failures)
+    (List.rev !lib_modules)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let lint_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = Array.of_list (List.rev !lines) in
+  let src = read_file path in
+  lib_modules := path :: !lib_modules;
+  record_module_names path src;
+  let lines = Array.of_list (String.split_on_char '\n' src) in
   lint_hot_path path lines;
   lint_per_core path lines;
   lint_per_packet path lines;
@@ -356,20 +447,32 @@ let required_dirs =
 
 let visited_dirs = ref []
 
-let rec walk dir =
+let rec walk f dir =
   visited_dirs := Filename.basename dir :: !visited_dirs;
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk path
-      else if Filename.check_suffix path ".ml" then lint_file path)
+      if Sys.is_directory path then walk f path
+      else if Filename.check_suffix path ".ml" then f path)
     (Sys.readdir dir)
 
+(* Usage: lint_globals [ROOT...] [--refs DIR...] — every pass lints the
+   .ml files under the ROOTs (default lib); the DIRs (default bin and
+   ixbench) only count as users for the sixth pass. *)
 let () =
-  let roots =
-    match Array.to_list Sys.argv with [] | [ _ ] -> [ "lib" ] | _ :: rest -> rest
+  let roots, ref_roots =
+    let rec split acc = function
+      | "--refs" :: rest -> (List.rev acc, rest)
+      | r :: rest -> split (r :: acc) rest
+      | [] -> (List.rev acc, [])
+    in
+    match Array.to_list Sys.argv with
+    | [] | [ _ ] -> ([ "lib" ], [ "bin"; "ixbench" ])
+    | _ :: args -> split [] args
   in
-  List.iter walk roots;
+  List.iter (walk lint_file) roots;
+  List.iter (walk (fun path -> record_module_names path (read_file path))) ref_roots;
+  lint_test_only ();
   if List.exists (fun r -> Filename.basename r = "lib") roots then begin
     let missing =
       List.filter (fun d -> not (List.mem d !visited_dirs)) required_dirs

@@ -6,23 +6,56 @@
    determinism check on the trace digests. *)
 
 module Conformance = Harness.Conformance
+module Tcb = Ixtcp.Tcb
+
+(* A hostile batch must reach every hardening branch at least once —
+   otherwise the regime proves nothing.  The challenge-ACK limiter never
+   trips in these legs; test_tcp's rate-limit case covers it. *)
+let hardening_events =
+  Tcb.
+    [
+      Challenge_ack_sent;
+      Dsack_sent;
+      Rst_accepted;
+      Dsack_dupack_ignored;
+      Local_abort;
+      Tw_rst_dropped;
+    ]
+
+let check_hardening_fires ~label reports =
+  let fired ev =
+    List.exists
+      (fun r -> List.mem (Conformance.T_ev ev) r.Conformance.trace_real)
+      reports
+  in
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s fires" label
+           (Conformance.show_tr (Conformance.T_ev ev)))
+        true (fired ev))
+    hardening_events
 
 let check_legs ~label ~fast_path ~faults ~hostile seeds =
-  List.iter
-    (fun seed ->
-      let r = Conformance.run_leg ~seed ~fast_path ~faults ~hostile () in
-      (match r.Conformance.detail with
-      | Some d ->
-          Printf.printf "%s seed=%d diverged:\n%s\n%!" label seed d
-      | None -> ());
-      Alcotest.(check bool)
-        (Printf.sprintf "%s seed=%d trace equality" label seed)
-        true r.Conformance.equal;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s seed=%d non-trivial trace" label seed)
-        true
-        (r.Conformance.trace_len > 0))
-    seeds
+  let reports =
+    List.map
+      (fun seed ->
+        let r = Conformance.run_leg ~seed ~fast_path ~faults ~hostile () in
+        (match r.Conformance.detail with
+        | Some d ->
+            Printf.printf "%s seed=%d diverged:\n%s\n%!" label seed d
+        | None -> ());
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed=%d trace equality" label seed)
+          true r.Conformance.equal;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed=%d non-trivial trace" label seed)
+          true
+          (r.Conformance.trace_len > 0);
+        r)
+      seeds
+  in
+  if hostile then check_hardening_fires ~label reports
 
 let seq_seeds lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
 
@@ -52,36 +85,6 @@ let test_hostile_fast () =
 let test_hostile_slow () =
   check_legs ~label:"hostile/slow" ~fast_path:false ~faults:true ~hostile:true
     (seq_seeds 300 369)
-
-(* Hostile legs must actually exercise the hardening branches somewhere
-   in the batch — otherwise the regime proves nothing. *)
-let test_hostile_exercises_hardening () =
-  let saw_challenge = ref false and saw_rst_teardown = ref false in
-  for seed = 300 to 369 do
-    let r =
-      Conformance.run_leg ~seed ~fast_path:true ~faults:true ~hostile:true ()
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "hostile seed=%d equal" seed)
-      true r.Conformance.equal
-  done;
-  (* re-run a few with a recording hook via the public trace: the
-     digest is opaque, so detect hardening through trace inequality of
-     hostile vs clean runs of the same seed instead. *)
-  for seed = 300 to 330 do
-    let h =
-      Conformance.run_leg ~seed ~fast_path:true ~faults:true ~hostile:true ()
-    in
-    let c =
-      Conformance.run_leg ~seed ~fast_path:true ~faults:true ~hostile:false ()
-    in
-    if h.Conformance.digest <> c.Conformance.digest then saw_challenge := true;
-    if h.Conformance.trace_len <> c.Conformance.trace_len then
-      saw_rst_teardown := true
-  done;
-  Alcotest.(check bool)
-    "hostile injection perturbs at least one trace" true
-    (!saw_challenge || !saw_rst_teardown)
 
 let test_mutation_caught () =
   (* the first model-emitted header is perturbed: the oracle must
@@ -122,8 +125,6 @@ let () =
             test_hostile_fast;
           Alcotest.test_case "hostile peer, fast path off" `Quick
             test_hostile_slow;
-          Alcotest.test_case "hostile stream perturbs traces" `Quick
-            test_hostile_exercises_hardening;
         ] );
       ( "oracle-integrity",
         [

@@ -94,36 +94,38 @@ let test_link_drops_past_limit () =
 (* ---------------- DCTCP window law ---------------- *)
 
 let test_dctcp_alpha_converges () =
-  let c = Congestion.create ~dctcp:true ~mss:1000 ~initial_window_segs:10 () in
+  let c = Bare_tcb.create ~dctcp:true ~mss:1000 ~iw:10 () in
+  (* One fully marked window moves alpha from 0 by exactly g = 1/16. *)
+  Tcb.cong_on_ecn_feedback c ~acked_bytes:10_000 ~marked:true;
+  Alcotest.(check (float 1e-12)) "first window: alpha = g" (1. /. 16.) (Tcb.dctcp_alpha c);
   (* Every byte marked, repeatedly: alpha -> 1, cwnd shrinks toward
      half per window. *)
   for _ = 1 to 400 do
-    Congestion.on_ecn_feedback c ~acked_bytes:5_000 ~marked:true
+    Tcb.cong_on_ecn_feedback c ~acked_bytes:5_000 ~marked:true
   done;
-  check_bool "alpha grew toward 1" true (Congestion.dctcp_alpha c > 0.8);
-  check_bool "window collapsed" true (Congestion.cwnd c <= 4_000)
+  check_bool "alpha grew toward 1" true (Tcb.dctcp_alpha c > 0.8);
+  check_bool "window collapsed" true (Tcb.cwnd c <= 4_000)
 
 let test_dctcp_proportionality () =
   (* A lightly marked flow must keep most of its window; a heavily
      marked one must not. *)
   let run fraction =
-    let c = Congestion.create ~dctcp:true ~mss:1000 ~initial_window_segs:100 () in
+    let c = Bare_tcb.create ~dctcp:true ~mss:1000 ~iw:100 () in
     for i = 1 to 1000 do
-      Congestion.on_ecn_feedback c ~acked_bytes:1_000
-        ~marked:(i mod 100 < fraction)
+      Tcb.cong_on_ecn_feedback c ~acked_bytes:1_000 ~marked:(i mod 100 < fraction)
     done;
-    Congestion.cwnd c
+    Tcb.cwnd c
   in
   let light = run 5 and heavy = run 80 in
   check_bool "light marking keeps more window" true (light > 2 * heavy)
 
 let test_dctcp_ignores_marks_when_disabled () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:10 () in
+  let c = Bare_tcb.create ~mss:1000 ~iw:10 () in
   for _ = 1 to 100 do
-    Congestion.on_ecn_feedback c ~acked_bytes:10_000 ~marked:true
+    Tcb.cong_on_ecn_feedback c ~acked_bytes:10_000 ~marked:true
   done;
-  check_int "newreno untouched by ECN feedback" 10_000 (Congestion.cwnd c);
-  Alcotest.(check (float 0.0001)) "alpha stays 0" 0. (Congestion.dctcp_alpha c)
+  check_int "newreno untouched by ECN feedback" 10_000 (Tcb.cwnd c);
+  Alcotest.(check (float 0.0001)) "alpha stays 0" 0. (Tcb.dctcp_alpha c)
 
 (* ---------------- ECE echo at the segment level ---------------- *)
 

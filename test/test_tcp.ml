@@ -201,87 +201,93 @@ let prop_seqno_window_contains =
       && (not (window_contains ~start ~len:wnd below))
       && not (window_contains ~start ~len:wnd at_edge))
 
-(* ---------------- Rtt ---------------- *)
+(* ---------------- RTT estimator (Tcb) ---------------- *)
 
 let test_rtt_converges () =
-  let r = Rtt.create ~min_rto_ns:1_000_000 ~max_rto_ns:60_000_000_000 in
+  let r = Bare_tcb.create ~mss:1000 ~iw:10 () in
   for _ = 1 to 50 do
-    Rtt.observe r ~sample_ns:10_000_000
+    Tcb.rtt_observe r ~sample_ns:10_000_000
   done;
-  check_int "srtt converges to sample" 10_000_000 (Rtt.srtt_ns r);
-  check_bool "rto >= srtt" true (Rtt.rto_ns r >= 10_000_000)
+  check_int "srtt converges to sample" 10_000_000 (Tcb.srtt_ns r);
+  check_bool "rto >= srtt" true (Tcb.rto_ns r >= 10_000_000);
+  Tcb.rtt_observe r ~sample_ns:2_000_000;
+  check_int "one sample moves srtt 1/8 of the way" 9_000_000 (Tcb.srtt_ns r)
 
 let test_rtt_backoff () =
-  let r = Rtt.create ~min_rto_ns:1_000_000 ~max_rto_ns:60_000_000_000 in
-  Rtt.observe r ~sample_ns:5_000_000;
-  let base = Rtt.rto_ns r in
-  Rtt.backoff r;
-  Rtt.backoff r;
-  check_int "doubles twice" (4 * base) (Rtt.rto_ns r);
-  Rtt.observe r ~sample_ns:5_000_000;
-  check_bool "ack resets backoff" true (Rtt.rto_ns r < 4 * base)
+  let r = Bare_tcb.create ~mss:1000 ~iw:10 () in
+  Tcb.rtt_observe r ~sample_ns:5_000_000;
+  let base = Tcb.rto_ns r in
+  Tcb.rtt_backoff r;
+  Tcb.rtt_backoff r;
+  check_int "doubles twice" (4 * base) (Tcb.rto_ns r);
+  for _ = 1 to 5 do
+    Tcb.rtt_backoff r
+  done;
+  check_int "multiplier caps at 64" (64 * base) (Tcb.rto_ns r);
+  Tcb.rtt_observe r ~sample_ns:5_000_000;
+  check_bool "ack resets backoff" true (Tcb.rto_ns r < 4 * base)
 
 let test_rtt_respects_min () =
-  let r = Rtt.create ~min_rto_ns:200_000_000 ~max_rto_ns:60_000_000_000 in
-  Rtt.observe r ~sample_ns:50_000 (* 50 us RTT *);
-  check_int "Linux-style 200ms floor" 200_000_000 (Rtt.rto_ns r)
+  let r = Bare_tcb.create ~min_rto_ns:200_000_000 ~mss:1000 ~iw:10 () in
+  Tcb.rtt_observe r ~sample_ns:50_000 (* 50 us RTT *);
+  check_int "Linux-style 200ms floor" 200_000_000 (Tcb.rto_ns r)
 
 let test_rtt_max_cap () =
   (* During a long outage the exponential backoff must plateau at
      max_rto, not keep doubling toward a multi-minute timer. *)
-  let r = Rtt.create ~min_rto_ns:1_000_000 ~max_rto_ns:8_000_000 in
-  Rtt.observe r ~sample_ns:5_000_000;
+  let r = Bare_tcb.create ~max_rto_ns:8_000_000 ~mss:1000 ~iw:10 () in
+  Tcb.rtt_observe r ~sample_ns:5_000_000;
   for _ = 1 to 10 do
-    Rtt.backoff r
+    Tcb.rtt_backoff r
   done;
-  check_int "backoff plateaus at max_rto" 8_000_000 (Rtt.rto_ns r);
-  Rtt.backoff r;
-  check_int "stays capped" 8_000_000 (Rtt.rto_ns r)
+  check_int "backoff plateaus at max_rto" 8_000_000 (Tcb.rto_ns r);
+  Tcb.rtt_backoff r;
+  check_int "stays capped" 8_000_000 (Tcb.rto_ns r)
 
 let test_rtt_reset_backoff () =
   (* Forward progress (a cumulative ACK) ends the backoff even when
      Karn's rule forbids taking an RTT sample from the retransmitted
      segment — the link healed, so the next timeout uses the base RTO. *)
-  let r = Rtt.create ~min_rto_ns:1_000_000 ~max_rto_ns:60_000_000_000 in
-  Rtt.observe r ~sample_ns:5_000_000;
-  let base = Rtt.rto_ns r in
+  let r = Bare_tcb.create ~mss:1000 ~iw:10 () in
+  Tcb.rtt_observe r ~sample_ns:5_000_000;
+  let base = Tcb.rto_ns r in
   for _ = 1 to 4 do
-    Rtt.backoff r
+    Tcb.rtt_backoff r
   done;
-  check_int "backed off 16x" (16 * base) (Rtt.rto_ns r);
-  Rtt.reset_backoff r;
-  check_int "heal returns rto to base" base (Rtt.rto_ns r)
+  check_int "backed off 16x" (16 * base) (Tcb.rto_ns r);
+  Tcb.rtt_reset_backoff r;
+  check_int "heal returns rto to base" base (Tcb.rto_ns r)
 
-(* ---------------- Congestion ---------------- *)
+(* ---------------- Congestion control (Tcb) ---------------- *)
 
 let test_congestion_slow_start_doubles () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:10 () in
-  check_int "IW10" 10_000 (Congestion.cwnd c);
-  Congestion.on_ack c ~acked_bytes:10_000 ~flight:0;
-  check_int "doubled" 20_000 (Congestion.cwnd c)
+  let c = Bare_tcb.create ~mss:1000 ~iw:10 () in
+  check_int "IW10" 10_000 (Tcb.cwnd c);
+  Tcb.cong_on_ack c ~acked_bytes:10_000;
+  check_int "doubled" 20_000 (Tcb.cwnd c)
 
 let test_congestion_fast_retransmit_halves () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:10 () in
-  Congestion.on_fast_retransmit c ~flight:20_000;
-  check_bool "in recovery" true (Congestion.in_recovery c);
-  check_int "ssthresh half of flight" 10_000 (Congestion.ssthresh c);
-  Congestion.on_recovery_exit c;
-  check_int "cwnd deflates to ssthresh" 10_000 (Congestion.cwnd c);
-  check_bool "recovery exited" false (Congestion.in_recovery c)
+  let c = Bare_tcb.create ~mss:1000 ~iw:10 () in
+  Tcb.cong_on_fast_retransmit c ~flight:20_000;
+  check_bool "in recovery" true (Tcb.in_recovery c);
+  check_int "ssthresh half of flight" 10_000 (Tcb.ssthresh c);
+  Tcb.cong_on_recovery_exit c;
+  check_int "cwnd deflates to ssthresh" 10_000 (Tcb.cwnd c);
+  check_bool "recovery exited" false (Tcb.in_recovery c)
 
 let test_congestion_rto_collapses () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:10 () in
-  Congestion.on_rto c;
-  check_int "one segment" 1_000 (Congestion.cwnd c)
+  let c = Bare_tcb.create ~mss:1000 ~iw:10 () in
+  Tcb.cong_on_rto c;
+  check_int "one segment" 1_000 (Tcb.cwnd c)
 
 let test_congestion_avoidance_linear () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:4 () in
-  Congestion.on_fast_retransmit c ~flight:8_000;
-  Congestion.on_recovery_exit c;
-  let w0 = Congestion.cwnd c in
+  let c = Bare_tcb.create ~mss:1000 ~iw:4 () in
+  Tcb.cong_on_fast_retransmit c ~flight:8_000;
+  Tcb.cong_on_recovery_exit c;
+  let w0 = Tcb.cwnd c in
   (* One full window of acks in avoidance grows cwnd by one MSS. *)
-  Congestion.on_ack c ~acked_bytes:w0 ~flight:0;
-  check_int "plus one mss" (w0 + 1000) (Congestion.cwnd c)
+  Tcb.cong_on_ack c ~acked_bytes:w0;
+  check_int "plus one mss" (w0 + 1000) (Tcb.cwnd c)
 
 (* ---------------- Port allocation ---------------- *)
 
@@ -715,7 +721,7 @@ let test_challenge_ack_rate_limit () =
       ~seq:(Seqno.add rcv_nxt (1 + (i mod 7)))
       ~ack:0 ~rst:true ()
   done;
-  let limit = Tcb.default_config.Tcb.challenge_ack_limit in
+  let limit = Tcb.challenge_ack_limit in
   check_int "challenge ACKs capped at the configured limit" limit
     (Tcp_endpoint.challenge_acks_sent net.a.ep);
   check_int "every suppressed challenge is counted" (flood - limit)
