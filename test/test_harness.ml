@@ -207,6 +207,21 @@ let test_golden_fig5_linux () =
     (fun points -> [ List.find (fun (l, _) -> l = "Linux") points ])
     ~table:"cb6a31a1722c9fbe5cfb9a573d05f3f0" ~runs:"56161fd35be07a09a406037222dbbda0"
 
+(* The IX ablation knobs, end to end: every configuration of the
+   ablations figure (loaded and unloaded legs), and polling against
+   interrupts at the lightest energy load. *)
+let test_golden_ablations () =
+  check_slice "ablations, all five configurations" "ablations" Fun.id
+    ~table:"74f39261b08f5329b1ef885abb6a43c6"
+    ~runs:"a7170ef2b04d6ad5579c028a1d359d6a"
+
+let test_golden_energy () =
+  check_slice "energy, IX-poll and IX-intr at 8 sessions" "energy"
+    (List.filter (fun (_, (s : Harness.Scenario.t)) ->
+         match s.workload with Echo { sessions; _ } -> sessions = 8 | _ -> false))
+    ~table:"4fb28ad7404f72423986b26469c971b2"
+    ~runs:"773af86dbefe6557f30c623911985d6a"
+
 let test_golden_batch_sweep () =
   check_digest "batch-sweep" "06a2c9ab8d375f4527346ee524f92ddd" (render "batch-sweep")
 
@@ -244,6 +259,8 @@ let () =
           Alcotest.test_case "fig3a 1-core baselines" `Quick test_golden_fig3a_baselines;
           Alcotest.test_case "fig4 Linux 100 conns" `Quick test_golden_fig4_linux;
           Alcotest.test_case "fig5 first Linux point" `Quick test_golden_fig5_linux;
+          Alcotest.test_case "ablations" `Quick test_golden_ablations;
+          Alcotest.test_case "energy 8 sessions" `Quick test_golden_energy;
           Alcotest.test_case "batch-sweep" `Quick test_golden_batch_sweep;
           Alcotest.test_case "elastic" `Quick test_golden_elastic;
           Alcotest.test_case "breakdown" `Quick test_golden_breakdown;
