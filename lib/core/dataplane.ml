@@ -16,29 +16,36 @@ let log = Logs.Src.create "ix.dataplane" ~doc:"IX dataplane"
 
 module Log = (val Logs.src_log log)
 
-type costs = {
-  poll_ns : int;
-  rx_pkt_ns : int;
-  proto_rx_ns : int;
-  proto_tx_ns : int;
-  tx_pkt_ns : int;
-  event_ns : int;
-  syscall_ns : int;
-  timer_ns : int;
-  copy_ns_per_kb : int;
+(* Simulated CPU costs (ns), calibrated so that ~3 cores saturate
+   10GbE on the 64 B echo benchmark, as in Fig. 3a. *)
+let poll_ns = 60 (* fixed per cycle: polling the RX ring(s) *)
+let rx_pkt_ns = 45 (* RX driver work per packet *)
+let proto_rx_ns = 140 (* TCP/IP input per packet *)
+let proto_tx_ns = 110 (* TCP/IP output per segment *)
+let tx_pkt_ns = 35 (* TX driver work per frame *)
+let event_ns = 15 (* generate + consume one event condition *)
+let syscall_ns = 25 (* process one batched system call *)
+let timer_ns = 20 (* fixed per-cycle timer pass *)
+let copy_ns_per_kb = 120 (* charged only when zero-copy is disabled *)
+
+(* Spans the cycle tracer's ring retains. *)
+let tracer_capacity = 4096
+
+type config = {
+  batch_bound : int;
+  batch_mode : Batch.mode;
+  zero_copy : bool;
+  polling : bool;
+  pcie : Ixhw.Pcie_model.t;
 }
 
-let default_costs =
+let default_config =
   {
-    poll_ns = 60;
-    rx_pkt_ns = 45;
-    proto_rx_ns = 140;
-    proto_tx_ns = 110;
-    tx_pkt_ns = 35;
-    event_ns = 15;
-    syscall_ns = 25;
-    timer_ns = 20;
-    copy_ns_per_kb = 120;
+    batch_bound = 64;
+    batch_mode = Batch.Fixed;
+    zero_copy = true;
+    polling = true;
+    pcie = Ixhw.Pcie_model.create ();
   }
 
 (* Events snapshot their fields when staged — the TCB's store slot may
@@ -99,7 +106,6 @@ type t = {
   tx_nic : Nic.t;
   arp : Arp_cache.t;
   rcu : Rcu.manager;
-  costs : costs;
   batcher : Batch.t;
   prot : Protection.t;
   pol : Policy.t;
@@ -236,9 +242,9 @@ let resolve_and_frame t ~remote_ip mbuf =
         ~target_mac:Ixnet.Mac_addr.zero
 
 let output_raw t ~remote_ip mbuf =
-  charge_kernel t t.costs.proto_tx_ns;
+  charge_kernel t proto_tx_ns;
   if not t.zero_copy then
-    charge_kernel t (t.costs.copy_ns_per_kb * mbuf.Mbuf.len / 1024);
+    charge_kernel t (copy_ns_per_kb * mbuf.Mbuf.len / 1024);
   Ixnet.Ipv4_packet.prepend_fields mbuf ~src:t.local_ip ~dst:remote_ip
     ~protocol:Ixnet.Ipv4_packet.Tcp ~ttl:64 ~ecn:0 ~payload_len:mbuf.Mbuf.len;
   resolve_and_frame t ~remote_ip mbuf
@@ -306,7 +312,7 @@ let rss_suitable t ~remote_ip ~remote_port =
 
 let exec_syscall t sc on_result =
   Metrics.incr t.c_syscalls;
-  charge_kernel t t.costs.syscall_ns;
+  charge_kernel t syscall_ns;
   match sc with
   | Ix_api.Sys_connect { cookie; dst_ip; dst_port } -> (
       let port_suitable = rss_suitable t ~remote_ip:dst_ip ~remote_port:dst_port in
@@ -343,7 +349,7 @@ let exec_syscall t sc on_result =
       | tcb ->
           let accepted = Tcp_conn.send_from tcb queue in
           if not t.zero_copy then
-            charge_kernel t (t.costs.copy_ns_per_kb * accepted / 1024);
+            charge_kernel t (copy_ns_per_kb * accepted / 1024);
           on_result accepted)
   | Ix_api.Sys_recv_done { handle; bytes_acked } -> (
       match lookup_handle t handle with
@@ -379,7 +385,7 @@ let exec_syscall t sc on_result =
             iovs;
           Ixnet.Udp_packet.prepend mbuf ~src:t.local_ip ~dst:dst_ip ~src_port
             ~dst_port;
-          charge_kernel t t.costs.proto_tx_ns;
+          charge_kernel t proto_tx_ns;
           Ixnet.Ipv4_packet.prepend_fields mbuf ~src:t.local_ip ~dst:dst_ip
             ~protocol:Ixnet.Ipv4_packet.Udp ~ttl:64 ~ecn:0
             ~payload_len:mbuf.Mbuf.len;
@@ -514,7 +520,7 @@ let process_ipv4 t mbuf =
   end
 
 let process_frame t mbuf =
-  charge_kernel t t.costs.proto_rx_ns;
+  charge_kernel t proto_rx_ns;
   (match t.cache with
   | Some cm ->
       (* The model's figure is per message (~2 frames at the server). *)
@@ -581,7 +587,7 @@ let rec run_cycle t =
   t.cycle_start <- start;
   t.span_cursor <- start;
   (* --- (1) poll RX rings, take a bounded batch, replenish --- *)
-  charge_kernel t t.costs.poll_ns;
+  charge_kernel t poll_ns;
   let budget = Batch.next_batch t.batcher ~pending:(rx_pending t) in
   if Array.length t.rx_scratch < budget then begin
     let scratch = Array.make (max 64 budget) t.scratch_seed in
@@ -594,7 +600,7 @@ let rec run_cycle t =
      queue (adaptive batching, §4.2 — doorbells are per burst). *)
   charge_kernel t (Ixhw.Pcie_model.replenish_cost_ns t.pcie ~descriptors:n_rx);
   Metrics.add t.c_rx_pkts n_rx;
-  charge_kernel t (t.costs.rx_pkt_ns * n_rx);
+  charge_kernel t (rx_pkt_ns * n_rx);
   mark t Tracer.Rx_driver;
   (* --- (2) protocol processing, generating event conditions --- *)
   (* Frames parked during a flow-group migration replay first: they
@@ -619,7 +625,7 @@ let rec run_cycle t =
     (* The staged values ARE the [Ix_api.event]s, in arrival order;
        nothing is re-materialized per event. *)
     Metrics.add t.c_events n_events;
-    charge_user t (t.costs.event_ns * n_events);
+    charge_user t (event_ns * n_events);
     mark t Tracer.Event_delivery;
     (* §4.5 protection backstop: an exception escaping the user phase
        must not take the elastic thread down — the kernel regains
@@ -653,13 +659,13 @@ let rec run_cycle t =
   release t.sc_results n_calls;
   mark t Tracer.Syscall;
   (* --- (5) kernel timers --- *)
-  charge_kernel t t.costs.timer_ns;
+  charge_kernel t timer_ns;
   Wheel.advance t.wheel ~now:(now t);
   mark t Tracer.Timer;
   (* --- (6) transmit --- *)
   let n_tx = t.tx_len in
   Batch.note_tx t.batcher n_tx;
-  charge_kernel t (t.costs.tx_pkt_ns * n_tx);
+  charge_kernel t (tx_pkt_ns * n_tx);
   (* One doorbell write per TX burst, regardless of how many segments
      the burst carries.  [Batch] owns the ring decision: in fixed mode
      every burst rings; in adaptive mode congested bursts coalesce
@@ -767,7 +773,6 @@ and kick t =
 let set_app t f = t.app <- f
 
 let udp_bind t ~port = Hashtbl.replace t.udp_binds port ()
-let udp_unbind t ~port = Hashtbl.remove t.udp_binds port
 
 let listen t ~port =
   Tcp_endpoint.listen (endpoint t) ~port ~on_accept:(fun tcb ->
@@ -910,7 +915,6 @@ let note_app_fault t = Metrics.incr t.c_app_faults
 let app_faults t = Metrics.value t.c_app_faults
 let pool t = t.pool
 let cycles_run t = Metrics.value t.c_cycles
-let events_delivered t = Metrics.value t.c_events
 let syscalls_processed t = Metrics.value t.c_syscalls
 let nonresponsive_marks t = Metrics.value t.c_nonresponsive
 let metrics t = t.metrics
@@ -919,15 +923,10 @@ let tracer t = t.tracer
 (* Inert fillers for consumed staging slots. *)
 let no_syscall = Ix_api.Sys_close { handle = -1 }
 
-let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
-    ?(costs = default_costs) ?(batch_bound = 64) ?(batch_mode = Batch.Fixed)
-    ?(config = Tcb.default_config)
-    ?(zero_copy = true) ?(polling = true) ?cache ?(conn_count = ref 0)
-    ?(pcie = Ixhw.Pcie_model.create ()) ?metrics ?(tracer_capacity = 4096)
-    ?handle_alloc ~rng () =
+let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tcp
+    ~cache ~conn_count ~metrics ~handle_alloc ~rng =
   let pool = Mempool.create ~capacity:65536 ~name:(Printf.sprintf "dp%d" thread_id) () in
   let wheel = Wheel.create ~now:(Sim.now sim) () in
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let no_event = Ix_api.Ev_dead { cookie = -1; reason = Tcb.Normal } in
   let c name = Metrics.counter metrics (Printf.sprintf "dataplane.%d.%s" thread_id name) in
   let t =
@@ -941,15 +940,14 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       tx_nic;
       arp;
       rcu;
-      costs;
-      batcher = Batch.create ~bound:batch_bound ~mode:batch_mode ();
+      batcher = Batch.create ~bound:config.batch_bound ~mode:config.batch_mode ();
       prot = Protection.create ();
       pol = Policy.create ();
-      pcie;
+      pcie = config.pcie;
       cache;
       conn_count;
-      zero_copy;
-      polling;
+      zero_copy = config.zero_copy;
+      polling = config.polling;
       interrupt_latency_ns = 3_000;
       local_ip;
       ep = None;
@@ -1002,8 +1000,8 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       ~wheel
       ~alloc:(fun () -> Mempool.alloc pool)
       ~output_raw:(fun ~remote_ip mbuf -> output_raw t ~remote_ip mbuf)
-      ~rng ~local_ip ~config ~metrics
-      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ?handle_alloc ()
+      ~rng ~local_ip ~config:tcp ~metrics
+      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ~handle_alloc ()
   in
   t.ep <- Some ep;
   (* Batch telemetry: sampled live at snapshot time so the gauges

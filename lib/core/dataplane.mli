@@ -18,21 +18,25 @@
 
 type t
 
-type costs = {
-  poll_ns : int;  (** fixed per cycle: polling the RX ring(s) *)
-  rx_pkt_ns : int;  (** RX driver work per packet *)
-  proto_rx_ns : int;  (** TCP/IP input per packet *)
-  proto_tx_ns : int;  (** TCP/IP output per segment *)
-  tx_pkt_ns : int;  (** TX driver work per frame *)
-  event_ns : int;  (** generate + consume one event condition *)
-  syscall_ns : int;  (** process one batched system call *)
-  timer_ns : int;  (** fixed per-cycle timer pass *)
-  copy_ns_per_kb : int;  (** charged only when zero-copy is disabled *)
+type config = {
+  batch_bound : int;
+      (** B, the most packets one cycle admits (§4.2, Fig. 6); the
+          start value in adaptive mode *)
+  batch_mode : Batch.mode;  (** fixed B or adaptive *)
+  zero_copy : bool;
+      (** [false] is the copying-API ablation: payload bytes are charged
+          a copy in both directions *)
+  polling : bool;
+      (** [false] makes the thread interrupt-driven: a fixed wakeup
+          latency precedes each cycle a NIC notification triggers *)
+  pcie : Ixhw.Pcie_model.t;  (** RX descriptor doorbell coalescing (§6) *)
 }
+(** The dataplane design choices DESIGN.md §5 ablates — their one
+    home, passed unchanged from {!Harness.Scenario} to here. *)
 
-val default_costs : costs
-(** Calibrated so that ~3 cores saturate 10GbE on the 64 B echo
-    benchmark, as in Fig. 3a. *)
+val default_config : config
+(** B = 64 fixed, zero-copy, polling, doorbells coalesced in batches
+    of 32. *)
 
 val create :
   sim:Engine.Sim.t ->
@@ -43,32 +47,21 @@ val create :
   tx_nic:Ixhw.Nic.t ->
   arp:Arp_cache.t ->
   rcu:Rcu.manager ->
-  ?costs:costs ->
-  ?batch_bound:int ->
-  ?batch_mode:Batch.mode ->
-  ?config:Ixtcp.Tcb.config ->
-  ?zero_copy:bool ->
-  ?polling:bool ->
-  ?cache:Ixhw.Cache_model.t ->
-  ?conn_count:int ref ->
-  ?pcie:Ixhw.Pcie_model.t ->
-  ?metrics:Ixtelemetry.Metrics.t ->
-  ?tracer_capacity:int ->
-  ?handle_alloc:int ref ->
+  config:config ->
+  tcp:Ixtcp.Tcb.config ->
+  cache:Ixhw.Cache_model.t option ->
+  conn_count:int ref ->
+  metrics:Ixtelemetry.Metrics.t ->
+  handle_alloc:int ref ->
   rng:Engine.Rng.t ->
-  unit ->
   t
 (** [queues] lists (nic, rx queue) pairs this thread serves;
-    [tx_nic] is where it transmits.  [polling:false] is the ablation
-    that makes the thread interrupt-driven (a fixed wakeup latency is
-    added before each cycle triggered by a NIC notification).
-    [cache]/[conn_count] enable the connection-count L3 model used by
-    the Fig. 4 experiment.  [metrics] is the registry where the thread
-    registers its [dataplane.<id>.*] counters (a private registry is
-    created when omitted); [tracer_capacity] sizes the cycle tracer's
-    span ring (default 4096).  [handle_alloc] is the flow-handle
-    allocator shared by the host's elastic threads, so migrated flows
-    keep unique handles (a private allocator is used when omitted). *)
+    [tx_nic] is where it transmits.  [cache] enables the
+    connection-count L3 model of the Fig. 4 experiment, fed by the
+    host-wide [conn_count].  [metrics] is the registry where the thread
+    registers its [dataplane.<id>.*] counters.  [handle_alloc] is the
+    flow-handle allocator shared by the host's elastic threads, so
+    migrated flows keep unique handles. *)
 
 val thread_id : t -> int
 val core : t -> Ixhw.Cpu_core.t
@@ -92,8 +85,6 @@ val listen : t -> port:int -> unit
 val udp_bind : t -> port:int -> unit
 (** Open a UDP port; datagrams surface as [Ev_udp_recv] events
     (zero-copy mbuf slices).  Send with [Sys_udp_sendv]. *)
-
-val udp_unbind : t -> port:int -> unit
 
 val syscall : t -> Ix_api.syscall -> on_result:(Ix_api.syscall_result -> unit) -> unit
 (** Stage a batched system call (valid only while the application is
@@ -138,10 +129,6 @@ val abort_all_connections : t -> int
     ({!migrate_group_to}) and the destination replays the parked frames
     ({!unpark_inbound}) in arrival order. *)
 
-val rss_group_of_flow : t -> Ixtcp.Tcb.t -> int
-(** The RSS flow group of a connection's receive direction at this
-    host — the unit of migration.  [-1] for a thread with no queues. *)
-
 val migrate_group_to : t -> t -> group:int -> int list
 (** Hand every connection of [group] (flow-table entries, handles and
     pending timers) to the destination thread; returns the cookies of
@@ -174,7 +161,6 @@ val add_cycle_watcher : t -> (unit -> bool) -> unit
     an idle source still evaluates it. *)
 
 val cycles_run : t -> int
-val events_delivered : t -> int
 val syscalls_processed : t -> int
 
 val note_app_fault : t -> unit

@@ -1,17 +1,6 @@
 module Nic = Ixhw.Nic
 module Cpu_core = Ixhw.Cpu_core
 
-type options = {
-  costs : Dataplane.costs;
-  batch_bound : int;
-  batch_mode : Batch.mode;
-  config : Ixtcp.Tcb.config;
-  zero_copy : bool;
-  polling : bool;
-  cache : Ixhw.Cache_model.t option;
-  pcie : Ixhw.Pcie_model.t option;
-}
-
 (* IX's TCP profile: aggressive retransmission timers enabled by the
    16 us timing wheel (§4.2, [64]), moderate fixed buffers because the
    zero-copy API keeps queueing in application hands. *)
@@ -22,18 +11,6 @@ let ix_tcp_config =
     snd_buf = 256 * 1024;
     min_rto_ns = 1_000_000 (* 1 ms *);
     delack_ns = 100_000 (* 100 us *);
-  }
-
-let default_options =
-  {
-    costs = Dataplane.default_costs;
-    batch_bound = 64;
-    batch_mode = Batch.Fixed;
-    config = ix_tcp_config;
-    zero_copy = true;
-    polling = true;
-    cache = None;
-    pcie = None;
   }
 
 type t = {
@@ -53,13 +30,9 @@ type t = {
   mutable active : int;  (* live elastic threads: the prefix [0, active) *)
 }
 
-let create ~sim ~host_id ~ip ~nics ~threads ?(options = default_options)
-    ?metrics ~seed () =
+let create ~sim ~host_id ~ip ~nics ~threads ~config ~tcp ~cache ~metrics ~seed =
   assert (threads > 0);
   Array.iter (fun nic -> assert (Nic.queue_count nic >= threads)) nics;
-  let registry =
-    match metrics with Some m -> m | None -> Ixtelemetry.Metrics.create ()
-  in
   let rcu_mgr = Rcu.create_manager ~threads in
   let arp_cache = Arp_cache.create rcu_mgr in
   let conn_count = ref 0 in
@@ -74,12 +47,8 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(options = default_options)
     let tx_nic = nics.(i mod Array.length nics) in
     Dataplane.create ~sim ~thread_id:i
       ~core:(Cpu_core.create ~id:((host_id * 100) + i))
-      ~local_ip:ip ~queues ~tx_nic ~arp:arp_cache ~rcu:rcu_mgr ~costs:options.costs
-      ~batch_bound:options.batch_bound ~batch_mode:options.batch_mode
-      ~config:options.config
-      ~zero_copy:options.zero_copy ~polling:options.polling ?cache:options.cache
-      ~conn_count ?pcie:options.pcie ~metrics:registry ~handle_alloc
-      ~rng:(Engine.Rng.split rng) ()
+      ~local_ip:ip ~queues ~tx_nic ~arp:arp_cache ~rcu:rcu_mgr ~config ~tcp ~cache
+      ~conn_count ~metrics ~handle_alloc ~rng:(Engine.Rng.split rng)
   in
   let thread_array = Array.init threads make_thread in
   (* Spread RSS flow groups across the active threads. *)
@@ -95,7 +64,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(options = default_options)
       arp_cache;
       rcu_mgr;
       conn_count;
-      registry;
+      registry = metrics;
       placement =
         Rcu.make rcu_mgr
           (Array.init Nic.indirection_entries (fun g -> g mod threads));
@@ -103,10 +72,10 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(options = default_options)
     }
   in
   let fold f = Array.fold_left (fun acc dp -> acc + f (Dataplane.core dp)) 0 thread_array in
-  Ixtelemetry.Metrics.probe registry "kernel_share" (fun () ->
+  Ixtelemetry.Metrics.probe metrics "kernel_share" (fun () ->
       let k = fold Cpu_core.kernel_ns and u = fold Cpu_core.user_ns in
       if k + u = 0 then 0. else float_of_int k /. float_of_int (k + u));
-  Ixtelemetry.Metrics.probe registry "busy_ns" (fun () ->
+  Ixtelemetry.Metrics.probe metrics "busy_ns" (fun () ->
       float_of_int (fold Cpu_core.busy_ns_total));
   t
 
@@ -127,14 +96,6 @@ let metrics t = t.registry
 let live_threads t = t.active
 let set_live_threads t n = t.active <- n
 let group_home t g = (Rcu.read t.placement).(g)
-
-let groups_homed_on t thread =
-  let placement = Rcu.read t.placement in
-  let acc = ref [] in
-  for g = Ixhw.Nic.indirection_entries - 1 downto 0 do
-    if placement.(g) = thread then acc := g :: !acc
-  done;
-  !acc
 
 (* Publish a new home for [group] through RCU; [retired] fires once
    every elastic thread has passed a quiescent point (the end of a

@@ -9,19 +9,6 @@
 
 type t
 
-type options = {
-  costs : Dataplane.costs;
-  batch_bound : int;
-  batch_mode : Batch.mode;  (** fixed B (the default) or adaptive *)
-  config : Ixtcp.Tcb.config;
-  zero_copy : bool;
-  polling : bool;
-  cache : Ixhw.Cache_model.t option;
-  pcie : Ixhw.Pcie_model.t option;  (** override for the PCIe ablation *)
-}
-
-val default_options : options
-
 val ix_tcp_config : Ixtcp.Tcb.config
 (** The dataplane's TCP profile: fine-grained RTO floor (the timing
     wheel's 16 µs resolution makes sub-millisecond retransmission
@@ -33,15 +20,17 @@ val create :
   ip:Ixnet.Ip_addr.t ->
   nics:Ixhw.Nic.t array ->
   threads:int ->
-  ?options:options ->
-  ?metrics:Ixtelemetry.Metrics.t ->
+  config:Dataplane.config ->
+  tcp:Ixtcp.Tcb.config ->
+  cache:Ixhw.Cache_model.t option ->
+  metrics:Ixtelemetry.Metrics.t ->
   seed:int ->
-  unit ->
   t
-(** [metrics] is the telemetry registry shared by all elastic threads
-    (a private one is created when omitted); the host registers
-    ["kernel_share"] and ["busy_ns"] probe gauges on it alongside the
-    per-thread [dataplane.<id>.*] counters. *)
+(** Every elastic thread runs [config] with TCP profile [tcp] and, when
+    given, the connection-count [cache] model.  [metrics] is the
+    telemetry registry shared by all elastic threads; the host
+    registers ["kernel_share"] and ["busy_ns"] probe gauges on it
+    alongside the per-thread [dataplane.<id>.*] counters. *)
 
 val sim : t -> Engine.Sim.t
 val ip : t -> Ixnet.Ip_addr.t
@@ -67,9 +56,6 @@ val set_live_threads : t -> int -> unit
 val group_home : t -> int -> int
 (** The thread currently homing RSS flow group [g] (coherence-free
     RCU read of the placement map). *)
-
-val groups_homed_on : t -> int -> int list
-(** All flow groups homed on a thread, ascending. *)
 
 val publish_group_home :
   t -> group:int -> thread:int -> retired:(unit -> unit) -> unit

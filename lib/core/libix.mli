@@ -32,11 +32,11 @@ type handlers = {
 
 val default_handlers : handlers
 
-val create : ?cookie_alloc:int ref -> Dataplane.t -> t
-(** Installs itself as the dataplane's application.  Multi-threaded
-    hosts pass one shared [cookie_alloc] per host so conn cookies (the
+val create : cookie_alloc:int ref -> Dataplane.t -> t
+(** Installs itself as the dataplane's application.  A host passes one
+    shared [cookie_alloc] to all its threads' libs so conn cookies (the
     event-routing key) stay unique across elastic threads and survive
-    migration; the default is a private allocator. *)
+    migration. *)
 
 val dataplane : t -> Dataplane.t
 
@@ -70,26 +70,6 @@ val sendv : conn -> Ixmem.Iovec.t list -> bool
 (** Zero-copy send: the slices must stay immutable until [on_sent]
     covers them.  Routes through the conn's current owner thread. *)
 
-val set_zero_copy_udp_reader :
-  t ->
-  (src:Ixnet.Ip_addr.t * int -> dst_port:int -> Ixmem.Mbuf.t -> int -> int -> unit) ->
-  unit
-(** Opt the UDP receive path into the zero-copy contract: datagram
-    payloads are delivered as mbuf slices instead of handler-string
-    copies.  The reader owns the mbuf reference and must eventually
-    call [udp_recv_done]; {!udp_handler} looks up the bound handler
-    when the reader wants to dispatch by port itself. *)
-
-val udp_recv_done : t -> Ixmem.Mbuf.t -> unit
-(** Release a zero-copy UDP payload's buffer reference.  (No receive
-    window to advance — datagrams — and no user-copy charge: skipping
-    that copy is the point of the zero-copy path.) *)
-
-val udp_handler :
-  t -> port:int -> (src:Ixnet.Ip_addr.t * int -> string -> unit) option
-(** The handler bound at [port] by {!udp_bind}, if any — for zero-copy
-    UDP readers that fall back to the copying handler per datagram. *)
-
 val udp_bind : t -> port:int -> (src:Ixnet.Ip_addr.t * int -> string -> unit) -> unit
 (** Receive datagrams on a UDP port (§4.2's UDP support — the protocol
     Facebook's memcached deployment uses for GETs [46]). *)
@@ -122,7 +102,6 @@ val migrate_conns : src:t -> dst:t -> int list -> int
     destination's flush list.  Returns how many conns moved. *)
 
 val conn_count : t -> int
-val pending_send_bytes : conn -> int
 
 val max_pending_send : int
 (** The per-connection pending-send-bytes policy limit (1 MB). *)

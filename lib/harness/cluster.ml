@@ -11,30 +11,14 @@ type spec = {
   kind : kind;
   threads : int;
   nic_ports : int;
-  batch_bound : int;
-  batch_mode : Ix_core.Batch.mode;
-  zero_copy : bool;
-  polling : bool;
+  ix : Ix_core.Dataplane.config;
   cache : Ixhw.Cache_model.t option;
-  pcie : Ixhw.Pcie_model.t option;
   tcp_config : Ixtcp.Tcb.config option;
 }
 
-let server_spec ?(threads = 8) ?(nic_ports = 1) ?(batch_bound = 64)
-    ?(batch_mode = Ix_core.Batch.Fixed) ?(zero_copy = true) ?(polling = true)
-    ?cache ?pcie ?tcp_config kind =
-  {
-    kind;
-    threads;
-    nic_ports;
-    batch_bound;
-    batch_mode;
-    zero_copy;
-    polling;
-    cache;
-    pcie;
-    tcp_config;
-  }
+let server_spec ?(threads = 8) ?(nic_ports = 1) kind =
+  { kind; threads; nic_ports; ix = Ix_core.Dataplane.default_config; cache = None;
+    tcp_config = None }
 
 type t = {
   sim : Sim.t;
@@ -107,22 +91,10 @@ let attach_host ?ecn_threshold_bytes ?queue_limit_bytes ?collect_rx_links
 let make_stack sim ~spec ~host_id ~ip ~nics ~metrics ~seed ~linux_costs =
   match spec.kind with
   | Ix ->
-      let options =
-        {
-          Ix_host.default_options with
-          Ix_host.batch_bound = spec.batch_bound;
-          batch_mode = spec.batch_mode;
-          zero_copy = spec.zero_copy;
-          polling = spec.polling;
-          cache = spec.cache;
-          pcie = spec.pcie;
-          config =
-            Option.value spec.tcp_config ~default:Ix_host.default_options.Ix_host.config;
-        }
-      in
       let host =
-        Ix_host.create ~sim ~host_id ~ip ~nics ~threads:spec.threads ~options
-          ~metrics ~seed ()
+        Ix_host.create ~sim ~host_id ~ip ~nics ~threads:spec.threads ~config:spec.ix
+          ~tcp:(Option.value spec.tcp_config ~default:Ix_host.ix_tcp_config)
+          ~cache:spec.cache ~metrics ~seed
       in
       (Apps.Ix_adapter.stack_of_host host, Some host)
   | Linux ->
@@ -177,12 +149,8 @@ let build ?(seed = 42) ?(client_hosts = 6) ?(client_threads = 8)
             kind = client_kind;
             threads = client_threads;
             nic_ports = 1;
-            batch_bound = 64;
-            batch_mode = Ix_core.Batch.Fixed;
-            zero_copy = true;
-            polling = true;
+            ix = Ix_core.Dataplane.default_config;
             cache = None;
-            pcie = None;
             tcp_config = client_tcp_config;
           }
         in

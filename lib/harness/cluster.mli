@@ -13,19 +13,14 @@ type spec = {
   kind : kind;
   threads : int;
   nic_ports : int;
-  batch_bound : int;  (** IX only *)
-  batch_mode : Ix_core.Batch.mode;  (** IX only: fixed B or adaptive *)
-  zero_copy : bool;  (** IX only *)
-  polling : bool;  (** IX only *)
+  ix : Ix_core.Dataplane.config;  (** IX only: the dataplane design choices *)
   cache : Ixhw.Cache_model.t option;  (** connection-count L3 model *)
-  pcie : Ixhw.Pcie_model.t option;  (** IX PCIe-coalescing ablation *)
   tcp_config : Ixtcp.Tcb.config option;  (** override the stack's TCP profile *)
 }
 
-val server_spec : ?threads:int -> ?nic_ports:int -> ?batch_bound:int ->
-  ?batch_mode:Ix_core.Batch.mode ->
-  ?zero_copy:bool -> ?polling:bool -> ?cache:Ixhw.Cache_model.t ->
-  ?pcie:Ixhw.Pcie_model.t -> ?tcp_config:Ixtcp.Tcb.config -> kind -> spec
+val server_spec : ?threads:int -> ?nic_ports:int -> kind -> spec
+(** Defaults: 8 threads, one NIC port, {!Ix_core.Dataplane.default_config},
+    no cache model, the stack's own TCP profile. *)
 
 type t = {
   sim : Engine.Sim.t;

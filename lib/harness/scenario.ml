@@ -87,20 +87,22 @@ let cluster s =
       Cluster.kind = s.kind;
       threads = s.cores;
       nic_ports = s.ports;
-      batch_bound = s.batch_bound;
-      batch_mode = s.batch_mode;
-      zero_copy = s.zero_copy;
-      polling = s.polling;
+      ix =
+        {
+          Ix_core.Dataplane.batch_bound = s.batch_bound;
+          batch_mode = s.batch_mode;
+          zero_copy = s.zero_copy;
+          polling = s.polling;
+          (* [Pcie_model.t] is immutable, so the default's model is
+             safe to share between concurrent scenarios. *)
+          pcie =
+            (if s.uncoalesced_pcie then Ixhw.Pcie_model.create ~replenish_batch:1 ()
+             else Ix_core.Dataplane.default_config.pcie);
+        };
       cache =
         (match s.workload with
         | Conn_scaling _ -> Some (Ixhw.Cache_model.create ())
         | _ -> None);
-      (* The PCIe model is mutable per run: build a fresh one here so
-         concurrent scenarios never share it. *)
-      pcie =
-        (if s.uncoalesced_pcie then
-           Some (Ixhw.Pcie_model.create ~replenish_batch:1 ())
-         else None);
       tcp_config = tcp_for s s.kind;
     }
   in
