@@ -1,18 +1,13 @@
 module Net_api = Netapi.Net_api
 
-type app_costs = {
-  base_ns : int;
-  per_value_kb_ns : int;
-  get_lock_ns : int;
-  set_lock_ns : int;
-}
-
-let default_app_costs =
-  { base_ns = 2_400; per_value_kb_ns = 300; get_lock_ns = 200; set_lock_ns = 1_600 }
+(* Application costs (ns). *)
+let base_ns = 2_400 (* hash + dispatch per request *)
+let per_value_kb_ns = 300 (* value handling per KB *)
+let get_lock_ns = 200 (* global-lock hold time for a GET *)
+let set_lock_ns = 1_600 (* global-lock hold time for a SET *)
 
 type t = {
   table : (string, string) Hashtbl.t;
-  costs : app_costs;
   now : unit -> int;
   (* The global cache lock, as in memcached 1.4.x: a single serially
      reusable resource shared by every server thread.  Because batched
@@ -23,7 +18,6 @@ type t = {
   mutable win_start : int;
   mutable win_hold_ns : int;
   mutable utilization : float;
-  mutable lock_wait_total : int;
   mutable get_count : int;
   mutable set_count : int;
   mutable hit_count : int;
@@ -34,7 +28,6 @@ let items t = Hashtbl.length t.table
 let gets t = t.get_count
 let sets t = t.set_count
 let hits t = t.hit_count
-let lock_wait_ns t = t.lock_wait_total
 
 (* Acquire the global lock, holding it for [hold] ns; returns the
    expected wait + hold time to charge to the calling thread.  The
@@ -55,15 +48,14 @@ let with_lock t ~hold =
   let wait =
     int_of_float (float_of_int hold *. (rho /. (1. -. rho)) /. 2.)
   in
-  t.lock_wait_total <- t.lock_wait_total + wait;
   wait + hold
 
 let process t stack ~thread (req : Kv_protocol.request) =
-  let value_cost v = t.costs.per_value_kb_ns * String.length v / 1024 in
+  let value_cost v = per_value_kb_ns * String.length v / 1024 in
   match req.Kv_protocol.op with
   | Kv_protocol.Get ->
       t.get_count <- t.get_count + 1;
-      let locked = with_lock t ~hold:t.costs.get_lock_ns in
+      let locked = with_lock t ~hold:get_lock_ns in
       let value = Hashtbl.find_opt t.table req.Kv_protocol.key in
       let value, status =
         match value with
@@ -72,26 +64,24 @@ let process t stack ~thread (req : Kv_protocol.request) =
             (v, Kv_protocol.hit)
         | None -> ("", Kv_protocol.miss)
       in
-      stack.Net_api.charge_app ~thread (t.costs.base_ns + locked + value_cost value);
+      stack.Net_api.charge_app ~thread (base_ns + locked + value_cost value);
       { Kv_protocol.status; reqid = req.Kv_protocol.reqid; value }
   | Kv_protocol.Set ->
       t.set_count <- t.set_count + 1;
-      let locked = with_lock t ~hold:t.costs.set_lock_ns in
+      let locked = with_lock t ~hold:set_lock_ns in
       Hashtbl.replace t.table req.Kv_protocol.key req.Kv_protocol.value;
       stack.Net_api.charge_app ~thread
-        (t.costs.base_ns + locked + value_cost req.Kv_protocol.value);
+        (base_ns + locked + value_cost req.Kv_protocol.value);
       { Kv_protocol.status = Kv_protocol.stored; reqid = req.Kv_protocol.reqid; value = "" }
 
-let server stack ~now ~port ?(costs = default_app_costs) () =
+let server stack ~now ~port () =
   let t =
     {
       table = Hashtbl.create 65536;
-      costs;
       now;
       win_start = 0;
       win_hold_ns = 0;
       utilization = 0.;
-      lock_wait_total = 0;
       get_count = 0;
       set_count = 0;
       hit_count = 0;

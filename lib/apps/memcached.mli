@@ -10,22 +10,12 @@
 
     The store itself is real: GETs return previously SET values. *)
 
-type app_costs = {
-  base_ns : int;  (** hash + dispatch per request *)
-  per_value_kb_ns : int;  (** value handling per KB *)
-  get_lock_ns : int;  (** global-lock hold time for a GET *)
-  set_lock_ns : int;  (** global-lock hold time for a SET *)
-}
-
-val default_app_costs : app_costs
-
 type t
 
 val server :
   Netapi.Net_api.stack ->
   now:(unit -> Engine.Sim_time.t) ->
   port:int ->
-  ?costs:app_costs ->
   unit ->
   t
 
@@ -36,6 +26,3 @@ val items : t -> int
 val gets : t -> int
 val sets : t -> int
 val hits : t -> int
-
-val lock_wait_ns : t -> int
-(** Total time threads spent waiting on the global lock. *)

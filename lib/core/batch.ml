@@ -55,15 +55,6 @@ let bound t = t.limit
 let set_bound t b = t.limit <- clamp_mode t.mode (max 1 b)
 let mode t = t.mode
 
-let set_mode t mode =
-  validate_mode mode;
-  t.mode <- mode;
-  t.limit <- clamp_mode mode t.limit;
-  t.win_cycles <- 0;
-  t.win_saturated <- 0;
-  t.win_packets <- 0;
-  t.congested <- false
-
 let congested t = t.congested
 
 (* End-of-window decision, driven purely by the next_batch call stream

@@ -38,10 +38,6 @@ val set_bound : t -> int -> unit
 
 val mode : t -> mode
 
-val set_mode : t -> mode -> unit
-(** Switch policy; resets the adaptive window and clamps the bound
-    into the new mode's range. *)
-
 val congested : t -> bool
 (** Did the last adaptive window close saturated?  (Always [false] in
     fixed mode.) *)

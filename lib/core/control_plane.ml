@@ -20,7 +20,6 @@ type t = {
   mutable migrating : int list;  (* groups with a handover in flight *)
   mutable migrations_started : int;
   mutable migrations_completed : int;
-  mutable last_migration_ns : int;  (* retarget -> handover latency *)
   mutable total_migration_ns : int;
   c_migrations : Ixtelemetry.Metrics.counter;
   c_parked_frames : Ixtelemetry.Metrics.counter;
@@ -35,7 +34,6 @@ let create h =
     migrating = [];
     migrations_started = 0;
     migrations_completed = 0;
-    last_migration_ns = 0;
     total_migration_ns = 0;
     c_migrations = c "migrations";
     c_parked_frames = c "parked_frames";
@@ -97,7 +95,6 @@ let migrate_flow_group t ~group ~dst =
       t.migrating <- List.filter (fun g -> g <> group) t.migrating;
       t.migrations_completed <- t.migrations_completed + 1;
       let latency = Engine.Sim.now (Ix_host.sim t.h) - t0 in
-      t.last_migration_ns <- latency;
       t.total_migration_ns <- t.total_migration_ns + latency;
       Log.debug (fun m ->
           m "group %d: %d -> %d handed over (%d conns, %d parked frames, %d ns)"
@@ -117,7 +114,6 @@ let migrate_flow_group t ~group ~dst =
 
 let migrations_in_flight t = List.length t.migrating
 let migrations_completed t = t.migrations_completed
-let last_migration_ns t = t.last_migration_ns
 let total_migration_ns t = t.total_migration_ns
 
 (* Rebalance every group onto the live prefix [0, n): group g belongs

@@ -56,10 +56,6 @@ val remove_core : t -> bool
 val migrations_in_flight : t -> int
 val migrations_completed : t -> int
 
-val last_migration_ns : t -> int
-(** Retarget-to-handover latency of the most recently completed
-    migration (simulated ns). *)
-
 val total_migration_ns : t -> int
 
 val monitor : t -> report list

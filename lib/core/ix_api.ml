@@ -35,32 +35,3 @@ type event =
     }
 
 type syscall_result = int
-
-let pp_syscall fmt = function
-  | Sys_connect { cookie; dst_ip; dst_port } ->
-      Format.fprintf fmt "connect(cookie=%d, %a:%d)" cookie Ixnet.Ip_addr.pp dst_ip
-        dst_port
-  | Sys_accept { handle; cookie } -> Format.fprintf fmt "accept(h=%d, cookie=%d)" handle cookie
-  | Sys_sendv { handle; queue } ->
-      Format.fprintf fmt "sendv(h=%d, %dB)" handle (Ixmem.Iov_deque.bytes queue)
-  | Sys_recv_done { handle; bytes_acked } ->
-      Format.fprintf fmt "recv_done(h=%d, %dB)" handle bytes_acked
-  | Sys_close { handle } -> Format.fprintf fmt "close(h=%d)" handle
-  | Sys_abort { handle } -> Format.fprintf fmt "abort(h=%d)" handle
-  | Sys_udp_sendv { src_port; dst_ip; dst_port; iovs } ->
-      Format.fprintf fmt "udp_sendv(:%d -> %a:%d, %dB)" src_port Ixnet.Ip_addr.pp
-        dst_ip dst_port (Ixmem.Iovec.total iovs)
-
-let pp_event fmt = function
-  | Ev_knock { handle; src_ip; src_port; dst_port } ->
-      Format.fprintf fmt "knock(h=%d, %a:%d->:%d)" handle Ixnet.Ip_addr.pp src_ip
-        src_port dst_port
-  | Ev_connected { cookie; handle; ok } ->
-      Format.fprintf fmt "connected(cookie=%d, h=%d, %b)" cookie handle ok
-  | Ev_recv { cookie; len; _ } -> Format.fprintf fmt "recv(cookie=%d, %dB)" cookie len
-  | Ev_sent { cookie; bytes_sent; window_size } ->
-      Format.fprintf fmt "sent(cookie=%d, %dB, win=%d)" cookie bytes_sent window_size
-  | Ev_dead { cookie; _ } -> Format.fprintf fmt "dead(cookie=%d)" cookie
-  | Ev_udp_recv { dst_port; src_ip; src_port; len; _ } ->
-      Format.fprintf fmt "udp_recv(:%d <- %a:%d, %dB)" dst_port Ixnet.Ip_addr.pp
-        src_ip src_port len

@@ -74,6 +74,3 @@ type syscall_result = int
     [Sys_sendv] the number of bytes accepted by the TCP stack (the
     sliding-window-constrained acceptance the paper describes); for
     [Sys_connect] the new handle; 0 or -1 otherwise. *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_syscall : Format.formatter -> syscall -> unit

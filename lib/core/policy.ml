@@ -7,7 +7,6 @@ type rule = {
 }
 
 type t = {
-  default : action;
   mutable rules : rule list; (* insertion order *)
   mutable rate : int option; (* bytes per second *)
   mutable tokens : float;
@@ -16,9 +15,8 @@ type t = {
   mutable metered_count : int;
 }
 
-let create ?(default = Allow) () =
+let create () =
   {
-    default;
     rules = [];
     rate = None;
     tokens = 0.;
@@ -42,16 +40,13 @@ let rule_matches rule ~src_ip ~dst_port =
 
 (* Top-level rather than a local closure over the packet fields, so a
    lookup allocates nothing. *)
-let rec scan default ~src_ip ~dst_port = function
-  | [] -> default
+let rec scan ~src_ip ~dst_port = function
+  | [] -> Allow
   | rule :: rest ->
       if rule_matches rule ~src_ip ~dst_port then rule.action
-      else scan default ~src_ip ~dst_port rest
+      else scan ~src_ip ~dst_port rest
 
-let firewall_action t ~src_ip ~dst_port =
-  match t.rules with
-  | [] -> t.default
-  | rules -> scan t.default ~src_ip ~dst_port rules
+let firewall_action t ~src_ip ~dst_port = scan ~src_ip ~dst_port t.rules
 
 let metering_admits t ~now ~len =
   match t.rate with

@@ -15,7 +15,8 @@ type rule = {
 
 type t
 
-val create : ?default:action -> unit -> t
+val create : unit -> t
+(** No rules (everything is allowed) and no rate limit. *)
 
 val add_rule : t -> rule -> unit
 (** Rules are evaluated in insertion order; first match wins. *)

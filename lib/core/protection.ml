@@ -2,20 +2,14 @@ type domain = Vmx_root | Dataplane_kernel | User
 
 exception Protection_violation of string
 
-type t = {
-  ring_crossing_ns : int;
-  vm_transition_ns : int;
-  mutable domain : domain;
-  mutable crossing_count : int;
-}
+(* A non-root ring crossing costs about one L3 miss; a VM transition
+   to the control plane far more. *)
+let ring_crossing_ns = 90
+let vm_transition_ns = 1_500
 
-let create ?(ring_crossing_ns = 90) ?(vm_transition_ns = 1_500) () =
-  {
-    ring_crossing_ns;
-    vm_transition_ns;
-    domain = Dataplane_kernel;
-    crossing_count = 0;
-  }
+type t = { mutable domain : domain; mutable crossing_count : int }
+
+let create () = { domain = Dataplane_kernel; crossing_count = 0 }
 
 let current t = t.domain
 
@@ -29,19 +23,19 @@ let enter_user t =
     raise (Protection_violation ("enter_user from " ^ name t.domain));
   t.domain <- User;
   t.crossing_count <- t.crossing_count + 1;
-  t.ring_crossing_ns
+  ring_crossing_ns
 
 let enter_kernel t =
   if t.domain <> User then
     raise (Protection_violation ("enter_kernel from " ^ name t.domain));
   t.domain <- Dataplane_kernel;
   t.crossing_count <- t.crossing_count + 1;
-  t.ring_crossing_ns
+  ring_crossing_ns
 
 let control_plane_call t =
   (* Full VM exit + entry, from either non-root domain. *)
   t.crossing_count <- t.crossing_count + 2;
-  2 * t.vm_transition_ns
+  2 * vm_transition_ns
 
 let require t domain =
   if t.domain <> domain then

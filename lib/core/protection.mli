@@ -16,9 +16,10 @@ type domain = Vmx_root | Dataplane_kernel | User
 
 type t
 
-val create : ?ring_crossing_ns:int -> ?vm_transition_ns:int -> unit -> t
-(** Defaults: 90 ns per non-root ring crossing (≈ one L3 miss), 1.5 µs
-    per VM transition to the control plane. *)
+val create : unit -> t
+(** Starts in the dataplane kernel.  Costs: 90 ns per non-root ring
+    crossing (≈ one L3 miss), 1.5 µs per VM transition to the control
+    plane. *)
 
 val current : t -> domain
 

@@ -3,10 +3,9 @@
 
 type pending = { mutable waiting_for : bool array; callback : unit -> unit }
 
-type manager = { mutable thread_count : int; mutable pendings : pending list }
+type manager = { thread_count : int; mutable pendings : pending list }
 
 let create_manager ~threads = { thread_count = threads; pendings = [] }
-let set_threads m n = m.thread_count <- n
 
 let all_done p = Array.for_all (fun w -> not w) p.waiting_for
 

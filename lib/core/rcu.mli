@@ -16,9 +16,6 @@ val create_manager : threads:int -> manager
 (** One manager per dataplane group; [threads] elastic threads must
     each report quiescence. *)
 
-val set_threads : manager -> int -> unit
-(** Elastic thread count changed (control plane rebalance). *)
-
 val quiescent : manager -> thread:int -> unit
 (** Thread [thread] finished a run-to-completion cycle. *)
 

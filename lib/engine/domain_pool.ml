@@ -95,7 +95,7 @@ let worker t =
   in
   loop ()
 
-let create ?name:_ ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Domain_pool.create: jobs must be >= 1";
   (* Choose the profitable width automatically: never oversubscribe the
      machine (see the module comment on the stop-the-world minor GC). *)
@@ -180,8 +180,8 @@ let map t fs =
         | None -> assert false (* no error and no result is impossible *))
   end
 
-let with_pool ?name ~jobs f =
-  let t = create ?name ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map_jobs ~jobs fs =

@@ -25,7 +25,7 @@
 
 type t
 
-val create : ?name:string -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains (the submitting
     domain participates in every batch, so total parallelism is
     [jobs]).  [jobs = 1] spawns nothing: {!map} then runs every task
@@ -48,7 +48,7 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Subsequent {!map}
     calls raise [Invalid_argument]. *)
 
-val with_pool : ?name:string -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
     the way out (also on exception). *)
 

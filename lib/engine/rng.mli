@@ -12,9 +12,6 @@ val split : t -> t
 (** [split rng] derives an independent stream; used to give each
     component (host, connection, workload) its own generator. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)
 

@@ -269,8 +269,8 @@ let chaos_echo_server stack fi ~port ~msg_size ~app_ns =
       })
 
 let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
-    ?(server_threads = 2) ?(sessions = 24) ?(elastic_steps = []) () =
-  let msg_size = 64 and msgs_per_conn = 16 and client_threads = 2 in
+    ?(server_threads = 2) ?(elastic_steps = []) () =
+  let msg_size = 64 and msgs_per_conn = 16 and client_threads = 2 and sessions = 24 in
   let server =
     Cluster.server_spec ~threads:server_threads ~nic_ports:1 Cluster.Ix
   in
@@ -365,14 +365,11 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
 (* ------------------------------------------------------------------ *)
 (* The memcached leg                                                   *)
 
-let memcached_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
-    ?(server_threads = 2) ?(connections = 48) () =
+let memcached_leg ?(seed = 42) ~spec ?(soak_ms = 8) () =
   (* Handler crashes are the echo leg's concern; the KV handler is the
      stock application, so the crash stream must never be consulted. *)
   let spec = { spec with Fault_plan.app_crash_rate = 0. } in
-  let server =
-    Cluster.server_spec ~threads:server_threads ~nic_ports:1 Cluster.Ix
-  in
+  let server = Cluster.server_spec ~threads:2 ~nic_ports:1 Cluster.Ix in
   let cluster =
     Cluster.build ~seed ~client_hosts:2 ~client_threads:2
       ~client_kind:Cluster.Ix ~server ()
@@ -395,7 +392,7 @@ let memcached_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
          arm fi cluster));
   let result =
     Workloads.Mutilate.run ~sim ~clients:cluster.Cluster.clients
-      ~server_ip:cluster.Cluster.server_ip ~port:11211 ~profile ~connections
+      ~server_ip:cluster.Cluster.server_ip ~port:11211 ~profile ~connections:48
       ~target_rps:80e3 ~warmup_ms ~duration_ms:soak_ms ~seed:(seed + 1) ()
   in
   let t_drain = Sim.now sim + Sim_time.us 500 in

@@ -44,11 +44,10 @@ val echo_leg :
   ?spec:Ix_faults.Fault_plan.spec ->
   ?soak_ms:int ->
   ?server_threads:int ->
-  ?sessions:int ->
   ?elastic_steps:int list ->
   unit ->
   leg
-(** A 64 B echo soak: warm up fault-free (so ARP resolves and the
+(** A 64 B echo soak of 24 client sessions: warm up fault-free (so ARP resolves and the
     working set establishes), arm the plan, soak for [soak_ms], stop
     the clients, force-abort every surviving connection on every host,
     run to quiescence and audit.
@@ -63,15 +62,14 @@ val echo_leg :
 
 val memcached_leg :
   ?seed:int ->
-  ?spec:Ix_faults.Fault_plan.spec ->
+  spec:Ix_faults.Fault_plan.spec ->
   ?soak_ms:int ->
-  ?server_threads:int ->
-  ?connections:int ->
   unit ->
   leg
-(** A mutilate-driven memcached soak under wire and hardware faults
-    (handler crashes are an echo-leg concern; the KV handler is the
-    stock application).  Same drain + audit discipline. *)
+(** A mutilate-driven memcached soak, 48 connections against a 2-thread
+    server, under [spec]'s wire and hardware faults (handler crashes
+    are an echo-leg concern; the KV handler is the stock application).
+    Same drain + audit discipline. *)
 
 val run :
   ?jobs:int ->

@@ -1,5 +1,3 @@
-let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
 let mps v = Printf.sprintf "%.2fM" (v /. 1e6)
 let kps v = Printf.sprintf "%.0fK" (v /. 1e3)
 let gbps v = Printf.sprintf "%.2f" v

@@ -4,11 +4,6 @@
 val table : title:string -> headers:string list -> string list list -> string
 (** A titled, column-aligned table, as text starting with a blank line. *)
 
-val f1 : float -> string
-(** One decimal place. *)
-
-val f2 : float -> string
-
 val mps : float -> string
 (** Messages/second, in millions ("3.81M"). *)
 

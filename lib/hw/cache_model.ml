@@ -1,27 +1,26 @@
-type t = {
-  l3_bytes : int;
-  per_conn_bytes : int;
-  ddio_floor : float;
-  miss_ns : int;
-  max_extra_misses : float;
-}
+(* The E5-2665's L3, hot per-connection state, baseline DDIO misses per
+   message and the *effective* stall per miss (misses overlap under
+   memory-level parallelism).  [max_extra_misses] calibrates the
+   250 k-connection point of §5.4 (~25 misses/message). *)
+let l3_bytes = 20 * 1024 * 1024
+let per_conn_bytes = 512
+let ddio_floor = 1.4
+let miss_ns = 32
+let max_extra_misses = 28.0
 
-let create ?(l3_bytes = 20 * 1024 * 1024) ?(per_conn_bytes = 512)
-    ?(ddio_floor = 1.4) ?(miss_ns = 32) () =
-  (* [max_extra_misses] calibrates the 250 k-connection point of §5.4
-     (~25 misses/message) given the other defaults. *)
-  { l3_bytes; per_conn_bytes; ddio_floor; miss_ns; max_extra_misses = 28.0 }
+(* The model has no state: a [t] only marks that a stack runs with it. *)
+type t = unit
 
-let misses_per_message t ~conns =
-  let working_set = conns * t.per_conn_bytes in
-  if working_set <= t.l3_bytes then t.ddio_floor
+let create () = ()
+
+let misses_per_message () ~conns =
+  let working_set = conns * per_conn_bytes in
+  if working_set <= l3_bytes then ddio_floor
   else begin
-    let miss_fraction =
-      1. -. (float_of_int t.l3_bytes /. float_of_int working_set)
-    in
-    t.ddio_floor +. (t.max_extra_misses *. miss_fraction)
+    let miss_fraction = 1. -. (float_of_int l3_bytes /. float_of_int working_set) in
+    ddio_floor +. (max_extra_misses *. miss_fraction)
   end
 
 let extra_ns_per_message t ~conns =
-  let extra = misses_per_message t ~conns -. t.ddio_floor in
-  int_of_float (extra *. float_of_int t.miss_ns)
+  let extra = misses_per_message t ~conns -. ddio_floor in
+  int_of_float (extra *. float_of_int miss_ns)

@@ -10,15 +10,9 @@
 
 type t
 
-val create :
-  ?l3_bytes:int ->
-  ?per_conn_bytes:int ->
-  ?ddio_floor:float ->
-  ?miss_ns:int ->
-  unit ->
-  t
-(** Defaults: 20 MB L3 (E5-2665), 512 B of hot per-connection state,
-    1.4 baseline misses/message, 32 ns of *effective* stall per miss
+val create : unit -> t
+(** A 20 MB L3 (E5-2665), 512 B of hot per-connection state, 1.4
+    baseline misses/message, 32 ns of *effective* stall per miss
     (misses overlap under memory-level parallelism, so the effective
     per-miss penalty is well below the raw latency). *)
 

@@ -48,7 +48,6 @@ let borrow_mbuf mbuf =
 
 let retain t = if t.owner != no_owner then Mbuf.incref t.owner
 let release t = if t.owner != no_owner then Mbuf.decref t.owner
-let is_borrowed t = t.owner != no_owner
 
 let length t = t.len
 

@@ -47,8 +47,6 @@ val release : t -> unit
 (** Drop one reference (terminal consumption: RX copy-in, wire drop,
     switch discard).  No-op on owned snapshots. *)
 
-val is_borrowed : t -> bool
-
 val length : t -> int
 
 val wire_bytes : t -> int

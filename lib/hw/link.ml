@@ -91,11 +91,6 @@ let send_at t frame ~earliest =
   end
 
 let send t frame = send_at t frame ~earliest:0
-let busy_until t = t.busy
-
-let queue_delay t =
-  let now = Engine.Sim.now t.sim in
-  if t.busy > now then t.busy - now else 0
 
 let bytes_sent t = t.total_bytes
 let frames_sent t = t.total_frames

@@ -27,12 +27,6 @@ val send : t -> Frame.t -> unit
 val send_at : t -> Frame.t -> earliest:Engine.Sim_time.t -> unit
 (** Like [send] but not before [earliest]. *)
 
-val busy_until : t -> Engine.Sim_time.t
-
-val queue_delay : t -> Engine.Sim_time.t
-(** How long a frame handed over now would wait before starting to
-    serialize. *)
-
 val bytes_sent : t -> int
 val frames_sent : t -> int
 

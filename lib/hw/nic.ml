@@ -33,9 +33,6 @@ type t = {
   mac_addr : Ixnet.Mac_addr.t;
   queues : rx_queue array;
   mutable indirection : int array;
-  rss_lut : Toeplitz.lut option;
-      (** per-key hash tables owned by this NIC, boxed once here so the
-          per-frame [?lut] argument allocates nothing *)
   tx_link : Link.t;
   c_drops : Metrics.counter;
   c_filtered : Metrics.counter;
@@ -44,8 +41,7 @@ type t = {
   c_retargets : Metrics.counter;
 }
 
-let create _sim ~mac ~queues ?(ring_size = 512) ?(rss_key = Toeplitz.default_key)
-    ?metrics ?(name = "nic") ~tx () =
+let create _sim ~mac ~queues ?(ring_size = 512) ?metrics ?(name = "nic") ~tx () =
   let registry =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -74,7 +70,6 @@ let create _sim ~mac ~queues ?(ring_size = 512) ?(rss_key = Toeplitz.default_key
     mac_addr = mac;
     queues = Array.init queues make_queue;
     indirection = Array.init indirection_entries (fun i -> i mod queues);
-    rss_lut = Some (Toeplitz.lut_of_key rss_key);
     tx_link = tx;
     c_drops = c "%s.rx_drops" name;
     c_filtered = c "%s.rx_filtered" name;
@@ -116,8 +111,8 @@ let set_indirection_entry t ~group ~queue =
 
 let indirection_entry t group = t.indirection.(group)
 
-let rss_group_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
-  Toeplitz.hash_tuple ?lut:t.rss_lut ~src_ip ~dst_ip ~src_port ~dst_port ()
+let rss_group_of_tuple _ ~src_ip ~dst_ip ~src_port ~dst_port =
+  Toeplitz.hash_tuple ~src_ip ~dst_ip ~src_port ~dst_port ()
   land (indirection_entries - 1)
 
 let rss_queue_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
@@ -238,7 +233,6 @@ let rss_retargets t = Metrics.value t.c_retargets
 let rx_drops t = Metrics.value t.c_drops
 let rx_filtered t = Metrics.value t.c_filtered
 let rx_frames t = Metrics.value t.c_rx
-let tx_frames t = Metrics.value t.c_tx
 let pool_of q = q.pool
 let set_replenish_gate q gate = q.replenish_gate <- gate
 let set_doorbell_defer q defer = q.doorbell_defer <- defer

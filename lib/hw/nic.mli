@@ -22,7 +22,6 @@ val create :
   mac:Ixnet.Mac_addr.t ->
   queues:int ->
   ?ring_size:int ->
-  ?rss_key:string ->
   ?metrics:Ixtelemetry.Metrics.t ->
   ?name:string ->
   tx:Link.t ->
@@ -120,8 +119,6 @@ val rx_filtered : t -> int
 (** Frames rejected by the MAC filter (counted under
     [<name>.rx_filtered] so frame-conservation audits close; a wire
     fault that corrupts the destination MAC lands here). *)
-
-val tx_frames : t -> int
 
 val pool_of : rx_queue -> Ixmem.Mempool.t
 

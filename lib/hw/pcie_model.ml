@@ -1,7 +1,9 @@
-type t = { doorbell_ns : int; batch : int }
+(* One posted doorbell write under contention. *)
+let doorbell_ns = 120
 
-let create ?(doorbell_ns = 120) ?(replenish_batch = 32) () =
-  { doorbell_ns; batch = max 1 replenish_batch }
+type t = { batch : int }
+
+let create ?(replenish_batch = 32) () = { batch = max 1 replenish_batch }
 
 let replenish_batch t = t.batch
 
@@ -9,7 +11,7 @@ let replenish_cost_ns t ~descriptors =
   if descriptors <= 0 then 0
   else begin
     let writes = (descriptors + t.batch - 1) / t.batch in
-    writes * t.doorbell_ns
+    writes * doorbell_ns
   end
 
-let doorbell_cost_ns t = t.doorbell_ns
+let doorbell_cost_ns _ = doorbell_ns

@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?doorbell_ns:int -> ?replenish_batch:int -> unit -> t
-(** Defaults: 120 ns per posted write under contention, batches of 32. *)
+val create : ?replenish_batch:int -> unit -> t
+(** 120 ns per posted write under contention; batches of 32 by
+    default. *)
 
 val replenish_batch : t -> int
 

@@ -2,7 +2,6 @@ type port = { mutable mac : Ixnet.Mac_addr.t; mutable out : Link.t option }
 
 type t = {
   sim : Engine.Sim.t;
-  crossing_ns : int;
   ports : port array;
   mac_table : (Ixnet.Mac_addr.t, int) Hashtbl.t;
   mutable bonds : int list list;
@@ -74,10 +73,12 @@ let forward_head t =
   let ingress_port = Frame_ring.head_tag t.crossing in
   forward t ~ingress_port (Frame_ring.pop t.crossing)
 
-let create sim ?(crossing_ns = 300) ~ports () =
+(* Cut-through latency from ingress to egress. *)
+let crossing_ns = 300
+
+let create sim ~ports () =
   {
     sim;
-    crossing_ns;
     ports = Array.init ports (fun _ -> { mac = Ixnet.Mac_addr.zero; out = None });
     mac_table = Hashtbl.create 64;
     bonds = [];
@@ -93,7 +94,7 @@ let create sim ?(crossing_ns = 300) ~ports () =
 
 let input t ~ingress_port frame =
   Frame_ring.push t.crossing frame ~tag:ingress_port;
-  ignore (Engine.Sim.after t.sim t.crossing_ns t.forward_next)
+  ignore (Engine.Sim.after t.sim crossing_ns t.forward_next)
 
 let forwarded t = t.forwarded_count
 let flooded t = t.flooded_count

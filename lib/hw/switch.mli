@@ -9,8 +9,8 @@
 
 type t
 
-val create : Engine.Sim.t -> ?crossing_ns:int -> ports:int -> unit -> t
-(** [crossing_ns] defaults to 300 ns of cut-through latency. *)
+val create : Engine.Sim.t -> ports:int -> unit -> t
+(** Frames cross the switch in 300 ns (cut-through). *)
 
 val attach : t -> port:int -> mac:Ixnet.Mac_addr.t -> out:Link.t -> unit
 

@@ -5,9 +5,9 @@
    uses a per-byte lookup table: tab.(p).(v) is the XOR of the key
    windows for the set bits of byte value [v] at byte position [p],
    collapsing 8 window slides into one array read.  The table is built
-   once per key and cached (the NIC hashes with one fixed key), and the
-   tuple bytes are fed straight from the unboxed ints — no Bytes
-   staging buffer.  The generic [hash] keeps the bit-sliding loop. *)
+   once per key (the NIC hashes with the default key's), and the tuple
+   bytes are fed straight from the unboxed ints — no Bytes staging
+   buffer. *)
 
 let default_key =
   "\x6d\x5a\x56\xda\x25\x5b\x0e\xc2\x41\x67\x25\x3d\x43\xa3\x8f\xb0\
@@ -28,30 +28,14 @@ let key_window key i =
   done;
   !w
 
-let hash ?(key = default_key) input =
-  let result = ref 0 in
-  let window = ref (key_window key 0) in
-  let bit_pos = ref 0 in
-  String.iter
-    (fun c ->
-      let byte = Char.code c in
-      for bit = 7 downto 0 do
-        if byte land (1 lsl bit) <> 0 then result := !result lxor !window;
-        incr bit_pos;
-        window := ((!window lsl 1) land 0xFFFFFFFF) lor key_bit key (!bit_pos + 31)
-      done)
-    input;
-  !result
-
 (* Per-byte tables for the 12-byte TCPv4 tuple input.
 
-   A LUT belongs to whoever hashes with its key — each [Nic] builds
-   (or shares) one at creation and passes it in per call, so there is
-   no process-global cache to thrash when two NICs poll with different
-   RSS keys, and no module-level mutable state to race when sims run
-   in concurrent domains.  The table for the ubiquitous default key is
-   built eagerly once at module initialisation (immutable afterwards,
-   hence domain-safe) and shared. *)
+   A LUT belongs to whoever hashes with its key and is passed in per
+   call, so there is no process-global cache and no module-level
+   mutable state to race when sims run in concurrent domains.  The
+   table for the default key, which every [Nic] uses, is built eagerly
+   once at module initialisation (immutable afterwards, hence
+   domain-safe) and shared. *)
 type lut = int array array
 
 let build_lut lut_key =

@@ -4,25 +4,17 @@
     hash cannot be reversed, clients instead probe the ephemeral port
     range ([Port_alloc]) until the reply hashes where they want (§4.4). *)
 
-val default_key : string
-(** The 40-byte Microsoft verification key. *)
-
 val symmetric_key : string
 (** A repeating 2-byte key making hash(src,dst) = hash(dst,src). *)
 
 type lut
 (** Per-byte lookup tables for the 12-byte TCPv4 tuple input,
     specialised to one key.  Immutable once built, hence safe to share
-    across domains.  Whoever hashes owns its LUT (each {!Nic} keeps
-    the one for its RSS key) — there is no process-global cache. *)
-
-val default_lut : lut
-(** The table for {!default_key}, built once at module initialisation
-    and shared. *)
+    across domains.  Whoever hashes owns its LUT — there is no
+    process-global cache. *)
 
 val lut_of_key : string -> lut
-(** Build the table for an arbitrary 40-byte key ([default_key] maps
-    to {!default_lut} without rebuilding). *)
+(** Build the table for an arbitrary 40-byte key. *)
 
 val hash_tuple :
   ?lut:lut ->
@@ -33,7 +25,5 @@ val hash_tuple :
   unit ->
   int
 (** 32-bit Toeplitz hash of the TCPv4 12-byte input under [lut]
-    (default {!default_lut}). *)
-
-val hash : ?key:string -> string -> int
-(** Toeplitz hash of an arbitrary input string. *)
+    (default: the table of the 40-byte Microsoft verification key, the
+    key every {!Nic} hashes with). *)

@@ -63,4 +63,3 @@ let adjust t n =
   t.len <- t.len - n
 
 let payload t = Bytes.sub_string t.buf t.off t.len
-let blit_payload t dst dst_off = Bytes.blit t.buf t.off dst dst_off t.len

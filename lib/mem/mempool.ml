@@ -13,7 +13,6 @@ let large_page = 2 * 1024 * 1024
 
 type t = {
   pool_name : string;
-  mbuf_size : int;
   max_objects : int;
   block_objects : int;
   mutable provisioned : int;
@@ -25,11 +24,10 @@ type t = {
   mutable alloc_gate : (unit -> bool) option;
 }
 
-let create ?(mbuf_size = Mbuf.default_size) ?(capacity = 16384) ~name () =
-  let block_objects = max 1 (large_page / mbuf_size) in
+let create ?(capacity = 16384) ~name () =
+  let block_objects = large_page / Mbuf.default_size in
   {
     pool_name = name;
-    mbuf_size;
     max_objects = capacity;
     block_objects;
     provisioned = 0;
@@ -62,7 +60,7 @@ let provision_block t =
   let remaining = t.max_objects - t.provisioned in
   let n = min t.block_objects remaining in
   for _ = 1 to n do
-    let mbuf = Mbuf.create ~size:t.mbuf_size () in
+    let mbuf = Mbuf.create () in
     let boxed = Some mbuf in
     mbuf.Mbuf.on_free <- (fun mbuf -> release t mbuf boxed);
     push_free t boxed
@@ -94,7 +92,6 @@ let rec alloc t =
     None
   end
 
-let free_count t = t.free_top
 let live_count t = t.live
 let capacity t = t.max_objects
 let stat_allocs t = t.allocs

@@ -8,18 +8,15 @@
 
 type t
 
-val create : ?mbuf_size:int -> ?capacity:int -> name:string -> unit -> t
+val create : ?capacity:int -> name:string -> unit -> t
 (** [create ~name ()] makes a pool that can hold up to [capacity]
-    mbufs (default 16384) of [mbuf_size] bytes, provisioned lazily in
-    page-sized blocks. *)
+    mbufs (default 16384) of {!Mbuf.default_size} bytes, provisioned
+    lazily in page-sized blocks. *)
 
 val alloc : t -> Mbuf.t option
 (** Take an mbuf from the free list, growing the pool by one block if
     needed.  [None] once [capacity] objects are live (pool exhausted) —
     callers treat this as packet drop, as real NIC replenishment does. *)
-
-val free_count : t -> int
-(** Objects currently sitting in the free list. *)
 
 val live_count : t -> int
 (** Objects currently allocated out of the pool. *)

@@ -16,13 +16,6 @@ val header_size : int
 val mtu : int
 (** 1500 — jumbo frames are never enabled (§5.1). *)
 
-val wire_overhead : int
-(** Preamble (8) + FCS (4) + inter-frame gap (12) = 24 bytes charged on
-    the wire per frame in addition to the header+payload. *)
-
-val min_frame : int
-(** 64 bytes: short frames are padded on the wire. *)
-
 val wire_bytes : payload_len:int -> int
 (** Total bytes a frame with [payload_len] bytes after the Ethernet
     header occupies on the wire, including padding and overhead.  This

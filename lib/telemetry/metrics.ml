@@ -68,8 +68,6 @@ let histogram t name =
       Hashtbl.add t name (E_hist h);
       h
 
-let observe t name v = Log_hist.record (histogram t name) v
-
 type hist_summary = {
   count : int;
   mean : float;

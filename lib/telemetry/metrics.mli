@@ -52,10 +52,6 @@ val histogram : t -> string -> Log_hist.t
 (** Register (or re-fetch) histogram [name]; record samples directly on
     the returned {!Log_hist.t}. *)
 
-val observe : t -> string -> int -> unit
-(** Convenience: [histogram] + one [record] (does a name lookup; hot
-    paths should hold the {!Log_hist.t}). *)
-
 (** {1 Snapshots} *)
 
 type hist_summary = {

@@ -2,7 +2,10 @@
    fractional µs with three decimals keeps the ns precision exact. *)
 let us_of_ns ns = float_of_int ns /. 1000.
 
-let to_json ?(pid = 1) tracers =
+(* Every span goes in one process; each tracer is its own thread. *)
+let pid = 1
+
+let to_json tracers =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in
@@ -21,7 +24,7 @@ let to_json ?(pid = 1) tracers =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let write_file ?pid path tracers =
+let write_file path tracers =
   let oc = open_out path in
-  output_string oc (to_json ?pid tracers);
+  output_string oc (to_json tracers);
   close_out oc

@@ -4,9 +4,9 @@
     one [tid] per elastic thread, timestamps in microseconds.  The
     output loads directly in [chrome://tracing] / Perfetto. *)
 
-val to_json : ?pid:int -> Tracer.t list -> string
+val to_json : Tracer.t list -> string
 (** One JSON object [{"traceEvents": [...]}]; spans of each tracer are
     emitted oldest-first so per-[tid] timestamps are monotonic. *)
 
-val write_file : ?pid:int -> string -> Tracer.t list -> unit
+val write_file : string -> Tracer.t list -> unit
 (** [write_file path tracers] writes {!to_json} to [path]. *)

@@ -345,17 +345,3 @@ let stats (t : t) : stats =
     cascaded_timers = t.n_cascaded;
     resident = Array.copy t.resident;
   }
-
-let register_metrics (t : t) registry ~prefix =
-  let module M = Ixtelemetry.Metrics in
-  let probe name f = M.probe registry (prefix ^ "." ^ name) (fun () -> float_of_int (f ())) in
-  probe "armed" (fun () -> t.armed);
-  probe "max_armed" (fun () -> t.max_armed);
-  probe "scheduled" (fun () -> t.n_scheduled);
-  probe "fired" (fun () -> t.n_fired);
-  probe "cancelled" (fun () -> t.n_cancelled);
-  probe "cascades" (fun () -> t.n_cascades);
-  probe "cascaded_timers" (fun () -> t.n_cascaded);
-  Array.iteri
-    (fun l _ -> probe (Printf.sprintf "resident_l%d" l) (fun () -> t.resident.(l)))
-    t.resident

@@ -75,7 +75,3 @@ type stats = {
 
 val stats : t -> stats
 (** Occupancy snapshot for capacity audits ([resident] is a copy). *)
-
-val register_metrics : t -> Ixtelemetry.Metrics.t -> prefix:string -> unit
-(** Export the same numbers as live probe gauges named
-    [<prefix>.armed], [<prefix>.cascades], [<prefix>.resident_l0] … *)

@@ -451,7 +451,7 @@ type flood = {
   f_snapshot : string;
 }
 
-let syn_flood ?(syns = 100_000) ?(seed = 42) () =
+let syn_flood ?(syns = 100_000) ~seed () =
   let t = make ~conns:1 ~syn_cookies:true ~fast_path:true ~seed in
   let store = (Tcp_endpoint.env t.ep).Tcb.store in
   let live0 = Tcb.store_live store in

@@ -61,7 +61,7 @@ type flood = {
   f_snapshot : string;
 }
 
-val syn_flood : ?syns:int -> ?seed:int -> unit -> flood
+val syn_flood : ?syns:int -> seed:int -> unit -> flood
 (** SYN flood against a cookie listener: distinct 4-tuples, handshakes
     never completed.  The stateless listen path must allocate no TCBs
     and keep per-SYN allocation flat. *)

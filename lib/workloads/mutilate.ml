@@ -21,8 +21,11 @@ type conn_state = {
   send_times : (int, int) Hashtbl.t; (* reqid -> intended arrival time *)
 }
 
+(* Requests in flight per connection; the rest queue in order. *)
+let pipeline = 4
+
 let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
-    ?(pipeline = 4) ?(warmup_ms = 10) ?(duration_ms = 50) ~seed () =
+    ?(warmup_ms = 10) ?(duration_ms = 50) ~seed () =
   let rng = Engine.Rng.create ~seed in
   let zipf = Zipf.create ~n:profile.Size_dist.key_space ~theta:profile.Size_dist.zipf_theta in
   let latency = Ixtelemetry.Log_hist.create () in

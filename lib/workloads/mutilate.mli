@@ -24,7 +24,6 @@ val run :
   profile:Size_dist.profile ->
   connections:int ->
   target_rps:float ->
-  ?pipeline:int ->
   ?warmup_ms:int ->
   ?duration_ms:int ->
   seed:int ->

@@ -262,7 +262,7 @@ let test_conn_scale_deterministic () =
 let flood_syns = 1_000_000
 
 let test_syn_flood_stateless () =
-  let f = Conn_scale.syn_flood ~syns:flood_syns () in
+  let f = Conn_scale.syn_flood ~syns:flood_syns ~seed:42 () in
   check_int "every SYN answered with a cookie" flood_syns
     f.Conn_scale.f_cookies_sent;
   check_int "no TCBs allocated" 0 f.Conn_scale.f_tcbs_allocated;
@@ -277,7 +277,7 @@ let test_syn_flood_stateless () =
 let check_gates ~base_conns ~full_conns ~events ~syns () =
   let base = Conn_scale.run ~conns:base_conns ~events () in
   let full = Conn_scale.run ~conns:full_conns ~events () in
-  let flood = Conn_scale.syn_flood ~syns () in
+  let flood = Conn_scale.syn_flood ~syns ~seed:42 () in
   let base_words = base.Conn_scale.r_churn_minor_words_per_event in
   let full_words = full.Conn_scale.r_churn_minor_words_per_event in
   let flatness = if base_words > 0. then (full_words /. base_words) -. 1. else 0. in

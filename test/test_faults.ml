@@ -136,8 +136,8 @@ let test_echo_leg_deterministic () =
     (a.Chaos.snapshot <> c.Chaos.snapshot)
 
 let test_memcached_leg_deterministic () =
-  let a = Chaos.memcached_leg ~seed:5 ~soak_ms:3 () in
-  let b = Chaos.memcached_leg ~seed:5 ~soak_ms:3 () in
+  let a = Chaos.memcached_leg ~seed:5 ~spec:FP.default ~soak_ms:3 () in
+  let b = Chaos.memcached_leg ~seed:5 ~spec:FP.default ~soak_ms:3 () in
   check_string "memcached: same seed, byte-identical snapshot"
     a.Chaos.snapshot b.Chaos.snapshot
 
@@ -214,7 +214,7 @@ let test_audit_seed_sweep () =
           (String.concat "\n  " leg.Chaos.audit_failures)
     in
     check (Chaos.echo_leg ~seed ~soak_ms:3 ());
-    check (Chaos.memcached_leg ~seed ~soak_ms:3 ())
+    check (Chaos.memcached_leg ~seed ~spec:FP.default ~soak_ms:3 ())
   done
 
 (* ---------------- Mempool exhaustion regression ---------------- *)
