@@ -53,7 +53,6 @@ module Parser = struct
 
   let create () = { buf = Bytes.create 4096; start = 0; stop = 0; corrupt = false }
   let buffered t = t.stop - t.start
-  let corrupted t = t.corrupt
 
   let compact t =
     if t.start > 0 then begin

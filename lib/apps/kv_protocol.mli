@@ -29,13 +29,8 @@ module Parser : sig
 
   val create : unit -> t
   val feed : t -> string -> unit
-  val buffered : t -> int
 
   val next_request : t -> request option
   val next_response : t -> response option
 
-  val corrupted : t -> bool
-  (** A length field violated protocol bounds; the stream is poisoned
-      and yields no further messages (callers should reset the
-      connection). *)
 end

@@ -19,8 +19,6 @@ type costs = {
   batch_interval_ns : int;  (** stack/app exchange cadence *)
 }
 
-val default_costs : costs
-
 val mtcp_tcp_config : Ixtcp.Tcb.config
 
 val create :

@@ -917,7 +917,6 @@ let pool t = t.pool
 let cycles_run t = Metrics.value t.c_cycles
 let syscalls_processed t = Metrics.value t.c_syscalls
 let nonresponsive_marks t = Metrics.value t.c_nonresponsive
-let metrics t = t.metrics
 let tracer t = t.tracer
 
 (* Inert fillers for consumed staging slots. *)

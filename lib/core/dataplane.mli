@@ -69,7 +69,6 @@ val endpoint : t -> Ixtcp.Tcp_endpoint.t
 val batcher : t -> Batch.t
 val protection : t -> Protection.t
 val policy : t -> Policy.t
-val now : t -> Engine.Sim_time.t
 
 val set_app : t -> (Ix_api.event array -> int -> unit) -> unit
 (** Install the application's event-condition handler (ring 3).  It
@@ -176,11 +175,6 @@ val pool : t -> Ixmem.Mempool.t
 (** The thread's packet-buffer pool — exposed for the chaos audit's
     leak check ([live_count] must return to the TX-queue baseline) and
     for fault injection ([Mempool.set_alloc_gate]). *)
-
-val metrics : t -> Ixtelemetry.Metrics.t
-(** The registry holding this thread's [dataplane.<id>.*] counters
-    ([cycles], [rx_pkts], [tx_pkts], [events], [syscalls],
-    [nonresponsive], [rx_csum_drops], [rx_other], [app_faults]). *)
 
 val tracer : t -> Ixtelemetry.Tracer.t
 (** The per-thread cycle tracer.  Each run-to-completion cycle records

@@ -148,7 +148,6 @@ let start ~sim ~cp ?(config = default_config)
 let stop t = t.stopped <- true
 let samples t = List.rev t.samples
 let decisions t = List.rev t.decisions
-let config t = t.cfg
 
 (* Energy of a trace: live cores burn [active_w] each, parked
    provisioned cores [idle_w] each.  Integrates the cores-used curve

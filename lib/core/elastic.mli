@@ -61,8 +61,6 @@ val samples : t -> sample list
 val decisions : t -> decision list
 (** Every scale decision taken, oldest first. *)
 
-val config : t -> config
-
 val energy_joules : t -> capacity:int -> active_w:float -> idle_w:float -> float
 (** Integrate the cores-used curve over the sampled trace: live cores
     burn [active_w] watts, parked provisioned cores [idle_w]. *)

@@ -80,13 +80,11 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ~tcp ~cache ~metrics ~seed =
   t
 
 let sim t = t.sim
-let ip t = t.host_ip
 let thread_count t = Array.length t.threads
 let dataplane t i = t.threads.(i)
 let libix t i = t.libs.(i)
 let nics t = t.nic_array
 let arp t = t.arp_cache
-let rcu t = t.rcu_mgr
 let connections t = !(t.conn_count)
 let iter_threads t f = Array.iter f t.threads
 let metrics t = t.registry

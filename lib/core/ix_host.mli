@@ -33,13 +33,11 @@ val create :
     alongside the per-thread [dataplane.<id>.*] counters. *)
 
 val sim : t -> Engine.Sim.t
-val ip : t -> Ixnet.Ip_addr.t
 val thread_count : t -> int
 val dataplane : t -> int -> Dataplane.t
 val libix : t -> int -> Libix.t
 val nics : t -> Ixhw.Nic.t array
 val arp : t -> Arp_cache.t
-val rcu : t -> Rcu.manager
 
 val connections : t -> int
 (** Live connections across all elastic threads. *)

@@ -53,7 +53,6 @@ let default_handlers =
 
 let dataplane t = t.dp
 let peer conn = conn.peer
-let conn_count t = Hashtbl.length t.conns
 let owner conn = conn.owner
 let home_thread conn = Dataplane.thread_id conn.owner.dp
 let cookie conn = conn.cookie
@@ -277,20 +276,8 @@ let recv_done conn mbuf len =
     ~on_result:ignore;
   Mbuf.decref mbuf
 
-let sendv conn iovs =
-  let total = Iovec.total iovs in
-  if conn.dead || conn.queued_bytes + total > max_pending_send then false
-  else begin
-    (* O(1) amortized per slice — a deep queue under backpressure used
-       to pay a full list rebuild per sendv here. *)
-    List.iter (Iov_deque.push conn.write_queue) iovs;
-    conn.queued_bytes <- conn.queued_bytes + total;
-    mark_dirty conn;
-    true
-  end
-
-(* Single-slice [sendv], open-coded: the per-message echo path runs it
-   once per request, so it skips the list build and the fold. *)
+(* One copied slice onto the write queue: the per-message echo path
+   runs this once per request, so it builds no list. *)
 let send conn data =
   let len = String.length data in
   if conn.dead || conn.queued_bytes + len > max_pending_send then false

@@ -66,10 +66,6 @@ val send : conn -> string -> bool
     per-connection pending-send limit would be exceeded.  Routes
     through the conn's current owner thread. *)
 
-val sendv : conn -> Ixmem.Iovec.t list -> bool
-(** Zero-copy send: the slices must stay immutable until [on_sent]
-    covers them.  Routes through the conn's current owner thread. *)
-
 val udp_bind : t -> port:int -> (src:Ixnet.Ip_addr.t * int -> string -> unit) -> unit
 (** Receive datagrams on a UDP port (§4.2's UDP support — the protocol
     Facebook's memcached deployment uses for GETs [46]). *)
@@ -100,8 +96,6 @@ val migrate_conns : src:t -> dst:t -> int list -> int
     (control-plane side of a flow-group migration; the TCBs must move
     in the same step).  Dirty conns carry their queued writes to the
     destination's flush list.  Returns how many conns moved. *)
-
-val conn_count : t -> int
 
 val max_pending_send : int
 (** The per-connection pending-send-bytes policy limit (1 MB). *)

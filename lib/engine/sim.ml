@@ -56,7 +56,6 @@ let create ?(seed = 42) () =
   }
 
 let now t = t.clock
-let rng t = t.root_rng
 
 let push_free t idx =
   if t.free_top = Array.length t.free then begin
@@ -165,11 +164,6 @@ let rec step_unmetered t =
       true
     end
   end
-
-let step t =
-  let ran = step_unmetered t in
-  if ran then Atomic.incr global_executed;
-  ran
 
 let flush_executed t e0 =
   let delta = t.executed - e0 in

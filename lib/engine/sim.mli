@@ -22,9 +22,6 @@ val create : ?seed:int -> unit -> t
 val now : t -> Sim_time.t
 (** The current virtual time. *)
 
-val rng : t -> Rng.t
-(** The root random stream of this simulation. *)
-
 val at : t -> Sim_time.t -> (unit -> unit) -> handle
 (** [at sim time f] runs [f] when the clock reaches [time].  [time] must
     not be in the past. *)
@@ -41,10 +38,6 @@ val cancel : t -> handle -> unit
 val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue.  With [~until], stop once the clock would
     pass that time (remaining events stay queued). *)
-
-val step : t -> bool
-(** Execute the single earliest event.  Returns [false] if the queue was
-    empty. *)
 
 val events_executed : t -> int
 (** Total number of events executed so far (for reporting). *)

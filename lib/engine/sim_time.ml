@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
@@ -9,9 +8,7 @@ let of_float_us x = int_of_float (Float.round (x *. 1_000.))
 let to_float_us t = float_of_int t /. 1_000.
 let to_float_s t = float_of_int t /. 1_000_000_000.
 let add = ( + )
-let sub = ( - )
 let max = Stdlib.max
-let min = Stdlib.min
 
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%dns" t

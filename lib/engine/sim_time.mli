@@ -9,9 +9,6 @@ type t = int
 
 val zero : t
 
-val ns : int -> t
-(** [ns n] is [n] nanoseconds. *)
-
 val us : int -> t
 (** [us n] is [n] microseconds. *)
 
@@ -31,9 +28,7 @@ val to_float_s : t -> float
 (** [to_float_s t] is [t] expressed in seconds. *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val max : t -> t -> t
-val min : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print with an adaptive unit (ns, µs, ms or s). *)

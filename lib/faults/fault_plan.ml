@@ -475,9 +475,3 @@ let app_crash t =
      end
 
 let app_crashes t = Metrics.value t.c_app_crashes
-
-let hostile_injected t =
-  Metrics.value t.c_hostile_rsts
-  + Metrics.value t.c_hostile_syns
-  + Metrics.value t.c_hostile_olddups
-  + Metrics.value t.c_hostile_acks

@@ -65,11 +65,6 @@ val default : spec
     kind plus periodic flap / stall / exhaustion windows and a small
     app-crash rate. *)
 
-val hostile : spec
-(** {!default} plus the hostile-peer forgery family: blind RSTs and
-    SYNs (the RFC 5961 threat model), stray old duplicates into live
-    flows and TIME_WAIT (RFC 1337 / D-SACK), and stale ACK storms. *)
-
 val parse : string -> (spec, string) result
 (** Parse a plan like
     ["drop=0.003,corrupt=0.003,flap=4ms/300us,stall=3ms/200us,exhaust=3ms/150us,doorbell=5us,crash=0.0005"].
@@ -124,8 +119,3 @@ val app_crash : t -> bool
 
 val app_crashes : t -> int
 (** How many {!app_crash} draws returned [true] so far. *)
-
-val hostile_injected : t -> int
-(** Total forged frames injected so far (the sum of the four
-    [faults.hostile_*] counters) — the extra source term in the tap
-    conservation equation. *)

@@ -9,7 +9,6 @@ type t = {
 }
 
 let create ~id = { core_id = id; free_time = 0; kernel_busy = 0; user_busy = 0; poll_busy = 0 }
-let id t = t.core_id
 let free_at t = t.free_time
 let busy t ~now = t.free_time > now
 

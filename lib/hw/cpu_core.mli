@@ -12,8 +12,6 @@ type t
 
 val create : id:int -> t
 
-val id : t -> int
-
 val free_at : t -> Engine.Sim_time.t
 (** Earliest time new work could start. *)
 

@@ -92,7 +92,6 @@ let send_at t frame ~earliest =
 
 let send t frame = send_at t frame ~earliest:0
 
-let bytes_sent t = t.total_bytes
 let frames_sent t = t.total_frames
 
 let utilization t ~over =

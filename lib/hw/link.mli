@@ -27,7 +27,6 @@ val send : t -> Frame.t -> unit
 val send_at : t -> Frame.t -> earliest:Engine.Sim_time.t -> unit
 (** Like [send] but not before [earliest]. *)
 
-val bytes_sent : t -> int
 val frames_sent : t -> int
 
 val utilization : t -> over:Engine.Sim_time.t -> float

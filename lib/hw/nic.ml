@@ -226,8 +226,6 @@ let transmit_at t mbuf ~earliest =
      here rather than through a per-packet completion closure. *)
   Ixmem.Mbuf.decref mbuf
 
-let transmit t mbuf = transmit_at t mbuf ~earliest:0
-
 let rx_popped q = Metrics.value q.q_rx - q.count
 let rss_retargets t = Metrics.value t.c_retargets
 let rx_drops t = Metrics.value t.c_drops

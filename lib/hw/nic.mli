@@ -90,13 +90,6 @@ val replenish : rx_queue -> int -> unit
 
 val free_descriptors : rx_queue -> int
 
-val transmit : t -> Ixmem.Mbuf.t -> unit
-(** Place a frame on the wire.  The NIC takes its own reference on the
-    buffer (zero-copy DMA) and consumes the caller's — the buffer
-    returns to its pool when the wire is done with it.  A caller that
-    wants to keep reading the mbuf must [Mbuf.incref] before handing
-    it over. *)
-
 val transmit_at : t -> Ixmem.Mbuf.t -> earliest:Engine.Sim_time.t -> unit
 (** Like [transmit], but the frame does not start serializing before
     [earliest] — used by run-to-completion stacks whose cycle finishes

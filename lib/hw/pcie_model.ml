@@ -5,8 +5,6 @@ type t = { batch : int }
 
 let create ?(replenish_batch = 32) () = { batch = max 1 replenish_batch }
 
-let replenish_batch t = t.batch
-
 let replenish_cost_ns t ~descriptors =
   if descriptors <= 0 then 0
   else begin

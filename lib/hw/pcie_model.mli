@@ -12,8 +12,6 @@ val create : ?replenish_batch:int -> unit -> t
 (** 120 ns per posted write under contention; batches of 32 by
     default. *)
 
-val replenish_batch : t -> int
-
 val replenish_cost_ns : t -> descriptors:int -> int
 (** CPU cost of posting [descriptors] fresh RX descriptors, assuming
     batches of [replenish_batch]. *)

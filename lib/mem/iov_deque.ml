@@ -17,7 +17,6 @@ let empty_iov = { Iovec.buf = Bytes.empty; off = 0; len = 0 }
 let create () = { arr = [||]; head = 0; count = 0; head_skip = 0; bytes = 0 }
 let is_empty t = t.count = 0
 let bytes t = t.bytes
-let length t = t.count
 
 let grow t =
   let cap = Array.length t.arr in

@@ -17,9 +17,6 @@ val is_empty : t -> bool
 val bytes : t -> int
 (** Unconsumed bytes queued. *)
 
-val length : t -> int
-(** Live slices (including a partially consumed front slice). *)
-
 val push : t -> Iovec.t -> unit
 (** Append a slice (by reference — the bytes are not copied).  Empty
     slices are ignored. *)

@@ -38,7 +38,6 @@ let decref t =
   t.refcount <- t.refcount - 1;
   if t.refcount = 0 then t.on_free t
 
-let capacity t = Bytes.length t.buf
 let tailroom t = Bytes.length t.buf - (t.off + t.len)
 
 let append_bytes t src src_off src_len =

@@ -42,7 +42,6 @@ val decref : t -> unit
 (** Drop a reference; at zero, calls [on_free].  It is a checked error
     to decref below zero. *)
 
-val capacity : t -> int
 val tailroom : t -> int
 
 val append : t -> string -> unit

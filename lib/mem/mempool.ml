@@ -93,7 +93,6 @@ let rec alloc t =
   end
 
 let live_count t = t.live
-let capacity t = t.max_objects
 let stat_allocs t = t.allocs
 let stat_failures t = t.failures
 let name t = t.pool_name

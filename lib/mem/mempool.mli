@@ -21,8 +21,6 @@ val alloc : t -> Mbuf.t option
 val live_count : t -> int
 (** Objects currently allocated out of the pool. *)
 
-val capacity : t -> int
-
 val stat_allocs : t -> int
 val stat_failures : t -> int
 

@@ -11,7 +11,6 @@ type t = {
 let scratch () = { dst = Mac_addr.zero; src = Mac_addr.zero; ethertype = Ipv4 }
 
 let header_size = 14
-let mtu = 1500
 let wire_overhead = 24
 let min_frame = 64
 

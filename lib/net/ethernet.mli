@@ -13,9 +13,6 @@ type t = {
 val header_size : int
 (** 14 bytes. *)
 
-val mtu : int
-(** 1500 — jumbo frames are never enabled (§5.1). *)
-
 val wire_bytes : payload_len:int -> int
 (** Total bytes a frame with [payload_len] bytes after the Ethernet
     header occupies on the wire, including padding and overhead.  This

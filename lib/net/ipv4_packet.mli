@@ -14,8 +14,6 @@ type t = {
 (** Fields are mutable so the receive path can reuse one scratch record
     per packet ({!decode_into}); treat decoded records as read-only. *)
 
-val header_size : int
-
 val protocol_code : protocol -> int
 
 val ce : int

@@ -22,11 +22,3 @@ let read buf off =
   lor (Bytes.get_uint8 buf (off + 3) lsl 16)
   lor (Bytes.get_uint8 buf (off + 4) lsl 8)
   lor Bytes.get_uint8 buf (off + 5)
-
-let pp fmt t =
-  Format.fprintf fmt "%02x:%02x:%02x:%02x:%02x:%02x" ((t lsr 40) land 0xFF)
-    ((t lsr 32) land 0xFF)
-    ((t lsr 24) land 0xFF)
-    ((t lsr 16) land 0xFF)
-    ((t lsr 8) land 0xFF)
-    (t land 0xFF)

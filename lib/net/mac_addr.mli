@@ -14,5 +14,3 @@ val write : Bytes.t -> int -> t -> unit
 (** Serialize 6 bytes big-endian at the given offset. *)
 
 val read : Bytes.t -> int -> t
-
-val pp : Format.formatter -> t -> unit

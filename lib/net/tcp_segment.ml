@@ -211,13 +211,3 @@ let decode mbuf ~src ~dst =
       Error "tcp: bad data offset"
     else Error "tcp: bad checksum"
   end
-
-let pp fmt t =
-  let flag c b = if b then c else "" in
-  Format.fprintf fmt "%d>%d seq=%d ack=%d len=%d [%s%s%s%s%s] win=%d" t.src_port
-    t.dst_port t.seq t.ack t.payload_len (flag "S" t.syn)
-    (flag "A" t.ack_flag) (flag "F" t.fin) (flag "R" t.rst) (flag "P" t.psh)
-    t.window;
-  match t.sack with
-  | Some (l, r) -> Format.fprintf fmt " sack=%d-%d" l r
-  | None -> ()

@@ -26,9 +26,6 @@ type t = {
 (** Fields are mutable so the receive path can reuse one scratch record
     per packet ({!decode_into}); treat decoded records as read-only. *)
 
-val header_size : int
-(** Minimum header (20 bytes); options add to this. *)
-
 val prepend :
   Ixmem.Mbuf.t -> src:Ip_addr.t -> dst:Ip_addr.t -> t -> unit
 (** Prepend the TCP header (with options and pseudo-header checksum) to
@@ -52,5 +49,3 @@ val decode_into :
     unspecified) on a malformed or corrupt segment.  The scratch is
     invalidated by the next [decode_into] on it — no one may hold a
     decoded header across a yield or past the current packet. *)
-
-val pp : Format.formatter -> t -> unit

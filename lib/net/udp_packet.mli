@@ -7,8 +7,6 @@ type t = {
   payload_len : int;
 }
 
-val header_size : int
-
 val prepend : Ixmem.Mbuf.t -> src:Ip_addr.t -> dst:Ip_addr.t -> src_port:int -> dst_port:int -> unit
 (** Prepend a UDP header (with pseudo-header checksum) to an mbuf whose
     payload is the datagram body. *)

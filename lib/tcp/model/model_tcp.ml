@@ -910,4 +910,3 @@ let close s ~now =
 
 let abort s ~now = step s ~now (fun m -> abort_m m)
 let state s = s.st
-let last_close s = s.last_close

@@ -103,8 +103,3 @@ val abort : t -> now:int -> t * item list
     and tear down with reason [Reset]. *)
 
 val state : t -> Ixtcp.Tcp_state.t
-val last_close : t -> Ixtcp.Tcb.close_reason option
-
-val send_budget : t -> int
-(** Bytes {!send} would accept right now (exposed for driver
-    scheduling and for direct property tests). *)

@@ -68,5 +68,3 @@ let to_string = function
   | Closing -> "CLOSING"
   | Last_ack -> "LAST_ACK"
   | Time_wait -> "TIME_WAIT"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -29,4 +29,3 @@ val can_send_data : t -> bool
 val can_receive_data : t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -75,8 +75,6 @@ val snapshot : ?prefix:string -> t -> snapshot
 (** All metrics, sorted by hierarchical name; [?prefix] keeps only
     names equal to [prefix] or below it ([prefix] followed by [.]). *)
 
-val find : snapshot -> string -> value_snapshot option
-
 val snap_counter : snapshot -> string -> int
 (** [0] when absent or not a counter. *)
 

@@ -124,10 +124,3 @@ let breakdown t =
     stages
 
 let busy_ns t = Array.fold_left ( + ) 0 t.totals
-
-let clear t =
-  t.head <- 0;
-  t.retained <- 0;
-  t.recorded <- 0;
-  Array.fill t.totals 0 n_stages 0;
-  Array.fill t.counts 0 n_stages 0

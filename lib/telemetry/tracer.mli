@@ -53,5 +53,3 @@ val breakdown : t -> (stage * int * int) list
 val busy_ns : t -> int
 (** Sum of all-time span durations — the thread's total attributed busy
     time. *)
-
-val clear : t -> unit

@@ -25,8 +25,6 @@ let create ~n ~theta =
   let s = 2.0 -. h_inv t (h t 2.5 -. (0.5 ** theta)) in
   { t with h_x1; h_n; s }
 
-let n t = t.count
-
 let rec sample t rng =
   let u = t.h_x1 +. (Engine.Rng.float rng 1.0 *. (t.h_n -. t.h_x1)) in
   let x = h_inv t u in

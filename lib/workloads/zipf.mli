@@ -10,5 +10,3 @@ val create : n:int -> theta:float -> t
 
 val sample : t -> Engine.Rng.t -> int
 (** A rank in [1, n]; rank 1 is the hottest. *)
-
-val n : t -> int

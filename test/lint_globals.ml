@@ -2,8 +2,8 @@
    allocating header decodes on the RX hot path, no cross-thread
    synchronization primitives on the per-core dataplane paths, no
    per-packet payload copies on the wire path, no physical comparison
-   against [ignore], and no lib/ module that only tests use (second to
-   sixth passes below).
+   against [ignore], no lib/ module that only tests use and no lib/
+   export that no other file names (second to seventh passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -398,10 +398,138 @@ let lint_test_only () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* Seventh pass: no unused export.  Each [val v] of a lib/**/x.mli must
+   be named by some file outside module X — under lib/, bin/, ixbench/,
+   test/ or examples/, comments and string literals stripped.  A file
+   names [v] when it writes [A.v] with [A] one of X's names (X itself, a
+   module declared inside x.mli, or a local alias [module A = ….X]), or
+   when it opens one of those names ([open A], [let open A in], [A.(…)])
+   and mentions [v] bare.  An export nothing names is a dead entry
+   point: make it private to its module, or delete it if the module
+   does not use it either.  Deliberate exceptions go on the allowlist
+   with their reason. *)
+
+let unused_export_allowlist =
+  [
+    (* The one-group migration protocol of DESIGN.md §8, which
+       Dataplane's migration hooks document themselves against; today
+       only [rebalance] (and through it add/remove_core) calls it. *)
+    ("Control_plane", "migrate_flow_group");
+  ]
+
+type file_names = {
+  qualified : (string * string, unit) Hashtbl.t;  (* (A, v) for each "A.v" *)
+  aliases : (string * string) list;  (* (A, P) for "module A = ….P" *)
+  opened : string list;  (* P for "open ….P", "P.(" *)
+  bare : (string, unit) Hashtbl.t;  (* every lowercase identifier *)
+}
+
+(* Identifiers and single punctuation characters of [src]. *)
+let tokens src =
+  let n = String.length src in
+  let acc = ref [] and i = ref 0 in
+  while !i < n do
+    let c = src.[!i] in
+    if is_ident_char c then begin
+      let j = ref !i in
+      while !j < n && is_ident_char src.[!j] do
+        incr j
+      done;
+      acc := String.sub src !i (!j - !i) :: !acc;
+      i := !j
+    end
+    else begin
+      if not (List.mem c [ ' '; '\n'; '\t'; '\r' ]) then acc := String.make 1 c :: !acc;
+      incr i
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
+let is_upper tok = tok <> "" && tok.[0] >= 'A' && tok.[0] <= 'Z'
+let is_lower tok = tok <> "" && ((tok.[0] >= 'a' && tok.[0] <= 'z') || tok.[0] = '_')
+
+(* The last component of the module path starting at token [i]. *)
+let rec path_end toks i =
+  if i + 2 < Array.length toks && toks.(i + 1) = "." && is_upper toks.(i + 2) then
+    path_end toks (i + 2)
+  else toks.(i)
+
+let scan_names src =
+  let toks = tokens (strip_comments src) in
+  let n = Array.length toks in
+  let qualified = Hashtbl.create 64 and bare = Hashtbl.create 256 in
+  let aliases = ref [] and opened = ref [] in
+  for i = 0 to n - 1 do
+    let tok = toks.(i) in
+    if is_lower tok then Hashtbl.replace bare tok ();
+    if is_upper tok && i + 2 < n && toks.(i + 1) = "." then begin
+      if is_lower toks.(i + 2) then Hashtbl.replace qualified (tok, toks.(i + 2)) ();
+      if toks.(i + 2) = "(" then opened := tok :: !opened
+    end;
+    if tok = "open" then begin
+      let j = if i + 1 < n && toks.(i + 1) = "!" then i + 2 else i + 1 in
+      if j < n && is_upper toks.(j) then opened := path_end toks j :: !opened
+    end;
+    if
+      tok = "module" && i + 3 < n && is_upper toks.(i + 1) && toks.(i + 2) = "="
+      && is_upper toks.(i + 3)
+    then aliases := (toks.(i + 1), path_end toks (i + 3)) :: !aliases
+  done;
+  { qualified; aliases = !aliases; opened = !opened; bare }
+
+(* Every scanned .ml, with its module name. *)
+let name_users : (string * file_names) list ref = ref []
+
+let record_name_users path src =
+  let m = String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) in
+  name_users := (m, scan_names src) :: !name_users
+
+(* [val] names of an .mli, and the modules it declares inside. *)
+let exports src =
+  let toks = tokens (strip_comments src) in
+  let n = Array.length toks in
+  let vals = ref [] and inner = ref [] in
+  for i = 0 to n - 2 do
+    if toks.(i) = "val" && is_lower toks.(i + 1) then vals := toks.(i + 1) :: !vals;
+    if toks.(i) = "module" && is_upper toks.(i + 1) then inner := toks.(i + 1) :: !inner
+  done;
+  (List.rev !vals, !inner)
+
+let names_value ~names v f =
+  let local =
+    names @ List.filter_map (fun (a, p) -> if List.mem p names then Some a else None) f.aliases
+  in
+  List.exists (fun a -> Hashtbl.mem f.qualified (a, v)) local
+  || (List.exists (fun p -> List.mem p local) f.opened && Hashtbl.mem f.bare v)
+
+let lint_unused_exports mli_paths =
+  List.iter
+    (fun path ->
+      let m = String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) in
+      let vals, inner = exports (read_file path) in
+      let names = m :: inner in
+      List.iter
+        (fun v ->
+          let used =
+            List.exists (fun (owner, f) -> owner <> m && names_value ~names v f) !name_users
+          in
+          if (not used) && not (List.mem (m, v) unused_export_allowlist) then
+            failures :=
+              Printf.sprintf
+                "%s: `%s.%s` is exported but no file outside %s names it — \
+                 make it private or delete it, or add a documented allowlist \
+                 entry"
+                path m v m
+              :: !failures)
+        vals)
+    mli_paths
+
+
 let lint_file path =
   let src = read_file path in
   lib_modules := path :: !lib_modules;
   record_module_names path src;
+  record_name_users path src;
   let lines = Array.of_list (String.split_on_char '\n' src) in
   lint_hot_path path lines;
   lint_per_core path lines;
@@ -447,32 +575,49 @@ let required_dirs =
 
 let visited_dirs = ref []
 
-let rec walk f dir =
+(* [f] on every .ml under [dir]; [on_mli] on every .mli.  Build-system
+   directories (".name") hold no sources and are skipped. *)
+let rec walk ?(on_mli = ignore) f dir =
   visited_dirs := Filename.basename dir :: !visited_dirs;
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk f path
-      else if Filename.check_suffix path ".ml" then f path)
+      if Sys.is_directory path then (if entry.[0] <> '.' then walk ~on_mli f path)
+      else if Filename.check_suffix path ".ml" then f path
+      else if Filename.check_suffix path ".mli" then on_mli path)
     (Sys.readdir dir)
 
-(* Usage: lint_globals [ROOT...] [--refs DIR...] — every pass lints the
-   .ml files under the ROOTs (default lib); the DIRs (default bin and
-   ixbench) only count as users for the sixth pass. *)
+(* Usage: lint_globals [ROOT...] [--refs DIR...] [--names DIR...] —
+   every pass lints the .ml files under the ROOTs (default lib); the
+   refs DIRs (default bin and ixbench) count as users for the sixth and
+   seventh passes, the names DIRs (default test and examples) for the
+   seventh only. *)
 let () =
-  let roots, ref_roots =
-    let rec split acc = function
-      | "--refs" :: rest -> (List.rev acc, rest)
-      | r :: rest -> split (r :: acc) rest
-      | [] -> (List.rev acc, [])
-    in
-    match Array.to_list Sys.argv with
-    | [] | [ _ ] -> ([ "lib" ], [ "bin"; "ixbench" ])
-    | _ :: args -> split [] args
+  (* The arguments up to the next flag, and those after [flag]. *)
+  let rec leading = function
+    | a :: rest when not (String.starts_with ~prefix:"--" a) -> a :: leading rest
+    | _ -> []
   in
-  List.iter (walk lint_file) roots;
-  List.iter (walk (fun path -> record_module_names path (read_file path))) ref_roots;
+  let rec after flag = function
+    | [] -> []
+    | a :: rest -> if a = flag then leading rest else after flag rest
+  in
+  let roots, ref_roots, name_roots =
+    match Array.to_list Sys.argv with
+    | [] | [ _ ] -> ([ "lib" ], [ "bin"; "ixbench" ], [ "test"; "examples" ])
+    | _ :: args -> (leading args, after "--refs" args, after "--names" args)
+  in
+  let lib_mlis = ref [] in
+  List.iter (walk ~on_mli:(fun path -> lib_mlis := path :: !lib_mlis) lint_file) roots;
+  List.iter
+    (walk (fun path ->
+         let src = read_file path in
+         record_module_names path src;
+         record_name_users path src))
+    ref_roots;
+  List.iter (walk (fun path -> record_name_users path (read_file path))) name_roots;
   lint_test_only ();
+  lint_unused_exports (List.sort compare !lib_mlis);
   if List.exists (fun r -> Filename.basename r = "lib") roots then begin
     let missing =
       List.filter (fun d -> not (List.mem d !visited_dirs)) required_dirs
