@@ -32,5 +32,4 @@ module Parser : sig
 
   val next_request : t -> request option
   val next_response : t -> response option
-
 end

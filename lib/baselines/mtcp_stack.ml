@@ -5,13 +5,13 @@ module Metrics = Ixtelemetry.Metrics
 module Host = Socket_host
 
 type costs = {
-  stack_pkt_ns : int;
-  proto_tx_ns : int;
+  stack_pkt_ns : int; (* user-level driver + TCP input per packet *)
+  proto_tx_ns : int; (* TCP output per segment *)
   tx_pkt_ns : int;
-  api_call_ns : int;
-  copy_ns_per_kb : int;
+  api_call_ns : int; (* mtcp_read/mtcp_write, no kernel crossing *)
+  copy_ns_per_kb : int; (* mTCP's socket API copies *)
   app_event_ns : int;
-  batch_interval_ns : int;
+  batch_interval_ns : int; (* stack/app exchange cadence *)
 }
 
 let default_costs =

@@ -9,16 +9,6 @@
     original, it cannot drive bonded NICs, and it dedicates hardware
     threads to stack processing regardless of load. *)
 
-type costs = {
-  stack_pkt_ns : int;  (** user-level driver + TCP input per packet *)
-  proto_tx_ns : int;  (** TCP output per segment *)
-  tx_pkt_ns : int;
-  api_call_ns : int;  (** mtcp_read/mtcp_write, no kernel crossing *)
-  copy_ns_per_kb : int;  (** mTCP's socket API copies *)
-  app_event_ns : int;
-  batch_interval_ns : int;  (** stack/app exchange cadence *)
-}
-
 val mtcp_tcp_config : Ixtcp.Tcb.config
 
 val create :

@@ -91,9 +91,12 @@ val replenish : rx_queue -> int -> unit
 val free_descriptors : rx_queue -> int
 
 val transmit_at : t -> Ixmem.Mbuf.t -> earliest:Engine.Sim_time.t -> unit
-(** Like [transmit], but the frame does not start serializing before
-    [earliest] — used by run-to-completion stacks whose cycle finishes
-    (and rings its doorbell) at a future point of simulated time. *)
+(** Place a frame on the wire, not before [earliest] — run-to-completion
+    stacks' cycles finish (and ring their doorbell) at a future point
+    of simulated time.  The NIC takes its own reference on the buffer
+    (zero-copy DMA) and consumes the caller's — the buffer returns to
+    its pool when the wire is done with it.  A caller that wants to
+    keep reading the mbuf must [Mbuf.incref] before handing it over. *)
 
 val rx_popped : rx_queue -> int
 (** Frames the driver has taken out of this ring since creation — the
