@@ -38,9 +38,9 @@ let key_window key i =
    domain-safe) and shared. *)
 type lut = int array array
 
-let build_lut lut_key =
+let lut_of_key key =
   Array.init 12 (fun p ->
-      let windows = Array.init 8 (fun b -> key_window lut_key ((8 * p) + b)) in
+      let windows = Array.init 8 (fun b -> key_window key ((8 * p) + b)) in
       Array.init 256 (fun v ->
           let acc = ref 0 in
           for b = 0 to 7 do
@@ -48,11 +48,7 @@ let build_lut lut_key =
           done;
           !acc))
 
-let default_lut = build_lut default_key
-
-let lut_of_key key =
-  if key == default_key || String.equal key default_key then default_lut
-  else build_lut key
+let default_lut = lut_of_key default_key
 
 let hash_tuple ?(lut = default_lut) ~src_ip ~dst_ip ~src_port ~dst_port () =
   let tab = lut in

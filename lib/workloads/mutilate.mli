@@ -30,5 +30,6 @@ val run :
   unit ->
   result
 (** Establish [connections] spread round-robin over every
-    (client, thread) pair, warm up, measure for [duration_ms], and run
-    the simulation to completion of the window. *)
+    (client, thread) pair, each with up to 4 requests in flight, warm
+    up, measure for [duration_ms], and run the simulation to
+    completion of the window. *)

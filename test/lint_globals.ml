@@ -575,16 +575,13 @@ let required_dirs =
 
 let visited_dirs = ref []
 
-(* [f] on every .ml under [dir]; [on_mli] on every .mli.  Build-system
-   directories (".name") hold no sources and are skipped. *)
-let rec walk ?(on_mli = ignore) f dir =
+let rec walk f dir =
   visited_dirs := Filename.basename dir :: !visited_dirs;
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then (if entry.[0] <> '.' then walk ~on_mli f path)
-      else if Filename.check_suffix path ".ml" then f path
-      else if Filename.check_suffix path ".mli" then on_mli path)
+      if Sys.is_directory path then walk f path
+      else if Filename.check_suffix path ".ml" then f path)
     (Sys.readdir dir)
 
 (* Usage: lint_globals [ROOT...] [--refs DIR...] [--names DIR...] —
@@ -607,8 +604,7 @@ let () =
     | [] | [ _ ] -> ([ "lib" ], [ "bin"; "ixbench" ], [ "test"; "examples" ])
     | _ :: args -> (leading args, after "--refs" args, after "--names" args)
   in
-  let lib_mlis = ref [] in
-  List.iter (walk ~on_mli:(fun path -> lib_mlis := path :: !lib_mlis) lint_file) roots;
+  List.iter (walk lint_file) roots;
   List.iter
     (walk (fun path ->
          let src = read_file path in
@@ -617,7 +613,8 @@ let () =
     ref_roots;
   List.iter (walk (fun path -> record_name_users path (read_file path))) name_roots;
   lint_test_only ();
-  lint_unused_exports (List.sort compare !lib_mlis);
+  lint_unused_exports
+    (List.filter Sys.file_exists (List.map (fun ml -> ml ^ "i") (List.rev !lib_modules)));
   if List.exists (fun r -> Filename.basename r = "lib") roots then begin
     let missing =
       List.filter (fun d -> not (List.mem d !visited_dirs)) required_dirs
