@@ -47,10 +47,10 @@ val echo_leg :
   ?elastic_steps:int list ->
   unit ->
   leg
-(** A 64 B echo soak of 24 client sessions: warm up fault-free (so ARP resolves and the
-    working set establishes), arm the plan, soak for [soak_ms], stop
-    the clients, force-abort every surviving connection on every host,
-    run to quiescence and audit.
+(** A 64 B echo soak of 24 client sessions: warm up fault-free (so
+    ARP resolves and the working set establishes), arm the plan, soak
+    for [soak_ms], stop the clients, force-abort every surviving
+    connection on every host, run to quiescence and audit.
 
     [elastic_steps] (default none) schedules live-core transitions
     evenly across the fault window: each entry is a target elastic
