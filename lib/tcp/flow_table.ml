@@ -1,14 +1,17 @@
 (* Open-addressing table keyed by the (local_port, remote_ip,
    remote_port) 3-tuple, probed linearly.
 
-   The table stores only generation-checked flow handles into the SoA
-   TCB store ([Tcb.flow_handle]) — one unboxed int per slot, with the
-   handle array doubling as slot state via negative sentinels (live
-   handles are always positive: slot 0 of the store is reserved).  Key
-   comparison reads the connection's port/address columns straight out
-   of the store, so the table itself carries no key material: at
-   million-connection population it costs one word per slot instead of
-   the three the key-mirroring layout needed.
+   Each slot is two unboxed words of one int array: the key's 63-bit
+   hash at [2i] and a generation-checked flow handle into the SoA TCB
+   store ([Tcb.flow_handle]) at [2i + 1].  The handle word doubles as
+   slot state via negative sentinels (live handles are always positive:
+   slot 0 of the store is reserved).  The table carries no other key
+   material: a probe compares the stored hash first and reads the
+   connection's port/address columns out of the store only when it
+   matches — once on a hit, almost never on a miss — and [rehash] moves
+   (hash, handle) pairs without re-deriving keys from the store.  At
+   million-connection population a slot costs two words instead of the
+   three a key-mirroring layout needs.
 
    [find] runs once per RX segment, so it must not allocate: [deref]
    returns the [Some view] the store built at [create] time (misses
@@ -16,7 +19,8 @@
 
 type t = {
   store : Tcb.store;
-  mutable slots : int array; (* flow handle, or negative sentinel *)
+  mutable slots : int array;
+      (* [2i]: key hash; [2i + 1]: flow handle, or negative sentinel *)
   mutable count : int; (* live entries *)
   mutable used : int; (* live + tombstones *)
 }
@@ -33,7 +37,9 @@ let hash ~krem ~kloc =
   h lxor (h lsr 27)
 
 let create ~store =
-  { store; slots = Array.make initial_capacity empty; count = 0; used = 0 }
+  { store; slots = Array.make (2 * initial_capacity) empty; count = 0; used = 0 }
+
+let capacity t = Array.length t.slots / 2
 
 let key_rem ~remote_ip ~remote_port =
   ((remote_ip land 0xFFFF_FFFF) lsl 16) lor (remote_port land 0xFFFF)
@@ -49,32 +55,67 @@ let[@inline] fh_matches store fh ~krem ~kloc =
          = krem
   | None -> false
 
-(* Find the slot holding (krem, kloc), or -1. *)
-let probe t ~krem ~kloc =
-  let mask = Array.length t.slots - 1 in
-  let i = ref (hash ~krem ~kloc land mask) in
+(* Find the slot holding the tuple, or -1. *)
+let probe t ~local_port ~remote_ip ~remote_port =
+  let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
+  let h = hash ~krem ~kloc in
+  let slots = t.slots in
+  let mask = (Array.length slots / 2) - 1 in
+  let i = ref (h land mask) in
   let slot = ref (-1) in
   let searching = ref true in
   while !searching do
-    let fh = t.slots.(!i) in
+    let fh = slots.((2 * !i) + 1) in
     if fh = empty then searching := false
-    else begin
-      if fh >= 0 && fh_matches t.store fh ~krem ~kloc then begin
-        slot := !i;
-        searching := false
-      end
-      else i := (!i + 1) land mask
+    else if fh >= 0 && slots.(2 * !i) = h && fh_matches t.store fh ~krem ~kloc
+    then begin
+      slot := !i;
+      searching := false
     end
+    else i := (!i + 1) land mask
   done;
   !slot
 
-let rec insert t ~krem ~kloc fh =
-  let mask = Array.length t.slots - 1 in
-  let i = ref (hash ~krem ~kloc land mask) in
+(* Rebuild at [capacity'] slots, dropping tombstones and stale handles.
+   Entries are visited in slot order and each lands in the first empty
+   slot of its probe sequence — where a fresh [add] would put it —
+   so the layout, and with it the order of [iter], depends only on the
+   live keys and the insertion history. *)
+let rehash t capacity' =
+  let old = t.slots in
+  let slots = Array.make (2 * capacity') empty in
+  let mask = capacity' - 1 in
+  let count = ref 0 in
+  for j = 0 to (Array.length old / 2) - 1 do
+    let fh = old.((2 * j) + 1) in
+    if fh >= 0 then
+      match Tcb.deref t.store fh with
+      | Some _ ->
+          let h = old.(2 * j) in
+          let i = ref (h land mask) in
+          while slots.((2 * !i) + 1) <> empty do
+            i := (!i + 1) land mask
+          done;
+          slots.(2 * !i) <- h;
+          slots.((2 * !i) + 1) <- fh;
+          incr count
+      | None -> ()
+  done;
+  t.slots <- slots;
+  t.count <- !count;
+  t.used <- !count
+
+let add t ~local_port ~remote_ip ~remote_port tcb =
+  let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
+  let h = hash ~krem ~kloc in
+  let slots = t.slots in
+  let capacity = Array.length slots / 2 in
+  let mask = capacity - 1 in
+  let i = ref (h land mask) in
   let slot = ref (-1) in
   let searching = ref true in
   while !searching do
-    let k = t.slots.(!i) in
+    let k = slots.((2 * !i) + 1) in
     if k = empty then begin
       if !slot = -1 then slot := !i;
       searching := false
@@ -83,68 +124,44 @@ let rec insert t ~krem ~kloc fh =
       if !slot = -1 then slot := !i;
       i := (!i + 1) land mask
     end
-    else if fh_matches t.store k ~krem ~kloc then begin
+    else if slots.(2 * !i) = h && fh_matches t.store k ~krem ~kloc then begin
       slot := !i;
       searching := false
     end
     else i := (!i + 1) land mask
   done;
   let i = !slot in
-  (match t.slots.(i) with
+  (match slots.((2 * i) + 1) with
   | k when k = empty ->
       t.count <- t.count + 1;
       t.used <- t.used + 1
   | k when k = tombstone -> t.count <- t.count + 1
   | _ -> ());
-  t.slots.(i) <- fh;
-  (* Resize on 3/4 occupancy (live + tombstones) to keep probes short;
-     rehashing also clears accumulated tombstones. *)
-  let capacity = Array.length t.slots in
-  if 4 * t.used >= 3 * capacity then rehash t (2 * capacity)
-
-and rehash t capacity' =
-  let old = t.slots in
-  t.slots <- Array.make capacity' empty;
-  t.count <- 0;
-  t.used <- 0;
-  Array.iter
-    (fun fh ->
-      if fh >= 0 then
-        (* Re-derive the key from the store; a stale handle drops out. *)
-        match Tcb.deref t.store fh with
-        | Some c ->
-            insert t
-              ~krem:
-                (key_rem ~remote_ip:(Tcb.remote_ip c)
-                   ~remote_port:(Tcb.remote_port c))
-              ~kloc:(Tcb.local_port c) fh
-        | None -> ())
-    old
-
-let add t ~local_port ~remote_ip ~remote_port tcb =
-  insert t ~krem:(key_rem ~remote_ip ~remote_port) ~kloc:(local_port land 0xFFFF)
-    (Tcb.flow_handle tcb)
+  slots.(2 * i) <- h;
+  slots.((2 * i) + 1) <- Tcb.flow_handle tcb;
+  (* On 3/4 occupancy (live + tombstones) rehash to keep probes short
+     and clear tombstones; double only if at least 3/8 of the slots are
+     live, so connection churn cannot grow the table without bound. *)
+  if 4 * t.used >= 3 * capacity then
+    rehash t (if 8 * t.count < 3 * capacity then capacity else 2 * capacity)
 
 let find t ~local_port ~remote_ip ~remote_port =
-  let slot =
-    probe t ~krem:(key_rem ~remote_ip ~remote_port) ~kloc:(local_port land 0xFFFF)
-  in
-  if slot = -1 then None else Tcb.deref t.store t.slots.(slot)
+  let slot = probe t ~local_port ~remote_ip ~remote_port in
+  if slot = -1 then None else Tcb.deref t.store t.slots.((2 * slot) + 1)
 
 let remove t ~local_port ~remote_ip ~remote_port =
-  let slot =
-    probe t ~krem:(key_rem ~remote_ip ~remote_port) ~kloc:(local_port land 0xFFFF)
-  in
+  let slot = probe t ~local_port ~remote_ip ~remote_port in
   if slot >= 0 then begin
-    t.slots.(slot) <- tombstone;
+    t.slots.((2 * slot) + 1) <- tombstone;
     t.count <- t.count - 1
   end
 
 let count t = t.count
 
 let iter t f =
-  Array.iter
-    (fun fh ->
-      if fh >= 0 then
-        match Tcb.deref t.store fh with Some tcb -> f tcb | None -> ())
-    t.slots
+  let slots = t.slots in
+  for j = 0 to (Array.length slots / 2) - 1 do
+    let fh = slots.((2 * j) + 1) in
+    if fh >= 0 then
+      match Tcb.deref t.store fh with Some tcb -> f tcb | None -> ()
+  done

@@ -8,8 +8,9 @@
 type t
 
 val create : store:Tcb.store -> t
-(** The table stores generation-checked handles into [store]
-    ([Tcb.flow_handle]); key comparison reads the store's columns. *)
+(** The table stores each key's hash beside a generation-checked handle
+    into [store] ([Tcb.flow_handle]); key comparison reads the store's
+    columns only when the stored hash matches. *)
 
 val add : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t -> unit
 
@@ -19,4 +20,9 @@ val find :
 val remove : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> unit
 
 val count : t -> int
+
+val capacity : t -> int
+(** Slots currently allocated (a power of two).  Churn at a steady live
+    population does not grow it. *)
+
 val iter : t -> (Tcb.t -> unit) -> unit

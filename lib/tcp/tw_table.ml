@@ -87,6 +87,42 @@ let fin_rcv_nxt t slot = t.fin_rcv_nxt.(slot)
 let refresh t slot ~deadline = t.deadline.(slot) <- deadline
 let remove t slot = reap t slot
 
+(* Clear the tombstones at the same capacity, in place: at these sizes
+   fresh arrays would come from the minor heap on every churn cycle.
+   After the tombstones become empty, one walk over the slots starts
+   just past a slot that was already empty (no probe run crosses it)
+   and re-places each occupant at the first empty slot of its probe
+   sequence.  That slot lies between its home and where it stood, all
+   walked already, so each occupant moves once and only backwards, and
+   every probe run stays unbroken. *)
+let compact t =
+  let mask = Array.length t.krem - 1 in
+  let start = ref 0 in
+  while t.krem.(!start) <> empty do
+    incr start
+  done;
+  for i = 0 to mask do
+    if t.krem.(i) = tombstone then t.krem.(i) <- empty
+  done;
+  for n = 1 to mask + 1 do
+    let i = (!start + n) land mask in
+    let krem = t.krem.(i) in
+    if krem >= 0 then begin
+      t.krem.(i) <- empty;
+      let j = ref (hash ~krem ~kloc:t.kloc.(i) land mask) in
+      while t.krem.(!j) <> empty do
+        j := (!j + 1) land mask
+      done;
+      let j = !j in
+      t.krem.(j) <- krem;
+      t.kloc.(j) <- t.kloc.(i);
+      t.fin_snd_nxt.(j) <- t.fin_snd_nxt.(i);
+      t.fin_rcv_nxt.(j) <- t.fin_rcv_nxt.(i);
+      t.deadline.(j) <- t.deadline.(i)
+    end
+  done;
+  t.used <- t.count
+
 let rec insert t ~krem ~kloc ~snd_nxt ~rcv_nxt ~deadline =
   let mask = Array.length t.krem - 1 in
   let i = ref (hash ~krem ~kloc land mask) in
@@ -120,8 +156,12 @@ let rec insert t ~krem ~kloc ~snd_nxt ~rcv_nxt ~deadline =
   t.fin_snd_nxt.(i) <- snd_nxt;
   t.fin_rcv_nxt.(i) <- rcv_nxt;
   t.deadline.(i) <- deadline;
+  (* Same rule as [Flow_table]: on 3/4 occupancy (live + tombstones),
+     double only if at least 3/8 of the slots are live; otherwise clear
+     the tombstones, so churn cannot grow the table without bound. *)
   let capacity = Array.length t.krem in
-  if 4 * t.used >= 3 * capacity then rehash t (2 * capacity)
+  if 4 * t.used >= 3 * capacity then
+    if 8 * t.count < 3 * capacity then compact t else rehash t (2 * capacity)
 
 and rehash t capacity' =
   let krem = t.krem
@@ -164,3 +204,4 @@ let sweep t ~now =
   end
 
 let count t = t.count
+let capacity t = Array.length t.krem

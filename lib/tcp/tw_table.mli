@@ -47,3 +47,7 @@ val sweep : t -> now:int -> int
 (** Reap every expired remnant; returns the number removed. *)
 
 val count : t -> int
+
+val capacity : t -> int
+(** Slots currently allocated (a power of two).  Churn at a steady
+    remnant population does not grow it. *)

@@ -29,47 +29,228 @@ let make_tcb env ~local_port ~remote_ip ~remote_port =
 (* ------------------------------------------------------------------ *)
 (* SoA store + flow table vs a naive map                               *)
 
-(* Random op sequences over a small key space, executed against both
-   the open-addressing flow table (generation-checked handles into the
-   SoA store) and a Hashtbl model.  Lookup results, counts and
-   iteration contents must agree at every step. *)
+(* Random op sequences executed against both the open-addressing flow
+   table (hashes beside generation-checked handles into the SoA store)
+   and a Hashtbl model.  Lookup results and counts must agree at every
+   step, and iteration contents at the end.  Each add reconnects one of
+   [keys] connections on a fresh remote port, as churn does, so removes
+   leave tombstones that later adds rarely reuse, and long sequences
+   carry the table past 768 used slots (3/4 of the initial 1024).  The
+   key count varies per case: many live keys make the table double,
+   few make it rebuild at the same capacity. *)
 let prop_flow_table_matches_model =
   let open QCheck in
-  (* op: 0 = add, 1 = remove, 2 = find; key drawn from 16 tuples *)
-  let op = Gen.(pair (int_range 0 2) (int_range 0 15)) in
-  Test.make ~name:"flow table matches naive map under random ops" ~count:200
-    (make Gen.(list_size (int_range 1 200) op))
-    (fun ops ->
+  let max_keys = 1024 in
+  (* op: 0 = add, 1 = remove, 2 = find; keys below the case's key count *)
+  let case =
+    Gen.(
+      int_range 128 max_keys >>= fun keys ->
+      map
+        (fun ops -> (keys, ops))
+        (list_size (int_range 1 8000)
+           (pair (int_range 0 2) (int_range 0 (keys - 1)))))
+  in
+  Test.make ~name:"flow table matches naive map under random ops" ~count:100
+    (make case)
+    (fun (_, ops) ->
       let store = Tcb.store_create ~initial:4 () in
       let env = make_env ~store () in
       let table = Flow_table.create ~store in
       let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let key_of k = (1000 + (k land 3), 0xA000000 + (k lsr 2), 2000 + k) in
+      (* Remote port of each connection's latest tuple; 0 before its
+         first add, a tuple that must simply miss. *)
+      let port = Array.make max_keys 0 in
+      let tuple k = (1000 + (k land 3), 0xA000000 + (k lsr 2), port.(k)) in
       let uid = ref 0 in
-      List.for_all
-        (fun (op, k) ->
-          let local_port, remote_ip, remote_port = key_of k in
-          (match op with
-          | 0 ->
-              if not (Hashtbl.mem model k) then begin
-                let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
-                incr uid;
-                Tcb.set_cookie tcb !uid;
-                Flow_table.add table ~local_port ~remote_ip ~remote_port tcb;
-                Hashtbl.replace model k !uid
-              end
-          | 1 ->
-              Flow_table.remove table ~local_port ~remote_ip ~remote_port;
-              Hashtbl.remove model k
-          | _ -> ());
-          let found =
-            match Flow_table.find table ~local_port ~remote_ip ~remote_port with
-            | Some tcb -> Some (Tcb.cookie tcb)
-            | None -> None
-          in
-          found = Hashtbl.find_opt model k
-          && Flow_table.count table = Hashtbl.length model)
-        ops)
+      let agree_stepwise =
+        List.for_all
+          (fun (op, k) ->
+            (match op with
+            | 0 ->
+                if not (Hashtbl.mem model k) then begin
+                  incr uid;
+                  port.(k) <- !uid;
+                  let local_port, remote_ip, remote_port = tuple k in
+                  let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
+                  Tcb.set_cookie tcb !uid;
+                  Flow_table.add table ~local_port ~remote_ip ~remote_port tcb;
+                  Hashtbl.replace model k !uid
+                end
+            | 1 ->
+                let local_port, remote_ip, remote_port = tuple k in
+                Flow_table.remove table ~local_port ~remote_ip ~remote_port;
+                Hashtbl.remove model k
+            | _ -> ());
+            let local_port, remote_ip, remote_port = tuple k in
+            let found =
+              match Flow_table.find table ~local_port ~remote_ip ~remote_port with
+              | Some tcb -> Some (Tcb.cookie tcb)
+              | None -> None
+            in
+            found = Hashtbl.find_opt model k
+            && Flow_table.count table = Hashtbl.length model)
+          ops
+      in
+      let iterated = ref [] in
+      Flow_table.iter table (fun tcb -> iterated := Tcb.cookie tcb :: !iterated);
+      agree_stepwise
+      && List.sort compare !iterated
+         = List.sort compare (Hashtbl.fold (fun _ uid acc -> uid :: acc) model []))
+
+(* [hash] first folds the key to [krem lxor (kloc * 0x3779B97F4A7C15)],
+   so local ports 0 and 21855 collide exactly — all 63 bits — when the
+   remote halves differ by [21855 * 0x3779B97F4A7C15], a product that
+   fits in 48 bits (a 32-bit address and a 16-bit port).  Stored hashes
+   then match and only the key columns tell the two flows apart. *)
+let test_flow_table_hash_collision () =
+  let store = Tcb.store_create () in
+  let env = make_env ~store () in
+  let table = Flow_table.create ~store in
+  let krem_a = (0x0A000001 lsl 16) lor 5000 in
+  let krem_b = krem_a lxor (21855 * 0x3779B97F4A7C15) in
+  check_bool "colliding remote half fits 48 bits" true (krem_b lsr 48 = 0);
+  let flows =
+    [|
+      (0, krem_a lsr 16, krem_a land 0xFFFF);
+      (21855, krem_b lsr 16, krem_b land 0xFFFF);
+    |]
+  in
+  let add f =
+    let local_port, remote_ip, remote_port = flows.(f) in
+    let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
+    Tcb.set_cookie tcb f;
+    Flow_table.add table ~local_port ~remote_ip ~remote_port tcb
+  in
+  let remove f =
+    let local_port, remote_ip, remote_port = flows.(f) in
+    Flow_table.remove table ~local_port ~remote_ip ~remote_port
+  in
+  let found f =
+    let local_port, remote_ip, remote_port = flows.(f) in
+    match Flow_table.find table ~local_port ~remote_ip ~remote_port with
+    | Some tcb -> Some (Tcb.cookie tcb)
+    | None -> None
+  in
+  let check_found what f expect =
+    Alcotest.(check (option int)) what expect (found f)
+  in
+  add 0;
+  add 1;
+  check_int "both resident" 2 (Flow_table.count table);
+  check_found "first found" 0 (Some 0);
+  check_found "second found" 1 (Some 1);
+  remove 0;
+  check_found "first gone" 0 None;
+  check_found "second survives removing the first" 1 (Some 1);
+  add 0;
+  remove 1;
+  check_found "second gone" 1 None;
+  check_found "first survives removing the second" 0 (Some 0)
+
+(* 64 live flows reconnected a million times: each reconnect removes a
+   flow and adds its successor on a fresh remote port.  The tombstones
+   this leaves must be cleared in place, not paid for with doubling. *)
+let reconnects = 1_000_000
+
+let test_flow_table_churn_bounded () =
+  let store = Tcb.store_create () in
+  let env = make_env ~store () in
+  let table = Flow_table.create ~store in
+  let live = 64 in
+  let port n = 1024 + (n mod 60_000) in
+  let remote_ip i = 0xE000000 + i in
+  let tcbs =
+    Array.init live (fun i ->
+        let tcb =
+          make_tcb env ~local_port:80 ~remote_ip:(remote_ip i) ~remote_port:(port i)
+        in
+        Flow_table.add table ~local_port:80 ~remote_ip:(remote_ip i)
+          ~remote_port:(port i) tcb;
+        tcb)
+  in
+  for n = live to reconnects + live - 1 do
+    let i = n mod live in
+    Flow_table.remove table ~local_port:80 ~remote_ip:(remote_ip i)
+      ~remote_port:(port (n - live));
+    Tcb.release tcbs.(i);
+    let tcb =
+      make_tcb env ~local_port:80 ~remote_ip:(remote_ip i) ~remote_port:(port n)
+    in
+    Flow_table.add table ~local_port:80 ~remote_ip:(remote_ip i)
+      ~remote_port:(port n) tcb;
+    tcbs.(i) <- tcb
+  done;
+  check_int "live flows" live (Flow_table.count table);
+  check_bool
+    (Printf.sprintf "%d slots after %d reconnects <= 1024" (Flow_table.capacity table)
+       reconnects)
+    true
+    (Flow_table.capacity table <= 1024);
+  for n = reconnects to reconnects + live - 1 do
+    let i = n mod live in
+    match
+      Flow_table.find table ~local_port:80 ~remote_ip:(remote_ip i)
+        ~remote_port:(port n)
+    with
+    | Some tcb -> check_bool "latest flow" true (tcb == tcbs.(i))
+    | None -> Alcotest.failf "lost flow %d after churn" i
+  done
+
+(* The module header's promise: [find] runs once per RX segment and
+   allocates nothing, hit or miss, and an add/remove pair that reuses
+   its tombstone (no rehash) allocates nothing either. *)
+let test_flow_table_allocates_nothing () =
+  let store = Tcb.store_create () in
+  let env = make_env ~store () in
+  let table = Flow_table.create ~store in
+  let live = 64 in
+  let tcbs =
+    Array.init live (fun i ->
+        let tcb =
+          make_tcb env ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000
+        in
+        Flow_table.add table ~local_port:80 ~remote_ip:(0xD000000 + i)
+          ~remote_port:6000 tcb;
+        tcb)
+  in
+  let capacity = Flow_table.capacity table in
+  let rounds = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for n = 0 to rounds - 1 do
+    match
+      Flow_table.find table ~local_port:80 ~remote_ip:(0xD000000 + (n land 63))
+        ~remote_port:6000
+    with
+    | Some _ -> incr hits
+    | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k hits" 0. words;
+  check_int "every hit found" rounds !hits;
+  let before = Gc.minor_words () in
+  for n = 0 to rounds - 1 do
+    match
+      Flow_table.find table ~local_port:81 ~remote_ip:(0xD000000 + (n land 63))
+        ~remote_port:6000
+    with
+    | Some _ -> incr hits
+    | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k misses" 0. words;
+  check_int "no miss found" rounds !hits;
+  let before = Gc.minor_words () in
+  for n = 0 to rounds - 1 do
+    let i = n land 63 in
+    Flow_table.remove table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000;
+    Flow_table.add table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000
+      tcbs.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k add/remove pairs" 0. words;
+  check_int "table did not grow" capacity (Flow_table.capacity table);
+  check_int "every flow still live" live (Flow_table.count table)
 
 let test_store_grows () =
   let store = Tcb.store_create ~initial:2 () in
@@ -127,6 +308,44 @@ let test_tw_collisions () =
       ~remote_port:1000
   in
   check_int "replaced snd_nxt" 999 (Tw_table.fin_snd_nxt tw slot)
+
+let test_tw_churn_bounded () =
+  let tw = Tw_table.create () in
+  let live = 64 in
+  let port n = 1024 + (n mod 60_000) in
+  let add n =
+    Tw_table.add tw ~local_port:80 ~remote_ip:(0xE000000 + (n mod live))
+      ~remote_port:(port n) ~snd_nxt:n ~rcv_nxt:n ~deadline:max_int
+  in
+  for n = 0 to live - 1 do
+    add n
+  done;
+  (* Each step ends the oldest remnant's quiet period early and parks
+     a new one, holding the population at [live]. *)
+  for n = live to reconnects + live - 1 do
+    let old = n - live in
+    let slot =
+      Tw_table.find_slot tw ~now:0 ~local_port:80
+        ~remote_ip:(0xE000000 + (old mod live)) ~remote_port:(port old)
+    in
+    if slot < 0 then Alcotest.failf "lost remnant %d" old;
+    Tw_table.remove tw slot;
+    add n
+  done;
+  check_int "live remnants" live (Tw_table.count tw);
+  check_bool
+    (Printf.sprintf "%d slots after %d reconnects <= 1024" (Tw_table.capacity tw)
+       reconnects)
+    true
+    (Tw_table.capacity tw <= 1024);
+  for n = reconnects to reconnects + live - 1 do
+    let slot =
+      Tw_table.find_slot tw ~now:0 ~local_port:80
+        ~remote_ip:(0xE000000 + (n mod live)) ~remote_port:(port n)
+    in
+    check_bool "latest remnant found" true (slot >= 0);
+    check_int "latest remnant's state" n (Tw_table.fin_snd_nxt tw slot)
+  done
 
 let test_tw_expiry () =
   let tw = Tw_table.create () in
@@ -316,10 +535,18 @@ let () =
           qt prop_flow_table_matches_model;
           Alcotest.test_case "store growth keeps handles valid" `Quick
             test_store_grows;
+          Alcotest.test_case "exact hash collision" `Quick
+            test_flow_table_hash_collision;
+          Alcotest.test_case "1M reconnects keep the table small" `Quick
+            test_flow_table_churn_bounded;
+          Alcotest.test_case "find, add and remove allocate nothing" `Quick
+            test_flow_table_allocates_nothing;
         ] );
       ( "time-wait",
         [
           Alcotest.test_case "collision handling" `Quick test_tw_collisions;
+          Alcotest.test_case "1M reconnects keep the table small" `Quick
+            test_tw_churn_bounded;
           Alcotest.test_case "expiry: lazy + sweep" `Quick test_tw_expiry;
           Alcotest.test_case "refresh" `Quick test_tw_refresh;
         ] );
