@@ -79,7 +79,7 @@ let schedule_app (c : state Host.t) =
         Metrics.incr st.c_wakeups;
         Cpu_core.charge c.cpu ~now Cpu_core.Kernel st.costs.wakeup_ns
       end
-      else max now (Cpu_core.free_at c.cpu)
+      else Int.max now (Cpu_core.free_at c.cpu)
     in
     ignore (Sim.at c.sim resume st.app_thunk)
   end
@@ -173,7 +173,7 @@ let on_nic_notify (c : state Host.t) =
   if not st.irq_scheduled then begin
     st.irq_scheduled <- true;
     let now = Sim.now c.sim in
-    ignore (Sim.at c.sim (max now (st.last_irq + st.costs.itr_interval_ns)) st.irq_thunk)
+    ignore (Sim.at c.sim (Int.max now (st.last_irq + st.costs.itr_interval_ns)) st.irq_thunk)
   end
 
 (* TCP data frames pay qdisc + driver time; ARP frames and datagrams

@@ -194,7 +194,7 @@ let rec arm_timer_wakeup c =
   c.timer_wakeup <- Sim.no_handle;
   let deadline = Wheel.next_expiry c.wheel in
   if deadline <> Wheel.no_expiry then
-    c.timer_wakeup <- Sim.at c.sim (max deadline (Sim.now c.sim)) c.timer_thunk
+    c.timer_wakeup <- Sim.at c.sim (Int.max deadline (Sim.now c.sim)) c.timer_thunk
 
 (* Kernel timers piggyback on every RX pass, and wake the core on their
    own when no traffic arrives. *)

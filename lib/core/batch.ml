@@ -26,7 +26,7 @@ type t = {
 let clamp_mode mode limit =
   match mode with
   | Fixed -> limit
-  | Adaptive { floor; ceiling } -> min ceiling (max floor limit)
+  | Adaptive { floor; ceiling } -> Int.min ceiling (Int.max floor limit)
 
 let validate_mode = function
   | Fixed -> ()
@@ -52,7 +52,7 @@ let create ?(bound = 64) ?(mode = Fixed) () =
   }
 
 let bound t = t.limit
-let set_bound t b = t.limit <- clamp_mode t.mode (max 1 b)
+let set_bound t b = t.limit <- clamp_mode t.mode (Int.max 1 b)
 let mode t = t.mode
 
 let congested t = t.congested
@@ -65,19 +65,19 @@ let congested t = t.congested
 let window_close t floor ceiling =
   if t.win_saturated * 4 >= window * 3 then begin
     t.congested <- true;
-    t.limit <- min ceiling (t.limit * 2)
+    t.limit <- Int.min ceiling (t.limit * 2)
   end
   else begin
     t.congested <- false;
     if t.win_packets * 4 < t.limit * window then
-      t.limit <- max floor (t.limit / 2)
+      t.limit <- Int.max floor (t.limit / 2)
   end;
   t.win_cycles <- 0;
   t.win_saturated <- 0;
   t.win_packets <- 0
 
 let next_batch t ~pending =
-  let n = min pending t.limit in
+  let n = Int.min pending t.limit in
   if n > 0 then begin
     t.cycle_count <- t.cycle_count + 1;
     t.packet_count <- t.packet_count + n;

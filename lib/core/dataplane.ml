@@ -77,7 +77,7 @@ let staging fill = { items = [||]; len = 0; batch = [||]; fill }
 
 let stage_push s x =
   if s.len = Array.length s.items then begin
-    let items = Array.make (max 64 (2 * s.len)) s.fill in
+    let items = Array.make (Int.max 64 (2 * s.len)) s.fill in
     Array.blit s.items 0 items 0 s.len;
     s.items <- items
   end;
@@ -196,7 +196,7 @@ let charge_user t ns = t.user_ns_acc <- t.user_ns_acc + ns
 
 let stage_tx t mbuf =
   if t.tx_len = Array.length t.tx_buf then begin
-    let capacity' = max 64 (2 * t.tx_len) in
+    let capacity' = Int.max 64 (2 * t.tx_len) in
     let buf' = Array.make capacity' mbuf in
     Array.blit t.tx_buf 0 buf' 0 t.tx_len;
     t.tx_buf <- buf'
@@ -578,7 +578,7 @@ let rec run_cycle t =
   Metrics.incr t.c_cycles;
   t.kernel_ns_acc <- 0;
   t.user_ns_acc <- 0;
-  let start = max (now t) (Cpu_core.free_at t.cpu) in
+  let start = Int.max (now t) (Cpu_core.free_at t.cpu) in
   (* Stage spans are cut wherever [mark] is called: charges land on the
      core as one kernel block then one user block, but attributing them
      in charge order gives a per-stage timeline whose spans tile
@@ -590,7 +590,7 @@ let rec run_cycle t =
   charge_kernel t poll_ns;
   let budget = Batch.next_batch t.batcher ~pending:(rx_pending t) in
   if Array.length t.rx_scratch < budget then begin
-    let scratch = Array.make (max 64 budget) t.scratch_seed in
+    let scratch = Array.make (Int.max 64 budget) t.scratch_seed in
     Array.blit t.rx_scratch 0 scratch 0 (Array.length t.rx_scratch);
     t.rx_scratch <- scratch
   end;
@@ -720,7 +720,7 @@ and maybe_background t earliest =
         t.state <- Scheduled;
         Sim.cancel t.sim t.idle_wakeup;
         t.idle_wakeup <- Sim.no_handle;
-        let at = max (now t) earliest in
+        let at = Int.max (now t) earliest in
         ignore
           (Sim.at t.sim at (fun () ->
                t.state <- Idle;
@@ -755,7 +755,7 @@ and kick_thunk t =
 and arm_idle_wakeup t earliest =
   let deadline = Wheel.next_expiry t.wheel in
   if deadline <> Wheel.no_expiry then
-    t.idle_wakeup <- Sim.at t.sim (max deadline earliest) (kick_thunk t)
+    t.idle_wakeup <- Sim.at t.sim (Int.max deadline earliest) (kick_thunk t)
 
 and kick t =
   match t.state with
@@ -765,7 +765,7 @@ and kick t =
       Sim.cancel t.sim t.idle_wakeup;
       t.idle_wakeup <- Sim.no_handle;
       let wakeup_cost = if t.polling then 0 else t.interrupt_latency_ns in
-      let at = max (now t) (Cpu_core.free_at t.cpu) + wakeup_cost in
+      let at = Int.max (now t) (Cpu_core.free_at t.cpu) + wakeup_cost in
       ignore (Sim.at t.sim at (cycle_thunk t))
 
 (* ------------------------------------------------------------------ *)

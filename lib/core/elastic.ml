@@ -97,7 +97,7 @@ let check t =
       t.low_streak <- 0
     end;
     let cap =
-      min t.cfg.max_cores (Ix_host.thread_count (Control_plane.host t.cp))
+      Int.min t.cfg.max_cores (Ix_host.thread_count (Control_plane.host t.cp))
     in
     if t.high_streak >= t.cfg.settle_checks && live < cap then begin
       if Control_plane.add_core t.cp then

@@ -158,7 +158,7 @@ let handle_event t ev =
       match Hashtbl.find t.conns cookie with
       | exception Not_found -> ()
       | conn ->
-          conn.in_flight <- max 0 (conn.in_flight - bytes_sent);
+          conn.in_flight <- Int.max 0 (conn.in_flight - bytes_sent);
           if not (Iov_deque.is_empty conn.write_queue) then mark_dirty conn;
           conn.handlers.on_sent conn bytes_sent)
   | Ix_api.Ev_dead { cookie; reason } -> (

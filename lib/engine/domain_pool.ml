@@ -69,7 +69,7 @@ let in_task_key = Domain.DLS.new_key (fun () -> ref false)
 let drain t b =
   while b.next < b.count do
     let lo = b.next in
-    let hi = min b.count (lo + b.chunk) in
+    let hi = Int.min b.count (lo + b.chunk) in
     b.next <- hi;
     Mutex.unlock t.mutex;
     for i = lo to hi - 1 do
@@ -99,7 +99,7 @@ let create ~jobs () =
   if jobs < 1 then invalid_arg "Domain_pool.create: jobs must be >= 1";
   (* Choose the profitable width automatically: never oversubscribe the
      machine (see the module comment on the stop-the-world minor GC). *)
-  let jobs = min jobs (Domain.recommended_domain_count ()) in
+  let jobs = Int.min jobs (Domain.recommended_domain_count ()) in
   let t =
     {
       jobs;
@@ -148,7 +148,7 @@ let map t fs =
           errors.(i * stride) <- Some (e, Printexc.get_raw_backtrace ()));
       flag := false
     in
-    let chunk = max 1 (n / (t.jobs * 8)) in
+    let chunk = Int.max 1 (n / (t.jobs * 8)) in
     let b = { run_task; count = n; chunk; next = 0; completed = 0 } in
     Mutex.lock t.mutex;
     if t.stop then begin
@@ -186,6 +186,6 @@ let with_pool ~jobs f =
 
 let map_jobs ~jobs fs =
   if jobs < 1 then invalid_arg "Domain_pool.map_jobs: jobs must be >= 1";
-  let jobs = min jobs (Domain.recommended_domain_count ()) in
+  let jobs = Int.min jobs (Domain.recommended_domain_count ()) in
   if jobs <= 1 then List.map (fun f -> f ()) fs
   else with_pool ~jobs (fun t -> map t fs)

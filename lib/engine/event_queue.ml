@@ -1,16 +1,17 @@
 (* A structure-of-arrays binary min-heap.
 
-   The heap state lives in three parallel arrays — unboxed [times] and
-   [seqs] plus a payload array — so [push]/[pop] touch flat int arrays
-   and allocate nothing in steady state (the old representation boxed a
-   3-field entry record per event).  Sifting is hole-based: the moving
-   element is held in locals and written exactly once, instead of
-   swapping three cells per level. *)
+   The heap state lives in three parallel flat [int] arrays — [times],
+   [seqs] and the payloads — so [push]/[pop] allocate nothing in steady
+   state (the old representation boxed a 3-field entry record per
+   event), and since every payload is an immediate int, no sift write
+   goes through the GC write barrier.  Sifting is hole-based: the
+   moving element is held in locals and written exactly once, instead
+   of swapping three cells per level. *)
 
-type 'a t = {
+type t = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable vals : 'a array; (* length 0 until the first push *)
+  mutable vals : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -19,13 +20,13 @@ let create () = { times = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0
 let is_empty q = q.size = 0
 let length q = q.size
 
-let grow q v =
+let grow q =
   let capacity = Array.length q.times in
   if q.size = capacity then begin
     let capacity' = if capacity = 0 then 64 else capacity * 2 in
     let times' = Array.make capacity' 0 in
     let seqs' = Array.make capacity' 0 in
-    let vals' = Array.make capacity' v in
+    let vals' = Array.make capacity' 0 in
     Array.blit q.times 0 times' 0 q.size;
     Array.blit q.seqs 0 seqs' 0 q.size;
     Array.blit q.vals 0 vals' 0 q.size;
@@ -35,7 +36,7 @@ let grow q v =
   end
 
 let push q ~time v =
-  grow q v;
+  grow q;
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   let times = q.times and seqs = q.seqs and vals = q.vals in

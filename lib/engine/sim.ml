@@ -32,7 +32,7 @@ let no_handle = -1
 
 type t = {
   mutable clock : Sim_time.t;
-  queue : int Event_queue.t;
+  queue : Event_queue.t;
   root_rng : Rng.t;
   mutable executed : int;
   mutable cells : cell array;
@@ -59,7 +59,7 @@ let now t = t.clock
 
 let push_free t idx =
   if t.free_top = Array.length t.free then begin
-    let capacity' = max 64 (2 * Array.length t.free) in
+    let capacity' = Int.max 64 (2 * Array.length t.free) in
     let free' = Array.make capacity' 0 in
     Array.blit t.free 0 free' 0 t.free_top;
     t.free <- free'

@@ -8,7 +8,7 @@ let of_float_us x = int_of_float (Float.round (x *. 1_000.))
 let to_float_us t = float_of_int t /. 1_000.
 let to_float_s t = float_of_int t /. 1_000_000_000.
 let add = ( + )
-let max = Stdlib.max
+let max = Int.max
 
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%dns" t

@@ -154,7 +154,7 @@ let corrupt t ~pos ~mask =
 
 let truncate t ~keep =
   let n = length t in
-  if keep >= n then t else detach t ~keep:(max 1 keep)
+  if keep >= n then t else detach t ~keep:(Int.max 1 keep)
 
 let to_mbuf t ~into = Mbuf.append_bytes into t.buf t.off t.len
 

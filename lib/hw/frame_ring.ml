@@ -16,7 +16,7 @@ let create () = { frames = [||]; tags = [||]; head = 0; count = 0 }
 
 let grow r =
   let cap = Array.length r.frames in
-  let cap' = max 16 (2 * cap) in
+  let cap' = Int.max 16 (2 * cap) in
   let frames' = Array.make cap' Frame.empty in
   let tags' = Array.make cap' 0 in
   for k = 0 to r.count - 1 do

@@ -54,9 +54,9 @@ let serialize_ns t frame =
 
 let send_at t frame ~earliest =
   let now = Engine.Sim.now t.sim in
-  let reference = max now earliest in
+  let reference = Int.max now earliest in
   (* Backlog ahead of this frame, in bytes at line rate. *)
-  let backlog_ns = max 0 (t.busy - reference) in
+  let backlog_ns = Int.max 0 (t.busy - reference) in
   let backlog_bytes =
     int_of_float (float_of_int backlog_ns *. t.bits_per_ns /. 8.)
   in
@@ -79,7 +79,7 @@ let send_at t frame ~earliest =
           Frame.with_ce frame
       | Some _ | None -> frame
     in
-    let start = max reference t.busy in
+    let start = Int.max reference t.busy in
     let duration = serialize_ns t frame in
     t.busy <- start + duration;
     t.busy_ns <- t.busy_ns + duration;

@@ -179,8 +179,8 @@ let pop_exn q =
   q.count <- q.count - 1;
   mbuf
 
-let rx_burst_into q ~into ~off ~max =
-  let n = min (min max q.count) (Array.length into - off) in
+let rx_burst_into q ~into ~off ~max:limit =
+  let n = Int.min (Int.min limit q.count) (Array.length into - off) in
   for i = off to off + n - 1 do
     into.(i) <- pop_exn q
   done;
@@ -190,7 +190,7 @@ let rx_burst_into q ~into ~off ~max =
    per non-empty batch.  The clamp keeps [avail_descs + count <=
    ring_size] no matter when a deferred doorbell lands. *)
 let post_descs q n =
-  q.avail_descs <- min (q.ring_size - q.count) (q.avail_descs + n);
+  q.avail_descs <- Int.min (q.ring_size - q.count) (q.avail_descs + n);
   Metrics.incr q.q_doorbells
 
 let replenish q n =

@@ -3,7 +3,7 @@ let doorbell_ns = 120
 
 type t = { batch : int }
 
-let create ?(replenish_batch = 32) () = { batch = max 1 replenish_batch }
+let create ?(replenish_batch = 32) () = { batch = Int.max 1 replenish_batch }
 
 let replenish_cost_ns t ~descriptors =
   if descriptors <= 0 then 0

@@ -20,7 +20,7 @@ let bytes t = t.bytes
 
 let grow t =
   let cap = Array.length t.arr in
-  let cap' = max 8 (2 * cap) in
+  let cap' = Int.max 8 (2 * cap) in
   let arr' = Array.make cap' empty_iov in
   for i = 0 to t.count - 1 do
     arr'.(i) <- t.arr.((t.head + i) mod cap)
@@ -86,7 +86,7 @@ let blit_to t ~skip ~dst ~dst_off ~len =
     let iov = t.arr.(!i) in
     if !skip >= iov.Iovec.len then skip := !skip - iov.Iovec.len
     else begin
-      let n = min (iov.Iovec.len - !skip) !remaining in
+      let n = Int.min (iov.Iovec.len - !skip) !remaining in
       Iovec.blit iov ~src_off:!skip ~dst ~dst_off:!dst_off ~len:n;
       remaining := !remaining - n;
       dst_off := !dst_off + n;

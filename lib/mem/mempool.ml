@@ -41,7 +41,7 @@ let create ?(capacity = 16384) ~name () =
 
 let push_free t boxed =
   if t.free_top = Array.length t.free then begin
-    let capacity' = min t.max_objects (max t.block_objects (2 * t.free_top)) in
+    let capacity' = Int.min t.max_objects (Int.max t.block_objects (2 * t.free_top)) in
     let free' = Array.make capacity' None in
     Array.blit t.free 0 free' 0 t.free_top;
     t.free <- free'
@@ -58,7 +58,7 @@ let release t mbuf boxed =
 
 let provision_block t =
   let remaining = t.max_objects - t.provisioned in
-  let n = min t.block_objects remaining in
+  let n = Int.min t.block_objects remaining in
   for _ = 1 to n do
     let mbuf = Mbuf.create () in
     let boxed = Some mbuf in

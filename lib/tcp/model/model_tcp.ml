@@ -118,7 +118,7 @@ let flight s = Seqno.diff s.snd_nxt s.snd_una
 
 let unsent s =
   let sent_data = Seqno.diff s.snd_nxt s.snd_queue_seq in
-  let sent_data = max 0 (min s.snd_queue_len sent_data) in
+  let sent_data = Int.max 0 (Int.min s.snd_queue_len sent_data) in
   s.snd_queue_len - sent_data
 
 let rcv_window s =
@@ -128,9 +128,9 @@ let rcv_window s =
 let advertised_window s =
   let w = rcv_window s in
   let shift = if s.ws_enabled then s.cfg.Tcb.wscale else 0 in
-  min (w lsr shift) 0xFFFF
+  Int.min (w lsr shift) 0xFFFF
 
-let rto_clamp cfg v = max cfg.Tcb.min_rto_ns (min cfg.Tcb.max_rto_ns v)
+let rto_clamp cfg v = Int.max cfg.Tcb.min_rto_ns (Int.min cfg.Tcb.max_rto_ns v)
 let rto_ns s = rto_clamp s.cfg (s.rto * s.backoff_mult)
 
 let send_budget s =
@@ -138,12 +138,12 @@ let send_budget s =
     if s.cfg.Tcb.buffered_send then s.cfg.Tcb.snd_buf - s.snd_queue_len
     else begin
       let window_headroom =
-        max s.snd_wnd (2 * s.snd_mss) - (flight s + unsent s)
+        Int.max s.snd_wnd (2 * s.snd_mss) - (flight s + unsent s)
       in
-      min (s.cfg.Tcb.snd_buf - s.snd_queue_len) window_headroom
+      Int.min (s.cfg.Tcb.snd_buf - s.snd_queue_len) window_headroom
     end
   in
-  max budget 0
+  Int.max budget 0
 
 (* ------------------------------------------------------------------ *)
 (* The step machine: transliteration scaffolding.  [s] is the evolving
@@ -174,7 +174,7 @@ let rtt_observe m ~sample_ns =
       rttvar;
       rtt_have_sample = true;
       backoff_mult = 1;
-      rto = rto_clamp s.cfg (srtt + max 1000 (4 * rttvar));
+      rto = rto_clamp s.cfg (srtt + Int.max 1000 (4 * rttvar));
     }
 
 let rtt_backoff m =
@@ -187,7 +187,7 @@ let cong_on_ack m ~acked_bytes =
   let s = m.s in
   if not s.in_recovery then
     if s.cwnd < s.ssthresh then
-      m.s <- { s with cwnd = min max_window (s.cwnd + acked_bytes) }
+      m.s <- { s with cwnd = Int.min max_window (s.cwnd + acked_bytes) }
     else begin
       let acc = s.avoid_acc + acked_bytes in
       if acc >= s.cwnd then
@@ -195,18 +195,18 @@ let cong_on_ack m ~acked_bytes =
           {
             s with
             avoid_acc = acc - s.cwnd;
-            cwnd = min max_window (s.cwnd + s.cfg.Tcb.mss);
+            cwnd = Int.min max_window (s.cwnd + s.cfg.Tcb.mss);
           }
       else m.s <- { s with avoid_acc = acc }
     end
 
 let cong_on_dup_ack m =
   if m.s.in_recovery then
-    m.s <- { m.s with cwnd = min max_window (m.s.cwnd + m.s.cfg.Tcb.mss) }
+    m.s <- { m.s with cwnd = Int.min max_window (m.s.cwnd + m.s.cfg.Tcb.mss) }
 
 let cong_on_fast_retransmit m ~flight =
   let s = m.s in
-  let ssthresh' = max (2 * s.cfg.Tcb.mss) (flight / 2) in
+  let ssthresh' = Int.max (2 * s.cfg.Tcb.mss) (flight / 2) in
   m.s <-
     {
       s with
@@ -223,7 +223,7 @@ let cong_on_rto m =
   m.s <-
     {
       s with
-      ssthresh = max (2 * s.cfg.Tcb.mss) (s.cwnd / 2);
+      ssthresh = Int.max (2 * s.cfg.Tcb.mss) (s.cwnd / 2);
       cwnd = s.cfg.Tcb.mss;
       in_recovery = false;
       avoid_acc = 0;
@@ -268,14 +268,14 @@ let emit_seg m kind ~dseq ~dlen ~dpsh =
            ack_flag := false;
            mss_o := Some s.cfg.Tcb.mss;
            ws_o := Some s.cfg.Tcb.wscale;
-           window := min (rcv_window s) 0xFFFF
+           window := Int.min (rcv_window s) 0xFFFF
        | Seg_syn_ack ->
            seq := s.iss;
            syn := true;
            ack_flag := true;
            mss_o := Some s.cfg.Tcb.mss;
            ws_o := (if s.ws_enabled then Some s.cfg.Tcb.wscale else None);
-           window := min (rcv_window s) 0xFFFF
+           window := Int.min (rcv_window s) 0xFFFF
        | Seg_fin -> fin := true
        | Seg_fin_rexmit ->
            fin := true;
@@ -329,7 +329,7 @@ let challenge_ack m =
 
 let rst_in_window s (seg : segment) =
   Seqno.ge seg.seq s.rcv_nxt
-  && Seqno.lt seg.seq (Seqno.add s.rcv_nxt (max 1 (rcv_window s)))
+  && Seqno.lt seg.seq (Seqno.add s.rcv_nxt (Int.max 1 (rcv_window s)))
 
 let advance_snd_nxt m n =
   let nxt = Seqno.add m.s.snd_nxt n in
@@ -425,7 +425,7 @@ and retransmit_one m =
         let avail =
           Seqno.diff (Seqno.add s.snd_queue_seq s.snd_queue_len) s.snd_una
         in
-        let len = min s.snd_mss avail in
+        let len = Int.min s.snd_mss avail in
         emit_data m ~seq:s.snd_una ~len ~psh:false;
         if Seqno.lt m.s.snd_nxt (Seqno.add m.s.snd_una len) then begin
           let nxt = Seqno.add m.s.snd_una len in
@@ -459,14 +459,14 @@ let persist_timeout m =
 
 let try_output m =
   if Tcp_state.can_send_data m.s.st || m.s.fin_queued then begin
-    let wnd = min m.s.snd_wnd m.s.cwnd in
+    let wnd = Int.min m.s.snd_wnd m.s.cwnd in
     let progress = ref true in
     while
       !progress && unsent m.s > 0
       && flight m.s < wnd
       && Tcp_state.can_send_data m.s.st
     do
-      let len = min (min m.s.snd_mss (unsent m.s)) (wnd - flight m.s) in
+      let len = Int.min (Int.min m.s.snd_mss (unsent m.s)) (wnd - flight m.s) in
       if len <= 0 then progress := false
       else begin
         let seq = m.s.snd_nxt in
@@ -515,7 +515,7 @@ let drop_acked_data m ack =
   let s = m.s in
   let acked_data =
     let d = Seqno.diff ack s.snd_queue_seq in
-    max 0 (min d s.snd_queue_len)
+    Int.max 0 (Int.min d s.snd_queue_len)
   in
   if acked_data > 0 then
     m.s <-
@@ -533,7 +533,7 @@ let update_send_window m (seg : segment) =
     { m.s with snd_wnd = w; persist_at = (if w > 0 then -1 else m.s.persist_at) }
 
 let schedule_delack m =
-  m.s <- { m.s with delack_count = min 0xFF (m.s.delack_count + 1) };
+  m.s <- { m.s with delack_count = Int.min 0xFF (m.s.delack_count + 1) };
   if m.s.delack_count >= m.s.cfg.Tcb.delack_segs then ack_now m
   else if m.s.delack_at < 0 then
     m.s <- { m.s with delack_at = m.now + m.s.cfg.Tcb.delack_ns }
@@ -665,7 +665,7 @@ let process_ack m (seg : segment) =
     in
     (if dsack_dup then act m (Event Tcb.Dsack_dupack_ignored)
      else if seg.payload_len = 0 && flight m.s > 0 then begin
-       m.s <- { m.s with dupacks = min 0xFF (m.s.dupacks + 1) };
+       m.s <- { m.s with dupacks = Int.min 0xFF (m.s.dupacks + 1) };
        if m.s.dupacks = dup_ack_threshold then begin
          m.s <- { m.s with recover = m.s.snd_nxt };
          cong_on_fast_retransmit m ~flight:(flight m.s);
@@ -692,7 +692,7 @@ let input_syn_sent m (seg : segment) =
         snd_una = seg.ack;
         snd_mss =
           (match seg.mss with
-          | Some mss -> min m.s.cfg.Tcb.mss mss
+          | Some mss -> Int.min m.s.cfg.Tcb.mss mss
           | None -> 536);
         ws_enabled = (seg.wscale <> None);
         snd_wscale = (match seg.wscale with Some shift -> shift | None -> 0);
@@ -832,7 +832,7 @@ let accept cfg ~now ~iss (seg : segment) =
           rcv_nxt = Seqno.add seg.seq 1;
           snd_mss =
             (match seg.mss with
-            | Some mss -> min m.s.cfg.Tcb.mss mss
+            | Some mss -> Int.min m.s.cfg.Tcb.mss mss
             | None -> 536);
           ws_enabled = (seg.wscale <> None);
           snd_wscale = (match seg.wscale with Some shift -> shift | None -> 0);
@@ -870,13 +870,13 @@ let handle_timers s ~now =
       end)
 
 let next_deadline s =
-  let merge a b = if a < 0 then b else if b < 0 then a else min a b in
+  let merge a b = if a < 0 then b else if b < 0 then a else Int.min a b in
   merge s.rexmit_at (merge s.persist_at (merge s.delack_at s.time_wait_at))
 
 let send s ~now n =
   if (not (Tcp_state.can_send_data s.st)) || s.fin_queued then (s, [], 0)
   else begin
-    let accepted = min (send_budget s) n in
+    let accepted = Int.min (send_budget s) n in
     let s', items =
       if accepted > 0 then
         step s ~now (fun m ->
@@ -889,7 +889,7 @@ let send s ~now n =
 
 let consume s ~now n =
   step s ~now (fun m ->
-      m.s <- { m.s with rcv_unconsumed = max 0 (m.s.rcv_unconsumed - n) };
+      m.s <- { m.s with rcv_unconsumed = Int.max 0 (m.s.rcv_unconsumed - n) };
       let w = rcv_window m.s in
       if
         (m.s.rcv_adv_wnd < m.s.snd_mss && w >= 2 * m.s.snd_mss)

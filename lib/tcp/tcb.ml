@@ -297,7 +297,7 @@ let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 
 let store_create ?(initial = 256) () =
-  let cap = max 2 initial in
+  let cap = Int.max 2 initial in
   {
     cap;
     live = 0;
@@ -589,7 +589,7 @@ let set_last_close tcb reason =
 let[@inline] srtt_ns tcb = pair_lo tcb.store.c_srtt.(tcb.slot)
 
 let[@inline] rto_clamp tcb v =
-  max tcb.cfg.min_rto_ns (min tcb.cfg.max_rto_ns v)
+  Int.max tcb.cfg.min_rto_ns (Int.min tcb.cfg.max_rto_ns v)
 
 let[@inline] backoff_mult tcb = (tcb.store.c_flags.(tcb.slot) lsr 41) land 0xFF
 
@@ -613,7 +613,7 @@ let rtt_observe tcb ~sample_ns =
   in
   s.c_srtt.(i) <- with_hi (with_lo s.c_srtt.(i) srtt) rttvar;
   set_backoff_mult tcb 1;
-  s.c_rto.(i) <- rto_clamp tcb (srtt + max 1000 (4 * rttvar))
+  s.c_rto.(i) <- rto_clamp tcb (srtt + Int.max 1000 (4 * rttvar))
 
 let rto_ns tcb = rto_clamp tcb (tcb.store.c_rto.(tcb.slot) * backoff_mult tcb)
 
@@ -652,14 +652,14 @@ let cong_on_ack tcb ~acked_bytes =
     let cw = cwnd tcb in
     if cw < ssthresh tcb then
       (* Slow start: exponential growth. *)
-      set_cwnd tcb (min max_window (cw + acked_bytes))
+      set_cwnd tcb (Int.min max_window (cw + acked_bytes))
     else begin
       (* Congestion avoidance: one MSS per window's worth of ACKs. *)
       let s = tcb.store and i = tcb.slot in
       let acc = s.c_avoid_acc.(i) + acked_bytes in
       if acc >= cw then begin
         s.c_avoid_acc.(i) <- acc - cw;
-        set_cwnd tcb (min max_window (cw + tcb.cfg.mss))
+        set_cwnd tcb (Int.min max_window (cw + tcb.cfg.mss))
       end
       else s.c_avoid_acc.(i) <- acc
     end
@@ -667,10 +667,10 @@ let cong_on_ack tcb ~acked_bytes =
 
 let cong_on_dup_ack tcb =
   (* Window inflation while the missing segment is outstanding. *)
-  if in_recovery tcb then set_cwnd tcb (min max_window (cwnd tcb + tcb.cfg.mss))
+  if in_recovery tcb then set_cwnd tcb (Int.min max_window (cwnd tcb + tcb.cfg.mss))
 
 let cong_on_fast_retransmit tcb ~flight =
-  let ssthresh' = max (2 * tcb.cfg.mss) (flight / 2) in
+  let ssthresh' = Int.max (2 * tcb.cfg.mss) (flight / 2) in
   set_ssthresh tcb ssthresh';
   set_cwnd tcb (ssthresh' + (dup_ack_threshold * tcb.cfg.mss));
   set_flag tcb b_cong_recovery true
@@ -690,13 +690,13 @@ let cong_on_ecn_feedback tcb ~acked_bytes ~marked =
       if marked then pair_hi s.c_ecn.(i) + acked_bytes else pair_hi s.c_ecn.(i)
     in
     if acked >= cwnd tcb then begin
-      let fraction = float_of_int mrk /. float_of_int (max 1 acked) in
+      let fraction = float_of_int mrk /. float_of_int (Int.max 1 acked) in
       s.c_alpha.(i) <- ((1. -. dctcp_g) *. s.c_alpha.(i)) +. (dctcp_g *. fraction);
       if mrk > 0 then begin
         let cwnd' =
           int_of_float (float_of_int (cwnd tcb) *. (1. -. (s.c_alpha.(i) /. 2.)))
         in
-        let cwnd' = max (2 * tcb.cfg.mss) cwnd' in
+        let cwnd' = Int.max (2 * tcb.cfg.mss) cwnd' in
         set_cwnd tcb cwnd';
         set_ssthresh tcb cwnd'
       end;
@@ -706,7 +706,7 @@ let cong_on_ecn_feedback tcb ~acked_bytes ~marked =
   end
 
 let cong_on_rto tcb =
-  set_ssthresh tcb (max (2 * tcb.cfg.mss) (cwnd tcb / 2));
+  set_ssthresh tcb (Int.max (2 * tcb.cfg.mss) (cwnd tcb / 2));
   set_cwnd tcb tcb.cfg.mss;
   set_flag tcb b_cong_recovery false;
   tcb.store.c_avoid_acc.(tcb.slot) <- 0
@@ -841,7 +841,7 @@ let unsent t =
   (* Queued data not yet transmitted.  [snd_nxt] may sit one past the
      data range while a FIN is in flight; clamp handles both ends. *)
   let sent_data = Seqno.diff (snd_nxt t) (snd_queue_seq t) in
-  let sent_data = max 0 (min (snd_queue_len t) sent_data) in
+  let sent_data = Int.max 0 (Int.min (snd_queue_len t) sent_data) in
   snd_queue_len t - sent_data
 
 let rcv_window t =

@@ -32,7 +32,7 @@ let advertised_window tcb =
   let w = rcv_window tcb in
   let shift = if ws_enabled tcb then tcb.cfg.wscale else 0 in
   let field = w lsr shift in
-  min field 0xFFFF
+  Int.min field 0xFFFF
 
 (* Copy [len] bytes of queued send data starting at sequence [seq] into
    the mbuf (this is the NIC's gather DMA in the real system; the data
@@ -101,14 +101,14 @@ let emit_seg tcb kind ~dseq ~dlen ~dpsh =
              seg.Seg.ack_flag <- false;
              seg.Seg.mss <- Some tcb.cfg.mss;
              seg.Seg.wscale <- Some tcb.cfg.wscale;
-             seg.Seg.window <- min (rcv_window tcb) 0xFFFF
+             seg.Seg.window <- Int.min (rcv_window tcb) 0xFFFF
          | Seg_syn_ack ->
              seg.Seg.seq <- iss tcb;
              seg.Seg.syn <- true;
              seg.Seg.ack_flag <- true;
              seg.Seg.mss <- Some tcb.cfg.mss;
              seg.Seg.wscale <- (if ws_enabled tcb then Some tcb.cfg.wscale else None);
-             seg.Seg.window <- min (rcv_window tcb) 0xFFFF
+             seg.Seg.window <- Int.min (rcv_window tcb) 0xFFFF
          | Seg_fin -> seg.Seg.fin <- true
          | Seg_fin_rexmit ->
              (* The FIN occupies the sequence just below snd_nxt. *)
@@ -169,7 +169,7 @@ let challenge_ack tcb =
    acceptable against a closed (zero) receive window. *)
 let rst_in_window tcb (seg : Seg.t) =
   Seqno.ge seg.Seg.seq (rcv_nxt tcb)
-  && Seqno.lt seg.Seg.seq (Seqno.add (rcv_nxt tcb) (max 1 (rcv_window tcb)))
+  && Seqno.lt seg.Seg.seq (Seqno.add (rcv_nxt tcb) (Int.max 1 (rcv_window tcb)))
 
 let advance_snd_nxt tcb n =
   set_snd_nxt tcb (Seqno.add (snd_nxt tcb) n);
@@ -271,7 +271,7 @@ and retransmit_one tcb =
         let avail =
           Seqno.diff (Seqno.add (snd_queue_seq tcb) (snd_queue_len tcb)) (snd_una tcb)
         in
-        let len = min (snd_mss tcb) avail in
+        let len = Int.min (snd_mss tcb) avail in
         emit_data tcb ~seq:(snd_una tcb) ~len ~psh:false;
         (* Keep snd_nxt covering the retransmission (go-back-N resets). *)
         if Seqno.lt (snd_nxt tcb) (Seqno.add (snd_una tcb) len) then begin
@@ -307,13 +307,13 @@ and arm_persist tcb =
 
 let try_output tcb =
   if Tcp_state.can_send_data (state tcb) || fin_queued tcb then begin
-    let wnd = min (snd_wnd tcb) (cwnd tcb) in
+    let wnd = Int.min (snd_wnd tcb) (cwnd tcb) in
     let progress = ref true in
     while
       !progress && Tcb.unsent tcb > 0 && Tcb.flight tcb < wnd
       && Tcp_state.can_send_data (state tcb)
     do
-      let len = min (min (snd_mss tcb) (Tcb.unsent tcb)) (wnd - Tcb.flight tcb) in
+      let len = Int.min (Int.min (snd_mss tcb) (Tcb.unsent tcb)) (wnd - Tcb.flight tcb) in
       if len <= 0 then progress := false
       else begin
         let seq = snd_nxt tcb in
@@ -365,7 +365,7 @@ let accept_syn env cfg ~local_ip ~remote_ip ~segment ~cookie =
   set_irs tcb segment.Seg.seq;
   set_rcv_nxt tcb (Seqno.add segment.Seg.seq 1);
   (match segment.Seg.mss with
-  | Some mss -> set_snd_mss tcb (min tcb.cfg.mss mss)
+  | Some mss -> set_snd_mss tcb (Int.min tcb.cfg.mss mss)
   | None -> set_snd_mss tcb 536);
   (match segment.Seg.wscale with
   | Some shift ->
@@ -402,7 +402,7 @@ let accept_cookie env cfg ~local_ip ~remote_ip ~segment ~iss:cookie_iss ~mss
   set_snd_queue_seq tcb nxt;
   set_irs tcb (Seqno.sub segment.Seg.seq 1);
   set_rcv_nxt tcb segment.Seg.seq;
-  set_snd_mss tcb (min tcb.cfg.mss mss);
+  set_snd_mss tcb (Int.min tcb.cfg.mss mss);
   (* The stateless SYN-ACK offered no window scaling. *)
   set_ws_enabled tcb false;
   set_snd_wnd tcb segment.Seg.window;
@@ -418,19 +418,19 @@ let send_budget tcb =
     if tcb.cfg.buffered_send then tcb.cfg.snd_buf - snd_queue_len tcb
     else begin
       let window_headroom =
-        max (snd_wnd tcb) (2 * snd_mss tcb) - (Tcb.flight tcb + Tcb.unsent tcb)
+        Int.max (snd_wnd tcb) (2 * snd_mss tcb) - (Tcb.flight tcb + Tcb.unsent tcb)
       in
-      min (tcb.cfg.snd_buf - snd_queue_len tcb) window_headroom
+      Int.min (tcb.cfg.snd_buf - snd_queue_len tcb) window_headroom
     end
   in
-  max budget 0
+  Int.max budget 0
 
 let send tcb iovs =
   if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
   else begin
     let budget = send_budget tcb in
     let total = Iovec.total iovs in
-    let accepted = min budget total in
+    let accepted = Int.min budget total in
     if accepted > 0 then begin
       (* Queue iovecs, splitting the one at the accepted boundary. *)
       let rec take remaining = function
@@ -456,7 +456,7 @@ let send tcb iovs =
 let send_iov tcb (iov : Iovec.t) =
   if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
   else begin
-    let accepted = min (send_budget tcb) iov.Iovec.len in
+    let accepted = Int.min (send_budget tcb) iov.Iovec.len in
     if accepted > 0 then begin
       if accepted = iov.Iovec.len then Ixmem.Iov_deque.push tcb.snd_queue iov
       else Ixmem.Iov_deque.push tcb.snd_queue (Iovec.sub iov 0 accepted);
@@ -475,7 +475,7 @@ let send_from tcb queue =
   if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
   else begin
     let budget = send_budget tcb in
-    let accepted = min budget (Ixmem.Iov_deque.bytes queue) in
+    let accepted = Int.min budget (Ixmem.Iov_deque.bytes queue) in
     if accepted > 0 then begin
       let moved =
         Ixmem.Iov_deque.transfer ~src:queue ~dst:tcb.snd_queue
@@ -490,7 +490,7 @@ let send_from tcb queue =
 
 let consume tcb n =
   assert (n >= 0);
-  set_rcv_unconsumed tcb (max 0 (rcv_unconsumed tcb - n));
+  set_rcv_unconsumed tcb (Int.max 0 (rcv_unconsumed tcb - n));
   (* Send a window update if the window reopened significantly since we
      last told the peer about it. *)
   let w = rcv_window tcb in
@@ -530,7 +530,7 @@ let enter_time_wait tcb =
 let drop_acked_data tcb ack =
   let acked_data =
     let d = Seqno.diff ack (snd_queue_seq tcb) in
-    max 0 (min d (snd_queue_len tcb))
+    Int.max 0 (Int.min d (snd_queue_len tcb))
   in
   if acked_data > 0 then begin
     (* Allocation-free: whole slices pop, a partial one advances the
@@ -746,7 +746,7 @@ let input_syn_sent tcb (seg : Seg.t) =
     set_rcv_nxt tcb (Seqno.add seg.Seg.seq 1);
     set_snd_una tcb seg.Seg.ack;
     (match seg.Seg.mss with
-    | Some mss -> set_snd_mss tcb (min tcb.cfg.mss mss)
+    | Some mss -> set_snd_mss tcb (Int.min tcb.cfg.mss mss)
     | None -> set_snd_mss tcb 536);
     (match seg.Seg.wscale with
     | Some shift ->

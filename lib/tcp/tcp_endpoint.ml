@@ -299,7 +299,7 @@ let send_cookie_syn_ack t ~src_ip (seg : Seg.t) ~cookie_iss =
   reply.Seg.ack <- Seqno.add seg.Seg.seq 1;
   reply.Seg.syn <- true;
   reply.Seg.ack_flag <- true;
-  reply.Seg.window <- min t.cfg.Tcb.rcv_buf 0xFFFF;
+  reply.Seg.window <- Int.min t.cfg.Tcb.rcv_buf 0xFFFF;
   (* The one option on this path: preallocated at create so a flood
      segment costs zero heap words here.  No window scaling: the cookie
      has no bits left to remember the peer's offer, so the SYN-ACK must

@@ -44,28 +44,34 @@ type t = {
   mutable free_top : int;
   mutable current : int; (* wheel time, in ticks *)
   mutable armed : int;
-  (* [next_expiry] runs once per dataplane cycle when idle, so it must
-     not walk 256 slot lists of armed timers.  Level-0 bookkeeping kept
-     alongside the lists makes it O(occupied slots):
+  (* [next_expiry] runs once per idle dataplane cycle and [advance] on
+     every cycle, so neither may walk slot lists it does not need.
+     Level-0 bookkeeping kept alongside the lists:
      - [l0_mask]: occupancy bitmap (8 × 32-bit words), bit set = the
-       slot's list may be non-empty;
+       slot's list is non-empty (live timers or tombstones);
      - [l0_min]: per-slot minimum armed deadline (max_int when empty),
        maintained exactly on placement;
      - [l0_dirty]: set when a cancellation may have removed the slot's
-       minimum, forcing a rescan of that one list on the next query. *)
+       minimum, forcing a rescan of that one list on the next query.
+     A live level-0 timer's deadline lies in ([current], [current] +
+     256) and it sits in slot [deadline land 255], so each slot holds
+     one live deadline and slot order from [current] is deadline
+     order: both queries stop at the first set bit that qualifies. *)
   l0_mask : int array;
   l0_min : int array;
   l0_dirty : Bytes.t;
   (* Occupancy statistics (million-timer audit).  [resident] counts
      list entries per level — live timers *and* cancelled tombstones,
      i.e. actual memory residency; the difference against [armed] is
-     the tombstone backlog awaiting slot visits. *)
+     the tombstone backlog awaiting slot visits.  Every scheduled timer
+     is armed, fired or cancelled, so the number of [schedule] calls is
+     their sum and needs no counter of its own. *)
   mutable max_armed : int;
-  mutable n_scheduled : int;
   mutable n_fired : int;
   mutable n_cancelled : int;
   mutable n_cascades : int;
   mutable n_cascaded : int;
+  mutable n_slot_visits : int;
   resident : int array;
 }
 
@@ -88,11 +94,11 @@ let create ?(tick_ns = default_tick_ns) ~now () =
     l0_min = Array.make slots max_int;
     l0_dirty = Bytes.make slots '\000';
     max_armed = 0;
-    n_scheduled = 0;
     n_fired = 0;
     n_cancelled = 0;
     n_cascades = 0;
     n_cascaded = 0;
+    n_slot_visits = 0;
     resident = Array.make levels 0;
   }
 
@@ -110,7 +116,7 @@ let grow_array a n fill =
 (* Double every per-cell array (and the free stack, which can hold
    every cell).  Only reached while the pool is still warming up. *)
 let grow t =
-  let n = max 64 (2 * t.cell_count) in
+  let n = Int.max 64 (2 * t.cell_count) in
   t.deadline <- grow_array t.deadline n 0;
   t.action <- grow_array t.action n no_action;
   t.meta <- grow_array t.meta n st_free;
@@ -182,7 +188,6 @@ let schedule t ~deadline action =
   t.meta.(c) <- (gen lsl 2) lor st_armed;
   place t c;
   t.armed <- t.armed + 1;
-  t.n_scheduled <- t.n_scheduled + 1;
   if t.armed > t.max_armed then t.max_armed <- t.armed;
   (c lsl gen_bits) lor gen
 
@@ -219,6 +224,7 @@ let cancel t timer =
    cancel timers. *)
 let fire_slot t =
   let slot = t.current land (slots - 1) in
+  t.n_slot_visits <- t.n_slot_visits + 1;
   let head = t.heads.(slot) in
   t.heads.(slot) <- nil;
   t.l0_mask.(slot lsr 5) <-
@@ -274,12 +280,62 @@ let tick t =
   done;
   fire_slot t
 
-let advance t ~now =
-  let target = now / t.tick_ns in
-  while t.current < target && t.armed > 0 do
-    tick t
+(* Constant-time lowest set bit of a 32-bit word: multiplying an
+   isolated bit by a de Bruijn constant puts a distinct 5-bit pattern
+   in the top bits, which [debruijn] maps back to the bit's index. *)
+let debruijn_hash bit = ((bit * 0x077CB531) land 0xFFFFFFFF) lsr 27
+
+let debruijn =
+  let b = Bytes.create 32 in
+  for i = 0 to 31 do
+    Bytes.set b (debruijn_hash (1 lsl i)) (Char.chr i)
   done;
-  if t.current < target then t.current <- target
+  Bytes.unsafe_to_string b
+
+let lowest_bit m = Char.code (String.unsafe_get debruijn (debruijn_hash (m land -m)))
+
+(* First set bit of [mask] at word [w] or later, with [m] the remaining
+   bits of word [w]; [slots] if none.  Top-level, so scanning allocates
+   no closure. *)
+let rec first_set mask w m =
+  if m <> 0 then (w lsl 5) + lowest_bit m
+  else if w + 1 = mask_words then slots
+  else first_set mask (w + 1) mask.(w + 1)
+
+(* First occupied level-0 slot in [from .. slots-1], or [slots]. *)
+let occupied_from t from =
+  if from >= slots then slots
+  else
+    let w = from lsr 5 in
+    first_set t.l0_mask w (t.l0_mask.(w) land (-1 lsl (from land 31)))
+
+(* Tick-skipping advance: jump to the earlier of the next occupied
+   level-0 slot in this lap and the next lap boundary, and tick it.
+   The skipped ticks visit empty slots and cross no boundary, so they
+   would do nothing; boundaries are still ticked, so cascades (and
+   their counts) happen exactly as under one tick at a time. *)
+let rec skip_to t target =
+  if t.current < target then
+    if t.armed = 0 then t.current <- target
+    else begin
+      let lap = t.current land lnot (slots - 1) in
+      let next = lap + occupied_from t ((t.current land (slots - 1)) + 1) in
+      if next > target then t.current <- target
+      else begin
+        t.current <- next - 1;
+        tick t;
+        skip_to t target
+      end
+    end
+
+(* Most calls land inside the current tick: a multiply rules them out
+   before the division.  A one-tick step, the next most common, is a
+   single direct [tick]. *)
+let advance t ~now =
+  if now >= (t.current + 1) * t.tick_ns then begin
+    let target = now / t.tick_ns in
+    if target = t.current + 1 && t.armed > 0 then tick t else skip_to t target
+  end
 
 let rescan_slot t slot =
   let min_deadline = ref max_int in
@@ -293,31 +349,28 @@ let rescan_slot t slot =
   t.l0_min.(slot) <- !min_deadline;
   Bytes.unsafe_set t.l0_dirty slot '\000'
 
-let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1)
+(* The deadline of the first slot at or after [slot] (in this lap) that
+   holds a live timer, or [max_int]; tombstone-only slots are passed
+   over after their one rescan. *)
+let rec first_live t slot =
+  if slot = slots then max_int
+  else begin
+    if Bytes.unsafe_get t.l0_dirty slot = '\001' then rescan_slot t slot;
+    let d = t.l0_min.(slot) in
+    if d < max_int then d else first_live t (occupied_from t (slot + 1))
+  end
 
 let no_expiry = max_int
 
 let next_expiry t =
   if t.armed = 0 then no_expiry
   else begin
-    (* Earliest live deadline in level 0: the tracked per-slot minima
-       of the occupied slots, rescanning only slots whose minimum was
-       cancelled since the last query. *)
-    let best = ref max_int in
-    for w = 0 to mask_words - 1 do
-      let m = ref t.l0_mask.(w) in
-      while !m <> 0 do
-        let bit = !m land - !m in
-        m := !m lxor bit;
-        let slot = (w lsl 5) + bit_index bit 0 in
-        if Bytes.unsafe_get t.l0_dirty slot = '\001' then rescan_slot t slot;
-        if t.l0_min.(slot) < !best then best := t.l0_min.(slot)
-      done
-    done;
-    (* Next level boundary where a cascade could reveal earlier timers. *)
+    (* The earliest live level-0 deadline lies in this lap's slots after
+       [current]; the next level boundary, where a cascade could reveal
+       earlier timers, bounds it (later-lap slots lie beyond it). *)
     let boundary = ((t.current lsr slot_bits) + 1) lsl slot_bits in
-    let tick = min !best boundary in
-    tick * t.tick_ns
+    let live = first_live t (occupied_from t ((t.current land (slots - 1)) + 1)) in
+    Int.min live boundary * t.tick_ns
   end
 
 (* Defined after every function that touches [t]'s fields: several
@@ -326,11 +379,11 @@ let next_expiry t =
 type stats = {
   armed : int;
   max_armed : int;
-  scheduled : int;
   fired : int;
   cancelled : int;
   cascades : int;
   cascaded_timers : int;
+  slot_visits : int;
   resident : int array;
 }
 
@@ -338,10 +391,10 @@ let stats (t : t) : stats =
   {
     armed = t.armed;
     max_armed = t.max_armed;
-    scheduled = t.n_scheduled;
     fired = t.n_fired;
     cancelled = t.n_cancelled;
     cascades = t.n_cascades;
     cascaded_timers = t.n_cascaded;
+    slot_visits = t.n_slot_visits;
     resident = Array.copy t.resident;
   }

@@ -42,17 +42,24 @@ val cancel : t -> timer -> unit
 
 val advance : t -> now:Engine.Sim_time.t -> unit
 (** Move wheel time forward to [now], firing every due, uncancelled
-    timer in deadline order (within tick resolution). *)
+    timer in deadline order (within tick resolution).  Empty level-0
+    slots are skipped: the cost is O(occupied slots + level boundaries
+    crossed), not O(ticks), and a one-tick step is a single tick. *)
 
 val no_expiry : Engine.Sim_time.t
 (** What {!next_expiry} returns when no timer is pending ([max_int]). *)
 
 val next_expiry : t -> Engine.Sim_time.t
-(** A conservative lower bound on the next time a timer could fire:
-    [advance]-ing to the returned time is guaranteed not to skip any
-    timer, and returns {!no_expiry} iff no timers are pending.  Used by
-    hosts to sleep exactly until the next deadline when idle; a plain
-    time rather than an option, since hosts ask on every idle cycle. *)
+(** A conservative lower bound on the next time a timer could fire: the
+    deadline of the first level-0 slot after the current tick holding a
+    live timer, or the next level boundary (where a cascade could
+    reveal an earlier timer) if that comes first.  [advance]-ing to the
+    returned time is guaranteed not to skip any timer; returns
+    {!no_expiry} iff no timers are pending.  Scans the occupancy bitmap
+    with a constant-time lowest-set-bit, stopping at the first live
+    slot; allocation-free.  Used by hosts to sleep exactly until the
+    next deadline when idle; a plain time rather than an option, since
+    hosts ask on every idle cycle. *)
 
 val pending : t -> int
 (** Number of armed (uncancelled, unfired) timers. *)
@@ -62,11 +69,15 @@ val now : t -> Engine.Sim_time.t
 type stats = {
   armed : int;  (** live timers right now *)
   max_armed : int;  (** high-water mark of [armed] *)
-  scheduled : int;  (** total [schedule] calls *)
   fired : int;  (** total callbacks run *)
-  cancelled : int;  (** total effective [cancel] calls *)
+  cancelled : int;
+      (** total effective [cancel] calls; [armed + fired + cancelled] is
+          the number of [schedule] calls *)
   cascades : int;  (** higher-level slots redistributed *)
   cascaded_timers : int;  (** live timers moved by cascades *)
+  slot_visits : int;
+      (** level-0 slots visited by [advance]: occupied slots and level
+          boundaries, not every tick *)
   resident : int array;
       (** per-level list entries, including cancelled tombstones not
           yet reclaimed by a slot visit; [resident] minus [armed]

@@ -364,7 +364,8 @@ let snapshot_of t =
     (Tcp_endpoint.rsts_sent t.ep)
     (Tcp_endpoint.fast_path_hits t.ep)
     (Tcp_endpoint.slow_path_hits t.ep)
-    ws.Wheel.scheduled ws.Wheel.fired ws.Wheel.cancelled
+    (ws.Wheel.armed + ws.Wheel.fired + ws.Wheel.cancelled)
+    ws.Wheel.fired ws.Wheel.cancelled
 
 let run ?(syn_cookies = true) ?(fast_path = true) ?(conns = 100_000)
     ?(events = 50_000) ?(churn_every = 16) ?(seed = 42) () =

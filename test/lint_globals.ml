@@ -2,8 +2,9 @@
    allocating header decodes on the RX hot path, no cross-thread
    synchronization primitives on the per-core dataplane paths, no
    per-packet payload copies on the wire path, no physical comparison
-   against [ignore], no lib/ module that only tests use and no lib/
-   export that no other file names (second to seventh passes below).
+   against [ignore], no lib/ module that only tests use, no lib/ export
+   that no other file names and no polymorphic [max]/[min] on the
+   per-event paths (second to eighth passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -320,8 +321,9 @@ let test_only_allowlist =
     "harness/conformance.ml";
   ]
 
-(* [src] with comments and string literals blanked; character literals
-   holding a quote are skipped so they open no string. *)
+(* [src] with comments and string literals blanked, newlines kept so
+   line numbers survive; character literals holding a quote are skipped
+   so they open no string. *)
 let strip_comments src =
   let n = String.length src in
   let out = Buffer.create n in
@@ -341,13 +343,14 @@ let strip_comments src =
       incr i;
       while !i < n && src.[!i] <> '"' do
         if src.[!i] = '\\' then incr i;
+        if !i < n && src.[!i] = '\n' then Buffer.add_char out '\n';
         incr i
       done;
       incr i;
       Buffer.add_char out ' '
     end
     else begin
-      Buffer.add_char out (if !depth = 0 then src.[!i] else ' ');
+      Buffer.add_char out (if !depth = 0 || src.[!i] = '\n' then src.[!i] else ' ');
       incr i
     end
   done;
@@ -525,6 +528,67 @@ let lint_unused_exports mli_paths =
     mli_paths
 
 
+(* Eighth pass: no polymorphic [max]/[min] on the per-event paths.
+   [Stdlib.max] and [Stdlib.min] are polymorphic: even on ints each call
+   goes through the generic compare, a C call per use — and
+   [Cpu_core.charge], [Link] and the TCP window arithmetic run on every
+   event.  Under the directories below, a bare [max]/[min] followed by
+   an argument (or any [Stdlib.max]/[Stdlib.min]) must be [Int.max],
+   [Int.min] or another typed version.  Comments and string literals
+   are ignored.  Deliberate exceptions go on the allowlist as
+   (path-suffix, substring of the flagged code line) with their
+   reason. *)
+
+let typed_minmax_dirs = [ "engine"; "timerwheel"; "hw"; "mem"; "tcp"; "core"; "baselines" ]
+
+let typed_minmax_allowlist =
+  [
+    (* The definition of sequence-space (wrapping) max, not a use of
+       the polymorphic one. *)
+    ("tcp/seqno.ml", "let max a b");
+  ]
+
+(* [max] or [min] used as a bare function at [i]: not qualified, not a
+   label, and followed on its line by the start of an argument. *)
+let bare_minmax_at line i =
+  let n = String.length line in
+  i + 3 <= n
+  && (let w = String.sub line i 3 in
+      w = "max" || w = "min")
+  && (i = 0 || not (is_word_char line.[i - 1] || line.[i - 1] = '~' || line.[i - 1] = '?'))
+  && i + 3 < n
+  && (line.[i + 3] = ' ' || line.[i + 3] = '\t')
+  &&
+  let j = ref (i + 3) in
+  while !j < n && (line.[!j] = ' ' || line.[!j] = '\t') do
+    incr j
+  done;
+  !j < n && (is_ident_char line.[!j] || List.mem line.[!j] [ '('; '!'; '[' ])
+
+let lint_typed_minmax path code_lines =
+  if List.exists (fun d -> in_dir path d) typed_minmax_dirs then
+    Array.iteri
+      (fun i code ->
+        let bare =
+          let rec from k = k < String.length code && (bare_minmax_at code k || from (k + 1)) in
+          from 0
+        in
+        if
+          (bare || contains_token code "Stdlib.max" || contains_token code "Stdlib.min")
+          && not
+               (List.exists
+                  (fun (suffix, sub) -> Filename.check_suffix path suffix && contains_sub code sub)
+                  typed_minmax_allowlist)
+        then
+          failures :=
+            Printf.sprintf
+              "%s:%d: polymorphic `max`/`min` on a per-event path — use \
+               `Int.max`/`Int.min` (or the type's own), or add a documented \
+               allowlist entry"
+              path (i + 1)
+            :: !failures)
+      code_lines
+
 let lint_file path =
   let src = read_file path in
   lib_modules := path :: !lib_modules;
@@ -535,6 +599,7 @@ let lint_file path =
   lint_per_core path lines;
   lint_per_packet path lines;
   lint_ignore_sentinel path lines;
+  lint_typed_minmax path (Array.of_list (String.split_on_char '\n' (strip_comments src)));
   Array.iteri
     (fun i line ->
       match value_binding_name line with

@@ -23,14 +23,14 @@ let test_time_pp () =
 
 let test_queue_order () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:30 "c";
-  Event_queue.push q ~time:10 "a";
-  Event_queue.push q ~time:20 "b";
-  let pop () = match Event_queue.pop q with Some (_, v) -> v | None -> "?" in
+  Event_queue.push q ~time:30 3;
+  Event_queue.push q ~time:10 1;
+  Event_queue.push q ~time:20 2;
+  let pop () = match Event_queue.pop q with Some (_, v) -> v | None -> -1 in
   let first = pop () in
   let second = pop () in
   let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] [ first; second; third ]
 
 let test_queue_fifo_ties () =
   let q = Event_queue.create () in
@@ -43,7 +43,7 @@ let test_queue_fifo_ties () =
 let test_queue_peek_len () =
   let q = Event_queue.create () in
   check_bool "empty" true (Event_queue.is_empty q);
-  Event_queue.push q ~time:42 ();
+  Event_queue.push q ~time:42 0;
   Alcotest.(check (option int)) "peek" (Some 42) (Event_queue.peek_time q);
   check_int "length" 1 (Event_queue.length q);
   Event_queue.clear q;
@@ -110,7 +110,10 @@ let prop_queue_compact =
     QCheck.(pair (list (pair (int_bound 1_000) bool)) (int_bound 500))
     (fun (entries, pops_before) ->
       let q = Event_queue.create () in
-      List.iteri (fun i (time, keep) -> Event_queue.push q ~time (i, keep)) entries;
+      (* Payloads are entry indices; the keep flags live in a side
+         table, as Sim keeps its cells. *)
+      let keeps = Array.of_list (List.map snd entries) in
+      List.iteri (fun i (time, _) -> Event_queue.push q ~time i) entries;
       (* Pop a random prefix first so compact also runs on heaps whose
          arrays hold stale popped values. *)
       let pops = min pops_before (Event_queue.length q) in
@@ -124,15 +127,15 @@ let prop_queue_compact =
         (* Reference: kept entries still in the heap, in (time, seq) order. *)
         List.mapi (fun i (time, keep) -> (time, i, keep)) entries
         |> List.filter (fun (_, i, keep) ->
-               keep && not (List.exists (fun (j, _) -> j = i) !popped))
+               keep && not (List.mem i !popped))
         |> List.sort compare
         |> List.map (fun (time, i, _) -> (time, i))
       in
-      Event_queue.compact q ~keep:(fun (_, keep) -> keep);
+      Event_queue.compact q ~keep:(fun i -> keeps.(i));
       let rec drain acc =
         match Event_queue.pop q with
         | None -> List.rev acc
-        | Some (time, (i, _)) -> drain ((time, i) :: acc)
+        | Some (time, i) -> drain ((time, i) :: acc)
       in
       drain [] = expected)
 

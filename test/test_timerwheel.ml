@@ -169,6 +169,90 @@ let test_rearm_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words over 10k re-arms" 0. words;
   check_int "every one-shot fired" 10_000 (!fires - fired_before)
 
+(* Three timers over 10^6 ticks, one [advance]: the wheel visits the
+   three occupied slots and the 3,906 lap boundaries it must tick for
+   cascades, not a million empty slots. *)
+let sparse_span = 1_000_000
+let sparse_deadlines = [ 1_000; 500_000; sparse_span - 1 ]
+
+(* Recursive rather than [List.iter], so arming allocates no closure. *)
+let rec arm_sparse w action = function
+  | [] -> ()
+  | d :: rest ->
+      ignore (Wheel.schedule w ~deadline:(Wheel.now w + (d * tick)) action);
+      arm_sparse w action rest
+
+let test_sparse_advance_visits () =
+  let w = Wheel.create ~now:0 () in
+  let fired = ref [] in
+  arm_sparse w (fun () -> fired := (Wheel.now w / tick) :: !fired) sparse_deadlines;
+  Wheel.advance w ~now:(sparse_span * tick);
+  Alcotest.(check (list int)) "each fired at its tick" sparse_deadlines (List.rev !fired);
+  let visits = (Wheel.stats w).Wheel.slot_visits in
+  let bound = List.length sparse_deadlines + (sparse_span / 256) in
+  if visits > bound then
+    Alcotest.failf "visited %d level-0 slots over %d ticks (bound %d)" visits sparse_span bound;
+  check_int "every level-1 and level-2 boundary still cascades"
+    ((sparse_span / 256) + (sparse_span / 65_536))
+    (Wheel.stats w).Wheel.cascades
+
+let test_sparse_advance_allocates_nothing () =
+  let w = Wheel.create ~now:0 () in
+  let fires = ref 0 in
+  let action () = incr fires in
+  let span () =
+    arm_sparse w action sparse_deadlines;
+    Wheel.advance w ~now:(Wheel.now w + (sparse_span * tick))
+  in
+  span ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 3 do
+    span ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over three sparse spans" 0. words;
+  check_int "every timer fired" 12 !fires
+
+(* 256 armed level-0 timers, one or two in every slot ahead, each
+   re-arming itself 255 ticks on when it fires: timer [i] is due at
+   ticks [1 + (i mod 255) + 255k].  Each round cancels the timers of
+   the next slot, leaving a tombstone-only slot the query must rescan
+   and pass over, queries, re-arms them, queries again and advances one
+   tick, which reclaims the tombstones. *)
+let test_next_expiry_allocates_nothing () =
+  let w = Wheel.create ~now:0 () in
+  let timers = Array.make 256 Wheel.null in
+  let actions = Array.make 256 ignore in
+  Array.iteri
+    (fun i _ ->
+      actions.(i) <-
+        (fun () -> timers.(i) <- Wheel.schedule w ~deadline:(Wheel.now w + (255 * tick)) actions.(i)))
+    actions;
+  Array.iteri (fun i a -> timers.(i) <- Wheel.schedule w ~deadline:((1 + (i mod 255)) * tick) a) actions;
+  let rearm i c = timers.(i) <- Wheel.schedule w ~deadline:((c + 1) * tick) actions.(i) in
+  let round () =
+    let c = Wheel.now w / tick in
+    let j = c mod 255 in
+    Wheel.cancel w timers.(j);
+    if j = 0 then Wheel.cancel w timers.(255);
+    ignore (Wheel.next_expiry w);
+    rearm j c;
+    if j = 0 then rearm 255 c;
+    ignore (Wheel.next_expiry w);
+    Wheel.advance w ~now:((c + 1) * tick)
+  in
+  for _ = 1 to 1_000 do
+    round ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 20k queries" 0. words;
+  check_int "still 256 armed" 256 (Wheel.pending w);
+  check_int "tombstones reclaimed" 256 (Array.fold_left ( + ) 0 (Wheel.stats w).Wheel.resident)
+
 (* A list-based reference wheel: per-slot OCaml lists, LIFO placement,
    [List.rev] at slot visit, cascades in list order, cancelled entries
    left in place.  The pooled wheel must fire in exactly its order. *)
@@ -241,6 +325,19 @@ module Ref_wheel = struct
 
   let now t = t.current * tick
 
+  (* The earliest live level-0 deadline over every list, bounded by the
+     next lap boundary: the definition [Wheel.next_expiry] answers
+     without the scan. *)
+  let next_expiry t =
+    if t.live = 0 then Wheel.no_expiry
+    else
+      let best =
+        Array.fold_left
+          (List.fold_left (fun acc tm -> if tm.armed then min acc tm.deadline else acc))
+          max_int t.lists.(0)
+      in
+      min best (((t.current lsr bits) + 1) lsl bits) * tick
+
   let resident t =
     Array.map (Array.fold_left (fun acc l -> acc + List.length l) 0) t.lists
 end
@@ -261,22 +358,30 @@ let pp_op = function
 let gen_ops =
   let open QCheck.Gen in
   (* Mostly level 0 with many equal deadlines; some level 1 and 2. *)
-  let delta = frequency [ (7, int_range 0 40); (2, int_range 0 600); (1, int_range 0 70_000) ] in
+  let delta =
+    frequency
+      [ (7, int_range 0 40); (2, int_range 0 600); (1, int_range 0 70_000); (1, int_range 0 100_000) ]
+  in
   let child = frequency [ (4, return None); (1, map Option.some delta) ] in
   let op =
     frequency
       [
         (5, map3 (fun d ns c -> Arm (d, ns, c)) delta (int_range 0 (tick - 1)) child);
         (2, map (fun i -> Cancel i) (int_range 0 10_000));
-        (3, map (fun d -> Advance d) (frequency [ (4, int_range 0 8); (1, int_range 0 2_000) ]));
+        (* Long jumps cross level-1 boundaries and laps, sometimes a
+           level-2 boundary, in one [advance]. *)
+        ( 3,
+          map
+            (fun d -> Advance d)
+            (frequency [ (4, int_range 0 8); (1, int_range 0 2_000); (1, int_range 0 150_000) ]) );
       ]
   in
   list_size (int_range 1 120) op
 
 (* Drive a wheel (given as its operations) through [ops], then drain
    it; returns every fire as (timer id, wheel time) in order, plus
-   (pending, resident) after each op. *)
-let run_ops ~schedule ~cancel ~advance ~now ~pending ~resident ops =
+   [observe ()] after each op. *)
+let run_ops ~schedule ~cancel ~advance ~now ~observe ops =
   let fires = ref [] and states = ref [] in
   let handles = Hashtbl.create 64 in
   let rec arm deadline child =
@@ -295,36 +400,46 @@ let run_ops ~schedule ~cancel ~advance ~now ~pending ~resident ops =
           let count = Hashtbl.length handles in
           if count > 0 then cancel (Hashtbl.find handles (i mod count))
       | Advance d -> advance (now () + (d * tick)));
-      states := (pending (), resident ()) :: !states)
+      states := observe () :: !states)
     ops;
-  advance (now () + (200_000 * tick));
-  (List.rev !fires, List.rev !states, pending ())
+  advance (now () + (500_000 * tick));
+  (List.rev !fires, List.rev !states, observe ())
+
+let print_ops ops = String.concat "; " (List.map pp_op ops)
+
+(* Both wheels through [ops], each observed by its own function. *)
+let run_both ops ~observe ~observe_ref =
+  let w = Wheel.create ~now:0 () in
+  let pooled =
+    run_ops ops
+      ~schedule:(fun ~deadline f -> Wheel.schedule w ~deadline f)
+      ~cancel:(Wheel.cancel w)
+      ~advance:(fun now -> Wheel.advance w ~now)
+      ~now:(fun () -> Wheel.now w)
+      ~observe:(fun () -> observe w)
+  in
+  let r = Ref_wheel.create () in
+  let reference =
+    run_ops ops
+      ~schedule:(fun ~deadline f -> Ref_wheel.schedule r ~deadline f)
+      ~cancel:(Ref_wheel.cancel r)
+      ~advance:(fun now -> Ref_wheel.advance r ~now)
+      ~now:(fun () -> Ref_wheel.now r)
+      ~observe:(fun () -> observe_ref r)
+  in
+  pooled = reference
 
 let prop_matches_reference_wheel =
   QCheck.Test.make ~name:"pooled wheel fires exactly like a list-based wheel" ~count:300
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops)) gen_ops)
-    (fun ops ->
-      let w = Wheel.create ~now:0 () in
-      let pooled =
-        run_ops ops
-          ~schedule:(fun ~deadline f -> Wheel.schedule w ~deadline f)
-          ~cancel:(Wheel.cancel w)
-          ~advance:(fun now -> Wheel.advance w ~now)
-          ~now:(fun () -> Wheel.now w)
-          ~pending:(fun () -> Wheel.pending w)
-          ~resident:(fun () -> (Wheel.stats w).Wheel.resident)
-      in
-      let r = Ref_wheel.create () in
-      let reference =
-        run_ops ops
-          ~schedule:(fun ~deadline f -> Ref_wheel.schedule r ~deadline f)
-          ~cancel:(Ref_wheel.cancel r)
-          ~advance:(fun now -> Ref_wheel.advance r ~now)
-          ~now:(fun () -> Ref_wheel.now r)
-          ~pending:(fun () -> r.Ref_wheel.live)
-          ~resident:(fun () -> Ref_wheel.resident r)
-      in
-      pooled = reference)
+    (QCheck.make ~print:print_ops gen_ops)
+    (run_both
+       ~observe:(fun w -> (Wheel.pending w, (Wheel.stats w).Wheel.resident))
+       ~observe_ref:(fun r -> (r.Ref_wheel.live, Ref_wheel.resident r)))
+
+let prop_next_expiry_matches_full_scan =
+  QCheck.Test.make ~name:"next_expiry equals a full scan of the reference wheel" ~count:300
+    (QCheck.make ~print:print_ops gen_ops)
+    (run_both ~observe:Wheel.next_expiry ~observe_ref:Ref_wheel.next_expiry)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -347,6 +462,12 @@ let () =
         [
           Alcotest.test_case "stale cancel after reuse" `Quick test_stale_cancel_after_reuse;
           Alcotest.test_case "re-arm allocates nothing" `Quick test_rearm_allocates_nothing;
+          Alcotest.test_case "sparse advance visits few slots" `Quick test_sparse_advance_visits;
+          Alcotest.test_case "sparse advance allocates nothing" `Quick
+            test_sparse_advance_allocates_nothing;
+          Alcotest.test_case "next_expiry allocates nothing" `Quick
+            test_next_expiry_allocates_nothing;
           qt prop_matches_reference_wheel;
+          qt prop_next_expiry_matches_full_scan;
         ] );
     ]
