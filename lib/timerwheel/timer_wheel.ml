@@ -328,14 +328,7 @@ let rec skip_to t target =
       end
     end
 
-(* Most calls land inside the current tick: a multiply rules them out
-   before the division.  A one-tick step, the next most common, is a
-   single direct [tick]. *)
-let advance t ~now =
-  if now >= (t.current + 1) * t.tick_ns then begin
-    let target = now / t.tick_ns in
-    if target = t.current + 1 && t.armed > 0 then tick t else skip_to t target
-  end
+let advance t ~now = skip_to t (now / t.tick_ns)
 
 let rescan_slot t slot =
   let min_deadline = ref max_int in

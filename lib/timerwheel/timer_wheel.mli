@@ -44,7 +44,7 @@ val advance : t -> now:Engine.Sim_time.t -> unit
 (** Move wheel time forward to [now], firing every due, uncancelled
     timer in deadline order (within tick resolution).  Empty level-0
     slots are skipped: the cost is O(occupied slots + level boundaries
-    crossed), not O(ticks), and a one-tick step is a single tick. *)
+    crossed), not O(ticks). *)
 
 val no_expiry : Engine.Sim_time.t
 (** What {!next_expiry} returns when no timer is pending ([max_int]). *)

@@ -182,6 +182,17 @@ let rec arm_sparse w action = function
       ignore (Wheel.schedule w ~deadline:(Wheel.now w + (d * tick)) action);
       arm_sparse w action rest
 
+(* The same schedule stepped one tick per [advance]: a step onto an
+   empty slot that is no boundary is skipped, so the visits match one
+   long jump's. *)
+let stepped_visits () =
+  let w = Wheel.create ~now:0 () in
+  arm_sparse w ignore sparse_deadlines;
+  for t = 1 to sparse_span do
+    Wheel.advance w ~now:(t * tick)
+  done;
+  (Wheel.stats w).Wheel.slot_visits
+
 let test_sparse_advance_visits () =
   let w = Wheel.create ~now:0 () in
   let fired = ref [] in
@@ -194,7 +205,8 @@ let test_sparse_advance_visits () =
     Alcotest.failf "visited %d level-0 slots over %d ticks (bound %d)" visits sparse_span bound;
   check_int "every level-1 and level-2 boundary still cascades"
     ((sparse_span / 256) + (sparse_span / 65_536))
-    (Wheel.stats w).Wheel.cascades
+    (Wheel.stats w).Wheel.cascades;
+  check_int "one-tick steps visit what one jump visits" visits (stepped_visits ())
 
 let test_sparse_advance_allocates_nothing () =
   let w = Wheel.create ~now:0 () in
