@@ -11,7 +11,7 @@ let default_size = 2048
 let headroom = 128
 
 (* Debug/accounting ids only — an [Atomic.t] keeps allocation safe when
-   independent sims provision pools from concurrent domains.  Ids are
+   independent sims fill pools from concurrent domains.  Ids are
    unique but their numeric values depend on domain interleaving, so
    nothing behavioural may key off them. *)
 let next_id = Atomic.make 0

@@ -21,16 +21,14 @@ type t = {
           may key off them. *)
 }
 
-val default_size : int
-(** Buffer capacity used by pools: 2 KB, enough for an MTU-sized frame
-    plus headroom. *)
-
 val headroom : int
 (** Bytes reserved at the front of a fresh mbuf so lower layers can
     prepend headers without copying. *)
 
 val create : ?size:int -> unit -> t
-(** A standalone mbuf (not pool-managed); [on_free] is a no-op. *)
+(** A standalone mbuf (not pool-managed); [on_free] is a no-op.  [size]
+    defaults to 2 KB, enough for an MTU-sized frame plus headroom; pools
+    use the default. *)
 
 val reset : t -> unit
 (** Restore a recycled mbuf to the fresh state: payload empty, offset at

@@ -1,21 +1,18 @@
-(* Objects are provisioned in blocks sized to a 2 MB large page, matching
-   the paper's large-page-only allocation policy.  A block of n mbufs is
-   created at once and pushed onto the free stack.
+(* Objects are created one at a time, when [alloc] finds the free stack
+   empty and fewer than [max_objects] exist, so a pool's memory follows
+   its high-water mark of live buffers, not its capacity.
 
    The free stack is an array (top-of-stack index), not a list:
    release/alloc are two array writes, with no cons cell per recycled
    buffer.  It holds each mbuf's permanent [Some mbuf] box, built once
-   at provisioning and captured by the mbuf's [on_free] hook, so
-   [alloc] returns an option without boxing — the per-packet path
-   allocates nothing. *)
-
-let large_page = 2 * 1024 * 1024
+   at creation and captured by the mbuf's [on_free] hook, so [alloc]
+   returns an option without boxing — the per-packet path allocates
+   nothing. *)
 
 type t = {
   pool_name : string;
   max_objects : int;
-  block_objects : int;
-  mutable provisioned : int;
+  mutable created : int;
   mutable free : Mbuf.t option array; (* free.(0 .. free_top-1) are idle *)
   mutable free_top : int;
   mutable live : int;
@@ -25,12 +22,10 @@ type t = {
 }
 
 let create ?(capacity = 16384) ~name () =
-  let block_objects = large_page / Mbuf.default_size in
   {
     pool_name = name;
     max_objects = capacity;
-    block_objects;
-    provisioned = 0;
+    created = 0;
     free = [||];
     free_top = 0;
     live = 0;
@@ -39,10 +34,10 @@ let create ?(capacity = 16384) ~name () =
     alloc_gate = None;
   }
 
+(* The stack grows by doubling, up to one slot per created mbuf. *)
 let push_free t boxed =
   if t.free_top = Array.length t.free then begin
-    let capacity' = Int.min t.max_objects (Int.max t.block_objects (2 * t.free_top)) in
-    let free' = Array.make capacity' None in
+    let free' = Array.make (Int.min t.max_objects (Int.max 16 (2 * t.free_top))) None in
     Array.blit t.free 0 free' 0 t.free_top;
     t.free <- free'
   end;
@@ -56,18 +51,19 @@ let release t mbuf boxed =
   push_free t boxed;
   t.live <- t.live - 1
 
-let provision_block t =
-  let remaining = t.max_objects - t.provisioned in
-  let n = Int.min t.block_objects remaining in
-  for _ = 1 to n do
-    let mbuf = Mbuf.create () in
-    let boxed = Some mbuf in
-    mbuf.Mbuf.on_free <- (fun mbuf -> release t mbuf boxed);
-    push_free t boxed
-  done;
-  t.provisioned <- t.provisioned + n
+let create_mbuf t =
+  let mbuf = Mbuf.create () in
+  let boxed = Some mbuf in
+  mbuf.Mbuf.on_free <- (fun mbuf -> release t mbuf boxed);
+  t.created <- t.created + 1;
+  boxed
 
-let rec alloc t =
+let take t boxed =
+  t.live <- t.live + 1;
+  t.allocs <- t.allocs + 1;
+  boxed
+
+let alloc t =
   match t.alloc_gate with
   | Some gate when not (gate ()) ->
       (* Injected exhaustion window: behave exactly like a full pool —
@@ -78,15 +74,10 @@ let rec alloc t =
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     let boxed = t.free.(t.free_top) in
-    t.live <- t.live + 1;
-    t.allocs <- t.allocs + 1;
     (match boxed with Some mbuf -> Mbuf.reset mbuf | None -> ());
-    boxed
+    take t boxed
   end
-  else if t.provisioned < t.max_objects then begin
-    provision_block t;
-    alloc t
-  end
+  else if t.created < t.max_objects then take t (create_mbuf t)
   else begin
     t.failures <- t.failures + 1;
     None

@@ -1,21 +1,25 @@
 (** Per-hardware-thread memory pools (§4.2).
 
-    Each pool is structured as arrays of identically sized objects,
-    provisioned in page-sized blocks; free objects are tracked with a
-    simple free list.  One pool per elastic thread means allocation
-    never synchronizes with other cores.  The pool records allocation
-    statistics so benchmarks can report pressure and exhaustion. *)
+    Each pool holds identically sized objects up to a fixed capacity;
+    free objects are tracked with a simple free list.  One pool per
+    elastic thread means allocation never synchronizes with other
+    cores.  The pool records allocation statistics so benchmarks can
+    report pressure and exhaustion.
+
+    The simulated pools keep IX's capacity bounds, but the simulator
+    does not model page layout: an object is created the first time
+    [alloc] finds the free list empty, so a pool holds only as many
+    objects as were ever live at once. *)
 
 type t
 
 val create : ?capacity:int -> name:string -> unit -> t
 (** [create ~name ()] makes a pool that can hold up to [capacity]
-    mbufs (default 16384) of {!Mbuf.default_size} bytes, provisioned
-    lazily in page-sized blocks. *)
+    2 KB mbufs (default 16384), created on demand. *)
 
 val alloc : t -> Mbuf.t option
-(** Take an mbuf from the free list, growing the pool by one block if
-    needed.  [None] once [capacity] objects are live (pool exhausted) —
+(** Take an mbuf from the free list, creating one if the list is
+    empty.  [None] once [capacity] objects are live (pool exhausted) —
     callers treat this as packet drop, as real NIC replenishment does. *)
 
 val live_count : t -> int

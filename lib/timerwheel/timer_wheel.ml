@@ -5,11 +5,13 @@ let levels = 4
 
 (* Timers are pooled cells, like [Engine.Sim]'s event cells: the
    per-cell fields live in flat arrays inside the wheel, each slot's
-   list is linked through [next] by cell index, and freed cells go on a
-   free stack.  Arming a timer in steady state is therefore a handful
-   of array writes — no record, no cons cell.  The handle is an
-   immediate int packing (cell index, generation); the generation makes
-   cancelling a handle whose cell has since been reused a no-op. *)
+   list is linked both ways through [next] and [prev] by cell index,
+   and freed cells go on a free stack.  Arming a timer in steady state
+   is therefore a handful of array writes — no record, no cons cell —
+   and cancelling one unlinks its cell and frees it at once (Varghese &
+   Lauck's O(1) STOP_TIMER).  The handle is an immediate int packing
+   (cell index, generation); the generation makes cancelling a handle
+   whose cell has since been reused a no-op. *)
 type timer = int
 
 let gen_bits = 30
@@ -22,10 +24,17 @@ let null = -1
 
 let nil = -1 (* end of an index-linked slot list *)
 
+(* A cell's [prev] is its predecessor in its slot list, or [lnot head]
+   (negative) if it is the first cell of list [head]; [firing] while it
+   waits in the chain [fire_slot] has detached and is running. *)
+let firing = min_int
+
 (* A cell's [meta] packs its generation and state: [gen lsl 2 lor
-   state].  A cell sits in exactly one slot list while [armed] or
-   [cancelled] (a tombstone awaiting its slot visit), and on the free
-   stack while [free]. *)
+   state].  A cell sits in exactly one slot list while [armed], and on
+   the free stack while [free].  [cancelled] marks the one kind of
+   tombstone left: a timer cancelled by a callback while it waits in
+   the chain being fired, which the firing loop frees when it reaches
+   it. *)
 let st_free = 0
 let st_armed = 1
 let st_cancelled = 2
@@ -39,40 +48,29 @@ type t = {
   mutable action : (unit -> unit) array;
   mutable meta : int array; (* cell -> generation and state *)
   mutable next : int array; (* cell -> next cell in its slot list *)
+  mutable prev : int array; (* cell -> previous cell, or its list's head *)
   mutable cell_count : int; (* cells 0 .. cell_count-1 have been handed out *)
   mutable free : int array; (* stack of free cell indices *)
   mutable free_top : int;
   mutable current : int; (* wheel time, in ticks *)
   mutable armed : int;
   (* [next_expiry] runs once per idle dataplane cycle and [advance] on
-     every cycle, so neither may walk slot lists it does not need.
-     Level-0 bookkeeping kept alongside the lists:
-     - [l0_mask]: occupancy bitmap (8 × 32-bit words), bit set = the
-       slot's list is non-empty (live timers or tombstones);
-     - [l0_min]: per-slot minimum armed deadline (max_int when empty),
-       maintained exactly on placement;
-     - [l0_dirty]: set when a cancellation may have removed the slot's
-       minimum, forcing a rescan of that one list on the next query.
-     A live level-0 timer's deadline lies in ([current], [current] +
-     256) and it sits in slot [deadline land 255], so each slot holds
-     one live deadline and slot order from [current] is deadline
-     order: both queries stop at the first set bit that qualifies. *)
+     every cycle, so neither may walk slot lists.  [l0_mask] is the
+     level-0 occupancy bitmap (8 × 32-bit words): a bit is set iff the
+     slot holds a live timer.  A live level-0 timer's deadline lies in
+     ([current], [current] + 256) and it sits in slot [deadline land
+     255], so a set bit after [current] in this lap names its slot's
+     deadline, and slot order from [current] is deadline order. *)
   l0_mask : int array;
-  l0_min : int array;
-  l0_dirty : Bytes.t;
-  (* Occupancy statistics (million-timer audit).  [resident] counts
-     list entries per level — live timers *and* cancelled tombstones,
-     i.e. actual memory residency; the difference against [armed] is
-     the tombstone backlog awaiting slot visits.  Every scheduled timer
-     is armed, fired or cancelled, so the number of [schedule] calls is
-     their sum and needs no counter of its own. *)
+  (* Every scheduled timer is armed, fired or cancelled, so the number
+     of [schedule] calls is their sum and needs no counter of its
+     own. *)
   mutable max_armed : int;
   mutable n_fired : int;
   mutable n_cancelled : int;
   mutable n_cascades : int;
   mutable n_cascaded : int;
   mutable n_slot_visits : int;
-  resident : int array;
 }
 
 let mask_words = slots / 32
@@ -85,21 +83,19 @@ let create ?(tick_ns = default_tick_ns) ~now () =
     action = [||];
     meta = [||];
     next = [||];
+    prev = [||];
     cell_count = 0;
     free = [||];
     free_top = 0;
     current = now / tick_ns;
     armed = 0;
     l0_mask = Array.make mask_words 0;
-    l0_min = Array.make slots max_int;
-    l0_dirty = Bytes.make slots '\000';
     max_armed = 0;
     n_fired = 0;
     n_cancelled = 0;
     n_cascades = 0;
     n_cascaded = 0;
     n_slot_visits = 0;
-    resident = Array.make levels 0;
   }
 
 let now t = t.current * t.tick_ns
@@ -121,6 +117,7 @@ let grow t =
   t.action <- grow_array t.action n no_action;
   t.meta <- grow_array t.meta n st_free;
   t.next <- grow_array t.next n nil;
+  t.prev <- grow_array t.prev n nil;
   t.free <- grow_array t.free n 0
 
 let alloc_cell t =
@@ -143,14 +140,8 @@ let release_cell t c =
   t.free.(t.free_top) <- c;
   t.free_top <- t.free_top + 1
 
-(* Reverse an index-linked list in place; returns the new head. *)
-let rec rev_chain next prev c =
-  if c = nil then prev
-  else begin
-    let n = next.(c) in
-    next.(c) <- prev;
-    rev_chain next c n
-  end
+let clear_l0_bit t slot =
+  t.l0_mask.(slot lsr 5) <- t.l0_mask.(slot lsr 5) land lnot (1 lsl (slot land 31))
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -167,14 +158,26 @@ let place t c =
   let delta = deadline - t.current in
   let l = level_of (if delta < 1 then 1 else delta) 0 1 in
   let slot = (deadline lsr (slot_bits * l)) land (slots - 1) in
-  t.resident.(l) <- t.resident.(l) + 1;
-  if l = 0 then begin
+  if l = 0 then
     t.l0_mask.(slot lsr 5) <- t.l0_mask.(slot lsr 5) lor (1 lsl (slot land 31));
-    if deadline < t.l0_min.(slot) then t.l0_min.(slot) <- deadline
-  end;
   let head = (l lsl slot_bits) lor slot in
-  t.next.(c) <- t.heads.(head);
+  let first = t.heads.(head) in
+  if first <> nil then t.prev.(first) <- c;
+  t.next.(c) <- first;
+  t.prev.(c) <- lnot head;
   t.heads.(head) <- c
+
+(* Take a cell out of its slot list, clearing the slot's occupancy bit
+   if that empties a level-0 list. *)
+let unlink t c =
+  let p = t.prev.(c) and n = t.next.(c) in
+  if n <> nil then t.prev.(n) <- p;
+  if p >= 0 then t.next.(p) <- n
+  else begin
+    let head = lnot p in
+    t.heads.(head) <- n;
+    if n = nil && head < slots then clear_l0_bit t head
+  end
 
 let schedule t ~deadline action =
   let deadline_tick =
@@ -195,28 +198,31 @@ let cancel t timer =
   let c = timer asr gen_bits in
   if c >= 0 && c < t.cell_count && t.meta.(c) = ((timer land gen_mask) lsl 2) lor st_armed
   then begin
-    (* The cell stays in its slot list as a tombstone, closure and all,
-       until its slot is visited. *)
-    t.meta.(c) <- t.meta.(c) lxor (st_armed lxor st_cancelled);
-    (* The armed count drops NOW, not when the tombstone's slot is
-       eventually visited.  (Million-connection audit: with the
-       decrement deferred, [advance] saw [armed > 0] for wheels holding
-       nothing but tombstones and ground through them tick by tick —
-       and [pending]/[next_expiry] overstated live work to idle
-       hosts.) *)
     t.armed <- t.armed - 1;
     t.n_cancelled <- t.n_cancelled + 1;
-    (* If this timer defined its level-0 slot's minimum, that slot
-       needs a rescan.  (If it lives at a higher level — or another
-       slot's timer merely shares the deadline — this is a spurious
-       but harmless rescan of one list.) *)
-    let deadline = t.deadline.(c) in
-    let slot = deadline land (slots - 1) in
-    if t.l0_min.(slot) = deadline then Bytes.unsafe_set t.l0_dirty slot '\001'
+    if t.prev.(c) = firing then
+      (* A callback cancelled a timer later in the chain being fired:
+         mark it; the firing loop frees it. *)
+      t.meta.(c) <- t.meta.(c) lxor (st_armed lxor st_cancelled)
+    else begin
+      unlink t c;
+      release_cell t c
+    end
   end
 
 (* ------------------------------------------------------------------ *)
 (* Advancing                                                           *)
+
+(* Reverse a detached slot list in place, marking each cell [firing];
+   returns the new head. *)
+let rec detach_chain t prev c =
+  if c = nil then prev
+  else begin
+    let n = t.next.(c) in
+    t.next.(c) <- prev;
+    t.prev.(c) <- firing;
+    detach_chain t c n
+  end
 
 (* Visit a level-0 slot: fire timers due at exactly [current].  The
    list is detached first and each successor is read before its cell
@@ -227,19 +233,15 @@ let fire_slot t =
   t.n_slot_visits <- t.n_slot_visits + 1;
   let head = t.heads.(slot) in
   t.heads.(slot) <- nil;
-  t.l0_mask.(slot lsr 5) <-
-    t.l0_mask.(slot lsr 5) land lnot (1 lsl (slot land 31));
-  t.l0_min.(slot) <- max_int;
-  Bytes.unsafe_set t.l0_dirty slot '\000';
+  clear_l0_bit t slot;
   (* Cells were pushed in LIFO order; restore arming order so equal
      deadlines fire FIFO. *)
-  let c = ref (rev_chain t.next nil head) in
+  let c = ref (detach_chain t nil head) in
   while !c <> nil do
     let cell = !c in
     c := t.next.(cell);
-    t.resident.(0) <- t.resident.(0) - 1;
-    if t.meta.(cell) land st_mask <> st_armed then
-      release_cell t cell (* tombstone: already counted out *)
+    if t.meta.(cell) land st_mask = st_cancelled then
+      release_cell t cell (* already counted out by [cancel] *)
     else if t.deadline.(cell) <= t.current then begin
       let action = t.action.(cell) in
       release_cell t cell;
@@ -262,12 +264,8 @@ let cascade t l =
   while !c <> nil do
     let cell = !c in
     c := t.next.(cell);
-    t.resident.(l) <- t.resident.(l) - 1;
-    if t.meta.(cell) land st_mask <> st_armed then release_cell t cell
-    else begin
-      t.n_cascaded <- t.n_cascaded + 1;
-      place t cell
-    end
+    t.n_cascaded <- t.n_cascaded + 1;
+    place t cell
   done
 
 let tick t =
@@ -309,17 +307,21 @@ let occupied_from t from =
     let w = from lsr 5 in
     first_set t.l0_mask w (t.l0_mask.(w) land (-1 lsl (from land 31)))
 
-(* Tick-skipping advance: jump to the earlier of the next occupied
-   level-0 slot in this lap and the next lap boundary, and tick it.
-   The skipped ticks visit empty slots and cross no boundary, so they
-   would do nothing; boundaries are still ticked, so cascades (and
-   their counts) happen exactly as under one tick at a time. *)
+(* The tick of the first occupied level-0 slot after [current] in this
+   lap — the earliest live level-0 deadline — or the next lap boundary
+   if no later slot in the lap is occupied. *)
+let next_stop t =
+  (t.current land lnot (slots - 1)) + occupied_from t ((t.current land (slots - 1)) + 1)
+
+(* Tick-skipping advance: jump to [next_stop] and tick it.  The skipped
+   ticks visit empty slots and cross no boundary, so they would do
+   nothing; boundaries are still ticked, so cascades (and their counts)
+   happen exactly as under one tick at a time. *)
 let rec skip_to t target =
   if t.current < target then
     if t.armed = 0 then t.current <- target
     else begin
-      let lap = t.current land lnot (slots - 1) in
-      let next = lap + occupied_from t ((t.current land (slots - 1)) + 1) in
+      let next = next_stop t in
       if next > target then t.current <- target
       else begin
         t.current <- next - 1;
@@ -330,41 +332,12 @@ let rec skip_to t target =
 
 let advance t ~now = skip_to t (now / t.tick_ns)
 
-let rescan_slot t slot =
-  let min_deadline = ref max_int in
-  let c = ref t.heads.(slot) in
-  while !c <> nil do
-    let cell = !c in
-    if t.meta.(cell) land st_mask = st_armed && t.deadline.(cell) < !min_deadline
-    then min_deadline := t.deadline.(cell);
-    c := t.next.(cell)
-  done;
-  t.l0_min.(slot) <- !min_deadline;
-  Bytes.unsafe_set t.l0_dirty slot '\000'
-
-(* The deadline of the first slot at or after [slot] (in this lap) that
-   holds a live timer, or [max_int]; tombstone-only slots are passed
-   over after their one rescan. *)
-let rec first_live t slot =
-  if slot = slots then max_int
-  else begin
-    if Bytes.unsafe_get t.l0_dirty slot = '\001' then rescan_slot t slot;
-    let d = t.l0_min.(slot) in
-    if d < max_int then d else first_live t (occupied_from t (slot + 1))
-  end
-
 let no_expiry = max_int
 
-let next_expiry t =
-  if t.armed = 0 then no_expiry
-  else begin
-    (* The earliest live level-0 deadline lies in this lap's slots after
-       [current]; the next level boundary, where a cascade could reveal
-       earlier timers, bounds it (later-lap slots lie beyond it). *)
-    let boundary = ((t.current lsr slot_bits) + 1) lsl slot_bits in
-    let live = first_live t (occupied_from t ((t.current land (slots - 1)) + 1)) in
-    Int.min live boundary * t.tick_ns
-  end
+(* A cascade at the next level boundary could reveal timers earlier
+   than any later-lap level-0 slot, so [next_stop] is exactly the
+   bound. *)
+let next_expiry t = if t.armed = 0 then no_expiry else next_stop t * t.tick_ns
 
 (* Defined after every function that touches [t]'s fields: several
    field names are shared with [t], and a later definition would win
@@ -378,7 +351,21 @@ type stats = {
   cascaded_timers : int;
   slot_visits : int;
   resident : int array;
+  cells : int;
 }
+
+(* Live timers per level, counted by walking every slot list. *)
+let resident (t : t) =
+  Array.init levels (fun l ->
+      let n = ref 0 in
+      for slot = 0 to slots - 1 do
+        let c = ref t.heads.((l lsl slot_bits) lor slot) in
+        while !c <> nil do
+          incr n;
+          c := t.next.(!c)
+        done
+      done;
+      !n)
 
 let stats (t : t) : stats =
   {
@@ -389,5 +376,6 @@ let stats (t : t) : stats =
     cascades = t.n_cascades;
     cascaded_timers = t.n_cascaded;
     slot_visits = t.n_slot_visits;
-    resident = Array.copy t.resident;
+    resident = resident t;
+    cells = t.cell_count;
   }

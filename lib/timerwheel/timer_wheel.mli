@@ -4,15 +4,16 @@
     The wheel supports very high resolution timeouts (16 µs by default,
     the value the paper credits with improving TCP incast behaviour) and
     is optimized for the common case where most timers are cancelled
-    before they expire: [cancel] is O(1) and leaves a tombstone that is
-    skipped when its slot is visited.
+    before they expire: slot lists are doubly linked, so [cancel] is
+    O(1) and unlinks and frees the timer's cell at once.
 
     Four levels of 256 slots give spans of ~4 ms, ~1 s, ~4.5 min and
     ~19 h at the default tick.
 
     Timers are pooled cells held in flat arrays inside the wheel, so
     arming one in steady state allocates nothing: the caller's closure
-    is the only heap value involved, and a cached one costs nothing. *)
+    is the only heap value involved, and a cached one costs nothing.
+    The pool holds as many cells as timers were ever armed at once. *)
 
 type t
 
@@ -38,7 +39,10 @@ val schedule : t -> deadline:Engine.Sim_time.t -> (unit -> unit) -> timer
     fire at the next [advance].  The callback runs at most once. *)
 
 val cancel : t -> timer -> unit
-(** Disarm; a no-op if already fired or cancelled. *)
+(** Disarm and free the timer's cell; a no-op if already fired or
+    cancelled.  A timer cancelled by a callback while it waits to fire
+    in the same tick is only marked, and freed when that tick reaches
+    it. *)
 
 val advance : t -> now:Engine.Sim_time.t -> unit
 (** Move wheel time forward to [now], firing every due, uncancelled
@@ -55,9 +59,9 @@ val next_expiry : t -> Engine.Sim_time.t
     live timer, or the next level boundary (where a cascade could
     reveal an earlier timer) if that comes first.  [advance]-ing to the
     returned time is guaranteed not to skip any timer; returns
-    {!no_expiry} iff no timers are pending.  Scans the occupancy bitmap
-    with a constant-time lowest-set-bit, stopping at the first live
-    slot; allocation-free.  Used by hosts to sleep exactly until the
+    {!no_expiry} iff no timers are pending.  One scan of the level-0
+    occupancy bitmap (a bit is set iff its slot holds a live timer)
+    with a constant-time lowest-set-bit; allocation-free.  Used by hosts to sleep exactly until the
     next deadline when idle; a plain time rather than an option, since
     hosts ask on every idle cycle. *)
 
@@ -76,13 +80,16 @@ type stats = {
   cascades : int;  (** higher-level slots redistributed *)
   cascaded_timers : int;  (** live timers moved by cascades *)
   slot_visits : int;
-      (** level-0 slots visited by [advance]: occupied slots and level
-          boundaries, not every tick *)
+      (** level-0 slots visited by [advance]: slots holding a live timer
+          and level boundaries, not every tick *)
   resident : int array;
-      (** per-level list entries, including cancelled tombstones not
-          yet reclaimed by a slot visit; [resident] minus [armed]
-          (summed) is the tombstone backlog *)
+      (** live timers per level; sums to [armed] when read outside a
+          callback *)
+  cells : int;
+      (** timer cells the wheel holds, free or in use: its memory, which
+          follows the most timers ever armed at once *)
 }
 
 val stats : t -> stats
-(** Occupancy snapshot for capacity audits ([resident] is a copy). *)
+(** Occupancy snapshot for capacity audits.  [resident] is counted by
+    walking every slot list, so a snapshot costs O(armed). *)

@@ -227,25 +227,17 @@ let test_flow_table_allocates_nothing () =
     done;
     !hits
   in
-  let before = Gc.minor_words () in
-  let hits = finds ~local_port:80 in
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k hits" 0. words;
+  let hits = Alloc_gate.none "words over 10k hits" (fun () -> finds ~local_port:80) in
   check_int "every hit found" rounds hits;
-  let before = Gc.minor_words () in
-  let hits = finds ~local_port:81 in
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k misses" 0. words;
+  let hits = Alloc_gate.none "words over 10k misses" (fun () -> finds ~local_port:81) in
   check_int "no miss found" 0 hits;
-  let before = Gc.minor_words () in
-  for n = 0 to rounds - 1 do
-    let i = n land 63 in
-    Flow_table.remove table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000;
-    Flow_table.add table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000
-      tcbs.(i)
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k add/remove pairs" 0. words;
+  Alloc_gate.none "words over 10k add/remove pairs" (fun () ->
+      for n = 0 to rounds - 1 do
+        let i = n land 63 in
+        Flow_table.remove table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000;
+        Flow_table.add table ~local_port:80 ~remote_ip:(0xD000000 + i) ~remote_port:6000
+          tcbs.(i)
+      done);
   check_int "table did not grow" capacity (Flow_table.capacity table);
   check_int "every flow still live" live (Flow_table.count table)
 
@@ -416,17 +408,18 @@ let test_wheel_million_cancel () =
           (fun () -> Alcotest.fail "cancelled timer fired"))
   in
   Array.iter (fun timer -> Wheel.cancel w timer) timers;
-  (* The audit fix: cancellation is visible immediately, not deferred
-     to the tombstone's slot visit... *)
+  (* Cancelling frees each cell at once, not at its slot's visit... *)
   check_int "armed drops to zero at cancel" 0 (Wheel.pending w);
+  check_int "nothing resident" 0 (Array.fold_left ( + ) 0 (Wheel.stats w).Wheel.resident);
   Alcotest.(check int) "idle wheel reports no expiry" Wheel.no_expiry
     (Wheel.next_expiry w);
-  (* ...so advancing an all-tombstone wheel must not grind tick by tick
-     through 65k slots (wall-clock guard: this jump is O(1) now). *)
+  (* ...so advancing a wheel whose every timer was cancelled must not
+     grind tick by tick through 65k slots (wall-clock guard: this jump
+     is O(1)). *)
   let t0 = Unix.gettimeofday () in
   Wheel.advance w ~now:(1_000_000_000 * tick);
   let elapsed = Unix.gettimeofday () -. t0 in
-  check_bool "tombstone-only advance is immediate" true (elapsed < 0.5);
+  check_bool "advance over cancelled timers is immediate" true (elapsed < 0.5);
   let s = Wheel.stats w in
   check_int "cancelled accounted" million s.Wheel.cancelled;
   check_int "none fired" 0 s.Wheel.fired

@@ -259,8 +259,8 @@ let test_switch_equal_time_input_order () =
 
 (* The whole per-frame wire path — switch crossing, forwarding, link
    serialization and delivery, NIC classify and DMA — allocates
-   nothing: 10k pre-built frames leave [Gc.minor_words] unchanged once
-   the rings, the event heap and the mbuf pool are warm. *)
+   nothing: 10k pre-built frames allocate no word once the rings, the
+   event heap and the mbuf pool are warm. *)
 let test_switch_path_allocates_nothing () =
   let sim = Engine.Sim.create () in
   let tx = Link.create sim ~gbps:10. ~propagation_ns:0 ~deliver:ignore () in
@@ -289,10 +289,7 @@ let test_switch_path_allocates_nothing () =
   in
   pass ();
   let received = Nic.rx_frames nic in
-  let before = Gc.minor_words () in
-  pass ();
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k frames" 0. words;
+  Alloc_gate.none "words over 10k frames" pass;
   check_int "every frame received" 10_000 (Nic.rx_frames nic - received);
   check_int "none dropped" 0 (Nic.rx_drops nic)
 
@@ -306,12 +303,10 @@ let test_policy_admit_allocates_nothing () =
       incr admitted
   in
   admit 0;
-  let before = Gc.minor_words () in
-  for now = 1 to 10_000 do
-    admit now
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k admits" 0. words;
+  Alloc_gate.none "words over 10k admits" (fun () ->
+      for now = 1 to 10_000 do
+        admit now
+      done);
   check_int "all admitted" 10_001 !admitted
 
 (* ---------------- NIC ---------------- *)

@@ -80,6 +80,26 @@ let test_mempool_stats () =
   check_int "allocs counted" 10 (Mempool.stat_allocs pool);
   Alcotest.(check string) "name" "s" (Mempool.name pool)
 
+(* Buffers are created on demand: a released buffer is the next one
+   handed out, the pool still stops at exactly [capacity] live buffers,
+   and a closed gate still fails — counted — while buffers are free. *)
+let test_mempool_on_demand () =
+  let capacity = 5 in
+  let pool = Mempool.create ~capacity ~name:"demand" () in
+  let m = Option.get (Mempool.alloc pool) in
+  Mbuf.decref m;
+  check_bool "the released buffer comes back" true (Option.get (Mempool.alloc pool) == m);
+  let rest = List.init (capacity - 1) (fun _ -> Mempool.alloc pool) in
+  check_bool "capacity allocs succeed" true (List.for_all Option.is_some rest);
+  check_bool "the next one fails" true (Option.is_none (Mempool.alloc pool));
+  check_int "one failure" 1 (Mempool.stat_failures pool);
+  Mbuf.decref m;
+  Mempool.set_alloc_gate pool (Some (fun () -> false));
+  check_bool "a closed gate fails with a buffer free" true (Option.is_none (Mempool.alloc pool));
+  check_int "the gate's failure is counted" 2 (Mempool.stat_failures pool);
+  Mempool.set_alloc_gate pool None;
+  check_bool "the free buffer is handed out" true (Option.get (Mempool.alloc pool) == m)
+
 let prop_mempool_no_leak =
   QCheck.Test.make ~name:"mempool conserves objects over random alloc/free" ~count:100
     QCheck.(list bool)
@@ -129,12 +149,10 @@ let test_mempool_cycle_allocates_nothing () =
   for _ = 1 to 100 do
     cycle ()
   done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    cycle ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k alloc/release" 0. words;
+  Alloc_gate.none "words over 10k alloc/release" (fun () ->
+      for _ = 1 to 10_000 do
+        cycle ()
+      done);
   check_int "every buffer returned" 0 (Mempool.live_count pool)
 
 let () =
@@ -156,6 +174,7 @@ let () =
           Alcotest.test_case "statistics" `Quick test_mempool_stats;
           Alcotest.test_case "alloc/release allocates nothing" `Quick
             test_mempool_cycle_allocates_nothing;
+          Alcotest.test_case "buffers created on demand" `Quick test_mempool_on_demand;
           qt prop_mempool_no_leak;
         ] );
       ( "iovec",

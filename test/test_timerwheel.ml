@@ -21,7 +21,9 @@ let test_cancel () =
   let timer = Wheel.schedule w ~deadline:(5 * tick) (fun () -> fired := true) in
   Wheel.cancel w timer;
   check_int "pending drops at cancel" 0 (Wheel.pending w);
-  check_int "tombstone still resident" 1 (Wheel.stats w).Wheel.resident.(0);
+  check_int "cancel frees the cell" 0 (Wheel.stats w).Wheel.resident.(0);
+  ignore (Wheel.schedule w ~deadline:(5 * tick) ignore);
+  check_int "the next schedule reuses the cell" 1 (Wheel.stats w).Wheel.cells;
   Wheel.advance w ~now:(6 * tick);
   check_bool "cancelled did not fire" false !fired;
   check_int "still none pending" 0 (Wheel.pending w)
@@ -119,6 +121,23 @@ let prop_cancelled_never_fire =
       Wheel.advance w ~now:(20_000 * tick);
       not !bad)
 
+(* A callback cancels a timer due in the same tick that it has not run
+   yet: that timer must not fire, and its cell goes back to the pool. *)
+let test_cancel_later_in_same_slot () =
+  let w = Wheel.create ~now:0 () in
+  let later = ref Wheel.null and fired = ref false in
+  ignore (Wheel.schedule w ~deadline:(5 * tick) (fun () -> Wheel.cancel w !later));
+  later := Wheel.schedule w ~deadline:(5 * tick) (fun () -> fired := true);
+  Wheel.advance w ~now:(5 * tick);
+  check_bool "cancelled timer did not fire" false !fired;
+  check_int "counted as cancelled" 1 (Wheel.stats w).Wheel.cancelled;
+  check_int "none pending" 0 (Wheel.pending w);
+  ignore (Wheel.schedule w ~deadline:(7 * tick) ignore);
+  ignore (Wheel.schedule w ~deadline:(7 * tick) ignore);
+  check_int "both cells reused" 2 (Wheel.stats w).Wheel.cells;
+  Wheel.cancel w !later;
+  check_int "its stale handle is inert" 1 (Wheel.stats w).Wheel.cancelled
+
 (* ---------------- pooled cells ---------------- *)
 
 let test_stale_cancel_after_reuse () =
@@ -133,7 +152,7 @@ let test_stale_cancel_after_reuse () =
   check_int "nothing counted as cancelled" 0 (Wheel.stats w).Wheel.cancelled;
   Wheel.advance w ~now:(3 * tick);
   check_bool "reused cell's timer fired" true !fired;
-  (* Same for a cancelled handle whose tombstone was reclaimed. *)
+  (* Same for a cancelled handle, whose cell went straight back. *)
   let c = Wheel.schedule w ~deadline:(4 * tick) ignore in
   Wheel.cancel w c;
   Wheel.advance w ~now:(4 * tick);
@@ -161,13 +180,31 @@ let test_rearm_allocates_nothing () =
     step ()
   done;
   let fired_before = !fires in
-  let before = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    step ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10k re-arms" 0. words;
+  Alloc_gate.none "words over 10k re-arms" (fun () ->
+      for _ = 1 to 10_000 do
+        step ()
+      done);
   check_int "every one-shot fired" 10_000 (!fires - fired_before)
+
+(* Linux clients arm a 200 ms RTO, which sits in level 1, and cancel it
+   on the next ACK.  A cancelled timer frees its cell at once, so 100k
+   such rounds reuse one cell; a cell left in its slot until the slot
+   cascades would grow the pool to the ~12.5k rounds that span. *)
+let test_cancel_far_timer_allocates_nothing () =
+  let w = Wheel.create ~now:0 () in
+  let rto = 200_000_000 in
+  let round () =
+    Wheel.cancel w (Wheel.schedule w ~deadline:(Wheel.now w + rto) ignore);
+    Wheel.advance w ~now:(Wheel.now w + tick)
+  in
+  for _ = 1 to 1_000 do
+    round ()
+  done;
+  Alloc_gate.none "words over 100k arm/cancel rounds" (fun () ->
+      for _ = 1 to 100_000 do
+        round ()
+      done);
+  check_int "one cell" 1 (Wheel.stats w).Wheel.cells
 
 (* Three timers over 10^6 ticks, one [advance]: the wheel visits the
    three occupied slots and the 3,906 lap boundaries it must tick for
@@ -217,20 +254,17 @@ let test_sparse_advance_allocates_nothing () =
     Wheel.advance w ~now:(Wheel.now w + (sparse_span * tick))
   in
   span ();
-  let before = Gc.minor_words () in
-  for _ = 1 to 3 do
-    span ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over three sparse spans" 0. words;
+  Alloc_gate.none "words over three sparse spans" (fun () ->
+      for _ = 1 to 3 do
+        span ()
+      done);
   check_int "every timer fired" 12 !fires
 
 (* 256 armed level-0 timers, one or two in every slot ahead, each
    re-arming itself 255 ticks on when it fires: timer [i] is due at
    ticks [1 + (i mod 255) + 255k].  Each round cancels the timers of
-   the next slot, leaving a tombstone-only slot the query must rescan
-   and pass over, queries, re-arms them, queries again and advances one
-   tick, which reclaims the tombstones. *)
+   the next slot, leaving it empty for the query to pass over, queries,
+   re-arms them, queries again and advances one tick. *)
 let test_next_expiry_allocates_nothing () =
   let w = Wheel.create ~now:0 () in
   let timers = Array.make 256 Wheel.null in
@@ -256,18 +290,17 @@ let test_next_expiry_allocates_nothing () =
   for _ = 1 to 1_000 do
     round ()
   done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    round ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 20k queries" 0. words;
+  Alloc_gate.none "words over 20k queries" (fun () ->
+      for _ = 1 to 10_000 do
+        round ()
+      done);
   check_int "still 256 armed" 256 (Wheel.pending w);
-  check_int "tombstones reclaimed" 256 (Array.fold_left ( + ) 0 (Wheel.stats w).Wheel.resident)
+  check_int "256 resident" 256 (Array.fold_left ( + ) 0 (Wheel.stats w).Wheel.resident)
 
 (* A list-based reference wheel: per-slot OCaml lists, LIFO placement,
    [List.rev] at slot visit, cascades in list order, cancelled entries
-   left in place.  The pooled wheel must fire in exactly its order. *)
+   removed from their list.  The pooled wheel must fire in exactly its
+   order and hold exactly its entries on every level. *)
 module Ref_wheel = struct
   type timer = { deadline : int; action : unit -> unit; mutable armed : bool }
 
@@ -298,10 +331,13 @@ module Ref_wheel = struct
     t.live <- t.live + 1;
     tm
 
+  (* An entry cancelled while it waits in the slot being fired is in no
+     list; [step] skips it. *)
   let cancel t tm =
     if tm.armed then begin
       tm.armed <- false;
-      t.live <- t.live - 1
+      t.live <- t.live - 1;
+      Array.iter (fun lists -> Array.iteri (fun i l -> lists.(i) <- List.filter (( != ) tm) l) lists) t.lists
     end
 
   let take t l slot =
@@ -314,7 +350,7 @@ module Ref_wheel = struct
     let l = ref 1 in
     while !l < levels && (t.current lsr (bits * (!l - 1))) land (n - 1) = 0 do
       let slot = (t.current lsr (bits * !l)) land (n - 1) in
-      List.iter (fun tm -> if tm.armed then place t tm) (take t !l slot);
+      List.iter (place t) (take t !l slot);
       incr l
     done;
     List.iter
@@ -344,9 +380,7 @@ module Ref_wheel = struct
     if t.live = 0 then Wheel.no_expiry
     else
       let best =
-        Array.fold_left
-          (List.fold_left (fun acc tm -> if tm.armed then min acc tm.deadline else acc))
-          max_int t.lists.(0)
+        Array.fold_left (List.fold_left (fun acc tm -> min acc tm.deadline)) max_int t.lists.(0)
       in
       min best (((t.current lsr bits) + 1) lsl bits) * tick
 
@@ -461,6 +495,7 @@ let () =
         [
           Alcotest.test_case "fires at deadline" `Quick test_fires_at_deadline;
           Alcotest.test_case "cancel" `Quick test_cancel;
+          Alcotest.test_case "cancel later in same slot" `Quick test_cancel_later_in_same_slot;
           Alcotest.test_case "past deadline" `Quick test_past_deadline_fires_next_tick;
           Alcotest.test_case "multi-level cascade" `Quick test_long_range_cascade;
           Alcotest.test_case "16us resolution" `Quick test_high_resolution;
@@ -474,6 +509,8 @@ let () =
         [
           Alcotest.test_case "stale cancel after reuse" `Quick test_stale_cancel_after_reuse;
           Alcotest.test_case "re-arm allocates nothing" `Quick test_rearm_allocates_nothing;
+          Alcotest.test_case "cancelling a far timer allocates nothing" `Quick
+            test_cancel_far_timer_allocates_nothing;
           Alcotest.test_case "sparse advance visits few slots" `Quick test_sparse_advance_visits;
           Alcotest.test_case "sparse advance allocates nothing" `Quick
             test_sparse_advance_allocates_nothing;
