@@ -388,16 +388,19 @@ module Ref_wheel = struct
     Array.map (Array.fold_left (fun acc l -> acc + List.length l) 0) t.lists
 end
 
-(* One op of a random schedule.  [Arm (ticks, ns, child)] arms a timer
-   [ticks] ticks (minus [ns]) ahead; when it fires it arms [child]
-   ticks ahead in turn.  [Cancel i] cancels the i-th handle ever issued
+(* One op of a random schedule.  [Arm (ticks, ns, follow)] arms a timer
+   [ticks] ticks (minus [ns]) ahead; when it fires it does [follow]:
+   nothing, arm a child [d] ticks ahead, or cancel the handle issued [k]
+   after its own (mod the count) — often a timer due in the same tick
+   that has not run yet.  [Cancel i] cancels the i-th handle ever issued
    (mod the count), fired or not. *)
-type op = Arm of int * int * int option | Cancel of int | Advance of int
+type follow = Stop | Then_arm of int | Then_cancel of int
+type op = Arm of int * int * follow | Cancel of int | Advance of int
 
 let pp_op = function
-  | Arm (d, ns, c) ->
+  | Arm (d, ns, f) ->
       Printf.sprintf "Arm(%d,%d,%s)" d ns
-        (match c with None -> "-" | Some c -> string_of_int c)
+        (match f with Stop -> "-" | Then_arm d -> "+" ^ string_of_int d | Then_cancel k -> "x" ^ string_of_int k)
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Advance d -> Printf.sprintf "Advance %d" d
 
@@ -408,11 +411,14 @@ let gen_ops =
     frequency
       [ (7, int_range 0 40); (2, int_range 0 600); (1, int_range 0 70_000); (1, int_range 0 100_000) ]
   in
-  let child = frequency [ (4, return None); (1, map Option.some delta) ] in
+  let follow =
+    frequency
+      [ (4, return Stop); (1, map (fun d -> Then_arm d) delta); (1, map (fun k -> Then_cancel k) (int_range 1 4)) ]
+  in
   let op =
     frequency
       [
-        (5, map3 (fun d ns c -> Arm (d, ns, c)) delta (int_range 0 (tick - 1)) child);
+        (5, map3 (fun d ns f -> Arm (d, ns, f)) delta (int_range 0 (tick - 1)) follow);
         (2, map (fun i -> Cancel i) (int_range 0 10_000));
         (* Long jumps cross level-1 boundaries and laps, sometimes a
            level-2 boundary, in one [advance]. *)
@@ -430,18 +436,21 @@ let gen_ops =
 let run_ops ~schedule ~cancel ~advance ~now ~observe ops =
   let fires = ref [] and states = ref [] in
   let handles = Hashtbl.create 64 in
-  let rec arm deadline child =
+  let rec arm deadline follow =
     let id = Hashtbl.length handles in
     let fire () =
       fires := (id, now ()) :: !fires;
-      Option.iter (fun d -> arm (now () + (d * tick)) None) child
+      match follow with
+      | Stop -> ()
+      | Then_arm d -> arm (now () + (d * tick)) Stop
+      | Then_cancel k -> cancel (Hashtbl.find handles ((id + k) mod Hashtbl.length handles))
     in
     Hashtbl.replace handles id (schedule ~deadline fire)
   in
   List.iter
     (fun op ->
       (match op with
-      | Arm (d, ns, child) -> arm (now () + (d * tick) - ns) child
+      | Arm (d, ns, follow) -> arm (now () + (d * tick) - ns) follow
       | Cancel i ->
           let count = Hashtbl.length handles in
           if count > 0 then cancel (Hashtbl.find handles (i mod count))
