@@ -13,8 +13,9 @@
 
    The model pass cannot draw its own ISS or ephemeral port — the
    production endpoint draws those from its RNG — so the real pass runs
-   first and the model pass replays with the ISS and port harvested
-   from the real trace's first SYN-carrying emission.
+   first and the model pass replays with the port of the real trace's
+   first SYN-carrying emission and, for each connection A opens in
+   turn, the ISS its SYN carried.
 
    Determinism: everything is a function of (seed, fast_path, faults,
    hostile).  No wall clock, no Domain identity, no global state — a
@@ -299,27 +300,25 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
     (fun tcb ->
       prev_td tcb;
       closed := true);
-  (* Capture the TCB as soon as it exists — for passive opens that is
-     SYN_RECEIVED, well before [on_accept] fires, so a handshake-phase
-     teardown's [on_connected false] is observed like the model's. *)
+  (* Follow the endpoint's current connection.  Capture a TCB as soon
+     as it exists — for passive opens that is SYN_RECEIVED, well before
+     [on_accept] fires, so a handshake-phase teardown's [on_connected
+     false] is observed like the model's — and, once it has closed, the
+     next one a listener accepts (a SYN that superseded a TIME_WAIT
+     remnant). *)
+  let follow tcb =
+    if Option.is_none !tcbr || !closed then begin
+      tcbr := Some tcb;
+      closed := false;
+      install tcb
+    end
+  in
   let capture () =
-    match !tcbr with
-    | Some _ -> ()
-    | None ->
-        Tcp_endpoint.iter_connections ep (fun tcb ->
-            match !tcbr with
-            | Some _ -> ()
-            | None ->
-                tcbr := Some tcb;
-                install tcb)
+    if Option.is_none !tcbr || !closed then
+      Tcp_endpoint.iter_connections ep follow
   in
   if not active then
-    Tcp_endpoint.listen ep ~port:a_listen_port ~on_accept:(fun tcb ->
-        match !tcbr with
-        | Some _ -> ()
-        | None ->
-            tcbr := Some tcb;
-            install tcb);
+    Tcp_endpoint.listen ep ~port:a_listen_port ~on_accept:follow;
   let deliver ~now:_ (h : Model.segment) =
     let mbuf = Mbuf.create () in
     if h.Model.payload_len > 0 then
@@ -401,9 +400,23 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
 
 (* --- model fixture (A side under test, and the B peer) ------------- *)
 
-let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~iss
+let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~isss
     ~listen_port ~tx () =
+  (* ISS of each successive connection; the last one repeats. *)
+  let isss = ref isss in
+  let next_iss () =
+    match !isss with
+    | iss :: (_ :: _ as rest) ->
+        isss := rest;
+        iss
+    | iss :: _ -> iss
+    | [] -> 0
+  in
   let conn = ref None and pending = ref 0 in
+  (* The TIME_WAIT remnant, as the endpoint's [Tw_table] row: (final
+     snd_nxt, final rcv_nxt, deadline).  A leg carries one 4-tuple, so
+     the row needs no key. *)
+  let remnant = ref None in
   let alive () =
     match !conn with
     | Some c -> Model.state c <> Tcp_state.Closed
@@ -424,44 +437,48 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~iss
             | Model.Sent n -> record (T_sent n)
             | Model.Connected ok -> record (T_conn ok)
             | Model.Closed r -> record (T_closed r)
-            | Model.Event e -> record (T_ev e)))
+            | Model.Event e -> record (T_ev e)
+            | Model.Tw_remnant { snd_nxt; rcv_nxt } ->
+                remnant := Some (snd_nxt, rcv_nxt, now + cfg.Tcb.time_wait_ns)))
       items
+  in
+  (* A stateless reply to [seg], as [Tcp_endpoint.reply_base] fills it. *)
+  let reply ~now (seg : Model.segment) ~rst ~seq ~ack ~ack_flag =
+    let out =
+      { Model.src_port = seg.Model.dst_port; dst_port = seg.Model.src_port; seq; ack;
+        syn = false; ack_flag; fin = false; rst; psh = false; window = 0; mss = None;
+        wscale = None; sack = None; payload_len = 0 }
+    in
+    record (T_out out);
+    tx ~now out
   in
   (* Flow miss: transliteration of [Tcp_endpoint.send_rst]. *)
   let stateless_rst ~now (seg : Model.segment) =
-    if not seg.Model.rst then begin
-      let base =
-        {
-          Model.src_port = seg.Model.dst_port;
-          dst_port = seg.Model.src_port;
-          seq = 0;
-          ack = 0;
-          syn = false;
-          ack_flag = false;
-          fin = false;
-          rst = true;
-          psh = false;
-          window = 0;
-          mss = None;
-          wscale = None;
-          sack = None;
-          payload_len = 0;
-        }
-      in
-      let out =
-        if seg.Model.ack_flag then { base with Model.seq = seg.Model.ack }
-        else
-          {
-            base with
-            Model.ack_flag = true;
-            ack =
-              Seqno.add seg.Model.seq
-                (seg.Model.payload_len + if seg.Model.syn then 1 else 0);
-          }
-      in
-      record (T_out out);
-      tx ~now out
-    end
+    if seg.Model.rst then ()
+    else if seg.Model.ack_flag then
+      reply ~now seg ~rst:true ~seq:seg.Model.ack ~ack:0 ~ack_flag:false
+    else
+      reply ~now seg ~rst:true ~seq:0 ~ack_flag:true
+        ~ack:
+          (Seqno.add seg.Model.seq
+             (seg.Model.payload_len + if seg.Model.syn then 1 else 0))
+  in
+  (* Transliteration of [Tcp_endpoint.rx_time_wait]: [true] when a
+     live remnant fully handles the segment. *)
+  let rx_time_wait ~now (seg : Model.segment) =
+    match !remnant with
+    | Some (snd_nxt, rcv_nxt, deadline) when deadline > now ->
+        if seg.Model.rst then record (T_ev Tcb.Tw_rst_dropped)
+        else if
+          seg.Model.syn && (not seg.Model.ack_flag)
+          && Seqno.gt seg.Model.seq rcv_nxt
+        then remnant := None
+        else begin
+          reply ~now seg ~rst:false ~seq:snd_nxt ~ack:rcv_nxt ~ack_flag:true;
+          remnant := Some (snd_nxt, rcv_nxt, now + cfg.Tcb.time_wait_ns)
+        end;
+        !remnant <> None
+    | _ -> false
   in
   let deliver ~now (seg : Model.segment) =
     if alive () then begin
@@ -469,12 +486,12 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~iss
       conn := Some c';
       process ~now items
     end
-    else
+    else if not (rx_time_wait ~now seg) then
       match listen_port with
       | Some p
         when seg.Model.syn && (not seg.Model.ack_flag)
              && seg.Model.dst_port = p ->
-          let c, items = Model.accept cfg ~now ~iss seg in
+          let c, items = Model.accept cfg ~now ~iss:(next_iss ()) seg in
           conn := Some c;
           process ~now items
       | _ -> stateless_rst ~now seg
@@ -494,7 +511,9 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~iss
     do_connect =
       (fun ~now ->
         if active && !conn = None then begin
-          let c, items = Model.connect cfg ~now ~local_port ~remote_port ~iss in
+          let c, items =
+            Model.connect cfg ~now ~local_port ~remote_port ~iss:(next_iss ())
+          in
           conn := Some c;
           process ~now items
         end);
@@ -541,7 +560,7 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~iss
 (* ------------------------------------------------------------------ *)
 (* One pass: drive a side (real or model) against the model B peer.    *)
 
-type pass_kind = Real | Replay of { iss_a : int; port_a : int }
+type pass_kind = Real | Replay of { isss_a : int list; port_a : int }
 
 let t_limit_ns = 50_000_000
 let step_limit = 500_000
@@ -563,9 +582,9 @@ let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
     | Real ->
         make_real_side ~record ~cfg ~seed ~now_ref:now ~active:sc.a_active
           ~remote_port:sc.b_port ~tx:tx_a ()
-    | Replay { iss_a; port_a } ->
+    | Replay { isss_a; port_a } ->
         make_model_side ~record ~cfg ~active:sc.a_active ~local_port:port_a
-          ~remote_port:sc.b_port ~iss:iss_a
+          ~remote_port:sc.b_port ~isss:isss_a
           ~listen_port:(if sc.a_active then None else Some a_listen_port)
           ~tx:tx_a ()
   in
@@ -574,7 +593,7 @@ let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
       ~record:(fun _ -> ())
       ~cfg
       ~active:(not sc.a_active)
-      ~local_port:sc.b_port ~remote_port:a_listen_port ~iss:sc.iss_b
+      ~local_port:sc.b_port ~remote_port:a_listen_port ~isss:[ sc.iss_b ]
       ~listen_port:(if sc.a_active then Some sc.b_port else None)
       ~tx:tx_b ()
   in
@@ -679,7 +698,6 @@ let base_config ~fast_path =
   {
     Tcb.default_config with
     fast_path;
-    tw_recycle = false;
     syn_cookies = false;
     dctcp = false;
   }
@@ -688,16 +706,17 @@ let run_leg ~seed ~fast_path ?(faults = true) ?(hostile = false)
     ?(mutate = false) () =
   let cfg = base_config ~fast_path in
   let trace_r = ref [] in
-  let harvested = ref None in
+  (* The ISS of each connection A opened, newest first, and its port. *)
+  let isss = ref [] and port_a = ref 0 in
   let record_r t =
     trace_r := t :: !trace_r;
     match t with
-    | T_out s when s.Model.syn && !harvested = None ->
-        harvested := Some (s.Model.seq, s.Model.src_port)
+    | T_out s when s.Model.syn && not (List.mem s.Model.seq !isss) ->
+        if !isss = [] then port_a := s.Model.src_port;
+        isss := s.Model.seq :: !isss
     | _ -> ()
   in
   run_pass ~seed ~cfg ~faults ~hostile ~record:record_r ~kind:Real;
-  let iss_a, port_a = match !harvested with Some hp -> hp | None -> (0, 0) in
   let trace_m = ref [] in
   let out_idx = ref 0 in
   let record_m t =
@@ -713,7 +732,7 @@ let run_leg ~seed ~fast_path ?(faults = true) ?(hostile = false)
     trace_m := t :: !trace_m
   in
   run_pass ~seed ~cfg ~faults ~hostile ~record:record_m
-    ~kind:(Replay { iss_a; port_a });
+    ~kind:(Replay { isss_a = List.rev !isss; port_a = !port_a });
   let tr = List.rev !trace_r and tm = List.rev !trace_m in
   let detail = compare_traces tr tm in
   {

@@ -12,9 +12,14 @@
    through both and assert the observable traces are *equal*, not
    merely similar.
 
+   TIME_WAIT is what production runs: entering it tears the connection
+   down and hands its final sequence numbers over in a [Tw_remnant]
+   action, which the driver keeps as [Tcp_endpoint] keeps its
+   [Tw_table] row.
+
    What the model deliberately does not cover (the driver pins these
-   off in its config and the constructors check): DCTCP, SYN cookies,
-   and TIME_WAIT recycling ([Tw_table]).  The receive fast path needs
+   off in its config and the constructors check): DCTCP and SYN
+   cookies.  The receive fast path needs
    no counterpart — it is specified as observably identical to the
    slow path, which is precisely what conformance against this model
    verifies, with [fast_path] on and off.
@@ -53,6 +58,7 @@ type action =
   | Connected of bool
   | Closed of Tcb.close_reason
   | Event of Tcb.protocol_event
+  | Tw_remnant of { snd_nxt : int; rcv_nxt : int }
 
 type item = Out of segment | Act of action
 
@@ -100,7 +106,6 @@ type t = {
   rexmit_at : int;
   persist_at : int;
   delack_at : int;
-  time_wait_at : int;
   (* RFC 5961 limiter (env-wide in production; the model covers one
      connection per endpoint, so it lives here). *)
   challenge_window_start : int;
@@ -352,7 +357,6 @@ let teardown m reason =
         rexmit_at = -1;
         persist_at = -1;
         delack_at = -1;
-        time_wait_at = -1;
         ooo = [];
         snd_queue_len = 0;
         st = Tcp_state.Closed;
@@ -370,7 +374,7 @@ let teardown m reason =
 let abort_m m =
   if m.s.st <> Tcp_state.Closed then begin
     (match m.s.st with
-    | Tcp_state.Syn_sent | Tcp_state.Time_wait -> ()
+    | Tcp_state.Syn_sent -> ()
     | _ -> emit m Seg_rst);
     act m (Event Tcb.Local_abort);
     teardown m Tcb.Reset
@@ -502,14 +506,12 @@ let try_output m =
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
 
+(* Production's [enter_time_wait]: the endpoint records a [Tw_table]
+   remnant from the final sequence numbers, and the connection is torn
+   down at once. *)
 let enter_time_wait m =
-  m.s <-
-    {
-      m.s with
-      st = Tcp_state.Time_wait;
-      rexmit_at = -1;
-      time_wait_at = m.now + m.s.cfg.Tcb.time_wait_ns;
-    }
+  act m (Tw_remnant { snd_nxt = m.s.snd_nxt; rcv_nxt = m.s.rcv_nxt });
+  teardown m Tcb.Normal
 
 let drop_acked_data m ack =
   let s = m.s in
@@ -609,8 +611,8 @@ let process_fin m (seg : segment) =
     | Tcp_state.Fin_wait_1 -> m.s <- { m.s with st = Tcp_state.Closing }
     | Tcp_state.Fin_wait_2 -> enter_time_wait m
     | Tcp_state.Syn_received | Tcp_state.Close_wait | Tcp_state.Closing
-    | Tcp_state.Last_ack | Tcp_state.Time_wait | Tcp_state.Closed
-    | Tcp_state.Listen | Tcp_state.Syn_sent ->
+    | Tcp_state.Last_ack | Tcp_state.Closed | Tcp_state.Listen
+    | Tcp_state.Syn_sent ->
         ()
   end
 
@@ -717,12 +719,6 @@ let input m (seg : segment) =
       end
       else if rst_in_window m.s seg then challenge_ack m
   | Tcp_state.Syn_received when seg.syn -> emit m Seg_syn_ack
-  | Tcp_state.Time_wait ->
-      if seg.rst then act m (Event Tcb.Tw_rst_dropped)
-      else begin
-        ack_now m;
-        enter_time_wait m
-      end
   | _ ->
       if seg.rst then begin
         if seg.seq = m.s.rcv_nxt then begin
@@ -747,9 +743,8 @@ let input m (seg : segment) =
 (* Public API                                                          *)
 
 let check_cfg (cfg : Tcb.config) =
-  if cfg.Tcb.dctcp || cfg.Tcb.syn_cookies || cfg.Tcb.tw_recycle then
-    invalid_arg
-      "Model_tcp: dctcp / syn_cookies / tw_recycle are outside the model"
+  if cfg.Tcb.dctcp || cfg.Tcb.syn_cookies then
+    invalid_arg "Model_tcp: dctcp / syn_cookies are outside the model"
 
 let make cfg ~local_port ~remote_port ~iss =
   check_cfg cfg;
@@ -796,7 +791,6 @@ let make cfg ~local_port ~remote_port ~iss =
     rexmit_at = -1;
     persist_at = -1;
     delack_at = -1;
-    time_wait_at = -1;
     challenge_window_start = 0;
     challenge_sent = 0;
   }
@@ -846,7 +840,7 @@ let accept cfg ~now ~iss (seg : segment) =
 let handle_segment s ~now seg = step s ~now (fun m -> input m seg)
 
 (* Fire every armed timer whose deadline has been reached, in a fixed
-   order (rexmit, persist, delack, time_wait).  Production fires them
+   order (rexmit, persist, delack).  Production fires them
    in wheel order; deadlines of distinct timers coincide only when two
    independent arithmetic chains land on the same nanosecond, which the
    conformance seeds never do. *)
@@ -860,18 +854,14 @@ let handle_timers s ~now =
          m.s <- { m.s with persist_at = -1 };
          persist_timeout m
        end);
-      (if m.s.delack_at >= 0 && m.s.delack_at <= now then begin
-         m.s <- { m.s with delack_at = -1 };
-         if m.s.st <> Tcp_state.Closed && m.s.delack_count > 0 then ack_now m
-       end);
-      if m.s.time_wait_at >= 0 && m.s.time_wait_at <= now then begin
-        m.s <- { m.s with time_wait_at = -1 };
-        teardown m Tcb.Normal
+      if m.s.delack_at >= 0 && m.s.delack_at <= now then begin
+        m.s <- { m.s with delack_at = -1 };
+        if m.s.st <> Tcp_state.Closed && m.s.delack_count > 0 then ack_now m
       end)
 
 let next_deadline s =
   let merge a b = if a < 0 then b else if b < 0 then a else Int.min a b in
-  merge s.rexmit_at (merge s.persist_at (merge s.delack_at s.time_wait_at))
+  merge s.rexmit_at (merge s.persist_at s.delack_at)
 
 let send s ~now n =
   if (not (Tcp_state.can_send_data s.st)) || s.fin_queued then (s, [], 0)
@@ -905,7 +895,7 @@ let close s ~now =
           m.s <- { m.s with fin_queued = true };
           try_output m
       | Tcp_state.Fin_wait_1 | Tcp_state.Fin_wait_2 | Tcp_state.Closing
-      | Tcp_state.Last_ack | Tcp_state.Time_wait ->
+      | Tcp_state.Last_ack ->
           ())
 
 let abort s ~now = step s ~now (fun m -> abort_m m)

@@ -14,13 +14,14 @@
     acceptance, RFC 6298 RTO with exponential backoff and go-back-N
     recovery, NewReno congestion control with fast retransmit and
     cumulative-ACK recovery, delayed ACKs, zero-window persist probes,
-    the classic in-TCB TIME_WAIT timer, and the always-on hostile-peer
-    hardening: RFC 5961 challenge ACKs (rate-limited and counted), RFC
-    1337 TIME-WAIT assassination protection, and RFC 2883 D-SACK
-    reporting with D-SACK-aware dup-ACK discounting.
+    TIME_WAIT entry (a teardown that hands a {!Tw_remnant} over, kept by
+    the driver as the endpoint keeps its [Tw_table] row, RFC 1337
+    assassination protection included), and the always-on hostile-peer
+    hardening: RFC 5961 challenge ACKs (rate-limited and counted) and
+    RFC 2883 D-SACK reporting with D-SACK-aware dup-ACK discounting.
 
-    Out of scope (constructors reject configs that enable them): DCTCP,
-    SYN cookies, and TIME_WAIT recycling.  The receive fast path needs
+    Out of scope (constructors reject configs that enable them): DCTCP
+    and SYN cookies.  The receive fast path needs
     no counterpart here — it is *specified* as observably identical to
     the slow path, which conformance against this model verifies with
     [fast_path] on and off. *)
@@ -50,6 +51,9 @@ type action =
   | Connected of bool  (** active open resolved *)
   | Closed of Ixtcp.Tcb.close_reason
   | Event of Ixtcp.Tcb.protocol_event  (** cold-path incident *)
+  | Tw_remnant of { snd_nxt : int; rcv_nxt : int }
+      (** entered TIME_WAIT: the endpoint keeps a [Tw_table] remnant
+          of these final sequence numbers, then the teardown follows *)
 
 type item = Out of segment | Act of action
 (** One observable, in emission order: a transmitted segment header or
@@ -79,7 +83,7 @@ val handle_segment : t -> now:int -> segment -> t * item list
 
 val handle_timers : t -> now:int -> t * item list
 (** Fire every armed timer whose deadline is [<= now] (retransmit,
-    persist, delayed-ACK, TIME_WAIT — in that order). *)
+    persist, delayed-ACK — in that order). *)
 
 val next_deadline : t -> int
 (** Earliest armed timer deadline, or [-1] when none is armed; the

@@ -74,10 +74,6 @@ type config = {
           class, and the TCB is materialized only when the
           cookie-validated handshake ACK arrives — a SYN flood
           allocates nothing *)
-  tw_recycle : bool;
-      (** release the full TCB at the TIME_WAIT transition; the
-          remnant (4-tuple, final sequence numbers, deadline) moves to
-          the endpoint's compact [Tw_table] *)
 }
 
 (* Defaults follow a modern datacenter profile; stacks override the
@@ -97,16 +93,14 @@ let default_config =
     dctcp = false;
     fast_path = true;
     syn_cookies = false;
-    tw_recycle = true;
   }
 
 (* Protocol constants every connection shares.  The hardening is always
    on: RFC 5961 (an in-window but not exact-match RST, or a SYN in a
    synchronized state, draws a rate-limited challenge ACK), RFC 1337
-   (an RST never ends TIME_WAIT, neither the in-TCB timer nor a
-   [Tw_table] remnant) and RFC 2883 (a fully-duplicate segment is
-   reported in a D-SACK block, and a dup-ACK carrying one is not
-   counted as loss). *)
+   (an RST never ends a TIME_WAIT [Tw_table] remnant) and RFC 2883 (a
+   fully-duplicate segment is reported in a D-SACK block, and a dup-ACK
+   carrying one is not counted as loss). *)
 let initial_cwnd_segs = 10
 let challenge_ack_limit = 8 (* per [challenge_ack_window_ns], per env *)
 let challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *)
@@ -243,7 +237,6 @@ and t = {
   mutable rexmit_timer : Timerwheel.Timer_wheel.timer;
   mutable persist_timer : Timerwheel.Timer_wheel.timer;
   mutable delack_timer : Timerwheel.Timer_wheel.timer;
-  mutable time_wait_timer : Timerwheel.Timer_wheel.timer;
   mutable rexmit_action : unit -> unit;
       (** the RTO callback, built once per connection ([Tcp_conn]
           installs it on first arm) — re-arming a retransmit timer on
@@ -278,10 +271,9 @@ and env = {
   mutable on_established : t -> unit;
       (** a passive connection completed its handshake (the endpoint
           turns this into the IX [knock] event / an accept) *)
-  mutable on_time_wait : t -> bool;
-      (** TIME_WAIT transition; return [true] to take over the wait
-          (the endpoint records a [Tw_table] remnant and the TCB is
-          released immediately), [false] for the classic in-TCB timer *)
+  mutable on_time_wait : t -> unit;
+      (** TIME_WAIT transition: the endpoint records a [Tw_table]
+          remnant, then the TCB is released *)
   mutable on_protocol_event : protocol_event -> unit;
       (** cold-path incident hook; the endpoint counts these *)
   mutable challenge_window_start : int;
@@ -726,7 +718,7 @@ let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
     emit_scratch = Seg.scratch ();
     on_teardown = ignore;
     on_established = ignore;
-    on_time_wait = (fun _ -> false);
+    on_time_wait = ignore;
     on_protocol_event = ignore;
     challenge_window_start = 0;
     challenge_sent = 0;
@@ -782,7 +774,6 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
       rexmit_timer = Timerwheel.Timer_wheel.null;
       persist_timer = Timerwheel.Timer_wheel.null;
       delack_timer = Timerwheel.Timer_wheel.null;
-      time_wait_timer = Timerwheel.Timer_wheel.null;
       rexmit_action = no_timer_action;
       delack_action = no_timer_action;
     }

@@ -19,11 +19,9 @@ let cancel_all_timers tcb =
   cancel_timer tcb.env.wheel tcb.rexmit_timer;
   cancel_timer tcb.env.wheel tcb.persist_timer;
   cancel_timer tcb.env.wheel tcb.delack_timer;
-  cancel_timer tcb.env.wheel tcb.time_wait_timer;
   tcb.rexmit_timer <- Wheel.null;
   tcb.persist_timer <- Wheel.null;
-  tcb.delack_timer <- Wheel.null;
-  tcb.time_wait_timer <- Wheel.null
+  tcb.delack_timer <- Wheel.null
 
 (* ------------------------------------------------------------------ *)
 (* Segment construction                                                *)
@@ -204,7 +202,7 @@ let teardown tcb reason =
 let abort tcb =
   if state tcb <> Tcp_state.Closed then begin
     (match state tcb with
-    | Tcp_state.Syn_sent | Tcp_state.Time_wait -> ()
+    | Tcp_state.Syn_sent -> ()
     | _ -> emit tcb Seg_rst);
     tcb.env.on_protocol_event Local_abort;
     teardown tcb Tcb.Reset
@@ -506,26 +504,18 @@ let close tcb =
       set_fin_queued tcb true;
       try_output tcb
   | Tcp_state.Fin_wait_1 | Tcp_state.Fin_wait_2 | Tcp_state.Closing
-  | Tcp_state.Last_ack | Tcp_state.Time_wait ->
+  | Tcp_state.Last_ack ->
       () (* already closing *)
 
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
 
+(* TIME_WAIT lives in the endpoint: [on_time_wait] records a compact
+   [Tw_table] remnant (4-tuple, final sequence numbers, deadline), and
+   the full TCB is released at once. *)
 let enter_time_wait tcb =
-  set_state tcb Tcp_state.Time_wait;
-  clear_rexmit tcb;
-  cancel_timer tcb.env.wheel tcb.time_wait_timer;
-  tcb.time_wait_timer <- Wheel.null;
-  (* TIME_WAIT recycling: the endpoint records a [Tw_table] remnant and
-     returns [true]; the full TCB is released right away instead of
-     sitting armed for [time_wait_ns]. *)
-  if tcb.env.on_time_wait tcb then teardown tcb Tcb.Normal
-  else begin
-    let deadline = tcb.env.now () + tcb.cfg.time_wait_ns in
-    tcb.time_wait_timer <-
-      Wheel.schedule tcb.env.wheel ~deadline (fun () -> teardown tcb Tcb.Normal)
-  end
+  tcb.env.on_time_wait tcb;
+  teardown tcb Tcb.Normal
 
 let drop_acked_data tcb ack =
   let acked_data =
@@ -647,8 +637,8 @@ let process_fin tcb (seg : Seg.t) =
         set_state tcb Tcp_state.Closing
     | Tcp_state.Fin_wait_2 -> enter_time_wait tcb
     | Tcp_state.Syn_received | Tcp_state.Close_wait | Tcp_state.Closing
-    | Tcp_state.Last_ack | Tcp_state.Time_wait | Tcp_state.Closed
-    | Tcp_state.Listen | Tcp_state.Syn_sent ->
+    | Tcp_state.Last_ack | Tcp_state.Closed | Tcp_state.Listen
+    | Tcp_state.Syn_sent ->
         ())
   end
 
@@ -779,18 +769,6 @@ let input ?(ce = false) tcb (seg : Seg.t) mbuf =
       else if rst_in_window tcb seg then challenge_ack tcb
   | Tcp_state.Syn_received when seg.Seg.syn ->
       emit tcb Seg_syn_ack (* duplicate SYN: re-answer *)
-  | Tcp_state.Time_wait ->
-      if seg.Seg.rst then
-        (* RFC 1337: TIME-WAIT assassination protection — an RST must
-           not cut the quiet period short, or old duplicates from this
-           incarnation could corrupt its successor. *)
-        tcb.env.on_protocol_event Tw_rst_dropped
-      else begin
-        (* Any arrival in TIME_WAIT (e.g. a retransmitted FIN whose
-           final ACK was lost) is re-ACKed and restarts the timer. *)
-        ack_now tcb;
-        enter_time_wait tcb
-      end
   | _ ->
       if seg.Seg.rst then begin
         (* RFC 5961 §3.2: only an RST at exactly rcv_nxt terminates;
@@ -904,9 +882,7 @@ let input_fast tcb (seg : Seg.t) mbuf =
 let rebind tcb new_env =
   let had_rexmit = tcb.rexmit_timer != Wheel.null in
   let had_delack = tcb.delack_timer != Wheel.null in
-  let had_time_wait = tcb.time_wait_timer != Wheel.null in
   cancel_all_timers tcb;
   tcb.env <- new_env;
   if had_rexmit || Tcb.flight tcb > 0 then set_rexmit tcb;
-  if had_delack then arm_delack tcb;
-  if had_time_wait then enter_time_wait tcb
+  if had_delack then arm_delack tcb

@@ -85,6 +85,19 @@ let validate_cookie t ~remote_ip ~remote_port ~local_port ~iss =
     Some cookie_mss_table.(iss land 3)
   else None
 
+(* The periodic sweep drains the remnant table even without traffic,
+   so [Tw_table.count] returns to 0 on idle endpoints. *)
+let rec ensure_sweep t =
+  if t.tw_sweep = None && Tw_table.count t.tw > 0 then begin
+    let deadline = t.tcb_env.Tcb.now () + t.cfg.Tcb.time_wait_ns in
+    t.tw_sweep <-
+      Some
+        (Wheel.schedule t.tcb_env.Tcb.wheel ~deadline (fun () ->
+             t.tw_sweep <- None;
+             ignore (Tw_table.sweep t.tw ~now:(t.tcb_env.Tcb.now ()));
+             ensure_sweep t))
+  end
+
 (* ------------------------------------------------------------------ *)
 
 let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
@@ -178,32 +191,15 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       match Hashtbl.find_opt t.listeners (Tcb.local_port tcb) with
       | Some listener -> listener.on_accept tcb
       | None -> Tcp_conn.abort tcb);
-  (* TIME_WAIT recycling: record a compact remnant and release the TCB
-     immediately (Tcp_conn.enter_time_wait tears down when we return
-     [true]).  The periodic sweep drains the table even without
-     traffic so [Tw_table.count] returns to 0 on idle endpoints. *)
-  let rec ensure_sweep () =
-    if t.tw_sweep = None && Tw_table.count t.tw > 0 then begin
-      let deadline = t.tcb_env.Tcb.now () + config.Tcb.time_wait_ns in
-      t.tw_sweep <-
-        Some
-          (Wheel.schedule t.tcb_env.Tcb.wheel ~deadline (fun () ->
-               t.tw_sweep <- None;
-               ignore (Tw_table.sweep t.tw ~now:(t.tcb_env.Tcb.now ()));
-               ensure_sweep ()))
-    end
-  in
+  (* TIME_WAIT: record a compact remnant; [Tcp_conn.enter_time_wait]
+     then releases the TCB. *)
   tcb_env.Tcb.on_time_wait <-
     (fun tcb ->
-      if config.Tcb.tw_recycle then begin
-        Tw_table.add t.tw ~local_port:(Tcb.local_port tcb)
-          ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)
-          ~snd_nxt:(Tcb.snd_nxt tcb) ~rcv_nxt:(Tcb.rcv_nxt tcb)
-          ~deadline:(t.tcb_env.Tcb.now () + config.Tcb.time_wait_ns);
-        ensure_sweep ();
-        true
-      end
-      else false);
+      Tw_table.add t.tw ~local_port:(Tcb.local_port tcb)
+        ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)
+        ~snd_nxt:(Tcb.snd_nxt tcb) ~rcv_nxt:(Tcb.rcv_nxt tcb)
+        ~deadline:(t.tcb_env.Tcb.now () + config.Tcb.time_wait_ns);
+      ensure_sweep t);
   t
 
 let local_ip t = t.ip
@@ -325,7 +321,7 @@ let rx_time_wait t ~src_ip (seg : Seg.t) slot =
     (* RFC 1337: a stray or forged RST must not assassinate the
        TIME_WAIT remnant — losing it would let old duplicates from the
        closed incarnation reach a successor connection. *)
-    Metrics.incr t.c_tw_rst_dropped;
+    t.tcb_env.Tcb.on_protocol_event Tcb.Tw_rst_dropped;
     true
   end
   else if

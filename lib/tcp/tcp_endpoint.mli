@@ -99,8 +99,8 @@ val syn_cookies_rejected : t -> int
     (answered with RST). *)
 
 val time_wait_count : t -> int
-(** Live TIME_WAIT remnants ([config.tw_recycle]); these are compact
-    table rows, not TCBs. *)
+(** Live TIME_WAIT remnants.  Every connection entering TIME_WAIT
+    leaves one, a compact {!Tw_table} row, and releases its TCB. *)
 
 val challenge_acks_sent : t -> int
 (** RFC 5961 challenge ACKs emitted for in-window (but not
@@ -118,8 +118,9 @@ val rsts_accepted : t -> int
     metric name, so a blind-injection teardown can never go uncounted. *)
 
 val tw_rst_dropped : t -> int
-(** RSTs ignored in TIME_WAIT (RFC 1337 assassination protection),
-    both against full TCBs and [Tw_table] remnants. *)
+(** RSTs ignored by a TIME_WAIT remnant (RFC 1337 assassination
+    protection).  Each is reported as [Tcb.Tw_rst_dropped] through the
+    env's [on_protocol_event] hook, which counts it. *)
 
 val port_double_frees : t -> int
 (** {!Port_alloc.double_frees} of this endpoint's allocator; any

@@ -9,7 +9,6 @@ type t =
   | Close_wait
   | Closing
   | Last_ack
-  | Time_wait
 
 (* Dense codes for the SoA TCB store's packed state field. *)
 let to_int = function
@@ -23,7 +22,6 @@ let to_int = function
   | Close_wait -> 7
   | Closing -> 8
   | Last_ack -> 9
-  | Time_wait -> 10
 
 let of_int = function
   | 1 -> Listen
@@ -35,25 +33,22 @@ let of_int = function
   | 7 -> Close_wait
   | 8 -> Closing
   | 9 -> Last_ack
-  | 10 -> Time_wait
   | _ -> Closed
 
 let is_synchronized = function
-  | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
-  | Time_wait ->
+  | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
       true
   | Closed | Listen | Syn_sent | Syn_received -> false
 
 let can_send_data = function
   | Established | Close_wait -> true
   | Closed | Listen | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2
-  | Closing | Last_ack | Time_wait ->
+  | Closing | Last_ack ->
       false
 
 let can_receive_data = function
   | Established | Fin_wait_1 | Fin_wait_2 -> true
-  | Closed | Listen | Syn_sent | Syn_received | Close_wait | Closing | Last_ack
-  | Time_wait ->
+  | Closed | Listen | Syn_sent | Syn_received | Close_wait | Closing | Last_ack ->
       false
 
 let to_string = function
@@ -67,4 +62,3 @@ let to_string = function
   | Close_wait -> "CLOSE_WAIT"
   | Closing -> "CLOSING"
   | Last_ack -> "LAST_ACK"
-  | Time_wait -> "TIME_WAIT"

@@ -1,4 +1,7 @@
-(** TCP connection states (RFC 793 §3.2). *)
+(** TCP connection states (RFC 793 §3.2).  A connection leaves
+    [Fin_wait_2] or [Closing] for TIME_WAIT by releasing its TCB: the
+    quiet period is kept by the endpoint's {!Tw_table} remnant, so no
+    TCB is ever in that state. *)
 
 type t =
   | Closed
@@ -11,10 +14,9 @@ type t =
   | Close_wait
   | Closing
   | Last_ack
-  | Time_wait
 
 val to_int : t -> int
-(** Dense code (0..10) for packed storage in the SoA TCB store. *)
+(** Dense code (0..9) for packed storage in the SoA TCB store. *)
 
 val of_int : int -> t
 (** Inverse of [to_int]; out-of-range codes map to [Closed]. *)

@@ -1,20 +1,20 @@
 (* TIME_WAIT remnants, stored compactly.
 
-   With [tw_recycle] on, a connection entering TIME_WAIT releases its
-   full TCB back to the store's free list immediately; what the
-   protocol still needs for the quiet period — the 4-tuple's key, the
-   final sequence numbers and the deadline — moves here.  The demux
-   consults this table (only when non-empty) *before* the flow table:
-   a hit re-ACKs retransmitted FINs, and lets a new SYN with a fresh
-   sequence number recycle the tuple early.  RSTs are ignored (RFC 1337
-   TIME-WAIT assassination protection — the remnant and its quiet
-   period survive, counted as [tw_rst_dropped]).
+   Every connection entering TIME_WAIT releases its full TCB back to
+   the store's free list immediately; what the protocol still needs
+   for the quiet period — the 4-tuple's key, the final sequence numbers
+   and the deadline — moves here.  The demux consults this table (only
+   when non-empty) *before* the flow table: a hit re-ACKs retransmitted
+   FINs, and lets a new SYN with a fresh sequence number recycle the
+   tuple early.  RSTs are ignored (RFC 1337 TIME-WAIT assassination
+   protection — the remnant and its quiet period survive, counted as
+   [tw_rst_dropped]).
 
    Same open-addressing scheme as [Flow_table]: linear probing over
    power-of-two arrays, [krem] = remote_ip lsl 16 lor remote_port
    doubling as slot state via negative sentinels, splitmix-style
-   finisher.  Four unboxed int words per occupant (~32 B), versus the
-   ~400 B a parked full TCB used to pin for [time_wait_ns].
+   finisher.  Five unboxed int words per occupant (~40 B), versus the
+   ~400 B a full TCB would pin for [time_wait_ns].
 
    Expiry is lazy ([find_slot] treats an expired occupant as absent
    and reaps it) plus a periodic [sweep] the endpoint schedules while

@@ -1,9 +1,8 @@
 (** Compact TIME_WAIT remnant table (open addressing, unboxed columns).
 
-    With [Tcb.config.tw_recycle], a connection entering TIME_WAIT
-    releases its full TCB immediately; the 4-tuple key, final sequence
-    numbers and quiet-period deadline live here (~32 B instead of a
-    parked TCB).  The endpoint's demux consults it before the flow
+    A connection entering TIME_WAIT releases its full TCB immediately;
+    the 4-tuple key, final sequence numbers and quiet-period deadline
+    live here (~40 B instead of a parked TCB).  The endpoint's demux consults it before the flow
     table whenever it is non-empty. *)
 
 type t

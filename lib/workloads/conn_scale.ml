@@ -186,7 +186,7 @@ let pump t =
 
 let make ~conns ~syn_cookies ~fast_path ~seed =
   let config =
-    { Tcb.default_config with Tcb.syn_cookies; tw_recycle = true; fast_path }
+    { Tcb.default_config with Tcb.syn_cookies; fast_path }
   in
   let now = ref 0 in
   let wheel = Wheel.create ~now:0 () in

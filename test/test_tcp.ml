@@ -742,53 +742,30 @@ let test_challenge_ack_rate_limit () =
   Alcotest.(check string) "post-flood data delivered" msg
     (Buffer.contents received)
 
-let test_rfc1337_in_tcb_time_wait () =
-  (* Classic in-TCB TIME_WAIT (tw_recycle off), held long enough to
-     attack: an exact-sequence RST must be ignored, not assassinate. *)
-  let cfg =
-    {
-      Tcb.default_config with
-      tw_recycle = false;
-      time_wait_ns = 10_000_000_000;
-    }
-  in
-  let net = make_net ~config:cfg () in
-  let _ = sink_server net.b ~port:80 in
-  let tcb, _, _, _ =
-    streaming_client net.a ~remote_ip:ip_b ~port:80 ~data:"x"
-      ~close_when_done:true ()
-  in
-  run net ~ms:500;
-  Alcotest.(check string)
-    "active closer parked in TIME_WAIT" "TIME_WAIT"
-    (Tcp_state.to_string (Tcb.state tcb));
-  let lp = Tcb.local_port tcb and rp = Tcb.remote_port tcb in
-  inject net.a ~src_ip:ip_b ~src_port:rp ~dst_port:lp ~seq:(Tcb.rcv_nxt tcb)
-    ~ack:0 ~rst:true ();
-  check_int "RST dropped per RFC 1337" 1 (Tcp_endpoint.tw_rst_dropped net.a.ep);
-  Alcotest.(check string)
-    "TIME_WAIT survives the assassination attempt" "TIME_WAIT"
-    (Tcp_state.to_string (Tcb.state tcb))
-
 let test_rfc1337_tw_table_remnant () =
-  (* Recycled TIME_WAIT (compact Tw_table remnant, no TCB): same
-     protection, same counter. *)
-  let cfg =
-    { Tcb.default_config with tw_recycle = true; time_wait_ns = 10_000_000_000 }
-  in
+  (* TIME_WAIT is a compact Tw_table remnant (no TCB), held long enough
+     to attack: an RST at exactly the closed connection's rcv_nxt — the
+     one sequence number a genuine reset carries — must be dropped, not
+     assassinate the remnant. *)
+  let cfg = { Tcb.default_config with time_wait_ns = 10_000_000_000 } in
   let net = make_net ~config:cfg () in
   let _ = sink_server net.b ~port:80 in
   let tcb, _, _, _ =
     streaming_client net.a ~remote_ip:ip_b ~port:80 ~data:"x"
       ~close_when_done:true ()
   in
-  (* capture the tuple before the sim runs: the recycled TIME_WAIT
-     releases the TCB, after which its slot must not be read *)
+  (* Capture the tuple before the sim runs, and the final rcv_nxt in
+     [on_closed]: the TIME_WAIT transition releases the TCB right after
+     that callback, and its slot must not be read again. *)
   let lp = Tcb.local_port tcb and rp = Tcb.remote_port tcb in
+  let final_rcv_nxt = ref (-1) in
+  tcb.Tcb.callbacks.Tcb.on_closed <-
+    (fun _ -> final_rcv_nxt := Tcb.rcv_nxt tcb);
   run net ~ms:500;
+  check_bool "closed through TIME_WAIT" true (!final_rcv_nxt >= 0);
   check_int "remnant recorded" 1 (Tcp_endpoint.time_wait_count net.a.ep);
-  inject net.a ~src_ip:ip_b ~src_port:rp ~dst_port:lp ~seq:0 ~ack:0 ~rst:true
-    ();
+  inject net.a ~src_ip:ip_b ~src_port:rp ~dst_port:lp ~seq:!final_rcv_nxt
+    ~ack:0 ~rst:true ();
   check_int "remnant RST dropped per RFC 1337" 1
     (Tcp_endpoint.tw_rst_dropped net.a.ep);
   check_int "remnant survives" 1 (Tcp_endpoint.time_wait_count net.a.ep)
@@ -909,8 +886,6 @@ let () =
         [
           Alcotest.test_case "challenge-ACK rate limit under RST flood"
             `Quick test_challenge_ack_rate_limit;
-          Alcotest.test_case "RFC 1337, in-TCB TIME_WAIT" `Quick
-            test_rfc1337_in_tcb_time_wait;
           Alcotest.test_case "RFC 1337, recycled remnant" `Quick
             test_rfc1337_tw_table_remnant;
           Alcotest.test_case "port double-free guard" `Quick
