@@ -829,19 +829,26 @@ let hand_over_tcb t dst tcb =
 (* Flow-group migration (the control plane drives this; see
    [Control_plane.migrate_flow_group] for the full protocol).          *)
 
-let rss_group_of_flow t tcb =
+(* Whether a tuple's *receive* direction at this host falls in [group];
+   all NICs share the RSS key, so the first one answers for all. *)
+let in_group t ~group ~local_port ~remote_ip ~remote_port =
   match t.queues with
-  | [] -> -1
+  | [] -> false
   | (nic, _) :: _ ->
-      (* The group of the *receive* direction at this host; all NICs
-         share the RSS key, so the first one answers for all. *)
-      Nic.rss_group_of_tuple nic ~src_ip:(Tcb.remote_ip tcb) ~dst_ip:t.local_ip
-        ~src_port:(Tcb.remote_port tcb) ~dst_port:(Tcb.local_port tcb)
+      Nic.rss_group_of_tuple nic ~src_ip:remote_ip ~dst_ip:t.local_ip
+        ~src_port:remote_port ~dst_port:local_port
+      = group
 
+(* The group's TIME_WAIT remnants move with its TCBs: RSS steers the
+   tuple's frames to [dst] from now on, and a retransmitted FIN there
+   must meet the remnant (a re-ACK), not the flow-miss RST. *)
 let migrate_group_to t dst ~group =
   let moving = ref [] in
   Tcp_endpoint.iter_connections (endpoint t) (fun tcb ->
-      if rss_group_of_flow t tcb = group then moving := tcb :: !moving);
+      if
+        in_group t ~group ~local_port:(Tcb.local_port tcb)
+          ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)
+      then moving := tcb :: !moving);
   let cookies =
     List.rev_map
       (fun tcb ->
@@ -849,6 +856,8 @@ let migrate_group_to t dst ~group =
         Tcb.cookie tcb)
       !moving
   in
+  Tcp_endpoint.adopt_time_wait (endpoint dst) ~from:(endpoint t)
+    ~select:(in_group t ~group);
   Log.debug (fun m ->
       m "thread %d migrated group %d (%d flows) to thread %d" t.id group
         (List.length cookies) dst.id);

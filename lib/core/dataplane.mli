@@ -124,15 +124,15 @@ val abort_all_connections : t -> int
     destination {!park_inbound}s the group, the NIC indirection entry is
     retargeted, the source waits (via {!add_cycle_watcher} +
     {!drained_past}) until every frame steered to it before the
-    retarget has been processed, then hands the group's TCBs over
-    ({!migrate_group_to}) and the destination replays the parked frames
+    retarget has been processed, then hands the group's TCBs and
+    TIME_WAIT remnants over ({!migrate_group_to}) and the destination replays the parked frames
     ({!unpark_inbound}) in arrival order. *)
 
 val migrate_group_to : t -> t -> group:int -> int list
 (** Hand every connection of [group] (flow-table entries, handles and
-    pending timers) to the destination thread; returns the cookies of
-    the moved conns so libix state can follow
-    ({!Libix.migrate_conns}). *)
+    pending timers) and its TIME_WAIT remnants to the destination
+    thread; returns the cookies of the moved conns so libix state can
+    follow ({!Libix.migrate_conns}). *)
 
 val park_inbound : t -> group:int -> unit
 (** Destination side: hold arriving TCP frames of [group] aside, in

@@ -439,6 +439,10 @@ let adopt t tcb =
   Flow_table.add t.flows ~local_port:(Tcb.local_port tcb)
     ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb) tcb
 
+let adopt_time_wait t ~from ~select =
+  Tw_table.transfer from.tw ~dst:t.tw ~now:(t.tcb_env.Tcb.now ()) ~select;
+  ensure_sweep t
+
 let evict t tcb =
   Flow_table.remove t.flows ~local_port:(Tcb.local_port tcb)
     ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)

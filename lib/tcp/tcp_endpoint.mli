@@ -71,6 +71,12 @@ val ce_of_ecn : int -> bool option
 val adopt : t -> Tcb.t -> unit
 (** Flow migration: register a connection created elsewhere. *)
 
+val adopt_time_wait :
+  t -> from:t ->
+  select:(local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> bool) -> unit
+(** Flow migration: move the live TIME_WAIT remnants of [from] whose
+    tuple [select] accepts into this endpoint ({!Tw_table.transfer}). *)
+
 val evict : t -> Tcb.t -> unit
 (** Flow migration: unhook a connection without tearing it down. *)
 

@@ -8,7 +8,8 @@
    FINs, and lets a new SYN with a fresh sequence number recycle the
    tuple early.  RSTs are ignored (RFC 1337 TIME-WAIT assassination
    protection — the remnant and its quiet period survive, counted as
-   [tw_rst_dropped]).
+   [tw_rst_dropped]).  Flow-group migration moves a group's remnants
+   with its TCBs ([transfer]).
 
    Same open-addressing scheme as [Flow_table]: linear probing over
    power-of-two arrays, [krem] = remote_ip lsl 16 lor remote_port
@@ -187,6 +188,19 @@ let add t ~local_port ~remote_ip ~remote_port ~snd_nxt ~rcv_nxt ~deadline =
   insert t
     ~krem:(key_rem ~remote_ip ~remote_port)
     ~kloc:(local_port land 0xFFFF) ~snd_nxt ~rcv_nxt ~deadline
+
+let transfer t ~dst ~now ~select =
+  Array.iteri
+    (fun i k ->
+      if
+        k >= 0 && t.deadline.(i) > now
+        && select ~local_port:t.kloc.(i) ~remote_ip:(k lsr 16) ~remote_port:(k land 0xFFFF)
+      then begin
+        insert dst ~krem:k ~kloc:t.kloc.(i) ~snd_nxt:t.fin_snd_nxt.(i)
+          ~rcv_nxt:t.fin_rcv_nxt.(i) ~deadline:t.deadline.(i);
+        reap t i
+      end)
+    t.krem
 
 (* Reap every expired remnant; returns how many were removed. *)
 let sweep t ~now =

@@ -42,6 +42,12 @@ val refresh : t -> int -> deadline:int -> unit
 val remove : t -> int -> unit
 (** Early recycle (a legitimate new SYN superseded the remnant). *)
 
+val transfer :
+  t -> dst:t -> now:int ->
+  select:(local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> bool) -> unit
+(** Flow-group migration: move every live remnant whose tuple [select]
+    accepts into [dst], sequence numbers and deadline unchanged. *)
+
 val sweep : t -> now:int -> int
 (** Reap every expired remnant; returns the number removed. *)
 

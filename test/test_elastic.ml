@@ -28,6 +28,7 @@ module Ix_host = Ix_core.Ix_host
 module Control_plane = Ix_core.Control_plane
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
+module Net_api = Netapi.Net_api
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -145,6 +146,87 @@ let test_migrate_under_live_load () =
     (stats.Apps.Echo.messages > !mid);
   check_int "live threads back at capacity" 2 (Ix_host.live_threads host)
 
+(* A server-side TIME_WAIT remnant moves with its flow group: after the
+   migration RSS steers the tuple's frames to the destination thread,
+   so a retransmitted FIN must meet the remnant there and be re-ACKed,
+   not draw a flow-miss RST (and a forged RST would otherwise meet no
+   RFC 1337 guard). *)
+let test_time_wait_follows_group () =
+  let server =
+    {
+      (Cluster.server_spec ~threads:2 Cluster.Ix) with
+      Cluster.tcp_config =
+        Some { Ix_host.ix_tcp_config with Ixtcp.Tcb.time_wait_ns = Sim_time.s 1 };
+    }
+  in
+  let cluster = Cluster.build ~seed:7 ~client_hosts:1 ~client_threads:1 ~server () in
+  let sim = cluster.Cluster.sim in
+  let host = Option.get cluster.Cluster.server_ix in
+  (* The server closes on the first byte, so it is the side left in
+     TIME_WAIT once the client closes too. *)
+  cluster.Cluster.server.Net_api.listen ~port:7 (fun ~thread:_ _ ->
+      { Net_api.null_handlers with on_data = (fun c _ -> c.Net_api.close ()) });
+  (List.hd cluster.Cluster.clients).Net_api.connect ~thread:0
+    ~ip:cluster.Cluster.server_ip ~port:7
+    {
+      Net_api.null_handlers with
+      on_connected = (fun c ~ok -> if ok then ignore (c.Net_api.send "x"));
+      on_closed = (fun c _ -> c.Net_api.close ());
+    };
+  (* Keep a copy of the client's FIN as the server receives it. *)
+  let fin = ref None in
+  let is_fin b =
+    Bytes.length b >= 54
+    && Bytes.get_uint16_be b 12 = 0x0800
+    && Bytes.get_uint8 b 23 = 6
+    && Bytes.get_uint8 b 47 land 0x01 <> 0
+  in
+  List.iter
+    (fun link ->
+      Ixhw.Link.set_tap link
+        (Some
+           (fun f deliver ->
+             let b = Ixhw.Frame.copy_bytes f in
+             if is_fin b then fin := Some (link, b);
+             deliver f)))
+    cluster.Cluster.server_rx_links;
+  Sim.run ~until:(Sim_time.ms 5) sim;
+  let link, fin_bytes = Option.get !fin in
+  List.iter (fun l -> Ixhw.Link.set_tap l None) cluster.Cluster.server_rx_links;
+  let endpoint i = Ix_core.Dataplane.endpoint (Ix_host.dataplane host i) in
+  let remnants i = Ixtcp.Tcp_endpoint.time_wait_count (endpoint i) in
+  let src = if remnants 0 = 1 then 0 else 1 in
+  let dst = 1 - src in
+  check_int "one remnant on the source thread" 1 (remnants src);
+  let group =
+    Nic.rss_group_of_tuple cluster.Cluster.server_nics.(0)
+      ~src_ip:(List.hd cluster.Cluster.client_ips)
+      ~dst_ip:cluster.Cluster.server_ip
+      ~src_port:(Bytes.get_uint16_be fin_bytes 34) ~dst_port:7
+  in
+  check_int "the group is homed on the source thread" src
+    (Ix_host.group_home host group);
+  let cp = Control_plane.create host in
+  Control_plane.migrate_flow_group cp ~group ~dst;
+  Sim.run ~until:(Sim_time.ms 10) sim;
+  check_int "migration completed" 0 (Control_plane.migrations_in_flight cp);
+  check_int "the group is homed on the destination" dst
+    (Ix_host.group_home host group);
+  check_int "remnant left the source" 0 (remnants src);
+  check_int "remnant arrived on the destination" 1 (remnants dst);
+  let rsts () =
+    Ixtcp.Tcp_endpoint.rsts_sent (endpoint 0)
+    + Ixtcp.Tcp_endpoint.rsts_sent (endpoint 1)
+  in
+  let rsts_before = rsts () in
+  Ixhw.Link.send link (Ixhw.Frame.of_bytes fin_bytes);
+  Sim.run ~until:(Sim_time.ms 15) sim;
+  check_int "the FIN retransmit is re-ACKed on the destination" 1
+    (Ixtelemetry.Metrics.snap_counter
+       (Ixtelemetry.Metrics.snapshot (Ix_host.metrics host))
+       (Printf.sprintf "tcp.%d.tw_reacks" dst));
+  check_int "no stateless RST" rsts_before (rsts ())
+
 (* ---------------- Migration under faults (qcheck) ---------------- *)
 
 (* The PR-5 fault classes that stress a migration: frames destroyed on
@@ -261,6 +343,8 @@ let () =
             test_control_plane_bounds;
           Alcotest.test_case "migrate under live load" `Quick
             test_migrate_under_live_load;
+          Alcotest.test_case "TIME_WAIT follows its group" `Quick
+            test_time_wait_follows_group;
         ] );
       ("migration-faults", [ qt prop_migrate_under_faults ]);
       ( "determinism",
