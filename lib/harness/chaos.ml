@@ -239,34 +239,24 @@ let cluster_snapshot buf ~fm (cluster : Cluster.t) =
 (* ------------------------------------------------------------------ *)
 (* The echo leg                                                        *)
 
-(* The echo server of [Apps.Echo], with the fault plan's crash draw at
-   the top of the data handler — the injected application bug.  Libix
+(* [Apps.Echo.server] over a stack whose every [on_data] handler first
+   draws the fault plan's crash — the injected application bug.  Libix
    catches the raise, aborts only the offending connection and counts
    the fault; the dataplane keeps serving everyone else. *)
 let chaos_echo_server stack fi ~port ~msg_size ~app_ns =
-  stack.Net_api.listen ~port (fun ~thread _conn ->
-      let buffered = Buffer.create msg_size in
-      {
-        Net_api.null_handlers with
-        Net_api.on_data =
-          (fun conn data ->
-            if Fault_plan.app_crash fi then
-              failwith "chaos: injected handler fault";
-            Buffer.add_string buffered data;
-            while Buffer.length buffered >= msg_size do
-              let msg = Buffer.sub buffered 0 msg_size in
-              if Buffer.length buffered = msg_size then Buffer.clear buffered
-              else begin
-                let rest =
-                  Buffer.sub buffered msg_size (Buffer.length buffered - msg_size)
-                in
-                Buffer.clear buffered;
-                Buffer.add_string buffered rest
-              end;
-              stack.Net_api.charge_app ~thread app_ns;
-              ignore (conn.Net_api.send msg)
-            done);
-      })
+  let listen ~port accept =
+    stack.Net_api.listen ~port (fun ~thread conn ->
+        let h = accept ~thread conn in
+        {
+          h with
+          Net_api.on_data =
+            (fun conn data ->
+              if Fault_plan.app_crash fi then
+                failwith "chaos: injected handler fault";
+              h.Net_api.on_data conn data);
+        })
+  in
+  Apps.Echo.server { stack with Net_api.listen } ~port ~msg_size ~app_ns
 
 let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
     ?(server_threads = 2) ?(elastic_steps = []) () =
@@ -290,18 +280,9 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
      every tcb that will ever exist. *)
   let t_drain = t_stop + Sim_time.us 500 in
   let stats = Apps.Echo.new_stats () in
-  let clients = Array.of_list cluster.Cluster.clients in
-  let spacing = max 1 (warmup / (2 * sessions)) in
-  for s = 0 to sessions - 1 do
-    let client = clients.(s mod Array.length clients) in
-    let thread = s / Array.length clients mod client_threads in
-    ignore
-      (Sim.at sim (s * spacing) (fun () ->
-           Apps.Echo.client client
-             ~now:(Cluster.now cluster)
-             ~thread ~server_ip:cluster.Cluster.server_ip ~port:7000 ~msg_size
-             ~msgs_per_conn ~stats ~stop_after:t_stop))
-  done;
+  Scenario.spawn_echo cluster ~client_threads stats ~at:0
+    ~spacing:(max 1 (warmup / (2 * sessions)))
+    ~first:0 ~sessions ~msg_size ~msgs_per_conn ~stop_after:t_stop;
   (* Flow-group migrations mid-soak: each step retargets the live
      prefix while the fault plan is mangling the wire, so the audit
      below doubles as the migrate-under-load invariant check. *)

@@ -479,8 +479,8 @@ let echo_breakdown ~output ~cores ~msg_size ~scale =
   let cluster = Scenario.cluster s in
   Apps.Echo.server cluster.server ~port:7000 ~msg_size ~app_ns:150;
   let stop_after = Sim_time.ms (Scenario.scaled_ms s 6) in
-  Scenario.spawn_echo cluster s (Apps.Echo.new_stats ()) ~at:0 ~spacing:1_000 ~first:0
-    ~sessions:64 ~msg_size ~msgs_per_conn:32 ~stop_after;
+  Scenario.spawn_echo cluster ~client_threads:s.client_threads (Apps.Echo.new_stats ())
+    ~at:0 ~spacing:1_000 ~first:0 ~sessions:64 ~msg_size ~msgs_per_conn:32 ~stop_after;
   Sim.run ~until:stop_after cluster.sim;
   let host = Option.get cluster.server_ix in
   let tracers = Ix_core.Ix_host.tracers host in
@@ -532,8 +532,8 @@ let elastic_scaling ~output ~scale =
   let phase = Sim_time.ms (Scenario.scaled_ms s 4) in
   let stop_after = 3 * phase in
   let spawn ~at ~until ~first ~sessions =
-    Scenario.spawn_echo cluster s stats ~at ~spacing:2_000 ~first ~sessions ~msg_size:64
-      ~msgs_per_conn:64 ~stop_after:until
+    Scenario.spawn_echo cluster ~client_threads:s.client_threads stats ~at ~spacing:2_000
+      ~first ~sessions ~msg_size:64 ~msgs_per_conn:64 ~stop_after:until
   in
   spawn ~at:0 ~until:stop_after ~first:0 ~sessions:6;
   spawn ~at:phase ~until:(2 * phase) ~first:6 ~sessions:56;

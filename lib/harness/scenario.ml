@@ -123,8 +123,8 @@ let cluster s =
     ?client_tcp_config:(tcp_for s client_kind) ?server_ecn_threshold_bytes:ecn_threshold
     ?server_queue_limit_bytes:queue_limit ~server ()
 
-let spawn_echo (cluster : Cluster.t) s stats ~at ~spacing ~first ~sessions
-    ~msg_size ~msgs_per_conn ~stop_after =
+let spawn_echo (cluster : Cluster.t) ~client_threads stats ~at ~spacing ~first
+    ~sessions ~msg_size ~msgs_per_conn ~stop_after =
   let clients = Array.of_list cluster.clients in
   let n = Array.length clients in
   for k = 0 to sessions - 1 do
@@ -134,7 +134,7 @@ let spawn_echo (cluster : Cluster.t) s stats ~at ~spacing ~first ~sessions
          (at + (k * spacing))
          (fun () ->
            Apps.Echo.client clients.(i mod n) ~now:(Cluster.now cluster)
-             ~thread:(i / n mod s.client_threads)
+             ~thread:(i / n mod client_threads)
              ~server_ip:cluster.server_ip ~port:7000 ~msg_size ~msgs_per_conn
              ~stats ~stop_after))
   done
@@ -173,7 +173,7 @@ let run_echo s (cluster : Cluster.t) ~msg_size ~msgs_per_conn ~sessions =
   let stats = Apps.Echo.new_stats () in
   (* Ramp sessions up over the first part of the warmup rather than
      SYN-storming an empty server at t=0 (as real load generators do). *)
-  spawn_echo cluster s stats ~at:0
+  spawn_echo cluster ~client_threads:s.client_threads stats ~at:0
     ~spacing:(max 1 (warmup / (2 * sessions)))
     ~first:0 ~sessions ~msg_size ~msgs_per_conn ~stop_after;
   Sim.run ~until:warmup cluster.sim;

@@ -88,7 +88,7 @@ val scaled_ms : t -> int -> int
 
 val spawn_echo :
   Cluster.t ->
-  t ->
+  client_threads:int ->
   Apps.Echo.client_stats ->
   at:Engine.Sim_time.t ->
   spacing:Engine.Sim_time.t ->

@@ -20,8 +20,8 @@ let run ~fast_path =
   Apps.Echo.server cluster.Cluster.server ~port:7000 ~msg_size:64 ~app_ns:150;
   let stats = Apps.Echo.new_stats () in
   let stop_after = Sim_time.ms 6 in
-  Scenario.spawn_echo cluster s stats ~at:0 ~spacing:2_000 ~first:0 ~sessions:32 ~msg_size:64
-    ~msgs_per_conn:64 ~stop_after;
+  Scenario.spawn_echo cluster ~client_threads:s.client_threads stats ~at:0 ~spacing:2_000
+    ~first:0 ~sessions:32 ~msg_size:64 ~msgs_per_conn:64 ~stop_after;
   List.iter
     (fun (ms, threads) ->
       ignore
