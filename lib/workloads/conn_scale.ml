@@ -17,7 +17,8 @@
    Phases:
    1. establish [conns] connections (SYN-cookie handshake when
       [syn_cookies], classic SYN/SYN-ACK/ACK otherwise), then measure
-      resident bytes per connection under [Gc.full_major];
+      resident bytes per connection — each resident reading is one
+      [Gc.stat], whose own full collection makes the count exact;
    2. churn: [events] iterations — Zipf-hot connections send 64 B
       messages; every [churn_every]-th event the server closes a
       uniformly random victim (FIN handshake, TIME_WAIT remnant into
@@ -336,15 +337,16 @@ type result = {
   r_fast_hits : int;
   r_slow_hits : int;
   r_wheel : Wheel.stats;
-  r_bytes_per_conn : float;  (** resident heap per connection, full_major'd *)
+  r_bytes_per_conn : float;  (** resident heap per connection, read by [Gc.stat] *)
   r_establish_minor_words_per_conn : float;
   r_churn_minor_words_per_event : float;
   r_snapshot : string;  (** deterministic counters only — no memory/wall *)
 }
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
+(* [Gc.stat] runs a full major collection of its own before it counts
+   (OCaml 5), so one reading costs one collection; a [Gc.full_major]
+   in front of it would only double the cost and read the same words. *)
+let live_words () = (Gc.stat ()).Gc.live_words
 
 let snapshot_of t =
   let ws = Wheel.stats t.wheel in

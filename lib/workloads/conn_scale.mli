@@ -30,8 +30,9 @@ type result = {
   r_slow_hits : int;
   r_wheel : Timerwheel.Timer_wheel.stats;
   r_bytes_per_conn : float;
-      (** resident heap per connection after establishment,
-          [Gc.full_major]'d, driver state excluded *)
+      (** resident heap per connection after establishment, driver
+          state excluded; each of the two readings is one [Gc.stat],
+          which runs a full major collection before it counts *)
   r_establish_minor_words_per_conn : float;
   r_churn_minor_words_per_event : float;
   r_snapshot : string;

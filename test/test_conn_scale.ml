@@ -468,6 +468,18 @@ let test_conn_scale_deterministic () =
   in
   check_bool "different seed, different churn" true (other <> snap ())
 
+(* A resident reading is one [Gc.stat], which runs one full major
+   collection of its own; [run] reads twice (before and after
+   establishment), so a run forces exactly two collections.  A
+   [Gc.full_major] in front of each reading would double that. *)
+let test_conn_scale_two_collections () =
+  let forced () = (Gc.quick_stat ()).Gc.forced_major_collections in
+  let before = forced () in
+  let r = Conn_scale.run ~conns:256 ~events:256 () in
+  let after = forced () in
+  check_int "all connections sustained" 256 r.Conn_scale.r_connection_count;
+  check_int "one forced collection per resident reading" 2 (after - before)
+
 let flood_syns = 1_000_000
 
 let test_syn_flood_stateless () =
@@ -553,6 +565,8 @@ let () =
             test_conn_scale_classic_listen;
           Alcotest.test_case "same-seed determinism" `Quick
             test_conn_scale_deterministic;
+          Alcotest.test_case "two collections per run" `Quick
+            test_conn_scale_two_collections;
           Alcotest.test_case "SYN flood allocates no TCBs" `Quick
             test_syn_flood_stateless;
           Alcotest.test_case "memory gates, 2k -> 20k conns" `Quick
