@@ -14,8 +14,9 @@
    three a key-mirroring layout needs.
 
    [find] runs once per RX segment, so it must not allocate: [deref]
-   returns the [Some view] the store built at [create] time (misses
-   return the static [None]). *)
+   returns the view the store built at [create] time, and a miss returns
+   the store's dead view ([Tcb.is_dead]) — no option box on either
+   side. *)
 
 type t = {
   store : Tcb.store;
@@ -45,15 +46,14 @@ let key_rem ~remote_ip ~remote_port =
   ((remote_ip land 0xFFFF_FFFF) lsl 16) lor (remote_port land 0xFFFF)
 
 (* Does the connection behind [fh] carry this key?  A handle whose
-   generation has moved on dereferences to [None] and can never match —
-   a freed-and-reused store slot is not confused with its predecessor. *)
+   generation has moved on dereferences to the dead view and can never
+   match — a freed-and-reused store slot is not confused with its
+   predecessor. *)
 let[@inline] fh_matches store fh ~krem ~kloc =
-  match Tcb.deref store fh with
-  | Some c ->
-      Tcb.local_port c = kloc
-      && key_rem ~remote_ip:(Tcb.remote_ip c) ~remote_port:(Tcb.remote_port c)
-         = krem
-  | None -> false
+  let c = Tcb.deref store fh in
+  (not (Tcb.is_dead c))
+  && Tcb.local_port c = kloc
+  && key_rem ~remote_ip:(Tcb.remote_ip c) ~remote_port:(Tcb.remote_port c) = krem
 
 (* Find the slot holding the tuple, or -1. *)
 let probe t ~local_port ~remote_ip ~remote_port =
@@ -88,18 +88,16 @@ let rehash t capacity' =
   let count = ref 0 in
   for j = 0 to (Array.length old / 2) - 1 do
     let fh = old.((2 * j) + 1) in
-    if fh >= 0 then
-      match Tcb.deref t.store fh with
-      | Some _ ->
-          let h = old.(2 * j) in
-          let i = ref (h land mask) in
-          while slots.((2 * !i) + 1) <> empty do
-            i := (!i + 1) land mask
-          done;
-          slots.(2 * !i) <- h;
-          slots.((2 * !i) + 1) <- fh;
-          incr count
-      | None -> ()
+    if fh >= 0 && not (Tcb.is_dead (Tcb.deref t.store fh)) then begin
+      let h = old.(2 * j) in
+      let i = ref (h land mask) in
+      while slots.((2 * !i) + 1) <> empty do
+        i := (!i + 1) land mask
+      done;
+      slots.(2 * !i) <- h;
+      slots.((2 * !i) + 1) <- fh;
+      incr count
+    end
   done;
   t.slots <- slots;
   t.count <- !count;
@@ -147,7 +145,7 @@ let add t ~local_port ~remote_ip ~remote_port tcb =
 
 let find t ~local_port ~remote_ip ~remote_port =
   let slot = probe t ~local_port ~remote_ip ~remote_port in
-  if slot = -1 then None else Tcb.deref t.store t.slots.((2 * slot) + 1)
+  if slot = -1 then Tcb.dead_view t.store else Tcb.deref t.store t.slots.((2 * slot) + 1)
 
 let remove t ~local_port ~remote_ip ~remote_port =
   let slot = probe t ~local_port ~remote_ip ~remote_port in
@@ -162,6 +160,8 @@ let iter t f =
   let slots = t.slots in
   for j = 0 to (Array.length slots / 2) - 1 do
     let fh = slots.((2 * j) + 1) in
-    if fh >= 0 then
-      match Tcb.deref t.store fh with Some tcb -> f tcb | None -> ()
+    if fh >= 0 then begin
+      let tcb = Tcb.deref t.store fh in
+      if not (Tcb.is_dead tcb) then f tcb
+    end
   done

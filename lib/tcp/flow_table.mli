@@ -14,8 +14,10 @@ val create : store:Tcb.store -> t
 
 val add : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t -> unit
 
-val find :
-  t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t option
+val find : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t
+(** The connection's view, or the store's dead view ([Tcb.dead_view],
+    which [Tcb.is_dead] recognises) when no live connection carries the
+    tuple.  Allocates nothing, hit or miss. *)
 
 val remove : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> unit
 

@@ -22,7 +22,11 @@
    connection that used to live there.  Slot 0 is a reserved dead row
    (state = CLOSED, all zeros): [release] repoints the view at it, so a
    post-teardown read through a stale view sees a closed connection
-   instead of another flow's state. *)
+   instead of another flow's state.  The dead row has a view of its own,
+   the store's [dead_view], built once where an env meets the store
+   ([make_env]): lookups that find no live connection return it rather
+   than an option, and [is_dead] tells it (and every released view)
+   from a live one. *)
 
 (* [t] (the view) and [env] both carry a [store] field — same meaning,
    deliberately the same name. *)
@@ -180,9 +184,14 @@ type store = {
   mutable generation : int array;
   mutable free_list : int array;  (* LIFO stack of free slots *)
   mutable free_top : int;
-  mutable views : t option array;
-      (* the [Some view] built at [create] time, returned as-is by
-         [deref] so a flow-table hit allocates nothing *)
+  mutable views : t array;
+      (* the view built at [create] time for each live slot, returned
+         as-is by [deref] so a flow-table hit allocates nothing; slot 0
+         and every free slot hold the dead view.  A bare [t] instead of
+         a [Some] box saves two words per connection and a block the
+         collector marks (265.5 -> 233.5 resident B/conn at 1 M
+         connections, with the driver's own slot unboxed too).  Empty
+         until an env meets the store. *)
   (* full-word columns *)
   mutable c_iss : int array;
   mutable c_irs : int array;
@@ -298,7 +307,7 @@ let store_create ?(initial = 256) () =
        slots are handed out first *)
     free_list = Array.init cap (fun i -> cap - 1 - i);
     free_top = cap - 1;
-    views = Array.make cap None;
+    views = [||];
     c_iss = Array.make cap 0;
     c_irs = Array.make cap 0;
     c_snd_una = Array.make cap 0;
@@ -338,7 +347,8 @@ let store_grow s =
   if cap' > slot_mask + 1 then failwith "Tcb.store: slot space exhausted";
   let gen' = Array.make cap' 0 in
   Array.blit s.generation 0 gen' 0 s.cap;
-  let views' = Array.make cap' None in
+  (* [alloc_slot] runs only under an env, so [views] is filled *)
+  let views' = Array.make cap' s.views.(0) in
   Array.blit s.views 0 views' 0 s.cap;
   let free' = Array.make cap' 0 in
   (* the new slots become free, highest first (same hand-out order as
@@ -395,11 +405,20 @@ let store_capacity s = s.cap
    slot (slot 0 is reserved), so tables can use 0/negatives freely. *)
 let flow_handle tcb = (tcb.store.generation.(tcb.slot) lsl slot_bits) lor tcb.slot
 
+(* The view over slot 0's dead row: what a lookup returns when it finds
+   no live connection. *)
+let[@inline] dead_view s = s.views.(0)
+
+(* The dead view and every released view sit on slot 0. *)
+let[@inline] is_dead tcb = tcb.slot = 0
+
+(* The live view behind [fh], or the dead view if the handle's
+   generation has moved on. *)
 let deref s fh =
   let slot = fh land slot_mask in
   if slot < s.cap && (s.generation.(slot) lsl slot_bits) lor slot = fh then
     s.views.(slot)
-  else None
+  else dead_view s
 
 (* Release the connection's slot back to the free list.  The view is
    repointed at the reserved dead row, so stale reads see CLOSED.  Only
@@ -408,7 +427,7 @@ let deref s fh =
 let release tcb =
   let s = tcb.store and slot = tcb.slot in
   if slot <> 0 then begin
-    s.views.(slot) <- None;
+    s.views.(slot) <- dead_view s;
     s.generation.(slot) <- s.generation.(slot) + 1;
     s.free_list.(s.free_top) <- slot;
     s.free_top <- s.free_top + 1;
@@ -706,23 +725,48 @@ let cong_on_rto tcb =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
+let make_view (env : env) cfg slot =
   {
-    now;
-    wheel;
-    alloc;
-    output;
-    rng;
-    handle_alloc;
-    store = (match store with Some s -> s | None -> store_create ());
-    emit_scratch = Seg.scratch ();
-    on_teardown = ignore;
-    on_established = ignore;
-    on_time_wait = ignore;
-    on_protocol_event = ignore;
-    challenge_window_start = 0;
-    challenge_sent = 0;
+    store = env.store;
+    slot;
+    env;
+    cfg;
+    callbacks = null_callbacks ();
+    snd_queue = Ixmem.Iov_deque.create ();
+    ooo = [];
+    dsack_pending = 0;
+    rexmit_timer = Timerwheel.Timer_wheel.null;
+    persist_timer = Timerwheel.Timer_wheel.null;
+    delack_timer = Timerwheel.Timer_wheel.null;
+    rexmit_action = no_timer_action;
+    delack_action = no_timer_action;
   }
+
+let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
+  let env =
+    {
+      now;
+      wheel;
+      alloc;
+      output;
+      rng;
+      handle_alloc;
+      store = (match store with Some s -> s | None -> store_create ());
+      emit_scratch = Seg.scratch ();
+      on_teardown = ignore;
+      on_established = ignore;
+      on_time_wait = ignore;
+      on_protocol_event = ignore;
+      challenge_window_start = 0;
+      challenge_sent = 0;
+    }
+  in
+  (* The first env to meet a store builds its dead view; envs sharing
+     the store later keep it. *)
+  let s = env.store in
+  if Array.length s.views = 0 then
+    s.views <- Array.make s.cap (make_view env default_config 0);
+  env
 
 let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
   incr env.handle_alloc;
@@ -761,24 +805,8 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
   s.c_rtt_seq.(i) <- 0;
   s.c_srtt.(i) <- 0;
   s.c_alpha.(i) <- 0.;
-  let tcb =
-    {
-      store = s;
-      slot = i;
-      env;
-      cfg;
-      callbacks = null_callbacks ();
-      snd_queue = Ixmem.Iov_deque.create ();
-      ooo = [];
-      dsack_pending = 0;
-      rexmit_timer = Timerwheel.Timer_wheel.null;
-      persist_timer = Timerwheel.Timer_wheel.null;
-      delack_timer = Timerwheel.Timer_wheel.null;
-      rexmit_action = no_timer_action;
-      delack_action = no_timer_action;
-    }
-  in
-  s.views.(i) <- Some tcb;
+  let tcb = make_view env cfg i in
+  s.views.(i) <- tcb;
   tcb
 
 (* Flow migration: move the connection's row into [dst] (the adopting
@@ -820,7 +848,7 @@ let migrate tcb dst =
     release tcb;
     tcb.store <- dst;
     tcb.slot <- j;
-    dst.views.(j) <- Some tcb
+    dst.views.(j) <- tcb
   end
 
 (* ------------------------------------------------------------------ *)

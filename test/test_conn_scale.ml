@@ -26,6 +26,9 @@ let make_tcb env ~local_port ~remote_ip ~remote_port =
   Tcb.create env Tcb.default_config ~local_ip:1 ~local_port ~remote_ip
     ~remote_port ~cookie:0
 
+(* A lookup's live view, or [None] for the dead view. *)
+let live_view tcb = if Tcb.is_dead tcb then None else Some tcb
+
 (* ------------------------------------------------------------------ *)
 (* SoA store + flow table vs a naive map                               *)
 
@@ -83,9 +86,8 @@ let prop_flow_table_matches_model =
             | _ -> ());
             let local_port, remote_ip, remote_port = tuple k in
             let found =
-              match Flow_table.find table ~local_port ~remote_ip ~remote_port with
-              | Some tcb -> Some (Tcb.cookie tcb)
-              | None -> None
+              Option.map Tcb.cookie
+                (live_view (Flow_table.find table ~local_port ~remote_ip ~remote_port))
             in
             found = Hashtbl.find_opt model k
             && Flow_table.count table = Hashtbl.length model)
@@ -127,9 +129,7 @@ let test_flow_table_hash_collision () =
   in
   let found f =
     let local_port, remote_ip, remote_port = flows.(f) in
-    match Flow_table.find table ~local_port ~remote_ip ~remote_port with
-    | Some tcb -> Some (Tcb.cookie tcb)
-    | None -> None
+    Option.map Tcb.cookie (live_view (Flow_table.find table ~local_port ~remote_ip ~remote_port))
   in
   let check_found what f expect =
     Alcotest.(check (option int)) what expect (found f)
@@ -146,6 +146,57 @@ let test_flow_table_hash_collision () =
   remove 1;
   check_found "second gone" 1 None;
   check_found "first survives removing the second" 0 (Some 0)
+
+(* A lookup that finds no live connection returns the store's dead
+   view: a miss, a stale handle whose slot was released and handed to
+   another connection, and a released view itself all read slot 0's
+   dead row (CLOSED, all zeros). *)
+let test_flow_table_dead_view () =
+  let store = Tcb.store_create () in
+  let env = make_env ~store () in
+  let table = Flow_table.create ~store in
+  let dead = Tcb.dead_view store in
+  check_bool "the dead view is dead" true (Tcb.is_dead dead);
+  let a = make_tcb env ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 in
+  Flow_table.add table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 a;
+  check_bool "a live view is not dead" false (Tcb.is_dead a);
+  check_bool "a hit returns the live view" true
+    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == a);
+  check_bool "a miss returns the dead view" true
+    (Flow_table.find table ~local_port:81 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
+  (* Release [a] without unhooking it, and let [b] take its slot. *)
+  let fh = Tcb.flow_handle a and slot = a.Tcb.slot in
+  Tcb.release a;
+  check_bool "a released view is dead" true (Tcb.is_dead a);
+  check_string "a released view reads CLOSED" "CLOSED"
+    (Ixtcp.Tcp_state.to_string (Tcb.state a));
+  check_int "a released view reads the zero row" 0 (Tcb.local_port a);
+  let b = make_tcb env ~local_port:80 ~remote_ip:0xA000002 ~remote_port:5000 in
+  check_int "the slot was reused" slot b.Tcb.slot;
+  Flow_table.add table ~local_port:80 ~remote_ip:0xA000002 ~remote_port:5000 b;
+  check_bool "the stale handle dereferences to the dead view" true
+    (Tcb.deref store fh == dead);
+  check_bool "the stale entry's tuple finds the dead view" true
+    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
+  check_bool "the slot's new owner is found" true
+    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000002 ~remote_port:5000 == b);
+  let seen = ref [] in
+  Flow_table.iter table (fun tcb -> seen := tcb :: !seen);
+  check_bool "iter skips the stale entry" true (List.length !seen = 1 && List.hd !seen == b)
+
+(* The per-connection allocation of [Tcb.create] into a store that
+   needs no growth: the view record, its callbacks record and its empty
+   send deque — and no [Some] box around the view. *)
+let test_create_allocation () =
+  let store = Tcb.store_create ~initial:64 () in
+  let env = make_env ~store () in
+  let create n = make_tcb env ~local_port:80 ~remote_ip:(0xA000000 + n) ~remote_port:5000 in
+  ignore (Sys.opaque_identity (create 0));
+  let w0 = Gc.minor_words () in
+  let tcb = create 1 in
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity tcb);
+  Alcotest.(check (float 0.)) "minor words per Tcb.create" 31. (w1 -. w0)
 
 (* 64 live flows reconnected a million times: each reconnect removes a
    flow and adds its successor on a fresh remote port.  The tombstones
@@ -189,8 +240,9 @@ let test_flow_table_churn_bounded () =
   for n = reconnects to reconnects + live - 1 do
     let i = n mod live in
     match
-      Flow_table.find table ~local_port:80 ~remote_ip:(remote_ip i)
-        ~remote_port:(port n)
+      live_view
+        (Flow_table.find table ~local_port:80 ~remote_ip:(remote_ip i)
+           ~remote_port:(port n))
     with
     | Some tcb -> check_bool "latest flow" true (tcb == tcbs.(i))
     | None -> Alcotest.failf "lost flow %d after churn" i
@@ -218,12 +270,11 @@ let test_flow_table_allocates_nothing () =
   let finds ~local_port =
     let hits = ref 0 in
     for n = 0 to rounds - 1 do
-      match
+      let tcb =
         Flow_table.find table ~local_port ~remote_ip:(0xD000000 + (n land 63))
           ~remote_port:6000
-      with
-      | Some _ -> incr hits
-      | None -> ()
+      in
+      if not (Tcb.is_dead tcb) then incr hits
     done;
     !hits
   in
@@ -259,8 +310,9 @@ let test_store_grows () =
   (* Spot-check lookups after the column arrays were reallocated. *)
   for i = 0 to n - 1 do
     match
-      Flow_table.find table ~local_port:80 ~remote_ip:(0xB000000 + i)
-        ~remote_port:5000
+      live_view
+        (Flow_table.find table ~local_port:80 ~remote_ip:(0xB000000 + i)
+           ~remote_port:5000)
     with
     | Some tcb -> assert (Tcb.cookie tcb = i)
     | None -> Alcotest.failf "lost connection %d after growth" i
@@ -539,6 +591,10 @@ let () =
             test_store_grows;
           Alcotest.test_case "exact hash collision" `Quick
             test_flow_table_hash_collision;
+          Alcotest.test_case "misses, stale handles and released views read dead"
+            `Quick test_flow_table_dead_view;
+          Alcotest.test_case "Tcb.create allocates 31 words" `Quick
+            test_create_allocation;
           Alcotest.test_case "1M reconnects keep the table small" `Quick
             test_flow_table_churn_bounded;
           Alcotest.test_case "find, add and remove allocate nothing" `Quick

@@ -603,6 +603,11 @@ let make_tcb env ~local_port ~remote_ip ~remote_port =
   Tcb.create env Tcb.default_config ~local_ip:ip_a ~local_port ~remote_ip
     ~remote_port ~cookie:0
 
+(* A lookup's live view, or [None] for the dead view. *)
+let find ft ~local_port ~remote_ip ~remote_port =
+  let tcb = Flow_table.find ft ~local_port ~remote_ip ~remote_port in
+  if Tcb.is_dead tcb then None else Some tcb
+
 let test_flow_table_high_local_port () =
   (* Regression: the old single-int key packed local_port lsl 48 into a
      63-bit int, so any local port with bit 15 set (>= 0x8000) spilled
@@ -616,18 +621,18 @@ let test_flow_table_high_local_port () =
   Flow_table.add ft ~local_port:0x8000 ~remote_ip ~remote_port hi;
   Flow_table.add ft ~local_port:0x0000 ~remote_ip ~remote_port lo;
   check_int "two distinct flows" 2 (Flow_table.count ft);
-  (match Flow_table.find ft ~local_port:0x8000 ~remote_ip ~remote_port with
+  (match find ft ~local_port:0x8000 ~remote_ip ~remote_port with
   | Some t -> check_int "port 0x8000 finds its own tcb" (Tcb.handle hi) (Tcb.handle t)
   | None -> Alcotest.fail "port 0x8000 flow missing");
-  (match Flow_table.find ft ~local_port:0x0000 ~remote_ip ~remote_port with
+  (match find ft ~local_port:0x0000 ~remote_ip ~remote_port with
   | Some t -> check_int "port 0x0000 finds its own tcb" (Tcb.handle lo) (Tcb.handle t)
   | None -> Alcotest.fail "port 0x0000 flow missing");
   Flow_table.remove ft ~local_port:0x8000 ~remote_ip ~remote_port;
   check_int "only the high-port flow removed" 1 (Flow_table.count ft);
   check_bool "high-port flow gone" true
-    (Flow_table.find ft ~local_port:0x8000 ~remote_ip ~remote_port = None);
+    (find ft ~local_port:0x8000 ~remote_ip ~remote_port = None);
   check_bool "low-port flow survives" true
-    (Flow_table.find ft ~local_port:0x0000 ~remote_ip ~remote_port <> None)
+    (find ft ~local_port:0x0000 ~remote_ip ~remote_port <> None)
 
 let test_flow_table_growth_and_tombstones () =
   (* Push the open-addressing table through several resizes with
@@ -653,7 +658,7 @@ let test_flow_table_growth_and_tombstones () =
   check_int "count tracks removals" (Hashtbl.length tcbs) (Flow_table.count ft);
   Hashtbl.iter
     (fun _ (local_port, remote_ip, remote_port, tcb) ->
-      match Flow_table.find ft ~local_port ~remote_ip ~remote_port with
+      match find ft ~local_port ~remote_ip ~remote_port with
       | Some t ->
           if Tcb.handle t <> Tcb.handle tcb then
             Alcotest.fail "lookup returned the wrong tcb"
