@@ -3,8 +3,9 @@
    synchronization primitives on the per-core dataplane paths, no
    per-packet payload copies on the wire path, no physical comparison
    against [ignore], no lib/ module that only tests use, no lib/ export
-   that no other file names and no polymorphic [max]/[min] on the
-   per-event paths (second to eighth passes below).
+   that no other file names, no polymorphic [max]/[min] on the
+   per-event paths and no [Obj] anywhere in lib/ (second to ninth
+   passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -589,6 +590,28 @@ let lint_typed_minmax path code_lines =
             :: !failures)
       code_lines
 
+(* Ninth pass: no [Obj] in lib/.  [Obj.magic] and friends step outside
+   the type system: a sentinel conjured with [Obj.magic ()] where a
+   record is expected type-checks and then crashes, or silently reads
+   garbage, the first time a field is read through it.  Where a value
+   must stand for "nothing" without an option box, build a real one
+   (the store's dead TCB view is the model).  Comments and string
+   literals are ignored. *)
+
+let obj_modules = [ "Obj"; "Stdlib.Obj" ]
+
+let lint_no_obj path code_lines =
+  Array.iteri
+    (fun i code ->
+      if List.exists (contains_module_use code) obj_modules then
+        failures :=
+          Printf.sprintf
+            "%s:%d: `Obj` in lib/ bypasses the type system — build a real \
+             value instead (a sentinel record, as Tcb's dead view)"
+            path (i + 1)
+          :: !failures)
+    code_lines
+
 let lint_file path =
   let src = read_file path in
   lib_modules := path :: !lib_modules;
@@ -599,7 +622,9 @@ let lint_file path =
   lint_per_core path lines;
   lint_per_packet path lines;
   lint_ignore_sentinel path lines;
-  lint_typed_minmax path (Array.of_list (String.split_on_char '\n' (strip_comments src)));
+  let code_lines = Array.of_list (String.split_on_char '\n' (strip_comments src)) in
+  lint_typed_minmax path code_lines;
+  lint_no_obj path code_lines;
   Array.iteri
     (fun i line ->
       match value_binding_name line with
