@@ -1,5 +1,5 @@
 (* The hot path of the whole simulator: every packet delivery, timer
-   and dataplane cycle goes through [at]/[step].
+   and dataplane cycle goes through [at]/[run].
 
    Event cells are pooled and reused.  The queue itself stores only the
    unboxed cell index, so a schedule/execute round trip in steady state

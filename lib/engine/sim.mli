@@ -47,6 +47,5 @@ val global_events : unit -> int
     created, in any domain — a monotonic meter the benchmark harness
     differences to compute events/sec and GC words/event for a run.
     Backed by an [Atomic.t]; sims running inside a {!Domain_pool}
-    flush their per-sim counts into it at the end of each [run] call
-    (and [step] adds immediately), so sample it only around completed
-    runs. *)
+    flush their per-sim counts into it at the end of each [run] call,
+    so sample it only around completed runs. *)
