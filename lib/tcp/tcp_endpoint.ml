@@ -361,76 +361,75 @@ let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
     in
     slot >= 0 && rx_time_wait t ~src_ip seg slot
   in
-  if not tw_handled then begin
-    let tcb =
+  if not tw_handled then
+    match
       Flow_table.find t.flows ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
         ~remote_port:seg.Seg.src_port
-    in
-    if not (Tcb.is_dead tcb) then begin
-      (* Header prediction first; the full state machine is the
-         fallback.  The hit counters feed the Table-2-style breakdowns
-         and the benchmark's tcp.fast_path_ratio row. *)
-      if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
-      else begin
-        Metrics.incr t.c_slow_hits;
-        Tcp_conn.input ?ce tcb seg mbuf
-      end
-    end
-    else if seg.Seg.syn && not seg.Seg.ack_flag then begin
-      match Hashtbl.find_opt t.listeners seg.Seg.dst_port with
-      | Some _listener ->
-          if t.cfg.Tcb.syn_cookies then begin
-            (* Listen path under cookies: answer statelessly; the
-               TCB materializes only on the cookie-validated ACK. *)
-            let peer_mss =
-              match seg.Seg.mss with Some m -> m | None -> 536
-            in
-            let cookie_iss, _mss =
-              syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
-                ~local_port:seg.Seg.dst_port ~mss:peer_mss
-            in
-            send_cookie_syn_ack t ~src_ip seg ~cookie_iss
-          end
-          else begin
-            let tcb =
-              Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip
-                ~remote_ip:src_ip ~segment:seg ~cookie:0
-            in
-            Metrics.incr t.c_accepts;
-            Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-              ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb
-          end
-      | None -> send_rst t ~src_ip seg
-    end
-    else if
-      t.cfg.Tcb.syn_cookies && seg.Seg.ack_flag && (not seg.Seg.syn)
-      && (not seg.Seg.rst)
-      && Hashtbl.mem t.listeners seg.Seg.dst_port
-    then begin
-      (* Flow-miss ACK on a listening port: possibly the completing
-         leg of a cookie handshake. *)
-      let iss = Seqno.sub seg.Seg.ack 1 in
-      match
-        validate_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
-          ~local_port:seg.Seg.dst_port ~iss
-      with
-      | Some mss ->
-          Metrics.incr t.c_syn_cookies_validated;
-          let tcb =
-            Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
-              ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
-          in
-          Metrics.incr t.c_accepts;
-          Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-            ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
-          (* Deliver any payload/window info riding the ACK. *)
+    with
+    | tcb when not (Tcb.is_dead tcb) ->
+        (* Header prediction first; the full state machine is the
+           fallback.  The hit counters feed the Table-2-style breakdowns
+           and the benchmark's tcp.fast_path_ratio row. *)
+        if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
+        else begin
+          Metrics.incr t.c_slow_hits;
           Tcp_conn.input ?ce tcb seg mbuf
-      | None ->
-          Metrics.incr t.c_syn_cookies_rejected;
-          send_rst t ~src_ip seg
-    end
-    else send_rst t ~src_ip seg
-  end
+        end
+    | _ ->
+        if seg.Seg.syn && not seg.Seg.ack_flag then begin
+          match Hashtbl.find_opt t.listeners seg.Seg.dst_port with
+          | Some _listener ->
+              if t.cfg.Tcb.syn_cookies then begin
+                (* Listen path under cookies: answer statelessly; the
+                   TCB materializes only on the cookie-validated ACK. *)
+                let peer_mss =
+                  match seg.Seg.mss with Some m -> m | None -> 536
+                in
+                let cookie_iss, _mss =
+                  syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
+                    ~local_port:seg.Seg.dst_port ~mss:peer_mss
+                in
+                send_cookie_syn_ack t ~src_ip seg ~cookie_iss
+              end
+              else begin
+                let tcb =
+                  Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip
+                    ~remote_ip:src_ip ~segment:seg ~cookie:0
+                in
+                Metrics.incr t.c_accepts;
+                Flow_table.add t.flows ~local_port:seg.Seg.dst_port
+                  ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb
+              end
+          | None -> send_rst t ~src_ip seg
+        end
+        else if
+          t.cfg.Tcb.syn_cookies && seg.Seg.ack_flag && (not seg.Seg.syn)
+          && (not seg.Seg.rst)
+          && Hashtbl.mem t.listeners seg.Seg.dst_port
+        then begin
+          (* Flow-miss ACK on a listening port: possibly the completing
+             leg of a cookie handshake. *)
+          let iss = Seqno.sub seg.Seg.ack 1 in
+          match
+            validate_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
+              ~local_port:seg.Seg.dst_port ~iss
+          with
+          | Some mss ->
+              Metrics.incr t.c_syn_cookies_validated;
+              let tcb =
+                Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
+                  ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
+              in
+              Metrics.incr t.c_accepts;
+              Flow_table.add t.flows ~local_port:seg.Seg.dst_port
+                ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
+              (* Deliver any payload/window info riding the ACK. *)
+              Tcp_conn.input ?ce tcb seg mbuf
+          | None ->
+              Metrics.incr t.c_syn_cookies_rejected;
+              send_rst t ~src_ip seg
+        end
+        else send_rst t ~src_ip seg
 
 let adopt t tcb =
   (* Flow migration lands the connection's columns in this endpoint's

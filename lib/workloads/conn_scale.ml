@@ -284,28 +284,28 @@ let send_data t i =
   pump t
 
 let close_conn t i ~delay_reopen =
-  let tcb = t.server_tcb.(i) in
-  if not (Tcb.is_dead tcb) then begin
-    t.closes <- t.closes + 1;
-    t.cur <- i;
-    Tcp_conn.close tcb;
-    (* FIN -> client ACK+FIN -> server final ACK; the server TCB is
-       released into the TIME_WAIT remnant table inside this drain. *)
-    pump t;
-    t.server_tcb.(i) <- Tcb.dead_view tcb.Tcb.store;
-    if delay_reopen then begin
-      (* Reopen after the remnant's quiet period, exercising sweep
-         expiry rather than SYN supersession. *)
-      t.pend_idx.(t.pend_tail mod Array.length t.pend_idx) <- i;
-      t.pend_due.(t.pend_tail mod Array.length t.pend_due) <-
-        !(t.now) + (2 * time_wait_ns (Tcp_endpoint.config t.ep));
-      t.pend_tail <- t.pend_tail + 1
-    end
-    else begin
-      t.reconnects <- t.reconnects + 1;
-      send_syn t i
-    end
-  end
+  match t.server_tcb.(i) with
+  | tcb when Tcb.is_dead tcb -> ()
+  | tcb ->
+      t.closes <- t.closes + 1;
+      t.cur <- i;
+      Tcp_conn.close tcb;
+      (* FIN -> client ACK+FIN -> server final ACK; the server TCB is
+         released into the TIME_WAIT remnant table inside this drain. *)
+      pump t;
+      t.server_tcb.(i) <- Tcb.dead_view tcb.Tcb.store;
+      if delay_reopen then begin
+        (* Reopen after the remnant's quiet period, exercising sweep
+           expiry rather than SYN supersession. *)
+        t.pend_idx.(t.pend_tail mod Array.length t.pend_idx) <- i;
+        t.pend_due.(t.pend_tail mod Array.length t.pend_due) <-
+          !(t.now) + (2 * time_wait_ns (Tcp_endpoint.config t.ep));
+        t.pend_tail <- t.pend_tail + 1
+      end
+      else begin
+        t.reconnects <- t.reconnects + 1;
+        send_syn t i
+      end
 
 let service_reopens t =
   while
