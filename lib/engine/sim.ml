@@ -142,27 +142,26 @@ let cancel t handle =
 let global_executed = Atomic.make 0
 let global_events () = Atomic.get global_executed
 
-let rec step_unmetered t =
-  if Event_queue.is_empty t.queue then false
+(* Pop and run the earliest event; the queue must be non-empty.  A
+   cancelled cell is only released: the caller re-checks its horizon
+   before popping again, so a tombstone never lets a later event past
+   [run]'s [until]. *)
+let step_unmetered t =
+  let time = Event_queue.min_time_exn t.queue in
+  let idx = Event_queue.pop_min_exn t.queue in
+  let c = t.cells.(idx) in
+  if c.cancelled then begin
+    t.dead <- t.dead - 1;
+    release_cell t idx
+  end
   else begin
-    let time = Event_queue.min_time_exn t.queue in
-    let idx = Event_queue.pop_min_exn t.queue in
-    let c = t.cells.(idx) in
-    if c.cancelled then begin
-      t.dead <- t.dead - 1;
-      release_cell t idx;
-      step_unmetered t
-    end
-    else begin
-      t.clock <- time;
-      let action = c.action in
-      (* Release before running: the action may schedule (and so reuse
-         the cell); the bumped generation keeps old handles inert. *)
-      release_cell t idx;
-      t.executed <- t.executed + 1;
-      action ();
-      true
-    end
+    t.clock <- time;
+    let action = c.action in
+    (* Release before running: the action may schedule (and so reuse
+       the cell); the bumped generation keeps old handles inert. *)
+    release_cell t idx;
+    t.executed <- t.executed + 1;
+    action ()
   end
 
 let flush_executed t e0 =
@@ -172,7 +171,7 @@ let flush_executed t e0 =
 let drain t = function
   | None ->
       while not (Event_queue.is_empty t.queue) do
-        ignore (step_unmetered t)
+        step_unmetered t
       done
   | Some horizon ->
       (* The root time against the horizon: no [peek_time] option per
@@ -181,7 +180,7 @@ let drain t = function
         (not (Event_queue.is_empty t.queue))
         && Event_queue.min_time_exn t.queue <= horizon
       do
-        ignore (step_unmetered t)
+        step_unmetered t
       done
 
 (* Allocation-free when the caller's [until] is preallocated and every

@@ -36,8 +36,10 @@ val cancel : t -> handle -> unit
     the queue is dead it is compacted in O(n). *)
 
 val run : ?until:Sim_time.t -> t -> unit
-(** Drain the event queue.  With [~until], stop once the clock would
-    pass that time (remaining events stay queued). *)
+(** Drain the event queue.  With [~until], run exactly the live events
+    due at or before that time, then move the clock up to [until]: no
+    event due later runs, even behind a cancelled one, so the clock
+    never passes [until] (remaining events stay queued). *)
 
 val events_executed : t -> int
 (** Total number of events executed so far (for reporting). *)

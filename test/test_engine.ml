@@ -224,6 +224,24 @@ let test_sim_until () =
   check_int "ten ticks in 100ns" 10 !count;
   check_int "clock parked at horizon" 100 (Sim.now sim)
 
+(* A cancelled event at the head of the queue must not carry [run]
+   past its horizon: the live event behind it, due later, stays queued
+   and the clock parks at the horizon, so a later event cannot move the
+   clock backwards. *)
+let test_sim_until_skips_tombstone () =
+  let sim = Sim.create () in
+  let fired = ref false and later = ref (-1) in
+  Sim.cancel sim (Sim.at sim 1 ignore);
+  ignore (Sim.at sim 100 (fun () -> fired := true));
+  Sim.run ~until:10 sim;
+  check_bool "event beyond the horizon did not run" false !fired;
+  check_int "clock parked at horizon" 10 (Sim.now sim);
+  ignore (Sim.at sim 50 (fun () -> later := Sim.now sim));
+  Sim.run sim;
+  check_int "a later event runs at its own time" 50 !later;
+  check_bool "then the held-back event" true !fired;
+  check_int "clock at last event" 100 (Sim.now sim)
+
 (* The engine loop itself allocates nothing: 10k events that each
    reschedule a cached thunk, drained by [run ~until] with a
    preallocated horizon, allocate no word.  A per-step
@@ -311,6 +329,8 @@ let () =
           Alcotest.test_case "executes in order" `Quick test_sim_ordering;
           Alcotest.test_case "cancel suppresses event" `Quick test_sim_cancel;
           Alcotest.test_case "run ~until stops at horizon" `Quick test_sim_until;
+          Alcotest.test_case "run ~until stops behind a cancelled event" `Quick
+            test_sim_until_skips_tombstone;
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
           Alcotest.test_case "run ~until allocates nothing" `Quick
             test_sim_run_until_allocates_nothing;
