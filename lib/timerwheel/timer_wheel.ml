@@ -55,13 +55,18 @@ type t = {
   mutable current : int; (* wheel time, in ticks *)
   mutable armed : int;
   (* [next_expiry] runs once per idle dataplane cycle and [advance] on
-     every cycle, so neither may walk slot lists.  [l0_mask] is the
-     level-0 occupancy bitmap (8 × 32-bit words): a bit is set iff the
-     slot holds a live timer.  A live level-0 timer's deadline lies in
-     ([current], [current] + 256) and it sits in slot [deadline land
-     255], so a set bit after [current] in this lap names its slot's
-     deadline, and slot order from [current] is deadline order. *)
-  l0_mask : int array;
+     every cycle, so neither may walk slot lists.  [mask] is the
+     occupancy bitmap of every level, indexed like [heads] (8 × 32-bit
+     words a level): a bit is set iff the slot's list is non-empty.  A
+     live level-0 timer's deadline lies in ([current], [current] + 256)
+     and it sits in slot [deadline land 255], so a set level-0 bit after
+     [current] in this lap names its slot's deadline, and slot order
+     from [current] is deadline order.  A set bit at a higher level
+     names the tick its slot cascades at.  Bit [i] of [words] is set iff
+     [mask.(i)] is non-zero, so finding the first occupied slot from any
+     point of a level takes two lowest-set-bit lookups, not a scan. *)
+  mask : int array;
+  mutable words : int;
   (* Every scheduled timer is armed, fired or cancelled, so the number
      of [schedule] calls is their sum and needs no counter of its
      own. *)
@@ -89,7 +94,8 @@ let create ?(tick_ns = default_tick_ns) ~now () =
     free_top = 0;
     current = now / tick_ns;
     armed = 0;
-    l0_mask = Array.make mask_words 0;
+    mask = Array.make (levels * mask_words) 0;
+    words = 0;
     max_armed = 0;
     n_fired = 0;
     n_cancelled = 0;
@@ -140,8 +146,16 @@ let release_cell t c =
   t.free.(t.free_top) <- c;
   t.free_top <- t.free_top + 1
 
-let clear_l0_bit t slot =
-  t.l0_mask.(slot lsr 5) <- t.l0_mask.(slot lsr 5) land lnot (1 lsl (slot land 31))
+let set_bit t head =
+  let w = head lsr 5 in
+  t.mask.(w) <- t.mask.(w) lor (1 lsl (head land 31));
+  t.words <- t.words lor (1 lsl w)
+
+let clear_bit t head =
+  let w = head lsr 5 in
+  let m = t.mask.(w) land lnot (1 lsl (head land 31)) in
+  t.mask.(w) <- m;
+  if m = 0 then t.words <- t.words land lnot (1 lsl w)
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -158,9 +172,8 @@ let place t c =
   let delta = deadline - t.current in
   let l = level_of (if delta < 1 then 1 else delta) 0 1 in
   let slot = (deadline lsr (slot_bits * l)) land (slots - 1) in
-  if l = 0 then
-    t.l0_mask.(slot lsr 5) <- t.l0_mask.(slot lsr 5) lor (1 lsl (slot land 31));
   let head = (l lsl slot_bits) lor slot in
+  set_bit t head;
   let first = t.heads.(head) in
   if first <> nil then t.prev.(first) <- c;
   t.next.(c) <- first;
@@ -168,7 +181,7 @@ let place t c =
   t.heads.(head) <- c
 
 (* Take a cell out of its slot list, clearing the slot's occupancy bit
-   if that empties a level-0 list. *)
+   if that empties the list. *)
 let unlink t c =
   let p = t.prev.(c) and n = t.next.(c) in
   if n <> nil then t.prev.(n) <- p;
@@ -176,7 +189,7 @@ let unlink t c =
   else begin
     let head = lnot p in
     t.heads.(head) <- n;
-    if n = nil && head < slots then clear_l0_bit t head
+    if n = nil then clear_bit t head
   end
 
 let schedule t ~deadline action =
@@ -233,7 +246,7 @@ let fire_slot t =
   t.n_slot_visits <- t.n_slot_visits + 1;
   let head = t.heads.(slot) in
   t.heads.(slot) <- nil;
-  clear_l0_bit t slot;
+  clear_bit t slot;
   (* Cells were pushed in LIFO order; restore arming order so equal
      deadlines fire FIFO. *)
   let c = ref (detach_chain t nil head) in
@@ -260,6 +273,7 @@ let cascade t l =
   let head = (l lsl slot_bits) lor ((t.current lsr (slot_bits * l)) land (slots - 1)) in
   let c = ref t.heads.(head) in
   t.heads.(head) <- nil;
+  clear_bit t head;
   t.n_cascades <- t.n_cascades + 1;
   while !c <> nil do
     let cell = !c in
@@ -292,31 +306,57 @@ let debruijn =
 
 let lowest_bit m = Char.code (String.unsafe_get debruijn (debruijn_hash (m land -m)))
 
-(* First set bit of [mask] at word [w] or later, with [m] the remaining
-   bits of word [w]; [slots] if none.  Top-level, so scanning allocates
-   no closure. *)
-let rec first_set mask w m =
-  if m <> 0 then (w lsl 5) + lowest_bit m
-  else if w + 1 = mask_words then slots
-  else first_set mask (w + 1) mask.(w + 1)
+(* The bits of [words] that cover level [l]. *)
+let level_words l = ((1 lsl mask_words) - 1) lsl (l * mask_words)
 
-(* First occupied level-0 slot in [from .. slots-1], or [slots]. *)
-let occupied_from t from =
+(* First occupied slot of level [l] in [from .. slots-1], or [slots]:
+   the rest of [from]'s word, else the first later non-empty word of the
+   level. *)
+let occupied_from t l from =
   if from >= slots then slots
   else
-    let w = from lsr 5 in
-    first_set t.l0_mask w (t.l0_mask.(w) land (-1 lsl (from land 31)))
+    let base = l lsl slot_bits in
+    let w = (base lor from) lsr 5 in
+    let m = t.mask.(w) land (-1 lsl (from land 31)) in
+    if m <> 0 then (w lsl 5) + lowest_bit m - base
+    else
+      let later = t.words land (-1 lsl (w + 1)) land level_words l in
+      if later = 0 then slots
+      else
+        let w = lowest_bit later in
+        (w lsl 5) + lowest_bit t.mask.(w) - base
 
-(* The tick of the first occupied level-0 slot after [current] in this
-   lap — the earliest live level-0 deadline — or the next lap boundary
-   if no later slot in the lap is occupied. *)
-let next_stop t =
-  (t.current land lnot (slots - 1)) + occupied_from t ((t.current land (slots - 1)) + 1)
+(* The earliest of [best] and the next tick with work at levels [l]
+   and up, [max_int] if none.  Level [l]'s slot [s] is due at the first
+   tick after [current] that is a multiple of 256^l and has [s] as its
+   level-[l] digit: at level 0 that is the slot's deadline, higher up
+   the tick the slot cascades at.  No level-[l] tick comes before the
+   next multiple of 256^l, so once [best] is no later, the scan stops:
+   a live level-0 slot later in the current lap costs one bitmap lookup. *)
+let rec next_work t l best =
+  if l = levels then best
+  else begin
+    let shift = slot_bits * l in
+    let lap = t.current lsr shift in
+    if best <= (lap + 1) lsl shift then best
+    else if t.words land level_words l = 0 then next_work t (l + 1) best
+    else begin
+      let digit = lap land (slots - 1) in
+      let s = occupied_from t l (digit + 1) in
+      (* Slots after the digit come up in this turn of the level, the
+         digit's own slot and those before it in the next. *)
+      let k = if s < slots then s - digit else slots - digit + occupied_from t l 0 in
+      next_work t (l + 1) (Int.min best ((lap + k) lsl shift))
+    end
+  end
+
+let next_stop t = next_work t 0 max_int
 
 (* Tick-skipping advance: jump to [next_stop] and tick it.  The skipped
-   ticks visit empty slots and cross no boundary, so they would do
-   nothing; boundaries are still ticked, so cascades (and their counts)
-   happen exactly as under one tick at a time. *)
+   ticks visit empty slots and cross only boundaries whose slots are
+   empty at every level, so they would do nothing; every boundary with
+   an occupied slot is still ticked, so cascades move timers exactly as
+   under one tick at a time. *)
 let rec skip_to t target =
   if t.current < target then
     if t.armed = 0 then t.current <- target
@@ -334,9 +374,8 @@ let advance t ~now = skip_to t (now / t.tick_ns)
 
 let no_expiry = max_int
 
-(* A cascade at the next level boundary could reveal timers earlier
-   than any later-lap level-0 slot, so [next_stop] is exactly the
-   bound. *)
+(* A cascade could reveal timers earlier than any later level-0 slot,
+   so [next_stop] is exactly the bound. *)
 let next_expiry t = if t.armed = 0 then no_expiry else next_stop t * t.tick_ns
 
 (* Defined after every function that touches [t]'s fields: several

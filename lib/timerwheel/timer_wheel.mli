@@ -46,24 +46,23 @@ val cancel : t -> timer -> unit
 
 val advance : t -> now:Engine.Sim_time.t -> unit
 (** Move wheel time forward to [now], firing every due, uncancelled
-    timer in deadline order (within tick resolution).  Empty level-0
-    slots are skipped: the cost is O(occupied slots + level boundaries
-    crossed), not O(ticks). *)
+    timer in deadline order (within tick resolution).  It stops only at
+    the {!next_expiry} ticks, so the cost is O(occupied slots +
+    occupied cascades), not O(ticks). *)
 
 val no_expiry : Engine.Sim_time.t
 (** What {!next_expiry} returns when no timer is pending ([max_int]). *)
 
 val next_expiry : t -> Engine.Sim_time.t
-(** A conservative lower bound on the next time a timer could fire: the
-    deadline of the first level-0 slot after the current tick holding a
-    live timer, or the next level boundary (where a cascade could
-    reveal an earlier timer) if that comes first.  [advance]-ing to the
-    returned time is guaranteed not to skip any timer; returns
-    {!no_expiry} iff no timers are pending.  One scan of the level-0
-    occupancy bitmap (a bit is set iff its slot holds a live timer)
-    with a constant-time lowest-set-bit; allocation-free.  Used by hosts to sleep exactly until the
-    next deadline when idle; a plain time rather than an option, since
-    hosts ask on every idle cycle. *)
+(** The next tick with work, as a time: the deadline of the first
+    level-0 slot holding a live timer or, if earlier, the tick the first
+    occupied higher-level slot cascades at (which could reveal an
+    earlier timer); never an empty level boundary.  [advance]-ing to it
+    skips no timer; {!no_expiry} iff no timers are pending.  Constant
+    time through per-level occupancy bitmaps, one level-0 lookup while a
+    live level-0 slot remains in the current lap; allocation-free.
+    Hosts sleep until it when idle; a plain time rather than an option,
+    since hosts ask on every idle cycle. *)
 
 val pending : t -> int
 (** Number of armed (uncancelled, unfired) timers. *)
@@ -77,11 +76,15 @@ type stats = {
   cancelled : int;
       (** total effective [cancel] calls; [armed + fired + cancelled] is
           the number of [schedule] calls *)
-  cascades : int;  (** higher-level slots redistributed *)
+  cascades : int;
+      (** higher-level slots redistributed: each occupied one at its
+          cascade tick, and an empty one only when its boundary falls
+          on a tick [advance] stops at for other work *)
   cascaded_timers : int;  (** live timers moved by cascades *)
   slot_visits : int;
       (** level-0 slots visited by [advance]: slots holding a live timer
-          and level boundaries, not every tick *)
+          and the ticks occupied higher-level slots cascade at, not
+          every tick or every level boundary *)
   resident : int array;
       (** live timers per level; sums to [armed] when read outside a
           callback *)

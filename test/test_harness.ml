@@ -180,7 +180,7 @@ let netpipe_size (s : Harness.Scenario.t) = match s.workload with Netpipe { size
 let test_golden_fig2_prefix () =
   check_slice "fig2, first three points" "fig2"
     (List.filteri (fun i _ -> i < 3))
-    ~table:"f06fde4b51075e7447b9a87903efcc6d" ~runs:"7e10beab574187200020c52ea6c30168"
+    ~table:"f06fde4b51075e7447b9a87903efcc6d" ~runs:"c2956abf359bd5f8336f064910ef9262"
 
 (* The baselines' own slices: mTCP NetPIPE, 1-core echo on both
    baselines, Linux under the cache model with a 100-connection socket
@@ -188,7 +188,7 @@ let test_golden_fig2_prefix () =
 let test_golden_fig2_mtcp () =
   check_slice "fig2, mTCP at 64 B, 1 KB and 4 KB" "fig2"
     (labelled "mTCP" (fun s -> List.mem (netpipe_size s) [ 64; 1_024; 4_096 ]))
-    ~table:"acbf1779e3b4df606d9980588c30cf56" ~runs:"9699d5c8c57f6210aa458f3be17af037"
+    ~table:"acbf1779e3b4df606d9980588c30cf56" ~runs:"5b298ff847df8309098cfe4eecb3f850"
 
 let test_golden_fig3a_baselines () =
   let one_core (s : Harness.Scenario.t) = s.cores = 1 in
@@ -200,12 +200,12 @@ let test_golden_fig4_linux () =
   check_slice "fig4, Linux-40G at 100 connections" "fig4"
     (labelled "Linux-40G" (fun (s : Harness.Scenario.t) ->
          match s.workload with Conn_scaling { conns; _ } -> conns = 100 | _ -> false))
-    ~table:"e0fff716f22da84ed6bfcebb593cb416" ~runs:"6486ade6d9a726b0fb9fff7311925dfb"
+    ~table:"e0fff716f22da84ed6bfcebb593cb416" ~runs:"ea593fb3eef22a84ae68d8bf6925f865"
 
 let test_golden_fig5_linux () =
   check_slice "fig5, first Linux point" "fig5"
     (fun points -> [ List.find (fun (l, _) -> l = "Linux") points ])
-    ~table:"cb6a31a1722c9fbe5cfb9a573d05f3f0" ~runs:"56161fd35be07a09a406037222dbbda0"
+    ~table:"cb6a31a1722c9fbe5cfb9a573d05f3f0" ~runs:"7f552148cc9acb76687e36c3ed563e4a"
 
 (* The IX ablation knobs, end to end: every configuration of the
    ablations figure (loaded and unloaded legs), and polling against

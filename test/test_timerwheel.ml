@@ -206,9 +206,14 @@ let test_cancel_far_timer_allocates_nothing () =
       done);
   check_int "one cell" 1 (Wheel.stats w).Wheel.cells
 
-(* Three timers over 10^6 ticks, one [advance]: the wheel visits the
-   three occupied slots and the 3,906 lap boundaries it must tick for
-   cascades, not a million empty slots. *)
+(* Three timers over 10^6 ticks, one [advance]: the wheel stops only
+   where work is due, not at a million empty slots or the 3,906 empty
+   lap boundaries.  The timer at 1,000 ticks sits in level-1 slot 3 and
+   cascades at tick 768.  The one at 500,000 sits in level-2 slot 7: it
+   cascades at 458,752 (a level-2 boundary, so the empty level-1 slot 0
+   cascades too) into level-1 slot 161, which cascades at 499,968.  The
+   one at 999,999 does the same through level-2 slot 15 (983,040) and
+   level-1 slot 66 (999,936).  Eight stops, seven cascades. *)
 let sparse_span = 1_000_000
 let sparse_deadlines = [ 1_000; 500_000; sparse_span - 1 ]
 
@@ -237,13 +242,28 @@ let test_sparse_advance_visits () =
   Wheel.advance w ~now:(sparse_span * tick);
   Alcotest.(check (list int)) "each fired at its tick" sparse_deadlines (List.rev !fired);
   let visits = (Wheel.stats w).Wheel.slot_visits in
-  let bound = List.length sparse_deadlines + (sparse_span / 256) in
-  if visits > bound then
-    Alcotest.failf "visited %d level-0 slots over %d ticks (bound %d)" visits sparse_span bound;
-  check_int "every level-1 and level-2 boundary still cascades"
-    ((sparse_span / 256) + (sparse_span / 65_536))
-    (Wheel.stats w).Wheel.cascades;
+  check_int "three deadlines and five cascade ticks visited" 8 visits;
+  check_int "cascades only at occupied slots' ticks" 7 (Wheel.stats w).Wheel.cascades;
   check_int "one-tick steps visit what one jump visits" visits (stepped_visits ())
+
+(* A 1 ns wheel, as the conformance driver's real side runs, with one
+   timer 2 ms away: the timer sits in level-2 slot 30, so the next tick
+   with work is that slot's cascade at 30 * 65,536 ns, not the empty lap
+   boundary 256 ns ahead.  [advance] stops there and at the deadline
+   only. *)
+let test_next_expiry_skips_empty_boundaries () =
+  let w = Wheel.create ~tick_ns:1 ~now:0 () in
+  let deadline = 2_000_000 in
+  let fired_at = ref (-1) in
+  ignore (Wheel.schedule w ~deadline (fun () -> fired_at := Wheel.now w));
+  check_int "next expiry is the level-2 cascade" (30 * 65_536) (Wheel.next_expiry w);
+  Wheel.advance w ~now:(Wheel.next_expiry w);
+  check_int "next expiry is the level-1 cascade" (deadline land lnot 255) (Wheel.next_expiry w);
+  Wheel.advance w ~now:(Wheel.next_expiry w);
+  check_int "next expiry is the deadline" deadline (Wheel.next_expiry w);
+  Wheel.advance w ~now:deadline;
+  check_int "fired at its deadline" deadline !fired_at;
+  check_int "three stops" 3 (Wheel.stats w).Wheel.slot_visits
 
 let test_sparse_advance_allocates_nothing () =
   let w = Wheel.create ~now:0 () in
@@ -373,16 +393,31 @@ module Ref_wheel = struct
 
   let now t = t.current * tick
 
-  (* The earliest live level-0 deadline over every list, bounded by the
-     next lap boundary: the definition [Wheel.next_expiry] answers
-     without the scan. *)
+  (* The first tick after [current] at which [step] cascades slot
+     [slot] of level [l]: a multiple of n^l whose level-[l] digit is
+     [slot]. *)
+  let rec cascade_tick l slot c =
+    let span = 1 lsl (bits * l) in
+    if c mod span = 0 && (c / span) land (n - 1) = slot then c
+    else cascade_tick l slot (c + span - (c mod span))
+
+  (* The earliest of every live level-0 deadline and the cascade tick of
+     every occupied higher-level slot, over every list: the definition
+     [Wheel.next_expiry] answers without the scan. *)
   let next_expiry t =
     if t.live = 0 then Wheel.no_expiry
     else
       let best =
         Array.fold_left (List.fold_left (fun acc tm -> min acc tm.deadline)) max_int t.lists.(0)
       in
-      min best (((t.current lsr bits) + 1) lsl bits) * tick
+      let best = ref best in
+      for l = 1 to levels - 1 do
+        Array.iteri
+          (fun slot entries ->
+            if entries <> [] then best := min !best (cascade_tick l slot (t.current + 1)))
+          t.lists.(l)
+      done;
+      !best * tick
 
   let resident t =
     Array.map (Array.fold_left (fun acc l -> acc + List.length l) 0) t.lists
@@ -521,6 +556,8 @@ let () =
           Alcotest.test_case "cancelling a far timer allocates nothing" `Quick
             test_cancel_far_timer_allocates_nothing;
           Alcotest.test_case "sparse advance visits few slots" `Quick test_sparse_advance_visits;
+          Alcotest.test_case "next_expiry skips empty level boundaries" `Quick
+            test_next_expiry_skips_empty_boundaries;
           Alcotest.test_case "sparse advance allocates nothing" `Quick
             test_sparse_advance_allocates_nothing;
           Alcotest.test_case "next_expiry allocates nothing" `Quick
