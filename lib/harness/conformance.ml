@@ -5,11 +5,13 @@
    One leg is a closed-loop conversation between an A side (the side
    under test — real in pass 1, model in pass 2) and a B peer, which is
    the *model* in both passes so the schedule facing A is identical.
-   The driver owns virtual time, a sorted event queue, and the wire:
-   loss, duplication and delay jitter are drawn from per-direction
-   seeded streams, and an optional hostile stream injects forged
-   segments (blind RST, SYN-in-window, old duplicates) so the RFC
-   5961 / 1337 / 2883 branches are exercised on both sides.
+   Each pass runs on its own [Engine.Sim]: scenario ops and wire
+   arrivals are events, and each side keeps one wakeup armed at its
+   next timer deadline.  The driver owns the wire: loss, duplication
+   and delay jitter are drawn from per-direction seeded streams, and an
+   optional hostile stream injects forged segments (blind RST,
+   SYN-in-window, old duplicates) so the RFC 5961 / 1337 / 2883
+   branches are exercised on both sides.
 
    The model pass cannot draw its own ISS or ephemeral port — the
    production endpoint draws those from its RNG — so the real pass runs
@@ -22,6 +24,7 @@
    leg gives bit-identical traces at any [--jobs]. *)
 
 module Rng = Engine.Rng
+module Sim = Engine.Sim
 module Wheel = Timerwheel.Timer_wheel
 module Mbuf = Ixmem.Mbuf
 module Mempool = Ixmem.Mempool
@@ -125,23 +128,6 @@ let make_scenario ~seed =
   { a_active; b_port; iss_b; events = List.rev !evs }
 
 (* ------------------------------------------------------------------ *)
-(* Event queue: (time, insertion counter) orders everything.           *)
-
-type qev = Wire of [ `A | `B ] * Model.segment | Op of [ `A | `B ] * op
-
-type queue = { mutable q : (int * int * qev) list; mutable ctr : int }
-
-let push qu t ev =
-  qu.ctr <- qu.ctr + 1;
-  let item = (t, qu.ctr, ev) in
-  let rec ins = function
-    | [] -> [ item ]
-    | (t', _, _) :: _ as l when t' > t -> item :: l
-    | hd :: tl -> hd :: ins tl
-  in
-  qu.q <- ins qu.q
-
-(* ------------------------------------------------------------------ *)
 (* Wire model: per-direction fault streams.                            *)
 
 let wire_base_ns = 50_000
@@ -195,35 +181,35 @@ let forge rng (s : Model.segment) =
         seq = Seqno.sub s.Model.seq ((1 lsl 22) + Rng.int rng (1 lsl 22));
       }
 
-let send_wire qu ~rng ~faults ~hostile ~dst ~now seg =
+(* Put [seg] on the wire: [arrive ~delay seg'] schedules each copy
+   that reaches the far side. *)
+let send_wire ~rng ~faults ~hostile ~arrive seg =
   if faults then begin
     let drop = Rng.float rng 1.0 < p_drop in
     let d1 = wire_base_ns + Rng.int rng wire_jitter_ns in
-    if not drop then push qu (now + d1) (Wire (dst, seg));
+    if not drop then arrive ~delay:d1 seg;
     if Rng.float rng 1.0 < p_dup then begin
       let d2 = wire_base_ns + Rng.int rng wire_jitter_ns in
-      push qu (now + d1 + d2) (Wire (dst, seg))
+      arrive ~delay:(d1 + d2) seg
     end
   end
-  else push qu (now + wire_base_ns) (Wire (dst, seg));
+  else arrive ~delay:wire_base_ns seg;
   if hostile && Rng.float rng 1.0 < p_forge then begin
     let forged = forge rng seg in
     let d = wire_base_ns + Rng.int rng wire_jitter_ns in
-    push qu (now + d) (Wire (dst, forged))
+    arrive ~delay:d forged
   end
 
 (* ------------------------------------------------------------------ *)
 (* The A-side interface: one ordering policy, two implementations.     *)
 
+(* Every operation acts at the pass's current time, [now ()]. *)
 type side = {
-  deliver : now:int -> Model.segment -> unit;
-  timers : now:int -> unit;
-  next_deadline : unit -> int;
-  do_connect : now:int -> unit;
-  do_send : now:int -> int -> unit;
-  do_close : now:int -> unit;
-  do_abort : now:int -> unit;
-  flush : now:int -> unit;  (* post-step: consume delivered payload *)
+  deliver : Model.segment -> unit;
+  timers : unit -> unit;  (* fire every timer due by now *)
+  next_deadline : unit -> int;  (* -1 when no timer is armed *)
+  exec : op -> unit;
+  flush : unit -> unit;  (* post-step: consume delivered payload *)
   sample_state : unit -> Tcp_state.t;
 }
 
@@ -250,7 +236,7 @@ let hdr_of_seg (s : Seg.t) =
     payload_len = s.Seg.payload_len;
   }
 
-let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
+let make_real_side ~record ~cfg ~seed ~now ~active ~remote_port ~tx () =
   let local_ip = a_ip and remote_ip = b_ip in
   let wheel = Wheel.create ~tick_ns:1 ~now:0 () in
   let pool = Mempool.create ~name:"conformance" () in
@@ -276,14 +262,13 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
     | Ok s ->
         let hdr = hdr_of_seg s in
         record (T_out hdr);
-        tx ~now:!now_ref hdr
+        tx hdr
     | Error e -> failwith ("conformance: emitted segment failed decode: " ^ e));
     Mbuf.decref mbuf
   in
   let ep =
     Tcp_endpoint.create
-      ~now:(fun () -> !now_ref)
-      ~wheel
+      ~now ~wheel
       ~alloc:(fun () -> Mempool.alloc pool)
       ~output_raw
       ~rng:(Rng.create ~seed:(seed lxor 0x9e37_79b9))
@@ -319,7 +304,7 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
   in
   if not active then
     Tcp_endpoint.listen ep ~port:a_listen_port ~on_accept:follow;
-  let deliver ~now:_ (h : Model.segment) =
+  let deliver (h : Model.segment) =
     let mbuf = Mbuf.create () in
     if h.Model.payload_len > 0 then
       Mbuf.append_bytes mbuf zeros 0 h.Model.payload_len;
@@ -344,63 +329,52 @@ let make_real_side ~record ~cfg ~seed ~now_ref ~active ~remote_port ~tx () =
     Mbuf.decref mbuf;
     capture ()
   in
-  let do_connect ~now:_ =
-    if active then
-      match
-        Tcp_endpoint.connect ep ~remote_ip ~remote_port ~cookie:0 ()
-      with
-      | Some tcb ->
-          tcbr := Some tcb;
-          install tcb
-      | None -> failwith "conformance: connect found no port"
+  let live () = if !closed then None else !tcbr in
+  let exec = function
+    | Connect -> (
+        if active then
+          match
+            Tcp_endpoint.connect ep ~remote_ip ~remote_port ~cookie:0 ()
+          with
+          | Some tcb ->
+              tcbr := Some tcb;
+              install tcb
+          | None -> failwith "conformance: connect found no port")
+    | Send n ->
+        let acc =
+          match live () with
+          | Some tcb ->
+              Tcp_conn.send_iov tcb { Iovec.buf = zeros; off = 0; len = n }
+          | None -> 0
+        in
+        record (T_acc acc)
+    | Close -> Option.iter Tcp_conn.close (live ())
+    | Abort -> Option.iter Tcp_conn.abort (live ())
   in
   {
     deliver;
-    timers = (fun ~now -> Wheel.advance wheel ~now);
+    timers = (fun () -> Wheel.advance wheel ~now:(now ()));
     next_deadline =
       (fun () ->
         let t = Wheel.next_expiry wheel in
         if t = Wheel.no_expiry then -1 else t);
-    do_connect;
-    do_send =
-      (fun ~now:_ n ->
-        match !tcbr with
-        | Some tcb when not !closed ->
-            let acc =
-              Tcp_conn.send_iov tcb { Iovec.buf = zeros; off = 0; len = n }
-            in
-            record (T_acc acc)
-        | _ -> record (T_acc 0));
-    do_close =
-      (fun ~now:_ ->
-        match !tcbr with
-        | Some tcb when not !closed -> Tcp_conn.close tcb
-        | _ -> ());
-    do_abort =
-      (fun ~now:_ ->
-        match !tcbr with
-        | Some tcb when not !closed -> Tcp_conn.abort tcb
-        | _ -> ());
+    exec;
     flush =
-      (fun ~now:_ ->
+      (fun () ->
         if !pending > 0 then begin
-          (match !tcbr with
-          | Some tcb when not !closed -> Tcp_conn.consume tcb !pending
-          | _ -> ());
+          Option.iter (fun tcb -> Tcp_conn.consume tcb !pending) (live ());
           pending := 0
         end);
     sample_state =
       (fun () ->
-        if !closed then Tcp_state.Closed
-        else
-          match !tcbr with
-          | Some tcb -> Tcb.state tcb
-          | None -> Tcp_state.Closed);
+        match live () with
+        | Some tcb -> Tcb.state tcb
+        | None -> Tcp_state.Closed);
   }
 
 (* --- model fixture (A side under test, and the B peer) ------------- *)
 
-let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~isss
+let make_model_side ~record ~cfg ~now ~active ~local_port ~remote_port ~isss
     ~listen_port ~tx () =
   (* ISS of each successive connection; the last one repeats. *)
   let isss = ref isss in
@@ -422,13 +396,13 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~isss
     | Some c -> Model.state c <> Tcp_state.Closed
     | None -> false
   in
-  let process ~now items =
+  let process items =
     List.iter
       (fun it ->
         match it with
         | Model.Out s ->
             record (T_out s);
-            tx ~now s
+            tx s
         | Model.Act a -> (
             match a with
             | Model.Recv n ->
@@ -439,117 +413,95 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~isss
             | Model.Closed r -> record (T_closed r)
             | Model.Event e -> record (T_ev e)
             | Model.Tw_remnant { snd_nxt; rcv_nxt } ->
-                remnant := Some (snd_nxt, rcv_nxt, now + cfg.Tcb.time_wait_ns)))
+                remnant := Some (snd_nxt, rcv_nxt, now () + cfg.Tcb.time_wait_ns)))
       items
   in
+  (* Install a model state and play out the items its step emitted. *)
+  let start (c, items) =
+    conn := Some c;
+    process items
+  in
+  (* One model step on the live connection, if any. *)
+  let step f =
+    if alive () then start (f (Option.get !conn) ~now:(now ()))
+  in
   (* A stateless reply to [seg], as [Tcp_endpoint.reply_base] fills it. *)
-  let reply ~now (seg : Model.segment) ~rst ~seq ~ack ~ack_flag =
+  let reply (seg : Model.segment) ~rst ~seq ~ack ~ack_flag =
     let out =
       { Model.src_port = seg.Model.dst_port; dst_port = seg.Model.src_port; seq; ack;
         syn = false; ack_flag; fin = false; rst; psh = false; window = 0; mss = None;
         wscale = None; sack = None; payload_len = 0 }
     in
     record (T_out out);
-    tx ~now out
+    tx out
   in
   (* Flow miss: transliteration of [Tcp_endpoint.send_rst]. *)
-  let stateless_rst ~now (seg : Model.segment) =
+  let stateless_rst (seg : Model.segment) =
     if seg.Model.rst then ()
     else if seg.Model.ack_flag then
-      reply ~now seg ~rst:true ~seq:seg.Model.ack ~ack:0 ~ack_flag:false
+      reply seg ~rst:true ~seq:seg.Model.ack ~ack:0 ~ack_flag:false
     else
-      reply ~now seg ~rst:true ~seq:0 ~ack_flag:true
+      reply seg ~rst:true ~seq:0 ~ack_flag:true
         ~ack:
           (Seqno.add seg.Model.seq
              (seg.Model.payload_len + if seg.Model.syn then 1 else 0))
   in
   (* Transliteration of [Tcp_endpoint.rx_time_wait]: [true] when a
      live remnant fully handles the segment. *)
-  let rx_time_wait ~now (seg : Model.segment) =
+  let rx_time_wait (seg : Model.segment) =
     match !remnant with
-    | Some (snd_nxt, rcv_nxt, deadline) when deadline > now ->
+    | Some (snd_nxt, rcv_nxt, deadline) when deadline > now () ->
         if seg.Model.rst then record (T_ev Tcb.Tw_rst_dropped)
         else if
           seg.Model.syn && (not seg.Model.ack_flag)
           && Seqno.gt seg.Model.seq rcv_nxt
         then remnant := None
         else begin
-          reply ~now seg ~rst:false ~seq:snd_nxt ~ack:rcv_nxt ~ack_flag:true;
-          remnant := Some (snd_nxt, rcv_nxt, now + cfg.Tcb.time_wait_ns)
+          reply seg ~rst:false ~seq:snd_nxt ~ack:rcv_nxt ~ack_flag:true;
+          remnant := Some (snd_nxt, rcv_nxt, now () + cfg.Tcb.time_wait_ns)
         end;
         !remnant <> None
     | _ -> false
   in
-  let deliver ~now (seg : Model.segment) =
-    if alive () then begin
-      let c', items = Model.handle_segment (Option.get !conn) ~now seg in
-      conn := Some c';
-      process ~now items
-    end
-    else if not (rx_time_wait ~now seg) then
+  let deliver (seg : Model.segment) =
+    if alive () then step (fun c ~now -> Model.handle_segment c ~now seg)
+    else if not (rx_time_wait seg) then
       match listen_port with
       | Some p
         when seg.Model.syn && (not seg.Model.ack_flag)
              && seg.Model.dst_port = p ->
-          let c, items = Model.accept cfg ~now ~iss:(next_iss ()) seg in
-          conn := Some c;
-          process ~now items
-      | _ -> stateless_rst ~now seg
+          start (Model.accept cfg ~now:(now ()) ~iss:(next_iss ()) seg)
+      | _ -> stateless_rst seg
+  in
+  let exec = function
+    | Connect ->
+        if active && !conn = None then
+          start
+            (Model.connect cfg ~now:(now ()) ~local_port ~remote_port
+               ~iss:(next_iss ()))
+    | Send n ->
+        let acc = ref 0 in
+        step (fun c ~now ->
+            let c', items, n' = Model.send c ~now n in
+            acc := n';
+            (c', items));
+        (* the real fixture records acceptance after [send_iov] returns,
+           i.e. after any emissions it triggered *)
+        record (T_acc !acc)
+    | Close -> step Model.close
+    | Abort -> step Model.abort
   in
   {
     deliver;
-    timers =
-      (fun ~now ->
-        if alive () then begin
-          let c', items = Model.handle_timers (Option.get !conn) ~now in
-          conn := Some c';
-          process ~now items
-        end);
+    timers = (fun () -> step Model.handle_timers);
     next_deadline =
       (fun () ->
         if alive () then Model.next_deadline (Option.get !conn) else -1);
-    do_connect =
-      (fun ~now ->
-        if active && !conn = None then begin
-          let c, items =
-            Model.connect cfg ~now ~local_port ~remote_port ~iss:(next_iss ())
-          in
-          conn := Some c;
-          process ~now items
-        end);
-    do_send =
-      (fun ~now n ->
-        if alive () then begin
-          let c', items, acc = Model.send (Option.get !conn) ~now n in
-          conn := Some c';
-          (* the real fixture records acceptance after [send_iov]
-             returns, i.e. after any emissions it triggered *)
-          process ~now items;
-          record (T_acc acc)
-        end
-        else record (T_acc 0));
-    do_close =
-      (fun ~now ->
-        if alive () then begin
-          let c', items = Model.close (Option.get !conn) ~now in
-          conn := Some c';
-          process ~now items
-        end);
-    do_abort =
-      (fun ~now ->
-        if alive () then begin
-          let c', items = Model.abort (Option.get !conn) ~now in
-          conn := Some c';
-          process ~now items
-        end);
+    exec;
     flush =
-      (fun ~now ->
+      (fun () ->
         if !pending > 0 then begin
-          if alive () then begin
-            let c', items = Model.consume (Option.get !conn) ~now !pending in
-            conn := Some c';
-            process ~now items
-          end;
+          step (fun c ~now -> Model.consume c ~now !pending);
           pending := 0
         end);
     sample_state =
@@ -563,100 +515,100 @@ let make_model_side ~record ~cfg ~active ~local_port ~remote_port ~isss
 type pass_kind = Real | Replay of { isss_a : int list; port_a : int }
 
 let t_limit_ns = 50_000_000
-let step_limit = 500_000
+
+(* The most [Sim] events one pass may run.  The largest pass of seeds
+   0-259 in every batched regime runs well under 3,100, so a pass that
+   reaches this has stopped quiescing.  Seed 212 with a hostile peer
+   and no wire faults does: two TIME_WAIT remnants re-ACK each other's
+   re-ACKs (ROADMAP item 1), and forged copies keep starting new
+   chains.  Fixing the remnant's reply rule makes that leg end, and
+   equal. *)
+let step_limit = 20_000
 
 let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
   let sc = make_scenario ~seed in
-  let qu = { q = []; ctr = 0 } in
-  let now = ref 0 in
+  let sim = Sim.create () in
+  let now () = Sim.now sim in
   let rng_ab = Rng.create ~seed:(seed lxor 0x0ab5_11fe) in
   let rng_ba = Rng.create ~seed:(seed lxor 0x0ba5_22fd) in
-  let tx_a ~now:t seg =
-    send_wire qu ~rng:rng_ab ~faults ~hostile ~dst:`B ~now:t seg
-  in
-  let tx_b ~now:t seg =
-    send_wire qu ~rng:rng_ba ~faults ~hostile ~dst:`A ~now:t seg
-  in
-  let side_a =
-    match kind with
-    | Real ->
-        make_real_side ~record ~cfg ~seed ~now_ref:now ~active:sc.a_active
-          ~remote_port:sc.b_port ~tx:tx_a ()
-    | Replay { isss_a; port_a } ->
-        make_model_side ~record ~cfg ~active:sc.a_active ~local_port:port_a
-          ~remote_port:sc.b_port ~isss:isss_a
-          ~listen_port:(if sc.a_active then None else Some a_listen_port)
-          ~tx:tx_a ()
-  in
-  let side_b =
-    make_model_side
-      ~record:(fun _ -> ())
-      ~cfg
-      ~active:(not sc.a_active)
-      ~local_port:sc.b_port ~remote_port:a_listen_port ~isss:[ sc.iss_b ]
-      ~listen_port:(if sc.a_active then Some sc.b_port else None)
-      ~tx:tx_b ()
-  in
-  List.iter (fun (t, s, op) -> push qu t (Op (s, op))) sc.events;
+  (* The sides, set once both exist: each one's wire leads to the other. *)
+  let sides = ref None in
+  let side_a () = fst (Option.get !sides) in
+  let side_b () = snd (Option.get !sides) in
   let prev_state = ref Tcp_state.Closed in
   let post_a () =
-    side_a.flush ~now:!now;
-    let st = side_a.sample_state () in
+    let a = side_a () in
+    a.flush ();
+    let st = a.sample_state () in
     if st <> !prev_state then begin
       record (T_state st);
       prev_state := st
     end
   in
-  let post_b () = side_b.flush ~now:!now in
-  let exec side post op =
-    (match op with
-    | Connect -> side.do_connect ~now:!now
-    | Send n -> side.do_send ~now:!now n
-    | Close -> side.do_close ~now:!now
-    | Abort -> side.do_abort ~now:!now);
-    post ()
-  in
-  let steps = ref 0 in
-  let rec loop () =
-    incr steps;
-    if !steps > step_limit then
+  let post_b () = (side_b ()).flush () in
+  (* Both sides' wakeups, each armed at its side's next deadline the
+     way [Socket_host.arm_timer_wakeup] arms a host's. *)
+  let wake_a = ref Sim.no_handle and wake_b = ref Sim.no_handle in
+  (* Every event first runs both sides' due timers, A's then B's, so
+     at equal times timers come before wire and op events, which run
+     in scheduling order. *)
+  let rec event f () =
+    if Sim.events_executed sim > step_limit then
       failwith "conformance: leg failed to quiesce within the step budget";
-    let tq = match qu.q with [] -> -1 | (t, _, _) :: _ -> t in
-    let ta = side_a.next_deadline () in
-    let tb = side_b.next_deadline () in
-    let cands = List.filter (fun t -> t >= 0) [ tq; ta; tb ] in
-    match cands with
-    | [] -> ()
-    | _ ->
-        let t = List.fold_left min max_int cands in
-        if t > t_limit_ns then ()
-        else begin
-          now := t;
-          side_a.timers ~now:t;
-          post_a ();
-          side_b.timers ~now:t;
-          post_b ();
-          let rec drain () =
-            match qu.q with
-            | (te, _, ev) :: rest when te <= t ->
-                qu.q <- rest;
-                (match ev with
-                | Wire (`A, seg) ->
-                    side_a.deliver ~now:t seg;
-                    post_a ()
-                | Wire (`B, seg) ->
-                    side_b.deliver ~now:t seg;
-                    post_b ()
-                | Op (`A, op) -> exec side_a post_a op
-                | Op (`B, op) -> exec side_b post_b op);
-                drain ()
-            | _ -> ()
-          in
-          drain ();
-          loop ()
-        end
+    (side_a ()).timers ();
+    post_a ();
+    (side_b ()).timers ();
+    post_b ();
+    f ();
+    arm wake_a (side_a ());
+    arm wake_b (side_b ())
+  and arm wake side =
+    Sim.cancel sim !wake;
+    wake := Sim.no_handle;
+    let deadline = side.next_deadline () in
+    if deadline >= 0 then
+      wake := Sim.at sim (Int.max deadline (now ())) (event ignore)
   in
-  loop ()
+  let arrive side post ~delay seg =
+    ignore
+      (Sim.after sim delay
+         (event (fun () ->
+              (side ()).deliver seg;
+              post ())))
+  in
+  let tx_a = send_wire ~rng:rng_ab ~faults ~hostile ~arrive:(arrive side_b post_b) in
+  let tx_b = send_wire ~rng:rng_ba ~faults ~hostile ~arrive:(arrive side_a post_a) in
+  let a =
+    match kind with
+    | Real ->
+        make_real_side ~record ~cfg ~seed ~now ~active:sc.a_active
+          ~remote_port:sc.b_port ~tx:tx_a ()
+    | Replay { isss_a; port_a } ->
+        make_model_side ~record ~cfg ~now ~active:sc.a_active
+          ~local_port:port_a ~remote_port:sc.b_port ~isss:isss_a
+          ~listen_port:(if sc.a_active then None else Some a_listen_port)
+          ~tx:tx_a ()
+  in
+  let b =
+    make_model_side
+      ~record:(fun _ -> ())
+      ~cfg ~now
+      ~active:(not sc.a_active)
+      ~local_port:sc.b_port ~remote_port:a_listen_port ~isss:[ sc.iss_b ]
+      ~listen_port:(if sc.a_active then Some sc.b_port else None)
+      ~tx:tx_b ()
+  in
+  sides := Some (a, b);
+  List.iter
+    (fun (t, s, op) ->
+      let side, post = match s with `A -> (a, post_a) | `B -> (b, post_b) in
+      ignore
+        (Sim.at sim t
+           (event (fun () ->
+                side.exec op;
+                post ()))))
+    sc.events;
+  Sim.run ~until:t_limit_ns sim
 
 (* ------------------------------------------------------------------ *)
 (* Leg = real pass + model replay + trace comparison.                  *)
