@@ -520,6 +520,26 @@ let test_conn_scale_deterministic () =
   in
   check_bool "different seed, different churn" true (other <> snap ())
 
+(* The churn phase's whole TIME_WAIT path, pinned: every 16th event
+   closes a connection into a remnant, and its reconnect either
+   supersedes the remnant or waits out its quiet period for the sweep.
+   Cookies on and off take the two listen paths. *)
+let test_conn_scale_pinned () =
+  let snap syn_cookies =
+    (Conn_scale.run ~syn_cookies ~conns:2_000 ~events:6_000 ~seed:42 ())
+      .Conn_scale.r_snapshot
+  in
+  check_string "cookies on"
+    "est=2375 closes=375 reconnects=375 data=5595 csegs=10720 ssegs=8519 \
+     live=2000 store=2000/2016 tw=0 cookies=2375/2375/0 rsts=0 fast=5595 \
+     slow=375 wheel=4584/2803/1781"
+    (snap true);
+  check_string "cookies off"
+    "est=2375 closes=375 reconnects=375 data=5595 csegs=10720 ssegs=7314 \
+     live=2000 store=2000/2016 tw=0 cookies=0/0/0 rsts=0 fast=5595 \
+     slow=2750 wheel=6959/2803/4156"
+    (snap false)
+
 (* A resident reading is one [Gc.stat], which runs one full major
    collection of its own; [run] reads twice (before and after
    establishment), so a run forces exactly two collections.  A
@@ -621,6 +641,8 @@ let () =
             test_conn_scale_classic_listen;
           Alcotest.test_case "same-seed determinism" `Quick
             test_conn_scale_deterministic;
+          Alcotest.test_case "pinned churn snapshot" `Quick
+            test_conn_scale_pinned;
           Alcotest.test_case "two collections per run" `Quick
             test_conn_scale_two_collections;
           Alcotest.test_case "SYN flood allocates no TCBs" `Quick
