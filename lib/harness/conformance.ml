@@ -387,7 +387,7 @@ let make_model_side ~record ~cfg ~now ~active ~local_port ~remote_port ~isss
     | [] -> 0
   in
   let conn = ref None and pending = ref 0 in
-  (* The TIME_WAIT remnant, as the endpoint's [Tw_table] row: (final
+  (* The TIME_WAIT remnant, as the endpoint's flow-table row: (final
      snd_nxt, final rcv_nxt, deadline).  A leg carries one 4-tuple, so
      the row needs no key. *)
   let remnant = ref None in

@@ -15,7 +15,7 @@
    TIME_WAIT is what production runs: entering it tears the connection
    down and hands its final sequence numbers over in a [Tw_remnant]
    action, which the driver keeps as [Tcp_endpoint] keeps its
-   [Tw_table] row.
+   flow-table remnant.
 
    What the model deliberately does not cover (the driver pins these
    off in its config and the constructors check): DCTCP and SYN
@@ -506,7 +506,7 @@ let try_output m =
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
 
-(* Production's [enter_time_wait]: the endpoint records a [Tw_table]
+(* Production's [enter_time_wait]: the endpoint records a flow-table
    remnant from the final sequence numbers, and the connection is torn
    down at once. *)
 let enter_time_wait m =

@@ -15,7 +15,7 @@
     recovery, NewReno congestion control with fast retransmit and
     cumulative-ACK recovery, delayed ACKs, zero-window persist probes,
     TIME_WAIT entry (a teardown that hands a {!Tw_remnant} over, kept by
-    the driver as the endpoint keeps its [Tw_table] row, RFC 1337
+    the driver as the endpoint keeps its flow-table remnant, RFC 1337
     assassination protection included), and the always-on hostile-peer
     hardening: RFC 5961 challenge ACKs (rate-limited and counted) and
     RFC 2883 D-SACK reporting with D-SACK-aware dup-ACK discounting.
@@ -52,7 +52,7 @@ type action =
   | Closed of Ixtcp.Tcb.close_reason
   | Event of Ixtcp.Tcb.protocol_event  (** cold-path incident *)
   | Tw_remnant of { snd_nxt : int; rcv_nxt : int }
-      (** entered TIME_WAIT: the endpoint keeps a [Tw_table] remnant
+      (** entered TIME_WAIT: the endpoint keeps a flow-table remnant
           of these final sequence numbers, then the teardown follows *)
 
 type item = Out of segment | Act of action

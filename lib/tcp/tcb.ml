@@ -102,7 +102,7 @@ let default_config =
 (* Protocol constants every connection shares.  The hardening is always
    on: RFC 5961 (an in-window but not exact-match RST, or a SYN in a
    synchronized state, draws a rate-limited challenge ACK), RFC 1337
-   (an RST never ends a TIME_WAIT [Tw_table] remnant) and RFC 2883 (a
+   (an RST never ends a TIME_WAIT remnant) and RFC 2883 (a
    fully-duplicate segment is reported in a D-SACK block, and a dup-ACK
    carrying one is not counted as loss). *)
 let initial_cwnd_segs = 10
@@ -281,8 +281,8 @@ and env = {
       (** a passive connection completed its handshake (the endpoint
           turns this into the IX [knock] event / an accept) *)
   mutable on_time_wait : t -> unit;
-      (** TIME_WAIT transition: the endpoint records a [Tw_table]
-          remnant, then the TCB is released *)
+      (** TIME_WAIT transition: the endpoint turns the flow-table
+          entry into a remnant, then the TCB is released *)
   mutable on_protocol_event : protocol_event -> unit;
       (** cold-path incident hook; the endpoint counts these *)
   mutable challenge_window_start : int;

@@ -510,9 +510,9 @@ let close tcb =
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
 
-(* TIME_WAIT lives in the endpoint: [on_time_wait] records a compact
-   [Tw_table] remnant (4-tuple, final sequence numbers, deadline), and
-   the full TCB is released at once. *)
+(* TIME_WAIT lives in the endpoint: [on_time_wait] turns the flow-table
+   entry into a compact remnant (4-tuple, final sequence numbers,
+   deadline), and the full TCB is released at once. *)
 let enter_time_wait tcb =
   tcb.env.on_time_wait tcb;
   teardown tcb Tcb.Normal

@@ -9,9 +9,9 @@ type t = {
   tcb_env : Tcb.env;
   cfg : Tcb.config;
   ip : Ixnet.Ip_addr.t;
-  flows : Flow_table.t;
-  tw : Tw_table.t;
-  mutable tw_sweep : Wheel.timer option;
+  flows : Flow_table.t;  (** connections and TIME_WAIT remnants *)
+  mutable tw_sweep : bool;  (** a remnant sweep is armed *)
+  mutable tw_sweep_tick : unit -> unit;  (** the sweep, built once in [create] *)
   listeners : (int, listener) Hashtbl.t;
   ports : Port_alloc.t;
   output_raw : remote_ip:Ixnet.Ip_addr.t -> Mbuf.t -> unit;
@@ -85,18 +85,27 @@ let validate_cookie t ~remote_ip ~remote_port ~local_port ~iss =
     Some cookie_mss_table.(iss land 3)
   else None
 
-(* The periodic sweep drains the remnant table even without traffic,
-   so [Tw_table.count] returns to 0 on idle endpoints. *)
-let rec ensure_sweep t =
-  if t.tw_sweep = None && Tw_table.count t.tw > 0 then begin
-    let deadline = t.tcb_env.Tcb.now () + t.cfg.Tcb.time_wait_ns in
-    t.tw_sweep <-
-      Some
-        (Wheel.schedule t.tcb_env.Tcb.wheel ~deadline (fun () ->
-             t.tw_sweep <- None;
-             ignore (Tw_table.sweep t.tw ~now:(t.tcb_env.Tcb.now ()));
-             ensure_sweep t))
+(* The periodic sweep drains the remnants even without traffic, so
+   [time_wait_count] returns to 0 on idle endpoints. *)
+let ensure_sweep t =
+  if (not t.tw_sweep) && Flow_table.remnant_count t.flows > 0 then begin
+    t.tw_sweep <- true;
+    ignore
+      (Wheel.schedule t.tcb_env.Tcb.wheel
+         ~deadline:(t.tcb_env.Tcb.now () + t.cfg.Tcb.time_wait_ns)
+         t.tw_sweep_tick)
   end
+
+(* One probe for the tuple: the slot of its connection or of its live
+   remnant, or -1.  A remnant past its deadline is dropped here and
+   reads as a miss (lazy expiry). *)
+let lookup t ~local_port ~remote_ip ~remote_port =
+  let slot = Flow_table.lookup t.flows ~local_port ~remote_ip ~remote_port in
+  if
+    Flow_table.is_remnant t.flows slot
+    && Flow_table.expire_remnant t.flows slot ~now:(t.tcb_env.Tcb.now ())
+  then -1
+  else slot
 
 (* ------------------------------------------------------------------ *)
 
@@ -123,8 +132,8 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       cfg = config;
       ip = local_ip;
       flows = Flow_table.create ~store:tcb_env.Tcb.store;
-      tw = Tw_table.create ();
-      tw_sweep = None;
+      tw_sweep = false;
+      tw_sweep_tick = ignore;
       listeners = Hashtbl.create 8;
       ports = Port_alloc.create ();
       output_raw;
@@ -155,6 +164,11 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       c_dsack_dupacks_ignored = c "dsack_dupacks_ignored";
     }
   in
+  t.tw_sweep_tick <-
+    (fun () ->
+      t.tw_sweep <- false;
+      ignore (Flow_table.sweep t.flows ~now:(t.tcb_env.Tcb.now ()));
+      ensure_sweep t);
   tcb_env.Tcb.on_teardown <-
     (fun tcb ->
       (* Every connection leaves with an explicit close reason; the
@@ -191,11 +205,11 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       match Hashtbl.find_opt t.listeners (Tcb.local_port tcb) with
       | Some listener -> listener.on_accept tcb
       | None -> Tcp_conn.abort tcb);
-  (* TIME_WAIT: record a compact remnant; [Tcp_conn.enter_time_wait]
-     then releases the TCB. *)
+  (* TIME_WAIT: the connection's entry becomes a compact remnant;
+     [Tcp_conn.enter_time_wait] then releases the TCB. *)
   tcb_env.Tcb.on_time_wait <-
     (fun tcb ->
-      Tw_table.add t.tw ~local_port:(Tcb.local_port tcb)
+      Flow_table.add_remnant t.flows ~local_port:(Tcb.local_port tcb)
         ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)
         ~snd_nxt:(Tcb.snd_nxt tcb) ~rcv_nxt:(Tcb.rcv_nxt tcb)
         ~deadline:(t.tcb_env.Tcb.now () + config.Tcb.time_wait_ns);
@@ -210,12 +224,7 @@ let unlisten t ~port = Hashtbl.remove t.listeners port
 
 let connect t ~remote_ip ~remote_port ?(port_suitable = fun _ -> true) ~cookie () =
   let suitable port =
-    port_suitable port
-    && Tcb.is_dead (Flow_table.find t.flows ~local_port:port ~remote_ip ~remote_port)
-    && (Tw_table.count t.tw = 0
-       || Tw_table.find_slot t.tw ~now:(t.tcb_env.Tcb.now ()) ~local_port:port
-            ~remote_ip ~remote_port
-          < 0)
+    port_suitable port && lookup t ~local_port:port ~remote_ip ~remote_port < 0
   in
   match Port_alloc.alloc t.ports ~suitable with
   | None ->
@@ -326,19 +335,19 @@ let rx_time_wait t ~src_ip (seg : Seg.t) slot =
   else if
     seg.Seg.syn
     && (not seg.Seg.ack_flag)
-    && Seqno.gt seg.Seg.seq (Tw_table.fin_rcv_nxt t.tw slot)
+    && Seqno.gt seg.Seg.seq (Flow_table.remnant_rcv_nxt t.flows slot)
   then begin
     (* New connection on the recycled tuple: the SYN's sequence is
        beyond the old connection's final edge, so no old segment can
        be confused with it (RFC 6191-style recycle). *)
-    Tw_table.remove t.tw slot;
+    Flow_table.remove_remnant t.flows slot;
     false
   end
   else begin
     send_tw_ack t ~src_ip seg
-      ~seq:(Tw_table.fin_snd_nxt t.tw slot)
-      ~ack:(Tw_table.fin_rcv_nxt t.tw slot);
-    Tw_table.refresh t.tw slot
+      ~seq:(Flow_table.remnant_snd_nxt t.flows slot)
+      ~ack:(Flow_table.remnant_rcv_nxt t.flows slot);
+    Flow_table.refresh_remnant t.flows slot
       ~deadline:(t.tcb_env.Tcb.now () + t.cfg.Tcb.time_wait_ns);
     true
   end
@@ -348,24 +357,16 @@ let ce_of_ecn ecn = if ecn = Ixnet.Ipv4_packet.ce then ce_marked else None
 
 let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
   Metrics.incr t.c_rx_segs;
-  (* TIME_WAIT remnants first (they are no longer in the flow table);
-     one branch on the count keeps this off the fast path entirely
-     while the table is empty. *)
-  let tw_handled =
-    Tw_table.count t.tw > 0
-    &&
-    let slot =
-      Tw_table.find_slot t.tw ~now:(t.tcb_env.Tcb.now ())
-        ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
-        ~remote_port:seg.Seg.src_port
-    in
-    slot >= 0 && rx_time_wait t ~src_ip seg slot
+  (* One probe tells a connection, a TIME_WAIT remnant and a miss
+     apart.  A remnant superseded by a new SYN leaves a tombstone, so
+     the segment falls through to the flow-miss path. *)
+  let slot =
+    lookup t ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
+      ~remote_port:seg.Seg.src_port
   in
-  if not tw_handled then
-    match
-      Flow_table.find t.flows ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
-        ~remote_port:seg.Seg.src_port
-    with
+  if not (Flow_table.is_remnant t.flows slot && rx_time_wait t ~src_ip seg slot)
+  then
+    match Flow_table.conn t.flows slot with
     | tcb when not (Tcb.is_dead tcb) ->
         (* Header prediction first; the full state machine is the
            fallback.  The hit counters feed the Table-2-style breakdowns
@@ -439,7 +440,7 @@ let adopt t tcb =
     ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb) tcb
 
 let adopt_time_wait t ~from ~select =
-  Tw_table.transfer from.tw ~dst:t.tw ~now:(t.tcb_env.Tcb.now ()) ~select;
+  Flow_table.transfer_remnants from.flows ~dst:t.flows ~now:(t.tcb_env.Tcb.now ()) ~select;
   ensure_sweep t
 
 let evict t tcb =
@@ -454,7 +455,7 @@ let slow_path_hits t = Metrics.value t.c_slow_hits
 let syn_cookies_sent t = Metrics.value t.c_syn_cookies_sent
 let syn_cookies_validated t = Metrics.value t.c_syn_cookies_validated
 let syn_cookies_rejected t = Metrics.value t.c_syn_cookies_rejected
-let time_wait_count t = Tw_table.count t.tw
+let time_wait_count t = Flow_table.remnant_count t.flows
 let challenge_acks_sent t = Metrics.value t.c_challenge_acks_sent
 let challenge_acks_limited t = Metrics.value t.c_challenge_acks_limited
 let rsts_accepted t = Metrics.value t.c_rsts_accepted

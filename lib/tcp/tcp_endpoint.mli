@@ -75,7 +75,8 @@ val adopt_time_wait :
   t -> from:t ->
   select:(local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> bool) -> unit
 (** Flow migration: move the live TIME_WAIT remnants of [from] whose
-    tuple [select] accepts into this endpoint ({!Tw_table.transfer}). *)
+    tuple [select] accepts into this endpoint
+    ({!Flow_table.transfer_remnants}). *)
 
 val evict : t -> Tcb.t -> unit
 (** Flow migration: unhook a connection without tearing it down. *)
@@ -106,7 +107,7 @@ val syn_cookies_rejected : t -> int
 
 val time_wait_count : t -> int
 (** Live TIME_WAIT remnants.  Every connection entering TIME_WAIT
-    leaves one, a compact {!Tw_table} row, and releases its TCB. *)
+    leaves one, a compact {!Flow_table} row, and releases its TCB. *)
 
 val challenge_acks_sent : t -> int
 (** RFC 5961 challenge ACKs emitted for in-window (but not

@@ -1,6 +1,6 @@
 (** TCP connection states (RFC 793 §3.2).  A connection leaves
     [Fin_wait_2] or [Closing] for TIME_WAIT by releasing its TCB: the
-    quiet period is kept by the endpoint's {!Tw_table} remnant, so no
+    quiet period is kept by a {!Flow_table} remnant, so no
     TCB is ever in that state. *)
 
 type t =

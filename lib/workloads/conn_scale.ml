@@ -22,10 +22,11 @@
       collection makes the count exact;
    2. churn: [events] iterations — Zipf-hot connections send 64 B
       messages; every [churn_every]-th event the server closes a
-      uniformly random victim (FIN handshake, TIME_WAIT remnant into
-      the [Tw_table]) and the client reconnects on the *same* 4-tuple,
-      either immediately (exercising the remnant-supersede path) or
-      after the remnant expires (exercising the sweep path).
+      uniformly random victim (FIN handshake, its flow-table entry
+      becomes a TIME_WAIT remnant) and the client reconnects on the
+      *same* 4-tuple, either immediately (exercising the
+      remnant-supersede path) or after the remnant expires (exercising
+      the sweep path).
 
    [syn_flood] is the stateless-listen leg: SYNs that never complete
    the handshake must allocate no TCBs. *)

@@ -120,7 +120,7 @@ let binding_header lines i =
    instead (see DESIGN.md, "receive fast path"). *)
 
 let hot_path_files =
-  [ "core/dataplane.ml"; "tcp/tcp_endpoint.ml"; "tcp/tcb.ml"; "tcp/tw_table.ml" ]
+  [ "core/dataplane.ml"; "tcp/tcp_endpoint.ml"; "tcp/tcb.ml"; "tcp/flow_table.ml" ]
 
 (* Third pass: the per-core dataplane paths hold no cross-thread
    synchronization primitives.  Per-thread state is exclusively owned
@@ -140,7 +140,7 @@ let per_core_files =
     "tcp/tcp_endpoint.ml";
     "tcp/tcp_conn.ml";
     "tcp/tcb.ml";
-    "tcp/tw_table.ml";
+    "tcp/flow_table.ml";
     "tcp/model/model_tcp.ml";
     "workloads/conn_scale.ml";
   ]

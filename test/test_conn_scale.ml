@@ -5,7 +5,6 @@
 module Wheel = Timerwheel.Timer_wheel
 module Tcb = Ixtcp.Tcb
 module Flow_table = Ixtcp.Flow_table
-module Tw_table = Ixtcp.Tw_table
 module Conn_scale = Workloads.Conn_scale
 
 let check_int = Alcotest.(check int)
@@ -33,25 +32,33 @@ let live_view tcb = if Tcb.is_dead tcb then None else Some tcb
 (* SoA store + flow table vs a naive map                               *)
 
 (* Random op sequences executed against both the open-addressing flow
-   table (hashes beside generation-checked handles into the SoA store)
-   and a Hashtbl model.  Lookup results and counts must agree at every
-   step, and iteration contents at the end.  Each add reconnects one of
-   [keys] connections on a fresh remote port, as churn does, so removes
-   leave tombstones that later adds rarely reuse, and long sequences
-   carry the table past 768 used slots (3/4 of the initial 1024).  The
-   key count varies per case: many live keys make the table double,
-   few make it rebuild at the same capacity. *)
+   table (hashes beside generation-checked handles into the SoA store,
+   and TIME_WAIT remnant rows) and a Hashtbl model.  Lookup results and
+   counts must agree at every step, and iteration contents and every
+   remnant's state at the end.  A connection that closes into TIME_WAIT
+   becomes a remnant on its tuple; its reconnect either supersedes the
+   remnant on the same tuple or, once the remnant is gone, takes a
+   fresh remote port, as churn does, so removes leave tombstones that
+   later adds rarely reuse, and long sequences carry the table past 768
+   used slots (3/4 of the initial 1024).  The key count varies per
+   case: many live keys make the table double, few make it rebuild at
+   the same capacity.  At the end the remnants on even remote ports
+   migrate to a second table. *)
+type model_entry = Conn of int | Remnant of { snd_nxt : int; deadline : int }
+
 let prop_flow_table_matches_model =
   let open QCheck in
   let max_keys = 1024 in
-  (* op: 0 = add, 1 = remove, 2 = find; keys below the case's key count *)
+  (* op: 0 = add, 1 = remove, 2 = find, 3 = close into a remnant,
+     4 = supersede the remnant, 5 = sweep; keys below the case's key
+     count *)
   let case =
     Gen.(
       int_range 128 max_keys >>= fun keys ->
       map
         (fun ops -> (keys, ops))
         (list_size (int_range 1 8000)
-           (pair (int_range 0 2) (int_range 0 (keys - 1)))))
+           (pair (int_range 0 5) (int_range 0 (keys - 1)))))
   in
   Test.make ~name:"flow table matches naive map under random ops" ~count:100
     (make case)
@@ -59,45 +66,107 @@ let prop_flow_table_matches_model =
       let store = Tcb.store_create ~initial:4 () in
       let env = make_env ~store () in
       let table = Flow_table.create ~store in
-      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let model : (int, model_entry) Hashtbl.t = Hashtbl.create 16 in
+      let tally kind = Hashtbl.fold (fun _ e n -> if kind e then n + 1 else n) model 0 in
+      let is_conn = function Conn _ -> true | Remnant _ -> false in
       (* Remote port of each connection's latest tuple; 0 before its
          first add, a tuple that must simply miss. *)
       let port = Array.make max_keys 0 in
+      let tcbs = Array.make max_keys None in
       let tuple k = (1000 + (k land 3), 0xA000000 + (k lsr 2), port.(k)) in
+      let remnant_of table k =
+        let local_port, remote_ip, remote_port = tuple k in
+        let slot = Flow_table.lookup table ~local_port ~remote_ip ~remote_port in
+        if Flow_table.is_remnant table slot then Some (Flow_table.remnant_snd_nxt table slot)
+        else None
+      in
       let uid = ref 0 in
       let agree_stepwise =
         List.for_all
-          (fun (op, k) ->
-            (match op with
-            | 0 ->
-                if not (Hashtbl.mem model k) then begin
-                  incr uid;
-                  port.(k) <- !uid;
-                  let local_port, remote_ip, remote_port = tuple k in
-                  let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
-                  Tcb.set_cookie tcb !uid;
-                  Flow_table.add table ~local_port ~remote_ip ~remote_port tcb;
-                  Hashtbl.replace model k !uid
-                end
-            | 1 ->
+          (fun (now, (op, k)) ->
+            let local_port, remote_ip, remote_port = tuple k in
+            (match (op, Hashtbl.find_opt model k) with
+            | 0, (None | Some (Remnant _)) ->
+                incr uid;
+                if not (Hashtbl.mem model k) then port.(k) <- !uid;
                 let local_port, remote_ip, remote_port = tuple k in
+                let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
+                Tcb.set_cookie tcb !uid;
+                Flow_table.add table ~local_port ~remote_ip ~remote_port tcb;
+                tcbs.(k) <- Some tcb;
+                Hashtbl.replace model k (Conn !uid)
+            | 1, _ ->
                 Flow_table.remove table ~local_port ~remote_ip ~remote_port;
+                if Option.map is_conn (Hashtbl.find_opt model k) = Some true then
+                  Hashtbl.remove model k
+            | 3, Some (Conn u) ->
+                (* As the endpoint tears a connection down into TIME_WAIT:
+                   the remnant, then the (now idle) remove, then the
+                   TCB's release. *)
+                let deadline = now + 1 + (k mod 37) in
+                Flow_table.add_remnant table ~local_port ~remote_ip ~remote_port
+                  ~snd_nxt:u ~rcv_nxt:0 ~deadline;
+                Flow_table.remove table ~local_port ~remote_ip ~remote_port;
+                Option.iter Tcb.release tcbs.(k);
+                Hashtbl.replace model k (Remnant { snd_nxt = u; deadline })
+            | 4, Some (Remnant _) ->
+                Flow_table.remove_remnant table
+                  (Flow_table.lookup table ~local_port ~remote_ip ~remote_port);
                 Hashtbl.remove model k
+            | 5, _ ->
+                ignore (Flow_table.sweep table ~now);
+                Hashtbl.filter_map_inplace
+                  (fun _ e ->
+                    match e with
+                    | Remnant { deadline; _ } when deadline <= now -> None
+                    | e -> Some e)
+                  model
             | _ -> ());
             let local_port, remote_ip, remote_port = tuple k in
             let found =
               Option.map Tcb.cookie
                 (live_view (Flow_table.find table ~local_port ~remote_ip ~remote_port))
             in
-            found = Hashtbl.find_opt model k
-            && Flow_table.count table = Hashtbl.length model)
-          ops
+            let expect_conn, expect_remnant =
+              match Hashtbl.find_opt model k with
+              | Some (Conn u) -> (Some u, None)
+              | Some (Remnant { snd_nxt; _ }) -> (None, Some snd_nxt)
+              | None -> (None, None)
+            in
+            found = expect_conn
+            && remnant_of table k = expect_remnant
+            && Flow_table.count table = tally is_conn
+            && Flow_table.remnant_count table = tally (fun e -> not (is_conn e)))
+          (List.mapi (fun now op -> (now, op)) ops)
       in
       let iterated = ref [] in
       Flow_table.iter table (fun tcb -> iterated := Tcb.cookie tcb :: !iterated);
+      let conns =
+        Hashtbl.fold (fun _ e acc -> match e with Conn u -> u :: acc | _ -> acc) model []
+      in
+      (* Every model remnant whose key [on] accepts is in [table] with
+         its state, and [table] holds no others. *)
+      let remnants_in table on =
+        Hashtbl.fold
+          (fun k e (ok, n) ->
+            match e with
+            | Remnant { snd_nxt; _ } when on k ->
+                (ok && remnant_of table k = Some snd_nxt, n + 1)
+            | _ -> (ok, n))
+          model (true, 0)
+        |> fun (ok, n) -> ok && Flow_table.remnant_count table = n
+      in
+      let even k = port.(k) land 1 = 0 in
+      let all_remnants = remnants_in table (fun _ -> true) in
+      let dst = Flow_table.create ~store in
+      Flow_table.transfer_remnants table ~dst ~now:0
+        ~select:(fun ~local_port:_ ~remote_ip:_ ~remote_port -> remote_port land 1 = 0);
       agree_stepwise
-      && List.sort compare !iterated
-         = List.sort compare (Hashtbl.fold (fun _ uid acc -> uid :: acc) model []))
+      && List.sort compare !iterated = List.sort compare conns
+      && all_remnants
+      && remnants_in table (fun k -> not (even k))
+      && remnants_in dst even
+      && Flow_table.count table = List.length conns)
 
 (* [hash] first folds the key to [krem lxor (kloc * 0x3779B97F4A7C15)],
    so local ports 0 and 21855 collide exactly — all 63 bits — when the
@@ -145,7 +214,43 @@ let test_flow_table_hash_collision () =
   add 0;
   remove 1;
   check_found "second gone" 1 None;
-  check_found "first survives removing the second" 0 (Some 0)
+  check_found "first survives removing the second" 0 (Some 0);
+  (* A remnant with the same hash as a connection: neither hides the
+     other, whichever comes first on the probe path, and [count] and
+     [iter] see only the connection. *)
+  let park f =
+    let local_port, remote_ip, remote_port = flows.(f) in
+    Flow_table.add_remnant table ~local_port ~remote_ip ~remote_port
+      ~snd_nxt:(100 + f) ~rcv_nxt:0 ~deadline:max_int
+  in
+  let remnant_of f =
+    let local_port, remote_ip, remote_port = flows.(f) in
+    let slot = Flow_table.lookup table ~local_port ~remote_ip ~remote_port in
+    if Flow_table.is_remnant table slot then Some (Flow_table.remnant_snd_nxt table slot)
+    else None
+  in
+  let check_apart what ~conn ~remnant =
+    check_found (what ^ ": connection found") conn (Some conn);
+    check_found (what ^ ": remnant reads dead") remnant None;
+    Alcotest.(check (option int)) (what ^ ": remnant found") (Some (100 + remnant))
+      (remnant_of remnant);
+    Alcotest.(check (option int)) (what ^ ": connection is no remnant") None
+      (remnant_of conn);
+    check_int (what ^ ": count skips the remnant") 1 (Flow_table.count table);
+    check_int (what ^ ": one remnant") 1 (Flow_table.remnant_count table);
+    let seen = ref [] in
+    Flow_table.iter table (fun tcb -> seen := Tcb.cookie tcb :: !seen);
+    Alcotest.(check (list int)) (what ^ ": iter skips the remnant") [ conn ] !seen
+  in
+  park 1;
+  check_apart "remnant behind" ~conn:0 ~remnant:1;
+  let local_port, remote_ip, remote_port = flows.(1) in
+  Flow_table.remove_remnant table
+    (Flow_table.lookup table ~local_port ~remote_ip ~remote_port);
+  remove 0;
+  park 0;
+  add 1;
+  check_apart "remnant ahead" ~conn:1 ~remnant:0
 
 (* A lookup that finds no live connection returns the store's dead
    view: a miss, a stale handle whose slot was released and handed to
@@ -290,7 +395,35 @@ let test_flow_table_allocates_nothing () =
           tcbs.(i)
       done);
   check_int "table did not grow" capacity (Flow_table.capacity table);
-  check_int "every flow still live" live (Flow_table.count table)
+  check_int "every flow still live" live (Flow_table.count table);
+  (* Remnant hits: the demux's one lookup, the lazy-expiry check, the
+     re-ACK's sequence numbers and a refreshed deadline. *)
+  for i = 0 to live - 1 do
+    Flow_table.add_remnant table ~local_port:82 ~remote_ip:(0xD000000 + i)
+      ~remote_port:6000 ~snd_nxt:i ~rcv_nxt:(i + 1) ~deadline:rounds
+  done;
+  let hits =
+    Alloc_gate.none "words over 10k remnant hits" (fun () ->
+        let hits = ref 0 in
+        for n = 0 to rounds - 1 do
+          let slot =
+            Flow_table.lookup table ~local_port:82 ~remote_ip:(0xD000000 + (n land 63))
+              ~remote_port:6000
+          in
+          if
+            Flow_table.is_remnant table slot
+            && (not (Flow_table.expire_remnant table slot ~now:n))
+            && Flow_table.remnant_snd_nxt table slot = n land 63
+            && Flow_table.remnant_rcv_nxt table slot = (n land 63) + 1
+          then begin
+            incr hits;
+            Flow_table.refresh_remnant table slot ~deadline:(rounds + n)
+          end
+        done;
+        !hits)
+  in
+  check_int "every remnant hit" rounds hits;
+  check_int "no remnant expired" live (Flow_table.remnant_count table)
 
 let test_store_grows () =
   let store = Tcb.store_create ~initial:2 () in
@@ -321,41 +454,52 @@ let test_store_grows () =
 (* ------------------------------------------------------------------ *)
 (* TIME_WAIT remnant table                                             *)
 
+let remnant_table () = Flow_table.create ~store:(Tcb.store_create ())
+
+(* The slot of the tuple's live remnant, or -1; an expired remnant is
+   dropped on the way, as the endpoint's demux does. *)
+let live_remnant table ~now ~local_port ~remote_ip ~remote_port =
+  let slot = Flow_table.lookup table ~local_port ~remote_ip ~remote_port in
+  if not (Flow_table.is_remnant table slot) then -1
+  else if Flow_table.expire_remnant table slot ~now then -1
+  else slot
+
 let test_tw_collisions () =
-  let tw = Tw_table.create () in
+  let tw = remnant_table () in
   (* Many tuples that differ only in remote port — whatever the hash,
      open addressing must keep them all distinct. *)
   let n = 257 in
   for i = 0 to n - 1 do
-    Tw_table.add tw ~local_port:80 ~remote_ip:0xC0A80001 ~remote_port:(1000 + i)
-      ~snd_nxt:(100 + i) ~rcv_nxt:(200 + i) ~deadline:1_000_000
+    Flow_table.add_remnant tw ~local_port:80 ~remote_ip:0xC0A80001
+      ~remote_port:(1000 + i) ~snd_nxt:(100 + i) ~rcv_nxt:(200 + i)
+      ~deadline:1_000_000
   done;
-  check_int "all resident" n (Tw_table.count tw);
+  check_int "all resident" n (Flow_table.remnant_count tw);
+  check_int "no connections" 0 (Flow_table.count tw);
   for i = 0 to n - 1 do
     let slot =
-      Tw_table.find_slot tw ~now:0 ~local_port:80 ~remote_ip:0xC0A80001
+      live_remnant tw ~now:0 ~local_port:80 ~remote_ip:0xC0A80001
         ~remote_port:(1000 + i)
     in
     check_bool "found" true (slot >= 0);
-    check_int "right snd_nxt" (100 + i) (Tw_table.fin_snd_nxt tw slot);
-    check_int "right rcv_nxt" (200 + i) (Tw_table.fin_rcv_nxt tw slot)
+    check_int "right snd_nxt" (100 + i) (Flow_table.remnant_snd_nxt tw slot);
+    check_int "right rcv_nxt" (200 + i) (Flow_table.remnant_rcv_nxt tw slot)
   done;
   (* Same tuple re-added replaces, not duplicates. *)
-  Tw_table.add tw ~local_port:80 ~remote_ip:0xC0A80001 ~remote_port:1000
+  Flow_table.add_remnant tw ~local_port:80 ~remote_ip:0xC0A80001 ~remote_port:1000
     ~snd_nxt:999 ~rcv_nxt:888 ~deadline:1_000_000;
-  check_int "replace not duplicate" n (Tw_table.count tw);
+  check_int "replace not duplicate" n (Flow_table.remnant_count tw);
   let slot =
-    Tw_table.find_slot tw ~now:0 ~local_port:80 ~remote_ip:0xC0A80001
-      ~remote_port:1000
+    live_remnant tw ~now:0 ~local_port:80 ~remote_ip:0xC0A80001 ~remote_port:1000
   in
-  check_int "replaced snd_nxt" 999 (Tw_table.fin_snd_nxt tw slot)
+  check_int "replaced snd_nxt" 999 (Flow_table.remnant_snd_nxt tw slot)
 
 let test_tw_churn_bounded () =
-  let tw = Tw_table.create () in
+  let tw = remnant_table () in
   let live = 64 in
   let port n = 1024 + (n mod 60_000) in
   let add n =
-    Tw_table.add tw ~local_port:80 ~remote_ip:(0xE000000 + (n mod live))
+    Flow_table.add_remnant tw ~local_port:80 ~remote_ip:(0xE000000 + (n mod live))
       ~remote_port:(port n) ~snd_nxt:n ~rcv_nxt:n ~deadline:max_int
   in
   for n = 0 to live - 1 do
@@ -366,59 +510,74 @@ let test_tw_churn_bounded () =
   for n = live to reconnects + live - 1 do
     let old = n - live in
     let slot =
-      Tw_table.find_slot tw ~now:0 ~local_port:80
+      live_remnant tw ~now:0 ~local_port:80
         ~remote_ip:(0xE000000 + (old mod live)) ~remote_port:(port old)
     in
     if slot < 0 then Alcotest.failf "lost remnant %d" old;
-    Tw_table.remove tw slot;
+    Flow_table.remove_remnant tw slot;
     add n
   done;
-  check_int "live remnants" live (Tw_table.count tw);
+  check_int "live remnants" live (Flow_table.remnant_count tw);
   check_bool
-    (Printf.sprintf "%d slots after %d reconnects <= 1024" (Tw_table.capacity tw)
+    (Printf.sprintf "%d slots after %d reconnects <= 1024" (Flow_table.capacity tw)
        reconnects)
     true
-    (Tw_table.capacity tw <= 1024);
+    (Flow_table.capacity tw <= 1024);
   for n = reconnects to reconnects + live - 1 do
     let slot =
-      Tw_table.find_slot tw ~now:0 ~local_port:80
+      live_remnant tw ~now:0 ~local_port:80
         ~remote_ip:(0xE000000 + (n mod live)) ~remote_port:(port n)
     in
     check_bool "latest remnant found" true (slot >= 0);
-    check_int "latest remnant's state" n (Tw_table.fin_snd_nxt tw slot)
+    check_int "latest remnant's state" n (Flow_table.remnant_snd_nxt tw slot)
   done
 
 let test_tw_expiry () =
-  let tw = Tw_table.create () in
-  Tw_table.add tw ~local_port:80 ~remote_ip:1 ~remote_port:1 ~snd_nxt:1
+  let tw = remnant_table () in
+  Flow_table.add_remnant tw ~local_port:80 ~remote_ip:1 ~remote_port:1 ~snd_nxt:1
     ~rcv_nxt:1 ~deadline:100;
-  Tw_table.add tw ~local_port:80 ~remote_ip:1 ~remote_port:2 ~snd_nxt:2
+  Flow_table.add_remnant tw ~local_port:80 ~remote_ip:1 ~remote_port:2 ~snd_nxt:2
     ~rcv_nxt:2 ~deadline:300;
   check_bool "live before deadline" true
-    (Tw_table.find_slot tw ~now:50 ~local_port:80 ~remote_ip:1 ~remote_port:1
-    >= 0);
-  (* Lazy expiry: a lookup past the deadline misses (and reaps). *)
+    (live_remnant tw ~now:50 ~local_port:80 ~remote_ip:1 ~remote_port:1 >= 0);
+  (* Lazy expiry: a lookup at or past the deadline misses (and reaps). *)
+  check_bool "live just before its deadline" true
+    (live_remnant tw ~now:99 ~local_port:80 ~remote_ip:1 ~remote_port:1 >= 0);
+  check_int "expired at its deadline" (-1)
+    (live_remnant tw ~now:100 ~local_port:80 ~remote_ip:1 ~remote_port:1);
   check_int "expired is a miss" (-1)
-    (Tw_table.find_slot tw ~now:200 ~local_port:80 ~remote_ip:1 ~remote_port:1);
+    (live_remnant tw ~now:200 ~local_port:80 ~remote_ip:1 ~remote_port:1);
+  check_int "reaped on the way" (-1)
+    (Flow_table.lookup tw ~local_port:80 ~remote_ip:1 ~remote_port:1);
   check_bool "later deadline still live" true
-    (Tw_table.find_slot tw ~now:200 ~local_port:80 ~remote_ip:1 ~remote_port:2
-    >= 0);
+    (live_remnant tw ~now:200 ~local_port:80 ~remote_ip:1 ~remote_port:2 >= 0);
   (* Sweep reaps everything expired. *)
-  let reaped = Tw_table.sweep tw ~now:1_000 in
+  let reaped = Flow_table.sweep tw ~now:1_000 in
   check_int "sweep reaped the rest" 1 reaped;
-  check_int "empty" 0 (Tw_table.count tw)
+  check_int "empty" 0 (Flow_table.remnant_count tw);
+  (* Remnants alone fill the table past 3/8 live: it doubles, and the
+     sweep still finds each row's new slot. *)
+  let n = 1_000 in
+  for i = 0 to n - 1 do
+    Flow_table.add_remnant tw ~local_port:80 ~remote_ip:2 ~remote_port:i ~snd_nxt:i
+      ~rcv_nxt:i ~deadline:(2_000 + (i land 1))
+  done;
+  check_bool "the table doubled" true (Flow_table.capacity tw > 1024);
+  check_int "sweep reaped the even ports" (n / 2) (Flow_table.sweep tw ~now:2_000);
+  for i = 0 to n - 1 do
+    let slot = live_remnant tw ~now:2_000 ~local_port:80 ~remote_ip:2 ~remote_port:i in
+    if i land 1 = 0 then check_int "swept" (-1) slot
+    else check_int "kept with its state" i (Flow_table.remnant_snd_nxt tw slot)
+  done
 
 let test_tw_refresh () =
-  let tw = Tw_table.create () in
-  Tw_table.add tw ~local_port:80 ~remote_ip:9 ~remote_port:9 ~snd_nxt:5
+  let tw = remnant_table () in
+  Flow_table.add_remnant tw ~local_port:80 ~remote_ip:9 ~remote_port:9 ~snd_nxt:5
     ~rcv_nxt:6 ~deadline:100;
-  let slot =
-    Tw_table.find_slot tw ~now:0 ~local_port:80 ~remote_ip:9 ~remote_port:9
-  in
-  Tw_table.refresh tw slot ~deadline:500;
+  let slot = live_remnant tw ~now:0 ~local_port:80 ~remote_ip:9 ~remote_port:9 in
+  Flow_table.refresh_remnant tw slot ~deadline:500;
   check_bool "refreshed deadline holds" true
-    (Tw_table.find_slot tw ~now:400 ~local_port:80 ~remote_ip:9 ~remote_port:9
-    >= 0)
+    (live_remnant tw ~now:400 ~local_port:80 ~remote_ip:9 ~remote_port:9 >= 0)
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel at 1M armed timers                                      *)

@@ -747,8 +747,8 @@ let test_challenge_ack_rate_limit () =
   Alcotest.(check string) "post-flood data delivered" msg
     (Buffer.contents received)
 
-let test_rfc1337_tw_table_remnant () =
-  (* TIME_WAIT is a compact Tw_table remnant (no TCB), held long enough
+let test_rfc1337_remnant () =
+  (* TIME_WAIT is a compact flow-table remnant (no TCB), held long enough
      to attack: an RST at exactly the closed connection's rcv_nxt — the
      one sequence number a genuine reset carries — must be dropped, not
      assassinate the remnant. *)
@@ -892,7 +892,7 @@ let () =
           Alcotest.test_case "challenge-ACK rate limit under RST flood"
             `Quick test_challenge_ack_rate_limit;
           Alcotest.test_case "RFC 1337, recycled remnant" `Quick
-            test_rfc1337_tw_table_remnant;
+            test_rfc1337_remnant;
           Alcotest.test_case "port double-free guard" `Quick
             test_port_free_is_counted_once;
           Alcotest.test_case "lifecycle frees each port once" `Quick
