@@ -573,8 +573,6 @@ let mark t stage =
 
 let rec run_cycle t =
   t.state <- Running;
-  Sim.cancel t.sim t.idle_wakeup;
-  t.idle_wakeup <- Sim.no_handle;
   Metrics.incr t.c_cycles;
   t.kernel_ns_acc <- 0;
   t.user_ns_acc <- 0;
