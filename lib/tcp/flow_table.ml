@@ -83,10 +83,12 @@ let[@inline] key_matches t e ~krem ~kloc =
     t.rows.(b) = krem && t.rows.(b + 1) = kloc
   end
 
-(* The one probe loop: the slot of the key's entry, or on a miss
-   [-2 - j], where [j] is the first tombstone or empty slot on the key's
-   probe path — the slot an insert takes. *)
-let probe t ~h ~krem ~kloc =
+(* The one probe loop.  On a miss it returns [-2 - j], where [j] is the
+   first tombstone or empty slot on the key's probe path: the slot an
+   insert takes. *)
+let lookup t ~local_port ~remote_ip ~remote_port =
+  let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
+  let h = hash ~krem ~kloc in
   let slots = t.slots in
   let mask = (Array.length slots / 2) - 1 in
   let i = ref (h land mask) in
@@ -111,10 +113,10 @@ let probe t ~h ~krem ~kloc =
   done;
   !result
 
-let lookup t ~local_port ~remote_ip ~remote_port =
-  let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
-  let slot = probe t ~h:(hash ~krem ~kloc) ~krem ~kloc in
-  if slot >= 0 then slot else -1
+(* The slot a key's entry holds, or else the slot an insert takes. *)
+let place t ~local_port ~remote_ip ~remote_port =
+  let i = lookup t ~local_port ~remote_ip ~remote_port in
+  if i >= 0 then i else -2 - i
 
 (* Rebuild at [capacity'] slots, dropping tombstones and stale handles.
    Entries are visited in slot order and each lands in the first empty
@@ -165,8 +167,7 @@ let free_row t r =
 let add t ~local_port ~remote_ip ~remote_port tcb =
   let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
   let h = hash ~krem ~kloc in
-  let i = probe t ~h ~krem ~kloc in
-  let i = if i >= 0 then i else -2 - i in
+  let i = place t ~local_port ~remote_ip ~remote_port in
   let e = t.slots.((2 * i) + 1) in
   if e = empty then t.used <- t.used + 1;
   if e < 0 then t.count <- t.count + 1;
@@ -223,8 +224,7 @@ let expire_remnant t slot ~now =
 let add_remnant t ~local_port ~remote_ip ~remote_port ~snd_nxt ~rcv_nxt ~deadline =
   let krem = key_rem ~remote_ip ~remote_port and kloc = local_port land 0xFFFF in
   let h = hash ~krem ~kloc in
-  let i = probe t ~h ~krem ~kloc in
-  let i = if i >= 0 then i else -2 - i in
+  let i = place t ~local_port ~remote_ip ~remote_port in
   let e = t.slots.((2 * i) + 1) in
   let r =
     if is_code e then row_of_code e

@@ -41,14 +41,15 @@ val iter : t -> (Tcb.t -> unit) -> unit
 
 val lookup : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> int
 (** The slot of the tuple's entry — a live connection or a remnant,
-    expired or not — or -1.  One probe; allocates nothing.  The [slot]
-    arguments below are its results, with no table update between. *)
+    expired or not — or a negative number.  One probe; allocates
+    nothing.  The [slot] arguments below are its results, with no table
+    update between. *)
 
 val conn : t -> int -> Tcb.t
-(** The connection at [slot]; the dead view for -1 or a remnant. *)
+(** The connection at [slot]; the dead view for a miss or a remnant. *)
 
 val is_remnant : t -> int -> bool
-(** Whether [slot] holds a remnant ([false] for -1). *)
+(** Whether [slot] holds a remnant ([false] for a miss). *)
 
 val add_remnant :
   t ->

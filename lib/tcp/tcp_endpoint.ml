@@ -96,16 +96,11 @@ let ensure_sweep t =
          t.tw_sweep_tick)
   end
 
-(* One probe for the tuple: the slot of its connection or of its live
-   remnant, or -1.  A remnant past its deadline is dropped here and
-   reads as a miss (lazy expiry). *)
-let lookup t ~local_port ~remote_ip ~remote_port =
-  let slot = Flow_table.lookup t.flows ~local_port ~remote_ip ~remote_port in
-  if
-    Flow_table.is_remnant t.flows slot
-    && Flow_table.expire_remnant t.flows slot ~now:(t.tcb_env.Tcb.now ())
-  then -1
-  else slot
+(* Whether [slot] holds a remnant still in its quiet period.  One past
+   its deadline is dropped here (lazy expiry). *)
+let live_remnant t slot =
+  Flow_table.is_remnant t.flows slot
+  && not (Flow_table.expire_remnant t.flows slot ~now:(t.tcb_env.Tcb.now ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -224,7 +219,10 @@ let unlisten t ~port = Hashtbl.remove t.listeners port
 
 let connect t ~remote_ip ~remote_port ?(port_suitable = fun _ -> true) ~cookie () =
   let suitable port =
-    port_suitable port && lookup t ~local_port:port ~remote_ip ~remote_port < 0
+    port_suitable port
+    &&
+    let slot = Flow_table.lookup t.flows ~local_port:port ~remote_ip ~remote_port in
+    Tcb.is_dead (Flow_table.conn t.flows slot) && not (live_remnant t slot)
   in
   match Port_alloc.alloc t.ports ~suitable with
   | None ->
@@ -358,79 +356,78 @@ let ce_of_ecn ecn = if ecn = Ixnet.Ipv4_packet.ce then ce_marked else None
 let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
   Metrics.incr t.c_rx_segs;
   (* One probe tells a connection, a TIME_WAIT remnant and a miss
-     apart.  A remnant superseded by a new SYN leaves a tombstone, so
-     the segment falls through to the flow-miss path. *)
+     apart.  A remnant superseded by a new SYN, or expired, falls
+     through to the flow-miss path. *)
   let slot =
-    lookup t ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
+    Flow_table.lookup t.flows ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
       ~remote_port:seg.Seg.src_port
   in
-  if not (Flow_table.is_remnant t.flows slot && rx_time_wait t ~src_ip seg slot)
-  then
-    match Flow_table.conn t.flows slot with
-    | tcb when not (Tcb.is_dead tcb) ->
-        (* Header prediction first; the full state machine is the
-           fallback.  The hit counters feed the Table-2-style breakdowns
-           and the benchmark's tcp.fast_path_ratio row. *)
-        if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
-        else begin
-          Metrics.incr t.c_slow_hits;
-          Tcp_conn.input ?ce tcb seg mbuf
-        end
-    | _ ->
-        if seg.Seg.syn && not seg.Seg.ack_flag then begin
-          match Hashtbl.find_opt t.listeners seg.Seg.dst_port with
-          | Some _listener ->
-              if t.cfg.Tcb.syn_cookies then begin
-                (* Listen path under cookies: answer statelessly; the
-                   TCB materializes only on the cookie-validated ACK. *)
-                let peer_mss =
-                  match seg.Seg.mss with Some m -> m | None -> 536
-                in
-                let cookie_iss, _mss =
-                  syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
-                    ~local_port:seg.Seg.dst_port ~mss:peer_mss
-                in
-                send_cookie_syn_ack t ~src_ip seg ~cookie_iss
-              end
-              else begin
-                let tcb =
-                  Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip
-                    ~remote_ip:src_ip ~segment:seg ~cookie:0
-                in
-                Metrics.incr t.c_accepts;
-                Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-                  ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb
-              end
-          | None -> send_rst t ~src_ip seg
-        end
-        else if
-          t.cfg.Tcb.syn_cookies && seg.Seg.ack_flag && (not seg.Seg.syn)
-          && (not seg.Seg.rst)
-          && Hashtbl.mem t.listeners seg.Seg.dst_port
-        then begin
-          (* Flow-miss ACK on a listening port: possibly the completing
-             leg of a cookie handshake. *)
-          let iss = Seqno.sub seg.Seg.ack 1 in
-          match
-            validate_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
-              ~local_port:seg.Seg.dst_port ~iss
-          with
-          | Some mss ->
-              Metrics.incr t.c_syn_cookies_validated;
+  match Flow_table.conn t.flows slot with
+  | tcb when not (Tcb.is_dead tcb) ->
+      (* Header prediction first; the full state machine is the
+         fallback.  The hit counters feed the Table-2-style breakdowns
+         and the benchmark's tcp.fast_path_ratio row. *)
+      if Tcp_conn.input_fast tcb seg mbuf then Metrics.incr t.c_fast_hits
+      else begin
+        Metrics.incr t.c_slow_hits;
+        Tcp_conn.input ?ce tcb seg mbuf
+      end
+  | _ when live_remnant t slot && rx_time_wait t ~src_ip seg slot -> ()
+  | _ ->
+      if seg.Seg.syn && not seg.Seg.ack_flag then begin
+        match Hashtbl.find_opt t.listeners seg.Seg.dst_port with
+        | Some _listener ->
+            if t.cfg.Tcb.syn_cookies then begin
+              (* Listen path under cookies: answer statelessly; the
+                 TCB materializes only on the cookie-validated ACK. *)
+              let peer_mss =
+                match seg.Seg.mss with Some m -> m | None -> 536
+              in
+              let cookie_iss, _mss =
+                syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
+                  ~local_port:seg.Seg.dst_port ~mss:peer_mss
+              in
+              send_cookie_syn_ack t ~src_ip seg ~cookie_iss
+            end
+            else begin
               let tcb =
-                Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
-                  ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
+                Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip
+                  ~remote_ip:src_ip ~segment:seg ~cookie:0
               in
               Metrics.incr t.c_accepts;
               Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-                ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
-              (* Deliver any payload/window info riding the ACK. *)
-              Tcp_conn.input ?ce tcb seg mbuf
-          | None ->
-              Metrics.incr t.c_syn_cookies_rejected;
-              send_rst t ~src_ip seg
-        end
-        else send_rst t ~src_ip seg
+                ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb
+            end
+        | None -> send_rst t ~src_ip seg
+      end
+      else if
+        t.cfg.Tcb.syn_cookies && seg.Seg.ack_flag && (not seg.Seg.syn)
+        && (not seg.Seg.rst)
+        && Hashtbl.mem t.listeners seg.Seg.dst_port
+      then begin
+        (* Flow-miss ACK on a listening port: possibly the completing
+           leg of a cookie handshake. *)
+        let iss = Seqno.sub seg.Seg.ack 1 in
+        match
+          validate_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
+            ~local_port:seg.Seg.dst_port ~iss
+        with
+        | Some mss ->
+            Metrics.incr t.c_syn_cookies_validated;
+            let tcb =
+              Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
+                ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
+            in
+            Metrics.incr t.c_accepts;
+            Flow_table.add t.flows ~local_port:seg.Seg.dst_port
+              ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
+            (* Deliver any payload/window info riding the ACK. *)
+            Tcp_conn.input ?ce tcb seg mbuf
+        | None ->
+            Metrics.incr t.c_syn_cookies_rejected;
+            send_rst t ~src_ip seg
+      end
+      else send_rst t ~src_ip seg
 
 let adopt t tcb =
   (* Flow migration lands the connection's columns in this endpoint's
