@@ -412,7 +412,7 @@ let conn_scale_cmd =
     (Cmd.info "conn-scale"
        ~doc:
          "Million-connection churn: one endpoint sustains --conns \
-          connections in the unboxed SoA TCB store under Zipf-hot traffic \
+          connections in the unboxed TCB store under Zipf-hot traffic \
           with server-side closes, TIME_WAIT recycling and same-tuple \
           reconnects.  Reports resident bytes per connection and \
           allocation per event.")

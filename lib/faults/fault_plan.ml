@@ -430,8 +430,6 @@ let has_wire_faults s =
   || s.duplicate_rate > 0. || s.reorder_rate > 0. || s.flap_period_ns > 0
   || hostile_faults s
 
-let wire_faults = has_wire_faults
-
 let arm_link t link =
   if has_wire_faults t.spec then
     Link.set_tap link (Some (fun frame deliver -> tap t frame deliver))

@@ -82,7 +82,7 @@ val parse : string -> (spec, string) result
 val to_string : spec -> string
 (** Canonical round-trippable form (the nonzero fields). *)
 
-val wire_faults : spec -> bool
+val has_wire_faults : spec -> bool
 (** Whether {!arm_link} would install a tap for this spec (any wire
     fault rate nonzero, flapping enabled, or any hostile rate
     nonzero).  The chaos audit uses this to know when the NIC-side

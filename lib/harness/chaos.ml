@@ -315,7 +315,7 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
   Sim.run sim;
   let audit_failures =
     audit ~fm
-      ~wire_armed:(Fault_plan.wire_faults spec)
+      ~wire_armed:(Fault_plan.has_wire_faults spec)
       ~offered_base:!offered_base cluster
   in
   let buf = Buffer.create 4096 in
@@ -383,7 +383,7 @@ let memcached_leg ?(seed = 42) ~spec ?(soak_ms = 8) () =
   Sim.run sim;
   let audit_failures =
     audit ~fm
-      ~wire_armed:(Fault_plan.wire_faults spec)
+      ~wire_armed:(Fault_plan.has_wire_faults spec)
       ~offered_base:!offered_base cluster
   in
   let buf = Buffer.create 4096 in

@@ -7,12 +7,12 @@
 
    Each slot is two unboxed words of one int array: the key's 63-bit
    hash at [2i], and at [2i + 1] a generation-checked flow handle into
-   the SoA TCB store ([Tcb.flow_handle], always positive: slot 0 of the
+   the TCB store ([Tcb.flow_handle], always positive: slot 0 of the
    store is reserved), [empty], [tombstone], or remnant row [r]'s code
    [-(3 + r)].  A probe compares the stored hash first and reads the
-   key columns (the store's, or the row's) only when it matches — once
-   on a hit, almost never on a miss — and [rehash] moves (hash, entry)
-   pairs without re-deriving keys.
+   key words (of the connection's row in the store, or of the remnant
+   row) only when it matches — once on a hit, almost never on a miss —
+   and [rehash] moves (hash, entry) pairs without re-deriving keys.
 
    A remnant row is [row_words] unboxed words of [rows]: the key
    halves, our final [snd_nxt], the peer's final [rcv_nxt], the
@@ -22,7 +22,7 @@
    slots.
 
    [lookup] runs once per RX segment, so it must not allocate, nor
-   must [find] ([deref] returns the view the store built at [create]
+   must [conn] ([deref] returns the view the store built at [create]
    time and a miss the store's dead view) or the remnant accessors. *)
 
 type t = {
@@ -180,9 +180,6 @@ let add t ~local_port ~remote_ip ~remote_port tcb =
 let conn t slot =
   let e = if slot < 0 then empty else t.slots.((2 * slot) + 1) in
   if e >= 0 then Tcb.deref t.store e else Tcb.dead_view t.store
-
-let find t ~local_port ~remote_ip ~remote_port =
-  conn t (lookup t ~local_port ~remote_ip ~remote_port)
 
 let remove t ~local_port ~remote_ip ~remote_port =
   let slot = lookup t ~local_port ~remote_ip ~remote_port in

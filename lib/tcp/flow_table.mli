@@ -16,15 +16,11 @@ type t
 val create : store:Tcb.store -> t
 (** The table stores each key's hash beside a generation-checked handle
     into [store] ([Tcb.flow_handle]) or a remnant's code; key comparison
-    reads the key columns only when the stored hash matches. *)
+    reads the key words of the connection's or the remnant's row only
+    when the stored hash matches. *)
 
 val add : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t -> unit
 (** Replaces the tuple's entry, a remnant included. *)
-
-val find : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> Tcb.t
-(** The connection's view, or the store's dead view ([Tcb.dead_view],
-    which [Tcb.is_dead] recognises) when no live connection carries the
-    tuple; a remnant reads as dead.  Allocates nothing, hit or miss. *)
 
 val remove : t -> local_port:int -> remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> unit
 (** Drops the tuple's connection; a remnant stays. *)

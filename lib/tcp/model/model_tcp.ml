@@ -1,7 +1,7 @@
 (* Pure-functional model TCP: the conformance oracle.
 
    This is a transliteration of the production state machine
-   ([Tcp_conn] over the SoA [Tcb] store) into an immutable record with
+   ([Tcp_conn] over the unboxed [Tcb] store) into an immutable record with
    explicit time: no timer wheel (deadlines are plain integers, [-1]
    disarmed), no mbufs (payloads are lengths), no store, no
    environment.  Every piece of protocol arithmetic — sequence-window

@@ -1,7 +1,7 @@
 (** Pure-functional model TCP — the conformance oracle.
 
     A transliteration of the production state machine ({!Ixtcp.Tcp_conn}
-    over the SoA {!Ixtcp.Tcb} store) into an immutable record with
+    over the unboxed {!Ixtcp.Tcb} store) into an immutable record with
     explicit time: timer deadlines are plain integers ([-1] disarmed),
     payloads are lengths, and every step returns the successor state
     plus the ordered list of observables — emitted segment headers

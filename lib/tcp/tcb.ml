@@ -1,13 +1,17 @@
-(* The TCP control block, stored structure-of-arrays.
+(* The TCP control block, stored as one flat row per connection.
 
    All protocol logic lives in [Tcp_conn]; this module owns the state
-   *layout*.  A connection's hot fields live in unboxed int columns of
-   a per-endpoint [store] (the same trick that rebuilt [Event_queue]):
-   at million-connection population the boxed-record TCB was ~60 words
-   of pointer-chased heap per flow, and every field was a GC-scanned
-   root.  Columns cost one word per field per connection, are invisible
-   to the GC scanner, and keep the slots of neighbouring connections
-   adjacent in memory.
+   *layout*.  A connection's hot fields live in unboxed int words of a
+   per-endpoint [store] (the same trick that rebuilt [Event_queue]): at
+   million-connection population the boxed-record TCB was ~60 words of
+   pointer-chased heap per flow, and every field was a GC-scanned root.
+   The store's one [rows] array gives each slot [row_words] words,
+   invisible to the GC scanner.  It holds a row per connection rather
+   than a column per field because that is how it is read: every
+   [Tcp_conn] and [Flow_table] access reads several fields of one
+   connection and nothing reads one field across connections.  So a
+   connection's state sits in a few adjacent cache lines, and growth
+   and migration move it as one block.
 
    The boxed [t] record survives only as a *view*: (store, slot) plus
    the fields that are genuinely pointers (env, config, callbacks, the
@@ -132,20 +136,55 @@ let null_callbacks () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Column layout
+(* Row layout
 
-   Full-word columns hold 32-bit sequence numbers, addresses and
-   timestamps.  Two kinds of packing cover the rest:
+   Slot [i]'s row is words [i * row_words] to [(i + 1) * row_words - 1]
+   of [rows], and field [k_f] is word [k_f] of the row.  Full words hold
+   32-bit sequence numbers, addresses and timestamps.  Packing covers
+   the rest:
 
    - 31|31 pairs: two values each provably < 2^31 share a word
      (low bits 0..30, high bits 31..61);
-   - [c_flags]: the state machine, booleans and small saturating
+   - [k_flags]: the state machine, booleans and small saturating
      counters bit-packed into one word (layout below);
-   - [c_ports]: local port | remote port | negotiated MSS, 16 bits
+   - [k_ports]: local port | remote port | negotiated MSS, 16 bits
      each.
 
-   Per-connection column cost: 17 full + 9 packed + 1 float =
-   27 words = 216 bytes. *)
+   The key words come first and adjacent, so a flow-table key check
+   reads one short span.  The DCTCP EWMA is a float and keeps a float
+   array of its own: an OCaml int word would drop a bit of it, and the
+   DCTCP digests depend on every bit.
+
+   Per-connection cost: 26 row words + 1 float = 27 words = 216 bytes. *)
+
+let k_local_ip = 0
+let k_remote_ip = 1
+let k_ports = 2 (* local | remote lsl 16 | mss lsl 32 *)
+let k_flags = 3
+let k_handle = 4
+let k_cookie = 5
+let k_iss = 6
+let k_irs = 7
+let k_snd_una = 8
+let k_snd_nxt = 9
+let k_snd_max = 10
+let k_recover = 11
+let k_snd_queue_seq = 12
+let k_rcv_nxt = 13
+let k_wnds = 14 (* snd_wnd | rcv_adv_wnd *)
+let k_bufs = 15 (* snd_queue_len | rcv_unconsumed *)
+let k_cwnd = 16 (* cwnd_bytes | ssthresh_bytes *)
+let k_avoid_acc = 17
+let k_ecn = 18 (* win_acked | win_marked *)
+let k_rtt_start = 19 (* -1 when no sample is in flight *)
+let k_rtt_seq = 20 (* rtt_seq (32 bits) | retransmits lsl 32 *)
+let k_srtt = 21 (* srtt | rttvar (samples are Karn-valid single-RTT
+                   times, far below 2^31 ns) *)
+let k_rto = 22
+let k_segs = 23 (* segs_in | segs_out *)
+let k_bytes_in = 24
+let k_bytes_out = 25
+let row_words = 26
 
 let half_mask = 0x7FFF_FFFF
 let[@inline] pair_lo v = v land half_mask
@@ -153,7 +192,7 @@ let[@inline] pair_hi v = (v lsr 31) land half_mask
 let[@inline] with_lo word v = word land lnot half_mask lor (v land half_mask)
 let[@inline] with_hi word v = word land half_mask lor ((v land half_mask) lsl 31)
 
-(* [c_flags] bit layout:
+(* [k_flags] bit layout:
      0..3   state (Tcp_state.to_int)
      4..6   last_close (0 = none, 1 + close_reason otherwise)
      7      ws_enabled        8   fin_queued       9   fin_sent
@@ -192,36 +231,8 @@ type store = {
          collector marks (265.5 -> 233.5 resident B/conn at 1 M
          connections, with the driver's own slot unboxed too).  Empty
          until an env meets the store. *)
-  (* full-word columns *)
-  mutable c_iss : int array;
-  mutable c_irs : int array;
-  mutable c_snd_una : int array;
-  mutable c_snd_nxt : int array;
-  mutable c_snd_max : int array;
-  mutable c_recover : int array;
-  mutable c_snd_queue_seq : int array;
-  mutable c_rcv_nxt : int array;
-  mutable c_rtt_start : int array;  (* -1 when no sample is in flight *)
-  mutable c_cookie : int array;
-  mutable c_handle : int array;
-  mutable c_local_ip : int array;
-  mutable c_remote_ip : int array;
-  mutable c_rto : int array;
-  mutable c_avoid_acc : int array;
-  mutable c_bytes_in : int array;
-  mutable c_bytes_out : int array;
-  (* packed columns *)
-  mutable c_flags : int array;
-  mutable c_ports : int array;  (* local | remote lsl 16 | mss lsl 32 *)
-  mutable c_wnds : int array;  (* snd_wnd | rcv_adv_wnd *)
-  mutable c_bufs : int array;  (* snd_queue_len | rcv_unconsumed *)
-  mutable c_cwnd : int array;  (* cwnd_bytes | ssthresh_bytes *)
-  mutable c_ecn : int array;  (* win_acked | win_marked *)
-  mutable c_segs : int array;  (* segs_in | segs_out *)
-  mutable c_rtt_seq : int array;  (* rtt_seq (32 bits) | retransmits lsl 32 *)
-  mutable c_srtt : int array;  (* srtt | rttvar (samples are Karn-valid
-                                  single-RTT times, far below 2^31 ns) *)
-  mutable c_alpha : float array;  (* DCTCP mark-fraction EWMA *)
+  mutable rows : int array;  (* [row_words] words per slot *)
+  mutable c_alpha : float array;  (* DCTCP mark-fraction EWMA, per slot *)
 }
 
 and t = {
@@ -308,87 +319,32 @@ let store_create ?(initial = 256) () =
     free_list = Array.init cap (fun i -> cap - 1 - i);
     free_top = cap - 1;
     views = [||];
-    c_iss = Array.make cap 0;
-    c_irs = Array.make cap 0;
-    c_snd_una = Array.make cap 0;
-    c_snd_nxt = Array.make cap 0;
-    c_snd_max = Array.make cap 0;
-    c_recover = Array.make cap 0;
-    c_snd_queue_seq = Array.make cap 0;
-    c_rcv_nxt = Array.make cap 0;
-    c_rtt_start = Array.make cap 0;
-    c_cookie = Array.make cap 0;
-    c_handle = Array.make cap 0;
-    c_local_ip = Array.make cap 0;
-    c_remote_ip = Array.make cap 0;
-    c_rto = Array.make cap 0;
-    c_avoid_acc = Array.make cap 0;
-    c_bytes_in = Array.make cap 0;
-    c_bytes_out = Array.make cap 0;
-    c_flags = Array.make cap 0;
-    c_ports = Array.make cap 0;
-    c_wnds = Array.make cap 0;
-    c_bufs = Array.make cap 0;
-    c_cwnd = Array.make cap 0;
-    c_ecn = Array.make cap 0;
-    c_segs = Array.make cap 0;
-    c_rtt_seq = Array.make cap 0;
-    c_srtt = Array.make cap 0;
+    rows = Array.make (cap * row_words) 0;
     c_alpha = Array.make cap 0.;
   }
 
-let grow_int old cap' =
-  let a = Array.make cap' 0 in
-  Array.blit old 0 a 0 (Array.length old);
-  a
+(* [a] copied into the front of a fresh [n]-element array of [fill]s. *)
+let grow a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let store_grow s =
   let cap' = 2 * s.cap in
   if cap' > slot_mask + 1 then failwith "Tcb.store: slot space exhausted";
-  let gen' = Array.make cap' 0 in
-  Array.blit s.generation 0 gen' 0 s.cap;
+  s.generation <- grow s.generation cap' 0;
   (* [alloc_slot] runs only under an env, so [views] is filled *)
-  let views' = Array.make cap' s.views.(0) in
-  Array.blit s.views 0 views' 0 s.cap;
+  s.views <- grow s.views cap' s.views.(0);
+  s.rows <- grow s.rows (cap' * row_words) 0;
+  s.c_alpha <- grow s.c_alpha cap' 0.;
   let free' = Array.make cap' 0 in
   (* the new slots become free, highest first (same hand-out order as
      [store_create]) *)
   for i = 0 to cap' - s.cap - 1 do
     free'.(i) <- cap' - 1 - i
   done;
-  s.generation <- gen';
-  s.views <- views';
   s.free_list <- free';
   s.free_top <- cap' - s.cap;
-  s.c_iss <- grow_int s.c_iss cap';
-  s.c_irs <- grow_int s.c_irs cap';
-  s.c_snd_una <- grow_int s.c_snd_una cap';
-  s.c_snd_nxt <- grow_int s.c_snd_nxt cap';
-  s.c_snd_max <- grow_int s.c_snd_max cap';
-  s.c_recover <- grow_int s.c_recover cap';
-  s.c_snd_queue_seq <- grow_int s.c_snd_queue_seq cap';
-  s.c_rcv_nxt <- grow_int s.c_rcv_nxt cap';
-  s.c_rtt_start <- grow_int s.c_rtt_start cap';
-  s.c_cookie <- grow_int s.c_cookie cap';
-  s.c_handle <- grow_int s.c_handle cap';
-  s.c_local_ip <- grow_int s.c_local_ip cap';
-  s.c_remote_ip <- grow_int s.c_remote_ip cap';
-  s.c_rto <- grow_int s.c_rto cap';
-  s.c_avoid_acc <- grow_int s.c_avoid_acc cap';
-  s.c_bytes_in <- grow_int s.c_bytes_in cap';
-  s.c_bytes_out <- grow_int s.c_bytes_out cap';
-  s.c_flags <- grow_int s.c_flags cap';
-  s.c_ports <- grow_int s.c_ports cap';
-  s.c_wnds <- grow_int s.c_wnds cap';
-  s.c_bufs <- grow_int s.c_bufs cap';
-  s.c_cwnd <- grow_int s.c_cwnd cap';
-  s.c_ecn <- grow_int s.c_ecn cap';
-  s.c_segs <- grow_int s.c_segs cap';
-  s.c_rtt_seq <- grow_int s.c_rtt_seq cap';
-  s.c_srtt <- grow_int s.c_srtt cap';
-  let alpha' = Array.make cap' 0. in
-  Array.blit s.c_alpha 0 alpha' 0 s.cap;
-  s.c_alpha <- alpha';
   s.cap <- cap'
 
 let alloc_slot s =
@@ -439,72 +395,57 @@ let release tcb =
 (* Accessors.  Names match the old record fields so [Tcp_conn] reads
    as before: [tcb.snd_una] became [snd_una tcb]. *)
 
-let[@inline] state tcb = Tcp_state.of_int (tcb.store.c_flags.(tcb.slot) land 0xF)
+let[@inline] word tcb k = tcb.store.rows.((tcb.slot * row_words) + k)
+let[@inline] set_word tcb k v = tcb.store.rows.((tcb.slot * row_words) + k) <- v
 
-let[@inline] set_state tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot 0xF lor Tcp_state.to_int v
+(* The [mask]-wide bit field at [shift] of word [k]. *)
+let[@inline] bits tcb k shift mask = (word tcb k lsr shift) land mask
 
-let[@inline] flag tcb bit = tcb.store.c_flags.(tcb.slot) land (1 lsl bit) <> 0
+let[@inline] set_bits tcb k shift mask v =
+  set_word tcb k (word tcb k land lnot (mask lsl shift) lor ((v land mask) lsl shift))
 
-let[@inline] set_flag tcb bit v =
-  let s = tcb.store and i = tcb.slot in
-  if v then s.c_flags.(i) <- s.c_flags.(i) lor (1 lsl bit)
-  else s.c_flags.(i) <- s.c_flags.(i) land lnot (1 lsl bit)
+let[@inline] state tcb = Tcp_state.of_int (bits tcb k_flags 0 0xF)
+let[@inline] set_state tcb v = set_bits tcb k_flags 0 0xF (Tcp_state.to_int v)
+let[@inline] flag tcb bit = bits tcb k_flags bit 1 = 1
+let[@inline] set_flag tcb bit v = set_bits tcb k_flags bit 1 (Bool.to_int v)
 
-let[@inline] handle tcb = tcb.store.c_handle.(tcb.slot)
-let[@inline] cookie tcb = tcb.store.c_cookie.(tcb.slot)
-let[@inline] set_cookie tcb v = tcb.store.c_cookie.(tcb.slot) <- v
-let[@inline] local_ip tcb = tcb.store.c_local_ip.(tcb.slot)
-let[@inline] remote_ip tcb = tcb.store.c_remote_ip.(tcb.slot)
-let[@inline] local_port tcb = tcb.store.c_ports.(tcb.slot) land 0xFFFF
-let[@inline] remote_port tcb = (tcb.store.c_ports.(tcb.slot) lsr 16) land 0xFFFF
-let[@inline] snd_mss tcb = (tcb.store.c_ports.(tcb.slot) lsr 32) land 0xFFFF
+let[@inline] handle tcb = word tcb k_handle
+let[@inline] cookie tcb = word tcb k_cookie
+let[@inline] set_cookie tcb v = set_word tcb k_cookie v
+let[@inline] local_ip tcb = word tcb k_local_ip
+let[@inline] remote_ip tcb = word tcb k_remote_ip
+let[@inline] local_port tcb = bits tcb k_ports 0 0xFFFF
+let[@inline] remote_port tcb = bits tcb k_ports 16 0xFFFF
+let[@inline] snd_mss tcb = bits tcb k_ports 32 0xFFFF
+let[@inline] set_snd_mss tcb v = set_bits tcb k_ports 32 0xFFFF v
 
-let[@inline] set_snd_mss tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_ports.(i) <- s.c_ports.(i) land 0xFFFF_FFFF lor ((v land 0xFFFF) lsl 32)
+let[@inline] iss tcb = word tcb k_iss
+let[@inline] set_iss tcb v = set_word tcb k_iss v
+let[@inline] irs tcb = word tcb k_irs
+let[@inline] set_irs tcb v = set_word tcb k_irs v
+let[@inline] snd_una tcb = word tcb k_snd_una
+let[@inline] set_snd_una tcb v = set_word tcb k_snd_una v
+let[@inline] snd_nxt tcb = word tcb k_snd_nxt
+let[@inline] set_snd_nxt tcb v = set_word tcb k_snd_nxt v
+let[@inline] snd_max tcb = word tcb k_snd_max
+let[@inline] set_snd_max tcb v = set_word tcb k_snd_max v
+let[@inline] recover tcb = word tcb k_recover
+let[@inline] set_recover tcb v = set_word tcb k_recover v
+let[@inline] rcv_nxt tcb = word tcb k_rcv_nxt
+let[@inline] set_rcv_nxt tcb v = set_word tcb k_rcv_nxt v
+let[@inline] snd_queue_seq tcb = word tcb k_snd_queue_seq
+let[@inline] set_snd_queue_seq tcb v = set_word tcb k_snd_queue_seq v
+let[@inline] rtt_start tcb = word tcb k_rtt_start
+let[@inline] set_rtt_start tcb v = set_word tcb k_rtt_start v
 
-let[@inline] iss tcb = tcb.store.c_iss.(tcb.slot)
-let[@inline] set_iss tcb v = tcb.store.c_iss.(tcb.slot) <- v
-let[@inline] irs tcb = tcb.store.c_irs.(tcb.slot)
-let[@inline] set_irs tcb v = tcb.store.c_irs.(tcb.slot) <- v
-let[@inline] snd_una tcb = tcb.store.c_snd_una.(tcb.slot)
-let[@inline] set_snd_una tcb v = tcb.store.c_snd_una.(tcb.slot) <- v
-let[@inline] snd_nxt tcb = tcb.store.c_snd_nxt.(tcb.slot)
-let[@inline] set_snd_nxt tcb v = tcb.store.c_snd_nxt.(tcb.slot) <- v
-let[@inline] snd_max tcb = tcb.store.c_snd_max.(tcb.slot)
-let[@inline] set_snd_max tcb v = tcb.store.c_snd_max.(tcb.slot) <- v
-let[@inline] recover tcb = tcb.store.c_recover.(tcb.slot)
-let[@inline] set_recover tcb v = tcb.store.c_recover.(tcb.slot) <- v
-let[@inline] rcv_nxt tcb = tcb.store.c_rcv_nxt.(tcb.slot)
-let[@inline] set_rcv_nxt tcb v = tcb.store.c_rcv_nxt.(tcb.slot) <- v
-let[@inline] snd_queue_seq tcb = tcb.store.c_snd_queue_seq.(tcb.slot)
-let[@inline] set_snd_queue_seq tcb v = tcb.store.c_snd_queue_seq.(tcb.slot) <- v
-let[@inline] rtt_start tcb = tcb.store.c_rtt_start.(tcb.slot)
-let[@inline] set_rtt_start tcb v = tcb.store.c_rtt_start.(tcb.slot) <- v
-
-let[@inline] snd_wnd tcb = pair_lo tcb.store.c_wnds.(tcb.slot)
-let[@inline] rcv_adv_wnd tcb = pair_hi tcb.store.c_wnds.(tcb.slot)
-
-let[@inline] set_snd_wnd tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_wnds.(i) <- with_lo s.c_wnds.(i) v
-
-let[@inline] set_rcv_adv_wnd tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_wnds.(i) <- with_hi s.c_wnds.(i) v
-
-let[@inline] snd_queue_len tcb = pair_lo tcb.store.c_bufs.(tcb.slot)
-let[@inline] rcv_unconsumed tcb = pair_hi tcb.store.c_bufs.(tcb.slot)
-
-let[@inline] set_snd_queue_len tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_bufs.(i) <- with_lo s.c_bufs.(i) v
-
-let[@inline] set_rcv_unconsumed tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_bufs.(i) <- with_hi s.c_bufs.(i) v
+let[@inline] snd_wnd tcb = pair_lo (word tcb k_wnds)
+let[@inline] rcv_adv_wnd tcb = pair_hi (word tcb k_wnds)
+let[@inline] set_snd_wnd tcb v = set_word tcb k_wnds (with_lo (word tcb k_wnds) v)
+let[@inline] set_rcv_adv_wnd tcb v = set_word tcb k_wnds (with_hi (word tcb k_wnds) v)
+let[@inline] snd_queue_len tcb = pair_lo (word tcb k_bufs)
+let[@inline] rcv_unconsumed tcb = pair_hi (word tcb k_bufs)
+let[@inline] set_snd_queue_len tcb v = set_word tcb k_bufs (with_lo (word tcb k_bufs) v)
+let[@inline] set_rcv_unconsumed tcb v = set_word tcb k_bufs (with_hi (word tcb k_bufs) v)
 
 let[@inline] ws_enabled tcb = flag tcb b_ws_enabled
 let[@inline] set_ws_enabled tcb v = set_flag tcb b_ws_enabled v
@@ -519,66 +460,34 @@ let[@inline] set_ce_to_echo tcb v = set_flag tcb b_ce_to_echo v
 let[@inline] port_owned tcb = flag tcb b_port_owned
 let[@inline] set_port_owned tcb v = set_flag tcb b_port_owned v
 
-let[@inline] snd_wscale tcb = (tcb.store.c_flags.(tcb.slot) lsr 14) land 0x1F
-
-let[@inline] set_snd_wscale tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0x1F lsl 14) lor ((v land 0x1F) lsl 14)
-
-let[@inline] delack_count tcb = (tcb.store.c_flags.(tcb.slot) lsr 19) land 0xFF
-
-let[@inline] set_delack_count tcb v =
-  let s = tcb.store and i = tcb.slot in
-  let v = if v > 0xFF then 0xFF else v in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0xFF lsl 19) lor (v lsl 19)
-
-let[@inline] dupacks tcb = (tcb.store.c_flags.(tcb.slot) lsr 27) land 0xFF
-
-let[@inline] set_dupacks tcb v =
-  let s = tcb.store and i = tcb.slot in
-  let v = if v > 0xFF then 0xFF else v in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0xFF lsl 27) lor (v lsl 27)
-
-let[@inline] rexmit_shots tcb = (tcb.store.c_flags.(tcb.slot) lsr 35) land 0x3F
-
-let[@inline] set_rexmit_shots tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0x3F lsl 35) lor ((v land 0x3F) lsl 35)
-
-let[@inline] rtt_seq tcb = tcb.store.c_rtt_seq.(tcb.slot) land 0xFFFF_FFFF
-
-let[@inline] set_rtt_seq tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_rtt_seq.(i) <- s.c_rtt_seq.(i) land lnot 0xFFFF_FFFF lor (v land 0xFFFF_FFFF)
+let[@inline] snd_wscale tcb = bits tcb k_flags 14 0x1F
+let[@inline] set_snd_wscale tcb v = set_bits tcb k_flags 14 0x1F v
+let[@inline] delack_count tcb = bits tcb k_flags 19 0xFF
+let[@inline] set_delack_count tcb v = set_bits tcb k_flags 19 0xFF (Int.min v 0xFF)
+let[@inline] dupacks tcb = bits tcb k_flags 27 0xFF
+let[@inline] set_dupacks tcb v = set_bits tcb k_flags 27 0xFF (Int.min v 0xFF)
+let[@inline] rexmit_shots tcb = bits tcb k_flags 35 0x3F
+let[@inline] set_rexmit_shots tcb v = set_bits tcb k_flags 35 0x3F v
+let[@inline] rtt_seq tcb = bits tcb k_rtt_seq 0 0xFFFF_FFFF
+let[@inline] set_rtt_seq tcb v = set_bits tcb k_rtt_seq 0 0xFFFF_FFFF v
 
 (* --- statistics --- *)
 
-let[@inline] segs_in tcb = pair_lo tcb.store.c_segs.(tcb.slot)
-let[@inline] segs_out tcb = pair_hi tcb.store.c_segs.(tcb.slot)
-
-let[@inline] incr_segs_in tcb =
-  let s = tcb.store and i = tcb.slot in
-  s.c_segs.(i) <- with_lo s.c_segs.(i) (pair_lo s.c_segs.(i) + 1)
-
-let[@inline] incr_segs_out tcb =
-  let s = tcb.store and i = tcb.slot in
-  s.c_segs.(i) <- with_hi s.c_segs.(i) (pair_hi s.c_segs.(i) + 1)
-
-let[@inline] retransmits tcb = (tcb.store.c_rtt_seq.(tcb.slot) lsr 32) land half_mask
-
-let[@inline] incr_retransmits tcb =
-  let s = tcb.store and i = tcb.slot in
-  s.c_rtt_seq.(i) <- s.c_rtt_seq.(i) + (1 lsl 32)
-
-let[@inline] bytes_in tcb = tcb.store.c_bytes_in.(tcb.slot)
-let[@inline] add_bytes_in tcb n = tcb.store.c_bytes_in.(tcb.slot) <- tcb.store.c_bytes_in.(tcb.slot) + n
-let[@inline] bytes_out tcb = tcb.store.c_bytes_out.(tcb.slot)
-let[@inline] add_bytes_out tcb n = tcb.store.c_bytes_out.(tcb.slot) <- tcb.store.c_bytes_out.(tcb.slot) + n
+let[@inline] segs_in tcb = pair_lo (word tcb k_segs)
+let[@inline] segs_out tcb = pair_hi (word tcb k_segs)
+let[@inline] incr_segs_in tcb = set_word tcb k_segs (with_lo (word tcb k_segs) (segs_in tcb + 1))
+let[@inline] incr_segs_out tcb = set_word tcb k_segs (with_hi (word tcb k_segs) (segs_out tcb + 1))
+let[@inline] retransmits tcb = bits tcb k_rtt_seq 32 half_mask
+let[@inline] incr_retransmits tcb = set_word tcb k_rtt_seq (word tcb k_rtt_seq + (1 lsl 32))
+let[@inline] bytes_in tcb = word tcb k_bytes_in
+let[@inline] add_bytes_in tcb n = set_word tcb k_bytes_in (word tcb k_bytes_in + n)
+let[@inline] bytes_out tcb = word tcb k_bytes_out
+let[@inline] add_bytes_out tcb n = set_word tcb k_bytes_out (word tcb k_bytes_out + n)
 
 (* --- close reason --- *)
 
 let last_close tcb =
-  match (tcb.store.c_flags.(tcb.slot) lsr 4) land 0x7 with
+  match bits tcb k_flags 4 0x7 with
   | 1 -> Some Normal
   | 2 -> Some Reset
   | 3 -> Some Timeout
@@ -589,27 +498,22 @@ let set_last_close tcb reason =
   let code =
     match reason with Normal -> 1 | Reset -> 2 | Timeout -> 3 | Refused -> 4
   in
-  let s = tcb.store and i = tcb.slot in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0x7 lsl 4) lor (code lsl 4)
+  set_bits tcb k_flags 4 0x7 code
 
 (* ------------------------------------------------------------------ *)
-(* RTT estimator (RFC 6298), column form.  srtt and rttvar share a
-   word — Karn-valid samples are genuine single-RTT times, far below
-   the 2^31 ns half ceiling. *)
+(* RTT estimator (RFC 6298).  srtt and rttvar share a word —
+   Karn-valid samples are genuine single-RTT times, far below the 2^31
+   ns half ceiling. *)
 
-let[@inline] srtt_ns tcb = pair_lo tcb.store.c_srtt.(tcb.slot)
+let[@inline] srtt_ns tcb = pair_lo (word tcb k_srtt)
 
 let[@inline] rto_clamp tcb v =
   Int.max tcb.cfg.min_rto_ns (Int.min tcb.cfg.max_rto_ns v)
 
-let[@inline] backoff_mult tcb = (tcb.store.c_flags.(tcb.slot) lsr 41) land 0xFF
-
-let[@inline] set_backoff_mult tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_flags.(i) <- s.c_flags.(i) land lnot (0xFF lsl 41) lor ((v land 0xFF) lsl 41)
+let[@inline] backoff_mult tcb = bits tcb k_flags 41 0xFF
+let[@inline] set_backoff_mult tcb v = set_bits tcb k_flags 41 0xFF v
 
 let rtt_observe tcb ~sample_ns =
-  let s = tcb.store and i = tcb.slot in
   let srtt, rttvar =
     if not (flag tcb b_rtt_have_sample) then begin
       set_flag tcb b_rtt_have_sample true;
@@ -617,16 +521,16 @@ let rtt_observe tcb ~sample_ns =
     end
     else begin
       (* RFC 6298: alpha = 1/8, beta = 1/4. *)
-      let srtt = pair_lo s.c_srtt.(i) and rttvar = pair_hi s.c_srtt.(i) in
+      let srtt = pair_lo (word tcb k_srtt) and rttvar = pair_hi (word tcb k_srtt) in
       let err = abs (sample_ns - srtt) in
       (((7 * srtt) + sample_ns) / 8, ((3 * rttvar) + err) / 4)
     end
   in
-  s.c_srtt.(i) <- with_hi (with_lo s.c_srtt.(i) srtt) rttvar;
+  set_word tcb k_srtt (with_hi (with_lo (word tcb k_srtt) srtt) rttvar);
   set_backoff_mult tcb 1;
-  s.c_rto.(i) <- rto_clamp tcb (srtt + Int.max 1000 (4 * rttvar))
+  set_word tcb k_rto (rto_clamp tcb (srtt + Int.max 1000 (4 * rttvar)))
 
-let rto_ns tcb = rto_clamp tcb (tcb.store.c_rto.(tcb.slot) * backoff_mult tcb)
+let rto_ns tcb = rto_clamp tcb (word tcb k_rto * backoff_mult tcb)
 
 let rtt_backoff tcb =
   let m = backoff_mult tcb in
@@ -635,27 +539,20 @@ let rtt_backoff tcb =
 let rtt_reset_backoff tcb = set_backoff_mult tcb 1
 
 (* ------------------------------------------------------------------ *)
-(* Congestion control (NewReno + DCTCP, Alizadeh et al.), column form.
-   DCTCP — the ECN-based protocol the paper names as a companion to
-   IX's shallow-buffer deployments (§6) — shrinks the window in
-   proportion to the fraction of CE-marked bytes.  The float-operation
-   order of its EWMA is fixed: bit-identical snapshots depend on it. *)
+(* Congestion control (NewReno + DCTCP, Alizadeh et al.).  DCTCP — the
+   ECN-based protocol the paper names as a companion to IX's
+   shallow-buffer deployments (§6) — shrinks the window in proportion
+   to the fraction of CE-marked bytes.  The float-operation order of
+   its EWMA is fixed: bit-identical snapshots depend on it. *)
 
 let max_window = 64 * 1024 * 1024
 let dup_ack_threshold = 3
 let dctcp_g = 1. /. 16.
 
-let[@inline] cwnd tcb = pair_lo tcb.store.c_cwnd.(tcb.slot)
-let[@inline] ssthresh tcb = pair_hi tcb.store.c_cwnd.(tcb.slot)
-
-let[@inline] set_cwnd tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_cwnd.(i) <- with_lo s.c_cwnd.(i) v
-
-let[@inline] set_ssthresh tcb v =
-  let s = tcb.store and i = tcb.slot in
-  s.c_cwnd.(i) <- with_hi s.c_cwnd.(i) v
-
+let[@inline] cwnd tcb = pair_lo (word tcb k_cwnd)
+let[@inline] ssthresh tcb = pair_hi (word tcb k_cwnd)
+let[@inline] set_cwnd tcb v = set_word tcb k_cwnd (with_lo (word tcb k_cwnd) v)
+let[@inline] set_ssthresh tcb v = set_word tcb k_cwnd (with_hi (word tcb k_cwnd) v)
 let[@inline] in_recovery tcb = flag tcb b_cong_recovery
 
 let cong_on_ack tcb ~acked_bytes =
@@ -666,13 +563,12 @@ let cong_on_ack tcb ~acked_bytes =
       set_cwnd tcb (Int.min max_window (cw + acked_bytes))
     else begin
       (* Congestion avoidance: one MSS per window's worth of ACKs. *)
-      let s = tcb.store and i = tcb.slot in
-      let acc = s.c_avoid_acc.(i) + acked_bytes in
+      let acc = word tcb k_avoid_acc + acked_bytes in
       if acc >= cw then begin
-        s.c_avoid_acc.(i) <- acc - cw;
+        set_word tcb k_avoid_acc (acc - cw);
         set_cwnd tcb (Int.min max_window (cw + tcb.cfg.mss))
       end
-      else s.c_avoid_acc.(i) <- acc
+      else set_word tcb k_avoid_acc acc
     end
   end
 
@@ -689,17 +585,16 @@ let cong_on_fast_retransmit tcb ~flight =
 let cong_on_recovery_exit tcb =
   set_flag tcb b_cong_recovery false;
   set_cwnd tcb (ssthresh tcb);
-  tcb.store.c_avoid_acc.(tcb.slot) <- 0
+  set_word tcb k_avoid_acc 0
 
 let dctcp_alpha tcb = tcb.store.c_alpha.(tcb.slot)
 
 let cong_on_ecn_feedback tcb ~acked_bytes ~marked =
   if tcb.cfg.dctcp then begin
     let s = tcb.store and i = tcb.slot in
-    let acked = pair_lo s.c_ecn.(i) + acked_bytes in
-    let mrk =
-      if marked then pair_hi s.c_ecn.(i) + acked_bytes else pair_hi s.c_ecn.(i)
-    in
+    let ecn = word tcb k_ecn in
+    let acked = pair_lo ecn + acked_bytes in
+    let mrk = if marked then pair_hi ecn + acked_bytes else pair_hi ecn in
     if acked >= cwnd tcb then begin
       let fraction = float_of_int mrk /. float_of_int (Int.max 1 acked) in
       s.c_alpha.(i) <- ((1. -. dctcp_g) *. s.c_alpha.(i)) +. (dctcp_g *. fraction);
@@ -711,16 +606,16 @@ let cong_on_ecn_feedback tcb ~acked_bytes ~marked =
         set_cwnd tcb cwnd';
         set_ssthresh tcb cwnd'
       end;
-      s.c_ecn.(i) <- 0
+      set_word tcb k_ecn 0
     end
-    else s.c_ecn.(i) <- with_hi (with_lo s.c_ecn.(i) acked) mrk
+    else set_word tcb k_ecn (with_hi (with_lo ecn acked) mrk)
   end
 
 let cong_on_rto tcb =
   set_ssthresh tcb (Int.max (2 * tcb.cfg.mss) (cwnd tcb / 2));
   set_cwnd tcb tcb.cfg.mss;
   set_flag tcb b_cong_recovery false;
-  tcb.store.c_avoid_acc.(tcb.slot) <- 0
+  set_word tcb k_avoid_acc 0
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -773,39 +668,29 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
   let iss = Engine.Rng.int env.rng 0x3FFFFFFF in
   let s = env.store in
   let i = alloc_slot s in
-  s.c_iss.(i) <- iss;
-  s.c_irs.(i) <- 0;
-  s.c_snd_una.(i) <- iss;
-  s.c_snd_nxt.(i) <- iss;
-  s.c_snd_max.(i) <- iss;
-  s.c_recover.(i) <- iss;
-  s.c_snd_queue_seq.(i) <- Seqno.add iss 1 (* data starts after the SYN *);
-  s.c_rcv_nxt.(i) <- 0;
-  s.c_rtt_start.(i) <- -1;
-  s.c_cookie.(i) <- cookie;
-  s.c_handle.(i) <- !(env.handle_alloc);
-  s.c_local_ip.(i) <- local_ip;
-  s.c_remote_ip.(i) <- remote_ip;
-  s.c_rto.(i) <- cfg.min_rto_ns * 4;
-  s.c_avoid_acc.(i) <- 0;
-  s.c_bytes_in.(i) <- 0;
-  s.c_bytes_out.(i) <- 0;
-  (* state CLOSED, backoff_mult 1, everything else clear *)
-  s.c_flags.(i) <- 1 lsl 41;
-  s.c_ports.(i) <-
-    (local_port land 0xFFFF)
-    lor ((remote_port land 0xFFFF) lsl 16)
-    lor ((cfg.mss land 0xFFFF) lsl 32);
-  s.c_wnds.(i) <- 0;
-  s.c_bufs.(i) <- 0;
-  s.c_cwnd.(i) <-
-    with_hi (with_lo 0 (cfg.mss * initial_cwnd_segs)) max_window;
-  s.c_ecn.(i) <- 0;
-  s.c_segs.(i) <- 0;
-  s.c_rtt_seq.(i) <- 0;
-  s.c_srtt.(i) <- 0;
-  s.c_alpha.(i) <- 0.;
   let tcb = make_view env cfg i in
+  (* A zero row is CLOSED with every counter and flag clear; set the
+     rest. *)
+  Array.fill s.rows (i * row_words) row_words 0;
+  set_word tcb k_local_ip local_ip;
+  set_word tcb k_remote_ip remote_ip;
+  set_word tcb k_ports
+    ((local_port land 0xFFFF)
+    lor ((remote_port land 0xFFFF) lsl 16)
+    lor ((cfg.mss land 0xFFFF) lsl 32));
+  set_backoff_mult tcb 1;
+  set_word tcb k_handle !(env.handle_alloc);
+  set_word tcb k_cookie cookie;
+  set_word tcb k_iss iss;
+  set_word tcb k_snd_una iss;
+  set_word tcb k_snd_nxt iss;
+  set_word tcb k_snd_max iss;
+  set_word tcb k_recover iss;
+  set_word tcb k_snd_queue_seq (Seqno.add iss 1) (* data starts after the SYN *);
+  set_word tcb k_cwnd (with_hi (with_lo 0 (cfg.mss * initial_cwnd_segs)) max_window);
+  set_word tcb k_rtt_start (-1);
+  set_word tcb k_rto (cfg.min_rto_ns * 4);
+  s.c_alpha.(i) <- 0.;
   s.views.(i) <- tcb;
   tcb
 
@@ -818,32 +703,7 @@ let migrate tcb dst =
   if src != dst then begin
     let i = tcb.slot in
     let j = alloc_slot dst in
-    dst.c_iss.(j) <- src.c_iss.(i);
-    dst.c_irs.(j) <- src.c_irs.(i);
-    dst.c_snd_una.(j) <- src.c_snd_una.(i);
-    dst.c_snd_nxt.(j) <- src.c_snd_nxt.(i);
-    dst.c_snd_max.(j) <- src.c_snd_max.(i);
-    dst.c_recover.(j) <- src.c_recover.(i);
-    dst.c_snd_queue_seq.(j) <- src.c_snd_queue_seq.(i);
-    dst.c_rcv_nxt.(j) <- src.c_rcv_nxt.(i);
-    dst.c_rtt_start.(j) <- src.c_rtt_start.(i);
-    dst.c_cookie.(j) <- src.c_cookie.(i);
-    dst.c_handle.(j) <- src.c_handle.(i);
-    dst.c_local_ip.(j) <- src.c_local_ip.(i);
-    dst.c_remote_ip.(j) <- src.c_remote_ip.(i);
-    dst.c_rto.(j) <- src.c_rto.(i);
-    dst.c_avoid_acc.(j) <- src.c_avoid_acc.(i);
-    dst.c_bytes_in.(j) <- src.c_bytes_in.(i);
-    dst.c_bytes_out.(j) <- src.c_bytes_out.(i);
-    dst.c_flags.(j) <- src.c_flags.(i);
-    dst.c_ports.(j) <- src.c_ports.(i);
-    dst.c_wnds.(j) <- src.c_wnds.(i);
-    dst.c_bufs.(j) <- src.c_bufs.(i);
-    dst.c_cwnd.(j) <- src.c_cwnd.(i);
-    dst.c_ecn.(j) <- src.c_ecn.(i);
-    dst.c_segs.(j) <- src.c_segs.(i);
-    dst.c_rtt_seq.(j) <- src.c_rtt_seq.(i);
-    dst.c_srtt.(j) <- src.c_srtt.(i);
+    Array.blit src.rows (i * row_words) dst.rows (j * row_words) row_words;
     dst.c_alpha.(j) <- src.c_alpha.(i);
     release tcb;
     tcb.store <- dst;

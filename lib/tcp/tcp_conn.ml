@@ -55,10 +55,10 @@ type seg_kind =
    segment [kind].  Data segments pass their parameters as immediate
    arguments so the TX hot path allocates no descriptor per segment. *)
 let emit_seg tcb kind ~dseq ~dlen ~dpsh =
-  (* A CLOSED connection never transmits.  With the SoA store this also
-     covers released views: they read the dead row (state = CLOSED), so
-     a stale [consume]/[ack_now] after teardown is a silent no-op
-     instead of a segment built from zeroed columns. *)
+  (* A CLOSED connection never transmits.  This also covers released
+     views: they read the store's dead row (state = CLOSED), so a stale
+     [consume]/[ack_now] after teardown is a silent no-op instead of a
+     segment built from a zeroed row. *)
   if state tcb = Tcp_state.Closed then ()
   else
   match tcb.env.alloc () with

@@ -430,7 +430,7 @@ let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
       else send_rst t ~src_ip seg
 
 let adopt t tcb =
-  (* Flow migration lands the connection's columns in this endpoint's
+  (* Flow migration lands the connection's row in this endpoint's
      store before the table learns the (new) handle. *)
   Tcb.migrate tcb t.tcb_env.Tcb.store;
   Flow_table.add t.flows ~local_port:(Tcb.local_port tcb)

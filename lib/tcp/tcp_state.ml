@@ -10,7 +10,7 @@ type t =
   | Closing
   | Last_ack
 
-(* Dense codes for the SoA TCB store's packed state field. *)
+(* Dense codes for the packed state field of a TCB row. *)
 let to_int = function
   | Closed -> 0
   | Listen -> 1

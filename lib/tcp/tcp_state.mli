@@ -16,7 +16,7 @@ type t =
   | Last_ack
 
 val to_int : t -> int
-(** Dense code (0..9) for packed storage in the SoA TCB store. *)
+(** Dense code (0..9) for the packed state field of a TCB row. *)
 
 val of_int : int -> t
 (** Inverse of [to_int]; out-of-range codes map to [Closed]. *)

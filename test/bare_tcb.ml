@@ -1,6 +1,6 @@
 (* One connection's control block outside any endpoint, shared by the
    TCP and DCTCP suites: the RTT estimator and congestion-control
-   functions of [Tcb] act on its columns directly, with no segment ever
+   functions of [Tcb] act on its row directly, with no segment ever
    sent.  [mss], the RTO bounds and DCTCP come from the config; the
    initial window is [iw] segments. *)
 

@@ -1,4 +1,4 @@
-(* Million-connection scale tests (ISSUE 7): SoA store + flow table
+(* Million-connection scale tests: TCB store + flow table
    model checking, TIME_WAIT remnant table behaviour, timer-wheel
    capacity at 1M armed timers, and the conn-scale churn workload. *)
 
@@ -28,11 +28,16 @@ let make_tcb env ~local_port ~remote_ip ~remote_port =
 (* A lookup's live view, or [None] for the dead view. *)
 let live_view tcb = if Tcb.is_dead tcb then None else Some tcb
 
+(* The connection a tuple's entry holds, or the store's dead view (a
+   remnant reads as dead). *)
+let find table ~local_port ~remote_ip ~remote_port =
+  Flow_table.conn table (Flow_table.lookup table ~local_port ~remote_ip ~remote_port)
+
 (* ------------------------------------------------------------------ *)
-(* SoA store + flow table vs a naive map                               *)
+(* TCB store + flow table vs a naive map                               *)
 
 (* Random op sequences executed against both the open-addressing flow
-   table (hashes beside generation-checked handles into the SoA store,
+   table (hashes beside generation-checked handles into the TCB store,
    and TIME_WAIT remnant rows) and a Hashtbl model.  Lookup results and
    counts must agree at every step, and iteration contents and every
    remnant's state at the end.  A connection that closes into TIME_WAIT
@@ -125,7 +130,7 @@ let prop_flow_table_matches_model =
             let local_port, remote_ip, remote_port = tuple k in
             let found =
               Option.map Tcb.cookie
-                (live_view (Flow_table.find table ~local_port ~remote_ip ~remote_port))
+                (live_view (find table ~local_port ~remote_ip ~remote_port))
             in
             let expect_conn, expect_remnant =
               match Hashtbl.find_opt model k with
@@ -172,7 +177,7 @@ let prop_flow_table_matches_model =
    so local ports 0 and 21855 collide exactly — all 63 bits — when the
    remote halves differ by [21855 * 0x3779B97F4A7C15], a product that
    fits in 48 bits (a 32-bit address and a 16-bit port).  Stored hashes
-   then match and only the key columns tell the two flows apart. *)
+   then match and only the key words tell the two flows apart. *)
 let test_flow_table_hash_collision () =
   let store = Tcb.store_create () in
   let env = make_env ~store () in
@@ -198,7 +203,7 @@ let test_flow_table_hash_collision () =
   in
   let found f =
     let local_port, remote_ip, remote_port = flows.(f) in
-    Option.map Tcb.cookie (live_view (Flow_table.find table ~local_port ~remote_ip ~remote_port))
+    Option.map Tcb.cookie (live_view (find table ~local_port ~remote_ip ~remote_port))
   in
   let check_found what f expect =
     Alcotest.(check (option int)) what expect (found f)
@@ -266,9 +271,9 @@ let test_flow_table_dead_view () =
   Flow_table.add table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 a;
   check_bool "a live view is not dead" false (Tcb.is_dead a);
   check_bool "a hit returns the live view" true
-    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == a);
+    (find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == a);
   check_bool "a miss returns the dead view" true
-    (Flow_table.find table ~local_port:81 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
+    (find table ~local_port:81 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
   (* Release [a] without unhooking it, and let [b] take its slot. *)
   let fh = Tcb.flow_handle a and slot = a.Tcb.slot in
   Tcb.release a;
@@ -282,9 +287,9 @@ let test_flow_table_dead_view () =
   check_bool "the stale handle dereferences to the dead view" true
     (Tcb.deref store fh == dead);
   check_bool "the stale entry's tuple finds the dead view" true
-    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
+    (find table ~local_port:80 ~remote_ip:0xA000001 ~remote_port:5000 == dead);
   check_bool "the slot's new owner is found" true
-    (Flow_table.find table ~local_port:80 ~remote_ip:0xA000002 ~remote_port:5000 == b);
+    (find table ~local_port:80 ~remote_ip:0xA000002 ~remote_port:5000 == b);
   let seen = ref [] in
   Flow_table.iter table (fun tcb -> seen := tcb :: !seen);
   check_bool "iter skips the stale entry" true (List.length !seen = 1 && List.hd !seen == b)
@@ -302,6 +307,140 @@ let test_create_allocation () =
   let w1 = Gc.minor_words () in
   ignore (Sys.opaque_identity tcb);
   Alcotest.(check (float 0.)) "minor words per Tcb.create" 31. (w1 -. w0)
+
+(* Every field a connection's row holds, as (name, admissible values
+   1..range-1, setter, getter).  Words without an accessor pair go
+   through [Tcb.word] at their offset; counters are set by counting. *)
+let row_fields =
+  let word k = ((fun t v -> Tcb.set_word t k v), fun t -> Tcb.word t k) in
+  let bit b = ((fun t v -> Tcb.set_flag t b (v = 1)), fun t -> Bool.to_int (Tcb.flag t b)) in
+  let bump f t v = for _ = 1 to v do f t done in
+  let field name range (set, get) = (name, range, set, get) in
+  let full = 1 lsl 31 in
+  [
+    field "iss" full (Tcb.set_iss, Tcb.iss);
+    field "irs" full (Tcb.set_irs, Tcb.irs);
+    field "snd_una" full (Tcb.set_snd_una, Tcb.snd_una);
+    field "snd_nxt" full (Tcb.set_snd_nxt, Tcb.snd_nxt);
+    field "snd_max" full (Tcb.set_snd_max, Tcb.snd_max);
+    field "recover" full (Tcb.set_recover, Tcb.recover);
+    field "snd_queue_seq" full (Tcb.set_snd_queue_seq, Tcb.snd_queue_seq);
+    field "rcv_nxt" full (Tcb.set_rcv_nxt, Tcb.rcv_nxt);
+    field "rtt_start" full (Tcb.set_rtt_start, Tcb.rtt_start);
+    field "cookie" full (Tcb.set_cookie, Tcb.cookie);
+    field "rto" full (word Tcb.k_rto);
+    field "avoid_acc" full (word Tcb.k_avoid_acc);
+    field "srtt | rttvar" full (word Tcb.k_srtt);
+    field "win_acked | win_marked" full (word Tcb.k_ecn);
+    field "bytes_in" full (Tcb.add_bytes_in, Tcb.bytes_in);
+    field "bytes_out" full (Tcb.add_bytes_out, Tcb.bytes_out);
+    field "snd_mss" 0x10000 (Tcb.set_snd_mss, Tcb.snd_mss);
+    field "snd_wnd" full (Tcb.set_snd_wnd, Tcb.snd_wnd);
+    field "rcv_adv_wnd" full (Tcb.set_rcv_adv_wnd, Tcb.rcv_adv_wnd);
+    field "snd_queue_len" full (Tcb.set_snd_queue_len, Tcb.snd_queue_len);
+    field "rcv_unconsumed" full (Tcb.set_rcv_unconsumed, Tcb.rcv_unconsumed);
+    field "cwnd" full (Tcb.set_cwnd, Tcb.cwnd);
+    field "ssthresh" full (Tcb.set_ssthresh, Tcb.ssthresh);
+    field "segs_in" 50 (bump Tcb.incr_segs_in, Tcb.segs_in);
+    field "segs_out" 50 (bump Tcb.incr_segs_out, Tcb.segs_out);
+    field "rtt_seq" (1 lsl 32) (Tcb.set_rtt_seq, Tcb.rtt_seq);
+    field "retransmits" 50 (bump Tcb.incr_retransmits, Tcb.retransmits);
+    field "state" 10
+      ( (fun t v -> Tcb.set_state t (Ixtcp.Tcp_state.of_int v)),
+        fun t -> Ixtcp.Tcp_state.to_int (Tcb.state t) );
+    field "last_close" 5
+      ( (fun t v -> Tcb.set_last_close t Tcb.[| Normal; Reset; Timeout; Refused |].(v - 1)),
+        fun t ->
+          match Tcb.last_close t with
+          | None -> 0
+          | Some Normal -> 1
+          | Some Reset -> 2
+          | Some Timeout -> 3
+          | Some Refused -> 4 );
+    field "snd_wscale" 0x20 (Tcb.set_snd_wscale, Tcb.snd_wscale);
+    field "delack_count" 0x100 (Tcb.set_delack_count, Tcb.delack_count);
+    field "dupacks" 0x100 (Tcb.set_dupacks, Tcb.dupacks);
+    field "rexmit_shots" 0x40 (Tcb.set_rexmit_shots, Tcb.rexmit_shots);
+    field "backoff_mult" 0x100 (Tcb.set_backoff_mult, Tcb.backoff_mult);
+    field "ws_enabled" 2 (bit Tcb.b_ws_enabled);
+    field "fin_queued" 2 (bit Tcb.b_fin_queued);
+    field "fin_sent" 2 (bit Tcb.b_fin_sent);
+    field "close_notified" 2 (bit Tcb.b_close_notified);
+    field "ce_to_echo" 2 (bit Tcb.b_ce_to_echo);
+    field "rtt_have_sample" 2 (bit Tcb.b_rtt_have_sample);
+    field "cong_recovery" 2 (bit Tcb.b_cong_recovery);
+    field "port_owned" 2 (bit Tcb.b_port_owned);
+  ]
+
+(* Connection [n]'s value for field [f]: nonzero, and different from
+   its neighbours' wherever the field is wide enough. *)
+let field_value n f range = 1 + (((n * 7919) + (f * 104_729)) mod (range - 1))
+
+(* Each connection's row, written through the setters, must read back
+   unchanged after the store grows under it and after [Tcb.migrate]
+   moves it into another store (which grows too), and slot 0's dead
+   row must stay all zeros (CLOSED) in both stores throughout. *)
+let test_rows_survive_growth_and_migration () =
+  let store = Tcb.store_create ~initial:2 () in
+  let env = make_env ~store () in
+  let n = 3 in
+  let key k = (80 + k, 0xA000000 + k, 5000 + k) in
+  let fill k tcb =
+    List.iteri (fun f (_, range, set, _) -> set tcb (field_value k f range)) row_fields;
+    tcb.Tcb.store.Tcb.c_alpha.(tcb.Tcb.slot) <- float_of_int k +. 0.375
+  in
+  let tcbs =
+    Array.init n (fun k ->
+        let local_port, remote_ip, remote_port = key k in
+        let tcb = make_tcb env ~local_port ~remote_ip ~remote_port in
+        fill k tcb;
+        tcb)
+  in
+  let handles = Array.map Tcb.handle tcbs in
+  let check_rows what =
+    Array.iteri
+      (fun k tcb ->
+        let local_port, remote_ip, remote_port = key k in
+        let name field = Printf.sprintf "%s: conn %d %s" what k field in
+        check_int (name "local_ip") 1 (Tcb.local_ip tcb);
+        check_int (name "remote_ip") remote_ip (Tcb.remote_ip tcb);
+        check_int (name "local_port") local_port (Tcb.local_port tcb);
+        check_int (name "remote_port") remote_port (Tcb.remote_port tcb);
+        check_int (name "handle") handles.(k) (Tcb.handle tcb);
+        Alcotest.(check (float 0.)) (name "dctcp_alpha") (float_of_int k +. 0.375)
+          (Tcb.dctcp_alpha tcb);
+        List.iteri
+          (fun f (field, range, _, get) ->
+            check_int (name field) (field_value k f range) (get tcb))
+          row_fields)
+      tcbs
+  in
+  let check_dead_row what s =
+    let dead = Tcb.dead_view s in
+    for k = 0 to Tcb.row_words - 1 do
+      check_int (Printf.sprintf "%s: dead row word %d" what k) 0 (Tcb.word dead k)
+    done;
+    check_string (what ^ ": dead row state") "CLOSED"
+      (Ixtcp.Tcp_state.to_string (Tcb.state dead));
+    Alcotest.(check (float 0.)) (what ^ ": dead row alpha") 0. (Tcb.dctcp_alpha dead)
+  in
+  check_bool "creating grew the store" true (Tcb.store_capacity store > 2);
+  check_rows "after create";
+  check_dead_row "source" store;
+  let cap = Tcb.store_capacity store in
+  Tcb.store_grow store;
+  check_int "store_grow doubles" (2 * cap) (Tcb.store_capacity store);
+  check_rows "after store_grow";
+  check_dead_row "source after store_grow" store;
+  let dst = Tcb.store_create ~initial:2 () in
+  ignore (make_env ~store:dst ());
+  Array.iter (fun tcb -> Tcb.migrate tcb dst) tcbs;
+  check_int "source empty" 0 (Tcb.store_live store);
+  check_int "destination holds every row" n (Tcb.store_live dst);
+  check_bool "migrating grew the destination" true (Tcb.store_capacity dst > 2);
+  check_rows "after migrate";
+  check_dead_row "source after migrate" store;
+  check_dead_row "destination" dst
 
 (* 64 live flows reconnected a million times: each reconnect removes a
    flow and adds its successor on a fresh remote port.  The tombstones
@@ -346,16 +485,16 @@ let test_flow_table_churn_bounded () =
     let i = n mod live in
     match
       live_view
-        (Flow_table.find table ~local_port:80 ~remote_ip:(remote_ip i)
+        (find table ~local_port:80 ~remote_ip:(remote_ip i)
            ~remote_port:(port n))
     with
     | Some tcb -> check_bool "latest flow" true (tcb == tcbs.(i))
     | None -> Alcotest.failf "lost flow %d after churn" i
   done
 
-(* The module header's promise: [find] runs once per RX segment and
-   allocates nothing, hit or miss, and an add/remove pair that reuses
-   its tombstone (no rehash) allocates nothing either. *)
+(* The module header's promise: [lookup] and [conn] run once per RX
+   segment and allocate nothing, hit or miss, and an add/remove pair
+   that reuses its tombstone (no rehash) allocates nothing either. *)
 let test_flow_table_allocates_nothing () =
   let store = Tcb.store_create () in
   let env = make_env ~store () in
@@ -376,7 +515,7 @@ let test_flow_table_allocates_nothing () =
     let hits = ref 0 in
     for n = 0 to rounds - 1 do
       let tcb =
-        Flow_table.find table ~local_port ~remote_ip:(0xD000000 + (n land 63))
+        find table ~local_port ~remote_ip:(0xD000000 + (n land 63))
           ~remote_port:6000
       in
       if not (Tcb.is_dead tcb) then incr hits
@@ -440,11 +579,11 @@ let test_store_grows () =
   done;
   check_int "all live" n (Tcb.store_live store);
   check_bool "capacity grew" true (Tcb.store_capacity store >= n);
-  (* Spot-check lookups after the column arrays were reallocated. *)
+  (* Spot-check lookups after the store's arrays were reallocated. *)
   for i = 0 to n - 1 do
     match
       live_view
-        (Flow_table.find table ~local_port:80 ~remote_ip:(0xB000000 + i)
+        (find table ~local_port:80 ~remote_ip:(0xB000000 + i)
            ~remote_port:5000)
     with
     | Some tcb -> assert (Tcb.cookie tcb = i)
@@ -774,6 +913,8 @@ let () =
             `Quick test_flow_table_dead_view;
           Alcotest.test_case "Tcb.create allocates 31 words" `Quick
             test_create_allocation;
+          Alcotest.test_case "every field survives growth and migration" `Quick
+            test_rows_survive_growth_and_migration;
           Alcotest.test_case "1M reconnects keep the table small" `Quick
             test_flow_table_churn_bounded;
           Alcotest.test_case "find, add and remove allocate nothing" `Quick

@@ -589,7 +589,7 @@ let transfer_roundtrip ~loss ~size ~seed =
 
 (* --- flow table ----------------------------------------------------- *)
 
-(* One env (hence one SoA store) per test: the flow table stores
+(* One env (hence one TCB store) per test: the flow table stores
    handles into its endpoint's store. *)
 let make_tcb_env () =
   Tcb.make_env
@@ -605,7 +605,7 @@ let make_tcb env ~local_port ~remote_ip ~remote_port =
 
 (* A lookup's live view, or [None] for the dead view. *)
 let find ft ~local_port ~remote_ip ~remote_port =
-  let tcb = Flow_table.find ft ~local_port ~remote_ip ~remote_port in
+  let tcb = Flow_table.conn ft (Flow_table.lookup ft ~local_port ~remote_ip ~remote_port) in
   if Tcb.is_dead tcb then None else Some tcb
 
 let test_flow_table_high_local_port () =
