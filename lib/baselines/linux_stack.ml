@@ -56,13 +56,11 @@ type state = {
   c_irqs : Metrics.counter;
   c_wakeups : Metrics.counter;
   mutable app_blocked : bool;
-  mutable app_scheduled : bool;
-  mutable irq_scheduled : bool;
   mutable last_irq : int;
   (* [app_run c] and [do_irq c], built once per core at [create]:
-     scheduling a wakeup is per-batch work and builds no closure. *)
-  mutable app_thunk : unit -> unit;
-  mutable irq_thunk : unit -> unit;
+     scheduling either is per-batch work and builds no closure. *)
+  app_wakeup : Sim.wakeup;
+  irq_wakeup : Sim.wakeup;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -70,8 +68,7 @@ type state = {
 
 let schedule_app (c : state Host.t) =
   let st = c.st in
-  if not st.app_scheduled then begin
-    st.app_scheduled <- true;
+  if not (Sim.pending st.app_wakeup) then begin
     (* Wakeup: context switch into the blocked epoll thread. *)
     let now = Sim.now c.sim in
     let resume =
@@ -81,13 +78,12 @@ let schedule_app (c : state Host.t) =
       end
       else Int.max now (Cpu_core.free_at c.cpu)
     in
-    ignore (Sim.at c.sim resume st.app_thunk)
+    Sim.arm st.app_wakeup resume
   end
 
 (* epoll_wait returns a batch of ready descriptors; the thread drains
    until nothing is left, then blocks. *)
 let app_run (c : state Host.t) =
-  c.st.app_scheduled <- false;
   c.st.app_blocked <- false;
   Host.charge_k c c.st.costs.epoll_ns;
   Host.run_batch c;
@@ -152,7 +148,6 @@ let rec napi_queues c processed = function
 
 let do_irq (c : state Host.t) =
   let st = c.st in
-  st.irq_scheduled <- false;
   st.last_irq <- Sim.now c.sim;
   Metrics.incr st.c_irqs;
   Host.charge_k c st.costs.irq_entry_ns;
@@ -170,11 +165,8 @@ let do_irq (c : state Host.t) =
    defer to the adaptive interval boundary. *)
 let on_nic_notify (c : state Host.t) =
   let st = c.st in
-  if not st.irq_scheduled then begin
-    st.irq_scheduled <- true;
-    let now = Sim.now c.sim in
-    ignore (Sim.at c.sim (Int.max now (st.last_irq + st.costs.itr_interval_ns)) st.irq_thunk)
-  end
+  if not (Sim.pending st.irq_wakeup) then
+    Sim.arm st.irq_wakeup (Int.max (Sim.now c.sim) (st.last_irq + st.costs.itr_interval_ns))
 
 (* TCP data frames pay qdisc + driver time; ARP frames and datagrams
    released by an ARP reply leave uncharged. *)
@@ -208,27 +200,18 @@ let create ~sim ~host_id ~ip ~nics ~threads ?(costs = default_costs)
       burst = napi_budget;
     }
   in
-  let state counter =
+  let state counter wakeup =
     {
       costs;
       cache;
       c_irqs = counter "irqs";
       c_wakeups = counter "wakeups";
       app_blocked = true;
-      app_scheduled = false;
-      irq_scheduled = false;
       last_irq = min_int / 2;
-      app_thunk = Host.no_thunk;
-      irq_thunk = Host.no_thunk;
+      app_wakeup = wakeup app_run;
+      irq_wakeup = wakeup do_irq;
     }
   in
-  let cores =
-    Host.create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics
-      ~seed:(seed + (host_id * 104729)) ~profile ~hooks ~state ()
-  in
-  Array.iter
-    (fun (c : state Host.t) ->
-      c.st.app_thunk <- (fun () -> app_run c);
-      c.st.irq_thunk <- (fun () -> do_irq c))
-    cores;
-  Host.stack cores
+  Host.stack
+    (Host.create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics
+       ~seed:(seed + (host_id * 104729)) ~profile ~hooks ~state ())

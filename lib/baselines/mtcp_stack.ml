@@ -48,24 +48,19 @@ let poll_delay_ns = 500
    stack thread's and the app round's scheduling state. *)
 type state = {
   c_rounds : Metrics.counter;
-  mutable round_scheduled : bool;
-  mutable stack_scheduled : bool;
   (* [app_round c] and [stack_poll c], built once per core at
      [create]. *)
-  mutable round_thunk : unit -> unit;
-  mutable poll_thunk : unit -> unit;
+  round_wakeup : Sim.wakeup;
+  poll_wakeup : Sim.wakeup;
 }
 
 (* ---- app rounds: batch exchange every interval ---- *)
 
 let schedule_round (c : state Host.t) =
-  if not c.st.round_scheduled then begin
-    c.st.round_scheduled <- true;
-    ignore (Sim.at c.sim (Sim.now c.sim + default_costs.batch_interval_ns) c.st.round_thunk)
-  end
+  if not (Sim.pending c.st.round_wakeup) then
+    Sim.arm c.st.round_wakeup (Sim.now c.sim + default_costs.batch_interval_ns)
 
 let app_round (c : state Host.t) =
-  c.st.round_scheduled <- false;
   Metrics.incr c.st.c_rounds;
   Host.run_batch c;
   if Host.pending c then schedule_round c
@@ -85,15 +80,12 @@ let rec poll_queues (c : state Host.t) = function
       poll_queues c rest
 
 let stack_poll (c : state Host.t) =
-  c.st.stack_scheduled <- false;
   poll_queues c c.queues;
   Host.run_timers c
 
 let on_nic_notify (c : state Host.t) =
-  if not c.st.stack_scheduled then begin
-    c.st.stack_scheduled <- true;
-    ignore (Sim.after c.sim poll_delay_ns c.st.poll_thunk)
-  end
+  if not (Sim.pending c.st.poll_wakeup) then
+    Sim.arm c.st.poll_wakeup (Sim.now c.sim + poll_delay_ns)
 
 (* Every frame pays driver time and leaves at core-free time plus half
    a batching interval: the stack thread picks up the app's command
@@ -125,22 +117,13 @@ let profile =
 let create ~sim ~host_id ~ip ~nics ~threads ?(config = mtcp_tcp_config) ?metrics ~seed () =
   if Array.length nics > 1 then
     invalid_arg "Mtcp_stack.create: mTCP does not support NIC bonding";
-  let state counter =
+  let state counter wakeup =
     {
       c_rounds = counter "rounds";
-      round_scheduled = false;
-      stack_scheduled = false;
-      round_thunk = Host.no_thunk;
-      poll_thunk = Host.no_thunk;
+      round_wakeup = wakeup app_round;
+      poll_wakeup = wakeup stack_poll;
     }
   in
-  let cores =
-    Host.create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics
-      ~seed:(seed + (host_id * 13007)) ~profile ~hooks ~state ()
-  in
-  Array.iter
-    (fun (c : state Host.t) ->
-      c.st.round_thunk <- (fun () -> app_round c);
-      c.st.poll_thunk <- (fun () -> stack_poll c))
-    cores;
-  Host.stack cores
+  Host.stack
+    (Host.create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics
+       ~seed:(seed + (host_id * 13007)) ~profile ~hooks ~state ())

@@ -59,8 +59,7 @@ type 's t = {
   sockets : (int, socket) Hashtbl.t;
   mutable ready : socket list;
   mutable jobs : (unit -> unit) list;
-  mutable timer_wakeup : Sim.handle;
-  mutable timer_thunk : unit -> unit;
+  timer_wakeup : Sim.wakeup;
   mutable conn_seq : int;
   c_pkts : Metrics.counter;
   c_calls : Metrics.counter;
@@ -80,8 +79,6 @@ and 's hooks = {
   transmit : 's t -> Mbuf.t -> unit;
   transmit_ctrl : 's t -> Mbuf.t -> unit;
 }
-
-let no_thunk () = ()
 
 let charge c domain ns = ignore (Cpu_core.charge c.cpu ~now:(Sim.now c.sim) domain ns)
 let charge_k c ns = charge c Cpu_core.Kernel ns
@@ -189,18 +186,12 @@ let process_frame c mbuf =
      | Ixnet.Ethernet.Other _ -> ());
   Mbuf.decref mbuf
 
-let rec arm_timer_wakeup c =
-  Sim.cancel c.sim c.timer_wakeup;
-  c.timer_wakeup <- Sim.no_handle;
-  let deadline = Wheel.next_expiry c.wheel in
-  if deadline <> Wheel.no_expiry then
-    c.timer_wakeup <- Sim.at c.sim (Int.max deadline (Sim.now c.sim)) c.timer_thunk
-
 (* Kernel timers piggyback on every RX pass, and wake the core on their
    own when no traffic arrives. *)
-and run_timers c =
-  Wheel.advance c.wheel ~now:(Sim.now c.sim);
-  arm_timer_wakeup c;
+let run_timers c =
+  let now = Sim.now c.sim in
+  Wheel.advance c.wheel ~now;
+  Wheel.arm_wakeup c.timer_wakeup ~earliest:now (Wheel.next_expiry c.wheel);
   if c.ready <> [] then c.hooks.wake c
 
 (* ------------------------------------------------------------------ *)
@@ -357,11 +348,15 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
   let arp = Hashtbl.create 64 in
   let arp_parked = Hashtbl.create 16 in
   let rng = Engine.Rng.create ~seed in
+  (* Wakeups are built with their core, which they act on: [all] is
+     filled below, before [sim] can fire one. *)
+  let all = ref [||] in
   let cores =
     Array.init threads (fun i ->
         let counter name =
           Metrics.counter registry (Printf.sprintf "%s.%d.%s" profile.name i name)
         in
+        let wakeup f = Sim.wakeup sim (fun () -> f !all.(i)) in
         {
           sim;
           idx = i;
@@ -378,8 +373,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           sockets = Hashtbl.create 1024;
           ready = [];
           jobs = [];
-          timer_wakeup = Sim.no_handle;
-          timer_thunk = no_thunk;
+          timer_wakeup = wakeup run_timers;
           conn_seq = 0;
           c_pkts = counter "pkts";
           c_calls = counter profile.call_counter;
@@ -390,15 +384,15 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           seg_scratch = Seg.scratch ();
           profile;
           hooks;
-          st = state counter;
+          st = state counter wakeup;
         })
   in
+  all := cores;
   (* One flow-handle allocator per stack, shared across its cores,
      owned by this sim. *)
   let handle_alloc = ref 0 in
   Array.iter
     (fun c ->
-      c.timer_thunk <- (fun () -> run_timers c);
       c.ep <-
         Some
           (Tcp_endpoint.create

@@ -11,7 +11,7 @@
 
     The per-packet paths ({!process_frame}, TCP output, {!run_timers})
     allocate nothing: hooks are top-level functions applied to the core,
-    and wakeups reuse thunks built once per core. *)
+    and each wakeup is a [Sim.wakeup] built once per core. *)
 
 type profile = {
   name : string;  (** metric, mempool and [Net_api] prefix: [linux], [mtcp] *)
@@ -61,8 +61,7 @@ type 's t = {
           benchmark rose from about 420 to 550 MiB on a 2-vCPU VM. *)
   mutable ready : socket list;  (** newest first: sockets with pending app work *)
   mutable jobs : (unit -> unit) list;  (** newest first: deferred app closures *)
-  mutable timer_wakeup : Engine.Sim.handle;  (** [Sim.no_handle] when none *)
-  mutable timer_thunk : unit -> unit;
+  timer_wakeup : Engine.Sim.wakeup;  (** {!run_timers} at the wheel's next expiry *)
   mutable conn_seq : int;
   c_pkts : Ixtelemetry.Metrics.counter;  (** [<name>.<i>.pkts] *)
   c_calls : Ixtelemetry.Metrics.counter;  (** [<name>.<i>.<call_counter>] *)
@@ -87,9 +86,6 @@ and 's hooks = {
       (** an ARP frame, or a datagram released by an ARP reply *)
 }
 
-val no_thunk : unit -> unit
-(** Placeholder for a cached thunk not yet built. *)
-
 val charge_k : 's t -> int -> unit
 (** Charge kernel time at the current instant. *)
 
@@ -100,7 +96,7 @@ val process_frame : 's t -> Ixmem.Mbuf.t -> unit
 
 val run_timers : 's t -> unit
 (** Advance the timer wheel to now, re-arm the core's wakeup at the
-    wheel's next expiry (replacing any pending one) and [wake] the app
+    wheel's next expiry (moving it if pending) and [wake] the app
     if sockets are ready.  This is also the wakeup's own action. *)
 
 val run_batch : 's t -> unit
@@ -121,13 +117,17 @@ val create :
   seed:int ->
   profile:profile ->
   hooks:'s hooks ->
-  state:((string -> Ixtelemetry.Metrics.counter) -> 's) ->
+  state:
+    ((string -> Ixtelemetry.Metrics.counter) ->
+    (('s t -> unit) -> Engine.Sim.wakeup) ->
+    's) ->
   unit ->
   's t array
 (** One core per thread, each with its own TCP endpoint, timer wheel
     and mbuf pool, and the NIC queue of its index on every port.
     [state] builds a core's ['s], given a function that registers the
-    core's [<name>.<i>.<metric>] counters.  [seed] seeds the host's
+    core's [<name>.<i>.<metric>] counters and one that builds a wakeup
+    running an action on the core.  [seed] seeds the host's
     RNG, split once per core. *)
 
 val stack : 's t array -> Netapi.Net_api.stack

@@ -94,8 +94,6 @@ let take s =
 
 let release s n = Array.fill s.batch 0 n s.fill
 
-let no_thunk () = ()
-
 type t = {
   sim : Sim.t;
   id : int;
@@ -156,12 +154,10 @@ type t = {
   mutable span_cursor : int;
   mutable state : state;
   mutable in_user_phase : bool;
-  mutable idle_wakeup : Sim.handle; (* [Sim.no_handle] when none *)
-  (* Cached reschedule thunks ([run_cycle t] / [kick t]): installed on
-     first use so the cycle loop does not allocate a closure per
-     wakeup. *)
-  mutable cycle_thunk : unit -> unit;
-  mutable kick_thunk : unit -> unit;
+  (* [run_cycle t] and [kick t], built once so the cycle loop and the
+     idle path allocate no closure per wakeup. *)
+  cycle_wakeup : Sim.wakeup;
+  idle_wakeup : Sim.wakeup; (* at the wheel's next expiry *)
   handles : (int, Tcb.t) Hashtbl.t;
   udp_binds : (int, unit) Hashtbl.t;
   metrics : Metrics.t;
@@ -698,7 +694,7 @@ let rec run_cycle t =
   (* Loop or go idle. *)
   (if has_work t then begin
     t.state <- Scheduled;
-    ignore (Sim.at t.sim t_end (cycle_thunk t))
+    Sim.arm t.cycle_wakeup t_end
   end
   else begin
     t.state <- Idle;
@@ -716,55 +712,42 @@ and maybe_background t earliest =
   | Some _ ->
       if t.state = Idle then begin
         t.state <- Scheduled;
-        Sim.cancel t.sim t.idle_wakeup;
-        t.idle_wakeup <- Sim.no_handle;
+        Sim.disarm t.idle_wakeup;
         let at = Int.max (now t) earliest in
-        ignore
-          (Sim.at t.sim at (fun () ->
-               t.state <- Idle;
-               if has_work t || rx_pending t > 0 then kick t
-               else begin
-                 (* Re-read: the task may have been cleared meanwhile. *)
-                 match t.background with
-                 | None -> arm_idle_wakeup t (now t)
-                 | Some (slice_ns, work) ->
-                     t.background_slices <- t.background_slices + 1;
-                     work ();
-                     let finished =
-                       Cpu_core.charge t.cpu ~now:(now t) Cpu_core.User slice_ns
-                     in
-                     Wheel.advance t.wheel ~now:(now t);
-                     if has_work t then kick t
-                     else begin
-                       arm_idle_wakeup t finished;
-                       maybe_background t finished
-                     end
-               end))
+        Sim.at t.sim at (fun () ->
+            t.state <- Idle;
+            if has_work t || rx_pending t > 0 then kick t
+            else begin
+              (* Re-read: the task may have been cleared meanwhile. *)
+              match t.background with
+              | None -> arm_idle_wakeup t (now t)
+              | Some (slice_ns, work) ->
+                  t.background_slices <- t.background_slices + 1;
+                  work ();
+                  let finished =
+                    Cpu_core.charge t.cpu ~now:(now t) Cpu_core.User slice_ns
+                  in
+                  Wheel.advance t.wheel ~now:(now t);
+                  if has_work t then kick t
+                  else begin
+                    arm_idle_wakeup t finished;
+                    maybe_background t finished
+                  end
+            end)
       end
 
-and cycle_thunk t =
-  if t.cycle_thunk == no_thunk then t.cycle_thunk <- (fun () -> run_cycle t);
-  t.cycle_thunk
-
-and kick_thunk t =
-  if t.kick_thunk == no_thunk then t.kick_thunk <- (fun () -> kick t);
-  t.kick_thunk
-
 and arm_idle_wakeup t earliest =
-  let deadline = Wheel.next_expiry t.wheel in
-  if deadline <> Wheel.no_expiry then
-    t.idle_wakeup <- Sim.at t.sim (Int.max deadline earliest) (kick_thunk t)
+  Wheel.arm_wakeup t.idle_wakeup ~earliest (Wheel.next_expiry t.wheel)
 
 and kick t =
   match t.state with
   | Running | Scheduled -> ()
   | Idle ->
       t.state <- Scheduled;
-      Sim.cancel t.sim t.idle_wakeup;
-      t.idle_wakeup <- Sim.no_handle;
+      Sim.disarm t.idle_wakeup;
       let wakeup_cost = if t.polling then 0 else t.interrupt_latency_ns in
       let at = Int.max (now t) (Cpu_core.free_at t.cpu) + wakeup_cost in
-      ignore (Sim.at t.sim at (cycle_thunk t))
+      Sim.arm t.cycle_wakeup at
 
 (* ------------------------------------------------------------------ *)
 
@@ -935,6 +918,10 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
   let wheel = Wheel.create ~now:(Sim.now sim) () in
   let no_event = Ix_api.Ev_dead { cookie = -1; reason = Tcb.Normal } in
   let c name = Metrics.counter metrics (Printf.sprintf "dataplane.%d.%s" thread_id name) in
+  (* The wakeups are built with [t], which they act on: [self] is set
+     below, before [sim] can fire one. *)
+  let self = ref None in
+  let wakeup f = Sim.wakeup sim (fun () -> f (Option.get !self)) in
   let t =
     {
       sim;
@@ -978,9 +965,8 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       span_cursor = 0;
       state = Idle;
       in_user_phase = false;
-      idle_wakeup = Sim.no_handle;
-      cycle_thunk = no_thunk;
-      kick_thunk = no_thunk;
+      cycle_wakeup = wakeup run_cycle;
+      idle_wakeup = wakeup kick;
       handles = Hashtbl.create 1024;
       udp_binds = Hashtbl.create 8;
       metrics;
@@ -1010,6 +996,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ~handle_alloc ()
   in
   t.ep <- Some ep;
+  self := Some t;
   (* Batch telemetry: sampled live at snapshot time so the gauges
      always reflect the bound in effect (which moves in adaptive
      mode) and the amortization actually achieved. *)

@@ -119,12 +119,11 @@ let check t =
   end
 
 let rec arm t =
-  ignore
-    (Sim.after t.sim t.cfg.interval_ns (fun () ->
-         if not t.stopped then begin
-           check t;
-           arm t
-         end))
+  Sim.after t.sim t.cfg.interval_ns (fun () ->
+      if not t.stopped then begin
+        check t;
+        arm t
+      end)
 
 let start ~sim ~cp ?(config = default_config)
     ?(p99_probe = fun () -> None) () =

@@ -7,9 +7,10 @@
     Internally a structure-of-arrays heap: parallel flat [int] arrays
     for the (time, seq) keys and the payloads, so the steady-state
     [push]/[pop_min_exn] path allocates nothing and no sift write pays
-    the GC write barrier.  Payloads are ints because the simulation
-    core stores pooled cell indices; a caller with richer events keeps
-    them in a side table indexed by the payload. *)
+    the GC write barrier.  Payloads are small non-negative ints — the
+    simulation core's dense cell indices — and each is queued at most
+    once, so a position index keyed by payload lets an entry be moved
+    or removed in place. *)
 
 type t
 
@@ -17,16 +18,18 @@ val create : unit -> t
 
 val is_empty : t -> bool
 
-val length : t -> int
-
 val push : t -> time:Sim_time.t -> int -> unit
-(** [push q ~time v] inserts [v] with priority [time].  Allocation-free
-    except when the heap doubles its capacity. *)
+(** [push q ~time v] queues [v] at [time] with a fresh sequence number,
+    so it goes after every entry already due at [time].  If [v] is
+    already queued, its entry moves there in place (a sift up or down)
+    instead.  Allocation-free except when an array doubles. *)
 
-val pop : t -> (Sim_time.t * int) option
-(** [pop q] removes and returns the earliest event, or [None] if empty.
-    Allocates the option/tuple; hot paths use {!min_time_exn} +
-    {!pop_min_exn} instead. *)
+val mem : t -> int -> bool
+(** [mem q v] is whether [v] is queued. *)
+
+val remove : t -> int -> unit
+(** [remove q v] takes [v] out of the queue in O(log n); a no-op if it
+    is not queued.  The other entries keep their keys. *)
 
 val min_time_exn : t -> Sim_time.t
 (** The timestamp of the earliest event.  Raises [Invalid_argument] if
@@ -35,15 +38,3 @@ val min_time_exn : t -> Sim_time.t
 val pop_min_exn : t -> int
 (** Remove and return the payload of the earliest event.  Raises
     [Invalid_argument] if the queue is empty.  Allocation-free. *)
-
-val peek_time : t -> Sim_time.t option
-(** [peek_time q] is the timestamp of the earliest event without
-    removing it. *)
-
-val compact : t -> keep:(int -> bool) -> unit
-(** [compact q ~keep] drops every entry whose payload fails [keep] and
-    re-heapifies in O(n).  Pop order of the survivors is unchanged —
-    their (time, seq) keys are preserved.  The simulation core uses
-    this to purge cancelled events once they dominate the heap. *)
-
-val clear : t -> unit

@@ -4,55 +4,40 @@
    Event cells are pooled and reused.  The queue itself stores only the
    unboxed cell index, so a schedule/execute round trip in steady state
    allocates nothing beyond the caller's closure: the cell comes off a
-   free stack, the heap entry is three flat-array writes, and the
-   handle is an immediate int packing (cell index, generation).  The
-   generation makes cancellation of an already-fired (hence reused)
-   handle a no-op, as before.
+   free stack and the heap entry is four flat-array writes.
 
-   Cancellation is lazy: [cancel] only marks the cell and drops its
-   closure.  Dead entries are skipped at pop time, and once more than
-   half the heap is dead it is compacted in O(n) — so cancel-heavy TCP
-   runs (every retransmit timer that gets answered) stop paying heap
-   space and sift depth for tombstones. *)
+   A wakeup owns its cell for good: the cell never goes back on the
+   free stack, so the queue's position index, keyed by cell, says
+   whether the wakeup is pending and lets [arm] move it and [disarm]
+   remove it in place.  Nothing else leaves the queue before it
+   fires. *)
 
 type cell = {
   mutable action : unit -> unit;
-  mutable cancelled : bool;
-  mutable gen : int;
+  mutable owned : bool; (* by a wakeup: kept when it fires *)
 }
 
-type handle = int
-
-let gen_bits = 30
-let gen_mask = (1 lsl gen_bits) - 1
 let no_action () = ()
-
-(* Its cell index lies beyond any pool, so [cancel] ignores it. *)
-let no_handle = -1
 
 type t = {
   mutable clock : Sim_time.t;
   queue : Event_queue.t;
-  root_rng : Rng.t;
   mutable executed : int;
   mutable cells : cell array;
   mutable cell_count : int; (* cells.(0 .. cell_count-1) are initialized *)
   mutable free : int array; (* stack of free cell indices *)
   mutable free_top : int;
-  mutable dead : int; (* cancelled entries still in the queue *)
 }
 
-let create ?(seed = 42) () =
+let create () =
   {
     clock = Sim_time.zero;
     queue = Event_queue.create ();
-    root_rng = Rng.create ~seed;
     executed = 0;
     cells = [||];
     cell_count = 0;
     free = [||];
     free_top = 0;
-    dead = 0;
   }
 
 let now t = t.clock
@@ -67,13 +52,10 @@ let push_free t idx =
   t.free.(t.free_top) <- idx;
   t.free_top <- t.free_top + 1
 
-(* Recycle a cell: bump the generation so stale handles go inert, drop
-   the closure so the GC can reclaim its environment. *)
+(* Recycle a cell, dropping the closure so the GC can reclaim its
+   environment. *)
 let release_cell t idx =
-  let c = t.cells.(idx) in
-  c.action <- no_action;
-  c.cancelled <- false;
-  c.gen <- (c.gen + 1) land gen_mask;
+  t.cells.(idx).action <- no_action;
   push_free t idx
 
 let alloc_cell t action =
@@ -88,8 +70,7 @@ let alloc_cell t action =
       let capacity' = if t.cell_count = 0 then 64 else 2 * t.cell_count in
       let cells' =
         Array.init capacity' (fun i ->
-            if i < t.cell_count then t.cells.(i)
-            else { action = no_action; cancelled = false; gen = 0 })
+            if i < t.cell_count then t.cells.(i) else { action = no_action; owned = false })
       in
       t.cells <- cells'
     end;
@@ -101,36 +82,23 @@ let alloc_cell t action =
 
 let at t time action =
   assert (time >= t.clock);
-  let idx = alloc_cell t action in
-  Event_queue.push t.queue ~time idx;
-  (idx lsl gen_bits) lor t.cells.(idx).gen
+  Event_queue.push t.queue ~time (alloc_cell t action)
 
 let after t delay action = at t (Sim_time.add t.clock delay) action
 
-let maybe_compact t =
-  let len = Event_queue.length t.queue in
-  if len >= 128 && 2 * t.dead > len then begin
-    Event_queue.compact t.queue ~keep:(fun idx ->
-        let c = t.cells.(idx) in
-        if c.cancelled then begin
-          release_cell t idx;
-          false
-        end
-        else true);
-    t.dead <- 0
-  end
+type wakeup = { sim : t; cell : int }
 
-let cancel t handle =
-  let idx = handle lsr gen_bits in
-  if idx < t.cell_count then begin
-    let c = t.cells.(idx) in
-    if c.gen = handle land gen_mask && not c.cancelled then begin
-      c.cancelled <- true;
-      c.action <- no_action;
-      t.dead <- t.dead + 1;
-      maybe_compact t
-    end
-  end
+let wakeup sim action =
+  let cell = alloc_cell sim action in
+  sim.cells.(cell).owned <- true;
+  { sim; cell }
+
+let arm w time =
+  assert (time >= w.sim.clock);
+  Event_queue.push w.sim.queue ~time w.cell
+
+let disarm w = Event_queue.remove w.sim.queue w.cell
+let pending w = Event_queue.mem w.sim.queue w.cell
 
 (* Process-wide count of executed events, across every [t] and every
    domain — lets the benchmark harness meter events/sec for a run
@@ -142,27 +110,17 @@ let cancel t handle =
 let global_executed = Atomic.make 0
 let global_events () = Atomic.get global_executed
 
-(* Pop and run the earliest event; the queue must be non-empty.  A
-   cancelled cell is only released: the caller re-checks its horizon
-   before popping again, so a tombstone never lets a later event past
-   [run]'s [until]. *)
+(* Pop and run the earliest event; the queue must be non-empty. *)
 let step_unmetered t =
-  let time = Event_queue.min_time_exn t.queue in
+  t.clock <- Event_queue.min_time_exn t.queue;
   let idx = Event_queue.pop_min_exn t.queue in
   let c = t.cells.(idx) in
-  if c.cancelled then begin
-    t.dead <- t.dead - 1;
-    release_cell t idx
-  end
-  else begin
-    t.clock <- time;
-    let action = c.action in
-    (* Release before running: the action may schedule (and so reuse
-       the cell); the bumped generation keeps old handles inert. *)
-    release_cell t idx;
-    t.executed <- t.executed + 1;
-    action ()
-  end
+  let action = c.action in
+  (* Release before running: the action may schedule, and so reuse the
+     cell. *)
+  if not c.owned then release_cell t idx;
+  t.executed <- t.executed + 1;
+  action ()
 
 let flush_executed t e0 =
   let delta = t.executed - e0 in
@@ -174,8 +132,7 @@ let drain t = function
         step_unmetered t
       done
   | Some horizon ->
-      (* The root time against the horizon: no [peek_time] option per
-         step. *)
+      (* The root time against the horizon: no option per step. *)
       while
         (not (Event_queue.is_empty t.queue))
         && Event_queue.min_time_exn t.queue <= horizon

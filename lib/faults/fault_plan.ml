@@ -378,10 +378,9 @@ let tap t frame deliver =
     else if u < d5 then begin
       Metrics.incr t.c_wire_reorders;
       let delay = 1 + Rng.int t.wire_rng (max 1 s.reorder_delay_ns) in
-      ignore
-        (Sim.after t.sim delay (fun () ->
-             Metrics.incr t.c_tap_forwarded;
-             deliver frame))
+      Sim.after t.sim delay (fun () ->
+          Metrics.incr t.c_tap_forwarded;
+          deliver frame)
     end
     else begin
       let h1 = s.hostile_rst_rate in
@@ -461,7 +460,7 @@ let arm_nic t nic =
           (Some
              (fun post ->
                Metrics.incr t.c_doorbell_delays;
-               ignore (Sim.after t.sim t.spec.doorbell_delay_ns post)));
+               Sim.after t.sim t.spec.doorbell_delay_ns post));
       if t.spec.exhaust_period_ns > 0 then arm_pool t (Nic.pool_of q))
 
 let app_crash t =

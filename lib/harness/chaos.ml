@@ -296,19 +296,17 @@ let echo_leg ?(seed = 42) ?(spec = Fault_plan.default) ?(soak_ms = 8)
         List.iteri
           (fun i target ->
             let at = t_fault + (window * (i + 1) / (n + 1)) in
-            ignore
-              (Sim.at sim at (fun () ->
-                   Control_plane.set_elastic_threads cp target)))
+            Sim.at sim at (fun () ->
+                Control_plane.set_elastic_threads cp target))
           steps;
         Some cp
   in
   let offered_base = ref 0 in
-  ignore
-    (Sim.at sim t_fault (fun () ->
-         offered_base := offered_all cluster;
-         arm fi cluster));
+  Sim.at sim t_fault (fun () ->
+      offered_base := offered_all cluster;
+      arm fi cluster);
   let aborted = ref 0 in
-  ignore (Sim.at sim t_drain (fun () -> aborted := drain cluster));
+  Sim.at sim t_drain (fun () -> aborted := drain cluster);
   Sim.run ~until:(t_drain + Sim_time.ms 3) sim;
   (* Quiesce completely: stragglers (reorder-delayed frames, TIME_WAIT
      expiries, final RST exchanges) all land before the audit reads. *)
@@ -367,10 +365,9 @@ let memcached_leg ?(seed = 42) ~spec ?(soak_ms = 8) () =
   Workloads.Keygen.preload ~insert:(Apps.Memcached.insert mc) ~profile ~seed:7;
   let warmup_ms = 2 in
   let offered_base = ref 0 in
-  ignore
-    (Sim.at sim (Sim_time.ms warmup_ms) (fun () ->
-         offered_base := offered_all cluster;
-         arm fi cluster));
+  Sim.at sim (Sim_time.ms warmup_ms) (fun () ->
+      offered_base := offered_all cluster;
+      arm fi cluster);
   let result =
     Workloads.Mutilate.run ~sim ~clients:cluster.Cluster.clients
       ~server_ip:cluster.Cluster.server_ip ~port:11211 ~profile ~connections:48
@@ -378,7 +375,7 @@ let memcached_leg ?(seed = 42) ~spec ?(soak_ms = 8) () =
   in
   let t_drain = Sim.now sim + Sim_time.us 500 in
   let aborted = ref 0 in
-  ignore (Sim.at sim t_drain (fun () -> aborted := drain cluster));
+  Sim.at sim t_drain (fun () -> aborted := drain cluster);
   Sim.run ~until:(t_drain + Sim_time.ms 3) sim;
   Sim.run sim;
   let audit_failures =

@@ -110,7 +110,7 @@ let make_stack sim ~spec ~host_id ~ip ~nics ~metrics ~seed ~linux_costs =
 let build ?(seed = 42) ?(client_hosts = 6) ?(client_threads = 8)
     ?(client_kind = Linux) ?client_tcp_config ?server_ecn_threshold_bytes
     ?server_queue_limit_bytes ~server () =
-  let sim = Sim.create ~seed () in
+  let sim = Sim.create () in
   let total_ports = server.nic_ports + client_hosts in
   let switch = Switch.create sim ~ports:total_ports () in
   (* Server: host id 1, switch ports [0, nic_ports). *)

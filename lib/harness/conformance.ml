@@ -207,7 +207,7 @@ let send_wire ~rng ~faults ~hostile ~arrive seg =
 type side = {
   deliver : Model.segment -> unit;
   timers : unit -> unit;  (* fire every timer due by now *)
-  next_deadline : unit -> int;  (* -1 when no timer is armed *)
+  next_deadline : unit -> int;  (* [Wheel.no_expiry] when no timer is armed *)
   exec : op -> unit;
   flush : unit -> unit;  (* post-step: consume delivered payload *)
   sample_state : unit -> Tcp_state.t;
@@ -354,10 +354,7 @@ let make_real_side ~record ~cfg ~seed ~now ~active ~remote_port ~tx () =
   {
     deliver;
     timers = (fun () -> Wheel.advance wheel ~now:(now ()));
-    next_deadline =
-      (fun () ->
-        let t = Wheel.next_expiry wheel in
-        if t = Wheel.no_expiry then -1 else t);
+    next_deadline = (fun () -> Wheel.next_expiry wheel);
     exec;
     flush =
       (fun () ->
@@ -496,7 +493,8 @@ let make_model_side ~record ~cfg ~now ~active ~local_port ~remote_port ~isss
     timers = (fun () -> step Model.handle_timers);
     next_deadline =
       (fun () ->
-        if alive () then Model.next_deadline (Option.get !conn) else -1);
+        let d = if alive () then Model.next_deadline (Option.get !conn) else -1 in
+        if d < 0 then Wheel.no_expiry else d);
     exec;
     flush =
       (fun () ->
@@ -546,12 +544,10 @@ let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
     end
   in
   let post_b () = (side_b ()).flush () in
-  (* Both sides' wakeups, each armed at its side's next deadline the
-     way [Socket_host.arm_timer_wakeup] arms a host's. *)
-  let wake_a = ref Sim.no_handle and wake_b = ref Sim.no_handle in
   (* Every event first runs both sides' due timers, A's then B's, so
      at equal times timers come before wire and op events, which run
-     in scheduling order. *)
+     in scheduling order.  Then each side's wakeup is armed at its next
+     deadline, the way a host's timer wakeup is. *)
   let rec event f () =
     if Sim.events_executed sim > step_limit then
       failwith "conformance: leg failed to quiesce within the step budget";
@@ -563,18 +559,14 @@ let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
     arm wake_a (side_a ());
     arm wake_b (side_b ())
   and arm wake side =
-    Sim.cancel sim !wake;
-    wake := Sim.no_handle;
-    let deadline = side.next_deadline () in
-    if deadline >= 0 then
-      wake := Sim.at sim (Int.max deadline (now ())) (event ignore)
-  in
+    Wheel.arm_wakeup (Lazy.force wake) ~earliest:(now ()) (side.next_deadline ())
+  and wake_a = lazy (Sim.wakeup sim (event ignore))
+  and wake_b = lazy (Sim.wakeup sim (event ignore)) in
   let arrive side post ~delay seg =
-    ignore
-      (Sim.after sim delay
-         (event (fun () ->
-              (side ()).deliver seg;
-              post ())))
+    Sim.after sim delay
+      (event (fun () ->
+           (side ()).deliver seg;
+           post ()))
   in
   let tx_a = send_wire ~rng:rng_ab ~faults ~hostile ~arrive:(arrive side_b post_b) in
   let tx_b = send_wire ~rng:rng_ba ~faults ~hostile ~arrive:(arrive side_a post_a) in
@@ -602,11 +594,10 @@ let run_pass ~seed ~cfg ~faults ~hostile ~record ~kind =
   List.iter
     (fun (t, s, op) ->
       let side, post = match s with `A -> (a, post_a) | `B -> (b, post_b) in
-      ignore
-        (Sim.at sim t
-           (event (fun () ->
-                side.exec op;
-                post ()))))
+      Sim.at sim t
+        (event (fun () ->
+             side.exec op;
+             post ())))
     sc.events;
   Sim.run ~until:t_limit_ns sim
 

@@ -129,14 +129,13 @@ let spawn_echo (cluster : Cluster.t) ~client_threads stats ~at ~spacing ~first
   let n = Array.length clients in
   for k = 0 to sessions - 1 do
     let i = first + k in
-    ignore
-      (Sim.at cluster.sim
-         (at + (k * spacing))
-         (fun () ->
-           Apps.Echo.client clients.(i mod n) ~now:(Cluster.now cluster)
-             ~thread:(i / n mod client_threads)
-             ~server_ip:cluster.server_ip ~port:7000 ~msg_size ~msgs_per_conn
-             ~stats ~stop_after))
+    Sim.at cluster.sim
+      (at + (k * spacing))
+      (fun () ->
+        Apps.Echo.client clients.(i mod n) ~now:(Cluster.now cluster)
+          ~thread:(i / n mod client_threads)
+          ~server_ip:cluster.server_ip ~port:7000 ~msg_size ~msgs_per_conn
+          ~stats ~stop_after)
   done
 
 (* Each workload runner fills in what it measures; [run] adds the
@@ -262,7 +261,7 @@ let run_conn_scaling s (cluster : Cluster.t) ~conns ~workers =
         match slot_conn.(slot) with
         | Some conn -> ignore (conn.Net_api.send message)
         | None -> ())
-    | None -> ignore (Sim.after sim (Sim_time.ms 1) (fun () -> advance_worker w))
+    | None -> Sim.after sim (Sim_time.ms 1) (fun () -> advance_worker w)
   in
   (* Each response completes one 64 B request on its slot. *)
   let on_slot_response slot =
@@ -284,10 +283,9 @@ let run_conn_scaling s (cluster : Cluster.t) ~conns ~workers =
         on_closed = (fun _ _ -> ());
       }
     in
-    ignore
-      (Sim.at sim (slot * stagger_ns) (fun () ->
-           clients.(client_idx).Net_api.connect ~thread ~ip:cluster.server_ip
-             ~port:7000 handlers))
+    Sim.at sim (slot * stagger_ns) (fun () ->
+        clients.(client_idx).Net_api.connect ~thread ~ip:cluster.server_ip
+          ~port:7000 handlers)
   done;
   let setup = Sim_time.ms (max 4 ((conns * stagger_ns / 1_000_000) + 4)) in
   Sim.run ~until:setup sim;
@@ -345,14 +343,13 @@ let run_incast (cluster : Cluster.t) ~senders ~block =
   let start = Sim_time.ms 2 in
   List.iter
     (fun client ->
-      ignore
-        (Sim.at cluster.sim start (fun () ->
-             client.Net_api.connect ~thread:0 ~ip:cluster.server_ip ~port:9100
-               {
-                 Net_api.null_handlers with
-                 Net_api.on_connected =
-                   (fun conn ~ok -> if ok then ignore (conn.Net_api.send payload));
-               })))
+      Sim.at cluster.sim start (fun () ->
+          client.Net_api.connect ~thread:0 ~ip:cluster.server_ip ~port:9100
+            {
+              Net_api.null_handlers with
+              Net_api.on_connected =
+                (fun conn ~ok -> if ok then ignore (conn.Net_api.send payload));
+            }))
     cluster.clients;
   Sim.run ~until:(Sim_time.s 3) cluster.sim;
   let ce_marks, tail_drops = Cluster.server_link_stats cluster in

@@ -87,7 +87,7 @@ let send_at t frame ~earliest =
     t.total_frames <- t.total_frames + 1;
     let arrival = start + duration + t.propagation_ns in
     Frame_ring.push t.pending frame ~tag:0;
-    ignore (Engine.Sim.at t.sim arrival t.deliver_pending)
+    Engine.Sim.at t.sim arrival t.deliver_pending
   end
 
 let send t frame = send_at t frame ~earliest:0

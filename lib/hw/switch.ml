@@ -94,7 +94,7 @@ let create sim ~ports () =
 
 let input t ~ingress_port frame =
   Frame_ring.push t.crossing frame ~tag:ingress_port;
-  ignore (Engine.Sim.after t.sim crossing_ns t.forward_next)
+  Engine.Sim.after t.sim crossing_ns t.forward_next
 
 let forwarded t = t.forwarded_count
 let flooded t = t.flooded_count

@@ -378,6 +378,10 @@ let no_expiry = max_int
    so [next_stop] is exactly the bound. *)
 let next_expiry t = if t.armed = 0 then no_expiry else next_stop t * t.tick_ns
 
+let arm_wakeup w ~earliest deadline =
+  if deadline = no_expiry then Engine.Sim.disarm w
+  else Engine.Sim.arm w (Int.max deadline earliest)
+
 (* Defined after every function that touches [t]'s fields: several
    field names are shared with [t], and a later definition would win
    type-directed disambiguation. *)

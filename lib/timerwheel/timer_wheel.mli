@@ -64,6 +64,12 @@ val next_expiry : t -> Engine.Sim_time.t
     Hosts sleep until it when idle; a plain time rather than an option,
     since hosts ask on every idle cycle. *)
 
+val arm_wakeup : Engine.Sim.wakeup -> earliest:Engine.Sim_time.t -> Engine.Sim_time.t -> unit
+(** [arm_wakeup w ~earliest deadline] is how a host sleeps until its
+    next timer: it arms [w] at [deadline], a {!next_expiry} value, but
+    not before [earliest], and disarms [w] when [deadline] is
+    {!no_expiry}. *)
+
 val pending : t -> int
 (** Number of armed (uncancelled, unfired) timers. *)
 

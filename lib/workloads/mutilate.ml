@@ -117,9 +117,8 @@ let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
         }
       in
       let delay = Engine.Rng.int rng ramp in
-      ignore
-        (Engine.Sim.after sim delay (fun () ->
-             st.stack.Net_api.connect ~thread:st.thread ~ip:server_ip ~port handlers)))
+      Engine.Sim.after sim delay (fun () ->
+          st.stack.Net_api.connect ~thread:st.thread ~ip:server_ip ~port handlers))
     states;
   (* The open-loop Poisson arrival process. *)
   let gap_mean_ns = 1e9 /. target_rps in
@@ -145,10 +144,10 @@ let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
           if st.outstanding < pipeline && Option.is_some st.conn then transmit st req
           else Queue.add req st.backlog);
       let gap = Engine.Rng.exponential rng ~mean:gap_mean_ns in
-      ignore (Engine.Sim.after sim (max 1 (int_of_float gap)) arrival)
+      Engine.Sim.after sim (max 1 (int_of_float gap)) arrival
     end
   in
-  ignore (Engine.Sim.at sim arrivals_start arrival);
+  Engine.Sim.at sim arrivals_start arrival;
   (* Run to a little past the window so in-flight responses land. *)
   Engine.Sim.run ~until:(window_end + Engine.Sim_time.ms 5) sim;
   let duration_s = float_of_int (window_end - window_start) /. 1e9 in

@@ -24,9 +24,8 @@ let run ~fast_path =
     ~first:0 ~sessions:32 ~msg_size:64 ~msgs_per_conn:64 ~stop_after;
   List.iter
     (fun (ms, threads) ->
-      ignore
-        (Sim.at cluster.Cluster.sim (Sim_time.ms ms) (fun () ->
-             Control_plane.set_elastic_threads cp threads)))
+      Sim.at cluster.Cluster.sim (Sim_time.ms ms) (fun () ->
+          Control_plane.set_elastic_threads cp threads))
     [ (2, 2); (4, 4) ];
   Sim.run ~until:stop_after cluster.Cluster.sim;
   ( Sim.events_executed cluster.Cluster.sim,

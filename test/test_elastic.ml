@@ -123,13 +123,10 @@ let test_migrate_under_live_load () =
       ignore i)
     cluster.Cluster.clients;
   let mid = ref 0 in
-  ignore
-    (Sim.at sim (Sim_time.ms 2) (fun () ->
-         mid := stats.Apps.Echo.messages;
-         Control_plane.set_elastic_threads cp 1));
-  ignore
-    (Sim.at sim (Sim_time.ms 4) (fun () ->
-         Control_plane.set_elastic_threads cp 2));
+  Sim.at sim (Sim_time.ms 2) (fun () ->
+      mid := stats.Apps.Echo.messages;
+      Control_plane.set_elastic_threads cp 1);
+  Sim.at sim (Sim_time.ms 4) (fun () -> Control_plane.set_elastic_threads cp 2);
   Sim.run ~until:(Sim_time.ms 8) sim;
   Sim.run sim;
   check_bool "migrations completed" true

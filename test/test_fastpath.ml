@@ -31,7 +31,7 @@ type net = { sim : Engine.Sim.t; a : host; b : host }
    base latency, which reorders segments on the wire. *)
 let make_net ~fast_path ?(loss = 0.) ?(jitter_ns = 0) ?(delay_ns = 10_000)
     ~seed ?(rcv_buf = Tcb.default_config.Tcb.rcv_buf) () =
-  let sim = Engine.Sim.create ~seed () in
+  let sim = Engine.Sim.create () in
   let loss_rng = Engine.Rng.create ~seed:(seed + 100) in
   let jitter_rng = Engine.Rng.create ~seed:(seed + 200) in
   let cfg = { Tcb.default_config with Tcb.fast_path; rcv_buf } in
@@ -44,13 +44,12 @@ let make_net ~fast_path ?(loss = 0.) ?(jitter_ns = 0) ?(delay_ns = 10_000)
       if loss > 0. && Engine.Rng.float loss_rng 1.0 < loss then Mbuf.decref mbuf
       else begin
         let extra = if jitter_ns > 0 then Engine.Rng.int jitter_rng jitter_ns else 0 in
-        ignore
-          (Engine.Sim.after sim (delay_ns + extra) (fun () ->
-               let dst = peer_of remote_ip in
-               (match Seg.decode mbuf ~src:local_ip ~dst:remote_ip with
-               | Ok seg -> Tcp_endpoint.rx_segment dst.ep ~src_ip:local_ip seg mbuf
-               | Error e -> Alcotest.failf "segment decode: %s" e);
-               Mbuf.decref mbuf))
+        Engine.Sim.after sim (delay_ns + extra) (fun () ->
+            let dst = peer_of remote_ip in
+            (match Seg.decode mbuf ~src:local_ip ~dst:remote_ip with
+            | Ok seg -> Tcp_endpoint.rx_segment dst.ep ~src_ip:local_ip seg mbuf
+            | Error e -> Alcotest.failf "segment decode: %s" e);
+            Mbuf.decref mbuf)
       end
     in
     let ep =
@@ -71,9 +70,9 @@ let make_net ~fast_path ?(loss = 0.) ?(jitter_ns = 0) ?(delay_ns = 10_000)
   let rec tick () =
     Wheel.advance a.wheel ~now:(Engine.Sim.now sim);
     Wheel.advance b.wheel ~now:(Engine.Sim.now sim);
-    ignore (Engine.Sim.after sim 100_000 tick)
+    Engine.Sim.after sim 100_000 tick
   in
-  ignore (Engine.Sim.after sim 100_000 tick);
+  Engine.Sim.after sim 100_000 tick;
   n
 
 (* What a run looks like from the outside; two runs are equivalent iff
@@ -127,9 +126,9 @@ let run_scenario ~fast_path ~seed ~size ~loss ~jitter_ns ~rcv_buf ~chunk
     (match !server_tcb with
     | Some tcb -> Tcp_conn.consume tcb chunk
     | None -> ());
-    ignore (Engine.Sim.after net.sim drain_ns drain)
+    Engine.Sim.after net.sim drain_ns drain
   in
-  ignore (Engine.Sim.after net.sim drain_ns drain);
+  Engine.Sim.after net.sim drain_ns drain;
   let data = String.init size (fun i -> Char.chr ((i * 131 + seed) land 0xFF)) in
   let client_close = ref None in
   let sent_acked = ref 0 in
@@ -158,8 +157,8 @@ let run_scenario ~fast_path ~seed ~size ~loss ~jitter_ns ~rcv_buf ~chunk
   let mid_ns = 2_000_000 + (seed mod 7) * 300_000 in
   (match ending with
   | Orderly -> ()
-  | Fin_mid -> ignore (Engine.Sim.after net.sim mid_ns (fun () -> Tcp_conn.close tcb))
-  | Rst_mid -> ignore (Engine.Sim.after net.sim mid_ns (fun () -> Tcp_conn.abort tcb)));
+  | Fin_mid -> Engine.Sim.after net.sim mid_ns (fun () -> Tcp_conn.close tcb)
+  | Rst_mid -> Engine.Sim.after net.sim mid_ns (fun () -> Tcp_conn.abort tcb));
   Engine.Sim.run ~until:(Engine.Sim_time.ms 20_000) net.sim;
   let obs =
     {

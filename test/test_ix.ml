@@ -609,7 +609,7 @@ let bare_host () =
   in
   let cores =
     Host.create ~sim ~host_id:1 ~ip:(Ixnet.Ip_addr.of_host_id 1) ~nics:[| nic |] ~threads:1
-      ~config:Ixtcp.Tcb.default_config ~seed:1 ~profile ~hooks ~state:(fun _ -> ()) ()
+      ~config:Ixtcp.Tcb.default_config ~seed:1 ~profile ~hooks ~state:(fun _ _ -> ()) ()
   in
   cores.(0)
 
@@ -635,6 +635,29 @@ let test_timer_wakeup_allocates_nothing () =
   check_int "the timer fired every period" 10_000 (!fired - fired_before);
   check_bool "a wakeup per period at least" true
     (Sim.events_executed c.sim - events_before >= 10_000)
+
+(* Moving the timer wakeup allocates nothing: with a wheel timer
+   pending, 10k RX-pass [run_timers] calls each move the pending wakeup
+   in place, and 10k disarm/arm pairs take it out and put it back. *)
+let test_wakeup_moves_allocate_nothing () =
+  let c = bare_host () in
+  let deadline = 10 * Timerwheel.Timer_wheel.default_tick_ns in
+  ignore (Timerwheel.Timer_wheel.schedule c.Host.wheel ~deadline ignore);
+  for i = 1 to 100 do
+    Sim.at c.sim (i * deadline) ignore
+  done;
+  Host.run_timers c;
+  Alloc_gate.none "words over 10k in-place moves" (fun () ->
+      for _ = 1 to 10_000 do
+        Host.run_timers c
+      done);
+  check_bool "the wakeup stays pending" true (Sim.pending c.timer_wakeup);
+  Alloc_gate.none "words over 10k disarm/arm pairs" (fun () ->
+      for i = 1 to 10_000 do
+        Sim.disarm c.timer_wakeup;
+        Sim.arm c.timer_wakeup (i mod 200 * deadline)
+      done);
+  check_bool "and pending after the last arm" true (Sim.pending c.timer_wakeup)
 
 (* The shared frame demux allocates nothing for frames it drops: 10k
    pre-built UDP frames go through [process_frame] and are released. *)
@@ -720,6 +743,8 @@ let () =
         [
           Alcotest.test_case "timer wakeup allocates nothing" `Quick
             test_timer_wakeup_allocates_nothing;
+          Alcotest.test_case "wakeup moves allocate nothing" `Quick
+            test_wakeup_moves_allocate_nothing;
           Alcotest.test_case "frame demux allocates nothing" `Quick
             test_process_frame_allocates_nothing;
         ] );

@@ -33,7 +33,7 @@ type net = {
    with the given probability; [delay_ns] is the one-way latency. *)
 let make_net ?(loss = 0.) ?(delay_ns = 10_000) ?(seed = 1) ?config
     ?(wire_up = fun (_ : int) -> true) () =
-  let sim = Engine.Sim.create ~seed () in
+  let sim = Engine.Sim.create () in
   let loss_rng = Engine.Rng.create ~seed:(seed + 100) in
   let cfg = match config with Some c -> c | None -> Tcb.default_config in
   let net = ref None in
@@ -55,14 +55,13 @@ let make_net ?(loss = 0.) ?(delay_ns = 10_000) ?(seed = 1) ?config
              Mbuf.decref mbuf
            end
            else begin
-             ignore
-               (Engine.Sim.after sim delay_ns (fun () ->
-                    let dst = peer_of remote_ip in
-                    (* The peer decodes the raw TCP segment. *)
-                    (match Seg.decode mbuf ~src:local_ip ~dst:remote_ip with
-                    | Ok seg -> Tcp_endpoint.rx_segment dst.ep ~src_ip:local_ip seg mbuf
-                    | Error e -> Alcotest.failf "segment decode: %s" e);
-                    Mbuf.decref mbuf))
+             Engine.Sim.after sim delay_ns (fun () ->
+                 let dst = peer_of remote_ip in
+                 (* The peer decodes the raw TCP segment. *)
+                 (match Seg.decode mbuf ~src:local_ip ~dst:remote_ip with
+                 | Ok seg -> Tcp_endpoint.rx_segment dst.ep ~src_ip:local_ip seg mbuf
+                 | Error e -> Alcotest.failf "segment decode: %s" e);
+                 Mbuf.decref mbuf)
            end
          in
          let ep =
@@ -86,9 +85,9 @@ let make_net ?(loss = 0.) ?(delay_ns = 10_000) ?(seed = 1) ?config
   let rec tick () =
     Wheel.advance a.wheel ~now:(Engine.Sim.now sim);
     Wheel.advance b.wheel ~now:(Engine.Sim.now sim);
-    ignore (Engine.Sim.after sim 100_000 tick)
+    Engine.Sim.after sim 100_000 tick
   in
-  ignore (Engine.Sim.after sim 100_000 tick);
+  Engine.Sim.after sim 100_000 tick;
   n
 
 let run net ~ms = Engine.Sim.run ~until:(Engine.Sim_time.ms ms) net.sim
@@ -405,9 +404,9 @@ let test_window_reopens_after_consume () =
     (match !server_tcb with
     | Some tcb -> Tcp_conn.consume tcb 4096
     | None -> ());
-    ignore (Engine.Sim.after net.sim 500_000 drain)
+    Engine.Sim.after net.sim 500_000 drain
   in
-  ignore (Engine.Sim.after net.sim 500_000 drain);
+  Engine.Sim.after net.sim 500_000 drain;
   run net ~ms:1000;
   check_int "everything eventually acked" 60_000 !sent_acked
 
@@ -544,8 +543,6 @@ let test_mss_negotiation_clamps_segments () =
      segments.  Observable through segment counts: 5000 bytes over a
      536-byte MSS needs at least 10 data segments. *)
   let small = { Tcb.default_config with Tcb.mss = 536 } in
-  let sim = Engine.Sim.create ~seed:3 () in
-  ignore sim;
   let net = make_net ~config:small () in
   let received, _ = sink_server net.b ~port:80 in
   let tcb, _, _, _ =
