@@ -692,49 +692,40 @@ let rec run_cycle t =
   if t.watchers <> [] then
     t.watchers <- List.filter (fun w -> not (w ())) t.watchers;
   (* Loop or go idle. *)
-  (if has_work t then begin
+  if has_work t then begin
     t.state <- Scheduled;
     Sim.arm t.cycle_wakeup t_end
   end
-  else begin
-    t.state <- Idle;
-    arm_idle_wakeup t t_end;
-    maybe_background t t_end
-  end);
+  else go_idle t t_end
 
 (* §4.1: background threads timeshare a hardware thread with the
    elastic work.  A slice runs only while the dataplane is otherwise
    idle; packets arriving during a slice are picked up at the next
-   slice boundary — the (bounded) latency cost of timesharing. *)
-and maybe_background t earliest =
+   slice boundary — the (bounded) latency cost of timesharing.  Going
+   idle from [earliest] therefore either schedules the next slice or,
+   with no background work, sleeps until the wheel's next expiry. *)
+and go_idle t earliest =
   match t.background with
-  | None -> ()
-  | Some _ ->
-      if t.state = Idle then begin
-        t.state <- Scheduled;
-        Sim.disarm t.idle_wakeup;
-        let at = Int.max (now t) earliest in
-        Sim.at t.sim at (fun () ->
-            t.state <- Idle;
-            if has_work t || rx_pending t > 0 then kick t
-            else begin
-              (* Re-read: the task may have been cleared meanwhile. *)
-              match t.background with
-              | None -> arm_idle_wakeup t (now t)
-              | Some (slice_ns, work) ->
-                  t.background_slices <- t.background_slices + 1;
-                  work ();
-                  let finished =
-                    Cpu_core.charge t.cpu ~now:(now t) Cpu_core.User slice_ns
-                  in
-                  Wheel.advance t.wheel ~now:(now t);
-                  if has_work t then kick t
-                  else begin
-                    arm_idle_wakeup t finished;
-                    maybe_background t finished
-                  end
-            end)
-      end
+  | None ->
+      t.state <- Idle;
+      arm_idle_wakeup t earliest
+  | Some _ -> schedule_slice t earliest
+
+and schedule_slice t earliest =
+  t.state <- Scheduled;
+  Sim.at t.sim (Int.max (now t) earliest) (fun () ->
+      t.state <- Idle;
+      if has_work t || rx_pending t > 0 then kick t
+      else
+        (* Re-read: the task may have been cleared meanwhile. *)
+        match t.background with
+        | None -> arm_idle_wakeup t (now t)
+        | Some (slice_ns, work) ->
+            t.background_slices <- t.background_slices + 1;
+            work ();
+            let finished = Cpu_core.charge t.cpu ~now:(now t) Cpu_core.User slice_ns in
+            Wheel.advance t.wheel ~now:(now t);
+            if has_work t then kick t else go_idle t finished)
 
 and arm_idle_wakeup t earliest =
   Wheel.arm_wakeup t.idle_wakeup ~earliest (Wheel.next_expiry t.wheel)
@@ -877,7 +868,10 @@ let set_ping_handler t f = t.ping_handler <- f
 
 let set_background_work t ~slice_ns work =
   t.background <- Some (slice_ns, work);
-  maybe_background t (now t)
+  if t.state = Idle then begin
+    Sim.disarm t.idle_wakeup;
+    schedule_slice t (now t)
+  end
 
 let clear_background_work t = t.background <- None
 let background_slices t = t.background_slices
