@@ -98,49 +98,38 @@ let test_mutation_caught () =
     "divergence is reported" true
     (r.Conformance.detail <> None)
 
+(* One [seed regime fast_path digest] line per leg, recorded in
+   golden/conformance.expected: any change to traced TCP behaviour
+   moves a leg's digest, even one the model follows in lockstep, so it
+   cannot pass unnoticed.  Re-pin only for an intended behaviour change,
+   and name the moved legs. *)
+let legs ~seeds ~fast_path ~faults ~hostile ~jobs =
+  let regime = if not faults then "clean" else if hostile then "hostile" else "lossy" in
+  let mode = if fast_path then "fast" else "slow" in
+  Conformance.digest_legs ~seeds ~fast_path ~faults ~hostile ~jobs ()
+  |> List.map2 (fun seed d -> Printf.sprintf "%d %s %s %d\n" seed regime mode d) seeds
+  |> String.concat ""
+
 let test_jobs_determinism () =
-  let seeds = seq_seeds 500 539 in
-  let d1 =
-    Conformance.digest_legs ~seeds ~fast_path:true ~faults:true ~hostile:true
-      ~jobs:1 ()
+  let legs jobs =
+    legs ~seeds:(seq_seeds 500 539) ~fast_path:true ~faults:true ~hostile:true ~jobs
   in
-  let d4 =
-    Conformance.digest_legs ~seeds ~fast_path:true ~faults:true ~hostile:true
-      ~jobs:4 ()
-  in
-  Alcotest.(check (list int)) "digests identical at jobs=1 and jobs=4" d1 d4;
-  (* Pinned: any change to traced TCP behaviour moves this hash, even
-     one the model follows in lockstep, so it cannot pass unnoticed.
-     Re-pin only for an intended behaviour change, and name it. *)
-  let combined = List.fold_left (fun h d -> Hashtbl.hash (h, d)) 0 d1 in
-  Alcotest.(check int) "combined digest of the 40 legs" 915049789 combined
+  let lines = legs 1 in
+  Alcotest.(check string) "digests identical at jobs=1 and jobs=4" lines (legs 4);
+  Golden.record "hostile legs, seeds 500-539" lines
 
 (* Every leg of seeds 0-259 in the three batched regimes, fast path on
-   and off: 1,560 legs, any divergence fails [digest_legs].  The per-
-   regime folds, fast path on or off alike, are lossy 875136066,
-   hostile 12807763 and clean 208617856; the pin folds all six lists in
-   this order.  Re-pin only for an intended behaviour change, and name
-   it. *)
+   and off: 1,560 legs, any divergence fails [digest_legs]. *)
 let test_full_sweep () =
   let seeds = seq_seeds 0 259 in
-  let combined =
-    List.fold_left
-      (fun h (faults, hostile, fast_path) ->
-        List.fold_left
-          (fun h d -> Hashtbl.hash (h, d))
-          h
-          (Conformance.digest_legs ~seeds ~fast_path ~faults ~hostile ~jobs:1 ()))
-      0
-      [
-        (true, false, true);
-        (true, false, false);
-        (true, true, true);
-        (true, true, false);
-        (false, false, true);
-        (false, false, false);
-      ]
-  in
-  Alcotest.(check int) "combined digest of the 1,560 legs" 166680776 combined
+  Golden.record "full sweep, seeds 0-259"
+    (String.concat ""
+       (List.concat_map
+          (fun (faults, hostile) ->
+            List.map
+              (fun fast_path -> legs ~seeds ~fast_path ~faults ~hostile ~jobs:1)
+              [ true; false ])
+          [ (true, false); (true, true); (false, false) ]))
 
 (* A leg that never quiesces fails at the step budget, in well under a
    second.  Seed 212 with a hostile peer and no wire faults is one: two
@@ -156,7 +145,7 @@ let test_runaway_leg_fails_fast () =
         "budget failure" "conformance: leg failed to quiesce within the step budget" msg
 
 let () =
-  Alcotest.run "conformance"
+  Golden.run "conformance"
     [
       ( "trace-equality",
         [

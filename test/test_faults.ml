@@ -161,31 +161,20 @@ let test_faults_actually_fire () =
    which must be observationally invisible.  A copy path (every NIC
    snapshotting frames at transmit) used to be kept alongside to prove
    it: its snapshots matched the borrow path's byte for byte, faults
-   armed.  These are the MD5 digests of the full-precision borrow-path
+   armed.  golden/faults.expected holds the full-precision borrow-path
    snapshots for the fixed seeds under the default cocktail, checked
-   equal to the copy path's when they were pinned.  They were re-pinned
-   when the timer wheel stopped waking idle hosts at empty level
-   boundaries: only host CPU accounting moved (busy_ns, kernel_share,
-   dataplane cycles), no frame or wire counter, so the equivalence
-   still holds. *)
+   equal to the copy path's when they were pinned.  Re-pins since then
+   moved only host CPU accounting, no frame or wire counter, so the
+   equivalence still holds. *)
 
-let pinned_snapshots =
-  [
-    (3, "d83767422231fde0904cf947a9c9daa2");
-    (7, "a807b5af07b5bad65546997343967fc3");
-    (17, "eab6a7720b46bdefe41ff738cfc590e9");
-    (23, "54dde57aecabaa06f25f816736926e87");
-  ]
-
-let snapshot_digest seed =
-  Digest.to_hex (Digest.string (Chaos.echo_leg ~seed ~soak_ms:3 ()).Chaos.snapshot)
+let pinned_seeds = [ 3; 7; 17; 23 ]
+let snapshot seed () = (Chaos.echo_leg ~seed ~soak_ms:3 ()).Chaos.snapshot
+let snapshots = lazy (List.map (fun seed -> snapshot seed ()) pinned_seeds)
 
 let test_zero_copy_pinned () =
-  List.iter
-    (fun (seed, digest) ->
-      check_string (Printf.sprintf "seed %d snapshot digest" seed) digest
-        (snapshot_digest seed))
-    pinned_snapshots
+  List.iter2
+    (fun seed snap -> Golden.record (Printf.sprintf "echo leg, seed %d" seed) snap)
+    pinned_seeds (Lazy.force snapshots)
 
 let test_zero_copy_cow_fires () =
   (* Guard against vacuity: under the default cocktail the soak must
@@ -198,12 +187,8 @@ let test_zero_copy_pinned_jobs4 () =
   (* The borrow path holds refcounts across link-propagation events;
      fan the pinned legs over 4 domains to show each snapshot survives
      domain-parallel execution. *)
-  let thunks =
-    List.map (fun (seed, _) () -> snapshot_digest seed) pinned_snapshots
-  in
-  let par = Engine.Domain_pool.map_jobs ~jobs:4 thunks in
-  Alcotest.(check (list string))
-    "jobs=4 digests = pinned" (List.map snd pinned_snapshots) par
+  let par = Engine.Domain_pool.map_jobs ~jobs:4 (List.map snapshot pinned_seeds) in
+  Alcotest.(check (list string)) "jobs=4 snapshots = jobs=1" (Lazy.force snapshots) par
 
 (* ---------------- The audit, across seeds ---------------- *)
 
@@ -282,7 +267,7 @@ let test_mempool_gate_never_raises () =
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
-  Alcotest.run "faults"
+  Golden.run "faults"
     [
       ( "plan-syntax",
         [

@@ -134,16 +134,15 @@ let test_env_names_variable () =
 
 (* ---------------- Pinned figure output ---------------- *)
 
-(* MD5 digests of figure text at scale 0.05.  Any change to a scenario,
-   a runner or a formatter that moves a printed digit shows up here;
-   re-record a digest only for an intended change of that figure. *)
-let check_digest what expected text =
-  Alcotest.(check string) what expected (Digest.to_hex (Digest.string text))
-
+(* Figure text at scale 0.05, recorded in golden/harness.expected.  Any
+   change to a scenario, a runner or a formatter that moves a printed
+   digit shows up there; re-pin only for an intended change of that
+   figure. *)
 let figure name =
   match E.select name with Some [ f ] -> f | _ -> Alcotest.failf "no figure %s" name
 
-let render name = E.render ~output:E.default_output ~scale:0.05 ~jobs:1 (figure name)
+let record_render name =
+  Golden.record name (E.render ~output:E.default_output ~scale:0.05 ~jobs:1 (figure name))
 
 (* Every scalar of a run at full precision, then its server metrics:
    this moves on changes too small to reach a printed table digit. *)
@@ -161,16 +160,16 @@ let fingerprint (r : Harness.Scenario.Result.t) =
     r.cpu_util r.events
   ^ String.concat "" (List.map metric r.metrics)
 
-(* Pin the points of sweep [name] that [select] keeps: the digest of
-   the table the sweep prints for them, and of their fingerprints. *)
-let check_slice what name select ~table ~runs =
+(* Record the points of sweep [name] that [select] keeps: the table the
+   sweep prints for them, and their fingerprints. *)
+let record_slice what name select =
   match figure name with
   | E.Sweep sweep ->
       let points = select (sweep.points ~scale:0.05) in
       check_bool (what ^ ": slice not empty") true (points <> []);
       let results = List.map (fun (l, s) -> (l, s, Harness.Scenario.run s)) points in
-      check_digest (what ^ ", table") table (sweep.table results);
-      check_digest (what ^ ", runs") runs
+      Golden.record (what ^ ", table") (sweep.table results);
+      Golden.record (what ^ ", runs")
         (String.concat "" (List.map (fun (_, _, r) -> fingerprint r) results))
   | E.Single _ -> Alcotest.failf "%s is not a sweep" name
 
@@ -178,61 +177,46 @@ let labelled label keep = List.filter (fun (l, s) -> l = label && keep s)
 let netpipe_size (s : Harness.Scenario.t) = match s.workload with Netpipe { size } -> size | _ -> 0
 
 let test_golden_fig2_prefix () =
-  check_slice "fig2, first three points" "fig2"
-    (List.filteri (fun i _ -> i < 3))
-    ~table:"f06fde4b51075e7447b9a87903efcc6d" ~runs:"c2956abf359bd5f8336f064910ef9262"
+  record_slice "fig2, first three points" "fig2" (List.filteri (fun i _ -> i < 3))
 
 (* The baselines' own slices: mTCP NetPIPE, 1-core echo on both
    baselines, Linux under the cache model with a 100-connection socket
    table, and one Linux memcached point. *)
 let test_golden_fig2_mtcp () =
-  check_slice "fig2, mTCP at 64 B, 1 KB and 4 KB" "fig2"
+  record_slice "fig2, mTCP at 64 B, 1 KB and 4 KB" "fig2"
     (labelled "mTCP" (fun s -> List.mem (netpipe_size s) [ 64; 1_024; 4_096 ]))
-    ~table:"acbf1779e3b4df606d9980588c30cf56" ~runs:"5b298ff847df8309098cfe4eecb3f850"
 
 let test_golden_fig3a_baselines () =
   let one_core (s : Harness.Scenario.t) = s.cores = 1 in
-  check_slice "fig3a, 1-core Linux-10G and mTCP-10G" "fig3a"
-    (fun points -> labelled "Linux-10G" one_core points @ labelled "mTCP-10G" one_core points)
-    ~table:"7f0083f6cb7775e6b8aae1591a5a2331" ~runs:"6e1d5c920a9c4409e359ba145e31b78d"
+  record_slice "fig3a, 1-core Linux-10G and mTCP-10G" "fig3a" (fun points ->
+      labelled "Linux-10G" one_core points @ labelled "mTCP-10G" one_core points)
 
 let test_golden_fig4_linux () =
-  check_slice "fig4, Linux-40G at 100 connections" "fig4"
+  record_slice "fig4, Linux-40G at 100 connections" "fig4"
     (labelled "Linux-40G" (fun (s : Harness.Scenario.t) ->
          match s.workload with Conn_scaling { conns; _ } -> conns = 100 | _ -> false))
-    ~table:"e0fff716f22da84ed6bfcebb593cb416" ~runs:"ea593fb3eef22a84ae68d8bf6925f865"
 
 let test_golden_fig5_linux () =
-  check_slice "fig5, first Linux point" "fig5"
-    (fun points -> [ List.find (fun (l, _) -> l = "Linux") points ])
-    ~table:"cb6a31a1722c9fbe5cfb9a573d05f3f0" ~runs:"7f552148cc9acb76687e36c3ed563e4a"
+  record_slice "fig5, first Linux point" "fig5" (fun points ->
+      [ List.find (fun (l, _) -> l = "Linux") points ])
 
 (* The IX ablation knobs, end to end: every configuration of the
    ablations figure (loaded and unloaded legs), and polling against
    interrupts at the lightest energy load. *)
 let test_golden_ablations () =
-  check_slice "ablations, all five configurations" "ablations" Fun.id
-    ~table:"74f39261b08f5329b1ef885abb6a43c6"
-    ~runs:"a7170ef2b04d6ad5579c028a1d359d6a"
+  record_slice "ablations, all five configurations" "ablations" Fun.id
 
 let test_golden_energy () =
-  check_slice "energy, IX-poll and IX-intr at 8 sessions" "energy"
+  record_slice "energy, IX-poll and IX-intr at 8 sessions" "energy"
     (List.filter (fun (_, (s : Harness.Scenario.t)) ->
          match s.workload with Echo { sessions; _ } -> sessions = 8 | _ -> false))
-    ~table:"4fb28ad7404f72423986b26469c971b2"
-    ~runs:"773af86dbefe6557f30c623911985d6a"
 
-let test_golden_batch_sweep () =
-  check_digest "batch-sweep" "06a2c9ab8d375f4527346ee524f92ddd" (render "batch-sweep")
-
-let test_golden_elastic () =
-  check_digest "elastic" "c0d98f640c9d1829092d3ac772b503ae" (render "elastic")
-
-let test_golden_breakdown () =
-  check_digest "breakdown" "15315530e56753e11324cba87dcc85ec" (render "breakdown")
+let test_golden_batch_sweep () = record_render "batch-sweep"
+let test_golden_elastic () = record_render "elastic"
+let test_golden_breakdown () = record_render "breakdown"
 
 let () =
-  Alcotest.run "harness"
+  Golden.run "harness"
     [
       ( "report",
         [
