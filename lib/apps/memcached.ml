@@ -17,7 +17,7 @@ type t = {
      literal free-at timestamp. *)
   mutable win_start : int;
   mutable win_hold_ns : int;
-  mutable utilization : float;
+  utilization : float array; (* one cell, unboxed *)
   mutable get_count : int;
   mutable set_count : int;
   mutable hit_count : int;
@@ -38,13 +38,13 @@ let with_lock t ~hold =
   let now = t.now () in
   if now - t.win_start >= lock_window_ns then begin
     let elapsed = max 1 (now - t.win_start) in
-    t.utilization <-
+    t.utilization.(0) <-
       Float.min 0.98 (float_of_int t.win_hold_ns /. float_of_int elapsed);
     t.win_start <- now;
     t.win_hold_ns <- 0
   end;
   t.win_hold_ns <- t.win_hold_ns + hold;
-  let rho = t.utilization in
+  let rho = t.utilization.(0) in
   let wait =
     int_of_float (float_of_int hold *. (rho /. (1. -. rho)) /. 2.)
   in
@@ -81,7 +81,7 @@ let server stack ~now ~port () =
       now;
       win_start = 0;
       win_hold_ns = 0;
-      utilization = 0.;
+      utilization = [| 0. |];
       get_count = 0;
       set_count = 0;
       hit_count = 0;

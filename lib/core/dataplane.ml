@@ -781,9 +781,10 @@ let abort_all_connections t =
   n
 
 (* Hand one TCB to [dst]: flow-table eviction, handle transfer, env
-   rebind (cancels and re-arms its timers on the destination wheel),
-   callback reinstall, adoption.  The order matters: the handle must
-   move with the TCB or a syscall staged against it would miss. *)
+   rebind (moves its row to the destination store, cancels and re-arms
+   its timers on the destination wheel), callback reinstall, adoption.
+   The order matters: the handle must move with the TCB or a syscall
+   staged against it would miss. *)
 let hand_over_tcb t dst tcb =
   Tcp_endpoint.evict (endpoint t) tcb;
   (* A mid-handshake flow has no handle yet (the accept callback counts

@@ -9,7 +9,7 @@ type rule = {
 type t = {
   mutable rules : rule list; (* insertion order *)
   mutable rate : int option; (* bytes per second *)
-  mutable tokens : float;
+  tokens : float array; (* one cell, so a per-packet update boxes nothing *)
   mutable last_refill : int;
   mutable denied_count : int;
   mutable metered_count : int;
@@ -19,7 +19,7 @@ let create () =
   {
     rules = [];
     rate = None;
-    tokens = 0.;
+    tokens = [| 0. |];
     last_refill = 0;
     denied_count = 0;
     metered_count = 0;
@@ -32,7 +32,7 @@ let clear_rules t = t.rules <- []
 
 let set_rate_limit t ~bytes_per_sec =
   t.rate <- bytes_per_sec;
-  t.tokens <- (match bytes_per_sec with Some r -> float_of_int r /. 100. | None -> 0.)
+  t.tokens.(0) <- (match bytes_per_sec with Some r -> float_of_int r /. 100. | None -> 0.)
 
 let rule_matches rule ~src_ip ~dst_port =
   (match rule.src_ip with Some ip -> ip = src_ip | None -> true)
@@ -56,9 +56,9 @@ let metering_admits t ~now ~len =
       let elapsed_s = float_of_int (now - t.last_refill) /. 1e9 in
       t.last_refill <- now;
       let cap = float_of_int rate /. 100. in
-      t.tokens <- Float.min cap (t.tokens +. (elapsed_s *. float_of_int rate));
-      if t.tokens >= float_of_int len then begin
-        t.tokens <- t.tokens -. float_of_int len;
+      t.tokens.(0) <- Float.min cap (t.tokens.(0) +. (elapsed_s *. float_of_int rate));
+      if t.tokens.(0) >= float_of_int len then begin
+        t.tokens.(0) <- t.tokens.(0) -. float_of_int len;
         true
       end
       else false

@@ -15,9 +15,9 @@
 
    The boxed [t] record survives only as a *view*: (store, slot) plus
    the fields that are genuinely pointers (env, config, callbacks, the
-   send queue and out-of-order list, armed timers).  [Tcp_conn] reads
-   and writes exclusively through the accessors below, so the protocol
-   logic reads as before.
+   send queue and out-of-order list) and the armed timers' handles.
+   [Tcp_conn] reads and writes exclusively through the accessors below,
+   so the protocol logic reads as before.
 
    Slots are recycled through a free list with a generation counter per
    slot; [flow_handle] = generation lsl 24 lor slot is the value the
@@ -112,10 +112,6 @@ let default_config =
 let initial_cwnd_segs = 10
 let challenge_ack_limit = 8 (* per [challenge_ack_window_ns], per env *)
 let challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *)
-
-(* Sentinel for [rexmit_action]/[delack_action] before [Tcp_conn]
-   installs the real callback; compared with [==]. *)
-let no_timer_action () = ()
 
 type callbacks = {
   mutable on_connected : bool -> unit;
@@ -257,18 +253,15 @@ and t = {
   mutable rexmit_timer : Timerwheel.Timer_wheel.timer;
   mutable persist_timer : Timerwheel.Timer_wheel.timer;
   mutable delack_timer : Timerwheel.Timer_wheel.timer;
-  mutable rexmit_action : unit -> unit;
-      (** the RTO callback, built once per connection ([Tcp_conn]
-          installs it on first arm) — re-arming a retransmit timer on
-          every ACK must not allocate a fresh closure *)
-  mutable delack_action : unit -> unit;
-      (** the delayed-ACK callback, cached the same way: the timer is
-          re-armed about every other data segment *)
 }
 
 and env = {
   now : unit -> int;
   wheel : Timerwheel.Timer_wheel.t;
+  on_timer : int -> unit;
+      (** the one action every TCP timer of this env fires through: its
+          wheel cell carries a code naming the connection (by flow
+          handle) and the timer, so arming a timer builds no closure *)
   alloc : unit -> Mbuf.t option;
   output : t -> Mbuf.t -> unit;
       (** a finished TCP segment; the stack adds IP/Ethernet and owns
@@ -633,21 +626,24 @@ let make_view (env : env) cfg slot =
     rexmit_timer = Timerwheel.Timer_wheel.null;
     persist_timer = Timerwheel.Timer_wheel.null;
     delack_timer = Timerwheel.Timer_wheel.null;
-    rexmit_action = no_timer_action;
-    delack_action = no_timer_action;
   }
 
-let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
-  let env =
+(* [on_timer env code] runs the timer [code] names; [Tcp_conn] supplies
+   it, since the timeouts are protocol logic. *)
+let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
+  let store = match store with Some s -> s | None -> store_create () in
+  let emit_scratch = Seg.scratch () in
+  let rec env =
     {
       now;
       wheel;
+      on_timer = (fun code -> on_timer env code);
       alloc;
       output;
       rng;
       handle_alloc;
-      store = (match store with Some s -> s | None -> store_create ());
-      emit_scratch = Seg.scratch ();
+      store;
+      emit_scratch;
       on_teardown = ignore;
       on_established = ignore;
       on_time_wait = ignore;

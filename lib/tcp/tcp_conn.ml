@@ -11,6 +11,22 @@ let max_rexmit_shots = 12
 
 let cancel_timer wheel timer = Wheel.cancel wheel timer
 
+(* A TCP timer's wheel cell carries one int, its code: the connection's
+   generation-checked flow handle and the timer's kind.  Every timer of
+   an env fires through the env's one [on_timer] action ([fire_timer]
+   below), so arming a timer builds no closure, on its first arm or any
+   later one.  A code that outlives its connection names a released
+   slot and does nothing. *)
+let kind_rexmit = 0
+let kind_delack = 1
+let kind_persist = 2
+let kind_bits = 2
+
+let arm_timer tcb ~deadline kind =
+  let env = tcb.env in
+  Wheel.schedule_code env.wheel ~deadline env.on_timer
+    ((Tcb.flow_handle tcb lsl kind_bits) lor kind)
+
 let clear_rexmit tcb =
   cancel_timer tcb.env.wheel tcb.rexmit_timer;
   tcb.rexmit_timer <- Wheel.null
@@ -211,17 +227,12 @@ let abort tcb =
 (* ------------------------------------------------------------------ *)
 (* Output path                                                         *)
 
-(* The RTO closure is built once per TCB and cached in [rexmit_action];
-   re-arming the timer after every ACK then costs only the wheel slot,
-   not a fresh closure. *)
 let rec set_rexmit tcb =
   cancel_timer tcb.env.wheel tcb.rexmit_timer;
-  (if tcb.rexmit_action == Tcb.no_timer_action then
-     tcb.rexmit_action <- rexmit_timeout tcb);
   let deadline = tcb.env.now () + rto_ns tcb in
-  tcb.rexmit_timer <- Wheel.schedule tcb.env.wheel ~deadline tcb.rexmit_action
+  tcb.rexmit_timer <- arm_timer tcb ~deadline kind_rexmit
 
-and rexmit_timeout tcb () =
+and rexmit_timeout tcb =
   tcb.rexmit_timer <- Wheel.null;
   if state tcb <> Tcp_state.Closed then begin
     set_rexmit_shots tcb (rexmit_shots tcb + 1);
@@ -286,7 +297,7 @@ let arm_rexmit_if_needed tcb =
   end
   else clear_rexmit tcb
 
-let rec persist_timeout tcb () =
+let rec persist_timeout tcb =
   tcb.persist_timer <- Wheel.null;
   if state tcb <> Tcp_state.Closed && snd_wnd tcb = 0 && Tcb.unsent tcb > 0 then begin
     (* Window probe: one byte beyond the window. *)
@@ -300,7 +311,7 @@ let rec persist_timeout tcb () =
 and arm_persist tcb =
   if tcb.persist_timer == Wheel.null then begin
     let deadline = tcb.env.now () + rto_ns tcb in
-    tcb.persist_timer <- Wheel.schedule tcb.env.wheel ~deadline (persist_timeout tcb)
+    tcb.persist_timer <- arm_timer tcb ~deadline kind_persist
   end
 
 let try_output tcb =
@@ -539,16 +550,27 @@ let update_send_window tcb (seg : Seg.t) =
     tcb.persist_timer <- Wheel.null
   end
 
-let delack_timeout tcb () =
+let delack_timeout tcb =
   tcb.delack_timer <- Wheel.null;
   if state tcb <> Tcp_state.Closed && delack_count tcb > 0 then ack_now tcb
 
-(* Like [rexmit_action], the delayed-ACK closure is built once per TCB. *)
 let arm_delack tcb =
-  if tcb.delack_action == Tcb.no_timer_action then
-    tcb.delack_action <- delack_timeout tcb;
   let deadline = tcb.env.now () + tcb.cfg.delack_ns in
-  tcb.delack_timer <- Wheel.schedule tcb.env.wheel ~deadline tcb.delack_action
+  tcb.delack_timer <- arm_timer tcb ~deadline kind_delack
+
+(* The env's timer action: find the connection the code names and run
+   the timeout of its kind. *)
+let fire_timer env code =
+  let tcb = Tcb.deref env.store (code lsr kind_bits) in
+  if not (Tcb.is_dead tcb) then begin
+    let kind = code land ((1 lsl kind_bits) - 1) in
+    if kind = kind_rexmit then rexmit_timeout tcb
+    else if kind = kind_delack then delack_timeout tcb
+    else persist_timeout tcb
+  end
+
+let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
+  Tcb.make_env ~on_timer:fire_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store ()
 
 let schedule_delack tcb =
   set_delack_count tcb (delack_count tcb + 1);
@@ -883,6 +905,9 @@ let rebind tcb new_env =
   let had_rexmit = tcb.rexmit_timer != Wheel.null in
   let had_delack = tcb.delack_timer != Wheel.null in
   cancel_all_timers tcb;
+  (* The row moves first: the re-armed timers' codes carry the flow
+     handle it gets in the destination store. *)
+  Tcb.migrate tcb new_env.store;
   tcb.env <- new_env;
   if had_rexmit || Tcb.flight tcb > 0 then set_rexmit tcb;
   if had_delack then arm_delack tcb

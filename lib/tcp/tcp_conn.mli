@@ -10,6 +10,21 @@
     protocol behaviour is held constant across the comparison, exactly
     as the paper holds lwIP constant. *)
 
+val make_env :
+  now:(unit -> int) ->
+  wheel:Timerwheel.Timer_wheel.t ->
+  alloc:(unit -> Ixmem.Mbuf.t option) ->
+  output:(Tcb.t -> Ixmem.Mbuf.t -> unit) ->
+  rng:Engine.Rng.t ->
+  handle_alloc:int ref ->
+  ?store:Tcb.store ->
+  unit ->
+  Tcb.env
+(** The environment connections run in: its clock, timer wheel, mbuf
+    pool, output path and connection store.  Every TCP timer of the
+    env fires through one action, which finds its connection from the
+    code the wheel cell carries. *)
+
 val connect :
   Tcb.env ->
   Tcb.config ->
@@ -100,7 +115,17 @@ val abort : Tcb.t -> unit
 val ack_now : Tcb.t -> unit
 (** Force an immediate pure ACK (used by stacks at batch boundaries). *)
 
+val set_rexmit : Tcb.t -> unit
+(** (Re)arm the retransmission timer one RTO from now. *)
+
+val arm_delack : Tcb.t -> unit
+(** Arm the delayed-ACK timer. *)
+
+val arm_persist : Tcb.t -> unit
+(** Arm the zero-window persist timer, unless it is armed already. *)
+
 val rebind : Tcb.t -> Tcb.env -> unit
 (** Flow migration: move the connection to a new environment (another
-    elastic thread's wheel/pool/output path), cancelling timers on the
-    old wheel and re-arming them on the new one. *)
+    elastic thread's wheel/pool/output path) and its row to that env's
+    store, cancelling timers on the old wheel and re-arming them on the
+    new one. *)

@@ -113,7 +113,7 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
     match handle_alloc with Some r -> r | None -> ref 0
   in
   let tcb_env =
-    Tcb.make_env ~now ~wheel ~alloc
+    Tcp_conn.make_env ~now ~wheel ~alloc
       ~output:(fun tcb mbuf -> output_raw ~remote_ip:(Tcb.remote_ip tcb) mbuf)
       ~rng ~handle_alloc ?store ()
   in
@@ -430,9 +430,8 @@ let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
       else send_rst t ~src_ip seg
 
 let adopt t tcb =
-  (* Flow migration lands the connection's row in this endpoint's
-     store before the table learns the (new) handle. *)
-  Tcb.migrate tcb t.tcb_env.Tcb.store;
+  (* [Tcp_conn.rebind] has already landed the connection's row in this
+     endpoint's store, so the table learns its new handle. *)
   Flow_table.add t.flows ~local_port:(Tcb.local_port tcb)
     ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb) tcb
 

@@ -69,7 +69,8 @@ val ce_of_ecn : int -> bool option
     [None]. *)
 
 val adopt : t -> Tcb.t -> unit
-(** Flow migration: register a connection created elsewhere. *)
+(** Flow migration: register a connection created elsewhere, once
+    {!Tcp_conn.rebind} has moved it to this endpoint's env. *)
 
 val adopt_time_wait :
   t -> from:t ->

@@ -11,7 +11,9 @@ let total_slots = (bucket_count + 1) * sub_buckets
 type t = {
   counts : int array;
   mutable total : int;
-  mutable sum : float;
+  sum : float array;
+      (* one cell: a flat float array stores the sum unboxed, where a
+         [mutable sum : float] would box a new float per sample *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -20,7 +22,7 @@ let create () =
   {
     counts = Array.make total_slots 0;
     total = 0;
-    sum = 0.;
+    sum = [| 0. |];
     min_v = max_int;
     max_v = 0;
   }
@@ -52,14 +54,14 @@ let record_n t v n =
   let slot = min (slot_of v) (total_slots - 1) in
   t.counts.(slot) <- t.counts.(slot) + n;
   t.total <- t.total + n;
-  t.sum <- t.sum +. (float_of_int v *. float_of_int n);
+  t.sum.(0) <- t.sum.(0) +. (float_of_int v *. float_of_int n);
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let record t v = record_n t v 1
 let count t = t.total
 let is_empty t = t.total = 0
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0. else t.sum.(0) /. float_of_int t.total
 let min_value t = if t.total = 0 then 0 else t.min_v
 let max_value t = if t.total = 0 then 0 else t.max_v
 
@@ -89,7 +91,7 @@ let merge_into ~src ~dst =
         dst.total <- dst.total + n
       end)
     src.counts;
-  dst.sum <- dst.sum +. src.sum;
+  dst.sum.(0) <- dst.sum.(0) +. src.sum.(0);
   if src.total > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
     if src.max_v > dst.max_v then dst.max_v <- src.max_v
@@ -98,6 +100,6 @@ let merge_into ~src ~dst =
 let clear t =
   Array.fill t.counts 0 total_slots 0;
   t.total <- 0;
-  t.sum <- 0.;
+  t.sum.(0) <- 0.;
   t.min_v <- max_int;
   t.max_v <- 0

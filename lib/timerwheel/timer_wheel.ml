@@ -41,11 +41,19 @@ let st_cancelled = 2
 let st_mask = 3
 let no_action () = ()
 
+(* A cell runs either a closure of its own ([schedule]: [action], with
+   [fire] left at this sentinel) or a shared [fire] on its int [code]
+   ([schedule_code]), so one action serves every timer of its kind and
+   arming one builds no closure. *)
+let no_fire (_ : int) = ()
+
 type t = {
   tick_ns : int;
   heads : int array; (* level * slots + slot -> first cell, [nil] = empty *)
   mutable deadline : int array; (* cell -> deadline, in ticks *)
   mutable action : (unit -> unit) array;
+  mutable fire : (int -> unit) array;
+  mutable code : int array; (* cell -> [fire]'s argument *)
   mutable meta : int array; (* cell -> generation and state *)
   mutable next : int array; (* cell -> next cell in its slot list *)
   mutable prev : int array; (* cell -> previous cell, or its list's head *)
@@ -86,6 +94,8 @@ let create ?(tick_ns = default_tick_ns) ~now () =
     heads = Array.make (levels * slots) nil;
     deadline = [||];
     action = [||];
+    fire = [||];
+    code = [||];
     meta = [||];
     next = [||];
     prev = [||];
@@ -121,6 +131,8 @@ let grow t =
   let n = Int.max 64 (2 * t.cell_count) in
   t.deadline <- grow_array t.deadline n 0;
   t.action <- grow_array t.action n no_action;
+  t.fire <- grow_array t.fire n no_fire;
+  t.code <- grow_array t.code n 0;
   t.meta <- grow_array t.meta n st_free;
   t.next <- grow_array t.next n nil;
   t.prev <- grow_array t.prev n nil;
@@ -139,9 +151,10 @@ let alloc_cell t =
   end
 
 (* Recycle a cell: bump the generation so stale handles go inert, drop
-   the closure so the GC can reclaim its environment. *)
+   the closures so the GC can reclaim their environments. *)
 let release_cell t c =
   t.action.(c) <- no_action;
+  t.fire.(c) <- no_fire;
   t.meta.(c) <- (((t.meta.(c) lsr 2) + 1) land gen_mask) lsl 2;
   t.free.(t.free_top) <- c;
   t.free_top <- t.free_top + 1
@@ -192,20 +205,33 @@ let unlink t c =
     if n = nil then clear_bit t head
   end
 
-let schedule t ~deadline action =
+(* Arm a fresh cell at [deadline]; the caller stores what it runs. *)
+let arm t ~deadline =
   let deadline_tick =
     let tick = (deadline + t.tick_ns - 1) / t.tick_ns in
     if tick <= t.current then t.current + 1 else tick
   in
   let c = alloc_cell t in
   t.deadline.(c) <- deadline_tick;
-  t.action.(c) <- action;
   let gen = t.meta.(c) lsr 2 in
   t.meta.(c) <- (gen lsl 2) lor st_armed;
   place t c;
   t.armed <- t.armed + 1;
   if t.armed > t.max_armed then t.max_armed <- t.armed;
-  (c lsl gen_bits) lor gen
+  c
+
+let handle t c = (c lsl gen_bits) lor (t.meta.(c) lsr 2)
+
+let schedule t ~deadline action =
+  let c = arm t ~deadline in
+  t.action.(c) <- action;
+  handle t c
+
+let schedule_code t ~deadline fire code =
+  let c = arm t ~deadline in
+  t.fire.(c) <- fire;
+  t.code.(c) <- code;
+  handle t c
 
 let cancel t timer =
   let c = timer asr gen_bits in
@@ -256,11 +282,11 @@ let fire_slot t =
     if t.meta.(cell) land st_mask = st_cancelled then
       release_cell t cell (* already counted out by [cancel] *)
     else if t.deadline.(cell) <= t.current then begin
-      let action = t.action.(cell) in
+      let action = t.action.(cell) and fire = t.fire.(cell) and code = t.code.(cell) in
       release_cell t cell;
       t.armed <- t.armed - 1;
       t.n_fired <- t.n_fired + 1;
-      action ()
+      if fire == no_fire then action () else fire code
     end
     else
       (* A stale resident from a previous lap of the wheel: re-place. *)

@@ -11,8 +11,10 @@
     ~19 h at the default tick.
 
     Timers are pooled cells held in flat arrays inside the wheel, so
-    arming one in steady state allocates nothing: the caller's closure
-    is the only heap value involved, and a cached one costs nothing.
+    arming one in steady state allocates nothing.  A cell runs either
+    its own closure ({!schedule}) or a shared action on an int code the
+    cell carries ({!schedule_code}): one action then serves every timer
+    of its kind, and no closure is built even on a timer's first arm.
     The pool holds as many cells as timers were ever armed at once. *)
 
 type t
@@ -37,6 +39,12 @@ val create : ?tick_ns:int -> now:Engine.Sim_time.t -> unit -> t
 val schedule : t -> deadline:Engine.Sim_time.t -> (unit -> unit) -> timer
 (** Arm a timer.  Deadlines in the past (or less than one tick away)
     fire at the next [advance].  The callback runs at most once. *)
+
+val schedule_code : t -> deadline:Engine.Sim_time.t -> (int -> unit) -> int -> timer
+(** [schedule_code t ~deadline fire code] arms a timer that runs
+    [fire code], like {!schedule} otherwise.  TCP arms its timers this
+    way: [fire] is its endpoint's one timer action and [code] names the
+    connection and the timer. *)
 
 val cancel : t -> timer -> unit
 (** Disarm and free the timer's cell; a no-op if already fired or

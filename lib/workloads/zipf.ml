@@ -9,11 +9,13 @@ type t = {
   s : float;
 }
 
-let h t x =
+(* [h] and [h_inv] are inlined into [sample], so a draw keeps every
+   intermediate float unboxed and allocates nothing. *)
+let[@inline] h t x =
   (* Integral of 1/x^theta. *)
   if t.theta = 1.0 then log x else (x ** (1.0 -. t.theta)) /. (1.0 -. t.theta)
 
-let h_inv t y =
+let[@inline] h_inv t y =
   if t.theta = 1.0 then exp y else ((1.0 -. t.theta) *. y) ** (1.0 /. (1.0 -. t.theta))
 
 let create ~n ~theta =

@@ -9,7 +9,7 @@ open Ixtcp
 let create ?(dctcp = false) ?(min_rto_ns = 1_000_000)
     ?(max_rto_ns = 60_000_000_000) ~mss ~iw () =
   let env =
-    Tcb.make_env
+    Tcp_conn.make_env
       ~now:(fun () -> 0)
       ~wheel:(Timerwheel.Timer_wheel.create ~now:0 ())
       ~alloc:(fun () -> None)

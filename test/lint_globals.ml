@@ -4,8 +4,8 @@
    per-packet payload copies on the wire path, no physical comparison
    against [ignore], no lib/ module that only tests use, no lib/ export
    that no other file names, no polymorphic [max]/[min] on the
-   per-event paths and no [Obj] anywhere in lib/ (second to ninth
-   passes below).
+   per-event paths, no [Obj] anywhere in lib/ and no boxed mutable
+   number field (second to tenth passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -612,6 +612,45 @@ let lint_no_obj path code_lines =
           :: !failures)
     code_lines
 
+(* Tenth pass: no [mutable <field> : float | int64 | int32] record field
+   in lib/.  Each write to such a field boxes a new value — a float or
+   Int64 per packet, sample or random draw.  Keep the number unboxed: a
+   one-cell float array (as [Log_hist.sum]), an 8-byte [Bytes] read as
+   a 64-bit word (as [Rng]'s state), or an int.  Comments and string
+   literals are ignored. *)
+
+let boxed_number_types = [ "float"; "Float.t"; "int64"; "Int64.t"; "int32"; "Int32.t" ]
+
+(* [code] declares a mutable field of a boxed number type: the tokens
+   "mutable", a name and ':', then a type that ends at ';', '}' or the
+   end of the line and spells one of [boxed_number_types]. *)
+let boxed_mutable_field code =
+  let toks = tokens code in
+  let n = Array.length toks in
+  let rec type_at i acc =
+    if i >= n || toks.(i) = ";" || toks.(i) = "}" then List.mem acc boxed_number_types
+    else type_at (i + 1) (acc ^ toks.(i))
+  in
+  let rec from i =
+    i + 3 < n
+    && ((toks.(i) = "mutable" && is_lower toks.(i + 1) && toks.(i + 2) = ":" && type_at (i + 3) "")
+       || from (i + 1))
+  in
+  from 0
+
+let lint_boxed_fields path code_lines =
+  Array.iteri
+    (fun i code ->
+      if boxed_mutable_field code then
+        failures :=
+          Printf.sprintf
+            "%s:%d: a mutable float/int64/int32 field boxes a new number on \
+             every write — keep it unboxed (a one-cell float array, an 8-byte \
+             Bytes word, or an int)"
+            path (i + 1)
+          :: !failures)
+    code_lines
+
 let lint_file path =
   let src = read_file path in
   lib_modules := path :: !lib_modules;
@@ -625,6 +664,7 @@ let lint_file path =
   let code_lines = Array.of_list (String.split_on_char '\n' (strip_comments src)) in
   lint_typed_minmax path code_lines;
   lint_no_obj path code_lines;
+  lint_boxed_fields path code_lines;
   Array.iteri
     (fun i line ->
       match value_binding_name line with

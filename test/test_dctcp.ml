@@ -135,7 +135,7 @@ let test_ece_echoed_on_ce () =
   let wheel = Timerwheel.Timer_wheel.create ~now:0 () in
   let sent = ref [] in
   let env =
-    Tcb.make_env
+    Tcp_conn.make_env
       ~now:(fun () -> 0)
       ~wheel
       ~alloc:(fun () -> Some (Mbuf.create ()))

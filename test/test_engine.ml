@@ -373,6 +373,148 @@ let test_rng_exponential_mean () =
   let mean = !sum /. float_of_int n in
   check_bool "exponential mean within 5%" true (mean > 95. && mean < 105.)
 
+(* The first 16 values of [int], [float] and [exponential] on three
+   streams, as the generator produced them when its state was a boxed
+   Int64 field: keeping the state unboxed must not move one bit of any
+   stream.  [int] draws
+   below [max_int] show all 62 bits; floats are compared bit for bit. *)
+let rng_pins =
+  [
+    ( "seed 1",
+      (fun () -> Rng.create ~seed:1),
+      [|
+        3457603482011350492; 1717361541646166673; 2021227762714211881;
+        4400086718694418251; 931835874657720878; 2747494643000335897;
+        2101864950107900286; 857522058586991323; 1452024965492620143;
+        4068567495939744465; 2375297743655821729; 2460862104762392994;
+        4255540332154841467; 930770776204252489; 714345195597446422;
+        2518289453620838583
+      |],
+      [|
+        0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+        0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+        0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+        0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+        0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+        0x1.179617532576p-1
+      |],
+      [|
+        0x1.26ee23d6d010fp-2; 0x1.f9c17f684222bp-1; 0x1.a657c56a05e58p-1;
+        0x1.80c5b384c277bp-5; 0x1.9964a74cdfa0ep+0; 0x1.092ab8acb2f48p-1;
+        0x1.92503fa86e09cp-1; 0x1.aeab564cbdea9p+0; 0x1.27d7a8201a9fcp+0;
+        0x1.009e9f90382a3p-3; 0x1.53b26f57477e3p-1; 0x1.4193ef7bf5e67p-1;
+        0x1.4933eb387a9b5p-4; 0x1.99af9ace945abp+0; 0x1.dd6f7e059a478p+0;
+        0x1.35c458f9ebee9p-1
+      |] );
+    ( "split of seed 1",
+      (fun () -> Rng.split (Rng.create ~seed:1)),
+      [|
+        4339281941979455995; 3647782827937566540; 1287045426741897101;
+        499113739298992400; 517105313538641634; 1857107341709267943;
+        3067904507744927115; 3952271325676424628; 95938736210558539;
+        2314287987013651342; 4535755030132713672; 3939981898128335761;
+        68421102638273490; 3060667603501723667; 3756409486428728109;
+        3401637106404764046
+      |],
+      [|
+        0x1.e1c1cf7c5f9fp-1; 0x1.94fc393de7e87p-1; 0x1.1dc80ff1ebde6p-2;
+        0x1.bb4d534b5bbcp-4; 0x1.cb4822bf3c038p-4; 0x1.9c5c549b459d2p-2;
+        0x1.549b1729a7a5ep-1; 0x1.b6ca4ea5373e6p-1; 0x1.54d7c5b407bep-6;
+        0x1.00f0054cef385p-1; 0x1.f791e958fa034p-1; 0x1.b56d054a9b451p-1;
+        0x1.e62942bbca24p-7; 0x1.53cd67c112218p-1; 0x1.a10b94346bef5p-1;
+        0x1.79a85767b0594p-1
+      |],
+      [|
+        0x1.f2c456e4554d2p-5; 0x1.e033e52a77463p-3; 0x1.46b7f239f78abp+0;
+        0x1.1c9c22008d6dap+1; 0x1.1813bbfedfc0ap+1; 0x1.d1b39c046600fp-1;
+        0x1.a16191f4bf3c9p-2; 0x1.3c0341e57a739p-3; 0x1.efb2a24cb1ecap+1;
+        0x1.610505d36ed8dp-1; 0x1.1001ac7c9a157p-6; 0x1.42640cb089a29p-3;
+        0x1.0d7b938eb4f07p+2; 0x1.a3ccac97c645ep-2; 0x1.a41b2af538a72p-3;
+        0x1.37a40a6ce9c13p-2
+      |] );
+    ( "seed 42",
+      (fun () -> Rng.create ~seed:42),
+      [|
+        2749113066540076570; 739554815828047797; 767374426118319285;
+        221479889520321091; 4523206237176398889; 1084310982420964528;
+        1288224301085851122; 705096088656582996; 3508032700170470195;
+        1124334894917578461; 3525383132830741061; 4086949034143292357;
+        4150417550033776723; 370735096921512237; 175046579690018138;
+        3938296023606899261
+      |],
+      [|
+        0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+        0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+        0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+        0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+        0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+        0x1.b53d1af09b619p-1
+      |],
+      [|
+        0x1.08dd891c79e19p-1; 0x1.d48e9111d715cp+0; 0x1.cb1a8e17c467bp+0;
+        0x1.849c348ce2ecep+1; 0x1.3d65e08d2698ep-6; 0x1.72991c2fd9938p+0;
+        0x1.467bf21a47d0ap+0; 0x1.e0c5927234f96p+0; 0x1.181a60d02dadap-2;
+        0x1.6951a1f19b6c5p+0; 0x1.130d082b6babdp-2; 0x1.eec6839c8f7efp-4;
+        0x1.afa7bd079d33bp-4; 0x1.42ab92e441911p+1; 0x1.a2b9d9990ec86p+1;
+        0x1.43446f418ad0fp-3
+      |] );
+  ]
+
+let test_rng_pinned_streams () =
+  let check_bits msg expected actual =
+    Alcotest.(check int64) msg (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+  in
+  List.iter
+    (fun (name, make, ints, floats, exps) ->
+      let r = make () in
+      Array.iteri (fun i v -> check_int (Printf.sprintf "%s: int %d" name i) v (Rng.int r max_int)) ints;
+      let r = make () in
+      Array.iteri (fun i v -> check_bits (Printf.sprintf "%s: float %d" name i) v (Rng.float r 1.0)) floats;
+      let r = make () in
+      Array.iteri
+        (fun i v -> check_bits (Printf.sprintf "%s: exponential %d" name i) v (Rng.exponential r ~mean:1.0))
+        exps)
+    rng_pins
+
+(* A draw keeps its state and its result unboxed: 10k of each kind, and
+   10k Zipf samples on top of them, allocate nothing. *)
+let test_rng_allocates_nothing () =
+  let r = Rng.create ~seed:5 and n = 10_000 in
+  let ints =
+    Alloc_gate.none "words over 10k int draws" (fun () ->
+        let acc = ref 0 in
+        for _ = 1 to n do
+          acc := !acc + Rng.int r 1_000
+        done;
+        !acc)
+  in
+  let floats =
+    Alloc_gate.none "words over 10k float draws" (fun () ->
+        let acc = ref 0. in
+        for _ = 1 to n do
+          acc := !acc +. Rng.float r 1.0
+        done;
+        int_of_float !acc)
+  in
+  let exps =
+    Alloc_gate.none "words over 10k exponential draws" (fun () ->
+        let acc = ref 0. in
+        for _ = 1 to n do
+          acc := !acc +. Rng.exponential r ~mean:1.0
+        done;
+        int_of_float !acc)
+  in
+  let zipf = Workloads.Zipf.create ~n:1_000_000 ~theta:0.99 in
+  let ranks =
+    Alloc_gate.none "words over 10k Zipf samples" (fun () ->
+        let acc = ref 0 in
+        for _ = 1 to n do
+          acc := !acc + Workloads.Zipf.sample zipf r
+        done;
+        !acc)
+  in
+  check_bool "the draws ran" true (ints > 0 && floats > 0 && exps > 0 && ranks >= n)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -410,5 +552,8 @@ let () =
           Alcotest.test_case "split streams" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds respected" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "streams keep their pinned values" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws and Zipf samples allocate nothing" `Quick
+            test_rng_allocates_nothing;
         ] );
     ]

@@ -589,7 +589,7 @@ let transfer_roundtrip ~loss ~size ~seed =
 (* One env (hence one TCB store) per test: the flow table stores
    handles into its endpoint's store. *)
 let make_tcb_env () =
-  Tcb.make_env
+  Tcp_conn.make_env
     ~now:(fun () -> 0)
     ~wheel:(Wheel.create ~now:0 ())
     ~alloc:(fun () -> None)
@@ -816,6 +816,42 @@ let test_endpoint_lifecycle_no_double_free () =
     (Tcp_endpoint.port_double_frees net.b.ep);
   check_int "client ports all returned" 0 (Tcp_endpoint.ports_in_use net.a.ep)
 
+(* --- timers ----------------------------------------------------------- *)
+
+(* A connection's first delayed-ACK, RTO and persist arm builds no
+   closure: every TCP timer fires through its env's one action, which
+   finds the connection from the code its wheel cell carries.  The TCBs
+   and the wheel's cell pool exist before the gate, so it measures the
+   arms alone. *)
+let test_first_arms_allocate_nothing () =
+  let n = 10_000 in
+  let env = make_tcb_env () in
+  let wheel = env.Tcb.wheel in
+  let tcbs =
+    Array.init n (fun i -> make_tcb env ~local_port:80 ~remote_ip:ip_b ~remote_port:(1_024 + i))
+  in
+  let warm = Array.init (3 * n) (fun i -> Wheel.schedule wheel ~deadline:(1_000_000 + i) ignore) in
+  Array.iter (Wheel.cancel wheel) warm;
+  Alloc_gate.none "words over 10k first arms of each timer" (fun () ->
+      for i = 0 to n - 1 do
+        let tcb = tcbs.(i) in
+        Tcp_conn.arm_delack tcb;
+        Tcp_conn.set_rexmit tcb;
+        Tcp_conn.arm_persist tcb
+      done);
+  check_int "every timer armed" (3 * n) (Wheel.pending wheel);
+  (* Each timeout clears its own connection's handle first, so a code
+     that found the wrong connection would leave one set. *)
+  Wheel.advance wheel ~now:1_000_000_000;
+  check_int "every timer fired" 0 (Wheel.pending wheel);
+  check_bool "each fired on its own connection" true
+    (Array.for_all
+       (fun tcb ->
+         tcb.Tcb.rexmit_timer == Wheel.null
+         && tcb.Tcb.delack_timer == Wheel.null
+         && tcb.Tcb.persist_timer == Wheel.null)
+       tcbs)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "tcp"
@@ -883,6 +919,11 @@ let () =
           Alcotest.test_case "survives a 6ms link flap" `Quick test_survives_flap;
           qt prop_exactly_once_under_loss;
           qt prop_sizes_roundtrip;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "first arms allocate nothing" `Quick
+            test_first_arms_allocate_nothing;
         ] );
       ( "hardening",
         [
