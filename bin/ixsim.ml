@@ -391,13 +391,15 @@ let conn_scale_cmd =
       "conn-scale: %d conns sustained (store %d/%d), %d churn events\n\
       \  established %d, closes %d, reconnects %d, TIME_WAIT live %d\n\
       \  cookies sent/validated/rejected %d/%d/%d, rsts %d\n\
-      \  fast/slow path %d/%d, %.1f resident B/conn, minor words/event %.2f\n\
+      \  fast/slow path %d/%d, %.1f resident B/conn + %.1f B/conn TCB store, \
+       minor words/event %.2f\n\
       \  snapshot: %s\n"
       r.CS.r_connection_count r.CS.r_store_live r.CS.r_store_capacity
       r.CS.r_events r.CS.r_established r.CS.r_closes r.CS.r_reconnects
       r.CS.r_time_wait_live r.CS.r_cookies_sent r.CS.r_cookies_validated
       r.CS.r_cookies_rejected r.CS.r_rsts r.CS.r_fast_hits r.CS.r_slow_hits
-      r.CS.r_bytes_per_conn r.CS.r_churn_minor_words_per_event
+      r.CS.r_bytes_per_conn r.CS.r_store_bytes_per_conn
+      r.CS.r_churn_minor_words_per_event
       r.CS.r_snapshot;
     if flood > 0 then begin
       let f = CS.syn_flood ~syns:flood ~seed () in
@@ -414,8 +416,8 @@ let conn_scale_cmd =
          "Million-connection churn: one endpoint sustains --conns \
           connections in the unboxed TCB store under Zipf-hot traffic \
           with server-side closes, TIME_WAIT recycling and same-tuple \
-          reconnects.  Reports resident bytes per connection and \
-          allocation per event.")
+          reconnects.  Reports resident bytes per connection, the TCB \
+          store's own bytes per connection and allocation per event.")
     Term.(
       const run $ log_term $ gc_term $ fast_path_arg $ cookies_arg $ conns_arg
       $ events_arg $ seed_arg $ flood_arg)

@@ -56,7 +56,6 @@ type 's t = {
   arp : (Ixnet.Ip_addr.t, Ixnet.Mac_addr.t) Hashtbl.t;
   arp_parked : (Ixnet.Ip_addr.t, Mbuf.t list) Hashtbl.t;
   conn_count : int ref;
-  sockets : (int, socket) Hashtbl.t;
   mutable ready : socket list;
   mutable jobs : (unit -> unit) list;
   timer_wakeup : Sim.wakeup;
@@ -313,7 +312,6 @@ let make_socket c tcb =
       closed_reason = None;
     }
   in
-  Hashtbl.replace c.sockets (Tcb.handle tcb) s;
   incr c.conn_count;
   let cbs = tcb.Tcb.callbacks in
   cbs.Tcb.on_recv <-
@@ -334,7 +332,6 @@ let make_socket c tcb =
     (fun reason ->
       s.closed_reason <- Some (net_reason reason);
       decr c.conn_count;
-      Hashtbl.remove c.sockets (Tcb.handle tcb);
       mark_ready c s;
       c.hooks.wake c);
   s
@@ -370,7 +367,6 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           arp;
           arp_parked;
           conn_count;
-          sockets = Hashtbl.create 1024;
           ready = [];
           jobs = [];
           timer_wakeup = wakeup run_timers;
@@ -388,9 +384,6 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
         })
   in
   all := cores;
-  (* One flow-handle allocator per stack, shared across its cores,
-     owned by this sim. *)
-  let handle_alloc = ref 0 in
   Array.iter
     (fun c ->
       c.ep <-
@@ -401,7 +394,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
              ~alloc:(fun () -> Mempool.alloc c.pool)
              ~output_raw:(fun ~remote_ip mbuf -> output_raw c ~remote_ip mbuf)
              ~rng:(Engine.Rng.split rng) ~local_ip:ip ~config ~metrics:registry
-             ~metrics_prefix:(Printf.sprintf "tcp.%d" c.idx) ~handle_alloc ());
+             ~metrics_prefix:(Printf.sprintf "tcp.%d" c.idx) ());
       List.iter (fun (_, q) -> Nic.set_notify q (fun () -> c.hooks.notify c)) c.queues)
     cores;
   Array.iter (fun nic -> Nic.set_indirection nic (fun group -> group mod threads)) nics;

@@ -54,11 +54,6 @@ type 's t = {
   arp : (Ixnet.Ip_addr.t, Ixnet.Mac_addr.t) Hashtbl.t;  (** shared by the host's cores *)
   arp_parked : (Ixnet.Ip_addr.t, Ixmem.Mbuf.t list) Hashtbl.t;
   conn_count : int ref;  (** open sockets on the host; Linux's cache model reads it *)
-  sockets : (int, socket) Hashtbl.t;
-      (** the core's open sockets by TCB handle, as a kernel keeps them.
-          The model never reads it.  It stays because dropping it shifts
-          major-GC pacing: without it, peak RSS of the memcached
-          benchmark rose from about 420 to 550 MiB on a 2-vCPU VM. *)
   mutable ready : socket list;  (** newest first: sockets with pending app work *)
   mutable jobs : (unit -> unit) list;  (** newest first: deferred app closures *)
   timer_wakeup : Engine.Sim.wakeup;  (** {!run_timers} at the wheel's next expiry *)

@@ -84,11 +84,11 @@ let migrate_flow_group t ~group ~dst =
       (Ix_host.nics t.h);
     let marks = Dataplane.rx_watermarks src in
     let complete () =
-      let cookies = Dataplane.migrate_group_to src dstp ~group in
+      let moved = Dataplane.migrate_group_to src dstp ~group in
       ignore
         (Libix.migrate_conns
            ~src:(Ix_host.libix t.h src_thread)
-           ~dst:(Ix_host.libix t.h dst) cookies);
+           ~dst:(Ix_host.libix t.h dst) moved);
       let parked = Dataplane.unpark_inbound dstp ~group in
       Ixtelemetry.Metrics.add t.c_parked_frames parked;
       Ixtelemetry.Metrics.incr t.c_migrations;
@@ -98,7 +98,7 @@ let migrate_flow_group t ~group ~dst =
       t.total_migration_ns <- t.total_migration_ns + latency;
       Log.debug (fun m ->
           m "group %d: %d -> %d handed over (%d conns, %d parked frames, %d ns)"
-            group src_thread dst (List.length cookies) parked latency)
+            group src_thread dst (List.length moved) parked latency)
     in
     (* (2b) ...and the RCU publish; (3)+(4) run after the grace period. *)
     Ix_host.publish_group_home t.h ~group ~thread:dst ~retired:(fun () ->

@@ -158,7 +158,6 @@ type t = {
      idle path allocate no closure per wakeup. *)
   cycle_wakeup : Sim.wakeup;
   idle_wakeup : Sim.wakeup; (* at the wheel's next expiry *)
-  handles : (int, Tcb.t) Hashtbl.t;
   udp_binds : (int, unit) Hashtbl.t;
   metrics : Metrics.t;
   tracer : Tracer.t;
@@ -249,7 +248,7 @@ let output_raw t ~remote_ip mbuf =
 (* Event staging                                                       *)
 
 let stage_event t tcb ev =
-  match Hashtbl.find_opt t.unaccepted (Tcb.handle tcb) with
+  match Hashtbl.find_opt t.unaccepted (Tcb.flow_handle tcb) with
   | Some pending -> pending := ev :: !pending
   | None -> stage_push t.events ev
 
@@ -268,7 +267,7 @@ let install_callbacks t tcb =
   cbs.Tcb.on_connected <-
     (fun ok ->
       stage_event t tcb
-        (Ix_api.Ev_connected { cookie = Tcb.cookie tcb; handle = Tcb.handle tcb; ok }));
+        (Ix_api.Ev_connected { cookie = Tcb.cookie tcb; handle = Tcb.flow_handle tcb; ok }));
   cbs.Tcb.on_recv <-
     (fun mbuf off len ->
       stage_event t tcb (Ix_api.Ev_recv { cookie = Tcb.cookie tcb; mbuf; off; len }));
@@ -288,9 +287,17 @@ let install_callbacks t tcb =
 (* ------------------------------------------------------------------ *)
 (* Syscall execution (step 4)                                          *)
 
-(* Raises [Not_found]; the syscall arms match on the exception rather
-   than an option so hot-path lookups do not box the result. *)
-let lookup_handle t handle = Hashtbl.find t.handles handle
+(* A handle is the connection's generation-checked flow handle in this
+   thread's store.  An unknown or stale one (its connection closed or
+   migrated away, even if the slot now holds another) resolves to the
+   dead view. *)
+let lookup_handle t handle = Tcb.deref (Tcp_endpoint.env (endpoint t)).Tcb.store handle
+
+(* Count a connection into the host's [conn_count]; the teardown hook
+   counts it out. *)
+let count_in t tcb =
+  Tcb.set_counted tcb true;
+  incr t.conn_count
 
 let rss_suitable t ~remote_ip ~remote_port =
   (* §4.4: probe ephemeral ports until the *reply* direction RSS-hashes
@@ -319,12 +326,11 @@ let exec_syscall t sc on_result =
       | None -> on_result (-1)
       | Some tcb ->
           install_callbacks t tcb;
-          Hashtbl.replace t.handles (Tcb.handle tcb) tcb;
-          incr t.conn_count;
-          on_result (Tcb.handle tcb))
+          count_in t tcb;
+          on_result (Tcb.flow_handle tcb))
   | Ix_api.Sys_accept { handle; cookie } -> (
       match lookup_handle t handle with
-      | exception Not_found -> on_result (-1)
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
       | tcb ->
           Tcb.set_cookie tcb cookie;
           (match Hashtbl.find_opt t.unaccepted handle with
@@ -341,7 +347,7 @@ let exec_syscall t sc on_result =
           on_result 0)
   | Ix_api.Sys_sendv { handle; queue } -> (
       match lookup_handle t handle with
-      | exception Not_found -> on_result (-1)
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
       | tcb ->
           let accepted = Tcp_conn.send_from tcb queue in
           if not t.zero_copy then
@@ -349,13 +355,13 @@ let exec_syscall t sc on_result =
           on_result accepted)
   | Ix_api.Sys_recv_done { handle; bytes_acked } -> (
       match lookup_handle t handle with
-      | exception Not_found -> on_result (-1)
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
       | tcb ->
           Tcp_conn.consume tcb bytes_acked;
           on_result 0)
   | Ix_api.Sys_close { handle } -> (
       match lookup_handle t handle with
-      | exception Not_found -> on_result (-1)
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
       | tcb ->
           if Hashtbl.mem t.unaccepted handle then begin
             (* Rejecting a knock. *)
@@ -366,7 +372,7 @@ let exec_syscall t sc on_result =
           on_result 0)
   | Ix_api.Sys_abort { handle } -> (
       match lookup_handle t handle with
-      | exception Not_found -> on_result (-1)
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
       | tcb ->
           Tcp_conn.abort tcb;
           on_result 0)
@@ -749,17 +755,16 @@ let udp_bind t ~port = Hashtbl.replace t.udp_binds port ()
 let listen t ~port =
   Tcp_endpoint.listen (endpoint t) ~port ~on_accept:(fun tcb ->
       install_callbacks t tcb;
-      Hashtbl.replace t.handles (Tcb.handle tcb) tcb;
-      Hashtbl.replace t.unaccepted (Tcb.handle tcb) (ref []);
+      Hashtbl.replace t.unaccepted (Tcb.flow_handle tcb) (ref []);
       stage_push t.events
         (Ix_api.Ev_knock
            {
-             handle = Tcb.handle tcb;
+             handle = Tcb.flow_handle tcb;
              src_ip = Tcb.remote_ip tcb;
              src_port = Tcb.remote_port tcb;
              dst_port = Tcb.local_port tcb;
            });
-      incr t.conn_count)
+      count_in t tcb)
 
 let syscall t sc ~on_result =
   Protection.require t.prot Protection.User;
@@ -780,22 +785,14 @@ let abort_all_connections t =
   if n > 0 then kick t;
   n
 
-(* Hand one TCB to [dst]: flow-table eviction, handle transfer, env
-   rebind (moves its row to the destination store, cancels and re-arms
-   its timers on the destination wheel), callback reinstall, adoption.
-   The order matters: the handle must move with the TCB or a syscall
-   staged against it would miss. *)
+(* Hand one TCB to [dst]: flow-table eviction, env rebind (moves its
+   row, and with it the [counted] bit, to the destination store, which
+   gives it a new handle; cancels and re-arms its timers on the
+   destination wheel), callback reinstall, adoption. *)
 let hand_over_tcb t dst tcb =
   Tcp_endpoint.evict (endpoint t) tcb;
-  (* A mid-handshake flow has no handle yet (the accept callback counts
-     it in when the handshake completes, possibly on [dst]); inventing
-     one here would make its eventual teardown count out a connection
-     that was never counted in. *)
-  let had_handle = Hashtbl.mem t.handles (Tcb.handle tcb) in
-  Hashtbl.remove t.handles (Tcb.handle tcb);
   Tcp_conn.rebind tcb (Tcp_endpoint.env (endpoint dst));
   install_callbacks dst tcb;
-  if had_handle then Hashtbl.replace dst.handles (Tcb.handle tcb) tcb;
   Tcp_endpoint.adopt (endpoint dst) tcb
 
 (* ------------------------------------------------------------------ *)
@@ -822,19 +819,19 @@ let migrate_group_to t dst ~group =
         in_group t ~group ~local_port:(Tcb.local_port tcb)
           ~remote_ip:(Tcb.remote_ip tcb) ~remote_port:(Tcb.remote_port tcb)
       then moving := tcb :: !moving);
-  let cookies =
+  let moved =
     List.rev_map
       (fun tcb ->
         hand_over_tcb t dst tcb;
-        Tcb.cookie tcb)
+        (Tcb.cookie tcb, Tcb.flow_handle tcb))
       !moving
   in
   Tcp_endpoint.adopt_time_wait (endpoint dst) ~from:(endpoint t)
     ~select:(in_group t ~group);
   Log.debug (fun m ->
       m "thread %d migrated group %d (%d flows) to thread %d" t.id group
-        (List.length cookies) dst.id);
-  cookies
+        (List.length moved) dst.id);
+  moved
 
 let park_inbound t ~group =
   if not (List.mem_assoc group t.parked_inbound) then
@@ -908,7 +905,7 @@ let tracer t = t.tracer
 let no_syscall = Ix_api.Sys_close { handle = -1 }
 
 let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tcp
-    ~cache ~conn_count ~metrics ~handle_alloc ~rng =
+    ~cache ~conn_count ~metrics ~rng =
   let pool = Mempool.create ~capacity:65536 ~name:(Printf.sprintf "dp%d" thread_id) () in
   let wheel = Wheel.create ~now:(Sim.now sim) () in
   let no_event = Ix_api.Ev_dead { cookie = -1; reason = Tcb.Normal } in
@@ -962,7 +959,6 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       in_user_phase = false;
       cycle_wakeup = wakeup run_cycle;
       idle_wakeup = wakeup kick;
-      handles = Hashtbl.create 1024;
       udp_binds = Hashtbl.create 8;
       metrics;
       tracer = Tracer.create ~capacity:tracer_capacity ~thread:thread_id ();
@@ -988,7 +984,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       ~alloc:(fun () -> Mempool.alloc pool)
       ~output_raw:(fun ~remote_ip mbuf -> output_raw t ~remote_ip mbuf)
       ~rng ~local_ip ~config:tcp ~metrics
-      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ~handle_alloc ()
+      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ()
   in
   t.ep <- Some ep;
   self := Some t;
@@ -1000,15 +996,15 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
   g "mean" (fun () -> Batch.mean_batch t.batcher);
   g "mean_tx_burst" (fun () -> Batch.mean_tx_burst t.batcher);
   (* Chain teardown: the endpoint unhooks flow tables; we additionally
-     drop the handle and count the connection out. *)
+     drop a pending knock and count the connection out. *)
   let env = Tcp_endpoint.env ep in
   let endpoint_teardown = env.Tcb.on_teardown in
   env.Tcb.on_teardown <-
     (fun tcb ->
       endpoint_teardown tcb;
-      if Hashtbl.mem t.handles (Tcb.handle tcb) then begin
-        Hashtbl.remove t.handles (Tcb.handle tcb);
-        Hashtbl.remove t.unaccepted (Tcb.handle tcb);
+      if Tcb.counted tcb then begin
+        Tcb.set_counted tcb false;
+        Hashtbl.remove t.unaccepted (Tcb.flow_handle tcb);
         decr t.conn_count
       end);
   (* Wire NIC queue notifications to kick the thread. *)

@@ -52,16 +52,15 @@ val create :
   cache:Ixhw.Cache_model.t option ->
   conn_count:int ref ->
   metrics:Ixtelemetry.Metrics.t ->
-  handle_alloc:int ref ->
   rng:Engine.Rng.t ->
   t
 (** [queues] lists (nic, rx queue) pairs this thread serves;
     [tx_nic] is where it transmits.  [cache] enables the
     connection-count L3 model of the Fig. 4 experiment, fed by the
     host-wide [conn_count].  [metrics] is the registry where the thread
-    registers its [dataplane.<id>.*] counters.  [handle_alloc] is the
-    flow-handle allocator shared by the host's elastic threads, so
-    migrated flows keep unique handles. *)
+    registers its [dataplane.<id>.*] counters.  A connection's
+    {!Ix_api.handle} is its generation-checked flow handle in this
+    thread's TCB store; a stale one is rejected with [-1]. *)
 
 val thread_id : t -> int
 val core : t -> Ixhw.Cpu_core.t
@@ -128,11 +127,12 @@ val abort_all_connections : t -> int
     TIME_WAIT remnants over ({!migrate_group_to}) and the destination replays the parked frames
     ({!unpark_inbound}) in arrival order. *)
 
-val migrate_group_to : t -> t -> group:int -> int list
-(** Hand every connection of [group] (flow-table entries, handles and
-    pending timers) and its TIME_WAIT remnants to the destination
-    thread; returns the cookies of the moved conns so libix state can
-    follow ({!Libix.migrate_conns}). *)
+val migrate_group_to : t -> t -> group:int -> (int * Ix_api.handle) list
+(** Hand every connection of [group] (flow-table entries and pending
+    timers) and its TIME_WAIT remnants to the destination thread.  A
+    moved connection gets a new handle there; returns each one's
+    [(cookie, new handle)] so libix state can follow
+    ({!Libix.migrate_conns}). *)
 
 val park_inbound : t -> group:int -> unit
 (** Destination side: hold arriving TCP frames of [group] aside, in

@@ -7,9 +7,12 @@
     syscall and the event-condition arrays live in shared memory and
     are swapped at the [run_io] coordinated transition point.
 
-    Handles are kernel-level flow identifiers; each is associated with
-    a [cookie], an opaque value provided by the user at connection
-    establishment for efficient user-level state lookup. *)
+    Handles are kernel-level flow identifiers: a connection's
+    generation-checked slot in its elastic thread's TCB store, so a
+    closed connection's handle stays invalid after the slot is reused,
+    and a flow-group migration gives the connection a new one.  Each is
+    associated with a [cookie], an opaque value provided by the user at
+    connection establishment for efficient user-level state lookup. *)
 
 type handle = int
 

@@ -36,11 +36,6 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ~tcp ~cache ~metrics ~seed =
   let rcu_mgr = Rcu.create_manager ~threads in
   let arp_cache = Arp_cache.create rcu_mgr in
   let conn_count = ref 0 in
-  (* One flow-handle allocator per host: handles stay unique across the
-     host's elastic threads (flow migration keeps its handle), and the
-     counter is owned by this sim, so concurrently running simulations
-     don't share allocation state. *)
-  let handle_alloc = ref 0 in
   let rng = Engine.Rng.create ~seed:(seed + (host_id * 7919)) in
   let make_thread i =
     let queues = Array.to_list (Array.map (fun nic -> (nic, Nic.queue nic i)) nics) in
@@ -48,7 +43,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ~tcp ~cache ~metrics ~seed =
     Dataplane.create ~sim ~thread_id:i
       ~core:(Cpu_core.create ~id:((host_id * 100) + i))
       ~local_ip:ip ~queues ~tx_nic ~arp:arp_cache ~rcu:rcu_mgr ~config ~tcp ~cache
-      ~conn_count ~metrics ~handle_alloc ~rng:(Engine.Rng.split rng)
+      ~conn_count ~metrics ~rng:(Engine.Rng.split rng)
   in
   let thread_array = Array.init threads make_thread in
   (* Spread RSS flow groups across the active threads. *)

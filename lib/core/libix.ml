@@ -265,10 +265,11 @@ let udp_send t ~src_port ~dst_ip ~dst_port data =
 let set_zero_copy_reader t reader = t.zc_reader <- Some reader
 
 (* Conn-directed operations route through [conn.owner]: after a
-   flow-group migration the TCB (and its handle) lives on another
-   thread's dataplane, and a syscall staged on the old thread would be
-   rejected there.  The owner pointer is the one level of indirection
-   that makes the handle valid wherever the conn currently lives. *)
+   flow-group migration the TCB lives on another thread's dataplane
+   under a new handle, and a syscall staged on the old thread would be
+   rejected there.  [migrate_conns] retargets the owner and rebinds the
+   handle in one step, so the pair stays valid wherever the conn
+   currently lives. *)
 
 let recv_done conn mbuf len =
   Dataplane.syscall conn.owner.dp
@@ -301,20 +302,21 @@ let abort conn =
       ~on_result:ignore
 
 (* Flow-group migration, libix side: re-home the conns whose TCBs just
-   moved.  Dirty conns move lists too, so their queued writes flush on
-   the destination thread (where the handle is now valid). *)
-let migrate_conns ~src ~dst cookies =
+   moved and rebind each to its new handle on the destination thread.
+   Dirty conns move lists too, so their queued writes flush there. *)
+let migrate_conns ~src ~dst handles =
   let moved =
     List.filter_map
-      (fun cookie ->
+      (fun (cookie, handle) ->
         match Hashtbl.find_opt src.conns cookie with
         | None -> None
         | Some conn ->
             Hashtbl.remove src.conns cookie;
             Hashtbl.replace dst.conns cookie conn;
             conn.owner <- dst;
+            conn.handle <- handle;
             Some conn)
-      cookies
+      handles
   in
   let dirty_moved = List.filter (fun c -> c.dirty) moved in
   if dirty_moved <> [] then begin

@@ -91,11 +91,12 @@ val home_thread : conn -> int
 val cookie : conn -> int
 (** The conn's host-unique cookie — a stable, migration-safe id. *)
 
-val migrate_conns : src:t -> dst:t -> int list -> int
-(** Re-home the conns with the given cookies from [src] to [dst]
-    (control-plane side of a flow-group migration; the TCBs must move
-    in the same step).  Dirty conns carry their queued writes to the
-    destination's flush list.  Returns how many conns moved. *)
+val migrate_conns : src:t -> dst:t -> (int * Ix_api.handle) list -> int
+(** Re-home the conns with the given [(cookie, new handle)] pairs from
+    [src] to [dst] and rebind each to its new handle (control-plane
+    side of a flow-group migration; the TCBs must move in the same
+    step).  Dirty conns carry their queued writes to the destination's
+    flush list.  Returns how many conns moved. *)
 
 val max_pending_send : int
 (** The per-connection pending-send-bytes policy limit (1 MB). *)

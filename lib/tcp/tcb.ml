@@ -21,9 +21,10 @@
 
    Slots are recycled through a free list with a generation counter per
    slot; [flow_handle] = generation lsl 24 lor slot is the value the
-   flow table stores, and [deref] refuses a handle whose generation has
-   moved on — a freed-and-reused slot can never be confused with the
-   connection that used to live there.  Slot 0 is a reserved dead row
+   flow table stores and the one handle the dataplane gives out, and
+   [deref] refuses a handle whose generation has moved on — a
+   freed-and-reused slot can never be confused with the connection
+   that used to live there.  Slot 0 is a reserved dead row
    (state = CLOSED, all zeros): [release] repoints the view at it, so a
    post-teardown read through a stale view sees a closed connection
    instead of another flow's state.  The dead row has a view of its own,
@@ -151,36 +152,37 @@ let null_callbacks () =
    array of its own: an OCaml int word would drop a bit of it, and the
    DCTCP digests depend on every bit.
 
-   Per-connection cost: 26 row words + 1 float = 27 words = 216 bytes. *)
+   Per-connection cost: 25 row words + 1 float = 26 words = 208 bytes.
+   With the store's generation, free-list and view slots, 29 words = 232
+   bytes per slot ([store_words]). *)
 
 let k_local_ip = 0
 let k_remote_ip = 1
 let k_ports = 2 (* local | remote lsl 16 | mss lsl 32 *)
 let k_flags = 3
-let k_handle = 4
-let k_cookie = 5
-let k_iss = 6
-let k_irs = 7
-let k_snd_una = 8
-let k_snd_nxt = 9
-let k_snd_max = 10
-let k_recover = 11
-let k_snd_queue_seq = 12
-let k_rcv_nxt = 13
-let k_wnds = 14 (* snd_wnd | rcv_adv_wnd *)
-let k_bufs = 15 (* snd_queue_len | rcv_unconsumed *)
-let k_cwnd = 16 (* cwnd_bytes | ssthresh_bytes *)
-let k_avoid_acc = 17
-let k_ecn = 18 (* win_acked | win_marked *)
-let k_rtt_start = 19 (* -1 when no sample is in flight *)
-let k_rtt_seq = 20 (* rtt_seq (32 bits) | retransmits lsl 32 *)
-let k_srtt = 21 (* srtt | rttvar (samples are Karn-valid single-RTT
+let k_cookie = 4
+let k_iss = 5
+let k_irs = 6
+let k_snd_una = 7
+let k_snd_nxt = 8
+let k_snd_max = 9
+let k_recover = 10
+let k_snd_queue_seq = 11
+let k_rcv_nxt = 12
+let k_wnds = 13 (* snd_wnd | rcv_adv_wnd *)
+let k_bufs = 14 (* snd_queue_len | rcv_unconsumed *)
+let k_cwnd = 15 (* cwnd_bytes | ssthresh_bytes *)
+let k_avoid_acc = 16
+let k_ecn = 17 (* win_acked | win_marked *)
+let k_rtt_start = 18 (* -1 when no sample is in flight *)
+let k_rtt_seq = 19 (* rtt_seq (32 bits) | retransmits lsl 32 *)
+let k_srtt = 20 (* srtt | rttvar (samples are Karn-valid single-RTT
                    times, far below 2^31 ns) *)
-let k_rto = 22
-let k_segs = 23 (* segs_in | segs_out *)
-let k_bytes_in = 24
-let k_bytes_out = 25
-let row_words = 26
+let k_rto = 21
+let k_segs = 22 (* segs_in | segs_out *)
+let k_bytes_in = 23
+let k_bytes_out = 24
+let row_words = 25
 
 let half_mask = 0x7FFF_FFFF
 let[@inline] pair_lo v = v land half_mask
@@ -202,6 +204,9 @@ let[@inline] with_hi word v = word land half_mask lor ((v land half_mask) lsl 31
      41..48 backoff_mult (1..64)
      49     port_owned (this connection checked its local port out of
             the endpoint's [Port_alloc]; teardown returns it exactly
+            once)
+     50     counted (the IX dataplane counted this connection into its
+            host's connection count; teardown counts it out exactly
             once) *)
 
 let b_ws_enabled = 7
@@ -212,6 +217,7 @@ let b_ce_to_echo = 11
 let b_rtt_have_sample = 12
 let b_cong_recovery = 13
 let b_port_owned = 49
+let b_counted = 50
 
 type store = {
   mutable cap : int;
@@ -267,11 +273,6 @@ and env = {
       (** a finished TCP segment; the stack adds IP/Ethernet and owns
           the mbuf from here *)
   rng : Engine.Rng.t;
-  handle_alloc : int ref;
-      (** flow-handle allocator; shared by all envs of one host so
-          handles stay unique across its elastic threads (migration
-          rekeys nothing), and owned per host/sim so concurrent sims
-          allocate deterministically *)
   store : store;
       (** the connection store this env's TCBs live in; one per
           endpoint, migrated between by [migrate] *)
@@ -350,8 +351,16 @@ let alloc_slot s =
 let store_live s = s.live
 let store_capacity s = s.cap
 
-(* Generation-checked handle for the flow table.  Never 0 for a live
-   slot (slot 0 is reserved), so tables can use 0/negatives freely. *)
+(* The store's own words: every per-slot array, one word per element
+   (the float array holds its floats unboxed). *)
+let store_words s =
+  Array.length s.rows + Array.length s.c_alpha + Array.length s.generation
+  + Array.length s.free_list + Array.length s.views
+
+(* The connection's generation-checked handle: the key the flow table
+   stores and the [Ix_api.handle] applications name it by.  Never 0 for
+   a live slot (slot 0 is reserved), so tables can use 0/negatives
+   freely.  [migrate] gives the connection a new one. *)
 let flow_handle tcb = (tcb.store.generation.(tcb.slot) lsl slot_bits) lor tcb.slot
 
 (* The view over slot 0's dead row: what a lookup returns when it finds
@@ -402,7 +411,6 @@ let[@inline] set_state tcb v = set_bits tcb k_flags 0 0xF (Tcp_state.to_int v)
 let[@inline] flag tcb bit = bits tcb k_flags bit 1 = 1
 let[@inline] set_flag tcb bit v = set_bits tcb k_flags bit 1 (Bool.to_int v)
 
-let[@inline] handle tcb = word tcb k_handle
 let[@inline] cookie tcb = word tcb k_cookie
 let[@inline] set_cookie tcb v = set_word tcb k_cookie v
 let[@inline] local_ip tcb = word tcb k_local_ip
@@ -452,6 +460,8 @@ let[@inline] ce_to_echo tcb = flag tcb b_ce_to_echo
 let[@inline] set_ce_to_echo tcb v = set_flag tcb b_ce_to_echo v
 let[@inline] port_owned tcb = flag tcb b_port_owned
 let[@inline] set_port_owned tcb v = set_flag tcb b_port_owned v
+let[@inline] counted tcb = flag tcb b_counted
+let[@inline] set_counted tcb v = set_flag tcb b_counted v
 
 let[@inline] snd_wscale tcb = bits tcb k_flags 14 0x1F
 let[@inline] set_snd_wscale tcb v = set_bits tcb k_flags 14 0x1F v
@@ -630,7 +640,7 @@ let make_view (env : env) cfg slot =
 
 (* [on_timer env code] runs the timer [code] names; [Tcp_conn] supplies
    it, since the timeouts are protocol logic. *)
-let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
+let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ?store () =
   let store = match store with Some s -> s | None -> store_create () in
   let emit_scratch = Seg.scratch () in
   let rec env =
@@ -641,7 +651,6 @@ let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
       alloc;
       output;
       rng;
-      handle_alloc;
       store;
       emit_scratch;
       on_teardown = ignore;
@@ -660,7 +669,6 @@ let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
   env
 
 let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
-  incr env.handle_alloc;
   let iss = Engine.Rng.int env.rng 0x3FFFFFFF in
   let s = env.store in
   let i = alloc_slot s in
@@ -675,7 +683,6 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
     lor ((remote_port land 0xFFFF) lsl 16)
     lor ((cfg.mss land 0xFFFF) lsl 32));
   set_backoff_mult tcb 1;
-  set_word tcb k_handle !(env.handle_alloc);
   set_word tcb k_cookie cookie;
   set_word tcb k_iss iss;
   set_word tcb k_snd_una iss;
@@ -692,8 +699,8 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
 
 (* Flow migration: move the connection's row into [dst] (the adopting
    endpoint's store).  The view keeps its identity — everything holding
-   the boxed [t] (handles table, libix conns, armed timers) stays
-   valid; only the flow table rekeys, via [flow_handle]. *)
+   the boxed [t] stays valid — but its [flow_handle] is new: the flow
+   table rekeys, and the old handle derefs to the source's dead view. *)
 let migrate tcb dst =
   let src = tcb.store in
   if src != dst then begin

@@ -569,8 +569,8 @@ let fire_timer env code =
     else persist_timeout tcb
   end
 
-let make_env ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store () =
-  Tcb.make_env ~on_timer:fire_timer ~now ~wheel ~alloc ~output ~rng ~handle_alloc ?store ()
+let make_env ~now ~wheel ~alloc ~output ~rng ?store () =
+  Tcb.make_env ~on_timer:fire_timer ~now ~wheel ~alloc ~output ~rng ?store ()
 
 let schedule_delack tcb =
   set_delack_count tcb (delack_count tcb + 1);

@@ -16,7 +16,6 @@ val make_env :
   alloc:(unit -> Ixmem.Mbuf.t option) ->
   output:(Tcb.t -> Ixmem.Mbuf.t -> unit) ->
   rng:Engine.Rng.t ->
-  handle_alloc:int ref ->
   ?store:Tcb.store ->
   unit ->
   Tcb.env

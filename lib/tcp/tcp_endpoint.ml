@@ -105,17 +105,11 @@ let live_remnant t slot =
 (* ------------------------------------------------------------------ *)
 
 let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
-    ?(metrics_prefix = "tcp") ?handle_alloc ?store () =
-  let handle_alloc =
-    (* Default: a private allocator.  Multi-threaded stacks pass one
-       shared ref per host so flow handles stay unique across their
-       elastic threads (flow migration keeps its key). *)
-    match handle_alloc with Some r -> r | None -> ref 0
-  in
+    ?(metrics_prefix = "tcp") ?store () =
   let tcb_env =
     Tcp_conn.make_env ~now ~wheel ~alloc
       ~output:(fun tcb mbuf -> output_raw ~remote_ip:(Tcb.remote_ip tcb) mbuf)
-      ~rng ~handle_alloc ?store ()
+      ~rng ?store ()
   in
   let registry =
     match metrics with Some m -> m | None -> Metrics.create ()

@@ -15,7 +15,6 @@ val create :
   config:Tcb.config ->
   ?metrics:Ixtelemetry.Metrics.t ->
   ?metrics_prefix:string ->
-  ?handle_alloc:int ref ->
   ?store:Tcb.store ->
   unit ->
   t
@@ -24,10 +23,7 @@ val create :
     [<prefix>.rsts], [<prefix>.fast_path_hits],
     [<prefix>.slow_path_hits]) in a telemetry registry ([metrics_prefix] defaults
     to ["tcp"]; a private registry is used when [metrics] is
-    omitted).  [handle_alloc] is the flow-handle allocator: the stacks
-    pass one ref per host so handles are unique across its elastic
-    threads — and owned per sim, so concurrently running simulations
-    allocate deterministically (default: a private allocator). *)
+    omitted). *)
 
 val local_ip : t -> Ixnet.Ip_addr.t
 val config : t -> Tcb.config

@@ -386,6 +386,7 @@ type result = {
   r_slow_hits : int;
   r_wheel : Wheel.stats;
   r_bytes_per_conn : float;  (** resident heap per connection, read by [Gc.stat] *)
+  r_store_bytes_per_conn : float;  (** the TCB store's own arrays per connection *)
   r_establish_minor_words_per_conn : float;
   r_churn_minor_words_per_event : float;
   r_snapshot : string;  (** deterministic counters only — no memory/wall *)
@@ -438,6 +439,12 @@ let run ?(syn_cookies = true) ?(fast_path = true) ?(conns = 100_000)
   let bytes_per_conn =
     float_of_int ((live1 - live0) * 8) /. float_of_int conns
   in
+  (* [make] presizes the store before [live0], so the reading above
+     leaves it out; count it from its arrays. *)
+  let store_bytes_per_conn =
+    float_of_int (Tcb.store_words (Tcp_endpoint.env t.ep).Tcb.store * 8)
+    /. float_of_int conns
+  in
   (* Churn phase. *)
   let m2 = Gc.minor_words () in
   for k = 1 to events do
@@ -485,6 +492,7 @@ let run ?(syn_cookies = true) ?(fast_path = true) ?(conns = 100_000)
     r_slow_hits = Tcp_endpoint.slow_path_hits t.ep;
     r_wheel = Wheel.stats t.wheel;
     r_bytes_per_conn = bytes_per_conn;
+    r_store_bytes_per_conn = store_bytes_per_conn;
     r_establish_minor_words_per_conn = establish_minor;
     r_churn_minor_words_per_event = churn_minor;
     r_snapshot = snapshot_of t;

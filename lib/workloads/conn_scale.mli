@@ -31,8 +31,14 @@ type result = {
   r_wheel : Timerwheel.Timer_wheel.stats;
   r_bytes_per_conn : float;
       (** resident heap per connection after establishment, driver
-          state excluded; each of the two readings is one [Gc.stat],
-          which runs a full major collection before it counts *)
+          state and the presized TCB store excluded: each connection's
+          view, callbacks record and send deque, and the flow table.
+          Each of the two readings is one [Gc.stat], which runs a full
+          major collection before it counts *)
+  r_store_bytes_per_conn : float;
+      (** the TCB store's own bytes per connection, counted from its
+          arrays ({!Ixtcp.Tcb.store_words}): each slot's row, DCTCP
+          float, generation, free-list entry and view pointer *)
   r_establish_minor_words_per_conn : float;
   r_churn_minor_words_per_event : float;
   r_snapshot : string;

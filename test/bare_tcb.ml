@@ -14,7 +14,7 @@ let create ?(dctcp = false) ?(min_rto_ns = 1_000_000)
       ~wheel:(Timerwheel.Timer_wheel.create ~now:0 ())
       ~alloc:(fun () -> None)
       ~output:(fun _ mbuf -> Ixmem.Mbuf.decref mbuf)
-      ~rng:(Engine.Rng.create ~seed:1) ~handle_alloc:(ref 0) ()
+      ~rng:(Engine.Rng.create ~seed:1) ()
   in
   let cfg = { Tcb.default_config with mss; min_rto_ns; max_rto_ns; dctcp } in
   let tcb =

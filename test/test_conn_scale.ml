@@ -20,7 +20,7 @@ let make_env ?store () =
     ~alloc:(fun () -> None)
     ~output:(fun _ _ -> ())
     ~rng:(Engine.Rng.create ~seed:7)
-    ~handle_alloc:(ref 0) ?store ()
+    ?store ()
 
 let make_tcb env ~local_port ~remote_ip ~remote_port =
   Tcb.create env Tcb.default_config ~local_ip:1 ~local_port ~remote_ip
@@ -372,6 +372,7 @@ let row_fields =
     field "rtt_have_sample" 2 (bit Tcb.b_rtt_have_sample);
     field "cong_recovery" 2 (bit Tcb.b_cong_recovery);
     field "port_owned" 2 (bit Tcb.b_port_owned);
+    field "counted" 2 (bit Tcb.b_counted);
   ]
 
 (* Connection [n]'s value for field [f]: nonzero, and different from
@@ -381,7 +382,10 @@ let field_value n f range = 1 + (((n * 7919) + (f * 104_729)) mod (range - 1))
 (* Each connection's row, written through the setters, must read back
    unchanged after the store grows under it and after [Tcb.migrate]
    moves it into another store (which grows too), and slot 0's dead
-   row must stay all zeros (CLOSED) in both stores throughout. *)
+   row must stay all zeros (CLOSED) in both stores throughout.  Growth
+   keeps each flow handle; migration rekeys it: the old handle reads
+   dead in the source, and the view answers to the handle the
+   destination gave it. *)
 let test_rows_survive_growth_and_migration () =
   let store = Tcb.store_create ~initial:2 () in
   let env = make_env ~store () in
@@ -398,7 +402,19 @@ let test_rows_survive_growth_and_migration () =
         fill k tcb;
         tcb)
   in
-  let handles = Array.map Tcb.handle tcbs in
+  let handles = Array.map Tcb.flow_handle tcbs in
+  let check_flow_handles what s =
+    Array.iteri
+      (fun k tcb ->
+        let name field = Printf.sprintf "%s: conn %d %s" what k field in
+        check_bool (name "handle derefs to its view") true
+          (Tcb.deref s (Tcb.flow_handle tcb) == tcb);
+        if s == store then check_int (name "handle kept") handles.(k) (Tcb.flow_handle tcb)
+        else
+          check_bool (name "old handle reads dead in the source") true
+            (Tcb.deref store handles.(k) == Tcb.dead_view store))
+      tcbs
+  in
   let check_rows what =
     Array.iteri
       (fun k tcb ->
@@ -408,7 +424,6 @@ let test_rows_survive_growth_and_migration () =
         check_int (name "remote_ip") remote_ip (Tcb.remote_ip tcb);
         check_int (name "local_port") local_port (Tcb.local_port tcb);
         check_int (name "remote_port") remote_port (Tcb.remote_port tcb);
-        check_int (name "handle") handles.(k) (Tcb.handle tcb);
         Alcotest.(check (float 0.)) (name "dctcp_alpha") (float_of_int k +. 0.375)
           (Tcb.dctcp_alpha tcb);
         List.iteri
@@ -433,6 +448,7 @@ let test_rows_survive_growth_and_migration () =
   Tcb.store_grow store;
   check_int "store_grow doubles" (2 * cap) (Tcb.store_capacity store);
   check_rows "after store_grow";
+  check_flow_handles "after store_grow" store;
   check_dead_row "source after store_grow" store;
   let dst = Tcb.store_create ~initial:2 () in
   ignore (make_env ~store:dst ());
@@ -441,6 +457,7 @@ let test_rows_survive_growth_and_migration () =
   check_int "destination holds every row" n (Tcb.store_live dst);
   check_bool "migrating grew the destination" true (Tcb.store_capacity dst > 2);
   check_rows "after migrate";
+  check_flow_handles "after migrate" dst;
   check_dead_row "source after migrate" store;
   check_dead_row "destination" dst
 
@@ -852,6 +869,15 @@ let test_conn_scale_two_collections () =
   check_int "all connections sustained" 256 r.Conn_scale.r_connection_count;
   check_int "one forced collection per resident reading" 2 (after - before)
 
+(* The store's own words: a row, the DCTCP float, a generation, a
+   free-list entry and a view pointer per slot, at every capacity. *)
+let test_store_words () =
+  let store = Tcb.store_create ~initial:64 () in
+  ignore (make_env ~store ());
+  check_int "29 words per slot" (64 * 29) (Tcb.store_words store);
+  Tcb.store_grow store;
+  check_int "grown store" (128 * 29) (Tcb.store_words store)
+
 let flood_syns = 1_000_000
 
 let test_syn_flood_stateless () =
@@ -915,6 +941,7 @@ let () =
             `Quick test_flow_table_dead_view;
           Alcotest.test_case "Tcb.create allocates 23 words" `Quick
             test_create_allocation;
+          Alcotest.test_case "store words per slot" `Quick test_store_words;
           Alcotest.test_case "every field survives growth and migration" `Quick
             test_rows_survive_growth_and_migration;
           Alcotest.test_case "1M reconnects keep the table small" `Quick

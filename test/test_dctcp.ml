@@ -144,7 +144,7 @@ let test_ece_echoed_on_ce () =
         | Ok seg -> sent := seg :: !sent
         | Error _ -> ());
         Mbuf.decref mbuf)
-      ~rng:(Engine.Rng.create ~seed:1) ~handle_alloc:(ref 0) ()
+      ~rng:(Engine.Rng.create ~seed:1) ()
   in
   let cfg = { Tcb.default_config with Tcb.dctcp = true; delack_segs = 1 } in
   (* Passive open via a synthetic SYN. *)

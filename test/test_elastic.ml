@@ -224,6 +224,101 @@ let test_time_wait_follows_group () =
        (Printf.sprintf "tcp.%d.tw_reacks" dst));
   check_int "no stateless RST" rsts_before (rsts ())
 
+(* Migration rekeys a connection: on the destination thread its TCB
+   lives under a new handle, and libix must rebind the conn to it.  The
+   server queues more bytes on each connection than its window takes,
+   the connections' groups migrate while libix still holds the rest,
+   and each connection is closed from the server once its bytes are
+   acknowledged: every byte and every FIN must reach the client through
+   the new handles, and every flow table must end empty. *)
+let test_migration_rekeys_handles () =
+  let server = Cluster.server_spec ~threads:2 Cluster.Ix in
+  (* The client's 16 KB receive window keeps each sendv short of the
+     whole write. *)
+  let client_tcp_config =
+    { Baselines.Linux_stack.linux_tcp_config with Ixtcp.Tcb.rcv_buf = 16 * 1024 }
+  in
+  let cluster =
+    Cluster.build ~seed:7 ~client_hosts:1 ~client_threads:1 ~client_tcp_config ~server ()
+  in
+  let sim = cluster.Cluster.sim in
+  let host = Option.get cluster.Cluster.server_ix in
+  let conns = 8 and total = 256 * 1024 in
+  let accepted = ref [] in
+  cluster.Cluster.server.Net_api.listen ~port:7 (fun ~thread:_ conn ->
+      accepted := conn :: !accepted;
+      let acked = ref 0 in
+      {
+        Net_api.null_handlers with
+        on_sent =
+          (fun c n ->
+            acked := !acked + n;
+            if !acked = total then c.Net_api.close ());
+      });
+  let received = Hashtbl.create 8 and fins = ref 0 in
+  let client = List.hd cluster.Cluster.clients in
+  for _ = 1 to conns do
+    client.Net_api.connect ~thread:0 ~ip:cluster.Cluster.server_ip ~port:7
+      {
+        Net_api.null_handlers with
+        on_data =
+          (fun c data ->
+            let id = c.Net_api.id in
+            let n = Option.value (Hashtbl.find_opt received id) ~default:0 in
+            Hashtbl.replace received id (n + String.length data));
+        on_closed =
+          (fun c _ ->
+            incr fins;
+            c.Net_api.close ());
+      }
+  done;
+  Sim.run ~until:(Sim_time.ms 2) sim;
+  check_int "every connection accepted" conns (List.length !accepted);
+  let endpoint i = Ix_core.Dataplane.endpoint (Ix_host.dataplane host i) in
+  let src = (List.hd !accepted).Net_api.home () in
+  let dst = 1 - src in
+  let group_of (conn : Net_api.conn) =
+    let ip, port = conn.Net_api.peer in
+    Nic.rss_group_of_tuple cluster.Cluster.server_nics.(0) ~src_ip:ip
+      ~dst_ip:cluster.Cluster.server_ip ~src_port:port ~dst_port:7
+  in
+  let moving = List.filter (fun c -> c.Net_api.home () = src) !accepted in
+  check_bool "some connections move" true (moving <> []);
+  let payload = String.make total 'm' in
+  let cp = Control_plane.create host in
+  List.iter (fun c -> check_bool "write queued" true (c.Net_api.send payload)) !accepted;
+  List.iter
+    (fun group -> Control_plane.migrate_flow_group cp ~group ~dst)
+    (List.sort_uniq compare (List.map group_of moving));
+  (* Step to the handover: the moved TCBs have taken only a window's
+     worth of their writes, so libix still queues the rest. *)
+  let deadline = Sim.now sim + Sim_time.ms 1 in
+  while
+    (Control_plane.migrations_completed cp = 0 || Control_plane.migrations_in_flight cp > 0)
+    && Sim.now sim < deadline
+  do
+    Sim.run ~until:(Sim.now sim + 1_000) sim
+  done;
+  check_int "migrations completed" 0 (Control_plane.migrations_in_flight cp);
+  check_int "every moved connection on the destination" (List.length moving)
+    (List.length (List.filter (fun c -> c.Net_api.home () = dst) moving));
+  Ixtcp.Tcp_endpoint.iter_connections (endpoint dst) (fun tcb ->
+      let taken =
+        Ixtcp.Seqno.diff (Ixtcp.Tcb.snd_queue_seq tcb) (Ixtcp.Tcb.iss tcb + 1)
+        + Ixtcp.Tcb.snd_queue_len tcb
+      in
+      check_bool "libix still queues writes at the handover" true (taken < total));
+  Sim.run ~until:(Sim_time.ms 40) sim;
+  check_int "every queued byte reached the client" (conns * total)
+    (Hashtbl.fold (fun _ n acc -> acc + n) received 0);
+  Hashtbl.iter (fun _ n -> check_int "per connection" total n) received;
+  check_int "every close reached the client as a FIN" conns !fins;
+  for i = 0 to 1 do
+    check_int "flow table empty" 0 (Ixtcp.Tcp_endpoint.connection_count (endpoint i));
+    check_int "no TIME_WAIT remnant left" 0 (Ixtcp.Tcp_endpoint.time_wait_count (endpoint i))
+  done;
+  check_int "host connection count back to zero" 0 (Ix_host.connections host)
+
 (* ---------------- Migration under faults (qcheck) ---------------- *)
 
 (* The PR-5 fault classes that stress a migration: frames destroyed on
@@ -342,6 +437,8 @@ let () =
             test_migrate_under_live_load;
           Alcotest.test_case "TIME_WAIT follows its group" `Quick
             test_time_wait_follows_group;
+          Alcotest.test_case "migration rekeys libix handles" `Quick
+            test_migration_rekeys_handles;
         ] );
       ("migration-faults", [ qt prop_migrate_under_faults ]);
       ( "determinism",

@@ -7,6 +7,7 @@ open Ix_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 (* ---------------- Batch ---------------- *)
 
@@ -548,6 +549,97 @@ let test_abort_events_delivered_next_user_phase () =
       check_int "adjacent in the event array" (i1 + 1) i2
   | l -> Alcotest.failf "expected two Ev_dead, got %d" (List.length l)
 
+(* A handle names one connection for its whole life: after the
+   connection closes, its handle is rejected with -1 even once a new
+   connection reuses the store slot, and the syscalls that carry it
+   leave the new connection untouched. *)
+let test_stale_handle_rejected_after_slot_reuse () =
+  let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
+  let cluster = Harness.Cluster.build ~client_hosts:1 ~client_threads:1 ~server () in
+  let sim = cluster.Harness.Cluster.sim in
+  let host = Option.get cluster.Harness.Cluster.server_ix in
+  let dp = Ix_host.dataplane host 0 in
+  let store = (Ixtcp.Tcp_endpoint.env (Dataplane.endpoint dp)).Ixtcp.Tcb.store in
+  let handles = ref [] in
+  Dataplane.set_app dp (fun events n ->
+      for i = 0 to n - 1 do
+        match events.(i) with
+        | Ix_api.Ev_knock { handle; _ } ->
+            let cookie = List.length !handles in
+            Dataplane.syscall dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
+            (* The first connection is closed as soon as it is accepted;
+               the second sends one message and stays open. *)
+            (if cookie = 0 then Dataplane.syscall dp (Ix_api.Sys_close { handle })
+             else
+               let queue = Ixmem.Iov_deque.create () in
+               Ixmem.Iov_deque.push queue (Ixmem.Iovec.of_string "hello");
+               Dataplane.syscall dp (Ix_api.Sys_sendv { handle; queue }))
+              ~on_result:ignore;
+            handles := !handles @ [ handle ]
+        | Ix_api.Ev_recv { mbuf; _ } -> Ixmem.Mbuf.decref mbuf
+        | _ -> ()
+      done);
+  Dataplane.listen dp ~port:7200;
+  let client = List.hd cluster.Harness.Cluster.clients in
+  let received = Buffer.create 16 and closes = ref 0 in
+  let handlers =
+    {
+      Netapi.Net_api.null_handlers with
+      Netapi.Net_api.on_data = (fun _ data -> Buffer.add_string received data);
+      on_closed =
+        (fun conn _ ->
+          incr closes;
+          conn.Netapi.Net_api.close ());
+    }
+  in
+  let connect_at ms =
+    Sim.at sim (Engine.Sim_time.ms ms) (fun () ->
+        client.Netapi.Net_api.run_app ~thread:0 (fun () ->
+            client.Netapi.Net_api.connect ~thread:0
+              ~ip:cluster.Harness.Cluster.server_ip ~port:7200 handlers))
+  in
+  connect_at 1;
+  connect_at 5;
+  Sim.run ~until:(Engine.Sim_time.ms 10) sim;
+  let h1, h2 =
+    match !handles with
+    | [ h1; h2 ] -> (h1, h2)
+    | l -> Alcotest.failf "expected two knocks, got %d" (List.length l)
+  in
+  check_bool "the second connection reuses the first one's slot" true
+    (h1 land 0xFF_FFFF = h2 land 0xFF_FFFF);
+  check_bool "under a new handle" true (h1 <> h2);
+  check_bool "the first handle reads dead" true
+    (Ixtcp.Tcb.is_dead (Ixtcp.Tcb.deref store h1));
+  let tcb = Ixtcp.Tcb.deref store h2 in
+  let fingerprint () =
+    Ixtcp.Tcb.
+      ( Ixtcp.Tcp_state.to_string (state tcb),
+        [ snd_nxt tcb; rcv_nxt tcb; bytes_in tcb; bytes_out tcb; rcv_unconsumed tcb;
+          snd_queue_len tcb ] )
+  in
+  let before = fingerprint () in
+  check_string "second connection open" "ESTABLISHED" (fst before);
+  check_string "second connection's message arrived" "hello" (Buffer.contents received);
+  let results = ref [] in
+  let record name r = results := (name, r) :: !results in
+  Dataplane.bootstrap dp (fun () ->
+      let queue = Ixmem.Iov_deque.create () in
+      Ixmem.Iov_deque.push queue (Ixmem.Iovec.of_string "stale");
+      Dataplane.syscall dp (Ix_api.Sys_sendv { handle = h1; queue }) ~on_result:(record "sendv");
+      Dataplane.syscall dp
+        (Ix_api.Sys_recv_done { handle = h1; bytes_acked = 3 })
+        ~on_result:(record "recv_done");
+      Dataplane.syscall dp (Ix_api.Sys_close { handle = h1 }) ~on_result:(record "close"));
+  Sim.run ~until:(Engine.Sim_time.ms 20) sim;
+  Alcotest.(check (list (pair string int)))
+    "each stale syscall rejected"
+    [ ("sendv", -1); ("recv_done", -1); ("close", -1) ]
+    (List.rev !results);
+  check_bool "second connection's state unchanged" true (fingerprint () = before);
+  check_string "no stale bytes reached the client" "hello" (Buffer.contents received);
+  check_int "only the first connection closed" 1 !closes
+
 (* ---------------- background threads (§4.1) ---------------- *)
 
 let test_background_threads_timeshare () =
@@ -756,6 +848,8 @@ let () =
             test_syscall_staged_in_on_result_runs_next_cycle;
           Alcotest.test_case "abort Ev_dead delivered next user phase" `Quick
             test_abort_events_delivered_next_user_phase;
+          Alcotest.test_case "stale handle rejected after slot reuse" `Quick
+            test_stale_handle_rejected_after_slot_reuse;
         ] );
       ( "libix",
         [

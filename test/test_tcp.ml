@@ -594,7 +594,7 @@ let make_tcb_env () =
     ~wheel:(Wheel.create ~now:0 ())
     ~alloc:(fun () -> None)
     ~output:(fun _ _ -> ())
-    ~rng:(Engine.Rng.create ~seed:7) ~handle_alloc:(ref 0) ()
+    ~rng:(Engine.Rng.create ~seed:7) ()
 
 let make_tcb env ~local_port ~remote_ip ~remote_port =
   Tcb.create env Tcb.default_config ~local_ip:ip_a ~local_port ~remote_ip
@@ -619,10 +619,10 @@ let test_flow_table_high_local_port () =
   Flow_table.add ft ~local_port:0x0000 ~remote_ip ~remote_port lo;
   check_int "two distinct flows" 2 (Flow_table.count ft);
   (match find ft ~local_port:0x8000 ~remote_ip ~remote_port with
-  | Some t -> check_int "port 0x8000 finds its own tcb" (Tcb.handle hi) (Tcb.handle t)
+  | Some t -> check_bool "port 0x8000 finds its own tcb" true (t == hi)
   | None -> Alcotest.fail "port 0x8000 flow missing");
   (match find ft ~local_port:0x0000 ~remote_ip ~remote_port with
-  | Some t -> check_int "port 0x0000 finds its own tcb" (Tcb.handle lo) (Tcb.handle t)
+  | Some t -> check_bool "port 0x0000 finds its own tcb" true (t == lo)
   | None -> Alcotest.fail "port 0x0000 flow missing");
   Flow_table.remove ft ~local_port:0x8000 ~remote_ip ~remote_port;
   check_int "only the high-port flow removed" 1 (Flow_table.count ft);
@@ -657,7 +657,7 @@ let test_flow_table_growth_and_tombstones () =
     (fun _ (local_port, remote_ip, remote_port, tcb) ->
       match find ft ~local_port ~remote_ip ~remote_port with
       | Some t ->
-          if Tcb.handle t <> Tcb.handle tcb then
+          if t != tcb then
             Alcotest.fail "lookup returned the wrong tcb"
       | None -> Alcotest.fail "surviving flow missing after growth")
     tcbs;
