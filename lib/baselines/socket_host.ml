@@ -394,7 +394,12 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
              ~alloc:(fun () -> Mempool.alloc c.pool)
              ~output_raw:(fun ~remote_ip mbuf -> output_raw c ~remote_ip mbuf)
              ~rng:(Engine.Rng.split rng) ~local_ip:ip ~config ~metrics:registry
-             ~metrics_prefix:(Printf.sprintf "tcp.%d" c.idx) ());
+             ~metrics_prefix:(Printf.sprintf "tcp.%d" c.idx)
+             ~port_suitable:(fun ~remote_ip ~remote_port port ->
+               (* RFS-perfect tuning: the reply lands on this core's queue. *)
+               Nic.steers_to_queues c.queues ~src_ip:remote_ip ~dst_ip:ip
+                 ~src_port:remote_port ~dst_port:port)
+             ());
       List.iter (fun (_, q) -> Nic.set_notify q (fun () -> c.hooks.notify c)) c.queues)
     cores;
   Array.iter (fun nic -> Nic.set_indirection nic (fun group -> group mod threads)) nics;
@@ -415,19 +420,10 @@ let stack cores =
   let connect ~thread ~ip:dst_ip ~port handlers =
     let c = cores.(thread) in
     let job () =
-      let port_suitable p =
-        (* RFS-perfect tuning: the reply lands on this core's queue. *)
-        List.for_all
-          (fun (nic, q) ->
-            Nic.rss_queue_of_tuple nic ~src_ip:dst_ip ~dst_ip:(local_ip c) ~src_port:port
-              ~dst_port:p
-            = Nic.queue_index q)
-          c.queues
-      in
       call c;
       match
         Tcp_endpoint.connect (Option.get c.ep) ~remote_ip:dst_ip ~remote_port:port
-          ~port_suitable ~cookie:0 ()
+          ~cookie:0 ()
       with
       | None ->
           (* Ephemeral ports exhausted: surface as a failed connect. *)

@@ -299,29 +299,14 @@ let count_in t tcb =
   Tcb.set_counted tcb true;
   incr t.conn_count
 
-let rss_suitable t ~remote_ip ~remote_port =
-  (* §4.4: probe ephemeral ports until the *reply* direction RSS-hashes
-     to one of this thread's queues. *)
-  match t.queues with
-  | [] -> fun _ -> true
-  | queues ->
-      fun port ->
-        List.for_all
-          (fun (nic, q) ->
-            Nic.rss_queue_of_tuple nic ~src_ip:remote_ip ~dst_ip:t.local_ip
-              ~src_port:remote_port ~dst_port:port
-            = Nic.queue_index q)
-          queues
-
 let exec_syscall t sc on_result =
   Metrics.incr t.c_syscalls;
   charge_kernel t syscall_ns;
   match sc with
   | Ix_api.Sys_connect { cookie; dst_ip; dst_port } -> (
-      let port_suitable = rss_suitable t ~remote_ip:dst_ip ~remote_port:dst_port in
       match
         Tcp_endpoint.connect (endpoint t) ~remote_ip:dst_ip ~remote_port:dst_port
-          ~port_suitable ~cookie ()
+          ~cookie ()
       with
       | None -> on_result (-1)
       | Some tcb ->
@@ -984,7 +969,13 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       ~alloc:(fun () -> Mempool.alloc pool)
       ~output_raw:(fun ~remote_ip mbuf -> output_raw t ~remote_ip mbuf)
       ~rng ~local_ip ~config:tcp ~metrics
-      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id) ()
+      ~metrics_prefix:(Printf.sprintf "tcp.%d" thread_id)
+      ~port_suitable:(fun ~remote_ip ~remote_port port ->
+        (* §4.4: probe ephemeral ports until the *reply* direction
+           RSS-hashes to one of this thread's queues. *)
+        Nic.steers_to_queues queues ~src_ip:remote_ip ~dst_ip:local_ip
+          ~src_port:remote_port ~dst_port:port)
+      ()
   in
   t.ep <- Some ep;
   self := Some t;

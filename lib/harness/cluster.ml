@@ -37,7 +37,8 @@ type t = {
 }
 
 (* Wire latencies: ~1.2 us per link hop plus the switch's 300 ns
-   cut-through, reproducing the testbed's ~3 us NIC-pair latency. *)
+   cut-through, reproducing the testbed's ~3 us NIC-pair latency.  The
+   crossing is charged on each link into the switch. *)
 let propagation_ns = 1_450
 let link_gbps = 10.
 
@@ -66,7 +67,8 @@ let attach_host ?ecn_threshold_bytes ?queue_limit_bytes ?collect_rx_links
          switch spreads that MAC's traffic over the LAG by flow hash. *)
       let mac = Ixnet.Mac_addr.of_host_id (host_id * 8) in
       let to_switch =
-        Link.create sim ~gbps:link_gbps ~propagation_ns
+        Link.create sim ~gbps:link_gbps
+          ~propagation_ns:(propagation_ns + Switch.crossing_ns)
           ~deliver:(fun frame -> Switch.input switch ~ingress_port:port frame)
           ()
       in
@@ -112,7 +114,7 @@ let build ?(seed = 42) ?(client_hosts = 6) ?(client_threads = 8)
     ?server_queue_limit_bytes ~server () =
   let sim = Sim.create () in
   let total_ports = server.nic_ports + client_hosts in
-  let switch = Switch.create sim ~ports:total_ports () in
+  let switch = Switch.create ~ports:total_ports () in
   (* Server: host id 1, switch ports [0, nic_ports). *)
   let server_ip = Ixnet.Ip_addr.of_host_id 1 in
   let rx_links = ref [] in

@@ -1,60 +1,59 @@
 module Mbuf = Ixmem.Mbuf
 
-(* A frame is a view [buf.(off .. off+len-1)].  Two ownership modes:
+(* A frame on the wire is an mbuf: the NIC DMAs straight out of the
+   sender's buffer, so nothing is built per transmitted frame.  Two
+   ownership modes, told apart by [on_free]:
 
-   - [owner == no_owner]: the frame owns a private copy of the bytes
-     (a snapshot).  Retain/release are no-ops; the GC reclaims it.
-   - any other [owner]: a borrowed view straight over the sender's
-     mbuf payload — the zero-copy TX path.  The frame holds one mbuf
-     reference taken at [borrow_mbuf]; every hand-off on the wire
-     (link delivery, switch forwarding) transfers that reference, and
-     the final consumer releases it, returning the buffer to its pool.
+   - borrowed: the sender's mbuf itself — the zero-copy TX path.  The
+     wire holds one mbuf reference taken at [borrow_mbuf]; every
+     hand-off on the wire (link delivery, switch forwarding) transfers
+     that reference, and the final consumer releases it, returning the
+     buffer to its pool.
+   - owned: a standalone snapshot whose [on_free] is the [owned]
+     sentinel.  Retain/release skip it, so its refcount stays 1 and the
+     GC reclaims it.
 
    Mutating helpers ([with_ce]/[corrupt]/[truncate]) are copy-on-write:
-   they never write through a borrowed view (the sender's buffer must
+   they never write through a borrowed frame (the sender's buffer must
    stay pristine for retransmission); when they change anything they
-   detach into an owned copy and consume the input reference.
+   detach into an owned copy and consume the input reference.  Releasing
+   a pool mbuf may recycle it at once, which moves its [off]/[len], so a
+   mutator reads everything it needs from its input before detaching. *)
+type t = Mbuf.t
 
-   The owner is a sentinel mbuf rather than an option so that
-   [borrow_mbuf], which runs once per transmitted frame, builds only
-   the frame record itself.  The sentinel is never retained, released
-   or written: every owner test is a physical comparison with it. *)
-type t = {
-  buf : Bytes.t;
-  off : int;
-  len : int;
-  owner : Mbuf.t;
-}
+(* Never called: an owned frame is never decremented to zero.  The body
+   differs from every other [on_free] so the physical test below cannot
+   match a shared closure. *)
+let owned (_ : Mbuf.t) = invalid_arg "Frame: owned snapshot freed"
 
-let no_owner = Mbuf.create ~size:0 ()
+let is_owned (t : t) = t.Mbuf.on_free == owned
+
+let of_bytes buf =
+  let t = Mbuf.wrap buf in
+  t.Mbuf.on_free <- owned;
+  t
 
 (* Inert placeholder for pooled storage slots (e.g. a link's pending
    delivery ring); never appears on the wire. *)
-let empty = { buf = Bytes.empty; off = 0; len = 0; owner = no_owner }
+let empty = of_bytes Bytes.empty
 
-let of_mbuf mbuf =
-  (* Owned snapshot (the "DMA read" copy).  Cold/control paths and
-     tests only — the per-packet TX path uses [borrow_mbuf]. *)
-  {
-    buf = Bytes.sub mbuf.Mbuf.buf mbuf.Mbuf.off mbuf.Mbuf.len;
-    off = 0;
-    len = mbuf.Mbuf.len;
-    owner = no_owner;
-  }
+let length (t : t) = t.Mbuf.len
 
-let borrow_mbuf mbuf =
-  Mbuf.incref mbuf;
-  { buf = mbuf.Mbuf.buf; off = mbuf.Mbuf.off; len = mbuf.Mbuf.len; owner = mbuf }
+(* Owned snapshot (the "DMA read" copy).  Cold/control paths and tests
+   only — the per-packet TX path uses [borrow_mbuf]. *)
+let of_mbuf (m : Mbuf.t) = of_bytes (Bytes.sub m.Mbuf.buf m.Mbuf.off m.Mbuf.len)
 
-let retain t = if t.owner != no_owner then Mbuf.incref t.owner
-let release t = if t.owner != no_owner then Mbuf.decref t.owner
+let borrow_mbuf m =
+  Mbuf.incref m;
+  m
 
-let length t = t.len
+let retain t = if not (is_owned t) then Mbuf.incref t
+let release t = if not (is_owned t) then Mbuf.decref t
 
 let wire_bytes t =
   Ixnet.Ethernet.wire_bytes ~payload_len:(length t - Ixnet.Ethernet.header_size)
 
-let byte t i = Char.code (Bytes.get t.buf (t.off + i))
+let byte (t : t) i = Char.code (Bytes.get t.Mbuf.buf (t.Mbuf.off + i))
 
 let read_u16 t off = (byte t off lsl 8) lor byte t (off + 1)
 
@@ -110,11 +109,13 @@ let is_ce t =
   length t >= 34 && read_u16 t 12 = 0x0800 && byte t 15 land 3 = 3
 
 (* Detach into an owned copy of the first [keep] bytes, consuming the
-   input reference — the copy-on-write step shared by the mutators. *)
-let detach t ~keep =
-  let buf = Bytes.sub t.buf t.off keep in
+   input reference — the copy-on-write step shared by the mutators.
+   The copy starts at offset 0, so its bytes are written by frame
+   offset. *)
+let detach (t : t) ~keep =
+  let copy = of_bytes (Bytes.sub t.Mbuf.buf t.Mbuf.off keep) in
   release t;
-  { buf; off = 0; len = keep; owner = no_owner }
+  copy
 
 let with_ce t =
   if length t < 34 || read_u16 t 12 <> 0x0800 then t
@@ -124,15 +125,15 @@ let with_ce t =
     else begin
       let m = (byte t 14 lsl 8) lor tos in
       let hc = read_u16 t 24 in
-      let t' = detach t ~keep:t.len in
+      let t' = detach t ~keep:(length t) in
       let tos' = tos lor 3 in
-      Bytes.set_uint8 t'.buf 15 tos';
+      Bytes.set_uint8 t'.Mbuf.buf 15 tos';
       (* RFC 1624 incremental checksum update for the changed 16-bit
          word (version/ihl . tos). *)
-      let m' = (byte t 14 lsl 8) lor tos' in
+      let m' = (m land 0xFF00) lor tos' in
       let sum = (lnot hc land 0xFFFF) + (lnot m land 0xFFFF) + m' in
       let rec fold s = if s > 0xFFFF then fold ((s land 0xFFFF) + (s lsr 16)) else s in
-      Bytes.set_uint16_be t'.buf 24 (lnot (fold sum) land 0xFFFF);
+      Bytes.set_uint16_be t'.Mbuf.buf 24 (lnot (fold sum) land 0xFFFF);
       t'
     end
   end
@@ -148,7 +149,7 @@ let corrupt t ~pos ~mask =
     let pos = pos mod n and mask = if mask land 0xFF = 0 then 0x01 else mask land 0xFF in
     let prev = byte t pos in
     let t' = detach t ~keep:n in
-    Bytes.set_uint8 t'.buf pos (prev lxor mask);
+    Bytes.set_uint8 t'.Mbuf.buf pos (prev lxor mask);
     t'
   end
 
@@ -156,12 +157,10 @@ let truncate t ~keep =
   let n = length t in
   if keep >= n then t else detach t ~keep:(Int.max 1 keep)
 
-let to_mbuf t ~into = Mbuf.append_bytes into t.buf t.off t.len
+let to_mbuf (t : t) ~into = Mbuf.append_bytes into t.Mbuf.buf t.Mbuf.off t.Mbuf.len
 
 (* Snapshot/construct pair for the hostile-peer fault injector: it
    copies a passing frame's bytes, rewrites the TCP header into a
    forged variant, and puts the result on the wire as an owned frame.
    Cold path only — one copy per *injected* frame, never per packet. *)
-let copy_bytes t = Bytes.sub t.buf t.off t.len
-
-let of_bytes buf = { buf; off = 0; len = Bytes.length buf; owner = no_owner }
+let copy_bytes (t : t) = Bytes.sub t.Mbuf.buf t.Mbuf.off t.Mbuf.len

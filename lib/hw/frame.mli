@@ -1,16 +1,17 @@
 (** A frame in flight on the wire.
 
-    A frame is a byte view plus an ownership mode:
+    A frame is an mbuf in one of two ownership modes:
 
-    - {!of_mbuf} snapshots the mbuf into a private copy (the "DMA
-      read") — cold/control paths and tests.
-    - {!borrow_mbuf} is the zero-copy TX path: the frame is a view
-      straight over the sender's mbuf payload and holds one mbuf
-      reference.  Each hand-off on the wire transfers that reference;
-      the final consumer calls {!release}.  Fan-out (switch flooding,
-      wire-fault duplication) takes extra references with {!retain}.
+    - {!borrow_mbuf} is the zero-copy TX path: the frame is the
+      sender's mbuf itself and holds one mbuf reference.  Each hand-off
+      on the wire transfers that reference; the final consumer calls
+      {!release}.  Fan-out (switch flooding, wire-fault duplication)
+      takes extra references with {!retain}.
+    - {!of_mbuf} and {!of_bytes} build an owned snapshot: a standalone
+      mbuf over a private copy (the "DMA read") that {!retain} and
+      {!release} skip — cold/control paths and tests.
 
-    Reception copies the view into an mbuf of the receiving queue's
+    Reception copies the frame into an mbuf of the receiving queue's
     pool (the DMA write) and releases it.  The accessors below are the
     fixed-offset header peeks NIC hardware performs for RSS and
     switching.
@@ -18,14 +19,13 @@
     Ownership protocol: every [Link.send]/[deliver]/[Nic.receive]
     consumes exactly one frame reference.  The mutators ({!with_ce},
     {!corrupt}, {!truncate}) are copy-on-write and also consuming:
-    when they change anything they return a detached owned copy and
-    release the input; when the input is already in the requested
-    state they return it unchanged (physically equal), passing the
-    reference through.  For owned snapshots all of retain/release are
-    no-ops, so holding and re-sending an {!of_mbuf} frame remains
-    legal. *)
+    when they change anything they return a detached owned snapshot
+    and release the input (which may recycle a borrowed mbuf at once);
+    when the input is already in the requested state they return it
+    unchanged (physically equal), passing the reference through.
+    Holding and re-sending an owned snapshot remains legal. *)
 
-type t
+type t = Ixmem.Mbuf.t
 
 val empty : t
 (** Inert zero-length placeholder for pooled storage slots; never
@@ -36,9 +36,9 @@ val of_mbuf : Ixmem.Mbuf.t -> t
     lifetime.  Per-packet TX uses {!borrow_mbuf} instead. *)
 
 val borrow_mbuf : Ixmem.Mbuf.t -> t
-(** Zero-copy view over the mbuf's current payload, holding one mbuf
-    reference (incref).  The caller must not rewrite the mbuf payload
-    until the frame is released. *)
+(** The mbuf itself as a frame, with one more reference (incref).  The
+    caller must not touch the mbuf's payload, [off] or [len] until the
+    frame is released. *)
 
 val retain : t -> unit
 (** Take one more reference (fan-out).  No-op on owned snapshots. *)
@@ -78,9 +78,9 @@ val with_ce : t -> t
 (** The frame with the IPv4 ECN field set to Congestion Experienced,
     updating the header checksum incrementally (RFC 1624).  Non-IPv4
     or already-marked frames are returned unchanged (physically
-    equal); otherwise a detached owned copy is returned and the input
-    reference consumed — this is what an ECN-marking switch queue does
-    to passing packets. *)
+    equal); otherwise a detached owned snapshot is returned and the
+    input reference consumed — this is what an ECN-marking switch
+    queue does to passing packets. *)
 
 val is_ce : t -> bool
 
@@ -88,7 +88,7 @@ val corrupt : t -> pos:int -> mask:int -> t
 (** Copy-on-write byte flip: byte [pos mod length] is XORed with
     [mask land 0xFF] (coerced to [0x01] when zero so the result always
     differs).  Consumes the input reference and returns a detached
-    owned copy.  No checksum fixup — wire damage the receiver's RX
+    owned snapshot.  No checksum fixup — wire damage the receiver's RX
     validation is expected to catch. *)
 
 val copy_bytes : t -> Bytes.t
@@ -105,4 +105,4 @@ val truncate : t -> keep:int -> t
 (** Copy-on-write cut to the first [keep] bytes (at least 1) — a runt
     frame.  A [keep] at or beyond the frame length returns the frame
     unchanged (physically equal); otherwise consumes the input
-    reference and returns a detached owned copy. *)
+    reference and returns a detached owned snapshot. *)

@@ -12,15 +12,41 @@ type t = {
   mutable busy_ns : int;
   mutable marked_count : int;
   mutable dropped_count : int;
-  (* In-flight frames, delivery order.  Arrival times are monotonic per
-     link (serialization is FIFO), so the scheduled event only needs a
-     shared thunk popping the ring head — no per-frame closure. *)
-  pending : Frame_ring.t;
+  (* In-flight frames in delivery order: a growable ring,
+     [pending.(head .. head+count-1)] modulo its power-of-two length.
+     Arrival times are monotonic per link (serialization is FIFO), so
+     each send schedules the shared [deliver_pending] thunk, which pops
+     the head — no per-frame closure or queue cell.  Popped slots are
+     reset to [Frame.empty] so the ring keeps no delivered frame
+     alive. *)
+  mutable pending : Frame.t array;
+  mutable head : int;
+  mutable count : int;
   mutable deliver_pending : unit -> unit;
 }
 
+let push t frame =
+  let cap = Array.length t.pending in
+  if t.count = cap then begin
+    let pending' = Array.make (Int.max 16 (2 * cap)) Frame.empty in
+    for k = 0 to t.count - 1 do
+      pending'.(k) <- t.pending.((t.head + k) land (cap - 1))
+    done;
+    t.pending <- pending';
+    t.head <- 0
+  end;
+  t.pending.((t.head + t.count) land (Array.length t.pending - 1)) <- frame;
+  t.count <- t.count + 1
+
+let pop t =
+  let frame = t.pending.(t.head) in
+  t.pending.(t.head) <- Frame.empty;
+  t.head <- (t.head + 1) land (Array.length t.pending - 1);
+  t.count <- t.count - 1;
+  frame
+
 let deliver_next t =
-  let frame = Frame_ring.pop t.pending in
+  let frame = pop t in
   match t.tap with
   | None -> t.deliver frame
   | Some tap -> tap frame t.deliver
@@ -41,7 +67,9 @@ let create sim ~gbps ~propagation_ns ?ecn_threshold_bytes ?queue_limit_bytes
     busy_ns = 0;
     marked_count = 0;
     dropped_count = 0;
-    pending = Frame_ring.create ();
+    pending = [||];
+    head = 0;
+    count = 0;
     deliver_pending = (fun () -> ());
   }
   |> fun t ->
@@ -86,7 +114,7 @@ let send_at t frame ~earliest =
     t.total_bytes <- t.total_bytes + Frame.wire_bytes frame;
     t.total_frames <- t.total_frames + 1;
     let arrival = start + duration + t.propagation_ns in
-    Frame_ring.push t.pending frame ~tag:0;
+    push t frame;
     Engine.Sim.at t.sim arrival t.deliver_pending
   end
 

@@ -118,6 +118,15 @@ let rss_group_of_tuple _ ~src_ip ~dst_ip ~src_port ~dst_port =
 let rss_queue_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
   t.indirection.(rss_group_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port)
 
+(* A plain recursion rather than [List.for_all] with a capturing
+   closure, so an ephemeral-port probe allocates nothing. *)
+let rec steers_to_queues queues ~src_ip ~dst_ip ~src_port ~dst_port =
+  match queues with
+  | [] -> true
+  | (nic, q) :: rest ->
+      rss_queue_of_tuple nic ~src_ip ~dst_ip ~src_port ~dst_port = q.index
+      && steers_to_queues rest ~src_ip ~dst_ip ~src_port ~dst_port
+
 (* Allocation-free: this runs once per received frame, so it reads the
    4-tuple fields directly rather than materializing the option. *)
 let classify t frame =
@@ -170,7 +179,6 @@ let receive t frame =
   Frame.release frame
 
 let set_notify q f = q.notify <- f
-let queue_index q = q.index
 let rx_pending q = q.count
 
 let pop_exn q =
@@ -215,16 +223,12 @@ let replenish q n =
 
 let free_descriptors q = q.avail_descs
 
+(* Zero-copy TX: the frame on the wire is the mbuf itself, and the
+   caller's reference becomes the wire's; the buffer returns to its pool
+   when the receiving NIC (or a drop) releases it. *)
 let transmit_at t mbuf ~earliest =
-  (* Zero-copy TX: the wire borrows the mbuf payload under one held
-     reference; the buffer returns to its pool when the receiving NIC
-     (or a drop) releases the last reference. *)
-  let frame = Frame.borrow_mbuf mbuf in
   Metrics.incr t.c_tx;
-  Link.send_at t.tx_link frame ~earliest;
-  (* The wire holds its own reference now; the caller's is consumed
-     here rather than through a per-packet completion closure. *)
-  Ixmem.Mbuf.decref mbuf
+  Link.send_at t.tx_link mbuf ~earliest
 
 let rx_popped q = Metrics.value q.q_rx - q.count
 let rss_retargets t = Metrics.value t.c_retargets

@@ -62,8 +62,18 @@ val rss_group_of_tuple :
 
 val rss_queue_of_tuple :
   t -> src_ip:Ixnet.Ip_addr.t -> dst_ip:Ixnet.Ip_addr.t -> src_port:int -> dst_port:int -> int
-(** Which RX queue a flow — as seen by this NIC on receive — lands on;
-    used by [Port_alloc] to probe ephemeral ports. *)
+(** Which RX queue a flow — as seen by this NIC on receive — lands on. *)
+
+val steers_to_queues :
+  (t * rx_queue) list ->
+  src_ip:Ixnet.Ip_addr.t ->
+  dst_ip:Ixnet.Ip_addr.t ->
+  src_port:int ->
+  dst_port:int ->
+  bool
+(** Whether each NIC of the list steers the flow to its paired queue:
+    the reverse-RSS test an ephemeral-port probe applies (§4.4).
+    Allocates nothing. *)
 
 val receive : t -> Frame.t -> unit
 (** Entry point wired to the switch-side link's [deliver].  Consumes
@@ -72,8 +82,6 @@ val receive : t -> Frame.t -> unit
 
 val set_notify : rx_queue -> (unit -> unit) -> unit
 (** Called (synchronously) each time a frame lands in the queue. *)
-
-val queue_index : rx_queue -> int
 
 val rx_pending : rx_queue -> int
 
@@ -93,10 +101,11 @@ val free_descriptors : rx_queue -> int
 val transmit_at : t -> Ixmem.Mbuf.t -> earliest:Engine.Sim_time.t -> unit
 (** Place a frame on the wire, not before [earliest] — run-to-completion
     stacks' cycles finish (and ring their doorbell) at a future point
-    of simulated time.  The NIC takes its own reference on the buffer
-    (zero-copy DMA) and consumes the caller's — the buffer returns to
-    its pool when the wire is done with it.  A caller that wants to
-    keep reading the mbuf must [Mbuf.incref] before handing it over. *)
+    of simulated time.  The mbuf itself is the frame on the wire
+    (zero-copy DMA), carrying the caller's reference — the buffer
+    returns to its pool when the wire is done with it.  A caller that
+    wants to keep reading the mbuf must [Mbuf.incref] before handing it
+    over, and must not move its [off] or [len]. *)
 
 val rx_popped : rx_queue -> int
 (** Frames the driver has taken out of this ring since creation — the

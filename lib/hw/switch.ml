@@ -1,23 +1,15 @@
 type port = { mutable mac : Ixnet.Mac_addr.t; mutable out : Link.t option }
 
 type t = {
-  sim : Engine.Sim.t;
   ports : port array;
   mac_table : (Ixnet.Mac_addr.t, int) Hashtbl.t;
-  mutable bonds : int list list;
   (* Per-port LAG membership, precomputed by [bond]: [bond_member.(p)]
      is the member array of the group containing port [p], or [[||]]
-     when [p] is unbonded.  [forward] runs once per frame and must not
+     when [p] is unbonded.  [input] runs once per frame and must not
      allocate, so the list scan happens at bonding time, not here. *)
-  mutable bond_member : int array array;
+  bond_member : int array array;
   mutable forwarded_count : int;
   mutable flooded_count : int;
-  (* Frames crossing the fabric, tagged with their ingress port.  The
-     crossing latency is constant, so frames leave in input order: each
-     input schedules one event running the shared [forward_next] thunk,
-     which pops the ring head — no per-frame closure. *)
-  crossing : Frame_ring.t;
-  mutable forward_next : unit -> unit;
 }
 
 let attach t ~port ~mac ~out =
@@ -26,7 +18,6 @@ let attach t ~port ~mac ~out =
   Hashtbl.replace t.mac_table mac port
 
 let bond t ~ports =
-  t.bonds <- ports :: t.bonds;
   let members = Array.of_list ports in
   List.iter (fun p -> t.bond_member.(p) <- members) ports
 
@@ -37,7 +28,7 @@ let egress t port_idx frame =
   | Some link -> Link.send link frame
   | None -> Frame.release frame (* unattached port: frame dropped *)
 
-let forward t ~ingress_port frame =
+let input t ~ingress_port frame =
   let dst = Frame.dst_mac frame in
   if Ixnet.Mac_addr.is_broadcast dst then begin
     t.flooded_count <- t.flooded_count + 1;
@@ -69,32 +60,20 @@ let forward t ~ingress_port frame =
         egress t port_idx frame
   end
 
-let forward_head t =
-  let ingress_port = Frame_ring.head_tag t.crossing in
-  forward t ~ingress_port (Frame_ring.pop t.crossing)
-
-(* Cut-through latency from ingress to egress. *)
+(* Cut-through latency from ingress to egress.  It is constant, so it
+   is charged on the link into the switch: forwarding on input keeps
+   the frames' arrival order, and each egress link sees the same
+   send times as if the crossing were a separate event. *)
 let crossing_ns = 300
 
-let create sim ~ports () =
+let create ~ports () =
   {
-    sim;
     ports = Array.init ports (fun _ -> { mac = Ixnet.Mac_addr.zero; out = None });
     mac_table = Hashtbl.create 64;
-    bonds = [];
     bond_member = Array.make ports [||];
     forwarded_count = 0;
     flooded_count = 0;
-    crossing = Frame_ring.create ();
-    forward_next = ignore;
   }
-  |> fun t ->
-  t.forward_next <- (fun () -> forward_head t);
-  t
-
-let input t ~ingress_port frame =
-  Frame_ring.push t.crossing frame ~tag:ingress_port;
-  Engine.Sim.after t.sim crossing_ns t.forward_next
 
 let forwarded t = t.forwarded_count
 let flooded t = t.flooded_count

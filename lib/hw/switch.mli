@@ -9,8 +9,12 @@
 
 type t
 
-val create : Engine.Sim.t -> ports:int -> unit -> t
-(** Frames cross the switch in 300 ns (cut-through). *)
+val crossing_ns : int
+(** Cut-through latency from ingress to egress (300 ns).  The switch
+    forwards on input; whoever builds the links into the switch adds
+    this to their propagation delay. *)
+
+val create : ports:int -> unit -> t
 
 val attach : t -> port:int -> mac:Ixnet.Mac_addr.t -> out:Link.t -> unit
 
@@ -19,7 +23,7 @@ val bond : t -> ports:int list -> unit
 
 val input : t -> ingress_port:int -> Frame.t -> unit
 (** Offer a frame to the switch; it is forwarded (or flooded, for
-    broadcast) after the crossing latency. *)
+    broadcast) on input — the crossing lives on the ingress link. *)
 
 val forwarded : t -> int
 val flooded : t -> int

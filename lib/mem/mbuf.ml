@@ -26,6 +26,16 @@ let create ?(size = default_size) () =
     id = 1 + Atomic.fetch_and_add next_id 1;
   }
 
+let wrap buf =
+  {
+    buf;
+    off = 0;
+    len = Bytes.length buf;
+    refcount = 1;
+    on_free = ignore;
+    id = 1 + Atomic.fetch_and_add next_id 1;
+  }
+
 let reset t =
   t.off <- headroom;
   t.len <- 0;

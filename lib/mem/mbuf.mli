@@ -30,6 +30,10 @@ val create : ?size:int -> unit -> t
     defaults to 2 KB, enough for an MTU-sized frame plus headroom; pools
     use the default. *)
 
+val wrap : Bytes.t -> t
+(** A standalone mbuf whose payload is all of [buf], with no headroom.
+    Takes ownership: the caller must not mutate [buf] afterwards. *)
+
 val reset : t -> unit
 (** Restore a recycled mbuf to the fresh state: payload empty, offset at
     [headroom], refcount 1. *)

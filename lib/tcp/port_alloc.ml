@@ -43,22 +43,22 @@ let[@inline] clear t port =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land lnot (1 lsl (i land 7))))
 
-let alloc t ~suitable =
-  let range = t.hi - t.lo + 1 in
-  let rec probe attempts cursor =
-    if attempts >= range then None
-    else begin
-      let port = t.lo + ((cursor - t.lo) mod range) in
-      if (not (test t port)) && suitable port then begin
-        set t port;
-        t.in_use <- t.in_use + 1;
-        t.cursor <- port + 1;
-        Some port
-      end
-      else probe (attempts + 1) (cursor + 1)
+(* A top-level recursion rather than a local closure, so a probe
+   allocates nothing. *)
+let rec probe t ~suitable ~range attempts cursor =
+  if attempts >= range then -1
+  else begin
+    let port = t.lo + ((cursor - t.lo) mod range) in
+    if (not (test t port)) && suitable port then begin
+      set t port;
+      t.in_use <- t.in_use + 1;
+      t.cursor <- port + 1;
+      port
     end
-  in
-  probe 0 t.cursor
+    else probe t ~suitable ~range (attempts + 1) (cursor + 1)
+  end
+
+let alloc t ~suitable = probe t ~suitable ~range:(t.hi - t.lo + 1) 0 t.cursor
 
 let free t port =
   if port >= t.lo && port <= t.hi then begin

@@ -11,9 +11,10 @@ type t
 val create : ?lo:int -> ?hi:int -> unit -> t
 (** Default range 16384..65535. *)
 
-val alloc : t -> suitable:(int -> bool) -> int option
+val alloc : t -> suitable:(int -> bool) -> int
 (** Find a free port satisfying [suitable], scanning from a rotating
-    cursor.  Returns [None] if the whole range is exhausted. *)
+    cursor.  Returns [-1] if the whole range is exhausted.  Allocates
+    nothing. *)
 
 val free : t -> int -> unit
 (** Return a port to the pool.  Freeing an in-range port that is not

@@ -14,6 +14,12 @@ type t = {
   mutable tw_sweep_tick : unit -> unit;  (** the sweep, built once in [create] *)
   listeners : (int, listener) Hashtbl.t;
   ports : Port_alloc.t;
+  mutable probe_ip : Ixnet.Ip_addr.t;
+  mutable probe_port : int;
+      (** the remote of the [connect] in progress, read by [probe] *)
+  mutable probe : int -> bool;
+      (** the ephemeral-port test, built once in [create] so a connect
+          allocates no predicate *)
   output_raw : remote_ip:Ixnet.Ip_addr.t -> Mbuf.t -> unit;
   alloc : unit -> Mbuf.t option;
   reply_scratch : Seg.t;
@@ -105,7 +111,8 @@ let live_remnant t slot =
 (* ------------------------------------------------------------------ *)
 
 let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
-    ?(metrics_prefix = "tcp") ?store () =
+    ?(metrics_prefix = "tcp") ?store
+    ?(port_suitable = fun ~remote_ip:_ ~remote_port:_ _ -> true) () =
   let tcb_env =
     Tcp_conn.make_env ~now ~wheel ~alloc
       ~output:(fun tcb mbuf -> output_raw ~remote_ip:(Tcb.remote_ip tcb) mbuf)
@@ -125,6 +132,9 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       tw_sweep_tick = ignore;
       listeners = Hashtbl.create 8;
       ports = Port_alloc.create ();
+      probe_ip = 0;
+      probe_port = 0;
+      probe = (fun _ -> true);
       output_raw;
       alloc;
       reply_scratch = Seg.scratch ();
@@ -153,6 +163,13 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       c_dsack_dupacks_ignored = c "dsack_dupacks_ignored";
     }
   in
+  t.probe <-
+    (fun port ->
+      let remote_ip = t.probe_ip and remote_port = t.probe_port in
+      port_suitable ~remote_ip ~remote_port port
+      &&
+      let slot = Flow_table.lookup t.flows ~local_port:port ~remote_ip ~remote_port in
+      Tcb.is_dead (Flow_table.conn t.flows slot) && not (live_remnant t slot));
   t.tw_sweep_tick <-
     (fun () ->
       t.tw_sweep <- false;
@@ -211,18 +228,14 @@ let env t = t.tcb_env
 let listen t ~port ~on_accept = Hashtbl.replace t.listeners port { on_accept }
 let unlisten t ~port = Hashtbl.remove t.listeners port
 
-let connect t ~remote_ip ~remote_port ?(port_suitable = fun _ -> true) ~cookie () =
-  let suitable port =
-    port_suitable port
-    &&
-    let slot = Flow_table.lookup t.flows ~local_port:port ~remote_ip ~remote_port in
-    Tcb.is_dead (Flow_table.conn t.flows slot) && not (live_remnant t slot)
-  in
-  match Port_alloc.alloc t.ports ~suitable with
-  | None ->
+let connect t ~remote_ip ~remote_port ~cookie () =
+  t.probe_ip <- remote_ip;
+  t.probe_port <- remote_port;
+  match Port_alloc.alloc t.ports ~suitable:t.probe with
+  | -1 ->
       Metrics.incr t.c_port_exhausted;
       None
-  | Some local_port ->
+  | local_port ->
       let tcb =
         Tcp_conn.connect t.tcb_env t.cfg ~local_ip:t.ip ~local_port ~remote_ip
           ~remote_port ~cookie

@@ -16,6 +16,7 @@ val create :
   ?metrics:Ixtelemetry.Metrics.t ->
   ?metrics_prefix:string ->
   ?store:Tcb.store ->
+  ?port_suitable:(remote_ip:Ixnet.Ip_addr.t -> remote_port:int -> int -> bool) ->
   unit ->
   t
 (** [metrics]/[metrics_prefix] place the endpoint's counters
@@ -23,7 +24,9 @@ val create :
     [<prefix>.rsts], [<prefix>.fast_path_hits],
     [<prefix>.slow_path_hits]) in a telemetry registry ([metrics_prefix] defaults
     to ["tcp"]; a private registry is used when [metrics] is
-    omitted). *)
+    omitted).  [port_suitable ~remote_ip ~remote_port port] constrains
+    the ephemeral ports {!connect} picks, e.g. to reverse RSS steering
+    (default: any free port). *)
 
 val local_ip : t -> Ixnet.Ip_addr.t
 val config : t -> Tcb.config
@@ -39,13 +42,12 @@ val connect :
   t ->
   remote_ip:Ixnet.Ip_addr.t ->
   remote_port:int ->
-  ?port_suitable:(int -> bool) ->
   cookie:int ->
   unit ->
   Tcb.t option
-(** Active open on an ephemeral port ([port_suitable] additionally
-    constrains the choice, e.g. to reverse RSS steering).  [None] if
-    ports are exhausted. *)
+(** Active open on an ephemeral port, probed in the allocator's order
+    for the first free port that [create]'s [port_suitable] accepts
+    for this remote.  [None] if ports are exhausted. *)
 
 val rx_segment :
   ?ce:bool ->

@@ -67,8 +67,8 @@ let index_of ~remote_ip ~remote_port =
   (block * ports_per_ip) + (remote_port - client_port_lo)
 
 (* Server replies awaiting the drain: a FIFO ring of (remote ip, mbuf)
-   in two flat arrays, like [Ixhw.Frame_ring], so queueing a reply
-   allocates no tuple and no queue cell.  Popped mbuf slots hold
+   in two flat arrays, like a link's in-flight ring, so queueing a
+   reply allocates no tuple and no queue cell.  Popped mbuf slots hold
    [hole], so the ring keeps no drained reply alive. *)
 type outq = {
   mutable ips : Ip_addr.t array;

@@ -383,18 +383,17 @@ let test_jobs_bit_identical () =
   check_bool "jobs=4 bit-identical to jobs=1 with migrations active" true
     (seq = par)
 
-(* The migration run's snapshot is pinned literally: it must reproduce
-   with the same seed and with header prediction off, which is a pure
-   optimization and so must not change what the migration measured. *)
+(* The migration run's snapshot is pinned in golden/elastic.expected:
+   it must reproduce with the same seed and with header prediction off,
+   which is a pure optimization and so must not change what the
+   migration measured. *)
 let test_migration_slice_deterministic () =
-  let pinned =
-    "migrations=128 parked_frames=0 total_migration_ns=69504 rss_retargets=128 msgs=8959"
-  in
-  check_string "pinned snapshot" pinned (snd (Migration_run.run ~fast_path:true));
+  let pinned = snd (Migration_run.run ~fast_path:true) in
   check_string "same seed, byte-identical snapshot" pinned
     (snd (Migration_run.run ~fast_path:true));
   check_string "fast-path off, bit-identical snapshot" pinned
-    (snd (Migration_run.run ~fast_path:false))
+    (snd (Migration_run.run ~fast_path:false));
+  Golden.record "migration slice" (pinned ^ "\n")
 
 (* ---------------- Scaling shapes ---------------- *)
 
@@ -420,7 +419,7 @@ let test_elastic_scaling_smoke () =
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
-  Alcotest.run "elastic"
+  Golden.run "elastic"
     [
       ( "indirection",
         [

@@ -64,9 +64,12 @@ let prop_toeplitz_symmetric_key =
 
 (* ---------------- Frame helpers ---------------- *)
 
-let make_tcp_frame ?(src_ip = ip 1) ?(dst_ip = ip 2) ?(src_port = 4000)
-    ?(dst_port = 80) ?(dst_mac = Ixnet.Mac_addr.of_host_id 2) ?(payload = "yo") () =
-  let m = Mbuf.create () in
+(* A TCP/IPv4 frame written into [into] (a fresh standalone mbuf by
+   default); returns the mbuf. *)
+let write_tcp_mbuf ?(into = Mbuf.create ()) ?(src_ip = ip 1) ?(dst_ip = ip 2)
+    ?(src_port = 4000) ?(dst_port = 80) ?(dst_mac = Ixnet.Mac_addr.of_host_id 2)
+    ?(payload = "yo") () =
+  let m = into in
   Mbuf.append m payload;
   let seg =
     {
@@ -105,6 +108,11 @@ let make_tcp_frame ?(src_ip = ip 1) ?(dst_ip = ip 2) ?(src_port = 4000)
       src = Ixnet.Mac_addr.of_host_id 1;
       ethertype = Ixnet.Ethernet.Ipv4;
     };
+  m
+
+(* An owned snapshot of such a frame. *)
+let make_tcp_frame ?src_port ?dst_mac ?payload () =
+  let m = write_tcp_mbuf ?src_port ?dst_mac ?payload () in
   let frame = Frame.of_mbuf m in
   Mbuf.decref m;
   frame
@@ -118,6 +126,50 @@ let test_frame_parsing () =
   check_int "dst ip" (ip 2) (Frame.rss_dst_ip frame);
   check_int "src port" 4000 (Frame.rss_src_port frame);
   check_int "dst port" 80 (Frame.rss_dst_port frame)
+
+(* A mutator consumes its input, and releasing a borrowed pool mbuf
+   recycles it at once: [Mbuf.reset] moves its [off]/[len], and the
+   next [alloc] hands the same buffer out for new bytes.  So each
+   mutator must read everything it needs before it releases.  Here the
+   frame holds the mbuf's only reference, the one-buffer pool must
+   reuse it, and it is overwritten before the result is read. *)
+let test_frame_mutators_on_recycled_mbuf () =
+  let pool = Ixmem.Mempool.create ~capacity:1 ~name:"tx" () in
+  let fill_next_buffer () =
+    let m = Option.get (Ixmem.Mempool.alloc pool) in
+    Bytes.fill m.Mbuf.buf 0 (Bytes.length m.Mbuf.buf) '\xA5';
+    m
+  in
+  let borrowed () =
+    let m = write_tcp_mbuf ~into:(fill_next_buffer ()) ~payload:"hello, wire" () in
+    let frame = Frame.borrow_mbuf m in
+    Mbuf.decref m;
+    (Mbuf.payload m, frame)
+  in
+  let read_after_reuse mutated =
+    check_int "the input went back to its pool" 0 (Ixmem.Mempool.live_count pool);
+    Mbuf.decref (fill_next_buffer ());
+    Bytes.to_string (Frame.copy_bytes mutated)
+  in
+  let original, frame = borrowed () in
+  let marked = read_after_reuse (Frame.with_ce frame) in
+  check_int "ECN field CE" 3 (Char.code marked.[15] land 3);
+  check_bool "IPv4 header checksum still verifies (RFC 1624)" true
+    (Ixnet.Checksum.verify (Bytes.of_string marked) ~off:14 ~len:20 ~init:0);
+  check_bool "original checksum verified" true
+    (Ixnet.Checksum.verify (Bytes.of_string original) ~off:14 ~len:20 ~init:0);
+  let original, frame = borrowed () in
+  let corrupted = read_after_reuse (Frame.corrupt frame ~pos:20 ~mask:0x40) in
+  check_int "same length" (String.length original) (String.length corrupted);
+  let diffs = ref [] in
+  String.iteri (fun i c -> if c <> corrupted.[i] then diffs := i :: !diffs) original;
+  Alcotest.(check (list int)) "exactly the flipped byte differs" [ 20 ] !diffs;
+  check_int "flipped by the mask" (Char.code original.[20] lxor 0x40)
+    (Char.code corrupted.[20]);
+  let original, frame = borrowed () in
+  Alcotest.(check string)
+    "truncated prefix" (String.sub original 0 30)
+    (read_after_reuse (Frame.truncate frame ~keep:30))
 
 (* ---------------- Link ---------------- *)
 
@@ -156,7 +208,7 @@ let test_link_utilization () =
 let test_switch_forwards_by_mac () =
   let sim = Engine.Sim.create () in
   let got = ref 0 in
-  let sw = Switch.create sim ~ports:3 () in
+  let sw = Switch.create ~ports:3 () in
   let mk_port i deliver =
     let link = Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver () in
     Switch.attach sw ~port:i ~mac:(Ixnet.Mac_addr.of_host_id (i + 1)) ~out:link
@@ -172,7 +224,7 @@ let test_switch_forwards_by_mac () =
 let test_switch_floods_broadcast () =
   let sim = Engine.Sim.create () in
   let got = ref 0 in
-  let sw = Switch.create sim ~ports:4 () in
+  let sw = Switch.create ~ports:4 () in
   for i = 0 to 3 do
     let link = Link.create sim ~gbps:10. ~propagation_ns:0 ~deliver:(fun _ -> incr got) () in
     Switch.attach sw ~port:i ~mac:(Ixnet.Mac_addr.of_host_id (i + 1)) ~out:link
@@ -184,7 +236,7 @@ let test_switch_floods_broadcast () =
 let test_switch_bond_spreads_flows () =
   let sim = Engine.Sim.create () in
   let counts = Array.make 4 0 in
-  let sw = Switch.create sim ~ports:5 () in
+  let sw = Switch.create ~ports:5 () in
   (* Ports 0-3 are a bond toward the "server", all with distinct MACs
      but the frames target port 0's MAC. *)
   for i = 0 to 3 do
@@ -216,15 +268,15 @@ let test_switch_bond_spreads_flows () =
 
 let host = Ixnet.Mac_addr.of_host_id
 
-(* Frames entering on different ports in the same instant cross the
-   fabric together: one event each, at the same time, forwarded in
-   input order (the crossing ring is FIFO, and the engine breaks equal
-   times by scheduling order).  Egress links are distinct and idle, so
-   the deliveries land at one time too, in that order. *)
+(* Frames entering on different ports in the same instant are forwarded
+   on input, in input order (the crossing delay lives on the ingress
+   links, which this test bypasses).  Egress links are distinct and
+   idle, so the deliveries land at one time, in that order, one link
+   event each. *)
 let test_switch_equal_time_input_order () =
   let sim = Engine.Sim.create () in
   let log = ref [] in
-  let sw = Switch.create sim ~ports:6 () in
+  let sw = Switch.create ~ports:6 () in
   for i = 0 to 5 do
     let deliver f = log := (Engine.Sim.now sim, i, Frame.rss_src_port f) :: !log in
     Switch.attach sw ~port:i ~mac:(host (i + 1))
@@ -245,7 +297,7 @@ let test_switch_equal_time_input_order () =
     "delivered in input order"
     (List.mapi (fun k (_, egress) -> (egress, k + 1)) routes)
     (List.map (fun (_, port, src) -> (port, src)) arrivals);
-  check_int "one crossing + one link event per frame" 8
+  check_int "one link event per frame" 4
     (Engine.Sim.events_executed sim);
   (* A broadcast behind them still floods every port but its ingress. *)
   log := [];
@@ -273,7 +325,7 @@ let test_switch_path_allocates_nothing () =
         Mbuf.decref burst.(i)
       done;
       Nic.replenish q n);
-  let sw = Switch.create sim ~ports:2 () in
+  let sw = Switch.create ~ports:2 () in
   Switch.attach sw ~port:0 ~mac:(host 1)
     ~out:(Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver:Frame.release ());
   Switch.attach sw ~port:1 ~mac:(host 2)
@@ -292,6 +344,50 @@ let test_switch_path_allocates_nothing () =
   Alloc_gate.none "words over 10k frames" pass;
   check_int "every frame received" 10_000 (Nic.rx_frames nic - received);
   check_int "none dropped" 0 (Nic.rx_drops nic)
+
+(* The borrowed wire path: pool mbufs leave through [Nic.transmit_at],
+   cross link, switch and link, and land in [Nic.receive], which returns
+   each to its pool.  A frame on the wire is its mbuf, so once the rings,
+   the event heap and both pools are warm 10k frames allocate no word. *)
+let test_borrowed_wire_path_allocates_nothing () =
+  let sim = Engine.Sim.create () in
+  let sw = Switch.create ~ports:2 () in
+  let idle_tx = Link.create sim ~gbps:10. ~propagation_ns:0 ~deliver:ignore () in
+  let rx_nic = Nic.create sim ~mac:(host 2) ~queues:1 ~tx:idle_tx () in
+  let q = Nic.queue rx_nic 0 in
+  let burst = Array.make 1 (Mbuf.create ()) in
+  Nic.set_notify q (fun () ->
+      let n = Nic.rx_burst_into q ~into:burst ~off:0 ~max:1 in
+      for i = 0 to n - 1 do
+        Mbuf.decref burst.(i)
+      done;
+      Nic.replenish q n);
+  let to_switch =
+    Link.create sim ~gbps:10. ~propagation_ns:(100 + Switch.crossing_ns)
+      ~deliver:(fun frame -> Switch.input sw ~ingress_port:0 frame)
+      ()
+  in
+  let tx_nic = Nic.create sim ~mac:(host 1) ~queues:1 ~tx:to_switch () in
+  Switch.attach sw ~port:0 ~mac:(host 1)
+    ~out:(Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver:(Nic.receive tx_nic) ());
+  Switch.attach sw ~port:1 ~mac:(host 2)
+    ~out:(Link.create sim ~gbps:10. ~propagation_ns:100 ~deliver:(Nic.receive rx_nic) ());
+  let template = write_tcp_mbuf ~dst_mac:(host 2) () in
+  let pool = Ixmem.Mempool.create ~name:"tx" () in
+  let pass () =
+    for _ = 1 to 10_000 do
+      let m = Option.get (Ixmem.Mempool.alloc pool) in
+      Mbuf.append_bytes m template.Mbuf.buf template.Mbuf.off template.Mbuf.len;
+      Nic.transmit_at tx_nic m ~earliest:0
+    done;
+    Engine.Sim.run sim
+  in
+  pass ();
+  let received = Nic.rx_frames rx_nic in
+  Alloc_gate.none "words over 10k borrowed frames" pass;
+  check_int "every frame received" 10_000 (Nic.rx_frames rx_nic - received);
+  check_int "none dropped" 0 (Nic.rx_drops rx_nic);
+  check_int "every wire buffer back in its pool" 0 (Ixmem.Mempool.live_count pool)
 
 (* The per-packet firewall check with no rules installed (the default)
    allocates nothing. *)
@@ -424,7 +520,12 @@ let () =
           Alcotest.test_case "spreads ports" `Quick test_toeplitz_spreads;
           qt prop_toeplitz_symmetric_key;
         ] );
-      ("frame", [ Alcotest.test_case "header peeks" `Quick test_frame_parsing ]);
+      ( "frame",
+        [
+          Alcotest.test_case "header peeks" `Quick test_frame_parsing;
+          Alcotest.test_case "mutators on a recycled borrowed mbuf" `Quick
+            test_frame_mutators_on_recycled_mbuf;
+        ] );
       ( "link",
         [
           Alcotest.test_case "serialization rate" `Quick test_link_serialization_rate;
@@ -439,6 +540,8 @@ let () =
             test_switch_equal_time_input_order;
           Alcotest.test_case "wire path allocates nothing" `Quick
             test_switch_path_allocates_nothing;
+          Alcotest.test_case "borrowed wire path allocates nothing" `Quick
+            test_borrowed_wire_path_allocates_nothing;
         ] );
       ( "nic",
         [

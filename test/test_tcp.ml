@@ -293,21 +293,32 @@ let test_congestion_avoidance_linear () =
 let test_port_alloc_respects_predicate () =
   let pa = Port_alloc.create ~lo:100 ~hi:200 () in
   let even p = p mod 2 = 0 in
-  (match Port_alloc.alloc pa ~suitable:even with
-  | Some p -> check_bool "even port" true (even p)
-  | None -> Alcotest.fail "expected a port");
+  let p = Port_alloc.alloc pa ~suitable:even in
+  check_bool "a port" true (p >= 0);
+  check_bool "even port" true (even p);
   check_int "in use" 1 (Port_alloc.in_use pa)
+
+(* A connect's probe allocates nothing: the port comes back as an int,
+   and the scan is no closure. *)
+let test_port_alloc_allocates_nothing () =
+  let pa = Port_alloc.create () in
+  let odd p = p land 1 = 1 in
+  Port_alloc.free pa (Port_alloc.alloc pa ~suitable:odd);
+  Alloc_gate.none "words over 1k probes" (fun () ->
+      for _ = 1 to 1_000 do
+        Port_alloc.free pa (Port_alloc.alloc pa ~suitable:odd)
+      done);
+  check_int "all returned" 0 (Port_alloc.in_use pa)
 
 let test_port_alloc_exhaustion () =
   let pa = Port_alloc.create ~lo:10 ~hi:12 () in
   let p1 = Port_alloc.alloc pa ~suitable:(fun _ -> true) in
   let p2 = Port_alloc.alloc pa ~suitable:(fun _ -> true) in
   let p3 = Port_alloc.alloc pa ~suitable:(fun _ -> true) in
-  check_bool "three allocated" true
-    (Option.is_some p1 && Option.is_some p2 && Option.is_some p3);
-  Alcotest.(check (option int)) "exhausted" None (Port_alloc.alloc pa ~suitable:(fun _ -> true));
-  Port_alloc.free pa (Option.get p2);
-  Alcotest.(check (option int)) "freed port reusable" p2 (Port_alloc.alloc pa ~suitable:(fun _ -> true))
+  check_bool "three allocated" true (p1 >= 0 && p2 >= 0 && p3 >= 0);
+  check_int "exhausted" (-1) (Port_alloc.alloc pa ~suitable:(fun _ -> true));
+  Port_alloc.free pa p2;
+  check_int "freed port reusable" p2 (Port_alloc.alloc pa ~suitable:(fun _ -> true))
 
 (* ---------------- Connection lifecycle ---------------- *)
 
@@ -776,8 +787,8 @@ let test_port_free_is_counted_once () =
   (* Regression for the port double-free: releasing the same port twice
      must not corrupt the free list, and the guard must count it. *)
   let pa = Port_alloc.create ~lo:50000 ~hi:50003 () in
-  let p1 = Option.get (Port_alloc.alloc pa ~suitable:(fun _ -> true)) in
-  let p2 = Option.get (Port_alloc.alloc pa ~suitable:(fun _ -> true)) in
+  let p1 = Port_alloc.alloc pa ~suitable:(fun _ -> true) in
+  let p2 = Port_alloc.alloc pa ~suitable:(fun _ -> true) in
   check_int "two ports in use" 2 (Port_alloc.in_use pa);
   Port_alloc.free pa p1;
   check_int "clean free is not a double free" 0 (Port_alloc.double_frees pa);
@@ -791,11 +802,11 @@ let test_port_free_is_counted_once () =
   let drained = ref [] in
   let rec drain () =
     match Port_alloc.alloc pa ~suitable:(fun _ -> true) with
-    | Some p ->
+    | -1 -> ()
+    | p ->
         check_bool "no port handed out twice" false (List.mem p !drained);
         drained := p :: !drained;
         drain ()
-    | None -> ()
   in
   drain ();
   check_bool "p2 still reserved" false (List.mem p2 !drained)
@@ -883,6 +894,8 @@ let () =
         [
           Alcotest.test_case "predicate" `Quick test_port_alloc_respects_predicate;
           Alcotest.test_case "exhaustion" `Quick test_port_alloc_exhaustion;
+          Alcotest.test_case "probe allocates nothing" `Quick
+            test_port_alloc_allocates_nothing;
         ] );
       ( "flow_table",
         [
