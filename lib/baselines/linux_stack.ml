@@ -179,7 +179,7 @@ let transmit_ctrl (c : state Host.t) frame =
 
 (* on_connected runs as an app job, ahead of the ready sockets. *)
 let connected (c : state Host.t) (s : Host.socket) ok =
-  c.jobs <- (fun () -> s.handlers.Netapi.Net_api.on_connected s.conn ~ok) :: c.jobs
+  Host.add_job c (fun () -> s.handlers.Netapi.Net_api.on_connected s.conn ~ok)
 
 let hooks = { Host.notify = on_nic_notify; wake = schedule_app; connected; transmit; transmit_ctrl }
 

@@ -1,7 +1,7 @@
 module Sim = Engine.Sim
 module Mbuf = Ixmem.Mbuf
 module Mempool = Ixmem.Mempool
-module Iovec = Ixmem.Iovec
+module Iov_deque = Ixmem.Iov_deque
 module Wheel = Timerwheel.Timer_wheel
 module Nic = Ixhw.Nic
 module Cpu_core = Ixhw.Cpu_core
@@ -36,7 +36,7 @@ type socket = {
   mutable handlers : Net_api.handlers;
   rx_buf : Buffer.t; (* receive queue, drained when the app reads *)
   mutable rx_bytes : int;
-  mutable backlog : Iovec.t list; (* bytes send() took beyond the TCP budget *)
+  backlog : Iov_deque.t; (* bytes send() took beyond the TCP budget *)
   mutable in_ready : bool;
   mutable sent_pending : int; (* acked bytes not yet reported to the app *)
   mutable connected_pending : bool option;
@@ -56,8 +56,13 @@ type 's t = {
   arp : (Ixnet.Ip_addr.t, Ixnet.Mac_addr.t) Hashtbl.t;
   arp_parked : (Ixnet.Ip_addr.t, Mbuf.t list) Hashtbl.t;
   conn_count : int ref;
-  mutable ready : socket list;
-  mutable jobs : (unit -> unit) list;
+  mutable ready : socket array;
+  mutable n_ready : int;
+  mutable ready_spare : socket array;
+  mutable jobs : (unit -> unit) array;
+  mutable n_jobs : int;
+  mutable jobs_spare : (unit -> unit) array;
+  mutable no_socket : socket option;
   timer_wakeup : Sim.wakeup;
   mutable conn_seq : int;
   c_pkts : Metrics.counter;
@@ -66,6 +71,7 @@ type 's t = {
   eth_scratch : Ixnet.Ethernet.t;
   ip_scratch : Ixnet.Ipv4_packet.t;
   seg_scratch : Seg.t;
+  send_scratch : Iov_deque.t;
   profile : profile;
   hooks : 's hooks;
   st : 's;
@@ -191,23 +197,34 @@ let run_timers c =
   let now = Sim.now c.sim in
   Wheel.advance c.wheel ~now;
   Wheel.arm_wakeup c.timer_wakeup ~earliest:now (Wheel.next_expiry c.wheel);
-  if c.ready <> [] then c.hooks.wake c
+  if c.n_ready > 0 then c.hooks.wake c
 
 (* ------------------------------------------------------------------ *)
 (* Application side                                                    *)
 
+(* [ready] and [jobs] hold their entries oldest first, in
+   [0 .. n-1]; [run_batch] swaps each with its spare, so entries added
+   while a pass runs wait for the next one.  Unused slots hold the
+   core's filler socket (set once its endpoint exists, before any
+   socket can be readied) or [ignore]. *)
+let grown a n fill =
+  let a' = Array.make (Int.max 16 (2 * n)) fill in
+  Array.blit a 0 a' 0 n;
+  a'
+
 let mark_ready c socket =
   if not socket.in_ready then begin
     socket.in_ready <- true;
-    c.ready <- socket :: c.ready
+    if c.n_ready = Array.length c.ready then
+      c.ready <- grown c.ready c.n_ready (Option.get c.no_socket);
+    c.ready.(c.n_ready) <- socket;
+    c.n_ready <- c.n_ready + 1
   end
 
-(* Trim [k] accepted bytes off the front of a backlog iovec list. *)
-let rec drop_accepted k = function
-  | [] -> []
-  | (iov : Iovec.t) :: rest ->
-      if iov.Iovec.len <= k then drop_accepted (k - iov.Iovec.len) rest
-      else Iovec.sub iov k (iov.Iovec.len - k) :: rest
+let add_job c job =
+  if c.n_jobs = Array.length c.jobs then c.jobs <- grown c.jobs c.n_jobs ignore;
+  c.jobs.(c.n_jobs) <- job;
+  c.n_jobs <- c.n_jobs + 1
 
 let service_socket c s =
   s.in_ready <- false;
@@ -231,12 +248,7 @@ let service_socket c s =
     let n = s.sent_pending in
     s.sent_pending <- 0;
     (* Flush backlog the TCP budget previously refused. *)
-    if s.backlog <> [] then begin
-      let iovs = s.backlog in
-      s.backlog <- [];
-      let accepted = Tcp_conn.send s.tcb iovs in
-      s.backlog <- drop_accepted accepted iovs
-    end;
+    if not (Iov_deque.is_empty s.backlog) then ignore (Tcp_conn.send_from s.tcb s.backlog);
     s.handlers.Net_api.on_sent s.conn n
   end;
   match s.closed_reason with
@@ -245,33 +257,57 @@ let service_socket c s =
       s.handlers.Net_api.on_closed s.conn reason
   | None -> ()
 
-(* [jobs] and [ready] are kept newest first; these walk a list oldest
-   first by recursing on the tail before handling the head, so a pass
-   builds neither a reversed copy nor a partial application.  The
-   recursion depth is one batch. *)
-let rec run_jobs = function
-  | [] -> ()
-  | job :: older ->
-      run_jobs older;
-      job ()
-
-let rec service_sockets c = function
-  | [] -> ()
-  | socket :: older ->
-      service_sockets c older;
-      service_socket c socket
-
 let run_batch c =
-  let ready = c.ready and jobs = c.jobs in
-  c.ready <- [];
-  c.jobs <- [];
-  run_jobs jobs;
-  service_sockets c ready
+  let ready = c.ready and n_ready = c.n_ready and jobs = c.jobs and n_jobs = c.n_jobs in
+  c.ready <- c.ready_spare;
+  c.ready_spare <- ready;
+  c.n_ready <- 0;
+  c.jobs <- c.jobs_spare;
+  c.jobs_spare <- jobs;
+  c.n_jobs <- 0;
+  for i = 0 to n_jobs - 1 do
+    let job = jobs.(i) in
+    jobs.(i) <- ignore;
+    job ()
+  done;
+  if n_ready > 0 then begin
+    let fill = Option.get c.no_socket in
+    for i = 0 to n_ready - 1 do
+      let socket = ready.(i) in
+      ready.(i) <- fill;
+      service_socket c socket
+    done
+  end
 
-let pending c = c.ready <> [] || c.jobs <> []
+let pending c = c.n_ready > 0 || c.n_jobs > 0
 
 (* ------------------------------------------------------------------ *)
 (* Socket layer                                                        *)
+
+(* A socket that is never readied: the filler for [ready]'s unused
+   slots. *)
+let filler_socket c =
+  let tcb = Tcb.deref (Tcp_endpoint.env (Option.get c.ep)).Tcb.store 0 in
+  {
+    tcb;
+    conn =
+      {
+        Net_api.id = -1;
+        send = (fun _ -> false);
+        close = ignore;
+        abort = ignore;
+        peer = (0, 0);
+        home = (fun () -> c.idx);
+      };
+    handlers = Net_api.null_handlers;
+    rx_buf = Buffer.create 1;
+    rx_bytes = 0;
+    backlog = Iov_deque.create ();
+    in_ready = false;
+    sent_pending = 0;
+    connected_pending = None;
+    closed_reason = None;
+  }
 
 let make_socket c tcb =
   c.conn_seq <- c.conn_seq + 1;
@@ -283,12 +319,17 @@ let make_socket c tcb =
           Net_api.id = (c.idx * 1_000_000) + c.conn_seq;
           send =
             (fun data ->
+              let len = String.length data in
               call c;
-              copy c (String.length data);
-              let iov = Iovec.of_string data in
-              let accepted = Tcp_conn.send_iov tcb iov in
-              if accepted < iov.Iovec.len then
-                s.backlog <- s.backlog @ [ Iovec.sub iov accepted (iov.Iovec.len - accepted) ];
+              copy c len;
+              (* The string itself goes onto the send queue, by way of
+                 the core's empty scratch queue; what the TCP budget
+                 refuses joins the backlog. *)
+              let q = c.send_scratch in
+              Iov_deque.push_substring q data 0 len;
+              ignore (Tcp_conn.send_from tcb q);
+              if not (Iov_deque.is_empty q) then
+                ignore (Iov_deque.transfer ~src:q ~dst:s.backlog ~max_bytes:len);
               true);
           close =
             (fun () ->
@@ -305,7 +346,7 @@ let make_socket c tcb =
       handlers = Net_api.null_handlers;
       rx_buf = Buffer.create 64;
       rx_bytes = 0;
-      backlog = [];
+      backlog = Iov_deque.create ();
       in_ready = false;
       sent_pending = 0;
       connected_pending = None;
@@ -367,8 +408,13 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           arp;
           arp_parked;
           conn_count;
-          ready = [];
-          jobs = [];
+          ready = [||];
+          n_ready = 0;
+          ready_spare = [||];
+          jobs = [||];
+          n_jobs = 0;
+          jobs_spare = [||];
+          no_socket = None;
           timer_wakeup = wakeup run_timers;
           conn_seq = 0;
           c_pkts = counter "pkts";
@@ -378,6 +424,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           eth_scratch = Ixnet.Ethernet.scratch ();
           ip_scratch = Ixnet.Ipv4_packet.scratch ();
           seg_scratch = Seg.scratch ();
+          send_scratch = Iov_deque.create ();
           profile;
           hooks;
           st = state counter wakeup;
@@ -400,6 +447,7 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
                Nic.steers_to_queues c.queues ~src_ip:remote_ip ~dst_ip:ip
                  ~src_port:remote_port ~dst_port:port)
              ());
+      c.no_socket <- Some (filler_socket c);
       List.iter (fun (_, q) -> Nic.set_notify q (fun () -> c.hooks.notify c)) c.queues)
     cores;
   Array.iter (fun nic -> Nic.set_indirection nic (fun group -> group mod threads)) nics;
@@ -447,12 +495,12 @@ let stack cores =
               mark_ready c s;
               c.hooks.wake c)
     in
-    c.jobs <- job :: c.jobs;
+    add_job c job;
     c.hooks.wake c
   in
   let run_app ~thread f =
     let c = cores.(thread) in
-    c.jobs <- f :: c.jobs;
+    add_job c f;
     c.hooks.wake c
   in
   let charge_app ~thread ns = charge_u cores.(thread) ns in

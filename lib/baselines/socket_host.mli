@@ -10,8 +10,11 @@
     its own per-core state ['s]; all three are fixed at {!create}.
 
     The per-packet paths ({!process_frame}, TCP output, {!run_timers})
-    allocate nothing: hooks are top-level functions applied to the core,
-    and each wakeup is a [Sim.wakeup] built once per core. *)
+    and an app pass over ready sockets allocate nothing: hooks are
+    top-level functions applied to the core, each wakeup is a
+    [Sim.wakeup] built once per core, and the ready sockets and jobs sit
+    in double-buffered arrays.  A socket write queues the caller's
+    string itself. *)
 
 type profile = {
   name : string;  (** metric, mempool and [Net_api] prefix: [linux], [mtcp] *)
@@ -33,7 +36,7 @@ type socket = {
   mutable handlers : Netapi.Net_api.handlers;
   rx_buf : Buffer.t;  (** receive queue, drained when the app reads *)
   mutable rx_bytes : int;
-  mutable backlog : Ixmem.Iovec.t list;  (** bytes send() took beyond the TCP budget *)
+  backlog : Ixmem.Iov_deque.t;  (** bytes send() took beyond the TCP budget *)
   mutable in_ready : bool;
   mutable sent_pending : int;  (** acked bytes not yet reported to the app *)
   mutable connected_pending : bool option;
@@ -54,8 +57,16 @@ type 's t = {
   arp : (Ixnet.Ip_addr.t, Ixnet.Mac_addr.t) Hashtbl.t;  (** shared by the host's cores *)
   arp_parked : (Ixnet.Ip_addr.t, Ixmem.Mbuf.t list) Hashtbl.t;
   conn_count : int ref;  (** open sockets on the host; Linux's cache model reads it *)
-  mutable ready : socket list;  (** newest first: sockets with pending app work *)
-  mutable jobs : (unit -> unit) list;  (** newest first: deferred app closures *)
+  mutable ready : socket array;
+      (** sockets with pending app work, oldest first in [0 .. n_ready-1] *)
+  mutable n_ready : int;
+  mutable ready_spare : socket array;  (** the other side of [ready]'s double buffer *)
+  mutable jobs : (unit -> unit) array;
+      (** deferred app closures, oldest first in [0 .. n_jobs-1] *)
+  mutable n_jobs : int;
+  mutable jobs_spare : (unit -> unit) array;
+  mutable no_socket : socket option;
+      (** filler for [ready]'s unused slots; set by {!create} *)
   timer_wakeup : Engine.Sim.wakeup;  (** {!run_timers} at the wheel's next expiry *)
   mutable conn_seq : int;
   c_pkts : Ixtelemetry.Metrics.counter;  (** [<name>.<i>.pkts] *)
@@ -65,6 +76,7 @@ type 's t = {
   ip_scratch : Ixnet.Ipv4_packet.t;
   seg_scratch : Ixnet.Tcp_segment.t;
       (** decoded-header scratch, valid only inside {!process_frame} *)
+  send_scratch : Ixmem.Iov_deque.t;  (** empty between socket writes *)
   profile : profile;
   hooks : 's hooks;
   st : 's;  (** the stack's own per-core state *)
@@ -94,9 +106,13 @@ val run_timers : 's t -> unit
     wheel's next expiry (moving it if pending) and [wake] the app
     if sockets are ready.  This is also the wakeup's own action. *)
 
+val add_job : 's t -> (unit -> unit) -> unit
+(** Queue a closure for the next app pass. *)
+
 val run_batch : 's t -> unit
 (** One app pass: the jobs, then the ready sockets, each oldest first,
-    as they stood on entry. *)
+    as they stood on entry (each array is swapped with its spare, so
+    work added during the pass waits for the next). *)
 
 val pending : 's t -> bool
 (** Jobs or ready sockets are waiting. *)

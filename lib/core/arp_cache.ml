@@ -11,6 +11,7 @@ let max_parked_per_ip = 8
 let create mgr = { table = Rcu.make mgr Ip_map.empty; parked = Hashtbl.create 16; retired = 0 }
 
 let lookup t ip = Ip_map.find_opt ip (Rcu.read t.table)
+let find t ip = Ip_map.find ip (Rcu.read t.table)
 
 let learn t ip mac =
   match lookup t ip with

@@ -9,6 +9,10 @@ val create : Rcu.manager -> t
 
 val lookup : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t option
 
+val find : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t
+(** [lookup] without the option, for the per-frame TX path: allocates
+    nothing, and raises [Not_found] on a miss. *)
+
 val learn : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t -> unit
 (** Insert/refresh a mapping (on ARP request or reply reception). *)
 

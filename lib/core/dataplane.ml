@@ -1,7 +1,7 @@
 module Sim = Engine.Sim
 module Mbuf = Ixmem.Mbuf
 module Mempool = Ixmem.Mempool
-module Iovec = Ixmem.Iovec
+module Iov_deque = Ixmem.Iov_deque
 module Wheel = Timerwheel.Timer_wheel
 module Nic = Ixhw.Nic
 module Cpu_core = Ixhw.Cpu_core
@@ -48,51 +48,55 @@ let default_config =
     pcie = Ixhw.Pcie_model.create ();
   }
 
-(* Events snapshot their fields when staged — the TCB's store slot may
-   be recycled before the user phase drains them (teardown releases it
-   immediately), so nothing may read back through the TCB at delivery
-   time.  [Ix_api.event] values are staged directly (no intermediate
-   record); the one field that can change between staging and delivery
-   is the cookie, mutable for exactly that reason: events parked
-   against a not-yet-accepted connection are patched when [Sys_accept]
-   lands (see [patch_cookie]). *)
-
 type state = Idle | Scheduled | Running
 
-(* Event conditions and batched syscalls are staged into reusable
-   arrays, not lists, and double-buffered: the phase that consumes a
-   batch first [take]s it, swapping the staging array with the empty
-   [batch] array, so anything staged while the batch runs lands in the
-   other array and waits for the next cycle.  [release] refills the
-   consumed slots with [fill] so the long-lived array does not keep the
-   batch's values alive into the next minor collection. *)
-type 'a staging = {
-  mutable items : 'a array; (* staging side: items.(0 .. len-1) *)
+(* Batched syscalls are rows of a flat int array, like the event
+   conditions ([Ix_api.events]): slot 0 is the call's code, slots 1-3
+   its int arguments, with a queue column (Sys_sendv's write queue, or a
+   datagram's payload for Sys_udp_sendv) and the completion column
+   beside them.
+     code  call            slot 1   slot 2        slot 3
+     0     Sys_connect     cookie   dst_ip        dst_port
+     1     Sys_accept      handle   cookie
+     2     Sys_sendv       handle
+     3     Sys_recv_done   handle   bytes_acked
+     4     Sys_close       handle
+     5     Sys_abort       handle
+     6     Sys_udp_sendv   src_port dst_ip        dst_port
+   Event rows and syscall rows are both double-buffered: the phase that
+   consumes a batch first swaps the staging side with the empty batch
+   side, so anything staged while the batch runs lands on the other side
+   and waits for the next cycle; the consumed side is then cleared so
+   the long-lived columns keep no mbuf, queue or closure alive. *)
+let sc_stride = 4
+
+type syscalls = {
+  mutable rows : int array;
+  mutable queues : Iov_deque.t array;
+  mutable results : (int -> unit) array;
   mutable len : int;
-  mutable batch : 'a array; (* the batch being consumed *)
-  fill : 'a;
+  no_queue : Iov_deque.t; (* inert filler for the queue column *)
 }
 
-let staging fill = { items = [||]; len = 0; batch = [||]; fill }
+let syscalls () =
+  { rows = [||]; queues = [||]; results = [||]; len = 0; no_queue = Iov_deque.create () }
 
-let stage_push s x =
-  if s.len = Array.length s.items then begin
-    let items = Array.make (Int.max 64 (2 * s.len)) s.fill in
-    Array.blit s.items 0 items 0 s.len;
-    s.items <- items
-  end;
-  s.items.(s.len) <- x;
-  s.len <- s.len + 1
+let grow_syscalls s =
+  let cap = Int.max 64 (2 * s.len) in
+  let rows = Array.make (sc_stride * cap) 0
+  and queues = Array.make cap s.no_queue
+  and results = Array.make cap ignore in
+  Array.blit s.rows 0 rows 0 (sc_stride * s.len);
+  Array.blit s.queues 0 queues 0 s.len;
+  Array.blit s.results 0 results 0 s.len;
+  s.rows <- rows;
+  s.queues <- queues;
+  s.results <- results
 
-(* Swap sides; returns the batch's length (its items are [s.batch]). *)
-let take s =
-  let n = s.len and items = s.items in
-  s.items <- s.batch;
-  s.batch <- items;
-  s.len <- 0;
-  n
-
-let release s n = Array.fill s.batch 0 n s.fill
+let clear_syscalls s =
+  Array.fill s.queues 0 s.len s.no_queue;
+  Array.fill s.results 0 s.len ignore;
+  s.len <- 0
 
 type t = {
   sim : Sim.t;
@@ -115,11 +119,15 @@ type t = {
   interrupt_latency_ns : int;
   local_ip : Ixnet.Ip_addr.t;
   mutable ep : Tcp_endpoint.t option; (* set right after creation *)
-  mutable app : Ix_api.event array -> int -> unit;
-  events : Ix_api.event staging;
-  mutable unaccepted : (int, Ix_api.event list ref) Hashtbl.t;
-  syscalls : Ix_api.syscall staging;
-  sc_results : (int -> unit) staging; (* completion of each syscall *)
+  mutable app : Ix_api.events -> unit;
+  mutable events : Ix_api.events; (* staging side *)
+  mutable event_batch : Ix_api.events; (* the batch being delivered *)
+  unaccepted : (int, unit) Hashtbl.t; (* handles awaiting Sys_accept *)
+  parked : Ix_api.events;
+      (* events of unaccepted connections, in arrival order, with the
+         connection's handle in the cookie slot until Sys_accept *)
+  mutable syscalls : syscalls; (* staging side *)
+  mutable syscall_batch : syscalls; (* the batch being executed *)
   (* Flow-group migration state.  While a group is inbound-parked the
      destination thread holds arriving TCP frames of that group aside
      (in arrival order) instead of delivering them to a flow table that
@@ -227,11 +235,11 @@ let send_arp t ~op ~target_ip ~target_mac =
 
 (* [mbuf] holds an IP datagram for [remote_ip]; resolve and frame it. *)
 let resolve_and_frame t ~remote_ip mbuf =
-  match Arp_cache.lookup t.arp remote_ip with
-  | Some mac ->
+  match Arp_cache.find t.arp remote_ip with
+  | mac ->
       ethernet_to t ~dst_mac:mac mbuf;
       stage_tx t mbuf
-  | None ->
+  | exception Not_found ->
       Arp_cache.park t.arp remote_ip mbuf;
       send_arp t ~op:Ixnet.Arp_packet.Request ~target_ip:remote_ip
         ~target_mac:Ixnet.Mac_addr.zero
@@ -247,42 +255,45 @@ let output_raw t ~remote_ip mbuf =
 (* ------------------------------------------------------------------ *)
 (* Event staging                                                       *)
 
-let stage_event t tcb ev =
-  match Hashtbl.find_opt t.unaccepted (Tcb.flow_handle tcb) with
-  | Some pending -> pending := ev :: !pending
-  | None -> stage_push t.events ev
+(* A connection's events are parked, keyed by its handle, until
+   [Sys_accept] assigns the user's cookie; afterwards they are staged
+   under the cookie. *)
+let[@inline] rows_for t tcb =
+  if Hashtbl.length t.unaccepted > 0 && Hashtbl.mem t.unaccepted (Tcb.flow_handle tcb)
+  then t.parked
+  else t.events
 
-(* [Sys_accept] assigns the user's cookie after events may already have
-   been parked against the connection; retarget them on flush. *)
-let patch_cookie (ev : Ix_api.event) cookie =
-  match ev with
-  | Ix_api.Ev_connected r -> r.cookie <- cookie
-  | Ix_api.Ev_recv r -> r.cookie <- cookie
-  | Ix_api.Ev_sent r -> r.cookie <- cookie
-  | Ix_api.Ev_dead r -> r.cookie <- cookie
-  | Ix_api.Ev_knock _ | Ix_api.Ev_udp_recv _ -> ()
+let[@inline] key_for t tcb rows =
+  if rows == t.parked then Tcb.flow_handle tcb else Tcb.cookie tcb
 
 let install_callbacks t tcb =
   let cbs = tcb.Tcb.callbacks in
   cbs.Tcb.on_connected <-
     (fun ok ->
-      stage_event t tcb
-        (Ix_api.Ev_connected { cookie = Tcb.cookie tcb; handle = Tcb.flow_handle tcb; ok }));
+      let rows = rows_for t tcb in
+      Ix_api.stage_connected rows ~cookie:(key_for t tcb rows)
+        ~handle:(Tcb.flow_handle tcb) ~ok);
   cbs.Tcb.on_recv <-
     (fun mbuf off len ->
-      stage_event t tcb (Ix_api.Ev_recv { cookie = Tcb.cookie tcb; mbuf; off; len }));
+      let rows = rows_for t tcb in
+      Ix_api.stage_recv rows ~cookie:(key_for t tcb rows) mbuf ~off ~len);
   cbs.Tcb.on_sent <-
     (fun n ->
-      stage_event t tcb
-        (Ix_api.Ev_sent
-           {
-             cookie = Tcb.cookie tcb;
-             bytes_sent = n;
-             window_size = Tcb.rcv_window tcb;
-           }));
+      let rows = rows_for t tcb in
+      Ix_api.stage_sent rows ~cookie:(key_for t tcb rows) ~bytes_sent:n
+        ~window_size:(Tcb.rcv_window tcb));
   cbs.Tcb.on_closed <-
     (fun reason ->
-      stage_event t tcb (Ix_api.Ev_dead { cookie = Tcb.cookie tcb; reason }))
+      let rows = rows_for t tcb in
+      Ix_api.stage_dead rows ~cookie:(key_for t tcb rows) reason)
+
+(* Forget an unaccepted connection (rejected or torn down): its parked
+   events are dropped with it. *)
+let forget_unaccepted t handle =
+  if Hashtbl.mem t.unaccepted handle then begin
+    Hashtbl.remove t.unaccepted handle;
+    Ix_api.discard t.parked ~key:handle
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Syscall execution (step 4)                                          *)
@@ -299,85 +310,75 @@ let count_in t tcb =
   Tcb.set_counted tcb true;
   incr t.conn_count
 
-let exec_syscall t sc on_result =
+let exec_syscall t s i =
   Metrics.incr t.c_syscalls;
   charge_kernel t syscall_ns;
-  match sc with
-  | Ix_api.Sys_connect { cookie; dst_ip; dst_port } -> (
+  let k = sc_stride * i and rows = s.rows and on_result = s.results.(i) in
+  match rows.(k) with
+  | 0 (* Sys_connect *) -> (
       match
-        Tcp_endpoint.connect (endpoint t) ~remote_ip:dst_ip ~remote_port:dst_port
-          ~cookie ()
+        Tcp_endpoint.connect (endpoint t) ~remote_ip:rows.(k + 2)
+          ~remote_port:rows.(k + 3) ~cookie:rows.(k + 1) ()
       with
       | None -> on_result (-1)
       | Some tcb ->
           install_callbacks t tcb;
           count_in t tcb;
           on_result (Tcb.flow_handle tcb))
-  | Ix_api.Sys_accept { handle; cookie } -> (
-      match lookup_handle t handle with
-      | tcb when Tcb.is_dead tcb -> on_result (-1)
-      | tcb ->
-          Tcb.set_cookie tcb cookie;
-          (match Hashtbl.find_opt t.unaccepted handle with
-          | Some pending ->
-              Hashtbl.remove t.unaccepted handle;
-              (* Flush events buffered while unaccepted, oldest first;
-                 they were staged before the cookie existed. *)
-              List.iter
-                (fun ev ->
-                  patch_cookie ev cookie;
-                  stage_push t.events ev)
-                (List.rev !pending)
-          | None -> ());
-          on_result 0)
-  | Ix_api.Sys_sendv { handle; queue } -> (
-      match lookup_handle t handle with
-      | tcb when Tcb.is_dead tcb -> on_result (-1)
-      | tcb ->
-          let accepted = Tcp_conn.send_from tcb queue in
-          if not t.zero_copy then
-            charge_kernel t (copy_ns_per_kb * accepted / 1024);
-          on_result accepted)
-  | Ix_api.Sys_recv_done { handle; bytes_acked } -> (
-      match lookup_handle t handle with
-      | tcb when Tcb.is_dead tcb -> on_result (-1)
-      | tcb ->
-          Tcp_conn.consume tcb bytes_acked;
-          on_result 0)
-  | Ix_api.Sys_close { handle } -> (
-      match lookup_handle t handle with
-      | tcb when Tcb.is_dead tcb -> on_result (-1)
-      | tcb ->
-          if Hashtbl.mem t.unaccepted handle then begin
-            (* Rejecting a knock. *)
-            Hashtbl.remove t.unaccepted handle;
-            Tcp_conn.abort tcb
-          end
-          else Tcp_conn.close tcb;
-          on_result 0)
-  | Ix_api.Sys_abort { handle } -> (
-      match lookup_handle t handle with
-      | tcb when Tcb.is_dead tcb -> on_result (-1)
-      | tcb ->
-          Tcp_conn.abort tcb;
-          on_result 0)
-  | Ix_api.Sys_udp_sendv { src_port; dst_ip; dst_port; iovs } -> (
+  | 6 (* Sys_udp_sendv *) -> (
       match Mempool.alloc t.pool with
       | None -> on_result (-1)
       | Some mbuf ->
-          let total = Iovec.total iovs in
-          List.iter
-            (fun (iov : Iovec.t) ->
-              Mbuf.append_bytes mbuf iov.Iovec.buf iov.Iovec.off iov.Iovec.len)
-            iovs;
-          Ixnet.Udp_packet.prepend mbuf ~src:t.local_ip ~dst:dst_ip ~src_port
-            ~dst_port;
+          let payload = s.queues.(i) in
+          let total = Iov_deque.bytes payload in
+          if total > Mbuf.tailroom mbuf then invalid_arg "Mbuf.append_bytes: no tailroom";
+          Iov_deque.blit_to payload ~skip:0 ~dst:mbuf.Mbuf.buf
+            ~dst_off:(mbuf.Mbuf.off + mbuf.Mbuf.len) ~len:total;
+          mbuf.Mbuf.len <- mbuf.Mbuf.len + total;
+          let dst_ip = rows.(k + 2) in
+          Ixnet.Udp_packet.prepend mbuf ~src:t.local_ip ~dst:dst_ip ~src_port:rows.(k + 1)
+            ~dst_port:rows.(k + 3);
           charge_kernel t proto_tx_ns;
           Ixnet.Ipv4_packet.prepend_fields mbuf ~src:t.local_ip ~dst:dst_ip
             ~protocol:Ixnet.Ipv4_packet.Udp ~ttl:64 ~ecn:0
             ~payload_len:mbuf.Mbuf.len;
           resolve_and_frame t ~remote_ip:dst_ip mbuf;
           on_result total)
+  | code -> (
+      let handle = rows.(k + 1) in
+      match lookup_handle t handle with
+      | tcb when Tcb.is_dead tcb -> on_result (-1)
+      | tcb -> (
+          match code with
+          | 1 (* Sys_accept *) ->
+              let cookie = rows.(k + 2) in
+              Tcb.set_cookie tcb cookie;
+              if Hashtbl.mem t.unaccepted handle then begin
+                Hashtbl.remove t.unaccepted handle;
+                (* Stage the events parked while unaccepted, oldest
+                   first, under the cookie that now exists. *)
+                Ix_api.unpark t.parked ~key:handle ~cookie ~into:t.events
+              end;
+              on_result 0
+          | 2 (* Sys_sendv *) ->
+              let accepted = Tcp_conn.send_from tcb s.queues.(i) in
+              if not t.zero_copy then
+                charge_kernel t (copy_ns_per_kb * accepted / 1024);
+              on_result accepted
+          | 3 (* Sys_recv_done *) ->
+              Tcp_conn.consume tcb rows.(k + 2);
+              on_result 0
+          | 4 (* Sys_close *) ->
+              if Hashtbl.mem t.unaccepted handle then begin
+                (* Rejecting a knock. *)
+                forget_unaccepted t handle;
+                Tcp_conn.abort tcb
+              end
+              else Tcp_conn.close tcb;
+              on_result 0
+          | _ (* Sys_abort *) ->
+              Tcp_conn.abort tcb;
+              on_result 0))
 
 (* ------------------------------------------------------------------ *)
 (* Inbound packet processing (step 2)                                  *)
@@ -492,16 +493,10 @@ let process_ipv4 t mbuf =
                    ~dst_port:udp.Ixnet.Udp_packet.dst_port ~len:mbuf.Mbuf.len
             then begin
               Mbuf.incref mbuf;
-              stage_push t.events
-                (Ix_api.Ev_udp_recv
-                   {
-                     dst_port = udp.Ixnet.Udp_packet.dst_port;
-                     src_ip = ip.Ixnet.Ipv4_packet.src;
-                     src_port = udp.Ixnet.Udp_packet.src_port;
-                     mbuf;
-                     off = udp.Ixnet.Udp_packet.payload_off;
-                     len = udp.Ixnet.Udp_packet.payload_len;
-                   })
+              Ix_api.stage_udp_recv t.events ~port:udp.Ixnet.Udp_packet.dst_port
+                ~src_ip:ip.Ixnet.Ipv4_packet.src ~src_port:udp.Ixnet.Udp_packet.src_port
+                mbuf ~off:udp.Ixnet.Udp_packet.payload_off
+                ~len:udp.Ixnet.Udp_packet.payload_len
             end)
     | Ixnet.Ipv4_packet.Other _ -> Metrics.incr t.c_rx_other
   end
@@ -533,7 +528,7 @@ let rx_pending t =
   List.fold_left (fun acc (_, q) -> acc + Nic.rx_pending q) 0 t.queues
 
 let has_work t =
-  rx_pending t > 0 || t.events.len > 0 || t.syscalls.len > 0
+  rx_pending t > 0 || Ix_api.count t.events > 0 || t.syscalls.len > 0
   || t.replay <> []
 
 (* Pull a bounded batch off the RX rings, round-robin across queues,
@@ -602,13 +597,16 @@ let rec run_cycle t =
   done;
   mark t Tracer.Tcp_in;
   (* --- (3) user phase: deliver event conditions to the app --- *)
-  let n_events = take t.events in
+  let n_events = Ix_api.count t.events in
   if n_events > 0 then begin
+    let batch = t.events in
+    t.events <- t.event_batch;
+    t.event_batch <- batch;
     charge_kernel t (Protection.enter_user t.prot);
     mark t Tracer.Crossing;
     t.in_user_phase <- true;
-    (* The staged values ARE the [Ix_api.event]s, in arrival order;
-       nothing is re-materialized per event. *)
+    (* The staged rows ARE the event-condition array, in arrival
+       order; nothing is materialized per event. *)
     Metrics.add t.c_events n_events;
     charge_user t (event_ns * n_events);
     mark t Tracer.Event_delivery;
@@ -618,7 +616,7 @@ let rec run_cycle t =
        additionally contains handler faults per event, aborting only
        the offending connection; this outer guard is the dataplane's
        own guarantee for apps driving [set_app] directly.) *)
-    (try t.app t.events.batch n_events
+    (try t.app batch
      with exn ->
        Metrics.incr t.c_app_faults;
        Log.debug (fun m ->
@@ -632,16 +630,16 @@ let rec run_cycle t =
        excessive time in user mode; we mark them non-responsive for the
        control plane. *)
     if t.user_ns_acc > t.user_timeout_ns then Metrics.incr t.c_nonresponsive;
-    release t.events n_events
+    Ix_api.clear batch
   end;
   (* --- (4) batched system calls --- *)
-  let n_calls = take t.syscalls in
-  ignore (take t.sc_results);
-  for i = 0 to n_calls - 1 do
-    exec_syscall t t.syscalls.batch.(i) t.sc_results.batch.(i)
+  let calls = t.syscalls in
+  t.syscalls <- t.syscall_batch;
+  t.syscall_batch <- calls;
+  for i = 0 to calls.len - 1 do
+    exec_syscall t calls i
   done;
-  release t.syscalls n_calls;
-  release t.sc_results n_calls;
+  clear_syscalls calls;
   mark t Tracer.Syscall;
   (* --- (5) kernel timers --- *)
   charge_kernel t timer_ns;
@@ -740,21 +738,43 @@ let udp_bind t ~port = Hashtbl.replace t.udp_binds port ()
 let listen t ~port =
   Tcp_endpoint.listen (endpoint t) ~port ~on_accept:(fun tcb ->
       install_callbacks t tcb;
-      Hashtbl.replace t.unaccepted (Tcb.flow_handle tcb) (ref []);
-      stage_push t.events
-        (Ix_api.Ev_knock
-           {
-             handle = Tcb.flow_handle tcb;
-             src_ip = Tcb.remote_ip tcb;
-             src_port = Tcb.remote_port tcb;
-             dst_port = Tcb.local_port tcb;
-           });
+      Hashtbl.replace t.unaccepted (Tcb.flow_handle tcb) ();
+      Ix_api.stage_knock t.events ~handle:(Tcb.flow_handle tcb) ~src_ip:(Tcb.remote_ip tcb)
+        ~src_port:(Tcb.remote_port tcb) ~port:(Tcb.local_port tcb);
       count_in t tcb)
 
-let syscall t sc ~on_result =
+(* Append one syscall row to the staging side; [queue] is stored only
+   for the two calls that carry one. *)
+let stage_syscall t code a b c queue on_result =
   Protection.require t.prot Protection.User;
-  stage_push t.syscalls sc;
-  stage_push t.sc_results on_result
+  let s = t.syscalls in
+  let i = s.len in
+  if i = Array.length s.results then grow_syscalls s;
+  let k = sc_stride * i and rows = s.rows in
+  rows.(k) <- code;
+  rows.(k + 1) <- a;
+  rows.(k + 2) <- b;
+  rows.(k + 3) <- c;
+  if queue != s.no_queue then s.queues.(i) <- queue;
+  s.results.(i) <- on_result;
+  s.len <- i + 1
+
+let sys_connect t ~cookie ~dst_ip ~dst_port ~on_result =
+  stage_syscall t 0 cookie dst_ip dst_port t.syscalls.no_queue on_result
+
+let sys_accept t handle ~cookie ~on_result =
+  stage_syscall t 1 handle cookie 0 t.syscalls.no_queue on_result
+
+let sys_sendv t handle queue ~on_result = stage_syscall t 2 handle 0 0 queue on_result
+
+let sys_recv_done t handle ~bytes_acked ~on_result =
+  stage_syscall t 3 handle bytes_acked 0 t.syscalls.no_queue on_result
+
+let sys_close t handle ~on_result = stage_syscall t 4 handle 0 0 t.syscalls.no_queue on_result
+let sys_abort t handle ~on_result = stage_syscall t 5 handle 0 0 t.syscalls.no_queue on_result
+
+let sys_udp_sendv t ~src_port ~dst_ip ~dst_port payload ~on_result =
+  stage_syscall t 6 src_port dst_ip dst_port payload on_result
 
 let flows t = Tcp_endpoint.connection_count (endpoint t)
 
@@ -837,7 +857,7 @@ let rx_watermarks t =
 
 let drained_past t marks =
   List.for_all2 (fun (_, q) m -> Nic.rx_popped q >= m) t.queues marks
-  && t.events.len = 0
+  && Ix_api.count t.events = 0
   && t.syscalls.len = 0
   && Hashtbl.length t.unaccepted = 0
 
@@ -886,14 +906,11 @@ let syscalls_processed t = Metrics.value t.c_syscalls
 let nonresponsive_marks t = Metrics.value t.c_nonresponsive
 let tracer t = t.tracer
 
-(* Inert fillers for consumed staging slots. *)
-let no_syscall = Ix_api.Sys_close { handle = -1 }
-
 let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tcp
     ~cache ~conn_count ~metrics ~rng =
   let pool = Mempool.create ~capacity:65536 ~name:(Printf.sprintf "dp%d" thread_id) () in
   let wheel = Wheel.create ~now:(Sim.now sim) () in
-  let no_event = Ix_api.Ev_dead { cookie = -1; reason = Tcb.Normal } in
+  let scratch_seed = Mbuf.create ~size:1 () in
   let c name = Metrics.counter metrics (Printf.sprintf "dataplane.%d.%s" thread_id name) in
   (* The wakeups are built with [t], which they act on: [self] is set
      below, before [sim] can fire one. *)
@@ -921,15 +938,17 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       interrupt_latency_ns = 3_000;
       local_ip;
       ep = None;
-      app = (fun _ _ -> ());
-      events = staging no_event;
+      app = ignore;
+      events = Ix_api.create_events ~fill:scratch_seed;
+      event_batch = Ix_api.create_events ~fill:scratch_seed;
       unaccepted = Hashtbl.create 64;
-      syscalls = staging no_syscall;
-      sc_results = staging ignore;
+      parked = Ix_api.create_events ~fill:scratch_seed;
+      syscalls = syscalls ();
+      syscall_batch = syscalls ();
       parked_inbound = [];
       replay = [];
       watchers = [];
-      scratch_seed = Mbuf.create ~size:1 ();
+      scratch_seed;
       rx_scratch = [||];
       tx_buf = [||];
       tx_len = 0;
@@ -995,7 +1014,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu ~config ~tc
       endpoint_teardown tcb;
       if Tcb.counted tcb then begin
         Tcb.set_counted tcb false;
-        Hashtbl.remove t.unaccepted (Tcb.flow_handle tcb);
+        forget_unaccepted t (Tcb.flow_handle tcb);
         decr t.conn_count
       end);
   (* Wire NIC queue notifications to kick the thread. *)

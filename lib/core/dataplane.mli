@@ -69,27 +69,69 @@ val batcher : t -> Batch.t
 val protection : t -> Protection.t
 val policy : t -> Policy.t
 
-val set_app : t -> (Ix_api.event array -> int -> unit) -> unit
+val set_app : t -> (Ix_api.events -> unit) -> unit
 (** Install the application's event-condition handler (ring 3).  It
     runs during step 3 of each cycle with the cycle's event-condition
-    array and its length [n]: entries [0 .. n-1], in arrival order, are
-    valid only for the duration of the call (the array is reused).  It
-    may call [syscall] and [charge_user]. *)
+    rows: entries [0 .. Ix_api.count - 1], in arrival order, valid only
+    for the duration of the call (the rows are reused).  It may stage
+    syscalls and call [charge_user]. *)
 
 val listen : t -> port:int -> unit
 (** Open a kernel-level listener; established connections surface as
-    [Ev_knock] events. *)
+    [Knock] events. *)
 
 val udp_bind : t -> port:int -> unit
-(** Open a UDP port; datagrams surface as [Ev_udp_recv] events
-    (zero-copy mbuf slices).  Send with [Sys_udp_sendv]. *)
+(** Open a UDP port; datagrams surface as [Udp_recv] events (zero-copy
+    mbuf slices).  Send with {!sys_udp_sendv}. *)
 
-val syscall : t -> Ix_api.syscall -> on_result:(Ix_api.syscall_result -> unit) -> unit
-(** Stage a batched system call (valid only while the application is
-    running in user mode; raises [Protection.Protection_violation]
-    otherwise).  [on_result] fires when the kernel processes the batch
-    (step 4) with the written-back return code.  A syscall staged from
-    an [on_result] callback runs in the next cycle's step 4. *)
+(** {2 Batched system calls}
+
+    Each stages one row of the syscall array.  Staging is valid only
+    while the application is running in user mode (raises
+    [Protection.Protection_violation] otherwise).  [on_result] fires
+    when the kernel processes the batch (step 4) with the written-back
+    return code: the new handle for [sys_connect], the bytes accepted
+    for the send calls, 0 otherwise, and -1 on failure (an unknown or
+    stale handle, a refused connect, an exhausted pool).  A syscall
+    staged from an [on_result] callback runs in the next cycle's step
+    4. *)
+
+val sys_connect :
+  t -> cookie:int -> dst_ip:Ixnet.Ip_addr.t -> dst_port:int -> on_result:(int -> unit) -> unit
+(** Open a connection. *)
+
+val sys_accept : t -> Ix_api.handle -> cookie:int -> on_result:(int -> unit) -> unit
+(** Accept a knocked connection under the user's cookie. *)
+
+val sys_sendv : t -> Ix_api.handle -> Ixmem.Iov_deque.t -> on_result:(int -> unit) -> unit
+(** Transmit a scatter/gather array of data.  The queue is the
+    connection's write queue, shared with libix: execution consumes the
+    accepted prefix in place (slices move by reference onto the TCB's
+    send queue, which is the sliding-window-constrained acceptance the
+    paper describes) and the remainder stays queued for reissue. *)
+
+val sys_recv_done : t -> Ix_api.handle -> bytes_acked:int -> on_result:(int -> unit) -> unit
+(** Advance the receive window and free memory buffers. *)
+
+val sys_close : t -> Ix_api.handle -> on_result:(int -> unit) -> unit
+(** Close a connection, or reject a knock. *)
+
+val sys_abort : t -> Ix_api.handle -> on_result:(int -> unit) -> unit
+(** Extension: hard close with RST, as the paper's benchmark clients do
+    to avoid exhausting ephemeral ports (§5.3). *)
+
+val sys_udp_sendv :
+  t ->
+  src_port:int ->
+  dst_ip:Ixnet.Ip_addr.t ->
+  dst_port:int ->
+  Ixmem.Iov_deque.t ->
+  on_result:(int -> unit) ->
+  unit
+(** Transmit the queue's bytes as one UDP datagram (§4.2: IX implements
+    RFC-compliant UDP alongside TCP — Facebook's memcached deployment
+    uses UDP GETs to sidestep connection scaling [46]).  The queue is
+    read, not consumed. *)
 
 val bootstrap : t -> (unit -> unit) -> unit
 (** Run application setup code in user mode before any packet has

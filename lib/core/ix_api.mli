@@ -1,11 +1,21 @@
-(** The IX dataplane API (Table 1 of the paper).
+(** The IX dataplane API (Table 1 of the paper): the event-condition
+    array's layout.
 
     Elastic threads interact with the dataplane through three
     asynchronous, non-blocking mechanisms: batched system calls issued
     to the kernel, event conditions generated by the kernel, and direct
     (read-only) access to mbufs carrying incoming payloads.  Both the
-    syscall and the event-condition arrays live in shared memory and
-    are swapped at the [run_io] coordinated transition point.
+    syscall and the event-condition arrays live in shared memory as
+    arrays of fixed-size entries and are swapped at the [run_io]
+    coordinated transition point.
+
+    The simulator keeps that layout: an event condition is a row of a
+    flat [int array] — a kind code plus fixed int fields — with one mbuf
+    column beside it for the two payload-carrying kinds, so nothing is
+    allocated per event.
+    Libix reads a batch through the accessors below, each valid for the
+    kinds it names.  The syscall array is the dataplane's own
+    ([Dataplane.sys_accept] and friends stage its rows).
 
     Handles are kernel-level flow identifiers: a connection's
     generation-checked slot in its elastic thread's TCB store, so a
@@ -16,64 +26,102 @@
 
 type handle = int
 
-type syscall =
-  | Sys_connect of { cookie : int; dst_ip : Ixnet.Ip_addr.t; dst_port : int }
-      (** Opens a connection. *)
-  | Sys_accept of { handle : handle; cookie : int }
-      (** Accepts a connection. *)
-  | Sys_sendv of { handle : handle; queue : Ixmem.Iov_deque.t }
-      (** Transmits a scatter/gather array of data.  The queue is the
-          connection's write queue, shared with libix: execution
-          consumes the accepted prefix in place (slices move by
-          reference onto the TCB's send queue) and the remainder stays
-          queued for reissue — no per-sendv list is materialized. *)
-  | Sys_recv_done of { handle : handle; bytes_acked : int }
-      (** Advances the receive window and frees memory buffers. *)
-  | Sys_close of { handle : handle }  (** Closes or rejects a connection. *)
-  | Sys_abort of { handle : handle }
-      (** Extension: hard close with RST, as the paper's benchmark
-          clients do to avoid exhausting ephemeral ports (§5.3). *)
-  | Sys_udp_sendv of {
-      src_port : int;
-      dst_ip : Ixnet.Ip_addr.t;
-      dst_port : int;
-      iovs : Ixmem.Iovec.t list;
-    }
-      (** Transmit a UDP datagram (§4.2: IX implements RFC-compliant
-          UDP alongside TCP — Facebook's memcached deployment uses UDP
-          GETs to sidestep connection scaling [46]). *)
-
-type event =
-  | Ev_knock of {
-      handle : handle;
-      src_ip : Ixnet.Ip_addr.t;
-      src_port : int;
-      dst_port : int;  (** listening port, so libix can find the acceptor *)
-    }
-      (** A remotely initiated connection was opened. *)
-  | Ev_connected of { mutable cookie : int; handle : handle; ok : bool }
-      (** A locally initiated connection finished opening. *)
-  | Ev_recv of { mutable cookie : int; mbuf : Ixmem.Mbuf.t; off : int; len : int }
-      (** A message buffer was received (zero-copy: the application
+type kind =
+  | Knock  (** a remotely initiated connection was opened *)
+  | Connected  (** a locally initiated connection finished opening *)
+  | Recv
+      (** a message buffer was received (zero-copy: the application
           reads the payload in place and must eventually release the
-          buffer reference). *)
-  | Ev_sent of { mutable cookie : int; bytes_sent : int; window_size : int }
-      (** A send completed and/or the window size changed. *)
-  | Ev_dead of { mutable cookie : int; reason : Ixtcp.Tcb.close_reason }
-      (** A connection was terminated. *)
-  | Ev_udp_recv of {
-      dst_port : int;
-      src_ip : Ixnet.Ip_addr.t;
-      src_port : int;
-      mbuf : Ixmem.Mbuf.t;
-      off : int;
-      len : int;
-    }
-      (** A datagram arrived on a bound UDP port (zero-copy, like
-          [Ev_recv]; release with [Mbuf.decref]). *)
+          buffer reference) *)
+  | Sent  (** a send completed and/or the window size changed *)
+  | Dead  (** a connection was terminated *)
+  | Udp_recv
+      (** a datagram arrived on a bound UDP port (zero-copy, like
+          [Recv]; release with [Mbuf.decref]) (§4.2) *)
 
-type syscall_result = int
-(** Return code written back into the batched-syscall array: for
-    [Sys_sendv] the number of bytes accepted by the TCP stack (the
-    sliding-window-constrained acceptance the paper describes); for
-    [Sys_connect] the new handle; 0 or -1 otherwise. *)
+type events
+(** A batch of event-condition rows: entries [0 .. count-1], in arrival
+    order. *)
+
+val count : events -> int
+val kind : events -> int -> kind
+
+val cookie : events -> int -> int
+(** [Connected], [Recv], [Sent], [Dead]: the connection's cookie. *)
+
+val handle : events -> int -> handle
+(** [Knock], [Connected]. *)
+
+val ok : events -> int -> bool
+(** [Connected]: whether the connection opened. *)
+
+val mbuf : events -> int -> Ixmem.Mbuf.t
+(** [Recv], [Udp_recv]: the buffer holding the payload. *)
+
+val off : events -> int -> int
+(** [Recv], [Udp_recv]: the payload's offset in [mbuf]'s bytes. *)
+
+val len : events -> int -> int
+(** [Recv], [Udp_recv]: the payload's length. *)
+
+val bytes_sent : events -> int -> int
+(** [Sent]: bytes the peer acknowledged. *)
+
+val window_size : events -> int -> int
+(** [Sent]: the connection's receive window when the event was staged. *)
+
+val reason : events -> int -> Ixtcp.Tcb.close_reason
+(** [Dead]. *)
+
+val port : events -> int -> int
+(** [Knock]: the listening port, so libix can find the acceptor;
+    [Udp_recv]: the bound destination port. *)
+
+val src_ip : events -> int -> Ixnet.Ip_addr.t
+(** [Knock], [Udp_recv]: the remote address. *)
+
+val src_port : events -> int -> int
+(** [Knock], [Udp_recv]: the remote port. *)
+
+(** {2 Staging (the dataplane's side)}
+
+    Rows snapshot their fields when staged: nothing reads back through
+    the TCB at delivery time, since its store slot may be recycled
+    before the user phase. *)
+
+val create_events : fill:Ixmem.Mbuf.t -> events
+(** An empty batch; [fill] is an inert mbuf for the slots of rows that
+    carry none.  The columns grow on demand and are reused. *)
+
+val stage_knock :
+  events -> handle:handle -> src_ip:Ixnet.Ip_addr.t -> src_port:int -> port:int -> unit
+
+val stage_connected : events -> cookie:int -> handle:handle -> ok:bool -> unit
+val stage_recv : events -> cookie:int -> Ixmem.Mbuf.t -> off:int -> len:int -> unit
+val stage_sent : events -> cookie:int -> bytes_sent:int -> window_size:int -> unit
+val stage_dead : events -> cookie:int -> Ixtcp.Tcb.close_reason -> unit
+
+val stage_udp_recv :
+  events ->
+  port:int ->
+  src_ip:Ixnet.Ip_addr.t ->
+  src_port:int ->
+  Ixmem.Mbuf.t ->
+  off:int ->
+  len:int ->
+  unit
+
+val clear : events -> unit
+(** Empty the batch and drop its mbuf references (the columns are
+    kept). *)
+
+val unpark : events -> key:int -> cookie:int -> into:events -> unit
+(** The accept side of parking.  A connection's events staged before
+    [Sys_accept] assigned its cookie are parked with the connection's
+    handle, [key], in the cookie slot; [unpark] patches [cookie] over it
+    in place, then moves those rows, oldest first, onto the end of
+    [into].  Other rows stay parked, in order. *)
+
+val discard : events -> key:int -> unit
+(** Drop the rows parked under [key] (a rejected or torn-down
+    connection), keeping the others in order. *)

@@ -1,5 +1,4 @@
 module Mbuf = Ixmem.Mbuf
-module Iovec = Ixmem.Iovec
 module Iov_deque = Ixmem.Iov_deque
 
 let max_pending_send = 1 lsl 20
@@ -26,7 +25,7 @@ and conn = {
   mutable dirty : bool;
   mutable dead : bool;
   mutable on_sendv : int -> unit;
-      (* [Sys_sendv] completion, built once per conn by [new_conn] so a
+      (* [sys_sendv] completion, built once per conn by [new_conn] so a
          flush round allocates no closure *)
 }
 
@@ -39,7 +38,14 @@ and t = {
   cookie_alloc : int ref;
       (* shared across a host's libs so cookies stay unique when a conn
          migrates between threads (events route by cookie) *)
-  mutable dirty_conns : conn list;
+  (* Conns with queued writes for this round's flush:
+     [dirty_conns.(0 .. n_dirty-1)] in marking order, and the spare
+     side [flush] swaps in, so a conn marked while a round flushes
+     waits for the next one.  Unused slots hold [no_conn]. *)
+  mutable dirty_conns : conn array;
+  mutable n_dirty : int;
+  mutable flushing : conn array;
+  no_conn : conn;
   mutable zc_reader : (conn -> Mbuf.t -> int -> int -> unit) option;
 }
 
@@ -87,51 +93,65 @@ let new_conn t ~cookie ~handle ~peer handlers =
   Hashtbl.replace t.conns cookie conn;
   conn
 
+let push_dirty t conn =
+  if t.n_dirty = Array.length t.dirty_conns then begin
+    let dirty = Array.make (Int.max 16 (2 * t.n_dirty)) t.no_conn in
+    Array.blit t.dirty_conns 0 dirty 0 t.n_dirty;
+    t.dirty_conns <- dirty
+  end;
+  t.dirty_conns.(t.n_dirty) <- conn;
+  t.n_dirty <- t.n_dirty + 1
+
 let mark_dirty conn =
   let o = conn.owner in
   if not conn.dirty then begin
     conn.dirty <- true;
-    o.dirty_conns <- conn :: o.dirty_conns
+    push_dirty o conn
   end
 
 (* Coalesce each dirty connection's queued writes into one sendv (the
    libix behaviour the paper describes), reissuing trimmed suffixes on
    later rounds.  The syscall carries the write queue itself:
    execution moves the accepted prefix by reference onto the TCB's
-   send queue, so nothing is materialized or rebuilt per round. *)
+   send queue, so nothing is materialized or rebuilt per round.  Conns
+   flush most recently marked first. *)
 let flush t =
-  let dirty = t.dirty_conns in
-  t.dirty_conns <- [];
-  List.iter
-    (fun conn ->
-      conn.dirty <- false;
-      if (not conn.dead) && conn.handle >= 0
-         && not (Iov_deque.is_empty conn.write_queue)
-      then
-        Dataplane.syscall t.dp
-          (Ix_api.Sys_sendv { handle = conn.handle; queue = conn.write_queue })
-          ~on_result:conn.on_sendv)
-    dirty
+  let dirty = t.dirty_conns and n = t.n_dirty in
+  t.dirty_conns <- t.flushing;
+  t.flushing <- dirty;
+  t.n_dirty <- 0;
+  for i = n - 1 downto 0 do
+    let conn = dirty.(i) in
+    dirty.(i) <- t.no_conn;
+    conn.dirty <- false;
+    if (not conn.dead) && conn.handle >= 0
+       && not (Iov_deque.is_empty conn.write_queue)
+    then Dataplane.sys_sendv t.dp conn.handle conn.write_queue ~on_result:conn.on_sendv
+  done
 
-let handle_event t ev =
-  match ev with
-  | Ix_api.Ev_knock { handle; src_ip; src_port; dst_port } -> (
-      match Hashtbl.find t.acceptors dst_port with
+let handle_event t ev i =
+  match Ix_api.kind ev i with
+  | Ix_api.Knock -> (
+      let handle = Ix_api.handle ev i in
+      match Hashtbl.find t.acceptors (Ix_api.port ev i) with
       | exception Not_found ->
           (* No acceptor: reject the knock. *)
-          Dataplane.syscall t.dp (Ix_api.Sys_close { handle }) ~on_result:ignore
+          Dataplane.sys_close t.dp handle ~on_result:ignore
       | on_accept ->
           let cookie = fresh_cookie t in
           let conn =
-            new_conn t ~cookie ~handle ~peer:(src_ip, src_port) default_handlers
+            new_conn t ~cookie ~handle
+              ~peer:(Ix_api.src_ip ev i, Ix_api.src_port ev i)
+              default_handlers
           in
-          Dataplane.syscall t.dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
+          Dataplane.sys_accept t.dp handle ~cookie ~on_result:ignore;
           conn.handlers <- on_accept conn)
-  | Ix_api.Ev_connected { cookie; handle; ok } -> (
+  | Ix_api.Connected -> (
+      let cookie = Ix_api.cookie ev i and ok = Ix_api.ok ev i in
       match Hashtbl.find t.conns cookie with
       | exception Not_found -> ()
       | conn ->
-          conn.handle <- handle;
+          conn.handle <- Ix_api.handle ev i;
           if not ok then begin
             conn.dead <- true;
             Hashtbl.remove t.conns cookie
@@ -139,8 +159,9 @@ let handle_event t ev =
           conn.handlers.on_connected conn ~ok;
           if ok && not (Iov_deque.is_empty conn.write_queue) then
             mark_dirty conn)
-  | Ix_api.Ev_recv { cookie; mbuf; off; len } -> (
-      match Hashtbl.find t.conns cookie with
+  | Ix_api.Recv -> (
+      let mbuf = Ix_api.mbuf ev i and off = Ix_api.off ev i and len = Ix_api.len ev i in
+      match Hashtbl.find t.conns (Ix_api.cookie ev i) with
       | exception Not_found -> Mbuf.decref mbuf
       | conn -> (
           match t.zc_reader with
@@ -149,60 +170,58 @@ let handle_event t ev =
               (* Compatibility path: one copy, close to its use (§6). *)
               let data = Bytes.sub_string mbuf.Mbuf.buf off len in
               Dataplane.charge_user t.dp (len * 100 / 1024);
-              Dataplane.syscall t.dp
-                (Ix_api.Sys_recv_done { handle = conn.handle; bytes_acked = len })
-                ~on_result:ignore;
+              Dataplane.sys_recv_done t.dp conn.handle ~bytes_acked:len ~on_result:ignore;
               Mbuf.decref mbuf;
               conn.handlers.on_data conn data))
-  | Ix_api.Ev_sent { cookie; bytes_sent; _ } -> (
-      match Hashtbl.find t.conns cookie with
+  | Ix_api.Sent -> (
+      match Hashtbl.find t.conns (Ix_api.cookie ev i) with
       | exception Not_found -> ()
       | conn ->
+          let bytes_sent = Ix_api.bytes_sent ev i in
           conn.in_flight <- Int.max 0 (conn.in_flight - bytes_sent);
           if not (Iov_deque.is_empty conn.write_queue) then mark_dirty conn;
           conn.handlers.on_sent conn bytes_sent)
-  | Ix_api.Ev_dead { cookie; reason } -> (
+  | Ix_api.Dead -> (
+      let cookie = Ix_api.cookie ev i in
       match Hashtbl.find t.conns cookie with
       | exception Not_found -> ()
       | conn ->
           conn.dead <- true;
           Hashtbl.remove t.conns cookie;
-          conn.handlers.on_closed conn reason)
-  | Ix_api.Ev_udp_recv { dst_port; src_ip; src_port; mbuf; off; len } -> (
-      match Hashtbl.find t.udp_handlers dst_port with
+          conn.handlers.on_closed conn (Ix_api.reason ev i))
+  | Ix_api.Udp_recv -> (
+      let mbuf = Ix_api.mbuf ev i and off = Ix_api.off ev i and len = Ix_api.len ev i in
+      match Hashtbl.find t.udp_handlers (Ix_api.port ev i) with
       | exception Not_found -> Mbuf.decref mbuf
       | handler ->
           (* Compatibility path: one copy, close to its use (§6). *)
           let data = Bytes.sub_string mbuf.Mbuf.buf off len in
           Dataplane.charge_user t.dp (len * 100 / 1024);
           Mbuf.decref mbuf;
-          handler ~src:(src_ip, src_port) data)
+          handler ~src:(Ix_api.src_ip ev i, Ix_api.src_port ev i) data)
 
 (* §4.5 containment: an exception out of an application handler is the
    app's fault, not the dataplane's — the offending connection is
    aborted (RST to the peer, [close_reason = Reset]), the fault counted
    under [dataplane.<id>.app_faults], and the rest of the event batch
-   is delivered normally.  Ev_recv's compatibility path releases the
+   is delivered normally.  A [Recv]'s compatibility path releases the
    event's mbuf *before* invoking [on_data] (see [handle_event]), so
    containment leaks no buffers. *)
-let contain_fault t ev =
+let contain_fault t ev i =
   Dataplane.note_app_fault t.dp;
   let abort_conn conn =
     conn.dead <- true;
     Hashtbl.remove conn.owner.conns conn.cookie;
     if conn.handle >= 0 then
-      Dataplane.syscall conn.owner.dp
-        (Ix_api.Sys_abort { handle = conn.handle })
-        ~on_result:ignore
+      Dataplane.sys_abort conn.owner.dp conn.handle ~on_result:ignore
   in
-  match ev with
-  | Ix_api.Ev_connected { cookie; _ }
-  | Ix_api.Ev_recv { cookie; _ }
-  | Ix_api.Ev_sent { cookie; _ } -> (
-      match Hashtbl.find_opt t.conns cookie with
+  match Ix_api.kind ev i with
+  | Ix_api.Connected | Ix_api.Recv | Ix_api.Sent -> (
+      match Hashtbl.find_opt t.conns (Ix_api.cookie ev i) with
       | Some conn -> abort_conn conn
       | None -> ())
-  | Ix_api.Ev_knock { handle; _ } ->
+  | Ix_api.Knock ->
+      let handle = Ix_api.handle ev i in
       (* The acceptor raised; the conn was just registered under a fresh
          cookie.  Find it by handle (cold path) and tear it down. *)
       let found = ref None in
@@ -211,28 +230,47 @@ let contain_fault t ev =
         t.conns;
       (match !found with
       | Some conn -> abort_conn conn
-      | None ->
-          Dataplane.syscall t.dp (Ix_api.Sys_abort { handle }) ~on_result:ignore)
-  | Ix_api.Ev_dead _ | Ix_api.Ev_udp_recv _ ->
+      | None -> Dataplane.sys_abort t.dp handle ~on_result:ignore)
+  | Ix_api.Dead | Ix_api.Udp_recv ->
       (* Already dead, or connectionless: nothing to abort. *)
       ()
 
 let create ~cookie_alloc dp =
-  let t =
+  let conns = Hashtbl.create 1024
+  and acceptors = Hashtbl.create 8
+  and udp_handlers = Hashtbl.create 8
+  and no_queue = Iov_deque.create () in
+  let rec t =
     {
       dp;
-      conns = Hashtbl.create 1024;
-      acceptors = Hashtbl.create 8;
-      udp_handlers = Hashtbl.create 8;
+      conns;
+      acceptors;
+      udp_handlers;
       cookie_alloc;
-      dirty_conns = [];
+      dirty_conns = [||];
+      n_dirty = 0;
+      flushing = [||];
+      no_conn;
       zc_reader = None;
     }
+  and no_conn =
+    {
+      cookie = -1;
+      owner = t;
+      handle = -1;
+      peer = (0, 0);
+      handlers = default_handlers;
+      write_queue = no_queue;
+      queued_bytes = 0;
+      in_flight = 0;
+      dirty = false;
+      dead = true;
+      on_sendv = ignore;
+    }
   in
-  Dataplane.set_app dp (fun events n ->
-      for i = 0 to n - 1 do
-        let ev = events.(i) in
-        try handle_event t ev with _ -> contain_fault t ev
+  Dataplane.set_app dp (fun ev ->
+      for i = 0 to Ix_api.count ev - 1 do
+        try handle_event t ev i with _ -> contain_fault t ev i
       done;
       flush t);
   t
@@ -244,8 +282,7 @@ let run t f =
 
 let connect t ~ip ~port handlers =
   let conn = new_conn t ~cookie:(fresh_cookie t) ~handle:(-1) ~peer:(ip, port) handlers in
-  Dataplane.syscall t.dp
-    (Ix_api.Sys_connect { cookie = conn.cookie; dst_ip = ip; dst_port = port })
+  Dataplane.sys_connect t.dp ~cookie:conn.cookie ~dst_ip:ip ~dst_port:port
     ~on_result:(fun handle -> if handle >= 0 then conn.handle <- handle)
 
 let listen t ~port ~on_accept =
@@ -257,10 +294,9 @@ let udp_bind t ~port handler =
   Dataplane.udp_bind t.dp ~port
 
 let udp_send t ~src_port ~dst_ip ~dst_port data =
-  Dataplane.syscall t.dp
-    (Ix_api.Sys_udp_sendv
-       { src_port; dst_ip; dst_port; iovs = [ Iovec.of_string data ] })
-    ~on_result:ignore
+  let payload = Iov_deque.create () in
+  Iov_deque.push_substring payload data 0 (String.length data);
+  Dataplane.sys_udp_sendv t.dp ~src_port ~dst_ip ~dst_port payload ~on_result:ignore
 
 let set_zero_copy_reader t reader = t.zc_reader <- Some reader
 
@@ -272,38 +308,32 @@ let set_zero_copy_reader t reader = t.zc_reader <- Some reader
    currently lives. *)
 
 let recv_done conn mbuf len =
-  Dataplane.syscall conn.owner.dp
-    (Ix_api.Sys_recv_done { handle = conn.handle; bytes_acked = len })
-    ~on_result:ignore;
+  Dataplane.sys_recv_done conn.owner.dp conn.handle ~bytes_acked:len ~on_result:ignore;
   Mbuf.decref mbuf
 
-(* One copied slice onto the write queue: the per-message echo path
-   runs this once per request, so it builds no list. *)
+(* The string itself goes onto the write queue, by reference: the
+   per-message echo path runs this once per request, so it builds no
+   list and no slice record. *)
 let send conn data =
   let len = String.length data in
   if conn.dead || conn.queued_bytes + len > max_pending_send then false
   else begin
-    Iov_deque.push conn.write_queue (Iovec.of_string data);
+    Iov_deque.push_substring conn.write_queue data 0 len;
     conn.queued_bytes <- conn.queued_bytes + len;
     mark_dirty conn;
     true
   end
 
 let close conn =
-  if not conn.dead then
-    Dataplane.syscall conn.owner.dp
-      (Ix_api.Sys_close { handle = conn.handle })
-      ~on_result:ignore
+  if not conn.dead then Dataplane.sys_close conn.owner.dp conn.handle ~on_result:ignore
 
 let abort conn =
-  if not conn.dead then
-    Dataplane.syscall conn.owner.dp
-      (Ix_api.Sys_abort { handle = conn.handle })
-      ~on_result:ignore
+  if not conn.dead then Dataplane.sys_abort conn.owner.dp conn.handle ~on_result:ignore
 
 (* Flow-group migration, libix side: re-home the conns whose TCBs just
    moved and rebind each to its new handle on the destination thread.
-   Dirty conns move lists too, so their queued writes flush there. *)
+   Dirty conns move flush lists too, so their queued writes flush
+   there, ahead of the destination's own, in [handles] order. *)
 let migrate_conns ~src ~dst handles =
   let moved =
     List.filter_map
@@ -320,8 +350,14 @@ let migrate_conns ~src ~dst handles =
   in
   let dirty_moved = List.filter (fun c -> c.dirty) moved in
   if dirty_moved <> [] then begin
-    src.dirty_conns <-
-      List.filter (fun c -> not (List.memq c dirty_moved)) src.dirty_conns;
-    dst.dirty_conns <- dirty_moved @ dst.dirty_conns
+    let kept =
+      List.filter
+        (fun c -> not (List.memq c dirty_moved))
+        (Array.to_list (Array.sub src.dirty_conns 0 src.n_dirty))
+    in
+    Array.fill src.dirty_conns 0 src.n_dirty src.no_conn;
+    src.n_dirty <- 0;
+    List.iter (push_dirty src) kept;
+    List.iter (push_dirty dst) (List.rev dirty_moved)
   end;
   List.length moved

@@ -9,19 +9,21 @@ let create_manager ~threads = { thread_count = threads; pendings = [] }
 
 let all_done p = Array.for_all (fun w -> not w) p.waiting_for
 
+(* Every elastic thread calls this once per cycle; with no update
+   pending (the steady state) it returns before building the filter's
+   closure. *)
 let quiescent m ~thread =
-  let still_pending =
-    List.filter
-      (fun p ->
-        if thread < Array.length p.waiting_for then p.waiting_for.(thread) <- false;
-        if all_done p then begin
-          p.callback ();
-          false
-        end
-        else true)
-      m.pendings
-  in
-  m.pendings <- still_pending
+  if m.pendings <> [] then
+    m.pendings <-
+      List.filter
+        (fun p ->
+          if thread < Array.length p.waiting_for then p.waiting_for.(thread) <- false;
+          if all_done p then begin
+            p.callback ();
+            false
+          end
+          else true)
+        m.pendings
 
 let pending_callbacks m = List.length m.pendings
 

@@ -1,11 +1,14 @@
-(** A byte queue of iovec slices, consumed from the front in byte
+(** A byte queue of slices, consumed from the front in byte
     granularity.
 
-    Backs the libix per-connection write queue and the TCB send queue:
-    [push] is O(1) amortized, and partial front consumption (a TCP
-    stack accepting a prefix of a sendv, an ACK covering part of a
-    slice) advances an internal index instead of rebuilding a list.
-    Single-owner, like everything on the per-core path. *)
+    Backs the libix per-connection write queue, the TCB send queue and
+    the socket host's send backlog.  A slice is held as a bytes
+    reference plus its (off, len) span packed into one int of a second
+    column, not as an {!Iovec.t} record: [push_substring] is O(1) amortized and allocates
+    nothing once the columns have grown, and partial front consumption
+    (a TCP stack accepting a prefix of a sendv, an ACK covering part of
+    a slice) rewrites the front span in place.  Single-owner, like
+    everything on the per-core path. *)
 
 type t
 
@@ -19,7 +22,14 @@ val bytes : t -> int
 
 val push : t -> Iovec.t -> unit
 (** Append a slice (by reference — the bytes are not copied).  Empty
-    slices are ignored. *)
+    slices are ignored.  Raises [Invalid_argument] if the slice's
+    offset is negative or its offset or length reaches 2{^31}. *)
+
+val push_substring : t -> string -> int -> int -> unit
+(** [push_substring t s off len] appends bytes [off .. off+len-1] of
+    [s] by reference, like [push (Iovec.sub (Iovec.of_string s) off
+    len)] without the records.  Raises [Invalid_argument] on a range
+    outside [s]. *)
 
 val clear : t -> unit
 (** Drop everything, including the slice references (a cleared queue
@@ -39,4 +49,5 @@ val blit_to : t -> skip:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 val transfer : src:t -> dst:t -> max_bytes:int -> int
 (** Move up to [max_bytes] bytes from the front of [src] onto the back
     of [dst], returning the bytes moved.  Whole slices move by
-    reference; only a split at the boundary allocates one slice. *)
+    reference; a split at the boundary rewrites the source's front
+    span.  Allocation-free once [dst]'s columns have grown. *)

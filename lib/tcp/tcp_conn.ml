@@ -434,34 +434,8 @@ let send_budget tcb =
   in
   Int.max budget 0
 
-let send tcb iovs =
-  if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
-  else begin
-    let budget = send_budget tcb in
-    let total = Iovec.total iovs in
-    let accepted = Int.min budget total in
-    if accepted > 0 then begin
-      (* Queue iovecs, splitting the one at the accepted boundary. *)
-      let rec take remaining = function
-        | [] -> ()
-        | (iov : Iovec.t) :: rest ->
-            if remaining > 0 then
-              if iov.Iovec.len <= remaining then begin
-                Ixmem.Iov_deque.push tcb.snd_queue iov;
-                take (remaining - iov.Iovec.len) rest
-              end
-              else Ixmem.Iov_deque.push tcb.snd_queue (Iovec.sub iov 0 remaining)
-      in
-      take accepted iovs;
-      set_snd_queue_len tcb (snd_queue_len tcb + accepted);
-      try_output tcb
-    end;
-    accepted
-  end
-
-(* Single-slice [send], open-coded: the per-message socket write path
-   (one [write(2)] per request) skips the list build and the local
-   recursion closure. *)
+(* Queue one slice, IX [sendv] style: the accepted prefix goes onto
+   the send queue by reference. *)
 let send_iov tcb (iov : Iovec.t) =
   if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
   else begin
@@ -476,10 +450,10 @@ let send_iov tcb (iov : Iovec.t) =
   end
 
 (* Zero-copy sendv: pull the accepted prefix straight off the
-   connection's write queue — whole slices move by reference, only a
-   split at the acceptance boundary allocates.  This is the libix
-   run-to-completion path; the list-based [send] above stays for
-   callers holding materialized iovec lists (baseline stacks). *)
+   connection's write queue — slices move by reference, and a split at
+   the acceptance boundary rewrites the queue's front span.  This is
+   the libix run-to-completion path and the socket host's write
+   path. *)
 let send_from tcb queue =
   if not (Tcp_state.can_send_data (state tcb)) || fin_queued tcb then 0
   else begin

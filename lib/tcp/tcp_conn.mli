@@ -81,23 +81,18 @@ val input_fast : Tcb.t -> Ixnet.Tcp_segment.t -> Ixmem.Mbuf.t -> bool
     [input].  Disabled entirely when [cfg.fast_path] is [false].
     Callers may pass a scratch segment record; it is not retained. *)
 
-val send : Tcb.t -> Ixmem.Iovec.t list -> int
-(** Queue application data, IX [sendv] style: returns the number of
-    bytes *accepted*, as constrained by the send-buffer/window budget;
-    the application owns retrying the remainder (libix does this
-    automatically).  Accepted bytes must stay immutable until reported
-    by [on_sent]. *)
-
 val send_iov : Tcb.t -> Ixmem.Iovec.t -> int
-(** [send tcb [iov]] without building the list — the per-message
-    socket write path. *)
+(** Queue application data, IX [sendv] style: returns the number of
+    bytes *accepted*, as constrained by the send-buffer/window budget,
+    and queues that prefix of the slice by reference; the application
+    owns retrying the remainder (libix does this automatically).
+    Accepted bytes must stay immutable until reported by [on_sent]. *)
 
 val send_from : Tcb.t -> Ixmem.Iov_deque.t -> int
-(** Like {!send}, but pulls the accepted prefix directly off a write
-    queue: whole slices move by reference onto the TCB's send queue
-    (only a split at the acceptance boundary allocates), and the
-    remainder stays queued for the caller's retry.  The zero-copy
-    libix sendv path. *)
+(** Like {!send_iov}, but pulls the accepted prefix directly off a
+    write queue: slices move by reference onto the TCB's send queue, and the
+    remainder stays queued for the caller's retry.  The zero-copy libix
+    sendv path and the socket host's writes. *)
 
 val consume : Tcb.t -> int -> unit
 (** IX [recv_done]: the application has released [n] received bytes;

@@ -705,13 +705,21 @@ let required_dirs =
 
 let visited_dirs = ref []
 
+(* Under _build the walk meets compiled artifacts that a concurrent
+   rebuild may be rewriting, so it stats only what can matter — .ml
+   files and extension-less entries (directories) — and skips an entry
+   that vanishes between [readdir] and the stat. *)
 let rec walk f dir =
   visited_dirs := Filename.basename dir :: !visited_dirs;
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk f path
-      else if Filename.check_suffix path ".ml" then f path)
+      let ml = Filename.check_suffix entry ".ml" in
+      if ml || Filename.extension entry = "" then
+        match Sys.is_directory path with
+        | true -> walk f path
+        | false -> if ml then f path
+        | exception Sys_error _ -> ())
     (Sys.readdir dir)
 
 (* Usage: lint_globals [ROOT...] [--refs DIR...] [--names DIR...] —

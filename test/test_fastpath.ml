@@ -141,7 +141,7 @@ let run_scenario ~fast_path ~seed ~size ~loss ~jitter_ns ~rcv_buf ~chunk
   let rec push () =
     if !pos < size then begin
       let iov = { Iovec.buf; off = !pos; len = size - !pos } in
-      let accepted = Tcp_conn.send tcb [ iov ] in
+      let accepted = Tcp_conn.send_iov tcb iov in
       pos := !pos + accepted;
       if accepted > 0 && !pos < size then push ()
     end

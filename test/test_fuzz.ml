@@ -134,7 +134,7 @@ let prop_conn_api_total =
           List.iter
             (fun op ->
               match op with
-              | 0 -> ignore (Tcp_conn.send tcb [ Ixmem.Iovec.of_string "x" ])
+              | 0 -> ignore (Tcp_conn.send_iov tcb (Ixmem.Iovec.of_string "x"))
               | 1 -> Tcp_conn.consume tcb 1
               | 2 -> Tcp_conn.close tcb
               | 3 -> Tcp_conn.ack_now tcb

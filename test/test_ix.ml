@@ -491,11 +491,10 @@ let test_syscall_staged_in_on_result_runs_next_cycle () =
   let log = ref [] in
   let record name r = log := (name, Dataplane.cycles_run dp, r) :: !log in
   Dataplane.bootstrap dp (fun () ->
-      Dataplane.syscall dp (Ix_api.Sys_close { handle = -7 }) ~on_result:(fun r ->
+      Dataplane.sys_close dp (-7) ~on_result:(fun r ->
           record "first" r;
           ignore (Protection.enter_user prot);
-          Dataplane.syscall dp (Ix_api.Sys_close { handle = -8 })
-            ~on_result:(record "second");
+          Dataplane.sys_close dp (-8) ~on_result:(record "second");
           ignore (Protection.enter_kernel prot)));
   Sim.run ~until:(Engine.Sim_time.ms 1) cluster.Harness.Cluster.sim;
   match List.rev !log with
@@ -505,7 +504,7 @@ let test_syscall_staged_in_on_result_runs_next_cycle () =
       check_int "follow-up ran in the next cycle" (c1 + 1) c2
   | _ -> Alcotest.fail "expected exactly two syscall completions"
 
-(* Event conditions staged during step 4 — the [Ev_dead]s of two
+(* Event conditions staged during step 4 — the [Dead] rows of two
    [Sys_abort]s — are delivered together in the next user phase, in the
    order the aborts ran. *)
 let test_abort_events_delivered_next_user_phase () =
@@ -514,22 +513,22 @@ let test_abort_events_delivered_next_user_phase () =
   let host = Option.get cluster.Harness.Cluster.server_ix in
   let dp = Ix_host.dataplane host 0 in
   let knocks = ref [] and deaths = ref [] and abort_cycle = ref (-1) in
-  Dataplane.set_app dp (fun events n ->
-      for i = 0 to n - 1 do
-        match events.(i) with
-        | Ix_api.Ev_knock { handle; _ } ->
+  Dataplane.set_app dp (fun events ->
+      for i = 0 to Ix_api.count events - 1 do
+        match Ix_api.kind events i with
+        | Ix_api.Knock ->
+            let handle = Ix_api.handle events i in
             let cookie = 100 + List.length !knocks in
-            Dataplane.syscall dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
+            Dataplane.sys_accept dp handle ~cookie ~on_result:ignore;
             knocks := handle :: !knocks
-        | Ix_api.Ev_dead { cookie; _ } ->
-            deaths := (cookie, Dataplane.cycles_run dp, i) :: !deaths
+        | Ix_api.Dead ->
+            deaths := (Ix_api.cookie events i, Dataplane.cycles_run dp, i) :: !deaths
         | _ -> ()
       done;
       if List.length !knocks = 2 && !abort_cycle < 0 then begin
         abort_cycle := Dataplane.cycles_run dp;
         List.iter
-          (fun handle ->
-            Dataplane.syscall dp (Ix_api.Sys_abort { handle }) ~on_result:ignore)
+          (fun handle -> Dataplane.sys_abort dp handle ~on_result:ignore)
           (List.rev !knocks)
       end);
   Dataplane.listen dp ~port:7100;
@@ -547,7 +546,7 @@ let test_abort_events_delivered_next_user_phase () =
       check_int "first death in the next user phase" (!abort_cycle + 1) cy1;
       check_int "second in the same phase" cy1 cy2;
       check_int "adjacent in the event array" (i1 + 1) i2
-  | l -> Alcotest.failf "expected two Ev_dead, got %d" (List.length l)
+  | l -> Alcotest.failf "expected two Dead events, got %d" (List.length l)
 
 (* A handle names one connection for its whole life: after the
    connection closes, its handle is rejected with -1 even once a new
@@ -561,22 +560,22 @@ let test_stale_handle_rejected_after_slot_reuse () =
   let dp = Ix_host.dataplane host 0 in
   let store = (Ixtcp.Tcp_endpoint.env (Dataplane.endpoint dp)).Ixtcp.Tcb.store in
   let handles = ref [] in
-  Dataplane.set_app dp (fun events n ->
-      for i = 0 to n - 1 do
-        match events.(i) with
-        | Ix_api.Ev_knock { handle; _ } ->
+  Dataplane.set_app dp (fun events ->
+      for i = 0 to Ix_api.count events - 1 do
+        match Ix_api.kind events i with
+        | Ix_api.Knock ->
+            let handle = Ix_api.handle events i in
             let cookie = List.length !handles in
-            Dataplane.syscall dp (Ix_api.Sys_accept { handle; cookie }) ~on_result:ignore;
+            Dataplane.sys_accept dp handle ~cookie ~on_result:ignore;
             (* The first connection is closed as soon as it is accepted;
                the second sends one message and stays open. *)
-            (if cookie = 0 then Dataplane.syscall dp (Ix_api.Sys_close { handle })
+            (if cookie = 0 then Dataplane.sys_close dp handle ~on_result:ignore
              else
                let queue = Ixmem.Iov_deque.create () in
                Ixmem.Iov_deque.push queue (Ixmem.Iovec.of_string "hello");
-               Dataplane.syscall dp (Ix_api.Sys_sendv { handle; queue }))
-              ~on_result:ignore;
+               Dataplane.sys_sendv dp handle queue ~on_result:ignore);
             handles := !handles @ [ handle ]
-        | Ix_api.Ev_recv { mbuf; _ } -> Ixmem.Mbuf.decref mbuf
+        | Ix_api.Recv -> Ixmem.Mbuf.decref (Ix_api.mbuf events i)
         | _ -> ()
       done);
   Dataplane.listen dp ~port:7200;
@@ -626,11 +625,9 @@ let test_stale_handle_rejected_after_slot_reuse () =
   Dataplane.bootstrap dp (fun () ->
       let queue = Ixmem.Iov_deque.create () in
       Ixmem.Iov_deque.push queue (Ixmem.Iovec.of_string "stale");
-      Dataplane.syscall dp (Ix_api.Sys_sendv { handle = h1; queue }) ~on_result:(record "sendv");
-      Dataplane.syscall dp
-        (Ix_api.Sys_recv_done { handle = h1; bytes_acked = 3 })
-        ~on_result:(record "recv_done");
-      Dataplane.syscall dp (Ix_api.Sys_close { handle = h1 }) ~on_result:(record "close"));
+      Dataplane.sys_sendv dp h1 queue ~on_result:(record "sendv");
+      Dataplane.sys_recv_done dp h1 ~bytes_acked:3 ~on_result:(record "recv_done");
+      Dataplane.sys_close dp h1 ~on_result:(record "close"));
   Sim.run ~until:(Engine.Sim_time.ms 20) sim;
   Alcotest.(check (list (pair string int)))
     "each stale syscall rejected"
@@ -779,6 +776,171 @@ let test_process_frame_allocates_nothing () =
   check_bool "every frame released" true
     (Array.for_all (fun m -> m.Ixmem.Mbuf.refcount = 0) frames)
 
+(* Event rows: every kind's fields read back through the accessors
+   (past the columns' first growth); [unpark] patches the cookie of a
+   connection's parked rows and moves them, oldest first, leaving other
+   connections' rows parked in order; [discard] drops them. *)
+let test_event_rows () =
+  let fill = Ixmem.Mbuf.create ~size:1 () and m = Ixmem.Mbuf.create () in
+  let ev = Ix_api.create_events ~fill and parked = Ix_api.create_events ~fill in
+  let ip = Ixnet.Ip_addr.of_host_id 3 in
+  for i = 1 to 100 do
+    Ix_api.stage_sent ev ~cookie:i ~bytes_sent:(2 * i) ~window_size:(3 * i)
+  done;
+  check_int "grown past 64 rows" 100 (Ix_api.count ev);
+  check_int "last row's window" 300 (Ix_api.window_size ev 99);
+  Ix_api.clear ev;
+  Ix_api.stage_knock ev ~handle:7 ~src_ip:ip ~src_port:4000 ~port:80;
+  Ix_api.stage_recv parked ~cookie:7 m ~off:14 ~len:50;
+  Ix_api.stage_sent parked ~cookie:9 ~bytes_sent:100 ~window_size:65535;
+  Ix_api.stage_dead parked ~cookie:7 Ixtcp.Tcb.Reset;
+  Ix_api.stage_connected parked ~cookie:9 ~handle:9 ~ok:true;
+  Ix_api.unpark parked ~key:7 ~cookie:42 ~into:ev;
+  check_int "knock plus the two unparked rows" 3 (Ix_api.count ev);
+  check_bool "in arrival order" true
+    (List.init 3 (Ix_api.kind ev) = Ix_api.[ Knock; Recv; Dead ]);
+  check_int "knock handle" 7 (Ix_api.handle ev 0);
+  check_int "knock port" 80 (Ix_api.port ev 0);
+  check_bool "knock peer" true (Ix_api.src_ip ev 0 = ip && Ix_api.src_port ev 0 = 4000);
+  check_int "recv cookie patched" 42 (Ix_api.cookie ev 1);
+  check_bool "recv payload" true
+    (Ix_api.mbuf ev 1 == m && Ix_api.off ev 1 = 14 && Ix_api.len ev 1 = 50);
+  check_int "dead cookie patched" 42 (Ix_api.cookie ev 2);
+  check_bool "dead reason" true (Ix_api.reason ev 2 = Ixtcp.Tcb.Reset);
+  check_int "the other connection's rows stay parked" 2 (Ix_api.count parked);
+  check_bool "still in order" true (List.init 2 (Ix_api.kind parked) = Ix_api.[ Sent; Connected ]);
+  check_bool "sent fields" true
+    (Ix_api.cookie parked 0 = 9 && Ix_api.bytes_sent parked 0 = 100
+    && Ix_api.window_size parked 0 = 65535);
+  check_bool "connected fields" true (Ix_api.handle parked 1 = 9 && Ix_api.ok parked 1);
+  Ix_api.discard parked ~key:9;
+  check_int "discarded" 0 (Ix_api.count parked);
+  Ix_api.stage_udp_recv ev ~port:53 ~src_ip:ip ~src_port:1000 m ~off:42 ~len:8;
+  check_bool "datagram fields" true
+    (Ix_api.kind ev 3 = Ix_api.Udp_recv && Ix_api.port ev 3 = 53 && Ix_api.src_ip ev 3 = ip
+    && Ix_api.src_port ev 3 = 1000 && Ix_api.mbuf ev 3 == m && Ix_api.off ev 3 = 42
+    && Ix_api.len ev 3 = 8);
+  Ix_api.clear ev;
+  check_int "cleared" 0 (Ix_api.count ev)
+
+(* A socket-host app round allocates nothing: 10k rounds each queue one
+   job and ready one socket (through its TCB's [on_sent]), then run the
+   pass that drains both. *)
+let test_ready_round_allocates_nothing () =
+  let c = bare_host () in
+  let stack = Host.stack [| c |] in
+  let sent = ref 0 in
+  stack.Netapi.Net_api.connect ~thread:0 ~ip:(Ixnet.Ip_addr.of_host_id 2) ~port:80
+    { Netapi.Net_api.null_handlers with Netapi.Net_api.on_sent = (fun _ n -> sent := !sent + n) };
+  Host.run_batch c;
+  let tcb = ref None in
+  Ixtcp.Tcp_endpoint.iter_connections (Option.get c.Host.ep) (fun t -> tcb := Some t);
+  let on_sent = (Option.get !tcb).Ixtcp.Tcb.callbacks.Ixtcp.Tcb.on_sent in
+  let jobs = ref 0 in
+  let job () = incr jobs in
+  let round () =
+    stack.Netapi.Net_api.run_app ~thread:0 job;
+    on_sent 1;
+    Host.run_batch c
+  in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  Alloc_gate.none "words over 10k ready/job rounds" (fun () ->
+      for _ = 1 to 10_000 do
+        round ()
+      done);
+  check_int "every job ran" 10_100 !jobs;
+  check_int "every readiness was serviced" 10_100 !sent;
+  check_bool "nothing left pending" false (Host.pending c)
+
+(* A connection between an IX server and an IX client, both reading
+   zero-copy; returns the cluster, the server's dataplane and libix, and
+   the server side's TCB and libix conn. *)
+let zero_copy_pair () =
+  let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
+  let cluster =
+    Harness.Cluster.build ~client_hosts:1 ~client_threads:1
+      ~client_kind:Harness.Cluster.Ix ~server ()
+  in
+  let host = Option.get cluster.Harness.Cluster.server_ix in
+  let dp = Ix_host.dataplane host 0 and lib = Ix_host.libix host 0 in
+  let client_lib = Ix_host.libix (Option.get (List.hd cluster.Harness.Cluster.client_ix)) 0 in
+  Libix.set_zero_copy_reader client_lib (fun conn mbuf _off len -> Libix.recv_done conn mbuf len);
+  let accepted = ref None in
+  Libix.run lib (fun () ->
+      Libix.listen lib ~port:7300 ~on_accept:(fun conn ->
+          accepted := Some conn;
+          Libix.default_handlers));
+  Libix.run client_lib (fun () ->
+      Libix.connect client_lib ~ip:cluster.Harness.Cluster.server_ip ~port:7300
+        Libix.default_handlers);
+  Sim.run ~until:(Engine.Sim_time.ms 2) cluster.Harness.Cluster.sim;
+  let tcb = ref None in
+  Ixtcp.Tcp_endpoint.iter_connections (Dataplane.endpoint dp) (fun t -> tcb := Some t);
+  (cluster, dp, lib, Option.get !tcb, Option.get !accepted)
+
+(* Event conditions and the syscalls they prompt allocate nothing from
+   staging to execution: 10k [Recv] events are staged through the
+   server TCB's [on_recv], delivered to libix's zero-copy reader, which
+   releases each ([recv_done]) and answers it ([send]); the cycles run
+   the resulting recv_done and sendv rows, and the replies cross to the
+   client and are acknowledged. *)
+let test_event_dispatch_allocates_nothing () =
+  let cluster, dp, lib, tcb, _ = zero_copy_pair () in
+  let sim = cluster.Harness.Cluster.sim in
+  let reply = String.make 4 'p' and released = ref 0 in
+  Libix.set_zero_copy_reader lib (fun conn mbuf _off len ->
+      incr released;
+      Libix.recv_done conn mbuf len;
+      ignore (Libix.send conn reply));
+  let mbuf = Option.get (Ixmem.Mempool.alloc (Dataplane.pool dp)) in
+  Ixmem.Mbuf.append mbuf "ping";
+  let on_recv = tcb.Ixtcp.Tcb.callbacks.Ixtcp.Tcb.on_recv in
+  (* Round [r] runs the simulation to its own deadline, built here so
+     the rounds allocate no option. *)
+  let start = Sim.now sim in
+  let deadlines = Array.init 120 (fun r -> Some (start + ((r + 1) * Engine.Sim_time.us 200))) in
+  let round r =
+    for _ = 1 to 100 do
+      Ixmem.Mbuf.incref mbuf;
+      on_recv mbuf mbuf.Ixmem.Mbuf.off 4
+    done;
+    Dataplane.kick dp;
+    Sim.run ?until:deadlines.(r) sim
+  in
+  for r = 0 to 19 do
+    round r
+  done;
+  let syscalls = Dataplane.syscalls_processed dp in
+  Alloc_gate.none "words over 10k events" (fun () ->
+      for r = 20 to 119 do
+        round r
+      done);
+  check_int "every event reached the reader" 12_000 !released;
+  check_bool "a recv_done and a sendv row ran per round at least" true
+    (Dataplane.syscalls_processed dp - syscalls >= 10_100);
+  check_int "the test's mbuf holds only its own reference" 1 mbuf.Ixmem.Mbuf.refcount
+
+(* Queueing a write allocates nothing but the write queue's own growth:
+   after a warm-up that grows the queue past 10k slices and drains it,
+   10k [send]s of one existing string allocate no word. *)
+let test_libix_send_allocates_nothing () =
+  let cluster, _, lib, _, conn = zero_copy_pair () in
+  (* Built at run time: for a literal, a slice record built from it
+     would be a static constant, and the gate could not see one being
+     allocated per send. *)
+  let payload = String.make 16 'q' and queued = ref 0 in
+  let sends () =
+    for _ = 1 to 10_000 do
+      if Libix.send conn payload then incr queued
+    done
+  in
+  Libix.run lib sends;
+  Sim.run ~until:(Engine.Sim_time.ms 50) cluster.Harness.Cluster.sim;
+  Libix.run lib (fun () -> Alloc_gate.none "words over 10k sends" sends);
+  check_int "every send was queued" 20_000 !queued
+
 let () =
   Alcotest.run "ix_core"
     [
@@ -839,6 +1001,8 @@ let () =
             test_wakeup_moves_allocate_nothing;
           Alcotest.test_case "frame demux allocates nothing" `Quick
             test_process_frame_allocates_nothing;
+          Alcotest.test_case "ready/job round allocates nothing" `Quick
+            test_ready_round_allocates_nothing;
         ] );
       ( "background",
         [ Alcotest.test_case "timesharing" `Quick test_background_threads_timeshare ] );
@@ -850,6 +1014,9 @@ let () =
             test_abort_events_delivered_next_user_phase;
           Alcotest.test_case "stale handle rejected after slot reuse" `Quick
             test_stale_handle_rejected_after_slot_reuse;
+          Alcotest.test_case "event rows and parking" `Quick test_event_rows;
+          Alcotest.test_case "event dispatch allocates nothing" `Quick
+            test_event_dispatch_allocates_nothing;
         ] );
       ( "libix",
         [
@@ -858,5 +1025,6 @@ let () =
           Alcotest.test_case "pending send limit" `Quick test_libix_pending_send_limit;
           Alcotest.test_case "deep queue stays linear" `Quick test_libix_deep_queue;
           Alcotest.test_case "icmp ping" `Quick test_icmp_ping_roundtrip;
+          Alcotest.test_case "send allocates nothing" `Quick test_libix_send_allocates_nothing;
         ] );
     ]

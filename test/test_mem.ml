@@ -1,8 +1,9 @@
-(* Tests for mbufs, mempools and iovecs. *)
+(* Tests for mbufs, mempools, iovecs and the slice deque. *)
 
 module Mbuf = Ixmem.Mbuf
 module Mempool = Ixmem.Mempool
 module Iovec = Ixmem.Iovec
+module Iov_deque = Ixmem.Iov_deque
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -138,6 +139,78 @@ let test_iovec_sub_bounds () =
   Alcotest.check_raises "sub out of range" (Invalid_argument "Iovec.sub")
     (fun () -> ignore (Iovec.sub iov 1 3))
 
+(* ---------------- Iov_deque ---------------- *)
+
+(* Two deques against a reference that models each as the list of the
+   strings it holds, consumed from the front.  An op is (code, a, b, s):
+   0 pushes a suffix of [s] (by [push_substring], or by [push] of an
+   [Iovec] when [b] is odd), 1 transfers up to [b] bytes to the other
+   deque (splitting a slice when [b] falls inside one), 2 drops up to
+   [b] bytes, 3 compares a [blit_to] window; [a] picks the deque.
+   After every op both deques must hold exactly their model's bytes. *)
+let prop_iov_deque_matches_reference =
+  let rec drop n = function
+    | [] -> []
+    | s :: rest ->
+        let l = String.length s in
+        if l <= n then drop (n - l) rest else String.sub s n (l - n) :: rest
+  in
+  let rec take n = function
+    | [] -> []
+    | s :: rest ->
+        let l = String.length s in
+        if n = 0 then [] else if l <= n then s :: take (n - l) rest else [ String.sub s 0 n ]
+  in
+  QCheck.Test.make ~name:"iov_deque matches a list-of-strings reference" ~count:500
+    QCheck.(
+      list_of_size Gen.(0 -- 60)
+        (quad (int_bound 3) (int_bound 40) (int_bound 40) (string_of_size Gen.(0 -- 12))))
+    (fun ops ->
+      let q = [| Iov_deque.create (); Iov_deque.create () |] in
+      let model = [| []; [] |] in
+      let holds i =
+        let c = String.concat "" model.(i) in
+        let out = Bytes.create (String.length c) in
+        Iov_deque.blit_to q.(i) ~skip:0 ~dst:out ~dst_off:0 ~len:(String.length c);
+        Iov_deque.bytes q.(i) = String.length c
+        && Iov_deque.is_empty q.(i) = (c = "")
+        && Bytes.to_string out = c
+      in
+      List.for_all
+        (fun (code, a, b, s) ->
+          let i = a land 1 in
+          let bytes = Iov_deque.bytes q.(i) in
+          let ok =
+            match code with
+            | 0 ->
+                let off = Int.min a (String.length s) in
+                let piece = String.sub s off (String.length s - off) in
+                if b land 1 = 1 then
+                  Iov_deque.push q.(i) (Iovec.sub (Iovec.of_string s) off (String.length piece))
+                else Iov_deque.push_substring q.(i) s off (String.length piece);
+                if piece <> "" then model.(i) <- model.(i) @ [ piece ];
+                true
+            | 1 ->
+                let j = 1 - i in
+                let moved = Iov_deque.transfer ~src:q.(i) ~dst:q.(j) ~max_bytes:b in
+                model.(j) <- model.(j) @ take moved model.(i);
+                model.(i) <- drop moved model.(i);
+                moved = Int.min b bytes
+            | 2 ->
+                let n = Int.min b bytes in
+                Iov_deque.drop_front q.(i) n;
+                model.(i) <- drop n model.(i);
+                true
+            | _ ->
+                let skip = if bytes = 0 then 0 else a mod (bytes + 1) in
+                let len = Int.min b (bytes - skip) in
+                let out = Bytes.make len '.' in
+                Iov_deque.blit_to q.(i) ~skip ~dst:out ~dst_off:0 ~len;
+                Bytes.to_string out = String.sub (String.concat "" model.(i)) skip len
+          in
+          ok && holds 0 && holds 1)
+        ops)
+
 (* The per-packet pattern: take a buffer, drop its last reference. *)
 let test_mempool_cycle_allocates_nothing () =
   let pool = Mempool.create ~capacity:64 ~name:"steady" () in
@@ -182,4 +255,5 @@ let () =
           Alcotest.test_case "total and sub" `Quick test_iovec_total_sub;
           Alcotest.test_case "sub bounds checked" `Quick test_iovec_sub_bounds;
         ] );
+      ("deque", [ qt prop_iov_deque_matches_reference ]);
     ]

@@ -120,7 +120,7 @@ let streaming_client host ~remote_ip ~port ~data ?(close_when_done = false) () =
   let rec push tcb =
     if !pos < total then begin
       let iov = { Iovec.buf; off = !pos; len = total - !pos } in
-      let accepted = Tcp_conn.send tcb [ iov ] in
+      let accepted = Tcp_conn.send_iov tcb iov in
       pos := !pos + accepted;
       if accepted > 0 && !pos < total then push tcb
     end
@@ -471,7 +471,7 @@ let test_bidirectional_echo () =
       tcb.Tcb.callbacks.Tcb.on_recv <-
         (fun mbuf off len ->
           let copy = Bytes.sub mbuf.Mbuf.buf off len in
-          ignore (Tcp_conn.send tcb [ Iovec.of_bytes copy ]);
+          ignore (Tcp_conn.send_iov tcb (Iovec.of_bytes copy));
           Tcp_conn.consume tcb len;
           Mbuf.decref mbuf));
   let echoed = Buffer.create 64 in
@@ -479,7 +479,7 @@ let test_bidirectional_echo () =
     Option.get (Tcp_endpoint.connect net.a.ep ~remote_ip:ip_b ~remote_port:7 ~cookie:1 ())
   in
   tcb.Tcb.callbacks.Tcb.on_connected <-
-    (fun ok -> if ok then ignore (Tcp_conn.send tcb [ Iovec.of_string "marco!" ]));
+    (fun ok -> if ok then ignore (Tcp_conn.send_iov tcb (Iovec.of_string "marco!")));
   tcb.Tcb.callbacks.Tcb.on_recv <-
     (fun mbuf off len ->
       Buffer.add_subbytes echoed mbuf.Mbuf.buf off len;
@@ -523,7 +523,7 @@ let test_half_close_server_can_still_send () =
   let tcb = Option.get !server_tcb in
   Alcotest.(check string) "server in close_wait" "CLOSE_WAIT"
     (Tcp_state.to_string (Tcb.state tcb));
-  ignore (Tcp_conn.send tcb [ Iovec.of_string "parting gift" ]);
+  ignore (Tcp_conn.send_iov tcb (Iovec.of_string "parting gift"));
   run net ~ms:100;
   Alcotest.(check string) "client received post-FIN data" "parting gift"
     (Buffer.contents got);
