@@ -392,14 +392,14 @@ let conn_scale_cmd =
       \  established %d, closes %d, reconnects %d, TIME_WAIT live %d\n\
       \  cookies sent/validated/rejected %d/%d/%d, rsts %d\n\
       \  fast/slow path %d/%d, %.1f resident B/conn + %.1f B/conn TCB store, \
-       minor words/event %.2f\n\
+       minor words/conn established %.2f, minor words/event %.2f\n\
       \  snapshot: %s\n"
       r.CS.r_connection_count r.CS.r_store_live r.CS.r_store_capacity
       r.CS.r_events r.CS.r_established r.CS.r_closes r.CS.r_reconnects
       r.CS.r_time_wait_live r.CS.r_cookies_sent r.CS.r_cookies_validated
       r.CS.r_cookies_rejected r.CS.r_rsts r.CS.r_fast_hits r.CS.r_slow_hits
       r.CS.r_bytes_per_conn r.CS.r_store_bytes_per_conn
-      r.CS.r_churn_minor_words_per_event
+      r.CS.r_establish_minor_words_per_conn r.CS.r_churn_minor_words_per_event
       r.CS.r_snapshot;
     if flood > 0 then begin
       let f = CS.syn_flood ~syns:flood ~seed () in

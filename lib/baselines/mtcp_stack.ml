@@ -95,8 +95,10 @@ let transmit (c : state Host.t) frame =
   Nic.transmit_at c.tx_nic frame
     ~earliest:(Cpu_core.free_at c.cpu + (default_costs.batch_interval_ns / 2))
 
-(* on_connected waits on the socket for its turn in the next round. *)
-let connected _ (s : Host.socket) ok = s.connected_pending <- Some ok
+(* on_connected waits on the socket for its turn in the next round,
+   under a static box. *)
+let connected _ (s : Host.socket) ok =
+  s.connected_pending <- (if ok then Some true else Some false)
 
 let hooks =
   { Host.notify = on_nic_notify; wake = schedule_round; connected; transmit; transmit_ctrl = transmit }

@@ -12,11 +12,13 @@ module Tcp_endpoint = Ixtcp.Tcp_endpoint
 module Net_api = Netapi.Net_api
 module Metrics = Ixtelemetry.Metrics
 
-let net_reason : Tcb.close_reason -> Net_api.close_reason = function
-  | Tcb.Normal -> Net_api.Normal
-  | Tcb.Reset -> Net_api.Reset
-  | Tcb.Timeout -> Net_api.Timeout
-  | Tcb.Refused -> Net_api.Refused
+(* A socket's pending close reason, one static [Some] per reason, so a
+   closing socket boxes nothing. *)
+let some_net_reason : Tcb.close_reason -> Net_api.close_reason option = function
+  | Tcb.Normal -> Some Net_api.Normal
+  | Tcb.Reset -> Some Net_api.Reset
+  | Tcb.Timeout -> Some Net_api.Timeout
+  | Tcb.Refused -> Some Net_api.Refused
 
 type profile = {
   name : string;
@@ -65,6 +67,7 @@ type 's t = {
   mutable no_socket : socket option;
   timer_wakeup : Sim.wakeup;
   mutable conn_seq : int;
+  home : unit -> int;
   c_pkts : Metrics.counter;
   c_calls : Metrics.counter;
   rx_scratch : Mbuf.t array;
@@ -297,7 +300,7 @@ let filler_socket c =
         close = ignore;
         abort = ignore;
         peer = (0, 0);
-        home = (fun () -> c.idx);
+        home = c.home;
       };
     handlers = Net_api.null_handlers;
     rx_buf = Buffer.create 1;
@@ -340,8 +343,7 @@ let make_socket c tcb =
               call c;
               Tcp_conn.abort tcb);
           peer = (Tcb.remote_ip tcb, Tcb.remote_port tcb);
-          (* Flows are pinned to the accepting core: home never moves. *)
-          home = (fun () -> c.idx);
+          home = c.home;
         };
       handlers = Net_api.null_handlers;
       rx_buf = Buffer.create 64;
@@ -371,7 +373,7 @@ let make_socket c tcb =
       c.hooks.wake c);
   cbs.Tcb.on_closed <-
     (fun reason ->
-      s.closed_reason <- Some (net_reason reason);
+      s.closed_reason <- some_net_reason reason;
       decr c.conn_count;
       mark_ready c s;
       c.hooks.wake c);
@@ -417,6 +419,8 @@ let create ~sim ~host_id ~ip ~nics ~threads ~config ?metrics ~seed ~profile ~hoo
           no_socket = None;
           timer_wakeup = wakeup run_timers;
           conn_seq = 0;
+          (* Flows are pinned to the accepting core: home never moves. *)
+          home = (fun () -> i);
           c_pkts = counter "pkts";
           c_calls = counter profile.call_counter;
           (* The seed mbuf is inert filler for unclaimed slots. *)

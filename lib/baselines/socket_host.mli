@@ -69,6 +69,7 @@ type 's t = {
       (** filler for [ready]'s unused slots; set by {!create} *)
   timer_wakeup : Engine.Sim.wakeup;  (** {!run_timers} at the wheel's next expiry *)
   mutable conn_seq : int;
+  home : unit -> int;  (** every socket's [Net_api.conn.home]: this core *)
   c_pkts : Ixtelemetry.Metrics.counter;  (** [<name>.<i>.pkts] *)
   c_calls : Ixtelemetry.Metrics.counter;  (** [<name>.<i>.<call_counter>] *)
   rx_scratch : Ixmem.Mbuf.t array;  (** [burst] slots for [Nic.rx_burst_into] *)

@@ -19,14 +19,12 @@ and conn = {
   mutable handle : int; (* -1 until the dataplane reports it *)
   mutable peer : Ixnet.Ip_addr.t * int;
   mutable handlers : handlers;
-  write_queue : Iov_deque.t; (* in order; consumed from the front *)
-  mutable queued_bytes : int;
-  mutable in_flight : int; (* bytes accepted by the stack, not yet acked *)
+  write_queue : Iov_deque.t;
+      (* in order; consumed from the front.  A [sys_sendv] moves
+         exactly the bytes the stack accepts off it, so its byte count
+         is the backlog [send] bounds. *)
   mutable dirty : bool;
   mutable dead : bool;
-  mutable on_sendv : int -> unit;
-      (* [sys_sendv] completion, built once per conn by [new_conn] so a
-         flush round allocates no closure *)
 }
 
 and t = {
@@ -77,19 +75,10 @@ let new_conn t ~cookie ~handle ~peer handlers =
       peer;
       handlers;
       write_queue = Iov_deque.create ();
-      queued_bytes = 0;
-      in_flight = 0;
       dirty = false;
       dead = false;
-      on_sendv = ignore;
     }
   in
-  conn.on_sendv <-
-    (fun accepted ->
-      if accepted > 0 then begin
-        conn.queued_bytes <- conn.queued_bytes - accepted;
-        conn.in_flight <- conn.in_flight + accepted
-      end);
   Hashtbl.replace t.conns cookie conn;
   conn
 
@@ -126,7 +115,7 @@ let flush t =
     conn.dirty <- false;
     if (not conn.dead) && conn.handle >= 0
        && not (Iov_deque.is_empty conn.write_queue)
-    then Dataplane.sys_sendv t.dp conn.handle conn.write_queue ~on_result:conn.on_sendv
+    then Dataplane.sys_sendv t.dp conn.handle conn.write_queue ~on_result:ignore
   done
 
 let handle_event t ev i =
@@ -178,7 +167,6 @@ let handle_event t ev i =
       | exception Not_found -> ()
       | conn ->
           let bytes_sent = Ix_api.bytes_sent ev i in
-          conn.in_flight <- Int.max 0 (conn.in_flight - bytes_sent);
           if not (Iov_deque.is_empty conn.write_queue) then mark_dirty conn;
           conn.handlers.on_sent conn bytes_sent)
   | Ix_api.Dead -> (
@@ -261,11 +249,8 @@ let create ~cookie_alloc dp =
       peer = (0, 0);
       handlers = default_handlers;
       write_queue = no_queue;
-      queued_bytes = 0;
-      in_flight = 0;
       dirty = false;
       dead = true;
-      on_sendv = ignore;
     }
   in
   Dataplane.set_app dp (fun ev ->
@@ -316,10 +301,9 @@ let recv_done conn mbuf len =
    list and no slice record. *)
 let send conn data =
   let len = String.length data in
-  if conn.dead || conn.queued_bytes + len > max_pending_send then false
+  if conn.dead || Iov_deque.bytes conn.write_queue + len > max_pending_send then false
   else begin
     Iov_deque.push_substring conn.write_queue data 0 len;
-    conn.queued_bytes <- conn.queued_bytes + len;
     mark_dirty conn;
     true
   end

@@ -111,36 +111,44 @@ let prepend mbuf ~src ~dst t =
   let csum = Checksum.finish (Checksum.ones_complement_sum buf ~off ~len:seg_len ~init) in
   Bytes.set_uint16_be buf (off + 16) csum
 
-let parse_options buf ~off ~len =
-  let mss = ref None and wscale = ref None and sack = ref None in
-  let rec scan pos =
-    if pos < off + len then begin
-      match Bytes.get_uint8 buf pos with
-      | 0 -> () (* end of options *)
-      | 1 -> scan (pos + 1) (* NOP *)
-      | kind ->
-          if pos + 1 >= off + len then ()
+(* [Some shift] for every window-scale byte, built once: a decoded SYN
+   takes its box from here instead of allocating one. *)
+let wscale_boxes = Array.init 256 (fun shift -> Some shift)
+let some_wscale shift = wscale_boxes.(shift)
+
+let u32 buf pos = Int32.to_int (Bytes.get_int32_be buf pos) land 0xFFFFFFFF
+
+(* Scan the options in [buf.[pos, limit)] into [t]'s [wscale] and
+   [sack], which the caller has cleared, and return the last MSS seen
+   or -1.  A top-level loop with every value a parameter, so a segment
+   with options allocates no closure, ref or result tuple. *)
+let rec scan_options buf t pos limit mss =
+  if pos >= limit then mss
+  else
+    match Bytes.get_uint8 buf pos with
+    | 0 -> mss (* end of options *)
+    | 1 -> scan_options buf t (pos + 1) limit mss (* NOP *)
+    | kind ->
+        if pos + 1 >= limit then mss
+        else begin
+          let olen = Bytes.get_uint8 buf (pos + 1) in
+          if olen < 2 || pos + olen > limit then mss
           else begin
-            let olen = Bytes.get_uint8 buf (pos + 1) in
-            if olen < 2 || pos + olen > off + len then ()
-            else begin
-              (match kind with
-              | 2 when olen = 4 -> mss := Some (Bytes.get_uint16_be buf (pos + 2))
-              | 3 when olen = 3 -> wscale := Some (Bytes.get_uint8 buf (pos + 2))
+            let mss =
+              match kind with
+              | 2 when olen = 4 -> Bytes.get_uint16_be buf (pos + 2)
+              | 3 when olen = 3 ->
+                  t.wscale <- wscale_boxes.(Bytes.get_uint8 buf (pos + 2));
+                  mss
               | 5 when olen >= 10 ->
                   (* First SACK block only — the D-SACK slot. *)
-                  let u32 p =
-                    Int32.to_int (Bytes.get_int32_be buf p) land 0xFFFFFFFF
-                  in
-                  sack := Some (u32 (pos + 2), u32 (pos + 6))
-              | _ -> ());
-              scan (pos + olen)
-            end
+                  t.sack <- Some (u32 buf (pos + 2), u32 buf (pos + 6));
+                  mss
+              | _ -> mss
+            in
+            scan_options buf t (pos + olen) limit mss
           end
-    end
-  in
-  scan off;
-  (!mss, !wscale, !sack)
+        end
 
 (* Allocation-free decode: fills a caller-owned scratch record.  The
    scratch is only valid until the next [decode_into] on it — nothing
@@ -165,22 +173,22 @@ let decode_into mbuf ~src ~dst t =
        Checksum.verify buf ~off ~len:seg_len ~init
        && begin
             let flags = Bytes.get_uint8 buf (off + 13) in
-            (* Options appear on SYNs only in practice; the common data
-               segment takes the [else] branch and allocates nothing. *)
-            if data_off > header_size then begin
-              let mss, wscale, sack =
-                parse_options buf ~off:(off + header_size)
-                  ~len:(data_off - header_size)
-              in
-              t.mss <- mss;
-              t.wscale <- wscale;
-              t.sack <- sack
-            end
-            else begin
-              t.mss <- None;
-              t.wscale <- None;
-              t.sack <- None
-            end;
+            (* Options appear on SYNs only in practice, and parse
+               straight into the scratch: a window scale takes a static
+               box, and only an MSS that differs from the scratch's
+               last one (or D-SACK edges) allocates. *)
+            t.wscale <- None;
+            t.sack <- None;
+            let mss =
+              if data_off > header_size then
+                scan_options buf t (off + header_size) (off + data_off) (-1)
+              else -1
+            in
+            (* A run of SYNs advertising one MSS shares the scratch's
+               box. *)
+            (match t.mss with
+            | Some m when m = mss -> ()
+            | _ -> t.mss <- (if mss < 0 then None else Some mss));
             t.src_port <- Bytes.get_uint16_be buf off;
             t.dst_port <- Bytes.get_uint16_be buf (off + 2);
             t.seq <- Int32.to_int (Bytes.get_int32_be buf (off + 4)) land 0xFFFFFFFF;

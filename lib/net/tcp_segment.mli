@@ -32,6 +32,10 @@ val prepend :
     an mbuf whose payload is the segment body.  [payload_off]/[len] of
     [t] are ignored on encode; the mbuf payload is the body. *)
 
+val some_wscale : int -> int option
+(** The preallocated [Some shift] for a window-scale byte [0 .. 255]:
+    decoded and emitted SYNs share these boxes. *)
+
 val decode :
   Ixmem.Mbuf.t -> src:Ip_addr.t -> dst:Ip_addr.t -> (t, string) result
 (** Parse and checksum-verify the segment at the mbuf's offset.  Does
@@ -46,6 +50,10 @@ val decode_into :
   Ixmem.Mbuf.t -> src:Ip_addr.t -> dst:Ip_addr.t -> t -> bool
 (** Allocation-free [decode]: validate the segment and fill the
     caller-owned scratch record, returning [false] (scratch contents
-    unspecified) on a malformed or corrupt segment.  The scratch is
-    invalidated by the next [decode_into] on it — no one may hold a
-    decoded header across a yield or past the current packet. *)
+    unspecified) on a malformed or corrupt segment.  Options parse
+    straight into the scratch: a window scale takes its
+    {!some_wscale} box, an MSS equal to the scratch's current one
+    keeps its box, and only a new MSS value or a SACK block
+    allocates.  The scratch is invalidated by the next [decode_into]
+    on it — no one may hold a decoded header across a yield or past
+    the current packet. *)

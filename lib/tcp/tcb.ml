@@ -280,6 +280,9 @@ and env = {
       (** reused TX header record — all fields are rewritten by each
           [Tcp_conn.emit] and consumed by [Tcp_segment.prepend] before
           anything can re-enter [emit]; nothing may retain it *)
+  mutable syn_mss : int option;
+      (** the [Some mss] a SYN or SYN-ACK advertises, built by the env's
+          first one and kept while the config's MSS is unchanged *)
   mutable on_teardown : t -> unit;
       (** connection fully closed: flow tables unhook it here *)
   mutable on_established : t -> unit;
@@ -653,6 +656,7 @@ let make_env ~on_timer ~now ~wheel ~alloc ~output ~rng ?store () =
       rng;
       store;
       emit_scratch;
+      syn_mss = None;
       on_teardown = ignore;
       on_established = ignore;
       on_time_wait = ignore;

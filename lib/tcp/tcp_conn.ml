@@ -66,6 +66,14 @@ type seg_kind =
   | Seg_ack
   | Seg_rst
 
+let syn_mss env cfg =
+  match env.syn_mss with
+  | Some m as box when m = cfg.mss -> box
+  | _ ->
+      let box = Some cfg.mss in
+      env.syn_mss <- box;
+      box
+
 (* [dlen >= 0] makes this a data segment [dseq, dseq+dlen) (with PSH
    per [dpsh]) and [kind] is ignored; [dlen < 0] emits the control
    segment [kind].  Data segments pass their parameters as immediate
@@ -113,15 +121,16 @@ let emit_seg tcb kind ~dseq ~dlen ~dpsh =
              seg.Seg.seq <- iss tcb;
              seg.Seg.syn <- true;
              seg.Seg.ack_flag <- false;
-             seg.Seg.mss <- Some tcb.cfg.mss;
-             seg.Seg.wscale <- Some tcb.cfg.wscale;
+             seg.Seg.mss <- syn_mss tcb.env tcb.cfg;
+             seg.Seg.wscale <- Seg.some_wscale tcb.cfg.wscale;
              seg.Seg.window <- Int.min (rcv_window tcb) 0xFFFF
          | Seg_syn_ack ->
              seg.Seg.seq <- iss tcb;
              seg.Seg.syn <- true;
              seg.Seg.ack_flag <- true;
-             seg.Seg.mss <- Some tcb.cfg.mss;
-             seg.Seg.wscale <- (if ws_enabled tcb then Some tcb.cfg.wscale else None);
+             seg.Seg.mss <- syn_mss tcb.env tcb.cfg;
+             seg.Seg.wscale <-
+               (if ws_enabled tcb then Seg.some_wscale tcb.cfg.wscale else None);
              seg.Seg.window <- Int.min (rcv_window tcb) 0xFFFF
          | Seg_fin -> seg.Seg.fin <- true
          | Seg_fin_rexmit ->

@@ -24,6 +24,11 @@ val make_env :
     env fires through one action, which finds its connection from the
     code the wheel cell carries. *)
 
+val syn_mss : Tcb.env -> Tcb.config -> int option
+(** The [Some config.mss] a SYN or SYN-ACK advertises: the env's box
+    ([Tcb.env.syn_mss]), rebuilt only when [config]'s MSS differs from
+    the one it holds, so sending a SYN allocates no option. *)
+
 val connect :
   Tcb.env ->
   Tcb.config ->

@@ -28,8 +28,6 @@ type t = {
           sender and consumed by [Seg.prepend] before return — under a
           SYN flood this is the difference between a constant-space
           listen path and a record per attack segment *)
-  reply_mss : int option;
-      (** [Some config.mss], preallocated for the cookie SYN-ACK *)
   c_rx_segs : Metrics.counter;
   c_connects : Metrics.counter;
   c_accepts : Metrics.counter;
@@ -62,7 +60,10 @@ type t = {
    2.  The key derives deterministically from the local IP — not from
    the simulation RNG — so cookie traffic never perturbs the RNG
    stream and same-seed runs stay bit-identical with cookies on or
-   off-path. *)
+   off-path.  Both cookie functions return plain ints (the ISS; the
+   MSS or -1) and the listener checks use [Hashtbl.mem]/[find], so
+   answering a SYN allocates nothing but the reply mbuf, which comes
+   from the pool. *)
 
 let cookie_mss_table = [| 536; 1460; 8960; 65495 |]
 
@@ -75,21 +76,25 @@ let cookie_hash t ~remote_ip ~remote_port ~local_port =
   let h = (h lxor (h lsr 30)) * 0x2545F4914F6CDD1D in
   h lxor (h lsr 27)
 
-(* Cookie for a SYN advertising [mss]; also returns the MSS the low
-   bits encode (the largest table class not exceeding the peer's). *)
+(* The largest table class not exceeding [mss] at or below [i] (class
+   0 when none does); the table is ascending. *)
+let rec mss_class mss i =
+  if i > 0 && cookie_mss_table.(i) > mss then mss_class mss (i - 1) else i
+
+(* The cookie (the SYN-ACK's ISS) for a SYN advertising [mss]; its low
+   bits carry the peer's MSS class. *)
 let syn_cookie t ~remote_ip ~remote_port ~local_port ~mss =
-  let idx = ref 0 in
-  Array.iteri (fun i m -> if m <= mss then idx := i) cookie_mss_table;
   let h = cookie_hash t ~remote_ip ~remote_port ~local_port in
-  (((h land 0xFFFF_FFFC) lor !idx) land 0xFFFF_FFFF, cookie_mss_table.(!idx))
+  let cls = mss_class mss (Array.length cookie_mss_table - 1) in
+  ((h land 0xFFFF_FFFC) lor cls) land 0xFFFF_FFFF
 
 (* [iss] is ack-1 from a handshake ACK: the ISS our SYN-ACK would have
-   carried.  Returns the encoded peer MSS if the cookie checks out. *)
+   carried.  Returns the peer MSS the cookie encodes, or -1 if it does
+   not check out. *)
 let validate_cookie t ~remote_ip ~remote_port ~local_port ~iss =
   let h = cookie_hash t ~remote_ip ~remote_port ~local_port in
-  if iss land 0xFFFF_FFFC = h land 0xFFFF_FFFC then
-    Some cookie_mss_table.(iss land 3)
-  else None
+  if iss land 0xFFFF_FFFC = h land 0xFFFF_FFFC then cookie_mss_table.(iss land 3)
+  else -1
 
 (* The periodic sweep drains the remnants even without traffic, so
    [time_wait_count] returns to 0 on idle endpoints. *)
@@ -138,7 +143,6 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       output_raw;
       alloc;
       reply_scratch = Seg.scratch ();
-      reply_mss = Some config.Tcb.mss;
       c_rx_segs = c "rx_segs";
       c_connects = c "connects";
       c_accepts = c "accepts";
@@ -208,9 +212,9 @@ let create ~now ~wheel ~alloc ~output_raw ~rng ~local_ip ~config ?metrics
       | Tcb.Dsack_dupack_ignored -> Metrics.incr t.c_dsack_dupacks_ignored);
   tcb_env.Tcb.on_established <-
     (fun tcb ->
-      match Hashtbl.find_opt t.listeners (Tcb.local_port tcb) with
-      | Some listener -> listener.on_accept tcb
-      | None -> Tcp_conn.abort tcb);
+      match Hashtbl.find t.listeners (Tcb.local_port tcb) with
+      | listener -> listener.on_accept tcb
+      | exception Not_found -> Tcp_conn.abort tcb);
   (* TIME_WAIT: the connection's entry becomes a compact remnant;
      [Tcp_conn.enter_time_wait] then releases the TCB. *)
   tcb_env.Tcb.on_time_wait <-
@@ -309,11 +313,11 @@ let send_cookie_syn_ack t ~src_ip (seg : Seg.t) ~cookie_iss =
   reply.Seg.syn <- true;
   reply.Seg.ack_flag <- true;
   reply.Seg.window <- Int.min t.cfg.Tcb.rcv_buf 0xFFFF;
-  (* The one option on this path: preallocated at create so a flood
-     segment costs zero heap words here.  No window scaling: the cookie
-     has no bits left to remember the peer's offer, so the SYN-ACK must
-     not negotiate it. *)
-  reply.Seg.mss <- t.reply_mss;
+  (* The one option on this path, in the env's box, so a flood segment
+     costs zero heap words here.  No window scaling: the cookie has no
+     bits left to remember the peer's offer, so the SYN-ACK must not
+     negotiate it. *)
+  reply.Seg.mss <- Tcp_conn.syn_mss t.tcb_env t.cfg;
   send_stateless t ~src_ip ~reply
 
 (* Re-ACK for a segment that hit a TIME_WAIT remnant (normally the
@@ -382,30 +386,26 @@ let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
   | _ when live_remnant t slot && rx_time_wait t ~src_ip seg slot -> ()
   | _ ->
       if seg.Seg.syn && not seg.Seg.ack_flag then begin
-        match Hashtbl.find_opt t.listeners seg.Seg.dst_port with
-        | Some _listener ->
-            if t.cfg.Tcb.syn_cookies then begin
-              (* Listen path under cookies: answer statelessly; the
-                 TCB materializes only on the cookie-validated ACK. *)
-              let peer_mss =
-                match seg.Seg.mss with Some m -> m | None -> 536
-              in
-              let cookie_iss, _mss =
-                syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
-                  ~local_port:seg.Seg.dst_port ~mss:peer_mss
-              in
-              send_cookie_syn_ack t ~src_ip seg ~cookie_iss
-            end
-            else begin
-              let tcb =
-                Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip
-                  ~remote_ip:src_ip ~segment:seg ~cookie:0
-              in
-              Metrics.incr t.c_accepts;
-              Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-                ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb
-            end
-        | None -> send_rst t ~src_ip seg
+        if not (Hashtbl.mem t.listeners seg.Seg.dst_port) then send_rst t ~src_ip seg
+        else if t.cfg.Tcb.syn_cookies then begin
+          (* Listen path under cookies: answer statelessly; the TCB
+             materializes only on the cookie-validated ACK. *)
+          let peer_mss = match seg.Seg.mss with Some m -> m | None -> 536 in
+          let cookie_iss =
+            syn_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
+              ~local_port:seg.Seg.dst_port ~mss:peer_mss
+          in
+          send_cookie_syn_ack t ~src_ip seg ~cookie_iss
+        end
+        else begin
+          let tcb =
+            Tcp_conn.accept_syn t.tcb_env t.cfg ~local_ip:t.ip ~remote_ip:src_ip
+              ~segment:seg ~cookie:0
+          in
+          Metrics.incr t.c_accepts;
+          Flow_table.add t.flows ~local_port:seg.Seg.dst_port ~remote_ip:src_ip
+            ~remote_port:seg.Seg.src_port tcb
+        end
       end
       else if
         t.cfg.Tcb.syn_cookies && seg.Seg.ack_flag && (not seg.Seg.syn)
@@ -415,24 +415,26 @@ let rx_segment ?ce t ~src_ip (seg : Seg.t) mbuf =
         (* Flow-miss ACK on a listening port: possibly the completing
            leg of a cookie handshake. *)
         let iss = Seqno.sub seg.Seg.ack 1 in
-        match
+        let mss =
           validate_cookie t ~remote_ip:src_ip ~remote_port:seg.Seg.src_port
             ~local_port:seg.Seg.dst_port ~iss
-        with
-        | Some mss ->
-            Metrics.incr t.c_syn_cookies_validated;
-            let tcb =
-              Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
-                ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
-            in
-            Metrics.incr t.c_accepts;
-            Flow_table.add t.flows ~local_port:seg.Seg.dst_port
-              ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
-            (* Deliver any payload/window info riding the ACK. *)
-            Tcp_conn.input ?ce tcb seg mbuf
-        | None ->
-            Metrics.incr t.c_syn_cookies_rejected;
-            send_rst t ~src_ip seg
+        in
+        if mss < 0 then begin
+          Metrics.incr t.c_syn_cookies_rejected;
+          send_rst t ~src_ip seg
+        end
+        else begin
+          Metrics.incr t.c_syn_cookies_validated;
+          let tcb =
+            Tcp_conn.accept_cookie t.tcb_env t.cfg ~local_ip:t.ip
+              ~remote_ip:src_ip ~segment:seg ~iss ~mss ~cookie:0
+          in
+          Metrics.incr t.c_accepts;
+          Flow_table.add t.flows ~local_port:seg.Seg.dst_port
+            ~remote_ip:src_ip ~remote_port:seg.Seg.src_port tcb;
+          (* Deliver any payload/window info riding the ACK. *)
+          Tcp_conn.input ?ce tcb seg mbuf
+        end
       end
       else send_rst t ~src_ip seg
 

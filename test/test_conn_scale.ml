@@ -882,6 +882,57 @@ let test_syn_flood_stateless () =
   check_bool "per-SYN allocation stays small" true
     (f.Conn_scale.f_minor_words_per_syn < 256.)
 
+(* The cookie listen path allocates nothing: with the mbuf pool's
+   buffers made, 10 k SYNs on distinct tuples, each answered by a
+   stateless SYN-ACK, cost no word — no cookie tuple, no listener
+   [Some], no reply header. *)
+let test_cookie_listen_allocates_nothing () =
+  let pool = Ixmem.Mempool.create ~capacity:1024 ~name:"syn-flood" () in
+  let ep =
+    Ixtcp.Tcp_endpoint.create
+      ~now:(fun () -> 0)
+      ~wheel:(Wheel.create ~now:0 ())
+      ~alloc:(fun () -> Ixmem.Mempool.alloc pool)
+      ~output_raw:(fun ~remote_ip:_ mbuf -> Ixmem.Mbuf.decref mbuf)
+      ~rng:(Engine.Rng.create ~seed:1)
+      ~local_ip:(Ixnet.Ip_addr.of_octets 10 0 0 1)
+      ~config:{ Tcb.default_config with Tcb.syn_cookies = true }
+      ()
+  in
+  Ixtcp.Tcp_endpoint.listen ep ~port:80 ~on_accept:ignore;
+  let seg = Ixnet.Tcp_segment.scratch () in
+  seg.Ixnet.Tcp_segment.dst_port <- 80;
+  seg.Ixnet.Tcp_segment.syn <- true;
+  seg.Ixnet.Tcp_segment.window <- 0xFFFF;
+  seg.Ixnet.Tcp_segment.mss <- Some 1460;
+  let syn k =
+    match Ixmem.Mempool.alloc pool with
+    | None -> Alcotest.fail "mbuf pool exhausted"
+    | Some mbuf ->
+        seg.Ixnet.Tcp_segment.src_port <- 2_000 + (k mod 60_000);
+        seg.Ixnet.Tcp_segment.seq <- k * 7;
+        Ixtcp.Tcp_endpoint.rx_segment ep
+          ~src_ip:(Ixnet.Ip_addr.of_octets 10 2 ((k / 60_000) land 0xFF) 1)
+          seg mbuf;
+        Ixmem.Mbuf.decref mbuf
+  in
+  for k = 0 to 999 do
+    syn k
+  done;
+  Alloc_gate.none "words over 10k SYNs" (fun () ->
+      for k = 1_000 to 10_999 do
+        syn k
+      done);
+  check_int "every SYN answered with a cookie" 11_000
+    (Ixtcp.Tcp_endpoint.syn_cookies_sent ep);
+  check_int "no connections" 0 (Ixtcp.Tcp_endpoint.connection_count ep)
+
+(* Establishment allocates each connection's [Tcb.create] (23 words)
+   and nothing else per handshake; [Conn_scale]'s reply ring and the
+   wheel's cell pool grow a few times during it, which the one word of
+   slack covers (23.04 at 2 k connections, 23.00 at 1 M). *)
+let establish_words_budget = 24.
+
 (* The memory gates: a [base_conns] and a [full_conns] churn leg plus a
    SYN flood.  Per-event cost is gated on minor words per churn event,
    the deterministic measure of allocation cost, not on wall clock,
@@ -894,6 +945,15 @@ let check_gates ~base_conns ~full_conns ~events ~syns () =
   let full_words = full.Conn_scale.r_churn_minor_words_per_event in
   let flatness = if base_words > 0. then (full_words /. base_words) -. 1. else 0. in
   check_int "sustained every connection" full_conns full.Conn_scale.r_connection_count;
+  List.iter
+    (fun (r : Conn_scale.result) ->
+      let words = r.Conn_scale.r_establish_minor_words_per_conn in
+      check_bool
+        (Printf.sprintf "%.2f minor words/conn established <= %.0f (%d conns)" words
+           establish_words_budget r.Conn_scale.r_conns)
+        true
+        (words <= establish_words_budget))
+    [ base; full ];
   check_bool
     (Printf.sprintf "%.1f resident bytes/conn <= 400" full.Conn_scale.r_bytes_per_conn)
     true
@@ -969,6 +1029,8 @@ let () =
             test_conn_scale_two_collections;
           Alcotest.test_case "SYN flood allocates no TCBs" `Quick
             test_syn_flood_stateless;
+          Alcotest.test_case "cookie listen path allocates nothing" `Quick
+            test_cookie_listen_allocates_nothing;
           Alcotest.test_case "memory gates, 2k -> 20k conns" `Quick
             test_gates_smoke;
           Alcotest.test_case "memory gates, 10k -> 1M conns" `Quick

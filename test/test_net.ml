@@ -292,6 +292,71 @@ let prop_tcp_roundtrip =
                d.Tcp_segment.payload_len
              = payload)
 
+(* One reused scratch decodes a random run of segments, each with or
+   without an MSS, a window scale and a SACK block, exactly as a fresh
+   [decode] does.  The scratch keeps its MSS box only for an equal
+   value, so a run of SYNs advertising different MSSs checks that
+   reuse. *)
+let prop_decode_into_matches_decode =
+  let maybe g = QCheck.Gen.(frequency [ (1, return None); (2, map Option.some g) ]) in
+  let u32 = QCheck.Gen.int_bound 0xFFFFFFFF in
+  let seg_gen =
+    QCheck.Gen.(
+      quad (maybe (int_bound 0xFFFF)) (maybe (int_bound 255)) (maybe (pair u32 u32))
+        (pair u32 (string_size (int_range 0 32))))
+  in
+  QCheck.Test.make ~name:"scratch decode matches decode" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 24) seg_gen))
+    (fun segs ->
+      let scratch = Tcp_segment.scratch () in
+      List.for_all
+        (fun (mss, wscale, sack, (seq, payload)) ->
+          let m = Mbuf.create () in
+          Mbuf.append m payload;
+          Tcp_segment.prepend m ~src:ip_a ~dst:ip_b
+            {
+              Tcp_segment.src_port = 4001;
+              dst_port = 80;
+              seq;
+              ack = 0;
+              syn = mss <> None;
+              ack_flag = mss = None;
+              fin = false;
+              rst = false;
+              psh = payload <> "";
+              ece = false;
+              cwr = false;
+              window = 1024;
+              mss;
+              wscale;
+              sack;
+              payload_off = 0;
+              payload_len = 0;
+            };
+          Tcp_segment.decode_into m ~src:ip_a ~dst:ip_b scratch
+          && Tcp_segment.decode m ~src:ip_a ~dst:ip_b = Ok scratch)
+        segs)
+
+(* A SYN whose MSS equals the scratch's current one decodes into the
+   scratch with no allocation: the window scale takes a static box and
+   the MSS keeps the scratch's. *)
+let test_syn_decode_allocates_nothing () =
+  let m, _ = mk_seg ~syn:true ~ack_flag:false ~mss:1460 ~wscale:7 ~seq:42 ~ack:0 () in
+  let scratch = Tcp_segment.scratch () in
+  let decode () = Tcp_segment.decode_into m ~src:ip_a ~dst:ip_b scratch in
+  check_bool "warm-up decode" true (decode ());
+  let ok =
+    Alloc_gate.none "words over 10k SYN decodes" (fun () ->
+        let ok = ref true in
+        for _ = 1 to 10_000 do
+          ok := decode () && !ok
+        done;
+        !ok)
+  in
+  check_bool "every decode succeeded" true ok;
+  Alcotest.(check (option int)) "mss option" (Some 1460) scratch.Tcp_segment.mss;
+  Alcotest.(check (option int)) "wscale option" (Some 7) scratch.Tcp_segment.wscale
+
 let prop_ipv4_eth_stacking =
   QCheck.Test.make ~name:"full frame stack (eth/ip/payload) roundtrip" ~count:200
     QCheck.(string_of_size Gen.(int_range 0 1400))
@@ -362,7 +427,10 @@ let () =
           Alcotest.test_case "syn options" `Quick test_tcp_syn_options;
           Alcotest.test_case "seq wraparound" `Quick test_tcp_seq_wraparound_encode;
           Alcotest.test_case "checksum corruption" `Quick test_tcp_checksum_corruption;
+          Alcotest.test_case "SYN decode allocates nothing" `Quick
+            test_syn_decode_allocates_nothing;
           qt prop_tcp_roundtrip;
+          qt prop_decode_into_matches_decode;
           qt prop_ipv4_eth_stacking;
         ] );
     ]

@@ -863,6 +863,95 @@ let test_first_arms_allocate_nothing () =
          && tcb.Tcb.persist_timer == Wheel.null)
        tcbs)
 
+(* --- handshake budget -------------------------------------------------- *)
+
+(* A client endpoint on [ip_a] and a server listening on [ip_b]:80,
+   wired back to back through a FIFO of segments in two flat arrays.
+   The returned [handshake] opens one connection on a fresh tuple and
+   delivers segments until the wire is idle, each decoded into its
+   receiver's scratch, so the words it allocates are the stack's own.
+   Both endpoints share nothing but the wire; each presizes its TCB
+   store so the measured handshakes never grow it. *)
+let wire_cap = 64
+
+let handshake_pair ~server_config =
+  let dsts = Array.make wire_cap 0 and mbufs = Array.make wire_cap (Mbuf.create ~size:1 ()) in
+  let head = ref 0 and count = ref 0 in
+  let push ~remote_ip mbuf =
+    let i = (!head + !count) land (wire_cap - 1) in
+    dsts.(i) <- remote_ip;
+    mbufs.(i) <- mbuf;
+    incr count
+  in
+  let endpoint ~local_ip ~config ~seed =
+    let pool = Mempool.create ~capacity:1024 ~name:"handshake" () in
+    Tcp_endpoint.create
+      ~now:(fun () -> 0)
+      ~wheel:(Wheel.create ~now:0 ())
+      ~alloc:(fun () -> Mempool.alloc pool)
+      ~output_raw:push ~rng:(Engine.Rng.create ~seed) ~local_ip ~config
+      ~store:(Tcb.store_create ~initial:4096 ())
+      ()
+  in
+  let client = endpoint ~local_ip:ip_a ~config:Tcb.default_config ~seed:1 in
+  let server = endpoint ~local_ip:ip_b ~config:server_config ~seed:2 in
+  let client_seg = Seg.scratch () and server_seg = Seg.scratch () in
+  let accepted = ref 0 in
+  Tcp_endpoint.listen server ~port:80 ~on_accept:(fun _ -> incr accepted);
+  let deliver ep seg ~src ~dst mbuf =
+    if Seg.decode_into mbuf ~src ~dst seg then Tcp_endpoint.rx_segment ep ~src_ip:src seg mbuf;
+    Mbuf.decref mbuf
+  in
+  let handshake () =
+    ignore
+      (Sys.opaque_identity
+         (Tcp_endpoint.connect client ~remote_ip:ip_b ~remote_port:80 ~cookie:0 ()));
+    while !count > 0 do
+      let dst = dsts.(!head) and mbuf = mbufs.(!head) in
+      head := (!head + 1) land (wire_cap - 1);
+      decr count;
+      if dst = ip_b then deliver server server_seg ~src:ip_a ~dst mbuf
+      else deliver client client_seg ~src:ip_b ~dst mbuf
+    done
+  in
+  (handshake, client, server, accepted)
+
+(* The exact minor words of one handshake, over 1 k handshakes on fresh
+   tuples after 2 k warm-up ones have created the pools' buffers, the
+   wheels' cells and the flow tables at their final size.  What is left
+   is the two connections: each side's [Tcb.create] (23 words: view,
+   callbacks record, send deque), the client's [Some tcb] from
+   [connect], and the server's [Some mss] for the SYN (its decode
+   scratch dropped its MSS box on the previous handshake's option-less
+   ACK).  No cookie, option or listener lookup allocates. *)
+let handshake_words ~server_config =
+  let handshake, client, server, accepted = handshake_pair ~server_config in
+  for _ = 1 to 2_000 do
+    handshake ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    handshake ()
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "every handshake accepted" 3_000 !accepted;
+  check_int "client connections" 3_000 (Tcp_endpoint.connection_count client);
+  check_int "server connections" 3_000 (Tcp_endpoint.connection_count server);
+  (w1 -. w0) /. 1_000.
+
+let handshake_budget = float_of_int ((2 * 23) + 2 + 2)
+
+let test_classic_handshake_words () =
+  Alcotest.(check (float 0.))
+    "minor words per classic handshake" handshake_budget
+    (handshake_words ~server_config:Tcb.default_config)
+
+let test_cookie_handshake_words () =
+  let server_config = { Tcb.default_config with Tcb.syn_cookies = true } in
+  Alcotest.(check (float 0.))
+    "minor words per cookie handshake" handshake_budget
+    (handshake_words ~server_config)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "tcp"
@@ -937,6 +1026,13 @@ let () =
         [
           Alcotest.test_case "first arms allocate nothing" `Quick
             test_first_arms_allocate_nothing;
+        ] );
+      ( "handshake",
+        [
+          Alcotest.test_case "classic handshake words" `Quick
+            test_classic_handshake_words;
+          Alcotest.test_case "cookie handshake words" `Quick
+            test_cookie_handshake_words;
         ] );
       ( "hardening",
         [
