@@ -29,7 +29,7 @@ let () =
         ignore (Libix.send conn payload);
         Libix.recv_done conn mbuf len);
     Libix.run lib (fun () ->
-        Libix.listen lib ~port:7 ~on_accept:(fun _conn -> Libix.default_handlers))
+        Libix.listen lib ~port:7 ~on_accept:(fun _conn -> Netapi.Net_api.null_handlers))
   done;
 
   (* 3. A client that sends three messages and prints the echoes. *)

@@ -14,11 +14,11 @@ module Metrics = Ixtelemetry.Metrics
 
 (* A socket's pending close reason, one static [Some] per reason, so a
    closing socket boxes nothing. *)
-let some_net_reason : Tcb.close_reason -> Net_api.close_reason option = function
-  | Tcb.Normal -> Some Net_api.Normal
-  | Tcb.Reset -> Some Net_api.Reset
-  | Tcb.Timeout -> Some Net_api.Timeout
-  | Tcb.Refused -> Some Net_api.Refused
+let some_reason : Tcb.close_reason -> Tcb.close_reason option = function
+  | Tcb.Normal -> Some Tcb.Normal
+  | Tcb.Reset -> Some Tcb.Reset
+  | Tcb.Timeout -> Some Tcb.Timeout
+  | Tcb.Refused -> Some Tcb.Refused
 
 type profile = {
   name : string;
@@ -293,15 +293,7 @@ let filler_socket c =
   let tcb = Tcb.deref (Tcp_endpoint.env (Option.get c.ep)).Tcb.store 0 in
   {
     tcb;
-    conn =
-      {
-        Net_api.id = -1;
-        send = (fun _ -> false);
-        close = ignore;
-        abort = ignore;
-        peer = (0, 0);
-        home = c.home;
-      };
+    conn = Net_api.inert_conn ~peer:(0, 0) ~home:c.home;
     handlers = Net_api.null_handlers;
     rx_buf = Buffer.create 1;
     rx_bytes = 0;
@@ -373,7 +365,7 @@ let make_socket c tcb =
       c.hooks.wake c);
   cbs.Tcb.on_closed <-
     (fun reason ->
-      s.closed_reason <- some_net_reason reason;
+      s.closed_reason <- some_reason reason;
       decr c.conn_count;
       mark_ready c s;
       c.hooks.wake c);
@@ -479,17 +471,9 @@ let stack cores =
       with
       | None ->
           (* Ephemeral ports exhausted: surface as a failed connect. *)
-          let dead_conn =
-            {
-              Net_api.id = -1;
-              send = (fun _ -> false);
-              close = ignore;
-              abort = ignore;
-              peer = (dst_ip, port);
-              home = (fun () -> thread);
-            }
-          in
-          handlers.Net_api.on_connected dead_conn ~ok:false
+          handlers.Net_api.on_connected
+            (Net_api.inert_conn ~peer:(dst_ip, port) ~home:c.home)
+            ~ok:false
       | Some tcb ->
           let s = make_socket c tcb in
           s.handlers <- handlers;

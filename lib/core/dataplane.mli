@@ -142,8 +142,8 @@ val charge_user : t -> int -> unit
 (** Account [ns] of application (ring 3) compute time to this cycle. *)
 
 val in_app_context : t -> bool
-(** True while the application (user phase) is executing; used by
-    adapters to decide whether a bootstrap transition is needed. *)
+(** True while the application (user phase) is executing; {!Libix.run}
+    uses it to decide whether a bootstrap transition is needed. *)
 
 val kick : t -> unit
 (** Request a cycle (NIC notify wiring calls this automatically). *)

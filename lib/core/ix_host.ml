@@ -115,3 +115,30 @@ let total_user_ns t =
 let kernel_share t =
   let k = total_kernel_ns t and u = total_user_ns t in
   if k + u = 0 then 0. else float_of_int k /. float_of_int (k + u)
+
+(* ---- the host as a stack-portable Net_api stack ---- *)
+
+let stack t =
+  let capacity = thread_count t in
+  let connect ~thread ~ip ~port handlers =
+    let lib = t.libs.(thread) in
+    Libix.run lib (fun () -> Libix.connect lib ~ip ~port handlers)
+  in
+  let listen ~port acceptor =
+    (* Every provisioned slot gets an acceptor: a scale-up can steer
+       fresh connections to a thread that was parked at listen time. *)
+    Array.iteri
+      (fun thread lib ->
+        Libix.run lib (fun () -> Libix.listen lib ~port ~on_accept:(acceptor ~thread)))
+      t.libs
+  in
+  {
+    Netapi.Net_api.name = "ix";
+    threads = (fun () -> { Netapi.Net_api.capacity; live = t.active });
+    connect;
+    listen;
+    run_app = (fun ~thread f -> Libix.run t.libs.(thread) f);
+    charge_app = (fun ~thread ns -> Dataplane.charge_user t.threads.(thread) ns);
+    metrics = (fun () -> Ixtelemetry.Metrics.snapshot t.registry);
+    conn_count = (fun () -> !(t.conn_count));
+  }

@@ -77,3 +77,9 @@ val kernel_share : t -> float
 
 val total_kernel_ns : t -> int
 val total_user_ns : t -> int
+
+val stack : t -> Netapi.Net_api.stack
+(** The host through the stack-portable interface, so the shared
+    benchmark applications run on the dataplane unchanged.  Setup and
+    app work issued from outside a handler enter the thread's user
+    phase through {!Libix.run}. *)

@@ -1,24 +1,20 @@
 module Mbuf = Ixmem.Mbuf
 module Iov_deque = Ixmem.Iov_deque
+module Net_api = Netapi.Net_api
 
 let max_pending_send = 1 lsl 20
 
-type handlers = {
-  on_connected : conn -> ok:bool -> unit;
-  on_data : conn -> string -> unit;
-  on_sent : conn -> int -> unit;
-  on_closed : conn -> Ixtcp.Tcb.close_reason -> unit;
-}
-
-and conn = {
+type conn = {
   cookie : int;
   mutable owner : t;
       (* current home thread's libix; flow-group migration retargets it,
          and every conn-directed operation routes through it so syscalls
          always reach the dataplane that owns the TCB *)
   mutable handle : int; (* -1 until the dataplane reports it *)
-  mutable peer : Ixnet.Ip_addr.t * int;
-  mutable handlers : handlers;
+  mutable handlers : Net_api.handlers;
+  net : Net_api.conn;
+      (* the conn's one portable value: every handler and the acceptor
+         receive it, before and after a migration *)
   write_queue : Iov_deque.t;
       (* in order; consumed from the front.  A [sys_sendv] moves
          exactly the bytes the stack accepts off it, so its byte count
@@ -30,7 +26,8 @@ and conn = {
 and t = {
   dp : Dataplane.t;
   conns : (int, conn) Hashtbl.t; (* by cookie *)
-  acceptors : (int, conn -> handlers) Hashtbl.t; (* by listening port *)
+  acceptors : (int, Net_api.conn -> Net_api.handlers) Hashtbl.t;
+      (* by listening port *)
   udp_handlers :
     (int, src:Ixnet.Ip_addr.t * int -> string -> unit) Hashtbl.t; (* by port *)
   cookie_alloc : int ref;
@@ -47,40 +44,10 @@ and t = {
   mutable zc_reader : (conn -> Mbuf.t -> int -> int -> unit) option;
 }
 
-let default_handlers =
-  {
-    on_connected = (fun _ ~ok:_ -> ());
-    on_data = (fun _ _ -> ());
-    on_sent = (fun _ _ -> ());
-    on_closed = (fun _ _ -> ());
-  }
-
-let dataplane t = t.dp
-let peer conn = conn.peer
-let owner conn = conn.owner
-let home_thread conn = Dataplane.thread_id conn.owner.dp
-let cookie conn = conn.cookie
-
 let fresh_cookie t =
   let c = !(t.cookie_alloc) in
   t.cookie_alloc := c + 1;
   c
-
-let new_conn t ~cookie ~handle ~peer handlers =
-  let conn =
-    {
-      cookie;
-      owner = t;
-      handle;
-      peer;
-      handlers;
-      write_queue = Iov_deque.create ();
-      dirty = false;
-      dead = false;
-    }
-  in
-  Hashtbl.replace t.conns cookie conn;
-  conn
 
 let push_dirty t conn =
   if t.n_dirty = Array.length t.dirty_conns then begin
@@ -118,6 +85,86 @@ let flush t =
     then Dataplane.sys_sendv t.dp conn.handle conn.write_queue ~on_result:ignore
   done
 
+let run t f =
+  if Dataplane.in_app_context t.dp then f ()
+  else
+    Dataplane.bootstrap t.dp (fun () ->
+        f ();
+        flush t)
+
+(* Conn-directed operations route through [conn.owner]: after a
+   flow-group migration the TCB lives on another thread's dataplane
+   under a new handle, and a syscall staged on the old thread would be
+   rejected there.  [migrate_conns] retargets the owner and rebinds the
+   handle in one step, so the pair stays valid wherever the conn
+   currently lives. *)
+
+let recv_done conn mbuf len =
+  Dataplane.sys_recv_done conn.owner.dp conn.handle ~bytes_acked:len ~on_result:ignore;
+  Mbuf.decref mbuf
+
+(* The string itself goes onto the write queue, by reference: the
+   per-message echo path runs this once per request, so it builds no
+   list and no slice record. *)
+let send conn data =
+  let len = String.length data in
+  if conn.dead || Iov_deque.bytes conn.write_queue + len > max_pending_send then false
+  else begin
+    Iov_deque.push_substring conn.write_queue data 0 len;
+    mark_dirty conn;
+    true
+  end
+
+let close conn =
+  if not conn.dead then Dataplane.sys_close conn.owner.dp conn.handle ~on_result:ignore
+
+let abort conn =
+  if not conn.dead then Dataplane.sys_abort conn.owner.dp conn.handle ~on_result:ignore
+
+(* The portable conn's operations enter the current owner's user
+   context first, so a write issued from outside a handler (a timer, an
+   open-loop generator) is still flushed in a sendv.  Handlers already
+   run in the user phase, so the common case is a direct call. *)
+let in_owner_context op conn =
+  let o = conn.owner in
+  if Dataplane.in_app_context o.dp then op conn else run o (fun () -> op conn)
+
+let owner_send conn data =
+  let o = conn.owner in
+  if Dataplane.in_app_context o.dp then send conn data
+  else begin
+    let ok = ref false in
+    run o (fun () -> ok := send conn data);
+    !ok
+  end
+
+(* The portable id is the cookie: host-unique (one allocator per host)
+   and stable across migration, as [Net_api.conn.id] promises. *)
+let new_conn t ~cookie ~handle ~peer handlers =
+  let rec conn =
+    {
+      cookie;
+      owner = t;
+      handle;
+      handlers;
+      net;
+      write_queue = Iov_deque.create ();
+      dirty = false;
+      dead = false;
+    }
+  and net =
+    {
+      Net_api.id = cookie;
+      send = (fun data -> owner_send conn data);
+      close = (fun () -> in_owner_context close conn);
+      abort = (fun () -> in_owner_context abort conn);
+      peer;
+      home = (fun () -> Dataplane.thread_id conn.owner.dp);
+    }
+  in
+  Hashtbl.replace t.conns cookie conn;
+  conn
+
 let handle_event t ev i =
   match Ix_api.kind ev i with
   | Ix_api.Knock -> (
@@ -131,10 +178,10 @@ let handle_event t ev i =
           let conn =
             new_conn t ~cookie ~handle
               ~peer:(Ix_api.src_ip ev i, Ix_api.src_port ev i)
-              default_handlers
+              Net_api.null_handlers
           in
           Dataplane.sys_accept t.dp handle ~cookie ~on_result:ignore;
-          conn.handlers <- on_accept conn)
+          conn.handlers <- on_accept conn.net)
   | Ix_api.Connected -> (
       let cookie = Ix_api.cookie ev i and ok = Ix_api.ok ev i in
       match Hashtbl.find t.conns cookie with
@@ -145,7 +192,7 @@ let handle_event t ev i =
             conn.dead <- true;
             Hashtbl.remove t.conns cookie
           end;
-          conn.handlers.on_connected conn ~ok;
+          conn.handlers.Net_api.on_connected conn.net ~ok;
           if ok && not (Iov_deque.is_empty conn.write_queue) then
             mark_dirty conn)
   | Ix_api.Recv -> (
@@ -161,14 +208,14 @@ let handle_event t ev i =
               Dataplane.charge_user t.dp (len * 100 / 1024);
               Dataplane.sys_recv_done t.dp conn.handle ~bytes_acked:len ~on_result:ignore;
               Mbuf.decref mbuf;
-              conn.handlers.on_data conn data))
+              conn.handlers.Net_api.on_data conn.net data))
   | Ix_api.Sent -> (
       match Hashtbl.find t.conns (Ix_api.cookie ev i) with
       | exception Not_found -> ()
       | conn ->
           let bytes_sent = Ix_api.bytes_sent ev i in
           if not (Iov_deque.is_empty conn.write_queue) then mark_dirty conn;
-          conn.handlers.on_sent conn bytes_sent)
+          conn.handlers.Net_api.on_sent conn.net bytes_sent)
   | Ix_api.Dead -> (
       let cookie = Ix_api.cookie ev i in
       match Hashtbl.find t.conns cookie with
@@ -176,7 +223,7 @@ let handle_event t ev i =
       | conn ->
           conn.dead <- true;
           Hashtbl.remove t.conns cookie;
-          conn.handlers.on_closed conn (Ix_api.reason ev i))
+          conn.handlers.Net_api.on_closed conn.net (Ix_api.reason ev i))
   | Ix_api.Udp_recv -> (
       let mbuf = Ix_api.mbuf ev i and off = Ix_api.off ev i and len = Ix_api.len ev i in
       match Hashtbl.find t.udp_handlers (Ix_api.port ev i) with
@@ -246,8 +293,8 @@ let create ~cookie_alloc dp =
       cookie = -1;
       owner = t;
       handle = -1;
-      peer = (0, 0);
-      handlers = default_handlers;
+      handlers = Net_api.null_handlers;
+      net = Net_api.inert_conn ~peer:(0, 0) ~home:(fun () -> Dataplane.thread_id dp);
       write_queue = no_queue;
       dirty = false;
       dead = true;
@@ -259,11 +306,6 @@ let create ~cookie_alloc dp =
       done;
       flush t);
   t
-
-let run t f =
-  Dataplane.bootstrap t.dp (fun () ->
-      f ();
-      flush t)
 
 let connect t ~ip ~port handlers =
   let conn = new_conn t ~cookie:(fresh_cookie t) ~handle:(-1) ~peer:(ip, port) handlers in
@@ -284,35 +326,6 @@ let udp_send t ~src_port ~dst_ip ~dst_port data =
   Dataplane.sys_udp_sendv t.dp ~src_port ~dst_ip ~dst_port payload ~on_result:ignore
 
 let set_zero_copy_reader t reader = t.zc_reader <- Some reader
-
-(* Conn-directed operations route through [conn.owner]: after a
-   flow-group migration the TCB lives on another thread's dataplane
-   under a new handle, and a syscall staged on the old thread would be
-   rejected there.  [migrate_conns] retargets the owner and rebinds the
-   handle in one step, so the pair stays valid wherever the conn
-   currently lives. *)
-
-let recv_done conn mbuf len =
-  Dataplane.sys_recv_done conn.owner.dp conn.handle ~bytes_acked:len ~on_result:ignore;
-  Mbuf.decref mbuf
-
-(* The string itself goes onto the write queue, by reference: the
-   per-message echo path runs this once per request, so it builds no
-   list and no slice record. *)
-let send conn data =
-  let len = String.length data in
-  if conn.dead || Iov_deque.bytes conn.write_queue + len > max_pending_send then false
-  else begin
-    Iov_deque.push_substring conn.write_queue data 0 len;
-    mark_dirty conn;
-    true
-  end
-
-let close conn =
-  if not conn.dead then Dataplane.sys_close conn.owner.dp conn.handle ~on_result:ignore
-
-let abort conn =
-  if not conn.dead then Dataplane.sys_abort conn.owner.dp conn.handle ~on_result:ignore
 
 (* Flow-group migration, libix side: re-home the conns whose TCBs just
    moved and rebind each to its new handle on the destination thread.

@@ -9,6 +9,13 @@
     offers both a compatibility read path (which copies, like the
     paper's libevent-compatible interface) and a zero-copy read path.
 
+    libix implements the stack-portable {!Netapi.Net_api} interface
+    directly: [connect] and [listen] take {!Netapi.Net_api.handlers},
+    and each connection has one {!Netapi.Net_api.conn} value, built
+    when the connection is, that every handler and the acceptor
+    receive.  Its [id] is the conn's host-unique cookie.  {!Ix_host.stack}
+    packages a host's libs as a {!Netapi.Net_api.stack}.
+
     One [Libix.t] exists per elastic thread; everything here executes
     in ring 3.
 
@@ -16,21 +23,12 @@
     migrated between threads by the control plane.  A [conn] therefore
     carries its current {e owner} — the libix of its home thread — and
     all conn-directed operations ([send], [close], [recv_done], …)
-    route through it, so application code holds one stable [conn]
-    value across migrations and never names a thread explicitly. *)
+    route through it, so application code holds one stable conn value
+    (and [id]) across migrations and never names a thread explicitly. *)
 
 type t
 type conn
-
-type handlers = {
-  on_connected : conn -> ok:bool -> unit;
-  on_data : conn -> string -> unit;
-      (** compatibility read path: payload copied near its use *)
-  on_sent : conn -> int -> unit;  (** bytes acknowledged by the peer *)
-  on_closed : conn -> Ixtcp.Tcb.close_reason -> unit;
-}
-
-val default_handlers : handlers
+(** The zero-copy read path's view of a connection. *)
 
 val create : cookie_alloc:int ref -> Dataplane.t -> t
 (** Installs itself as the dataplane's application.  A host passes one
@@ -38,16 +36,17 @@ val create : cookie_alloc:int ref -> Dataplane.t -> t
     event-routing key) stay unique across elastic threads and survive
     migration. *)
 
-val dataplane : t -> Dataplane.t
-
 val run : t -> (unit -> unit) -> unit
-(** Execute setup code (connects, listens, initial sends) in user
-    mode and start the event loop. *)
+(** Execute code (connects, listens, sends) in user mode: directly when
+    the thread is already in its user phase (inside a handler),
+    otherwise through a bootstrap transition that then starts the event
+    loop. *)
 
-val connect : t -> ip:Ixnet.Ip_addr.t -> port:int -> handlers -> unit
+val connect : t -> ip:Ixnet.Ip_addr.t -> port:int -> Netapi.Net_api.handlers -> unit
 (** Open a connection; completion arrives via [on_connected]. *)
 
-val listen : t -> port:int -> on_accept:(conn -> handlers) -> unit
+val listen :
+  t -> port:int -> on_accept:(Netapi.Net_api.conn -> Netapi.Net_api.handlers) -> unit
 (** Accept connections on [port]; [on_accept] runs at knock time and
     returns the handlers for the new connection. *)
 
@@ -72,24 +71,6 @@ val udp_bind : t -> port:int -> (src:Ixnet.Ip_addr.t * int -> string -> unit) ->
 
 val udp_send :
   t -> src_port:int -> dst_ip:Ixnet.Ip_addr.t -> dst_port:int -> string -> unit
-
-val close : conn -> unit
-
-val abort : conn -> unit
-(** Hard close with RST (benchmark clients' connection churn). *)
-
-val peer : conn -> Ixnet.Ip_addr.t * int
-(** Remote address (from the knock for passive connections). *)
-
-val owner : conn -> t
-(** The libix of the conn's current home thread — stable only between
-    migrations; do not cache it across simulated time. *)
-
-val home_thread : conn -> int
-(** The elastic-thread id the conn currently lives on. *)
-
-val cookie : conn -> int
-(** The conn's host-unique cookie — a stable, migration-safe id. *)
 
 val migrate_conns : src:t -> dst:t -> (int * Ix_api.handle) list -> int
 (** Re-home the conns with the given [(cookie, new handle)] pairs from

@@ -98,7 +98,7 @@ let make_stack sim ~spec ~host_id ~ip ~nics ~metrics ~seed ~linux_costs =
           ~tcp:(Option.value spec.tcp_config ~default:Ix_host.ix_tcp_config)
           ~cache:spec.cache ~metrics ~seed
       in
-      (Apps.Ix_adapter.stack_of_host host, Some host)
+      (Ix_host.stack host, Some host)
   | Linux ->
       ( Baselines.Linux_stack.create ~sim ~host_id ~ip ~nics ~threads:spec.threads
           ~costs:linux_costs

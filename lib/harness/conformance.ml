@@ -75,18 +75,12 @@ let show_ev = function
   | Tcb.Dsack_sent -> "dsack_sent"
   | Tcb.Dsack_dupack_ignored -> "dsack_dupack_ignored"
 
-let show_close = function
-  | Tcb.Normal -> "normal"
-  | Tcb.Reset -> "reset"
-  | Tcb.Timeout -> "timeout"
-  | Tcb.Refused -> "refused"
-
 let show_tr = function
   | T_out s -> "out " ^ show_seg s
   | T_recv n -> Printf.sprintf "recv %d" n
   | T_sent n -> Printf.sprintf "sent %d" n
   | T_conn b -> Printf.sprintf "connected %b" b
-  | T_closed r -> "closed " ^ show_close r
+  | T_closed r -> "closed " ^ Netapi.Net_api.close_reason_name r
   | T_ev e -> "event " ^ show_ev e
   | T_state st -> "state " ^ Tcp_state.to_string st
   | T_acc n -> Printf.sprintf "accepted %d" n

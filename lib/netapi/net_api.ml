@@ -1,4 +1,8 @@
-type close_reason = Normal | Reset | Timeout | Refused
+type close_reason = Ixtcp.Tcb.close_reason =
+  | Normal
+  | Reset
+  | Timeout
+  | Refused
 
 let close_reason_name = function
   | Normal -> "normal"
@@ -31,6 +35,9 @@ let null_handlers =
     on_sent = (fun _ _ -> ());
     on_closed = (fun _ _ -> ());
   }
+
+let inert_conn ~peer ~home =
+  { id = -1; send = (fun _ -> false); close = ignore; abort = ignore; peer; home }
 
 type stack = {
   name : string;

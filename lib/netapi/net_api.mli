@@ -2,8 +2,10 @@
 
     The benchmark applications (echo, NetPIPE, memcached) are written
     once against this interface and run unchanged over the IX dataplane
-    (via libix), the Linux baseline stack and the mTCP baseline stack —
-    mirroring how the paper ports the same benchmarks across systems.
+    (libix implements it directly), the Linux baseline stack and the
+    mTCP baseline stack — mirroring how the paper ports the same
+    benchmarks across systems.  All three stacks run the same TCP
+    ([Ixtcp]), so its types (the close reason) are this interface's.
 
     Payloads are delivered as [string]s; whether a copy was *charged*
     (and where) is each stack's own business, which is exactly the
@@ -19,9 +21,12 @@
     (parked slots still execute [run_app]/[connect] work; they simply
     receive no fresh inbound flows until scaled back in). *)
 
-type close_reason = Normal | Reset | Timeout | Refused
-(** Why a connection died, mirroring [Ixtcp.Tcb.close_reason] without
-    depending on the IX stack: orderly FIN exchange, peer RST,
+type close_reason = Ixtcp.Tcb.close_reason =
+  | Normal
+  | Reset
+  | Timeout
+  | Refused
+(** Why a connection died: orderly FIN exchange, peer RST,
     retransmission-limit timeout, or connection refused. *)
 
 val close_reason_name : close_reason -> string
@@ -58,6 +63,11 @@ type handlers = {
 }
 
 val null_handlers : handlers
+
+val inert_conn : peer:Ixnet.Ip_addr.t * int -> home:(unit -> int) -> conn
+(** A connection that carries nothing: [id = -1], [send] refuses every
+    write, [close] and [abort] do nothing.  Stacks hand it to a failed
+    connect's [on_connected] and use it as filler for unused slots. *)
 
 type stack = {
   name : string;
@@ -106,8 +116,8 @@ val static_census : int -> unit -> census
 
 val kernel_share : stack -> float
 (** The ["kernel_share"] gauge from a fresh {!field-stack.metrics}
-    snapshot — migration helper for the former [stack.kernel_share]
-    field. *)
+    snapshot: the fraction of busy CPU time spent in the
+    kernel/dataplane domain. *)
 
 val busy_ns : stack -> int
 (** The ["busy_ns"] gauge from a fresh metrics snapshot. *)

@@ -228,6 +228,67 @@ let test_echo_latency_histogram () =
   let p50 = Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 50. in
   check_bool "RTT in the ~10us regime" true (p50 > 3_000 && p50 < 60_000)
 
+(* ---------------- One conn value per connection ---------------- *)
+
+(* Each stack hands one [Net_api.conn] per connection to every callback:
+   the active side's [on_connected], [on_data], [on_sent] and
+   [on_closed] all receive the physically same value, and so do the
+   passive side's acceptor and handlers.  The client sends two messages,
+   the second once the first is echoed (it acknowledges the echo, so the
+   server's [on_sent] runs), and aborts on the second echo, so both
+   sides' [on_closed] run on every stack. *)
+let test_one_conn_value kind () =
+  let server = Cluster.server_spec ~threads:1 kind in
+  let cluster = Cluster.build ~client_hosts:1 ~client_threads:1 ~client_kind:kind ~server () in
+  let seen = Hashtbl.create 8 and mismatches = ref 0 in
+  (* Record that [side]'s callback [name] ran and check it got [first]. *)
+  let observe side name (first : Net_api.conn) (c : Net_api.conn) =
+    Hashtbl.replace seen (side ^ "." ^ name) ();
+    if c != first || c.Net_api.id <> first.Net_api.id then incr mismatches
+  in
+  cluster.Cluster.server.Net_api.listen ~port:9 (fun ~thread:_ p ->
+      Hashtbl.replace seen "passive.accept" ();
+      {
+        Net_api.on_connected = (fun c ~ok:_ -> observe "passive" "connected" p c);
+        on_data =
+          (fun c data ->
+            observe "passive" "data" p c;
+            ignore (c.Net_api.send data));
+        on_sent = (fun c _ -> observe "passive" "sent" p c);
+        on_closed = (fun c _ -> observe "passive" "closed" p c);
+      });
+  let active = ref None and echoes = ref 0 in
+  let first c =
+    match !active with
+    | Some a -> a
+    | None ->
+        active := Some c;
+        c
+  in
+  (List.hd cluster.Cluster.clients).Net_api.connect ~thread:0 ~ip:cluster.Cluster.server_ip
+    ~port:9
+    {
+      Net_api.on_connected =
+        (fun c ~ok ->
+          observe "active" "connected" (first c) c;
+          if ok then ignore (c.Net_api.send "ping"));
+      on_data =
+        (fun c _ ->
+          observe "active" "data" (first c) c;
+          incr echoes;
+          if !echoes = 1 then ignore (c.Net_api.send "bye") else c.Net_api.abort ());
+      on_sent = (fun c _ -> observe "active" "sent" (first c) c);
+      on_closed = (fun c _ -> observe "active" "closed" (first c) c);
+    };
+  Engine.Sim.run ~until:(Engine.Sim_time.ms 200) cluster.Cluster.sim;
+  List.iter
+    (fun cb -> check_bool (cb ^ " ran") true (Hashtbl.mem seen cb))
+    [
+      "passive.accept"; "passive.data"; "passive.sent"; "passive.closed";
+      "active.connected"; "active.data"; "active.sent"; "active.closed";
+    ];
+  check_int "every callback received its connection's one conn" 0 !mismatches
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "apps"
@@ -261,4 +322,10 @@ let () =
           Alcotest.test_case "goodput grows with size" `Quick test_netpipe_larger_is_faster;
         ] );
       ("echo", [ Alcotest.test_case "latency histogram" `Quick test_echo_latency_histogram ]);
+      ( "net_api",
+        List.map
+          (fun (name, kind) ->
+            Alcotest.test_case ("one conn value per connection: " ^ name) `Quick
+              (test_one_conn_value kind))
+          [ ("ix", Cluster.Ix); ("linux", Cluster.Linux); ("mtcp", Cluster.Mtcp) ] );
     ]

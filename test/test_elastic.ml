@@ -230,7 +230,9 @@ let test_time_wait_follows_group () =
    the connections' groups migrate while libix still holds the rest,
    and each connection is closed from the server once its bytes are
    acknowledged: every byte and every FIN must reach the client through
-   the new handles, and every flow table must end empty. *)
+   the new handles, and every flow table must end empty.  The portable
+   conn survives the move: each server callback, before and after it,
+   receives the one [Net_api.conn] the acceptor got, with the same id. *)
 let test_migration_rekeys_handles () =
   let server = Cluster.server_spec ~threads:2 Cluster.Ix in
   (* The client's 16 KB receive window keeps each sendv short of the
@@ -244,16 +246,25 @@ let test_migration_rekeys_handles () =
   let sim = cluster.Cluster.sim in
   let host = Option.get cluster.Cluster.server_ix in
   let conns = 8 and total = 256 * 1024 in
-  let accepted = ref [] in
+  let accepted = ref [] and mismatches = ref 0 and moved_callbacks = ref 0 in
   cluster.Cluster.server.Net_api.listen ~port:7 (fun ~thread:_ conn ->
       accepted := conn :: !accepted;
+      let id = conn.Net_api.id and home = conn.Net_api.home () in
+      (* Every callback receives the accepted conn itself, with its id,
+         also once a migration has moved it to another thread. *)
+      let same c =
+        if c != conn || c.Net_api.id <> id then incr mismatches;
+        if c.Net_api.home () <> home then incr moved_callbacks
+      in
       let acked = ref 0 in
       {
         Net_api.null_handlers with
         on_sent =
           (fun c n ->
+            same c;
             acked := !acked + n;
             if !acked = total then c.Net_api.close ());
+        on_closed = (fun c _ -> same c);
       });
   let received = Hashtbl.create 8 and fins = ref 0 in
   let client = List.hd cluster.Cluster.clients in
@@ -317,7 +328,9 @@ let test_migration_rekeys_handles () =
     check_int "flow table empty" 0 (Ixtcp.Tcp_endpoint.connection_count (endpoint i));
     check_int "no TIME_WAIT remnant left" 0 (Ixtcp.Tcp_endpoint.time_wait_count (endpoint i))
   done;
-  check_int "host connection count back to zero" 0 (Ix_host.connections host)
+  check_int "host connection count back to zero" 0 (Ix_host.connections host);
+  check_bool "moved connections' callbacks ran" true (!moved_callbacks > 0);
+  check_int "every callback received its accepted conn" 0 !mismatches
 
 (* ---------------- Migration under faults (qcheck) ---------------- *)
 

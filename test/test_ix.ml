@@ -3,6 +3,7 @@
    end-to-end echo traffic across a simulated cluster. *)
 
 module Sim = Engine.Sim
+module Net_api = Netapi.Net_api
 open Ix_core
 
 let check_int = Alcotest.(check int)
@@ -284,8 +285,8 @@ let test_libix_send_limit () =
   Libix.run lib (fun () ->
       Libix.connect lib ~ip:(List.hd cluster.Harness.Cluster.client_ips) ~port:1
         {
-          Libix.default_handlers with
-          Libix.on_connected = (fun _ ~ok -> results := ok :: !results);
+          Net_api.null_handlers with
+          Net_api.on_connected = (fun _ ~ok -> results := ok :: !results);
         });
   Sim.run ~until:(Engine.Sim_time.ms 100) cluster.Harness.Cluster.sim;
   (* No listener on the client: the connection must be refused. *)
@@ -306,10 +307,10 @@ let test_libix_write_coalescing () =
   (* Sink on the client side. *)
   let received = Buffer.create 64 in
   let client = List.hd cluster.Harness.Cluster.clients in
-  client.Netapi.Net_api.listen ~port:9 (fun ~thread:_ _conn ->
+  client.Net_api.listen ~port:9 (fun ~thread:_ _conn ->
       {
-        Netapi.Net_api.null_handlers with
-        Netapi.Net_api.on_data = (fun _ data -> Buffer.add_string received data);
+        Net_api.null_handlers with
+        Net_api.on_data = (fun _ data -> Buffer.add_string received data);
       });
   let lib = Ix_host.libix host 0 in
   let dp = Ix_host.dataplane host 0 in
@@ -319,14 +320,14 @@ let test_libix_write_coalescing () =
         ~ip:(List.hd cluster.Harness.Cluster.client_ips)
         ~port:9
         {
-          Libix.default_handlers with
-          Libix.on_connected =
+          Net_api.null_handlers with
+          Net_api.on_connected =
             (fun conn ~ok ->
               if ok then begin
                 before := Dataplane.syscalls_processed dp;
-                ignore (Libix.send conn "one ");
-                ignore (Libix.send conn "two ");
-                ignore (Libix.send conn "three")
+                ignore (conn.Net_api.send "one ");
+                ignore (conn.Net_api.send "two ");
+                ignore (conn.Net_api.send "three")
               end);
         });
   Sim.run ~until:(Engine.Sim_time.ms 50) cluster.Harness.Cluster.sim;
@@ -348,13 +349,14 @@ let test_libix_pending_send_limit () =
         ~ip:(List.hd cluster.Harness.Cluster.client_ips)
         ~port:1
         {
-          Libix.default_handlers with
-          Libix.on_connected =
+          Net_api.null_handlers with
+          Net_api.on_connected =
             (fun conn ~ok ->
               ignore ok;
               (* Even before establishment, queueing beyond the pending
                  byte policy is rejected. *)
-              accepted := Libix.send conn (String.make (Libix.max_pending_send + 1) 'x'));
+              accepted :=
+                conn.Net_api.send (String.make (Libix.max_pending_send + 1) 'x'));
         });
   Sim.run ~until:(Engine.Sim_time.ms 10) cluster.Harness.Cluster.sim;
   check_bool "oversized write refused" false !accepted
@@ -374,10 +376,10 @@ let test_libix_deep_queue () =
   let host = Option.get cluster.Harness.Cluster.server_ix in
   let received = ref 0 in
   let client = List.hd cluster.Harness.Cluster.clients in
-  client.Netapi.Net_api.listen ~port:9 (fun ~thread:_ _conn ->
+  client.Net_api.listen ~port:9 (fun ~thread:_ _conn ->
       {
-        Netapi.Net_api.null_handlers with
-        Netapi.Net_api.on_data =
+        Net_api.null_handlers with
+        Net_api.on_data =
           (fun _ data -> received := !received + String.length data);
       });
   let lib = Ix_host.libix host 0 in
@@ -389,13 +391,13 @@ let test_libix_deep_queue () =
         ~ip:(List.hd cluster.Harness.Cluster.client_ips)
         ~port:9
         {
-          Libix.default_handlers with
-          Libix.on_connected =
+          Net_api.null_handlers with
+          Net_api.on_connected =
             (fun conn ~ok ->
               check_bool "connected" true ok;
               let w0 = Gc.minor_words () in
               for _ = 1 to sends do
-                ignore (Libix.send conn payload)
+                ignore (conn.Net_api.send payload)
               done;
               queue_words := Gc.minor_words () -. w0);
         });
@@ -533,10 +535,10 @@ let test_abort_events_delivered_next_user_phase () =
       end);
   Dataplane.listen dp ~port:7100;
   let client = List.hd cluster.Harness.Cluster.clients in
-  client.Netapi.Net_api.run_app ~thread:0 (fun () ->
+  client.Net_api.run_app ~thread:0 (fun () ->
       for _ = 1 to 2 do
-        client.Netapi.Net_api.connect ~thread:0 ~ip:cluster.Harness.Cluster.server_ip
-          ~port:7100 Netapi.Net_api.null_handlers
+        client.Net_api.connect ~thread:0 ~ip:cluster.Harness.Cluster.server_ip
+          ~port:7100 Net_api.null_handlers
       done);
   Sim.run ~until:(Engine.Sim_time.ms 5) cluster.Harness.Cluster.sim;
   check_bool "both connections accepted, then aborted" true (!abort_cycle >= 0);
@@ -583,18 +585,18 @@ let test_stale_handle_rejected_after_slot_reuse () =
   let received = Buffer.create 16 and closes = ref 0 in
   let handlers =
     {
-      Netapi.Net_api.null_handlers with
-      Netapi.Net_api.on_data = (fun _ data -> Buffer.add_string received data);
+      Net_api.null_handlers with
+      Net_api.on_data = (fun _ data -> Buffer.add_string received data);
       on_closed =
         (fun conn _ ->
           incr closes;
-          conn.Netapi.Net_api.close ());
+          conn.Net_api.close ());
     }
   in
   let connect_at ms =
     Sim.at sim (Engine.Sim_time.ms ms) (fun () ->
-        client.Netapi.Net_api.run_app ~thread:0 (fun () ->
-            client.Netapi.Net_api.connect ~thread:0
+        client.Net_api.run_app ~thread:0 (fun () ->
+            client.Net_api.connect ~thread:0
               ~ip:cluster.Harness.Cluster.server_ip ~port:7200 handlers))
   in
   connect_at 1;
@@ -830,8 +832,8 @@ let test_ready_round_allocates_nothing () =
   let c = bare_host () in
   let stack = Host.stack [| c |] in
   let sent = ref 0 in
-  stack.Netapi.Net_api.connect ~thread:0 ~ip:(Ixnet.Ip_addr.of_host_id 2) ~port:80
-    { Netapi.Net_api.null_handlers with Netapi.Net_api.on_sent = (fun _ n -> sent := !sent + n) };
+  stack.Net_api.connect ~thread:0 ~ip:(Ixnet.Ip_addr.of_host_id 2) ~port:80
+    { Net_api.null_handlers with Net_api.on_sent = (fun _ n -> sent := !sent + n) };
   Host.run_batch c;
   let tcb = ref None in
   Ixtcp.Tcp_endpoint.iter_connections (Option.get c.Host.ep) (fun t -> tcb := Some t);
@@ -839,7 +841,7 @@ let test_ready_round_allocates_nothing () =
   let jobs = ref 0 in
   let job () = incr jobs in
   let round () =
-    stack.Netapi.Net_api.run_app ~thread:0 job;
+    stack.Net_api.run_app ~thread:0 job;
     on_sent 1;
     Host.run_batch c
   in
@@ -856,7 +858,7 @@ let test_ready_round_allocates_nothing () =
 
 (* A connection between an IX server and an IX client, both reading
    zero-copy; returns the cluster, the server's dataplane and libix, and
-   the server side's TCB and libix conn. *)
+   the server side's TCB and portable conn. *)
 let zero_copy_pair () =
   let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
   let cluster =
@@ -871,10 +873,10 @@ let zero_copy_pair () =
   Libix.run lib (fun () ->
       Libix.listen lib ~port:7300 ~on_accept:(fun conn ->
           accepted := Some conn;
-          Libix.default_handlers));
+          Net_api.null_handlers));
   Libix.run client_lib (fun () ->
       Libix.connect client_lib ~ip:cluster.Harness.Cluster.server_ip ~port:7300
-        Libix.default_handlers);
+        Net_api.null_handlers);
   Sim.run ~until:(Engine.Sim_time.ms 2) cluster.Harness.Cluster.sim;
   let tcb = ref None in
   Ixtcp.Tcp_endpoint.iter_connections (Dataplane.endpoint dp) (fun t -> tcb := Some t);
@@ -933,13 +935,66 @@ let test_libix_send_allocates_nothing () =
   let payload = String.make 16 'q' and queued = ref 0 in
   let sends () =
     for _ = 1 to 10_000 do
-      if Libix.send conn payload then incr queued
+      if conn.Net_api.send payload then incr queued
     done
   in
   Libix.run lib sends;
   Sim.run ~until:(Engine.Sim_time.ms 50) cluster.Harness.Cluster.sim;
   Libix.run lib (fun () -> Alloc_gate.none "words over 10k sends" sends);
   check_int "every send was queued" 20_000 !queued
+
+(* What one connection's setup and teardown allocate through [Net_api]
+   on both hosts: the two TCBs, libix's conn and its one portable conn
+   per side, and the dataplane's and engine's per-connection work.  A
+   1-thread IX client connects to a 1-thread IX server and aborts once
+   connected, and its [on_closed] opens the next connection, so the
+   cycles run back to back inside the simulation.  After 1 k warm-up
+   cycles have sized every pool and table, 1 k cycles measure 233.49
+   words each; the pin leaves half a word of slack for the run's
+   constant overheads, and a second wrapper record per connection (or
+   per-connect handler closures) breaks it. *)
+let setup_words_budget = 234.
+
+let test_net_api_setup_words () =
+  let server = Harness.Cluster.server_spec ~threads:1 Harness.Cluster.Ix in
+  let cluster =
+    Harness.Cluster.build ~client_hosts:1 ~client_threads:1
+      ~client_kind:Harness.Cluster.Ix ~server ()
+  in
+  let sim = cluster.Harness.Cluster.sim and ip = cluster.Harness.Cluster.server_ip in
+  let accepted = ref 0 and closed = ref 0 and remaining = ref 0 in
+  cluster.Harness.Cluster.server.Net_api.listen ~port:7400 (fun ~thread:_ _ ->
+      incr accepted;
+      Net_api.null_handlers);
+  let client = List.hd cluster.Harness.Cluster.clients in
+  let rec handlers =
+    {
+      Net_api.null_handlers with
+      Net_api.on_connected = (fun c ~ok -> if ok then c.Net_api.abort ());
+      on_closed =
+        (fun _ _ ->
+          incr closed;
+          if !remaining > 0 then begin
+            decr remaining;
+            client.Net_api.connect ~thread:0 ~ip ~port:7400 handlers
+          end);
+    }
+  in
+  let cycles k =
+    remaining := k - 1;
+    client.Net_api.connect ~thread:0 ~ip ~port:7400 handlers;
+    Sim.run ~until:(Sim.now sim + Engine.Sim_time.s 1) sim
+  in
+  cycles 1_000;
+  let per_conn = Alloc_gate.words (fun () -> cycles 1_000) /. 1_000. in
+  check_int "every connection accepted" 2_000 !accepted;
+  check_int "every connection closed" 2_000 !closed;
+  check_int "no connection left" 0 (cluster.Harness.Cluster.server.Net_api.conn_count ());
+  check_bool
+    (Printf.sprintf "%.2f words per connect/accept/abort cycle <= %.0f" per_conn
+       setup_words_budget)
+    true
+    (per_conn <= setup_words_budget)
 
 let () =
   Alcotest.run "ix_core"
@@ -1026,5 +1081,7 @@ let () =
           Alcotest.test_case "deep queue stays linear" `Quick test_libix_deep_queue;
           Alcotest.test_case "icmp ping" `Quick test_icmp_ping_roundtrip;
           Alcotest.test_case "send allocates nothing" `Quick test_libix_send_allocates_nothing;
+          Alcotest.test_case "connection setup words through Net_api" `Quick
+            test_net_api_setup_words;
         ] );
     ]
